@@ -74,6 +74,7 @@ from .experiments import (
     run_worker_agent,
     throughput_retransmit_sweep,
 )
+from .experiments.campaign import _execute_unit
 from .faults import FaultPlan, FaultPlanError
 from .obs import (
     CampaignTelemetry,
@@ -475,7 +476,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         parse_endpoint(args.connect)
     except ValueError as exc:
         raise SystemExit(f"bad --connect: {exc}")
-    return run_worker_agent(args.connect, cache=args.cache, retry=args.retry)
+    return run_worker_agent(args.connect, _execute_unit, cache=args.cache,
+                            retry=args.retry)
 
 
 def _run_scenario(args: argparse.Namespace, instrument=None):

@@ -5,8 +5,8 @@ replication — of mutually independent simulation runs.  This module turns
 that grid into a batch workload:
 
 * :func:`run_campaign` fans :class:`repro.experiments.runner.RunSpec` units
-  out over supervised ``multiprocessing`` workers (``jobs`` at a time,
-  default ``os.cpu_count()``);
+  out over supervised workers (``jobs`` at a time, default
+  ``os.cpu_count()``);
 * every run's master seed is derived from its ``(scenario, replication)``
   key via :func:`repro.sim.rng.derive_run_seed`, so metrics are
   bit-identical whatever the worker count, pool mode, batching, or
@@ -16,47 +16,60 @@ that grid into a batch workload:
   plus the code schema version — so re-running a campaign only executes
   scenarios whose parameters (or the simulator itself) changed.
 
-Execution backends (``pool_mode``):
+One loop, four transports.  :func:`_run_pool` is the only supervisor: it
+alone knows how attempts are retried, backed off, quarantined, timed out,
+drained and reported.  A ``pool_mode`` merely names the
+:mod:`~repro.experiments.transport` that loop talks to its workers
+through:
 
-* ``"warm"`` (default) — a persistent pool of long-lived supervised
-  workers.  Each worker is forked once, pulls batches of units over its own
-  duplex pipe, and streams one result message back per unit as it
-  completes, so interpreter startup and module import are amortised over
-  the whole campaign instead of being paid per attempt.
-* ``"per-attempt"`` — the PR-4 model: one freshly forked process per
-  attempt.  Slower on short runs, but every attempt gets a pristine
-  interpreter; prefer it when hunting state-leak bugs or when a unit is
-  suspected of corrupting interpreter-global state.
-* ``"inproc"`` — everything in the coordinating process, no forks, no
-  watchdog.  The debugging backend (breakpoints and monkeypatches apply
-  directly).
-* ``"cluster"`` — the warm pool's supervisor loop over a TCP transport
-  (:class:`repro.experiments.transport.TcpTransport`): worker *agents*
-  (``repro-muzha worker --connect HOST:PORT``) dial the coordinator's
-  listener — from other hosts, or self-spawned locally — and pull units
-  through the same work-stealing dispatch.  Agents may join late; a dead
-  connection requeues its in-flight unit un-charged (the wire died, not
-  necessarily the work).  Shards share one content-addressed cache via
-  :mod:`repro.experiments.cachestore`.
+* ``"warm"`` (default) — :class:`~repro.experiments.transport.
+  PipeTransport`: long-lived workers, each forked once, pull batches of
+  up to :data:`WARM_BATCH_MAX` units over a duplex pipe and stream one
+  result back per unit, so interpreter startup and module import are
+  amortised over the whole campaign.
+* ``"per-attempt"`` — the same pipe transport with one-unit batches and
+  single-use links: a worker reports itself spent after its unit, the
+  loop stops it in good order and forks its successor, so every attempt
+  gets a pristine fork of the coordinator.  Slower on short runs; prefer
+  it when hunting state-leak bugs or when a unit is suspected of
+  corrupting interpreter-global state.
+* ``"inproc"`` — :class:`~repro.experiments.transport.InlineTransport`:
+  a single link that executes each unit in the coordinating process when
+  the loop dispatches it.  No forks, and nothing for the watchdog to
+  kill.  The debugging backend (breakpoints and monkeypatches apply
+  directly; Ctrl-C propagates).  ``jobs == 1`` without a watchdog picks
+  it in every local mode.
+* ``"cluster"`` — :class:`~repro.experiments.transport.TcpTransport`:
+  worker *agents* (``repro-muzha worker --connect HOST:PORT``) dial the
+  coordinator's listener — from other hosts, or self-spawned locally —
+  and pull units through the same work-stealing dispatch.  Agents may
+  join late; a dead connection requeues its in-flight unit un-charged
+  (the wire died, not necessarily the work).  Shards share one
+  content-addressed cache via :mod:`repro.experiments.cachestore`.
 
-Self-healing (``warm`` and ``per-attempt``): each attempt runs under a
-supervisor with an optional wall-clock watchdog
-(:class:`RetryPolicy.task_timeout`).  A worker that crashes, is killed, or
-hangs past its deadline is terminated — and, in warm mode, transparently
-replaced by a freshly forked worker — while the unit is retried with
+Because the policy lives in one place, every mode reports the same way:
+workers are ``w<n>`` (``host:w<n>`` for agents), each attempt is one
+``unit-attempt`` span, and a failed attempt waits
+:meth:`RetryPolicy.retry_delay` before its retry — ``inproc`` included.
+
+Self-healing: each attempt runs under the supervisor with an optional
+wall-clock watchdog (:class:`RetryPolicy.task_timeout`).  A worker that
+crashes, is killed, or hangs past its deadline is terminated and
+transparently replaced by a fresh one, while the unit is retried with
 exponential backoff up to :class:`RetryPolicy.max_retries` times; a unit
 that exhausts its retries is *quarantined* — recorded in
 ``CampaignResult.failed`` — and the rest of the campaign completes
 normally.  Units that were merely queued behind a crashed/hung unit on the
-same warm worker are requeued without being charged an attempt.  Cache
+same worker are requeued without being charged an attempt.  Cache
 entries carry a content checksum; a truncated or bit-flipped entry is
-detected on read, reported via :class:`CacheCorruptionWarning`, evicted,
-and transparently recomputed.  Cache hits short-circuit before dispatch:
-a fully cached campaign never starts a worker at all.
+detected on read, reported via :class:`~repro.experiments.cachestore.
+CacheCorruptionWarning`, evicted, and transparently recomputed.  Cache
+hits short-circuit before dispatch: a fully cached campaign never starts
+a worker at all.
 
 Determinism contract: ``run_campaign(grid)`` is a pure function of the grid
 and the campaign seed — pool mode included.  Per-unit seeds are derived in
-:func:`plan_campaign` before any dispatch, so which warm worker executes a
+:func:`plan_campaign` before any dispatch, so which worker executes a
 unit (and in which batch) is invisible in the results.  The property tests
 in ``tests/props/test_campaign_determinism.py`` and the pool-mode
 byte-identity tests in ``tests/integration/test_pool_modes.py`` hold this
@@ -67,32 +80,23 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
 import multiprocessing.connection
 import os
 import signal
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.engine import CampaignTelemetry
 from ..sim.rng import derive_run_seed
-# Re-exported for backward compatibility: the cache grew into its own
-# module (cachestore) when PR 10 added remote stores, but callers and
-# tests keep importing these names from here.
-from .cachestore import (  # noqa: F401
-    CLUSTER_REGISTRY_DIRNAME,
-    CacheCorruptionWarning,
-    CacheStore,
-    CampaignCache,
-    _envelope_checksum,
-    _fsync_dir,
-)
+from .cachestore import CLUSTER_REGISTRY_DIRNAME, CampaignCache
 from .config import CACHE_SCHEMA_VERSION, ScenarioConfig, stable_digest
 from .journal import CampaignJournal, JournalReplay
 from .runner import RunResult, RunSpec, execute_run
 from .transport import (
+    InlineTransport,
     PipeTransport,
     TcpTransport,
     Transport,
@@ -197,23 +201,6 @@ class GracefulShutdown:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.uninstall()
-
-
-def _reset_worker_signals() -> None:
-    """Detach a forked worker from the coordinator's signal handlers.
-
-    Workers inherit signal dispositions across ``fork``; an inherited
-    graceful-shutdown handler would make SIGTERM a no-op in the child and
-    push every drain onto the slow KILL escalation path.  SIGINT is
-    ignored (the terminal delivers ^C to the whole foreground group, but
-    shutdown is the coordinator's call to make); SIGTERM is restored to
-    its default so ``process.terminate()`` works.
-    """
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    except (ValueError, OSError):  # pragma: no cover - non-POSIX
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -486,98 +473,8 @@ def _execute_unit(
     return index, result.to_dict(), result.manifest
 
 
-def _supervised_worker(conn, index: int, spec: RunSpec) -> None:
-    """Child-process shim around :func:`_execute_unit`.
-
-    Routes through ``_execute_unit`` (not ``execute_run`` directly) so test
-    monkeypatches of ``_execute_unit`` — inherited across ``fork`` — and the
-    :data:`CRASH_ONCE_ENV` hook apply to supervised execution too.
-    """
-    _reset_worker_signals()
-    try:
-        idx, metrics, manifest = _execute_unit((index, spec))
-        conn.send(("ok", idx, metrics, manifest))
-    except BaseException as exc:  # a worker must never die silently
-        try:
-            conn.send(("err", index, f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
-def _pool_context() -> multiprocessing.context.BaseContext:
-    # fork (where available) starts workers in milliseconds; results do not
-    # depend on the start method because every run re-derives its RNG state
-    # from the spec alone.
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
-
-
-@dataclass
-class _Attempt:
-    """Supervisor bookkeeping for one in-flight worker process."""
-
-    run: CampaignRun
-    attempt: int  # 1-based
-    process: Any
-    conn: Any
-    deadline: Optional[float]  # time.monotonic watchdog cutoff
-    wid: str = ""  # telemetry worker id ("p<pid>")
-
-
-def _terminate(process) -> None:
-    process.terminate()
-    process.join(timeout=1.0)
-    if process.is_alive():  # pragma: no cover - SIGTERM ignored
-        process.kill()
-        process.join()
-
-
 # ---------------------------------------------------------------------------
-# Warm-worker pool
-
-
-#: Wire form of one schedulable unit, as shipped to a warm worker inside a
-#: ``("batch", [unit, ...])`` message: ``(index, spec)``.
-_CampaignUnit = Tuple[int, RunSpec]
-
-
-def _warm_worker_main(conn) -> None:
-    """Long-lived warm-worker loop: pull unit batches, stream results back.
-
-    One ``("ok", index, metrics, manifest)`` or ``("err", index, message)``
-    reply is sent per unit *as it completes*, so the supervisor can reset
-    its per-unit watchdog between units of the same batch and attribute a
-    crash to exactly the unit that was executing.  Routes through
-    :func:`_execute_unit` (not ``execute_run``) so test monkeypatches —
-    inherited across ``fork`` at pool start — and the :data:`CRASH_ONCE_ENV`
-    hook apply to warm execution too.
-    """
-    _reset_worker_signals()
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if message[0] != "batch":  # ("stop",) — orderly shutdown
-            break
-        for index, spec in message[1]:
-            try:
-                idx, metrics, manifest = _execute_unit((index, spec))
-                reply = ("ok", idx, metrics, manifest)
-            except BaseException as exc:  # a worker must never die silently
-                reply = ("err", index, f"{type(exc).__name__}: {exc}")
-            try:
-                conn.send(reply)
-            except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
-                return
-    try:
-        conn.close()
-    except OSError:  # pragma: no cover
-        pass
+# The supervisor loop
 
 
 @dataclass
@@ -613,21 +510,25 @@ def _run_pool(
         Callable[[CampaignRun, Dict[str, Any], Optional[Dict[str, Any]]], None]
     ] = None,
 ) -> None:
-    """Run ``pending`` on a work-stealing pool of persistent workers.
+    """Run ``pending`` on a work-stealing pool of supervised workers.
 
-    The supervisor loop is transport-generic: ``transport`` provides the
-    :class:`~repro.experiments.transport.WorkerLink` objects — forked pipe
-    workers (:class:`~repro.experiments.transport.PipeTransport`, the warm
-    pool) or TCP worker agents (:class:`~repro.experiments.transport.
-    TcpTransport`, the cluster backend) — and the loop waits on links and
-    the transport's listener alike, so agents can join mid-campaign and
-    immediately start stealing units from the shared ready-queue.  Every
-    PR-4/PR-5 robustness guarantee carries over:
+    The one supervisor loop behind every ``pool_mode``: ``transport``
+    provides the :class:`~repro.experiments.transport.WorkerLink` objects
+    — the coordinating process itself (``InlineTransport``), forked pipe
+    workers (``PipeTransport``, persistent or single-use) or TCP worker
+    agents (``TcpTransport``) — and the loop waits on links and the
+    transport's listener alike, so agents can join mid-campaign and
+    immediately start stealing units from the shared ready-queue.  The
+    retry, quarantine, watchdog, drain and telemetry policy lives here
+    and nowhere else:
 
     * a local worker that dies (crash, ``os._exit``, kill) is detected via
       pipe EOF; the unit it was executing is charged a failed attempt, the
       rest of its batch is requeued un-charged, and a fresh worker is
       spawned to keep the pool at strength;
+    * a link that reports itself ``spent`` (a single-use worker after its
+      one batch) is stopped in good order and the same keep-at-strength
+      spawn forks its successor — a recycle, not a replacement;
     * a *remote* link that drops mid-unit requeues its head unit
       **un-charged** — the connection died, not necessarily the work — but
       a unit that keeps killing its connections is charged after
@@ -652,12 +553,16 @@ def _run_pool(
     remainder a resume picks up.
     """
     target_workers = max(1, min(jobs, len(pending)))
-    # (ready_time, run, attempt) — ready_time is a monotonic timestamp.
-    queue: List[Tuple[float, CampaignRun, int]] = [(0.0, run, 1) for run in pending]
+    #: The shared work queue: (run, attempt) pairs any idle worker may take.
+    ready: Deque[Tuple[CampaignRun, int]] = deque((run, 1) for run in pending)
+    #: Retries waiting out their backoff: (monotonic ready_time, run, attempt).
+    backoff: List[Tuple[float, CampaignRun, int]] = []
     workers: Dict[Any, _PoolWorker] = {}  # link -> worker
     worker_serial = itertools.count(1)
     #: Mid-unit disconnect count per unit index (remote links only).
     disconnects: Dict[int, int] = {}
+    #: Workers lost to a crash or the watchdog and not yet replaced.
+    lost = 0
 
     def register(link: Any, replacement: bool = False) -> None:
         serial = next(worker_serial)
@@ -673,31 +578,52 @@ def _run_pool(
                 host=link.host,
             )
 
-    def spawn(replacement: bool = False) -> None:
+    def spawn() -> None:
+        nonlocal lost
         link = transport.spawn()
         if link is not None:  # TCP agents join later through accept()
-            register(link, replacement=replacement)
+            register(link, replacement=lost > 0)
+        lost = max(0, lost - 1)
 
-    def handle_failure(run: CampaignRun, attempt: int, error: str) -> None:
+    def fail(worker: _PoolWorker, run: CampaignRun, attempt: int,
+             status: str, error: str) -> None:
+        """One charged failed attempt: its span, then retry or quarantine."""
+        if telemetry is not None:
+            telemetry.unit_result(
+                worker.wid, run.index, attempt, status,
+                scenario=run.scenario[:12], replication=run.replication,
+                error=error,
+            )
         if attempt <= policy.max_retries:
             delay = policy.retry_delay(attempt)
             if telemetry is not None:
                 telemetry.retry_scheduled(run.index, attempt, delay, error)
-            queue.append((time.monotonic() + delay, run, attempt + 1))
+            backoff.append((time.monotonic() + delay, run, attempt + 1))
         else:
             quarantine(FailedRun(run=run, error=error, attempts=attempt))
 
     def requeue_innocent(worker: _PoolWorker) -> None:
         """Units queued behind a failed head unit go back un-charged."""
-        queue.extend((0.0, run, attempt) for run, attempt in worker.batch)
+        ready.extend(worker.batch)
         worker.batch = []
 
     def retire(worker: _PoolWorker, kill: bool) -> None:
+        nonlocal lost
+        lost += 1
         workers.pop(worker.link)
         if kill:
             worker.link.kill()
         else:
             worker.link.reap()
+
+    def stop(worker: _PoolWorker) -> None:
+        """Orderly exit: the worker is done (or spent), it did not fail."""
+        workers.pop(worker.link)
+        worker.link.stop()
+        if telemetry is not None:
+            telemetry.worker_exited(
+                worker.wid, "stop", exitcode=worker.link.exitcode
+            )
 
     def on_worker_death(worker: _PoolWorker) -> None:
         retire(worker, kill=False)
@@ -705,7 +631,10 @@ def _run_pool(
         reason = "disconnect" if worker.link.remote else "crash"
         if worker.batch:
             run, attempt = worker.batch.pop(0)
-            if worker.link.remote:
+            if not worker.link.remote:
+                fail(worker, run, attempt, "crash",
+                     f"worker crashed (exit code {code})")
+            else:
                 # The *connection* died; the work itself may be blameless
                 # (agent host rebooted, network blip).  Requeue un-charged —
                 # but cap it: a unit that repeatedly takes its connection
@@ -713,28 +642,11 @@ def _run_pool(
                 seen = disconnects.get(run.index, 0) + 1
                 disconnects[run.index] = seen
                 if seen <= policy.max_retries + 1:
-                    queue.append((0.0, run, attempt))
+                    ready.append((run, attempt))
                 else:
-                    error = (
-                        f"connection lost mid-unit {seen} times "
-                        f"(last exit code {code})"
-                    )
-                    if telemetry is not None:
-                        telemetry.unit_result(
-                            worker.wid, run.index, attempt, "crash",
-                            scenario=run.scenario[:12],
-                            replication=run.replication, error=error,
-                        )
-                    handle_failure(run, attempt, error)
-            else:
-                error = f"worker crashed (exit code {code})"
-                if telemetry is not None:
-                    telemetry.unit_result(
-                        worker.wid, run.index, attempt, "crash",
-                        scenario=run.scenario[:12],
-                        replication=run.replication, error=error,
-                    )
-                handle_failure(run, attempt, error)
+                    fail(worker, run, attempt, "crash",
+                         f"connection lost mid-unit {seen} times "
+                         f"(last exit code {code})")
             requeue_innocent(worker)
         if telemetry is not None:
             telemetry.worker_exited(worker.wid, reason, exitcode=code)
@@ -742,14 +654,8 @@ def _run_pool(
     def on_worker_timeout(worker: _PoolWorker) -> None:
         retire(worker, kill=True)
         run, attempt = worker.batch.pop(0)
-        error = f"timed out after {policy.task_timeout:g}s wall clock"
-        if telemetry is not None:
-            telemetry.unit_result(
-                worker.wid, run.index, attempt, "timeout",
-                scenario=run.scenario[:12], replication=run.replication,
-                error=error,
-            )
-        handle_failure(run, attempt, error)
+        fail(worker, run, attempt, "timeout",
+             f"timed out after {policy.task_timeout:g}s wall clock")
         requeue_innocent(worker)
         if telemetry is not None:
             telemetry.worker_exited(
@@ -778,13 +684,9 @@ def _run_pool(
             else:
                 store(run, message[2], message[3])
         else:
-            if telemetry is not None:
-                telemetry.unit_result(
-                    worker.wid, run.index, attempt, "error",
-                    scenario=run.scenario[:12], replication=run.replication,
-                    error=message[2],
-                )
-            handle_failure(run, attempt, message[2])
+            fail(worker, run, attempt, "error", message[2])
+        if worker.idle and worker.link.spent:
+            stop(worker)
 
     def dispatch() -> None:
         """Hand ready units to idle workers, ``transport.prefetch`` each.
@@ -798,26 +700,25 @@ def _run_pool(
         if not idle:
             return
         now = time.monotonic()
-        ready: List[Tuple[CampaignRun, int]] = []
-        i = 0
-        while i < len(queue):
-            if queue[i][0] <= now:
-                _, run, attempt = queue.pop(i)
-                ready.append((run, attempt))
-            else:
-                i += 1
-        if not ready:
-            return
+        due = [entry for entry in backoff if entry[0] <= now]
+        if due:  # expired retries go to the head of the line, oldest first
+            backoff[:] = [entry for entry in backoff if entry[0] > now]
+            ready.extendleft((run, attempt) for _, run, attempt in reversed(due))
         per = max(1, min(transport.prefetch, -(-len(ready) // len(idle))))
-        handout = iter(ready)
         for worker in idle:
-            chunk = list(itertools.islice(handout, per))
+            chunk = [ready.popleft() for _ in range(min(per, len(ready)))]
             if not chunk:
                 break
             worker.batch = chunk
             worker.deadline = (
                 now + policy.task_timeout if policy.task_timeout is not None else None
             )
+            # Announced before the send: an inline link executes the
+            # batch inside ``send_batch``, and its spans must start here.
+            if telemetry is not None:
+                telemetry.batch_dispatched(
+                    worker.wid, [run.index for run, _ in chunk]
+                )
             try:
                 worker.link.send_batch(
                     [(run.index, run.spec, run.digest) for run, _ in chunk]
@@ -826,21 +727,12 @@ def _run_pool(
                 # Death noticed mid-send: the worker never received the
                 # batch, so nothing was executing — requeue the whole chunk
                 # un-charged and let the wait loop reap the (now idle)
-                # corpse without blaming the head unit.
+                # corpse without blaming the head unit; its exit closes the
+                # announced batch span as aborted.
                 requeue_innocent(worker)
-            else:
-                if telemetry is not None:
-                    telemetry.batch_dispatched(
-                        worker.wid, [run.index for run, _ in chunk]
-                    )
-        queue.extend((0.0, run, attempt) for run, attempt in handout)
-
-    if transport.can_spawn:
-        for _ in range(target_workers):
-            spawn()
 
     try:
-        while queue or any(not w.idle for w in workers.values()):
+        while ready or backoff or any(not w.idle for w in workers.values()):
             draining = shutdown is not None and shutdown.requested
             if draining:
                 # Drain: no new spawns or dispatches; leave once every
@@ -848,16 +740,18 @@ def _run_pool(
                 if shutdown.abort or all(w.idle for w in workers.values()):
                     break
             else:
-                # Keep the pool at strength: crashed workers are replaced
-                # as long as there is (or will be) work for them.  Spawns
-                # that join asynchronously (TCP agents) are counted via
-                # ``pending_spawns`` so a slow joiner is not double-spawned.
+                # Bring the pool to strength and keep it there: crashed and
+                # spent workers are succeeded as long as there is (or will
+                # be) work for them.  Spawns that join asynchronously (TCP
+                # agents) are counted via ``pending_spawns`` so a slow
+                # joiner is not double-spawned.
                 while transport.can_spawn and (
                     len(workers) + transport.pending_spawns < target_workers
                 ) and (
-                    queue or any(not w.idle for w in workers.values())
+                    ready or backoff
+                    or any(not w.idle for w in workers.values())
                 ):
-                    spawn(replacement=True)
+                    spawn()
                 dispatch()
             if telemetry is not None:
                 telemetry.tick()
@@ -868,13 +762,13 @@ def _run_pool(
             ]
             if deadlines:
                 timeout = min(timeout, max(0.0, min(deadlines) - now))
-            # Only FUTURE ready times (backoff expiries) bound the wait:
-            # ready-now units are picked up by ``dispatch()`` as soon as a
-            # worker goes idle, which always coincides with its connection
-            # becoming readable.  Letting a ready-now queue clamp the
+            # Only FUTURE backoff expiries bound the wait: ready-now units
+            # (and retries already due) are picked up by ``dispatch()`` as
+            # soon as a worker goes idle, which always coincides with its
+            # connection becoming readable.  Letting them clamp the
             # timeout to zero would busy-spin the coordinator and starve
             # the workers of CPU while every worker is mid-batch.
-            future_ready = [r for r, _, _ in queue if r > now]
+            future_ready = [at for at, _, _ in backoff if at > now]
             if future_ready:
                 timeout = min(timeout, max(0.0, min(future_ready) - now))
             ready_objs = multiprocessing.connection.wait(
@@ -903,175 +797,7 @@ def _run_pool(
                 on_worker_timeout(worker)
     finally:
         for worker in list(workers.values()):
-            worker.link.stop()
-            if telemetry is not None:
-                telemetry.worker_exited(
-                    worker.wid, "stop", exitcode=worker.link.exitcode
-                )
-        workers.clear()
-
-
-def _run_supervised(
-    pending: Sequence[CampaignRun],
-    jobs: int,
-    policy: RetryPolicy,
-    store: Callable[[CampaignRun, Dict[str, Any], Optional[Dict[str, Any]]], None],
-    quarantine: Callable[[FailedRun], None],
-    telemetry: Optional[CampaignTelemetry] = None,
-    shutdown: Optional[GracefulShutdown] = None,
-) -> None:
-    """Run ``pending`` under crash/hang supervision, ``jobs`` at a time.
-
-    Each unit gets its own forked process and result pipe.  The loop
-    launches ready units into free slots, waits on the pipes with a timeout
-    bounded by the nearest watchdog deadline / backoff expiry, reaps
-    results, terminates over-deadline workers, and requeues failures with
-    exponential backoff until their retry budget runs out.
-
-    ``shutdown.requested`` turns the loop into a drain (see
-    :func:`_run_warm_pool`): no new launches, in-flight attempts are
-    awaited until ``shutdown.abort``, then any still-running worker is
-    terminated and its unit left unrecorded for a resume to re-execute.
-    """
-    ctx = _pool_context()
-    workers = min(jobs, len(pending))
-    # (ready_time, run, attempt) — ready_time is a monotonic timestamp.
-    queue: List[Tuple[float, CampaignRun, int]] = [(0.0, run, 1) for run in pending]
-    active: Dict[Any, _Attempt] = {}
-
-    def launch_ready() -> None:
-        now = time.monotonic()
-        i = 0
-        while i < len(queue) and len(active) < workers:
-            ready, run, attempt = queue[i]
-            if ready > now:
-                i += 1
-                continue
-            queue.pop(i)
-            parent, child = ctx.Pipe(duplex=False)
-            process = ctx.Process(
-                target=_supervised_worker, args=(child, run.index, run.spec)
-            )
-            process.start()
-            child.close()
-            deadline = (
-                now + policy.task_timeout if policy.task_timeout is not None else None
-            )
-            wid = f"p{process.pid}"
-            active[parent] = _Attempt(run, attempt, process, parent, deadline, wid)
-            if telemetry is not None:
-                telemetry.worker_spawned(wid, process.pid)
-                telemetry.batch_dispatched(wid, [run.index])
-
-    def handle_failure(entry: _Attempt, error: str) -> None:
-        if entry.attempt <= policy.max_retries:
-            delay = policy.retry_delay(entry.attempt)
-            if telemetry is not None:
-                telemetry.retry_scheduled(
-                    entry.run.index, entry.attempt, delay, error
-                )
-            queue.append((time.monotonic() + delay, entry.run, entry.attempt + 1))
-        else:
-            quarantine(FailedRun(run=entry.run, error=error, attempts=entry.attempt))
-
-    def unit_span(entry: _Attempt, status: str, *, manifest=None,
-                  error=None) -> None:
-        if telemetry is not None:
-            telemetry.unit_result(
-                entry.wid, entry.run.index, entry.attempt, status,
-                scenario=entry.run.scenario[:12],
-                replication=entry.run.replication,
-                manifest=manifest, error=error,
-            )
-
-    def reap(conn, timed_out: bool) -> None:
-        entry = active.pop(conn)
-        message = None
-        if not timed_out:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                message = None  # died before sending: a hard crash
-        conn.close()
-        if timed_out:
-            _terminate(entry.process)
-            error = f"timed out after {policy.task_timeout:g}s wall clock"
-            unit_span(entry, "timeout", error=error)
-            if telemetry is not None:
-                telemetry.worker_exited(
-                    entry.wid, "timeout", exitcode=entry.process.exitcode
-                )
-            handle_failure(entry, error)
-            return
-        entry.process.join()
-        if message is not None and message[0] == "ok":
-            _, _, metrics, manifest = message
-            unit_span(entry, "ok", manifest=manifest)
-            if telemetry is not None:
-                telemetry.worker_exited(
-                    entry.wid, "stop", exitcode=entry.process.exitcode
-                )
-            store(entry.run, metrics, manifest)
-        elif message is not None:
-            unit_span(entry, "error", error=message[2])
-            if telemetry is not None:
-                telemetry.worker_exited(
-                    entry.wid, "stop", exitcode=entry.process.exitcode
-                )
-            handle_failure(entry, message[2])
-        else:
-            code = entry.process.exitcode
-            error = f"worker crashed (exit code {code})"
-            unit_span(entry, "crash", error=error)
-            if telemetry is not None:
-                telemetry.worker_exited(entry.wid, "crash", exitcode=code)
-            handle_failure(entry, error)
-
-    while queue or active:
-        draining = shutdown is not None and shutdown.requested
-        if draining:
-            if shutdown.abort or not active:
-                break
-        else:
-            launch_ready()
-        now = time.monotonic()
-        if not active:
-            # Every remaining unit is waiting out its backoff.
-            time.sleep(max(0.0, min(ready for ready, _, _ in queue) - now))
-            continue
-        timeout = 0.5
-        deadlines = [e.deadline for e in active.values() if e.deadline is not None]
-        if deadlines:
-            timeout = min(timeout, max(0.0, min(deadlines) - now))
-        # Future ready times only (see the warm-pool loop): a ready-now
-        # backlog just means every slot is busy, and ``launch_ready`` runs
-        # again as soon as a worker's connection signals completion.
-        future_ready = [r for r, _, _ in queue if r > now]
-        if future_ready:
-            timeout = min(timeout, max(0.0, min(future_ready) - now))
-        ready_conns = multiprocessing.connection.wait(list(active), timeout=timeout)
-        for conn in ready_conns:
-            reap(conn, timed_out=False)
-        now = time.monotonic()
-        for conn in [
-            c for c, e in active.items()
-            if e.deadline is not None and now >= e.deadline
-        ]:
-            reap(conn, timed_out=True)
-
-    # Drain abandoned with attempts still in flight: terminate them and
-    # leave their units unrecorded — a resume re-executes exactly those.
-    for conn, entry in list(active.items()):
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        _terminate(entry.process)
-        if telemetry is not None:
-            telemetry.worker_exited(
-                entry.wid, "stop", exitcode=entry.process.exitcode
-            )
-    active.clear()
+            stop(worker)
 
 
 ProgressFn = Callable[[RunRecord, int, int], None]
@@ -1104,21 +830,22 @@ def run_campaign(
     (watchdog timeout, retries, backoff); units that exhaust their retries
     land in ``CampaignResult.failed`` and the campaign still completes.
 
-    ``pool_mode`` selects the execution backend (see the module docstring):
-    ``"warm"`` (persistent warm-worker pool, the default),
-    ``"per-attempt"`` (one forked process per attempt), ``"inproc"``
-    (no forks, no watchdog), or ``"cluster"`` (the warm pool's supervisor
-    loop over a TCP transport; worker agents join over the network and a
-    mid-unit disconnect requeues the unit un-charged).  ``jobs == 1`` with
-    no watchdog short-circuits to in-process execution in every local mode
+    ``pool_mode`` picks the transport the one supervisor loop runs over
+    (see the module docstring): ``"warm"`` (persistent forked workers, the
+    default), ``"per-attempt"`` (a fresh fork per attempt), ``"inproc"``
+    (units execute in this process; no forks, nothing for the watchdog to
+    kill), or ``"cluster"`` (worker agents join over TCP and a mid-unit
+    disconnect requeues the unit un-charged).  ``jobs == 1`` with no
+    watchdog short-circuits to in-process execution in every local mode
     — a single-slot pool buys nothing over running the units directly —
     but never in ``cluster`` mode, where even one worker lives behind the
-    transport.  ``transport`` lets a caller supply a pre-opened
+    transport.  ``transport`` lets a ``cluster`` caller supply a pre-opened
     :class:`~repro.experiments.transport.TcpTransport` (to pin the listen
     address, disable agent self-spawn, or reuse warmed agents across
     campaigns); by default ``cluster`` opens a loopback transport that
     keeps itself at ``jobs`` local agents.  A transport this function
-    opened, it also closes.
+    opened, it also closes.  Passing ``transport`` with any other
+    ``pool_mode`` is a ``ValueError``: the local modes build their own.
 
     ``telemetry`` (a :class:`repro.obs.engine.CampaignTelemetry`) streams
     spans, coordinator events, worker heartbeats and progress over NDJSON as
@@ -1144,6 +871,11 @@ def run_campaign(
     if pool_mode not in POOL_MODES:
         raise ValueError(
             f"unknown pool_mode {pool_mode!r}; expected one of {POOL_MODES}"
+        )
+    if transport is not None and pool_mode != "cluster":
+        raise ValueError(
+            f"transport= conflicts with pool_mode {pool_mode!r}: local modes "
+            'build their own transport; pass pool_mode="cluster" to use it'
         )
     runs = plan_campaign(grid, replications=replications, base_seed=base_seed)
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
@@ -1300,72 +1032,26 @@ def run_campaign(
         finish(RunRecord(run=run, metrics=metrics, cached=True,
                          manifest=manifest))
 
-    if pending and (
-        pool_mode == "inproc" or (
-            jobs == 1 and policy.task_timeout is None
-            and pool_mode != "cluster"
-        )
-    ):
-        # In-process fast path: no fork, no pipes.  Exceptions are retried
-        # without backoff (an in-process failure is deterministic; sleeping
-        # between identical attempts buys nothing) and then quarantined.
-        if telemetry is not None:
-            telemetry.worker_spawned("main", os.getpid())
-        for run in pending:
-            if shutdown is not None and shutdown.requested:
-                break  # in-flight unit finished; the rest stay unexecuted
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    _, metrics, manifest = _execute_unit((run.index, run.spec))
-                except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                    if telemetry is not None:
-                        telemetry.unit_result(
-                            "main", run.index, attempt, "error",
-                            scenario=run.scenario[:12],
-                            replication=run.replication, error=error,
-                        )
-                    if attempt <= policy.max_retries:
-                        if telemetry is not None:
-                            telemetry.retry_scheduled(
-                                run.index, attempt, 0.0, error
-                            )
-                        continue
-                    quarantine(FailedRun(
-                        run=run, error=error, attempts=attempt,
-                    ))
-                    break
-                if telemetry is not None:
-                    telemetry.unit_result(
-                        "main", run.index, attempt, "ok",
-                        scenario=run.scenario[:12],
-                        replication=run.replication, manifest=manifest,
-                    )
-                store(run, metrics, manifest)
-                break
-        if telemetry is not None:
-            telemetry.worker_exited("main", "stop")
-    elif pending and pool_mode == "per-attempt":
-        _run_supervised(pending, jobs, policy, store, quarantine, telemetry,
-                        shutdown)
-    elif pending:
-        pool_transport = (
-            transport if pool_mode == "cluster" else PipeTransport()
-        )
-        try:
-            _run_pool(pool_transport, pending, jobs, policy, store,
-                      quarantine, telemetry, shutdown, store_hit=store_hit)
-        finally:
-            if owns_transport:
-                transport.close()
-                owns_transport = False
-
-    if owns_transport:
-        # Nothing was dispatched (fully cached, or interrupted during
-        # cache resolution) but the transport was opened above: close it.
-        transport.close()
+    try:
+        if pending:
+            if pool_mode == "cluster":
+                pool = transport
+            elif pool_mode == "inproc" or (
+                jobs == 1 and policy.task_timeout is None
+            ):
+                # A single-slot pool with no watchdog buys nothing over
+                # running the units right here.
+                pool = InlineTransport(_execute_unit)
+            elif pool_mode == "per-attempt":
+                pool = PipeTransport(_execute_unit, prefetch=1,
+                                     single_use=True)
+            else:
+                pool = PipeTransport(_execute_unit, prefetch=WARM_BATCH_MAX)
+            _run_pool(pool, pending, jobs, policy, store, quarantine,
+                      telemetry, shutdown, store_hit=store_hit)
+    finally:
+        if owns_transport:
+            transport.close()
 
     failed.sort(key=lambda f: f.run.index)
     evictions = (cache.evictions - evictions_before) if cache is not None else 0

@@ -1,25 +1,36 @@
 """Pluggable worker transports for the campaign coordinator.
 
-PR 5's warm pool wired the coordinator to its workers with one mechanism:
-``multiprocessing`` duplex pipes to processes forked from the coordinator
-itself.  That caps a campaign at one host's cores.  This module lifts the
-mechanism behind two small interfaces so the same work-stealing pool loop
-(:func:`repro.experiments.campaign._run_pool`) drives either:
+The coordinator's supervisor loop
+(:func:`repro.experiments.campaign._run_pool`) owns every policy — retry,
+backoff, quarantine, watchdog, drain, telemetry — and knows its workers
+only through two small interfaces, :class:`Transport` (how workers come
+to exist) and :class:`WorkerLink` (how one is talked to).  Every
+``pool_mode`` is a transport:
 
-* :class:`PipeTransport` / :class:`PipeLink` — the existing local pipe
-  pool, byte-identical in behaviour: workers are forked once (inheriting
-  test monkeypatches and chaos hooks), pull unit batches over their pipe,
-  and stream one result message back per unit;
-* :class:`TcpTransport` / :class:`SocketLink` — length-prefixed JSON
-  frames over TCP.  Worker *agents* (``repro-muzha worker --connect
-  HOST:PORT``) — on other hosts, or extra local processes — dial the
-  coordinator's listener, handshake (wire + cache-schema version check),
-  and then speak the same batch/result protocol.  Agents may join *late*:
-  the pool folds every new connection into its work-stealing dispatch, so
-  a worker that appears mid-campaign immediately starts pulling units
-  from the shared queue.  The coordinator can also self-spawn local
-  agents (``agents``/``spawn_agents``), which is how ``--pool-mode
-  cluster`` works out of the box on one machine.
+* :class:`InlineTransport` / :class:`InlineLink` — ``inproc``: a single
+  link whose ``send_batch`` runs the units in the coordinating process,
+  so breakpoints and monkeypatches apply directly;
+* :class:`PipeTransport` / :class:`PipeLink` — ``warm`` and
+  ``per-attempt``: workers forked from the coordinator (inheriting test
+  monkeypatches and chaos hooks) pull unit batches over a duplex pipe and
+  stream one result message back per unit.  ``single_use`` links report
+  themselves spent after their first batch, so with ``prefetch = 1`` every
+  attempt runs in a pristine fork;
+* :class:`TcpTransport` / :class:`SocketLink` — ``cluster``:
+  length-prefixed JSON frames over TCP.  Worker *agents* (``repro-muzha
+  worker --connect HOST:PORT``) — on other hosts, or extra local
+  processes — dial the coordinator's listener, handshake (wire +
+  cache-schema version check), and then speak the same batch/result
+  protocol.  Agents may join *late*: the pool folds every new connection
+  into its work-stealing dispatch, so a worker that appears mid-campaign
+  immediately starts pulling units from the shared queue.  The
+  coordinator can also self-spawn local agents (``agents``/
+  ``spawn_agents``), which is how ``--pool-mode cluster`` works out of
+  the box on one machine.
+
+Transports never import the campaign module: whoever builds one hands it
+the unit function (``(index, spec) -> (index, metrics, manifest)``) its
+workers execute.
 
 Determinism is untouched by construction: transports move ``RunSpec``
 payloads and result dicts; every seed was derived in ``plan_campaign``
@@ -48,21 +59,32 @@ from the store instead of re-simulating.
 
 from __future__ import annotations
 
+import collections
 import json
+import multiprocessing
 import os
+import signal
 import socket
 import struct
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .cachestore import CLUSTER_REGISTRY_DIRNAME, make_store
 from .config import CACHE_SCHEMA_VERSION
+from .runner import RunSpec
 
 PathLike = Union[str, Path]
+
+#: The unit function a transport's workers run: ``(index, spec)`` in,
+#: ``(index, metrics, manifest)`` out.  Handed in by whoever builds the
+#: transport, so this module never imports the campaign engine.
+ExecuteFn = Callable[
+    [Tuple[int, Any]], Tuple[int, Dict[str, Any], Optional[Dict[str, Any]]]
+]
 
 #: Bump when the TCP frame shapes change incompatibly; agents and
 #: coordinators refuse to pair across versions at handshake time.
@@ -81,7 +103,7 @@ SOCKET_TIMEOUT = 30.0
 HANDSHAKE_TIMEOUT = 2.0
 
 #: Names of the transports (``Transport.name``).
-TRANSPORTS = ("pipe", "tcp")
+TRANSPORTS = ("inline", "pipe", "tcp")
 
 
 class TransportError(RuntimeError):
@@ -154,6 +176,9 @@ class WorkerLink:
     remote: bool = False
     #: Whether ``pid`` names a process on *this* host (safe for /proc RSS).
     pid_is_local: bool = False
+    #: True once the link will accept no further batch: the pool loop stops
+    #: it (orderly, not a failure) as soon as its current batch resolves.
+    spent: bool = False
 
     def fileno(self) -> int:
         raise NotImplementedError
@@ -188,6 +213,115 @@ class WorkerLink:
         return f"{type(self).__name__}(host={self.host}, pid={self.pid})"
 
 
+def _error_text(exc: BaseException) -> str:
+    """How a unit's exception travels in an ``err`` reply."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+class InlineLink(WorkerLink):
+    """The coordinating process itself, dressed as a worker.
+
+    :meth:`send_batch` runs the units on the spot and buffers one reply
+    per unit; a self-pipe carries one byte per buffered reply so the pool
+    loop finds the link readable through the same :meth:`fileno` contract
+    as a pipe or socket.  There is no process to kill, so the watchdog has
+    nothing to act on: by the time the loop looks, the reply is waiting.
+    """
+
+    pid_is_local = True
+
+    def __init__(self, execute: ExecuteFn) -> None:
+        self.pid = os.getpid()
+        self._execute = execute
+        self._replies: collections.deque = collections.deque()
+        self._rfd, self._wfd = os.pipe()
+
+    def fileno(self) -> int:
+        return self._rfd
+
+    def send_batch(self, units: Sequence[Tuple[int, Any, str]]) -> None:
+        for index, spec, _ in units:
+            try:
+                reply = ("ok", *self._execute((index, spec)))
+            except Exception as exc:  # not BaseException: Ctrl-C propagates
+                reply = ("err", index, _error_text(exc))
+            self._replies.append(reply)
+            os.write(self._wfd, b"\0")
+
+    def recv(self) -> Tuple[Any, ...]:
+        os.read(self._rfd, 1)
+        return self._replies.popleft()
+
+    def reap(self) -> None:
+        pass
+
+    def kill(self) -> None:
+        pass
+
+    def stop(self) -> None:
+        os.close(self._rfd)
+        os.close(self._wfd)
+
+
+def _pool_context() -> multiprocessing.context.BaseContext:
+    # fork (where available) starts workers in milliseconds; results do not
+    # depend on the start method because every run re-derives its RNG state
+    # from the spec alone.
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context()
+
+
+def _reset_worker_signals() -> None:
+    """Detach a forked worker from the coordinator's signal handlers.
+
+    Workers inherit signal dispositions across ``fork``; an inherited
+    graceful-shutdown handler would make SIGTERM a no-op in the child and
+    push every drain onto the slow KILL escalation path.  SIGINT is
+    ignored (the terminal delivers ^C to the whole foreground group, but
+    shutdown is the coordinator's call to make); SIGTERM is restored to
+    its default so ``process.terminate()`` works.
+    """
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    except (ValueError, OSError):  # pragma: no cover - non-POSIX
+        pass
+
+
+def _pipe_worker_main(conn, execute: ExecuteFn) -> None:
+    """Forked worker loop, the far end of a :class:`PipeLink`.
+
+    Pulls ``("batch", [(index, spec), ...])`` messages until ``("stop",)``
+    or EOF.  One ``("ok", index, metrics, manifest)`` or ``("err", index,
+    message)`` reply is sent per unit *as it completes*, so the supervisor
+    can reset its per-unit watchdog between units of the same batch and
+    attribute a crash to exactly the unit that was executing.
+    """
+    _reset_worker_signals()
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            break
+        if message[0] != "batch":  # ("stop",) — orderly shutdown
+            break
+        for index, spec in message[1]:
+            try:
+                reply = ("ok", *execute((index, spec)))
+            except BaseException as exc:  # a worker must never die silently
+                reply = ("err", index, _error_text(exc))
+            try:
+                conn.send(reply)
+            except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
+                return
+    try:
+        conn.close()
+    except OSError:  # pragma: no cover
+        pass
+
+
 # eq=False keeps identity hashing: the pool loop uses links as dict keys
 # and in ``multiprocessing.connection.wait`` sets.
 @dataclass(eq=False)
@@ -196,6 +330,8 @@ class PipeLink(WorkerLink):
 
     process: Any = None
     conn: Any = None
+    #: Spent after its first batch (the ``per-attempt`` backend).
+    single_use: bool = False
 
     def __post_init__(self) -> None:
         self.host = None
@@ -207,8 +343,8 @@ class PipeLink(WorkerLink):
         return self.conn.fileno()
 
     def send_batch(self, units: Sequence[Tuple[int, Any, str]]) -> None:
-        # The PR 5 pipe wire shape, unchanged: (index, spec) tuples.
         self.conn.send(("batch", [(index, spec) for index, spec, _ in units]))
+        self.spent = self.single_use
 
     def recv(self) -> Tuple[Any, ...]:
         return self.conn.recv()
@@ -366,36 +502,55 @@ class Transport:
         return {"kind": self.name}
 
 
+class InlineTransport(Transport):
+    """No workers at all: one :class:`InlineLink` runs every unit in the
+    coordinating process (``inproc``, and any single-job local campaign
+    without a watchdog)."""
+
+    name = "inline"
+
+    def __init__(self, execute: ExecuteFn) -> None:
+        self._execute = execute
+        self._spawned = False
+
+    @property
+    def can_spawn(self) -> bool:  # one process, one link
+        return not self._spawned
+
+    def spawn(self) -> Optional[WorkerLink]:
+        self._spawned = True
+        return InlineLink(self._execute)
+
+
 class PipeTransport(Transport):
-    """The PR 5 local pool: fork workers, speak over duplex pipes.
+    """The local pool: fork workers, speak over duplex pipes.
 
     Forking from the coordinator is a feature, not an implementation
     detail: workers inherit monkeypatches (the robustness tests patch
-    ``campaign._execute_unit``) and the chaos hooks' environment.
+    the unit function) and the chaos hooks' environment.  ``prefetch``
+    units ride in one dispatch; ``single_use`` workers are retired after
+    their first batch and a fresh fork takes the next one.
     """
 
     name = "pipe"
     can_spawn = True
 
-    def __init__(self) -> None:
-        from .campaign import WARM_BATCH_MAX
-
-        self.prefetch = WARM_BATCH_MAX
-
-    def open(self) -> bool:
-        return False  # nothing to set up
+    def __init__(self, execute: ExecuteFn, prefetch: int = 1,
+                 single_use: bool = False) -> None:
+        self._execute = execute
+        self.prefetch = prefetch
+        self._single_use = single_use
 
     def spawn(self) -> Optional[WorkerLink]:
-        from .campaign import _pool_context, _warm_worker_main
-
         ctx = _pool_context()
         parent, child = ctx.Pipe(duplex=True)
         process = ctx.Process(
-            target=_warm_worker_main, args=(child,), daemon=True
+            target=_pipe_worker_main, args=(child, self._execute), daemon=True
         )
         process.start()
         child.close()
-        return PipeLink(process=process, conn=parent)
+        return PipeLink(process=process, conn=parent,
+                        single_use=self._single_use)
 
 
 @dataclass
@@ -654,6 +809,7 @@ def _connect_with_retry(endpoint: str, retry: float) -> socket.socket:
 
 def run_worker_agent(
     connect: str,
+    execute: ExecuteFn,
     cache: Optional[str] = None,
     retry: float = 10.0,
 ) -> int:
@@ -667,13 +823,11 @@ def run_worker_agent(
     if given, else the one the coordinator offered — and answers ``hit``
     frames for digests another shard already computed.
 
-    Execution routes through ``campaign._execute_unit``, so the
-    :data:`~repro.experiments.campaign.CRASH_ONCE_ENV` and
-    :data:`~repro.experiments.campaign.BARRIER_ENV` chaos hooks work on
-    remote agents exactly as on forked workers.
+    ``execute`` is the same unit function the local transports are
+    built with, so the :data:`~repro.experiments.campaign.CRASH_ONCE_ENV`
+    and :data:`~repro.experiments.campaign.BARRIER_ENV` chaos hooks work
+    on remote agents exactly as on forked workers.
     """
-    from . import campaign
-    from .runner import RunSpec
 
     try:
         sock = _connect_with_retry(connect, retry)
@@ -723,14 +877,12 @@ def run_worker_agent(
                 else:
                     try:
                         spec = RunSpec.from_dict(unit["spec"])
-                        _, metrics, manifest = campaign._execute_unit(
-                            (index, spec)
-                        )
+                        _, metrics, manifest = execute((index, spec))
                         reply = {"kind": "ok", "index": index,
                                  "metrics": metrics, "manifest": manifest}
                     except BaseException as exc:
                         reply = {"kind": "err", "index": index,
-                                 "error": f"{type(exc).__name__}: {exc}"}
+                                 "error": _error_text(exc)}
                 try:
                     send_frame(sock, reply)
                 except OSError:
@@ -745,6 +897,8 @@ def run_worker_agent(
 __all__ = [
     "CLUSTER_REGISTRY_DIRNAME",
     "HANDSHAKE_TIMEOUT",
+    "InlineLink",
+    "InlineTransport",
     "MAX_FRAME_BYTES",
     "PipeLink",
     "PipeTransport",

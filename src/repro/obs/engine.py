@@ -147,7 +147,7 @@ class CampaignTelemetry:
         self._workers: Dict[str, WorkerHealth] = {}
         self._batches: Dict[str, _OpenBatch] = {}
         self._last_beat = float("-inf")
-        self._last_unit_wall = 0.0  # batchless (inproc) unit-start estimate
+        self._last_unit_wall = 0.0  # batchless (cache-hit) unit-start estimate
         self.heartbeats = 0
         #: Aggregates folded into the campaign close record.
         self.counters: Dict[str, int] = {}

@@ -13,6 +13,7 @@ import warnings
 
 import pytest
 
+import repro.experiments.campaign as campaign
 from repro.experiments import (
     CampaignCache,
     RetryPolicy,
@@ -145,6 +146,90 @@ def test_warm_crash_emits_replacement_spans(tmp_path, monkeypatch):
     aborted = [r for r in records if r["kind"] == "span_close"
                and r["id"].startswith("b") and r["status"] == "aborted"]
     assert len(aborted) == 1
+
+
+# -- one telemetry contract for every local mode ------------------------------
+
+
+def worker_event_reasons(records):
+    return [r["name"].split(".", 1)[1] for r in records
+            if r["kind"] == "event" and r["name"].startswith("worker.")
+            and r["name"] != "worker.spawn"]
+
+
+def unit_attempt_closes(records):
+    """``(index, attempt, status)`` of every executed unit-attempt span."""
+    opens = {r["id"]: r["attrs"] for r in records
+             if r["kind"] == "span_open" and r.get("span") == "unit-attempt"}
+    return sorted(
+        (opens[r["id"]]["index"], opens[r["id"]]["attempt"], r["status"])
+        for r in records
+        if r["kind"] == "span_close" and r["id"] in opens
+    )
+
+
+@pytest.mark.parametrize("pool_mode", ["warm", "per-attempt", "inproc"])
+def test_span_log_contract_is_the_same_in_every_local_mode(
+    tmp_path, monkeypatch, pool_mode
+):
+    """The supervisor loop is the only telemetry source, so a unit that
+    raises once reads the same whatever the transport: one ``unit-attempt``
+    span per attempt, workers named ``w<n>``, every exit a ``stop`` (an
+    exception kills nobody) and no replacements — per-attempt's recycled
+    forks included."""
+    sentinel = tmp_path / "raised"
+    real = campaign._execute_unit
+
+    def raise_once(args):
+        if args[0] == 0 and not sentinel.exists():
+            sentinel.touch()
+            raise RuntimeError("first attempt fails")
+        return real(args)
+
+    monkeypatch.setattr(campaign, "_execute_unit", raise_once)
+    result, path, _ = run_with_spans(
+        tmp_path, f"contract-{pool_mode}.ndjson", pool_mode=pool_mode,
+        policy=RetryPolicy(max_retries=1, backoff=0.01),
+    )
+    assert result.complete
+    assert validate_span_file(path) == []
+    records = read_span_log(path)
+    assert unit_attempt_closes(records) == [
+        (0, 1, "error"), (0, 2, "ok"), (1, 1, "ok")]
+    workers = {r["attrs"]["worker"] for r in records
+               if r["kind"] == "span_open" and r.get("span") == "unit-attempt"}
+    assert all(w.startswith("w") and w[1:].isdigit() for w in workers)
+    reasons = worker_event_reasons(records)
+    assert reasons and set(reasons) == {"stop"}
+    summary = aggregate_span_log(path)
+    assert summary["worker_events"]["replaced"] == 0
+    assert summary["worker_events"]["spawned"] == len(reasons)
+    if pool_mode == "per-attempt":
+        assert len(workers) == 3  # a fresh fork per attempt
+    if pool_mode == "inproc":
+        assert workers == {"w1"}
+    assert summary["retries"]["0"]["retries"] == 1
+
+
+@pytest.mark.parametrize("pool_mode", ["warm", "per-attempt"])
+def test_crashed_worker_exits_as_crash_and_is_replaced_once(
+    tmp_path, monkeypatch, pool_mode
+):
+    sentinel = tmp_path / "crash-sentinel"
+    monkeypatch.setenv(CRASH_ONCE_ENV, f"{sentinel}:0")
+    result, path, _ = run_with_spans(
+        tmp_path, f"crash-{pool_mode}.ndjson", pool_mode=pool_mode,
+        policy=RetryPolicy(max_retries=1, backoff=0.01),
+    )
+    assert result.complete
+    assert validate_span_file(path) == []
+    records = read_span_log(path)
+    assert unit_attempt_closes(records) == [
+        (0, 1, "crash"), (0, 2, "ok"), (1, 1, "ok")]
+    reasons = worker_event_reasons(records)
+    assert reasons.count("crash") == 1
+    assert set(reasons) == {"crash", "stop"}
+    assert aggregate_span_log(path)["worker_events"]["replaced"] == 1
 
 
 # -- TraceBus detach mid-run (FlightRecorder interaction) --------------------

@@ -4,8 +4,8 @@ A mid-flight ``repro-muzha campaign`` receiving SIGTERM must drain, leave
 no orphan worker processes behind, write a valid resumable journal, exit
 with the distinct "interrupted, resumable" status (3) — and a subsequent
 ``--resume`` must execute exactly the remainder and land on a fingerprint
-byte-identical to an uninterrupted run.  Exercised against all three pool
-backends.
+byte-identical to an uninterrupted run.  Exercised against all four pool
+backends: the three local ones here, ``cluster`` in ``test_cluster.py``.
 
 Timing is made deterministic with the :data:`BARRIER_ENV` hook: the
 worker executing the chosen unit touches ``<base>.ready`` and blocks

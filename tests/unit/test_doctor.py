@@ -116,7 +116,7 @@ def test_journal_cache_drift_is_reported_and_repair_clears_it(campaign_state):
     # serve it happily, only the journal knows it is not the recorded result.
     payload = json.loads(entries[0].read_text())
     payload["result"]["mac_drops"] += 1
-    from repro.experiments.campaign import _envelope_checksum
+    from repro.experiments.cachestore import _envelope_checksum
     payload["checksum"] = _envelope_checksum(
         payload["result"], payload.get("manifest")
     )

@@ -1,13 +1,17 @@
-"""Unit tests for the cluster worker transport.
+"""Unit tests for the worker transports.
 
 Covers the TCP wire layer in isolation — length-prefixed JSON framing,
 endpoint parsing, the hello/welcome handshake with its version gates, and
-the liveness registry files the doctor later hunts — without running any
-campaign.  The end-to-end cluster behaviour (byte-identity, disconnect
-requeue, work stealing) lives in ``tests/integration/test_cluster.py``.
+the liveness registry files the doctor later hunts — and the local links
+(inline, pipe) one batch at a time, without running any campaign.  The
+end-to-end cluster behaviour (byte-identity, disconnect requeue, work
+stealing) lives in ``tests/integration/test_cluster.py``; the supervisor
+loop over scripted links in ``test_supervisor_loop.py``.
 """
 
 import json
+import multiprocessing.connection
+import os
 import socket
 import struct
 
@@ -17,6 +21,8 @@ from repro.experiments.config import CACHE_SCHEMA_VERSION
 from repro.experiments.transport import (
     MAX_FRAME_BYTES,
     WIRE_VERSION,
+    InlineTransport,
+    PipeTransport,
     TcpTransport,
     TransportError,
     parse_endpoint,
@@ -229,3 +235,62 @@ def test_registry_files_appear_on_open_and_vanish_on_close(tmp_path):
 
     transport.close()
     assert list(registry.glob("*.json")) == []
+
+
+# ---------------------------------------------------------------------------
+# local links: inline and pipe
+
+
+def readable(link):
+    return bool(multiprocessing.connection.wait([link], timeout=0))
+
+
+def tag_pid(args):
+    index, spec = args
+    if spec == "raise":
+        raise RuntimeError("unit defect")
+    if spec == "interrupt":
+        raise KeyboardInterrupt
+    return index, {"pid": os.getpid()}, None
+
+
+def test_inline_link_runs_units_in_this_process_and_buffers_replies():
+    transport = InlineTransport(tag_pid)
+    assert transport.can_spawn
+    link = transport.spawn()
+    assert not transport.can_spawn  # one process, one link
+    try:
+        assert not readable(link)
+        link.send_batch([(0, "run", "d0"), (1, "raise", "d1")])
+        assert readable(link)
+        assert link.recv() == ("ok", 0, {"pid": os.getpid()}, None)
+        assert link.recv() == ("err", 1, "RuntimeError: unit defect")
+        assert not readable(link)
+        assert not link.spent and not link.remote
+    finally:
+        link.stop()
+
+
+def test_inline_link_lets_ctrl_c_through():
+    link = InlineTransport(tag_pid).spawn()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            link.send_batch([(0, "interrupt", "d0")])
+    finally:
+        link.stop()
+
+
+@pytest.mark.parametrize("single_use", [False, True])
+def test_pipe_link_runs_units_in_a_fork_and_reports_itself_spent(single_use):
+    link = PipeTransport(tag_pid, single_use=single_use).spawn()
+    try:
+        assert not link.spent
+        link.send_batch([(0, "run", "d0"), (1, "raise", "d1")])
+        assert link.spent is single_use
+        kind, index, metrics, _ = link.recv()
+        assert (kind, index) == ("ok", 0)
+        assert metrics["pid"] == link.pid != os.getpid()
+        assert link.recv() == ("err", 1, "RuntimeError: unit defect")
+    finally:
+        link.stop()
+    assert link.exitcode == 0
