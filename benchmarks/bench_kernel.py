@@ -9,11 +9,13 @@ regressions are visible next to the figure campaigns.  Four metrics:
   event freelist;
 * ``channel_fanout_tx_per_sec`` — per-transmission fan-out cost on an 8-radio
   chain (Signal construction + 2 events per carrier-sense neighbour);
-* ``phy_fanout_scalar_tx_per_sec`` / ``phy_fanout_batch_tx_per_sec`` —
-  transmit-side fan-out cost proper (event execution excluded) on a dense
-  24-radio cluster with an active error model, measured once per execution
-  lane; their ratio is the vectorization speedup the ``--check`` lane gate
-  enforces (batch >= --lane-ratio x scalar);
+* ``phy_fanout_reference_tx_per_sec`` / ``phy_fanout_production_tx_per_sec``
+  — transmit-side fan-out cost proper (event execution excluded) on a dense
+  48-radio cluster with an active error model, once through
+  ``WirelessChannel.transmit_reference`` (one ``schedule()`` per event) and
+  once through the production ``transmit`` (one bulk heap insertion); their
+  ratio is the speedup the ``--check`` gate enforces (production >=
+  --lane-ratio x reference);
 * ``full_chain_packets_per_sec`` — end-to-end packets/sec of the standard
   4-hop, 10 s Muzha run.
 
@@ -23,8 +25,8 @@ Two entry points:
   writes ``results/BENCH_kernel.json`` (current numbers next to the committed
   before/after baseline), and with ``--check`` exits non-zero on a >30%
   events/sec regression against the committed post-overhaul baseline, a
-  batch lane slower than ``--lane-ratio`` x scalar, or a lane-identity
-  violation (the two lanes must produce byte-identical run digests);
+  production transmit slower than ``--lane-ratio`` x the reference, or an
+  identity violation (the two must produce byte-identical run digests);
 * ``pytest benchmarks/bench_kernel.py`` — the same measurements as
   pytest-benchmark cases, marked ``perf`` and excluded from the tier-1 run.
 """
@@ -111,23 +113,29 @@ def run_channel_fanout(n_tx: int = 2_000) -> int:
     return n_tx
 
 
-def run_phy_fanout_lane(lane: str, n_tx: int = 1_500, chunk: int = 50):
-    """Transmit-side fan-out cost on a dense cluster, for one execution lane.
+def use_reference_transmit(channel) -> None:
+    """Shadow ``channel.transmit`` with the reference implementation — the
+    seam the equivalence tests use; nothing selects it at run time."""
+    channel.transmit = channel.transmit_reference
+
+
+def run_phy_fanout_lane(path: str, n_tx: int = 1_500, chunk: int = 50):
+    """Transmit-side fan-out cost on a dense cluster, for one transmit path
+    (``"reference"`` or ``"production"``).
 
     48 radios at 10 m spacing put every radio inside every other's
-    carrier-sense range (fan-out width 47, well past the batch lane's numpy
-    threshold — comparable to the dense cross-topology centre) with a live
-    ``UniformBitError`` medium, so the departure trampoline is armed exactly
-    as in lossy experiment runs.  Only the ``transmit()`` calls are timed —
-    the ~2/3 of wall time spent *executing* the fanned-out events is
-    identical machinery for both lanes and would dilute the lane comparison
-    to uselessness.
+    carrier-sense range (fan-out width 47 — comparable to the dense
+    cross-topology centre) with a live ``UniformBitError`` medium, so the
+    departure trampoline is armed exactly as in lossy experiment runs.  Only
+    the ``transmit()`` calls are timed — the ~2/3 of wall time spent
+    *executing* the fanned-out events is identical machinery for both paths
+    and would dilute the comparison to uselessness.
 
-    Noise control: the lane *ratio* gates CI, and both lanes do fixed
+    Noise control: the *ratio* gates CI, and both paths do fixed
     identical-shape work per transmit, so the honest clean-machine estimate
     is the **fastest chunk** of ``chunk`` transmits rather than the run
     mean — an accumulated mean lets one scheduler preemption land in a
-    single lane's timed sections and swing the ratio by 1.5x on shared
+    single path's timed sections and swing the ratio by 1.5x on shared
     runners (observed), while min-of-chunks is stable to ~2%.  Returns
     ``(chunk, best_chunk_seconds)``.
     """
@@ -136,9 +144,9 @@ def run_phy_fanout_lane(lane: str, n_tx: int = 1_500, chunk: int = 50):
     from repro.sim import Simulator
 
     sim = Simulator(seed=1)
-    channel = WirelessChannel(
-        sim, error_model=UniformBitError(1e-5), phy_lane=lane
-    )
+    channel = WirelessChannel(sim, error_model=UniformBitError(1e-5))
+    if path == "reference":
+        use_reference_transmit(channel)
     radios = [Radio(sim, i) for i in range(48)]
     for i, radio in enumerate(radios):
         channel.register(radio, Position(10.0 * i, 0.0))
@@ -168,23 +176,27 @@ def run_phy_fanout_lane(lane: str, n_tx: int = 1_500, chunk: int = 50):
 
 
 def lane_identity_digests() -> Dict[str, str]:
-    """Result digest of a short lossy full-stack run, per execution lane.
+    """Result digest of a short lossy full-stack run, per transmit path.
 
-    The byte-identity contract reduced to one number per lane: equal
+    The byte-identity contract reduced to one number per path: equal
     digests mean equal event orders, RNG draw sequences and result bytes.
     """
     from repro.experiments import ScenarioConfig, run_chain
     from repro.experiments.config import stable_digest
 
-    digests = {}
-    for lane in ("scalar", "batch"):
-        config = ScenarioConfig(
-            sim_time=2.0, seed=7, window=4, packet_error_rate=0.05,
-            phy_lane=lane,
+    config = ScenarioConfig(
+        sim_time=2.0, seed=7, window=4, packet_error_rate=0.05
+    )
+    instruments = {
+        "reference": lambda network, flows: use_reference_transmit(network.channel),
+        "production": None,
+    }
+    return {
+        path: stable_digest(
+            run_chain(3, ["muzha"], config=config, instrument=instrument).to_dict()
         )
-        result = run_chain(3, ["muzha"], config=config)
-        digests[lane] = stable_digest(result.to_dict())
-    return digests
+        for path, instrument in instruments.items()
+    }
 
 
 def run_full_chain() -> int:
@@ -235,7 +247,7 @@ def _rate_self_timed(work: Callable[[], tuple], reps: int) -> float:
     """Best ops/sec for workloads that time their own hot section.
 
     ``work`` returns ``(ops, seconds)`` with ``seconds`` covering only the
-    code under measurement (the lane benches exclude event execution).
+    code under measurement (the fan-out pair excludes event execution).
     """
     best = 0.0
     for _ in range(reps):
@@ -256,8 +268,6 @@ def measure_all(fast: bool = False) -> Dict[str, float]:
 
     import repro.experiments  # noqa: F401 — warm the full import graph
 
-    from repro.phy import HAVE_NUMPY
-
     reps = 2 if fast else 5
     lane_reps = 2 if fast else 3
     gc.freeze()
@@ -269,14 +279,12 @@ def measure_all(fast: bool = False) -> Dict[str, float]:
             "channel_fanout_tx_per_sec": _rate(run_channel_fanout, max(2, reps - 2)),
             "full_chain_packets_per_sec": _rate(run_full_chain, 1 if fast else 2),
         }
-        # The two lane benches run back-to-back (not split across the suite):
-        # their *ratio* is a CI gate, and adjacency keeps slow container
-        # drift out of it.
-        metrics["phy_fanout_scalar_tx_per_sec"] = _rate_self_timed(
-            lambda: run_phy_fanout_lane("scalar"), lane_reps)
-        if HAVE_NUMPY:
-            metrics["phy_fanout_batch_tx_per_sec"] = _rate_self_timed(
-                lambda: run_phy_fanout_lane("batch"), lane_reps)
+        # The fan-out pair runs back-to-back (not split across the suite):
+        # its *ratio* is a CI gate, and adjacency keeps slow container drift
+        # out of it.
+        for path in ("reference", "production"):
+            metrics[f"phy_fanout_{path}_tx_per_sec"] = _rate_self_timed(
+                lambda: run_phy_fanout_lane(path), lane_reps)
         return metrics
     finally:
         gc.unfreeze()
@@ -317,24 +325,13 @@ def test_mac_exchange_rate(benchmark):
     assert delivered > 200  # ~ >40 packets/s over one hop
 
 
-def test_phy_fanout_scalar_lane(benchmark):
-    """Transmit-side fan-out cost, scalar reference lane."""
+@pytest.mark.parametrize("path", ["reference", "production"])
+def test_phy_fanout(benchmark, path):
+    """Transmit-side fan-out cost, reference and production transmit."""
     ops, _ = benchmark.pedantic(
-        lambda: run_phy_fanout_lane("scalar", n_tx=500), rounds=2, iterations=1
+        lambda: run_phy_fanout_lane(path, n_tx=500), rounds=2, iterations=1
     )
-    assert ops == 500
-
-
-def test_phy_fanout_batch_lane(benchmark):
-    """Transmit-side fan-out cost, vectorized batch lane."""
-    from repro.phy import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        pytest.skip("batch lane requires numpy")
-    ops, _ = benchmark.pedantic(
-        lambda: run_phy_fanout_lane("batch", n_tx=500), rounds=2, iterations=1
-    )
-    assert ops == 500
+    assert ops == 50  # one chunk
 
 
 def test_full_stack_chain_run(benchmark):
@@ -416,34 +413,29 @@ def check_regression(report: dict, tolerance: float, against: str = "post") -> l
 
 
 def check_lanes(report: dict, lane_ratio: float) -> list:
-    """The vectorization gates: lane speedup and lane byte-identity.
+    """The transmit-path gates: production speedup over the reference and
+    production/reference byte-identity.
 
-    Returns a list of human-readable failure strings (empty = pass).  Both
-    gates are skipped when numpy is absent — there is only one lane then.
+    Returns a list of human-readable failure strings (empty = pass).
     """
-    from repro.phy import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        return []
     failures = []
     metrics = report["metrics"]
-    scalar = metrics.get("phy_fanout_scalar_tx_per_sec", {}).get("current")
-    batch = metrics.get("phy_fanout_batch_tx_per_sec", {}).get("current")
-    if scalar and batch:
-        ratio = batch / scalar
-        report["lane_speedup"] = round(ratio, 2)
-        if ratio < lane_ratio:
-            failures.append(
-                f"batch lane only {ratio:.2f}x scalar on the fan-out bench "
-                f"(gate: >= {lane_ratio:.2f}x)"
-            )
+    reference = metrics["phy_fanout_reference_tx_per_sec"]["current"]
+    production = metrics["phy_fanout_production_tx_per_sec"]["current"]
+    ratio = production / reference
+    report["lane_speedup"] = round(ratio, 2)
+    if ratio < lane_ratio:
+        failures.append(
+            f"production transmit only {ratio:.2f}x the reference on the "
+            f"fan-out bench (gate: >= {lane_ratio:.2f}x)"
+        )
     digests = lane_identity_digests()
     report["lane_identity"] = digests
-    if digests["scalar"] != digests["batch"]:
+    if digests["reference"] != digests["production"]:
         failures.append(
-            "LANE IDENTITY VIOLATION: scalar and batch lanes produced "
-            f"different run digests ({digests['scalar'][:12]}… vs "
-            f"{digests['batch'][:12]}…)"
+            "IDENTITY VIOLATION: reference and production transmit produced "
+            f"different run digests ({digests['reference'][:12]}… vs "
+            f"{digests['production'][:12]}…)"
         )
     return failures
 
@@ -513,8 +505,8 @@ def main(argv=None) -> int:
     parser.add_argument("--tolerance", type=float, default=0.30,
                         help="allowed fractional regression with --check")
     parser.add_argument("--lane-ratio", type=float, default=1.5,
-                        help="minimum batch/scalar fan-out speedup required "
-                             "by --check (numpy installs only)")
+                        help="minimum production/reference fan-out speedup "
+                             "required by --check")
     parser.add_argument("--obs-tolerance", type=float, default=0.05,
                         help="allowed fractional regression with --check-obs")
     args = parser.parse_args(argv)
@@ -547,18 +539,15 @@ def main(argv=None) -> int:
         print(f"perf check ok (all metrics within {args.tolerance:.0%} "
               "of the committed baseline)")
         lane_failures = check_lanes(report, args.lane_ratio)
-        with open(out, "w") as handle:  # include lane speedup + digests
+        with open(out, "w") as handle:  # include the speedup + digests
             json.dump(report, handle, indent=2)
             handle.write("\n")
         if lane_failures:
             for failure in lane_failures:
                 print(f"LANE CHECK FAILED: {failure}", file=sys.stderr)
             return 1
-        if "lane_speedup" in report:
-            print(f"lane check ok (batch {report['lane_speedup']:.2f}x "
-                  f"scalar, identical run digests)")
-        else:
-            print("lane check skipped (numpy not installed; scalar lane only)")
+        print(f"lane check ok (production {report['lane_speedup']:.2f}x "
+              f"reference, identical run digests)")
     if args.check_obs:
         failures = check_obs_with_retry(report, baseline, args.obs_tolerance)
         with open(out, "w") as handle:  # include any retry ratios

@@ -85,7 +85,6 @@ from .obs import (
     attach_run_probe,
     render_report,
 )
-from .phy.batch import LANES
 from .stats import jain_index, resample
 
 
@@ -147,12 +146,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--window", type=int, default=8, help="advertised window")
     parser.add_argument(
         "--routing", choices=("aodv", "static"), default="aodv", help="routing protocol"
-    )
-    parser.add_argument(
-        "--phy-lane", choices=LANES, default="auto", dest="phy_lane",
-        help="PHY fan-out execution lane: 'auto' picks the vectorized batch "
-             "lane when numpy is importable (scalar otherwise); lanes are "
-             "byte-identical — this trades speed, never results",
     )
 
 
@@ -217,7 +210,7 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     config = ScenarioConfig(
         sim_time=args.time, seed=args.seed, window=args.window, routing=args.routing,
         packet_error_rate=args.loss, faults=_load_faults(args),
-        policy=policy, policy_params=policy_params, phy_lane=args.phy_lane,
+        policy=policy, policy_params=policy_params,
     )
     result = run_chain(args.hops, [args.variant], config=config)
     flow = result.flows[0]
@@ -353,7 +346,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     config = ScenarioConfig(
         sim_time=args.time, routing=args.routing, window=args.window,
         packet_error_rate=args.loss, faults=_load_faults(args),
-        policy=policy, policy_params=policy_params, phy_lane=args.phy_lane,
+        policy=policy, policy_params=policy_params,
     )
     grid = chain_grid(args.variants, args.hops, config=config)
     total_runs = len(grid) * args.replications
@@ -486,7 +479,7 @@ def _run_scenario(args: argparse.Namespace, instrument=None):
     config = ScenarioConfig(
         sim_time=args.time, seed=args.seed, window=args.window,
         routing=args.routing, faults=_load_faults(args),
-        policy=policy, policy_params=policy_params, phy_lane=args.phy_lane,
+        policy=policy, policy_params=policy_params,
     )
     if args.scenario == "chain":
         return run_chain(args.hops, [args.variant], config=config,
@@ -564,7 +557,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     config = ScenarioConfig(
         sim_time=args.time, seed=args.seed, window=args.window, routing=args.routing,
-        phy_lane=args.phy_lane,
     )
 
     def chain_scenario():

@@ -24,11 +24,9 @@ FULL_ENV_VAR = "REPRO_FULL"
 #: v2: cache entries became ``{"result": ..., "manifest": ...}`` envelopes.
 #: v3: checksummed envelopes (corruption detection) + fault-plan configs.
 #: v4: router-advice policy selection in configs + per-state DRAI metrics.
-#: v5: vectorized PHY batch lane + error-model fast paths; the
-#:     Gilbert–Elliott initial-state fix (the chain now really starts GOOD
-#:     at t=0) makes pre-v5 cached results of GE-medium runs stale.
-#:     ``phy_lane`` itself is *excluded* from config digests — lanes are
-#:     result-invariant, so cache entries are shared across them.
+#: v5: error-model fast paths; the Gilbert–Elliott initial-state fix (the
+#:     chain now really starts GOOD at t=0) makes pre-v5 cached results of
+#:     GE-medium runs stale.
 CACHE_SCHEMA_VERSION = 5
 
 
@@ -79,28 +77,14 @@ class ScenarioConfig:
     policy_params: Optional[Dict[str, Any]] = None
     #: Per-frame random loss probability (0 = the paper's clean-medium runs).
     packet_error_rate: float = 0.0
-    #: PHY fan-out execution lane: ``auto`` (batch when numpy is importable,
-    #: scalar otherwise; honours the ``REPRO_PHY_LANE`` env override),
-    #: ``batch`` (vectorized; requires numpy) or ``scalar`` (the reference
-    #: path).  Lanes are byte-identical by contract — this knob trades
-    #: speed, never results.
-    phy_lane: str = "auto"
     #: Sampling period for throughput-dynamics series.
     sampler_interval: float = 1.0
     #: Fault-injection plan (crashes/blackouts/...); None = undisturbed run.
     faults: Optional[FaultPlan] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-safe), suitable for hashing and pickling.
-
-        ``phy_lane`` is deliberately omitted: it is an execution knob, not
-        an experiment parameter — lanes are byte-identical by contract, so
-        config digests, derived run seeds and campaign cache keys must not
-        depend on it (a result cached under one lane is the *same* result
-        under the other).
-        """
+        """Plain-data form (JSON-safe), suitable for hashing and pickling."""
         payload = dataclasses.asdict(self)
-        del payload["phy_lane"]
         if self.drai_params is not None:
             payload["drai_params"] = dataclasses.asdict(self.drai_params)
         # asdict() recurses into the plan's nested dataclasses but loses the

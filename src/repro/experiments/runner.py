@@ -360,7 +360,6 @@ def run_chain(
         seed=config.seed,
         error_model=_error_model(config),
         ifq_capacity=config.ifq_capacity,
-        phy_lane=config.phy_lane,
     )
     _install_routing(network, config)
     if _needs_drai(variants):
@@ -414,7 +413,6 @@ def run_cross(
         seed=config.seed,
         error_model=_error_model(config),
         ifq_capacity=config.ifq_capacity,
-        phy_lane=config.phy_lane,
     )
     _install_routing(network, config)
     variants = (variant_horizontal, variant_vertical)

@@ -389,6 +389,15 @@ class PipeLink(WorkerLink):
         return self.process.exitcode
 
 
+def _set_nodelay(sock: socket.socket) -> None:
+    """Disable Nagle on a coordinator<->agent connection.
+
+    The protocol is a ping-pong of small ``batch``/``ok`` frames; with
+    Nagle on, each one waits out the peer's delayed ACK (~40 ms).
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 @dataclass(eq=False)
 class SocketLink(WorkerLink):
     """A remote worker agent attached over TCP (length-prefixed JSON)."""
@@ -728,6 +737,7 @@ class TcpTransport(Transport):
                 break
             except OSError:  # pragma: no cover - listener torn down
                 break
+            _set_nodelay(sock)
             link = self._handshake(sock)
             if link is not None:
                 links.append(link)
@@ -799,12 +809,15 @@ def _connect_with_retry(endpoint: str, retry: float) -> socket.socket:
     delay = 0.05
     while True:
         try:
-            return socket.create_connection((host, port), timeout=5.0)
+            sock = socket.create_connection((host, port), timeout=5.0)
         except OSError:
             if time.monotonic() >= deadline:
                 raise
             time.sleep(delay)
             delay = min(1.0, delay * 2)
+        else:
+            _set_nodelay(sock)
+            return sock
 
 
 def run_worker_agent(

@@ -151,8 +151,6 @@ class CampaignTelemetry:
         self.heartbeats = 0
         #: Aggregates folded into the campaign close record.
         self.counters: Dict[str, int] = {}
-        #: PHY engine aggregates harvested from per-unit manifests.
-        self.phy_counters: Dict[str, int] = {}
 
     # -- low-level emit ----------------------------------------------------------
 
@@ -212,8 +210,6 @@ class CampaignTelemetry:
         }
         if interrupted or remaining:
             attrs["remaining"] = remaining
-        if self.phy_counters:
-            attrs["phy"] = dict(sorted(self.phy_counters.items()))
         self.writer.write(
             self._campaign.close_record(now_wall, status=status, attrs=attrs)
         )
@@ -364,10 +360,6 @@ class CampaignTelemetry:
             timings = manifest.get("timings")
             if timings:
                 close_attrs["timings"] = timings
-            engine = manifest.get("engine")
-            if engine:
-                close_attrs["phy_lane"] = engine.get("lane")
-                self._fold_phy(engine)
         self.writer.write(span.open_record())
         self.writer.write(
             span.close_record(now_wall, status=status, attrs=close_attrs)
@@ -389,18 +381,6 @@ class CampaignTelemetry:
         self._count(f"units.{status}")
         if cached:
             self._count("units.cached")
-
-    def _fold_phy(self, engine: Dict[str, Any]) -> None:
-        """Aggregate one unit's PHY engine counters into the campaign totals."""
-        lane = engine.get("lane")
-        if isinstance(lane, str):
-            key = f"lane.{lane}.units"
-            self.phy_counters[key] = self.phy_counters.get(key, 0) + 1
-        for name in ("transmissions", "numpy_fanout_frames",
-                     "loop_fanout_frames"):
-            value = engine.get(name)
-            if isinstance(value, int):
-                self.phy_counters[name] = self.phy_counters.get(name, 0) + value
 
     # -- cache -------------------------------------------------------------------
 

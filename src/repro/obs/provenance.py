@@ -76,10 +76,10 @@ def build_manifest(
     the config too, so ``config_digest`` alone pins the randomness).
 
     ``timings`` (per-subsystem wall seconds: setup/sim/harvest/serialize)
-    and ``engine`` (PHY lane + kernel counters) are environment facts like
-    ``wall_time_s`` — campaign telemetry surfaces them in unit-attempt
-    spans, and like every environment fact they never enter result
-    fingerprints.
+    and ``engine`` (PHY transmission counters) are environment facts like
+    ``wall_time_s`` — campaign telemetry surfaces the timings in
+    unit-attempt spans, and like every environment fact they never enter
+    result fingerprints.
     """
     return {
         "manifest_schema": MANIFEST_SCHEMA_VERSION,

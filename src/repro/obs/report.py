@@ -8,7 +8,7 @@ the workers balanced, did the cache help, what failed and what was slow:
 * :func:`aggregate_span_log` folds a log into one plain-data summary
   (campaign facts, throughput-over-time buckets, per-worker and per-host
   utilization — cluster workers are named ``host:wN`` — cache hit ratio,
-  retry/quarantine tables, slowest-unit top-k, PHY lane counters);
+  retry/quarantine tables, slowest-unit top-k);
 * :func:`format_report` renders that summary as the human-readable text
   the CLI prints (``--json`` emits the aggregate itself).
 
@@ -146,7 +146,6 @@ def aggregate_span_log(
             "dur_s": (t1 - record["t0"])
             if t1 is not None and record.get("t0") is not None else None,
             "timings": close_attrs.get("timings"),
-            "phy_lane": close_attrs.get("phy_lane"),
             "error": close_attrs.get("error"),
         })
     units.sort(key=lambda u: (u["t1"] is None, u["t1"], u["index"]))
@@ -304,7 +303,6 @@ def aggregate_span_log(
         "quarantined": quarantined,
         "slowest_units": slowest,
         "worker_events": worker_events,
-        "phy": end_attrs.get("phy", {}),
         "batches": len(batches),
         "units": {
             "total_attempts": len(units),
@@ -440,28 +438,12 @@ def format_report(summary: Dict[str, Any]) -> str:
                 f"{unit['dur_s']:.3f}",
                 f"{timings.get('sim_s', 0.0):.3f}" if timings else "-",
                 f"{timings.get('setup_s', 0.0):.3f}" if timings else "-",
-                unit.get("phy_lane") or "-",
             ])
         lines.append(_fmt_table(
-            ["unit", "worker", "span_s", "sim_s", "setup_s", "lane"],
+            ["unit", "worker", "span_s", "sim_s", "setup_s"],
             rows, title=f"slowest units (top {len(rows)})",
         ))
 
-    phy = summary.get("phy") or {}
-    if phy:
-        lines.append("")
-        frames = phy.get("numpy_fanout_frames", 0) + phy.get(
-            "loop_fanout_frames", 0
-        )
-        lane_units = ", ".join(
-            f"{key.split('.')[1]}={value}"
-            for key, value in sorted(phy.items()) if key.startswith("lane.")
-        )
-        lines.append(
-            f"phy: lanes [{lane_units}], {phy.get('transmissions', 0)} "
-            f"frames ({phy.get('numpy_fanout_frames', 0)} numpy-kernel / "
-            f"{phy.get('loop_fanout_frames', 0)} loop of {frames} batched)"
-        )
     return "\n".join(lines)
 
 

@@ -4,12 +4,11 @@ Disk propagation with separate receive/carrier-sense radii, half-duplex
 radios with full collision tracking, DSSS frame timing, and pluggable random
 loss models (uniform BER, bursty Gilbert–Elliott, fixed packet error rate).
 
-The per-frame fan-out runs on one of two byte-identical execution lanes
-(``repro.phy.batch``): the numpy-vectorized batch lane (default when numpy
-is importable) or the scalar reference lane (always available).
+The per-frame fan-out has one production path, ``WirelessChannel.transmit``
+(one bulk heap insertion per frame, pure stdlib), and a reference twin,
+``WirelessChannel.transmit_reference``, that only tests call.
 """
 
-from .batch import HAVE_NUMPY, LANES, NUMPY_MIN_FANOUT, BatchFanout, resolve_lane
 from .channel import WirelessChannel
 from .error_models import (
     ErrorModel,
@@ -24,15 +23,13 @@ from .position import Position
 from .propagation import DiskPropagation
 from .radio import PhyListener, Radio, Signal
 
+HAVE_NUMPY = False  # residue: the PHY has no such kernel; read only by benchmarks/e2e
+
 __all__ = [
     "Area",
-    "BatchFanout",
     "DiskPropagation",
     "ErrorModel",
     "GilbertElliott",
-    "HAVE_NUMPY",
-    "LANES",
-    "NUMPY_MIN_FANOUT",
     "NoError",
     "PacketErrorRate",
     "PhyListener",
@@ -43,5 +40,4 @@ __all__ = [
     "Signal",
     "UniformBitError",
     "WirelessChannel",
-    "resolve_lane",
 ]

@@ -19,20 +19,17 @@ departure path.  Sense-only neighbours (inside carrier-sense but outside
 decode range) never consult the error model, and a ``NoError`` medium skips
 the departure trampoline entirely.
 
-Execution lanes: the channel runs one of two per-frame implementations,
-chosen at construction (``phy_lane``) via :func:`repro.phy.batch.resolve_lane`:
-
-* ``scalar`` — the PR-2 reference path: two ``scheduler.schedule`` calls
-  per neighbour (always available, the fallback when numpy is missing);
-* ``batch`` — the vectorized lane: all fan-out timestamps computed in one
-  shot through :class:`repro.phy.batch.BatchFanout` (numpy float64 for wide
-  fan-outs, a plain loop below the amortization threshold) and all 2k
-  events inserted with one :meth:`EventScheduler.schedule_batch` call.
-
-Both lanes are **byte-identical** in behaviour: same timestamps (same float
-grouping), same sequence-number assignment order, same RNG draw sequence —
-lane choice may change speed only.  ``tests/props/test_lane_equivalence.py``
-and the ``bench_kernel.py --check`` lane-identity gate enforce this.
+One transmit path: :meth:`WirelessChannel.transmit` builds the scheduler's
+fire-and-forget heap tuples while it walks the fan-out (seqs claimed up
+front with ``reserve_seqs``) and hands all 2k+1 of them to one
+``bulk_heap_insert`` call, skipping :class:`~repro.sim.event.Event`
+construction — none of these events is ever cancelled.
+:meth:`WirelessChannel.transmit_reference` is the historical
+one-``schedule()``-per-event implementation, kept as the oracle the
+equivalence tests compare against (``tests/props/test_lane_equivalence.py``
+and the ``bench_kernel.py --check`` digest gate): same timestamps (same
+float grouping), same sequence-number order, same RNG draws.  Nothing
+selects it at run time; a test reaches it by shadowing ``transmit``.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 from ..sim import units
 from ..sim.scheduler import SchedulerError
 from ..sim.simulator import Simulator
-from .batch import BatchFanout, resolve_lane
 from .error_models import ErrorModel, NoError
 from .frame_timing import PhyParams
 from .position import Position
@@ -65,14 +61,11 @@ class WirelessChannel:
         propagation: Optional[DiskPropagation] = None,
         phy: Optional[PhyParams] = None,
         error_model: Optional[ErrorModel] = None,
-        phy_lane: str = "auto",
     ) -> None:
         self.sim = sim
         self.propagation = propagation or DiskPropagation()
         self.phy = phy or PhyParams()
         self.error_model = error_model or NoError()
-        #: Resolved execution lane ("batch" or "scalar"); see module docs.
-        self.lane = resolve_lane(phy_lane)
         self._positions: Dict[Radio, Position] = {}
         # radio -> [(peer, receivable, prop_delay, rx_power)]
         self._neighbors: Optional[
@@ -80,14 +73,8 @@ class WirelessChannel:
         ] = None
         # Derived caches, invalidated together with ``_neighbors``.
         self._fanout: Optional[Dict[Radio, List[FanoutEntry]]] = None
-        self._batch_fanout: Optional[Dict[Radio, BatchFanout]] = None
         self._rx_neighbors: Optional[Dict[Radio, List[Radio]]] = None
         self._error_rng = sim.stream("phy.error")
-        if self.lane == "batch":
-            # Per-instance dispatch: shadowing the bound method costs zero
-            # per-frame (no lane branch on the hot path).  ``transmit``
-            # itself stays the scalar reference implementation.
-            self.transmit = self._transmit_batch  # type: ignore[method-assign]
         # Fault vetoes (node crashes / link blackouts).  They act as
         # topology filters inside the neighbour-cache build, so the per-frame
         # transmit hot path is untouched: fault transitions are rare events
@@ -96,11 +83,6 @@ class WirelessChannel:
         self._blocked_links: Set[FrozenSet[int]] = set()
         #: Total number of frame transmissions started on this channel.
         self.transmissions = 0
-        # Kernel-selection counts folded out of BatchFanout objects retired
-        # by a topology invalidation, so lane_counters() survives mobility
-        # and fault-driven cache rebuilds.
-        self._retired_numpy_frames = 0
-        self._retired_loop_frames = 0
 
     # -- topology ---------------------------------------------------------------
 
@@ -119,33 +101,15 @@ class WirelessChannel:
     def _invalidate(self) -> None:
         self._neighbors = None
         self._fanout = None
-        if self._batch_fanout is not None:
-            for fan in self._batch_fanout.values():
-                self._retired_numpy_frames += fan.numpy_calls
-                self._retired_loop_frames += fan.loop_calls
-        self._batch_fanout = None
         self._rx_neighbors = None
 
-    def lane_counters(self) -> Dict[str, object]:
-        """Engine-level lane/kernel counters for telemetry manifests.
-
-        Environment facts, not results: lane choice never changes a single
-        event, so these counters live in run manifests (and campaign span
-        attributes) rather than the fingerprinted metrics snapshot — the
-        same run on the scalar lane would report different numbers here
-        while producing byte-identical results.
-        """
-        numpy_frames = self._retired_numpy_frames
-        loop_frames = self._retired_loop_frames
-        if self._batch_fanout is not None:
-            for fan in self._batch_fanout.values():
-                numpy_frames += fan.numpy_calls
-                loop_frames += fan.loop_calls
+    # Residue: this method name has benchmarks/e2e as its only reader.
+    def lane_counters(self) -> Dict[str, int]:
+        """The run manifest's ``engine`` field: an environment fact, never
+        part of the fingerprinted metrics snapshot."""
         return {
-            "lane": self.lane,
             "transmissions": self.transmissions,
-            "numpy_fanout_frames": numpy_frames,
-            "loop_fanout_frames": loop_frames,
+            "numpy_fanout_frames": 0,  # residue: only benchmarks/e2e reads it
         }
 
     def position_of(self, radio: Radio) -> Position:
@@ -205,27 +169,21 @@ class WirelessChannel:
 
     def _fanout_map(self) -> Dict[Radio, List[FanoutEntry]]:
         if self._fanout is None:
-            self._fanout = {
-                src: [
+            fanout: Dict[Radio, List[FanoutEntry]] = {}
+            for src, entries in self._neighbor_map().items():
+                # transmit() inserts its events without per-item clock checks
+                # (EventScheduler.bulk_heap_insert); that is sound only
+                # because every fan-out timestamp is ``now`` plus non-negative
+                # terms.  Validate the delay half of that guarantee here,
+                # once per build.
+                if any(delay < 0 for _, _, delay, _ in entries):
+                    raise ValueError("fan-out propagation delays must be >= 0")
+                fanout[src] = [
                     (dst.signal_start, dst.signal_end, receivable, delay, power)
                     for dst, receivable, delay, power in entries
                 ]
-                for src, entries in self._neighbor_map().items()
-            }
+            self._fanout = fanout
         return self._fanout
-
-    def _batch_map(self) -> Dict[Radio, BatchFanout]:
-        """Per-source :class:`BatchFanout` kernels (batch lane only).
-
-        Built from the scalar fan-out in the same neighbour order, so
-        sequence numbers are assigned identically across lanes.
-        """
-        if self._batch_fanout is None:
-            self._batch_fanout = {
-                src: BatchFanout(entries)
-                for src, entries in self._fanout_map().items()
-            }
-        return self._batch_fanout
 
     def neighbors_of(self, radio: Radio) -> List[Radio]:
         """Radios within decode range of ``radio`` (static disk model).
@@ -247,6 +205,67 @@ class WirelessChannel:
 
         The caller (MAC) has already decided the medium is usable; the channel
         faithfully models the consequences if it was wrong (collisions).
+
+        Schedules tx_end first, then per neighbour an arrival/departure pair
+        in fan-out order (the seq order :meth:`transmit_reference` pins).
+        """
+        self.transmissions += 1
+        src.begin_transmit(duration)
+        fanout = self._fanout_map()[src]
+        sched = self.sim.scheduler
+        now = sched.now
+        if duration < 0:
+            # Same failure a schedule() call raises; checked here because
+            # bulk_heap_insert trusts its times.
+            raise SchedulerError(
+                f"cannot schedule event at {now + duration:.9f}, "
+                f"now is {now:.9f}"
+            )
+        # Two seq reservations, not one: tx_end's seq is assigned before the
+        # trace emit and the neighbour seqs after it, so a trace sink that
+        # schedules during the emit sees the seq interleaving
+        # transmit_reference gives it.
+        items = [
+            (now + duration, 0, sched.reserve_seqs(1), (src.end_transmit, ()))
+        ]
+        if self.sim.trace.wants("phy.tx"):
+            self.sim.emit(
+                "phy", "phy.tx", src=src.node_id, duration=duration,
+                neighbors=len(fanout),
+            )
+        nbytes = getattr(frame, "size_bytes", 0)
+        no_error = type(self.error_model) is NoError
+        depart = self._depart
+        append = items.append
+        seq = sched.reserve_seqs(2 * len(fanout)) - 1
+        # Timestamp arithmetic must group exactly as the historical
+        # per-neighbour code did — float addition is not associative, and a
+        # 1-ULP shift here reorders events and breaks golden-trace replay:
+        # arrival at now + delay, departure at now + (delay + duration),
+        # signal end marker at (now + delay) + duration.
+        for sig_start, sig_end, receivable, delay, power in fanout:
+            t_start = now + delay
+            signal = Signal(frame, receivable, t_start + duration, power)
+            seq += 1
+            append((t_start, 0, seq, (sig_start, (signal,))))
+            seq += 1
+            t_depart = now + (delay + duration)
+            if receivable and not no_error:
+                append((t_depart, 0, seq, (depart, (sig_end, signal, nbytes))))
+            else:
+                # Sense-only neighbours and a perfect medium never consult
+                # the error model; deliver the end-of-signal directly.
+                append((t_depart, 0, seq, (sig_end, (signal, False))))
+        sched.bulk_heap_insert(items)
+
+    def transmit_reference(
+        self, src: Radio, frame: object, duration: float
+    ) -> None:
+        """:meth:`transmit` as one ``schedule()`` call per event.
+
+        The reference implementation the equivalence tests compare the
+        production path against: same counters, same trace emit, same
+        scheduling order, same float grouping.  Not selectable at run time.
         """
         self.transmissions += 1
         src.begin_transmit(duration)
@@ -262,11 +281,6 @@ class WirelessChannel:
             )
         nbytes = getattr(frame, "size_bytes", 0)
         no_error = type(self.error_model) is NoError
-        # Timestamp arithmetic must group exactly as the historical
-        # per-neighbour code did — float addition is not associative, and a
-        # 1-ULP shift here reorders events and breaks golden-trace replay:
-        # arrival at now + delay, departure at now + (delay + duration),
-        # signal end marker at (now + delay) + duration.
         for sig_start, sig_end, receivable, delay, power in fanout:
             t_start = now + delay
             signal = Signal(frame, receivable, t_start + duration, power=power)
@@ -277,72 +291,10 @@ class WirelessChannel:
                     nbytes, name="phy.sig_end",
                 )
             else:
-                # Sense-only neighbours and a perfect medium never consult
-                # the error model; deliver the end-of-signal directly.
                 schedule(
                     now + (delay + duration), sig_end, signal, False,
                     name="phy.sig_end",
                 )
-
-    def _transmit_batch(self, src: Radio, frame: object, duration: float) -> None:
-        """Batch-lane :meth:`transmit`: same events, one bulk insertion.
-
-        Mirrors the scalar path observable-for-observable — same counters,
-        same trace emit, same scheduling *order* (tx_end first, then per
-        neighbour arrival/departure pairs in fan-out order) so sequence
-        numbers come out identical.  The timestamps arrive precomputed from
-        the fan-out kernel with the scalar float grouping, and the 2k+1
-        events skip :class:`Event` construction entirely: the loop builds
-        the scheduler's fire-and-forget heap tuples directly (seqs claimed
-        up front with ``reserve_seqs``) and hands them to one
-        ``bulk_heap_insert`` call — none of these events is ever cancelled,
-        the scalar path discards their handles too.
-        """
-        self.transmissions += 1
-        src.begin_transmit(duration)
-        fan = self._batch_map()[src]
-        sched = self.sim.scheduler
-        now = sched.now
-        if duration < 0:
-            # Same failure the scalar lane's first schedule() call raises;
-            # checked here because bulk_heap_insert trusts its times.
-            raise SchedulerError(
-                f"cannot schedule event at {now + duration:.9f}, "
-                f"now is {now:.9f}"
-            )
-        # Two seq reservations, not one: the scalar path assigns tx_end's
-        # seq before the trace emit and the neighbour seqs after it, so even
-        # a trace sink that schedules during the emit sees identical seq
-        # interleaving on both lanes.
-        items = [
-            (now + duration, 0, sched.reserve_seqs(1), (src.end_transmit, ()))
-        ]
-        if self.sim.trace.wants("phy.tx"):
-            self.sim.emit(
-                "phy", "phy.tx", src=src.node_id, duration=duration,
-                neighbors=fan.width,
-            )
-        nbytes = getattr(frame, "size_bytes", 0)
-        no_error = type(self.error_model) is NoError
-        starts, ends, departs = fan.timestamps(now, duration)
-        depart = self._depart
-        append = items.append
-        seq = sched.reserve_seqs(2 * fan.width) - 1
-        # zip() iteration over the parallel timestamp lists measures ~20%
-        # faster than indexed access at experiment fan-out widths.
-        for (sig_start, sig_end, receivable, power), t_start, t_end, t_depart \
-                in zip(fan.neighbors, starts, ends, departs):
-            signal = Signal(frame, receivable, t_end, power)
-            seq += 1
-            append((t_start, 0, seq, (sig_start, (signal,))))
-            seq += 1
-            if receivable and not no_error:
-                append((t_depart, 0, seq, (depart, (sig_end, signal, nbytes))))
-            else:
-                # Sense-only neighbours and a perfect medium never consult
-                # the error model; deliver the end-of-signal directly.
-                append((t_depart, 0, seq, (sig_end, (signal, False))))
-        sched.bulk_heap_insert(items)
 
     def _depart(
         self,

@@ -123,65 +123,6 @@ class EventScheduler:
             self._now + delay, callback, *args, priority=priority, name=name
         )
 
-    def schedule_batch(self, entries: list) -> int:
-        """Bulk-schedule ``[(time, callback, args, name), ...]`` in one call.
-
-        The PHY fan-out schedules 2k events per frame; paying the
-        :meth:`schedule` call protocol (argument re-packing, per-call
-        attribute traffic) *and* full :class:`Event` construction (freelist
-        bookkeeping plus seven attribute stores) 2k times is what dominates
-        the transmit hot path.  Batch entries are therefore **fire-and-
-        forget**: the heap holds a bare ``(callback, args)`` tuple in the
-        event slot — built in two allocations, no :class:`Event`, no
-        freelist traffic — and the run loop dispatches it with one
-        ``type(...) is tuple`` check.  Execution semantics are otherwise
-        identical to calling ``schedule(time, callback, *args)`` once per
-        entry, in entry order:
-
-        * sequence numbers are assigned in entry order, so equal-timestamp
-          entries fire in entry order and interleave deterministically with
-          surrounding scalar ``schedule`` calls — the event-order contract
-          golden traces pin;
-        * ``priority`` is fixed at 0 (every PHY/MAC data-path event uses
-          the default priority) and each entry's ``name`` is accepted for
-          call-site symmetry but not retained;
-        * each entry is checked against the clock — scheduling into the past
-          raises :class:`SchedulerError` (entries before the failing one
-          stay scheduled, as with individual calls).
-
-        The trade for the speed is control: batch entries return no handles
-        and **cannot be cancelled**.  That fits the PHY fan-out exactly —
-        signal arrivals/departures are never revoked (even radio shutdown
-        just lets stale deliveries no-op) and the channel discards the
-        handles on the scalar path too.  Work that may need cancelling must
-        use :meth:`schedule`.
-
-        Insertion strategy: a measured ``heappush`` loop.  The alternative —
-        ``list.extend`` + ``heapify`` — is O(heap) per batch, and loses as
-        soon as the pending set (MAC timers, TCP RTOs, other in-flight
-        signals) outgrows the batch, which it always does mid-run; per-push
-        sift costs stay O(log pending) and touch only the entries' own heap
-        paths.  Returns the number of entries scheduled.
-        """
-        heap = self._heap
-        now = self._now
-        seq = self._seq
-        push = heappush
-        count = 0
-        for time, callback, args, _name in entries:
-            if time < now:
-                self._seq = seq
-                self._pending += count
-                raise SchedulerError(
-                    f"cannot schedule event at {time:.9f}, now is {now:.9f}"
-                )
-            seq += 1
-            push(heap, (time, 0, seq, (callback, args)))
-            count += 1
-        self._seq = seq
-        self._pending += count
-        return count
-
     def reserve_seqs(self, n: int) -> int:
         """Claim ``n`` consecutive sequence numbers; returns the first.
 
@@ -198,18 +139,25 @@ class EventScheduler:
         """Insert fully-formed fire-and-forget heap items, no questions asked.
 
         Each item must be ``(time, 0, seq, (callback, args))`` with a seq
-        claimed from :meth:`reserve_seqs`, and the caller **guarantees**
-        ``time >= now`` for every item — there is deliberately no per-item
-        clock check here (a past time would drag the clock backwards when it
-        fires).  The PHY fan-out meets the guarantee structurally: its times
-        are ``now + (non-negative delay/duration sums)``, with the delays
-        validated once at fan-out build time.
+        claimed from :meth:`reserve_seqs`.  The heap holds the bare
+        ``(callback, args)`` tuple in the event slot — no :class:`Event`, no
+        freelist traffic — and the run loop dispatches it with one
+        ``type(...) is tuple`` check.  Such entries return no handle and
+        **cannot be cancelled**; that fits the PHY fan-out exactly (signal
+        arrivals/departures are never revoked).  Work that may need
+        cancelling must use :meth:`schedule`.
 
-        This is the unsafe-fast bottom layer of :meth:`schedule_batch`,
-        split out for the per-frame hot path: the channel builds the heap
-        tuples directly while it walks its fan-out, so bulk insertion costs
-        one ``heappush`` per event and nothing else.  Everything that wants
-        boundary checks or plainer entries should use :meth:`schedule_batch`.
+        The caller **guarantees** ``time >= now`` for every item — there is
+        deliberately no per-item clock check here (a past time would drag
+        the clock backwards when it fires).  The PHY fan-out meets the
+        guarantee structurally: its times are ``now + (non-negative
+        delay/duration sums)``, with the delays validated once at fan-out
+        build time.
+
+        Insertion strategy: a measured ``heappush`` loop.  The alternative —
+        ``list.extend`` + ``heapify`` — is O(heap) per call, and loses as
+        soon as the pending set (MAC timers, TCP RTOs, other in-flight
+        signals) outgrows the batch, which it always does mid-run.
         """
         heap = self._heap
         push = heappush
@@ -247,7 +195,7 @@ class EventScheduler:
         heap = self._heap
         while heap:
             time, _, _, event = heappop(heap)
-            if type(event) is tuple:  # fire-and-forget batch entry
+            if type(event) is tuple:  # fire-and-forget entry
                 self._pending -= 1
                 self._now = time
                 self._processed += 1
@@ -302,7 +250,7 @@ class EventScheduler:
                     break
                 head = heap[0]
                 event = head[3]
-                # Fire-and-forget batch entries (see schedule_batch) carry a
+                # Fire-and-forget entries (see bulk_heap_insert) carry a
                 # bare (callback, args) tuple instead of an Event: nothing to
                 # cancel, nothing to recycle.  The type check costs one
                 # pointer compare on the hot loop.

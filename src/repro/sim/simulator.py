@@ -58,11 +58,6 @@ class Simulator:
     ) -> Event:
         return self.scheduler.schedule_after(delay, callback, *args, **kwargs)
 
-    def schedule_batch(self, entries: list) -> int:
-        """Bulk-schedule fire-and-forget ``[(time, callback, args, name),
-        ...]`` entries (see :meth:`EventScheduler.schedule_batch`)."""
-        return self.scheduler.schedule_batch(entries)
-
     def cancel(self, event: Optional[Event]) -> None:
         """Cancel a pending event (None is a no-op)."""
         self.scheduler.cancel(event)

@@ -48,13 +48,10 @@ def make_network(
     propagation: Optional[DiskPropagation] = None,
     error_model: Optional[ErrorModel] = None,
     sim: Optional[Simulator] = None,
-    phy_lane: str = "auto",
 ) -> Network:
     """Create an empty network (simulator + channel) ready for nodes."""
     sim = sim or Simulator(seed=seed)
-    channel = WirelessChannel(
-        sim, propagation=propagation, error_model=error_model, phy_lane=phy_lane
-    )
+    channel = WirelessChannel(sim, propagation=propagation, error_model=error_model)
     return Network(sim=sim, channel=channel)
 
 

@@ -34,10 +34,9 @@ def build_chain(
     error_model: Optional[ErrorModel] = None,
     mac_params: Optional[MacParams] = None,
     ifq_capacity: int = 50,
-    phy_lane: str = "auto",
 ) -> Network:
     """Build an h-hop chain network (nodes 0..h)."""
-    network = make_network(seed=seed, error_model=error_model, phy_lane=phy_lane)
+    network = make_network(seed=seed, error_model=error_model)
     place_nodes(
         network,
         chain_positions(hops, spacing),

@@ -64,10 +64,9 @@ def build_cross(
     error_model: Optional[ErrorModel] = None,
     mac_params: Optional[MacParams] = None,
     ifq_capacity: int = 50,
-    phy_lane: str = "auto",
 ) -> CrossNetwork:
     """Build an h-hop cross network (2h+1 nodes for even ``hops``)."""
-    base = make_network(seed=seed, error_model=error_model, phy_lane=phy_lane)
+    base = make_network(seed=seed, error_model=error_model)
     network = CrossNetwork(sim=base.sim, channel=base.channel)
     positions, left, right, top, bottom, center = cross_positions(hops, spacing)
     nodes = place_nodes(

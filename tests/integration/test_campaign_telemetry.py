@@ -66,13 +66,11 @@ def test_warm_campaign_span_log_is_valid_and_complete(tmp_path):
     beats = [r for r in records if r["kind"] == "heartbeat"]
     assert telemetry.heartbeats == len(beats) >= 1
     assert all("units_done" in b["attrs"] for b in beats)
-    # The campaign close record carries counters + PHY lane aggregates.
+    # The campaign close record carries counters.
     campaign_close = closes[next(r["id"] for r in records
                                  if r.get("span") == "campaign")]
     assert campaign_close["attrs"]["executed"] == 2
     assert campaign_close["attrs"]["counters"]["units.ok"] == 2
-    assert sum(v for k, v in campaign_close["attrs"]["phy"].items()
-               if k.startswith("lane.")) == 2
 
 
 @pytest.mark.parametrize("pool_mode", POOL_MODES)

@@ -23,6 +23,7 @@ from repro.experiments import (
     run_digest,
     scenario_key,
 )
+from repro.experiments.config import CACHE_SCHEMA_VERSION
 from repro.sim import derive_run_seed
 
 
@@ -108,6 +109,19 @@ def test_scenario_key_ignores_seed_but_digest_tracks_it():
     spec = RunSpec(kind="chain", hops=2, variants=("muzha",), config=config)
     assert scenario_key(spec) == scenario_key(spec.with_seed(42))
     assert run_digest(spec) != run_digest(spec.with_seed(42))
+
+
+def test_run_digest_of_a_fixed_spec_is_pinned():
+    """Cache keys are part of the on-disk contract: the literal below is
+    what this spec hashed to under ``CACHE_SCHEMA_VERSION`` 5 before the
+    ``phy_lane`` field left ``ScenarioConfig`` (it was never serialised).
+    A change here must come with a schema-version bump."""
+    config = ScenarioConfig(sim_time=1.5, window=4, seed=42, packet_error_rate=0.05)
+    spec = RunSpec(kind="chain", hops=2, variants=("muzha",), config=config)
+    assert CACHE_SCHEMA_VERSION == 5
+    assert run_digest(spec) == (
+        "0c49634c36dbe52d45c0c73c66d06375e48232f6d89918122f593ada57600299"
+    )
 
 
 def test_adding_a_scenario_does_not_perturb_existing_ones(serial_result):

@@ -1,21 +1,23 @@
-"""Lane-equivalence properties: the batch lane is byte-identical to scalar.
+"""Transmit-path equivalence: production is byte-identical to the reference.
 
-The vectorized PHY batch lane (``repro.phy.batch``) carries a hard
-contract: lane choice may change speed only — never an event timestamp, a
-sequence number, an RNG draw or a result byte.  These tests attack the
-contract from below and above:
+``WirelessChannel.transmit`` (one bulk heap insertion per frame) carries a
+hard contract against ``WirelessChannel.transmit_reference`` (one
+``schedule()`` call per event): never a different event timestamp, sequence
+number, RNG draw or result byte.  These tests attack the contract from
+below and above:
 
 * a channel-level harness runs random topologies × every error model ×
-  random transmission plans × fault vetoes under both lanes and compares a
+  random transmission plans × fault vetoes under both paths and compares a
   full bit-level fingerprint (every ``signal_start``/``signal_end``
   delivery with ``float.hex()`` timestamps, decode counters, the
   ``phy.error`` RNG end state);
 * full-stack checks compare ``stable_digest`` of complete scenario runs
   (with random loss and a fault plan) and campaign metric bytes across
-  lanes.
+  paths.
 
-Everything here is skipped when numpy is absent: without it both lanes
-resolve to ``scalar`` and the comparison is vacuous.
+Nothing selects the reference at run time; the tests reach it by shadowing
+``transmit`` — on the instance, or on the class for ``inproc`` campaigns
+(the MAC looks ``channel.transmit`` up per call).
 """
 
 import pytest
@@ -31,8 +33,6 @@ from repro.experiments import (
 from repro.experiments.config import stable_digest
 from repro.faults import FaultEvent, FaultPlan
 from repro.phy import (
-    HAVE_NUMPY,
-    NUMPY_MIN_FANOUT,
     GilbertElliott,
     NoError,
     PacketErrorRate,
@@ -43,9 +43,11 @@ from repro.phy import (
 )
 from repro.sim.simulator import Simulator
 
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="batch lane requires numpy"
-)
+PATHS = ("reference", "production")
+
+
+def _use_reference(channel):
+    channel.transmit = channel.transmit_reference
 
 
 class _Frame:
@@ -71,7 +73,7 @@ def _record_deliveries(radio, trace):
     """Wrap a radio's signal callbacks to log every delivery bit-exactly.
 
     Instance-attribute wrappers installed *before* the channel builds its
-    fan-out cache, so both lanes capture (and call through) the same
+    fan-out cache, so both paths capture (and call through) the same
     wrappers.  ``float.hex()`` makes timestamp comparison bitwise.
     """
     orig_start, orig_end = radio.signal_start, radio.signal_end
@@ -99,7 +101,7 @@ def _normalize_plan(raw_plan, n_radios):
 
     A radio must not key up while already transmitting, so entries that
     would overlap an earlier transmission from the same source are dropped.
-    Pure plan-side arithmetic — the result is identical for both lanes.
+    Pure plan-side arithmetic — the result is identical for both paths.
     """
     busy_until = {}
     plan = []
@@ -114,12 +116,12 @@ def _normalize_plan(raw_plan, n_radios):
     return plan
 
 
-def _run_lane(lane, seed, coords, error_key, plan, down_nodes, blocked_links):
-    """Execute one plan under ``lane`` and return its full fingerprint."""
+def _run_path(path, seed, coords, error_key, plan, down_nodes, blocked_links):
+    """Execute one plan under ``path`` and return its full fingerprint."""
     sim = Simulator(seed=seed)
-    channel = WirelessChannel(
-        sim, error_model=ERROR_FACTORIES[error_key](), phy_lane=lane
-    )
+    channel = WirelessChannel(sim, error_model=ERROR_FACTORIES[error_key]())
+    if path == "reference":
+        _use_reference(channel)
     trace = []
     radios = []
     for i, (x, y) in enumerate(coords):
@@ -163,7 +165,6 @@ raw_plan_st = st.lists(
 )
 
 
-@needs_numpy
 @settings(
     max_examples=25,
     deadline=None,
@@ -184,58 +185,56 @@ def test_lanes_bit_identical_on_random_topologies(
 ):
     plan = _normalize_plan(raw_plan, len(coords))
     fingerprints = {
-        lane: _run_lane(
-            lane, seed, coords, error_key, plan, sorted(down), sorted(blocks)
+        path: _run_path(
+            path, seed, coords, error_key, plan, sorted(down), sorted(blocks)
         )
-        for lane in ("scalar", "batch")
+        for path in PATHS
     }
-    assert fingerprints["scalar"] == fingerprints["batch"]
+    assert fingerprints["reference"] == fingerprints["production"]
 
 
-@needs_numpy
 @pytest.mark.parametrize("error_key", sorted(ERROR_FACTORIES))
 def test_lanes_bit_identical_on_a_wide_fanout(error_key):
-    """A dense cluster wide enough (>= NUMPY_MIN_FANOUT neighbours) that the
-    batch lane's numpy kernel — not its small-fan-out loop — is what runs."""
-    width = NUMPY_MIN_FANOUT + 5
+    """A dense cluster, five times the paper's fan-out of about 4."""
+    width = 21
     coords = [(i * 10.0, 0.0) for i in range(width + 1)]
     plan = _normalize_plan(
         [(i * 37, i % (width + 1), 4, 1460) for i in range(30)], width + 1
     )
     fingerprints = {
-        lane: _run_lane(lane, 5, coords, error_key, plan, [], [])
-        for lane in ("scalar", "batch")
+        path: _run_path(path, 5, coords, error_key, plan, [], [])
+        for path in PATHS
     }
-    assert fingerprints["scalar"] == fingerprints["batch"]
+    assert fingerprints["reference"] == fingerprints["production"]
 
 
-@needs_numpy
 def test_full_stack_digests_identical_across_lanes_with_loss_and_faults():
     """Complete protocol-stack runs (TCP over AODV over the MAC) under
     random loss and a mid-run node crash serialize byte-identically."""
     plan = FaultPlan(events=(
         FaultEvent(time=0.5, kind="node_crash", node=1, duration=0.4),
     ))
-    digests = {}
-    for lane in ("scalar", "batch"):
-        config = ScenarioConfig(
-            sim_time=3.0, seed=11, window=4, packet_error_rate=0.05,
-            faults=plan, phy_lane=lane,
+    config = ScenarioConfig(
+        sim_time=3.0, seed=11, window=4, packet_error_rate=0.05, faults=plan,
+    )
+    instruments = {
+        "reference": lambda network, flows: _use_reference(network.channel),
+        "production": None,
+    }
+    digests = {
+        path: stable_digest(
+            run_chain(3, ["muzha"], config=config, instrument=instrument).to_dict()
         )
-        result = run_chain(3, ["muzha"], config=config)
-        digests[lane] = stable_digest(result.to_dict())
-    assert digests["scalar"] == digests["batch"]
+        for path, instrument in instruments.items()
+    }
+    assert digests["reference"] == digests["production"]
 
 
-@needs_numpy
-def test_campaign_metric_bytes_identical_across_lanes():
-    """Campaign results carry the lane in their configs (cache keys must
-    distinguish them) but every run's canonical metric bytes are equal."""
-    def build(lane):
-        config = ScenarioConfig(
-            sim_time=1.0, window=4, packet_error_rate=0.1, phy_lane=lane
-        )
-        return chain_grid(["muzha", "newreno"], [2, 3], config=config)
+def test_campaign_metric_bytes_identical_across_lanes(monkeypatch):
+    """Every run of an ``inproc`` campaign has equal canonical metric bytes
+    on both paths (the reference shadows ``transmit`` on the class)."""
+    config = ScenarioConfig(sim_time=1.0, window=4, packet_error_rate=0.1)
+    grid = chain_grid(["muzha", "newreno"], [2, 3], config=config)
 
     def metric_bytes(result):
         return {
@@ -243,11 +242,13 @@ def test_campaign_metric_bytes_identical_across_lanes():
             for r in result.records
         }
 
-    results = {
-        lane: run_campaign(
-            build(lane), replications=2, jobs=1, pool_mode="inproc"
-        )
-        for lane in ("scalar", "batch")
-    }
-    assert all(r.complete for r in results.values())
-    assert metric_bytes(results["scalar"]) == metric_bytes(results["batch"])
+    def campaign():
+        return run_campaign(grid, replications=2, jobs=1, pool_mode="inproc")
+
+    production = campaign()
+    monkeypatch.setattr(
+        WirelessChannel, "transmit", WirelessChannel.transmit_reference
+    )
+    reference = campaign()
+    assert production.complete and reference.complete
+    assert metric_bytes(reference) == metric_bytes(production)

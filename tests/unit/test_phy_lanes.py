@@ -1,163 +1,183 @@
-"""Unit tests for PHY execution-lane selection and the fan-out kernel."""
+"""Unit tests for the PHY transmit path: the production bulk-insert
+``WirelessChannel.transmit``, its ``transmit_reference`` twin, and the
+fan-out cache both walk."""
 
 import pytest
 
-from repro.phy import batch as batch_mod
-from repro.phy import (
-    HAVE_NUMPY,
-    LANES,
-    NUMPY_MIN_FANOUT,
-    BatchFanout,
-    Position,
-    Radio,
-    WirelessChannel,
-    resolve_lane,
-)
+from repro.phy import PacketErrorRate, Position, Radio, WirelessChannel
+from repro.sim import units
+from repro.sim.event import Event
+from repro.sim.scheduler import SchedulerError
 from repro.sim.simulator import Simulator
 
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="batch lane requires numpy"
-)
+
+class _Frame:
+    size_bytes = 512
 
 
-# -- resolve_lane -----------------------------------------------------------
+def _star(width, error_model=None):
+    """A hub at the origin with ``width`` spokes at awkward distances (some
+    inside decode range, the rest sense-only), so the propagation delays
+    differ by real ULPs once added to the clock."""
+    sim = Simulator(seed=1)
+    channel = WirelessChannel(sim, error_model=error_model)
+    hub = Radio(sim, 0)
+    channel.register(hub, Position(0.0, 0.0))
+    for i in range(width):
+        channel.register(Radio(sim, i + 1), Position(10.0 + 21.3 * i, 0.0))
+    return sim, channel, hub
 
 
-def test_resolve_lane_rejects_unknown_values():
-    with pytest.raises(ValueError, match="unknown phy_lane"):
-        resolve_lane("vectorised")
+def _pending(sim):
+    """The scheduler's pending entries in seq order, as plain comparable rows
+    ``(time.hex(), priority, seq, callback, args)`` — the same shape for
+    fire-and-forget tuples and :class:`Event` objects, on any channel: a
+    bound method becomes ``(owner's node_id or None, name)`` and a
+    :class:`Signal` the tuple of its fields."""
+
+    def plain(arg):
+        if hasattr(arg, "__self__"):
+            return (getattr(arg.__self__, "node_id", None), arg.__name__)
+        if hasattr(arg, "end_time"):
+            return (arg.frame, arg.receivable, arg.end_time.hex(), arg.power)
+        return arg
+
+    rows = []
+    for time, priority, seq, event in sim.scheduler._heap:
+        callback, args = (
+            event if type(event) is tuple else (event.callback, event.args)
+        )
+        rows.append((time.hex(), priority, seq, plain(callback),
+                     tuple(plain(a) for a in args)))
+    return sorted(rows, key=lambda row: row[2])
 
 
-def test_resolve_lane_auto_follows_numpy_availability(monkeypatch):
-    monkeypatch.delenv(batch_mod.ENV_VAR, raising=False)
-    monkeypatch.setattr(batch_mod, "HAVE_NUMPY", True)
-    assert resolve_lane("auto") == "batch"
-    assert resolve_lane(None) == "batch"
-    monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
-    assert resolve_lane("auto") == "scalar"
-
-
-def test_resolve_lane_env_overrides_auto_only(monkeypatch):
-    monkeypatch.setattr(batch_mod, "HAVE_NUMPY", True)
-    monkeypatch.setenv(batch_mod.ENV_VAR, "scalar")
-    assert resolve_lane("auto") == "scalar"
-    # An explicit lane wins over the environment.
-    assert resolve_lane("batch") == "batch"
-    monkeypatch.setenv(batch_mod.ENV_VAR, "batch")
-    assert resolve_lane("auto") == "batch"
-    assert resolve_lane("scalar") == "scalar"
-
-
-def test_resolve_lane_rejects_bad_env_value(monkeypatch):
-    monkeypatch.setenv(batch_mod.ENV_VAR, "turbo")
-    with pytest.raises(ValueError, match=batch_mod.ENV_VAR):
-        resolve_lane("auto")
-
-
-def test_resolve_lane_explicit_batch_requires_numpy(monkeypatch):
-    monkeypatch.delenv(batch_mod.ENV_VAR, raising=False)
-    monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
-    with pytest.raises(ValueError, match="requires numpy"):
-        resolve_lane("batch")
-    # ...including when the environment forces it on an auto config.
-    monkeypatch.setenv(batch_mod.ENV_VAR, "batch")
-    with pytest.raises(ValueError, match="requires numpy"):
-        resolve_lane("auto")
-
-
-def test_lane_tuple_is_the_cli_contract():
-    assert LANES == ("auto", "batch", "scalar")
-
-
-# -- BatchFanout ------------------------------------------------------------
-
-
-def _entries(delays):
-    def cb(*args):  # pragma: no cover - never invoked here
-        raise AssertionError("fan-out callbacks must not fire in this test")
-
-    return [(cb, cb, i % 2 == 0, delay, 1.0 + i) for i, delay in enumerate(delays)]
-
-
-def _scalar_groupings(delays, now, duration):
-    starts = [now + d for d in delays]
-    ends = [(now + d) + duration for d in delays]
-    departs = [now + (d + duration) for d in delays]
-    return starts, ends, departs
-
-
-@pytest.mark.parametrize("width", [0, 1, 3, NUMPY_MIN_FANOUT - 1])
-def test_small_fanouts_use_the_plain_loop(width):
-    fan = BatchFanout(_entries([i * 7.3e-7 for i in range(width)]))
-    assert fan.width == width
-    assert not fan.use_numpy
+# -- the fan-out cache ------------------------------------------------------
 
 
 def test_fanout_preserves_entry_order_and_fields():
-    entries = _entries([3e-7, 1e-7, 2e-7])
-    fan = BatchFanout(entries)
-    assert fan.delays == [3e-7, 1e-7, 2e-7]
-    for (cb_s, cb_e, recv, _delay, power), (f_s, f_e, f_recv, f_power) in zip(
-        entries, fan.neighbors
-    ):
-        assert (cb_s, cb_e, recv, power) == (f_s, f_e, f_recv, f_power)
+    _, channel, hub = _star(4)
+    neighbors = channel._neighbor_map()[hub]
+    assert [dst.node_id for dst, _, _, _ in neighbors] == [1, 2, 3, 4]
+    assert channel._fanout_map()[hub] == [
+        (dst.signal_start, dst.signal_end, receivable, delay, power)
+        for dst, receivable, delay, power in neighbors
+    ]
 
 
-@pytest.mark.parametrize("width", [1, 5, NUMPY_MIN_FANOUT, NUMPY_MIN_FANOUT + 9])
+def test_negative_propagation_delay_raises_at_fanout_build(monkeypatch):
+    """``bulk_heap_insert`` trusts its times; the delay half of that
+    guarantee is checked once, when the fan-out is built."""
+    _, channel, hub = _star(3)
+    monkeypatch.setattr(units, "propagation_delay", lambda distance: -1e-9)
+    with pytest.raises(ValueError, match="propagation delays must be >= 0"):
+        channel.transmit(hub, _Frame(), 1e-4)
+    assert not channel.sim.scheduler.pending_events
+
+
+def test_batch_fanout_cache_invalidates_with_topology():
+    """Every topology or fault-veto change drops the fan-out the production
+    ``transmit`` walks, and the next frame is fanned out over the new one."""
+    sim, channel, hub = _star(3)
+    spokes = [radio for radio in channel._positions if radio is not hub]
+
+    def fanout_width():
+        before = sim.scheduler.pending_events
+        channel.transmit(hub, _Frame(), 1e-4)
+        assert channel._fanout is not None
+        scheduled = sim.scheduler.pending_events - before
+        sim.run(until=sim.now + 1e-3)
+        return (scheduled - 1) // 2
+
+    assert fanout_width() == 3
+    changes = [
+        (lambda: channel.register(Radio(sim, 9), Position(0.0, 30.0)), 4),
+        (lambda: channel.move(spokes[0], Position(9000.0, 0.0)), 3),
+        (lambda: channel.set_node_down(2, True), 2),
+        (lambda: channel.block_link(0, 3), 1),
+        (lambda: channel.unblock_link(0, 3), 2),
+    ]
+    for change, width in changes:
+        change()
+        assert channel._fanout is None
+        assert fanout_width() == width
+
+
+# -- the production transmit ------------------------------------------------
+
+
+@pytest.mark.parametrize("width", [1, 5, 16, 25])
 def test_timestamps_match_the_scalar_groupings_bitwise(width):
-    # Awkward decimals on purpose: the scalar groupings differ by real ULPs
-    # here, so an associativity slip in either path fails loudly.
-    delays = [1e-7 + i * 3.1e-9 for i in range(width)]
-    fan = BatchFanout(_entries(delays))
-    now, duration = 12.3456789, 0.00123456
-    starts, ends, departs = fan.timestamps(now, duration)
-    exp_starts, exp_ends, exp_departs = _scalar_groupings(delays, now, duration)
-    assert [t.hex() for t in starts] == [t.hex() for t in exp_starts]
-    assert [t.hex() for t in ends] == [t.hex() for t in exp_ends]
-    assert [t.hex() for t in departs] == [t.hex() for t in exp_departs]
-    assert all(isinstance(t, float) for t in starts + ends + departs)
+    # Awkward decimals on purpose: the three groupings differ by real ULPs
+    # here, so an associativity slip in transmit's inline arithmetic fails
+    # loudly.
+    sim, channel, hub = _star(width, error_model=PacketErrorRate(per=0.1))
+    sim.run(until=12.3456789)
+    now, duration = sim.now, 0.00123456
+    channel.transmit(hub, _Frame(), duration)
+    rows = _pending(sim)
+    assert rows[0][0] == (now + duration).hex()  # tx_end
+    delays = [delay for _, _, delay, _ in channel._neighbor_map()[hub]]
+    assert len(delays) == width
+    starts, departs = rows[1::2], rows[2::2]
+    assert [row[0] for row in starts] == [(now + d).hex() for d in delays]
+    assert [row[0] for row in departs] == [
+        (now + (d + duration)).hex() for d in delays
+    ]
+    # Signal.end_time, third field of the expanded Signal argument.
+    end_times = [row[4][0][2] for row in starts]
+    assert end_times == [((now + d) + duration).hex() for d in delays]
+    if width >= 5:  # the inputs do tell the two groupings apart
+        assert end_times != [row[0] for row in departs]
 
 
-@needs_numpy
-def test_wide_fanouts_take_the_numpy_path():
-    fan = BatchFanout(_entries([i * 1e-8 for i in range(NUMPY_MIN_FANOUT)]))
-    assert fan.use_numpy
-    # Reusing the preallocated output arrays must not leak between frames.
-    first = fan.timestamps(1.0, 0.5)
-    second = fan.timestamps(2.0, 0.25)
-    assert first[0] != second[0]
-    assert second[0][0] == 2.0 + fan.delays[0]
+@pytest.mark.parametrize("width", [0, 1, 3, 15])
+def test_small_fanouts_use_the_plain_loop(width):
+    """Down to an isolated radio (width 0) the one loop schedules exactly
+    what the reference does: 2k+1 entries, same times, seqs, callbacks and
+    arguments."""
+    frame = _Frame()
+    snapshots = {}
+    for path in ("transmit", "transmit_reference"):
+        sim, channel, hub = _star(width, error_model=PacketErrorRate(per=0.1))
+        sim.run(until=0.7)
+        getattr(channel, path)(hub, frame, 3.3e-4)
+        snapshots[path] = _pending(sim)
+    assert len(snapshots["transmit"]) == 2 * width + 1
+    assert snapshots["transmit"] == snapshots["transmit_reference"]
 
 
-# -- channel dispatch -------------------------------------------------------
+@pytest.mark.parametrize("path", ["transmit", "transmit_reference"])
+def test_negative_duration_raises_before_anything_is_scheduled(path):
+    """The duration half of ``bulk_heap_insert``'s ``time >= now`` guarantee:
+    the same error the reference's first ``schedule()`` call raises."""
+    sim, channel, hub = _star(3)
+    sim.run(until=1.0)
+    with pytest.raises(SchedulerError, match="cannot schedule event at 0.9"):
+        getattr(channel, path)(hub, _Frame(), -0.1)
+    assert not sim.scheduler.pending_events
 
 
-def _channel(lane):
-    sim = Simulator(seed=1)
-    channel = WirelessChannel(sim, phy_lane=lane)
-    for i in range(3):
-        channel.register(Radio(sim, i), Position(i * 200.0, 0.0))
-    return channel
+# -- no dispatch ------------------------------------------------------------
 
 
-@needs_numpy
 def test_batch_channel_dispatches_to_the_batch_transmit():
-    channel = _channel("batch")
-    assert channel.lane == "batch"
-    assert channel.transmit.__func__ is WirelessChannel._transmit_batch
+    """Every channel's ``transmit`` is the bulk-insert method itself — no
+    per-instance dispatch — and it puts no :class:`Event` on the heap."""
+    sim, channel, hub = _star(3)
+    assert "transmit" not in vars(channel)
+    assert channel.transmit.__func__ is WirelessChannel.transmit
+    channel.transmit(hub, _Frame(), 1e-4)
+    assert len(sim.scheduler._heap) == 7
+    assert all(type(entry[3]) is tuple for entry in sim.scheduler._heap)
 
 
 def test_scalar_channel_keeps_the_reference_transmit():
-    channel = _channel("scalar")
-    assert channel.lane == "scalar"
-    assert "transmit" not in vars(channel)  # class method, not shadowed
-
-
-@needs_numpy
-def test_batch_fanout_cache_invalidates_with_topology():
-    channel = _channel("batch")
-    radios = list(channel._positions)
-    channel._batch_map()
-    assert channel._batch_fanout is not None
-    channel.move(radios[0], Position(50.0, 0.0))
-    assert channel._batch_fanout is None
+    """The reference is a second method, reached only by shadowing
+    ``transmit``; it schedules one :class:`Event` per entry."""
+    sim, channel, hub = _star(3)
+    assert WirelessChannel.transmit_reference is not WirelessChannel.transmit
+    channel.transmit = channel.transmit_reference
+    channel.transmit(hub, _Frame(), 1e-4)
+    assert len(sim.scheduler._heap) == 7
+    assert all(type(entry[3]) is Event for entry in sim.scheduler._heap)

@@ -33,11 +33,7 @@ def span_log(tmp_path, monkeypatch):
         tel.batch_dispatched("w1", [0, 1])
         tel.batch_dispatched("w2", [2])
         tel.unit_result("w1", 0, 1, "ok",
-                        manifest={"timings": {"sim_s": 0.2, "setup_s": 0.01},
-                                  "engine": {"lane": "scalar",
-                                             "transmissions": 5,
-                                             "numpy_fanout_frames": 0,
-                                             "loop_fanout_frames": 5}})
+                        manifest={"timings": {"sim_s": 0.2, "setup_s": 0.01}})
         tel.unit_result("w2", 2, 1, "crash",
                         error="worker crashed (exit code 9)")
         tel.worker_exited("w2", "crash", exitcode=9)
@@ -78,8 +74,6 @@ def test_aggregate_campaign_and_unit_counts(span_log):
         {"index": 2, "attempts": 2, "error": "ValueError: nope"},
     ]
     assert summary["last_progress"]["done"] == 4
-    assert summary["phy"]["lane.scalar.units"] == 1
-    assert summary["phy"]["transmissions"] == 5
 
 
 def test_aggregate_workers_last_heartbeat_wins(span_log):
@@ -107,8 +101,7 @@ def test_format_report_mentions_every_section(span_log):
     text = format_report(aggregate_span_log(span_log))
     for needle in ("campaign c1", "throughput over time", "workers",
                    "cache: 1 hits / 3 misses", "worker faults",
-                   "retried units", "quarantined units", "slowest units",
-                   "phy: lanes [scalar=1]"):
+                   "retried units", "quarantined units", "slowest units"):
         assert needle in text, needle
 
 

@@ -387,12 +387,22 @@ def test_reentrant_run_raises():
 
 
 # ---------------------------------------------------------------------------
-# schedule_batch — the PHY fan-out bulk-insertion API
+# reserve_seqs + bulk_heap_insert — the PHY fan-out bulk-insertion primitives
+
+
+def schedule_batch(sched, entries):
+    """Insert ``[(time, callback, args), ...]`` the way the PHY fan-out does:
+    seqs claimed in entry order, then one bulk insertion."""
+    first = sched.reserve_seqs(len(entries))
+    sched.bulk_heap_insert([
+        (time, 0, first + i, (callback, args))
+        for i, (time, callback, args) in enumerate(entries)
+    ])
 
 
 def test_schedule_batch_empty_is_noop():
     sched = EventScheduler()
-    assert sched.schedule_batch([]) == 0
+    schedule_batch(sched, [])
     assert sched.pending_events == 0
     sched.run()
     assert sched.processed_events == 0
@@ -401,11 +411,12 @@ def test_schedule_batch_empty_is_noop():
 def test_schedule_batch_runs_in_time_order():
     sched = EventScheduler()
     order = []
-    assert sched.schedule_batch([
-        (2.0, order.append, ("b",), None),
-        (1.0, order.append, ("a",), None),
-        (3.0, order.append, ("c",), None),
-    ]) == 3
+    schedule_batch(sched, [
+        (2.0, order.append, ("b",)),
+        (1.0, order.append, ("a",)),
+        (3.0, order.append, ("c",)),
+    ])
+    assert sched.pending_events == 3
     sched.run()
     assert order == ["a", "b", "c"]
 
@@ -413,7 +424,7 @@ def test_schedule_batch_runs_in_time_order():
 def test_schedule_batch_ties_fire_in_entry_order():
     sched = EventScheduler()
     order = []
-    sched.schedule_batch([(1.0, order.append, (label,), None) for label in "abcde"])
+    schedule_batch(sched, [(1.0, order.append, (label,)) for label in "abcde"])
     sched.run()
     assert order == list("abcde")
 
@@ -425,12 +436,12 @@ def test_schedule_batch_interleaves_with_scalar_schedule_by_seq():
     sched = EventScheduler()
     order = []
     sched.schedule(1.0, order.append, "s1")
-    sched.schedule_batch([
-        (1.0, order.append, ("b1",), None),
-        (1.0, order.append, ("b2",), None),
+    schedule_batch(sched, [
+        (1.0, order.append, ("b1",)),
+        (1.0, order.append, ("b2",)),
     ])
     sched.schedule(1.0, order.append, "s2")
-    sched.schedule_batch([(1.0, order.append, ("b3",), None)])
+    schedule_batch(sched, [(1.0, order.append, ("b3",))])
     sched.run()
     assert order == ["s1", "b1", "b2", "s2", "b3"]
 
@@ -442,15 +453,15 @@ def test_schedule_batch_matches_scalar_schedule_execution_for_execution():
     def fill(sched, use_batch):
         order = []
         entries = [
-            (0.5, lambda: order.append(("x", sched.now)), (), "phy.sig_start"),
-            (0.5, lambda: order.append(("y", sched.now)), (), "phy.sig_end"),
-            (0.2, lambda: order.append(("z", sched.now)), (), None),
+            (0.5, lambda: order.append(("x", sched.now)), ()),
+            (0.5, lambda: order.append(("y", sched.now)), ()),
+            (0.2, lambda: order.append(("z", sched.now)), ()),
         ]
         if use_batch:
-            sched.schedule_batch(entries)
+            schedule_batch(sched, entries)
         else:
-            for t, cb, args, name in entries:
-                sched.schedule(t, cb, *args, name=name)
+            for t, cb, args in entries:
+                sched.schedule(t, cb, *args)
         return order
 
     a, b = EventScheduler(), EventScheduler()
@@ -463,47 +474,14 @@ def test_schedule_batch_matches_scalar_schedule_execution_for_execution():
     assert a.pending_events == b.pending_events == 0
 
 
-def test_schedule_batch_into_past_raises_and_keeps_earlier_entries():
-    sched = EventScheduler()
-    sched.schedule(1.0, lambda: None)
-    sched.run()  # now == 1.0
-    fired = []
-    with pytest.raises(SchedulerError):
-        sched.schedule_batch([
-            (2.0, fired.append, ("ok",), None),
-            (0.5, fired.append, ("past",), None),
-        ])
-    # the valid leading entry stays scheduled, as with individual calls
-    assert sched.pending_events == 1
-    sched.run()
-    assert fired == ["ok"]
-
-
-def test_schedule_batch_seq_counter_survives_a_past_time_error():
-    """After a mid-batch error, later scalar inserts continue the seq
-    sequence from the last successfully scheduled batch entry."""
-    sched = EventScheduler()
-    sched.schedule(1.0, lambda: None)
-    sched.run()
-    order = []
-    with pytest.raises(SchedulerError):
-        sched.schedule_batch([
-            (2.0, order.append, ("batch",), None),
-            (0.0, order.append, ("past",), None),
-        ])
-    sched.schedule(2.0, order.append, "scalar")
-    sched.run()
-    assert order == ["batch", "scalar"]
-
-
 def test_schedule_batch_entries_run_under_step_and_peek():
     """The fire-and-forget heap entries work through every execution path,
     not just run(): step() dispatches them and peek_time() sees them."""
     sched = EventScheduler()
     order = []
-    sched.schedule_batch([
-        (1.0, order.append, ("a",), None),
-        (2.0, order.append, ("b",), None),
+    schedule_batch(sched, [
+        (1.0, order.append, ("a",)),
+        (2.0, order.append, ("b",)),
     ])
     assert sched.peek_time() == 1.0
     assert sched.step()
@@ -523,9 +501,9 @@ def test_schedule_batch_entries_do_not_touch_the_freelist():
     sched.run()  # both events retire to the freelist
     before = len(sched._free)
     assert before >= 2
-    sched.schedule_batch([
-        (2.0, (lambda: None), (), None),
-        (2.0, (lambda: None), (), None),
+    schedule_batch(sched, [
+        (2.0, (lambda: None), ()),
+        (2.0, (lambda: None), ()),
     ])
     assert len(sched._free) == before
     sched.run()
@@ -538,7 +516,7 @@ def test_cancelling_around_batch_entries_is_exact():
     sched = EventScheduler()
     fired = []
     doomed = sched.schedule(1.0, fired.append, "scalar-doomed")
-    sched.schedule_batch([(1.0, fired.append, ("batch",), None)])
+    schedule_batch(sched, [(1.0, fired.append, ("batch",))])
     keeper = sched.schedule(1.0, fired.append, "scalar-kept")
     sched.cancel(doomed)
     assert sched.pending_events == 2

@@ -110,16 +110,12 @@ def scripted_campaign(tmp_path, name="spans.ndjson"):
         tel.cache_miss(1, "b" * 64)
         tel.batch_dispatched("w1", [0, 1])
         tel.unit_result("w1", 0, 1, "ok",
-                        manifest={"timings": {"sim_s": 0.5},
-                                  "engine": {"lane": "batch",
-                                             "transmissions": 10,
-                                             "numpy_fanout_frames": 4,
-                                             "loop_fanout_frames": 6}})
+                        manifest={"timings": {"sim_s": 0.5}})
         tel.tick()
         tel.unit_result("w1", 1, 1, "error", error="ValueError: boom")
         tel.retry_scheduled(1, 1, 0.25, "ValueError: boom")
         tel.batch_dispatched("w1", [1])
-        tel.unit_result("w1", 1, 2, "ok", manifest={"engine": {"lane": "batch"}})
+        tel.unit_result("w1", 1, 2, "ok", manifest={})
         tel.worker_exited("w1", "stop", exitcode=0)
         tel.end_campaign(executed=2, cache_hits=1, cache_evictions=0, failed=0)
         return path, tel
@@ -152,14 +148,10 @@ def test_telemetry_span_parentage_and_counters(tmp_path):
     assert attrs["counters"]["units.ok"] == 3
     assert attrs["counters"]["units.error"] == 1
     assert attrs["counters"]["events.retry"] == 1
-    assert attrs["phy"]["lane.batch.units"] == 2
-    assert attrs["phy"]["transmissions"] == 10
-    assert attrs["phy"]["numpy_fanout_frames"] == 4
     # Worker-measured timings travel on the unit close record.
     unit0_close = closes[next(u["id"] for u in units
                               if u["attrs"]["index"] == 0)]
     assert unit0_close["attrs"]["timings"] == {"sim_s": 0.5}
-    assert unit0_close["attrs"]["phy_lane"] == "batch"
 
 
 def test_telemetry_heartbeats_cover_every_worker(tmp_path):

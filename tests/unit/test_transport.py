@@ -25,6 +25,7 @@ from repro.experiments.transport import (
     PipeTransport,
     TcpTransport,
     TransportError,
+    _connect_with_retry,
     parse_endpoint,
     recv_frame,
     send_frame,
@@ -185,6 +186,19 @@ def test_handshake_rejects_mismatched_builds(listening_transport, bad, expect):
         reply = recv_frame(sock)
         assert reply["kind"] == "reject"
         assert expect in reply["reason"]
+    finally:
+        sock.close()
+
+
+def test_both_ends_of_an_agent_connection_disable_nagle(listening_transport):
+    """Small batch/ok frames must not wait out the peer's delayed ACK."""
+    sock = _connect_with_retry(listening_transport.endpoint, retry=1.0)
+    try:
+        send_frame(sock, hello())
+        (link,) = listening_transport.accept()
+        for end in (sock, link.sock):
+            assert end.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        link.stop()
     finally:
         sock.close()
 
