@@ -8,9 +8,12 @@ shard of a distributed campaign — the coordinator and every remote worker
 agent — reads and writes one shared memo.  This module lifts the store
 behind a small interface:
 
-* :class:`CacheStore` — the abstract contract: ``get``/``put`` of
+* :class:`CacheStore` — the abstract contract: ``load``/``get``/``put`` of
   ``{"result", "manifest"}`` payloads under a digest, plus the eviction
   counter the campaign result reports;
+* :func:`encode_envelope` / :func:`decode_envelope` — the one place the
+  ``{"checksum", "manifest", "result"}`` envelope is built and the one
+  place it is validated, whichever store or server moves the bytes;
 * :class:`CampaignCache` — the local directory store, byte-for-byte the
   PR 5 implementation (durable atomic writes, advisory ``flock``,
   checksummed envelopes, lazy eviction of corrupt entries);
@@ -35,14 +38,15 @@ recompute, never as different campaign bytes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
-from .config import stable_digest
+from ..obs.provenance import canonical_json, stable_digest
 
 try:
     import fcntl
@@ -57,13 +61,89 @@ PathLike = Union[str, Path]
 CLUSTER_REGISTRY_DIRNAME = ".cluster"
 
 
+#: Largest envelope body :class:`CacheServer` reads off a ``PUT``; a
+#: declared length above it is refused (413) before any byte is read.
+#: Envelopes are ~20 KB (a few MB with ``record_dynamics``).
+MAX_ENVELOPE_BYTES = 64 * 1024 * 1024
+
+
 class CacheCorruptionWarning(UserWarning):
     """A campaign cache entry failed validation and was evicted."""
 
 
+class EnvelopeError(ValueError):
+    """Envelope bytes failed validation; ``str(exc)`` is the reason."""
+
+
 def _envelope_checksum(result: Dict[str, Any],
                        manifest: Optional[Dict[str, Any]]) -> str:
+    """The checksum's definition; :func:`_seal` computes it from parts."""
     return stable_digest({"manifest": manifest, "result": result})
+
+
+def _seal(manifest_blob: bytes, result_blob: bytes) -> Tuple[str, str]:
+    """``(checksum, result_digest)`` of an envelope's two canonical parts.
+
+    Canonical JSON composes: the checksum's pre-image
+    ``{"manifest":M,"result":R}`` is hashed piecewise from the parts, and
+    ``sha256(R)`` is ``stable_digest(result)`` — the journal's
+    ``result_digest`` — so neither needs an encoding of its own.
+    """
+    check = hashlib.sha256(b'{"manifest":')
+    check.update(manifest_blob)
+    check.update(b',"result":')
+    check.update(result_blob)
+    check.update(b"}")
+    return check.hexdigest(), hashlib.sha256(result_blob).hexdigest()
+
+
+def encode_envelope(result: Dict[str, Any],
+                    manifest: Optional[Dict[str, Any]]) -> Tuple[bytes, str]:
+    """The envelope's bytes and the result's digest, from one encoding each
+    of ``result`` and ``manifest``.
+
+    The bytes are exactly the canonical JSON of ``{"checksum", "manifest",
+    "result"}`` (what every earlier writer produced), assembled from the
+    part-blobs instead of encoding the 20 KB tree a second time.
+    """
+    manifest_blob = canonical_json(manifest).encode("ascii")
+    result_blob = canonical_json(result).encode("ascii")
+    checksum, result_digest = _seal(manifest_blob, result_blob)
+    body = b"".join((
+        b'{"checksum":"', checksum.encode("ascii"),
+        b'","manifest":', manifest_blob,
+        b',"result":', result_blob, b"}",
+    ))
+    return body, result_digest
+
+
+def decode_envelope(
+    raw: bytes,
+) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]], str]:
+    """Validate envelope bytes; return ``(result, manifest, result_digest)``.
+
+    Raises :class:`EnvelopeError` for undecodable bytes, broken JSON, a
+    missing field or a checksum mismatch.  The digest is a by-product of
+    re-deriving the checksum, so readers need not hash the result again.
+    """
+    try:
+        envelope = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError / JSONDecodeError
+        raise EnvelopeError(f"truncated or invalid JSON: {exc}") from None
+    if (
+        not isinstance(envelope, dict)
+        or "result" not in envelope
+        or "checksum" not in envelope
+    ):
+        raise EnvelopeError("malformed envelope (missing result/checksum)")
+    result, manifest = envelope["result"], envelope.get("manifest")
+    checksum, result_digest = _seal(
+        canonical_json(manifest).encode("ascii"),
+        canonical_json(result).encode("ascii"),
+    )
+    if envelope["checksum"] != checksum:
+        raise EnvelopeError("checksum mismatch (corrupted content)")
+    return result, manifest, result_digest
 
 
 def _fsync_dir(path: Path) -> None:
@@ -83,20 +163,27 @@ def _fsync_dir(path: Path) -> None:
 class CacheStore:
     """Contract every campaign result store honours.
 
-    ``get(digest)`` returns the cached ``{"result", "manifest"}`` payload
-    or None; ``put(digest, payload)`` stores one (idempotently — the key
-    is content-addressed, so concurrent writers of the same digest are
-    writing the same bytes); ``evictions`` counts corrupt entries the
-    store discarded over its lifetime.  ``describe()`` is the spec string
-    :func:`make_store` rebuilds the store from on another host.
+    ``load(digest)`` returns ``(payload, result_digest)`` — the cached
+    ``{"result", "manifest"}`` payload and the ``stable_digest`` of its
+    result, which verifying the checksum yields for free — or None;
+    ``get(digest)`` is its payload part.  ``put(digest, payload)`` stores
+    one (idempotently — the key is content-addressed, so concurrent
+    writers of the same digest are writing the same bytes) and returns the
+    result's digest for the same reason; ``evictions`` counts corrupt
+    entries the store discarded over its lifetime.  ``describe()`` is the
+    spec string :func:`make_store` rebuilds the store from on another host.
     """
 
     evictions: int = 0
 
-    def get(self, digest: str) -> Optional[Dict[str, Any]]:
+    def load(self, digest: str) -> Optional[Tuple[Dict[str, Any], str]]:
         raise NotImplementedError
 
-    def put(self, digest: str, payload: Dict[str, Any]) -> None:
+    def get(self, digest: str) -> Optional[Dict[str, Any]]:
+        loaded = self.load(digest)
+        return None if loaded is None else loaded[0]
+
+    def put(self, digest: str, payload: Dict[str, Any]) -> str:
         raise NotImplementedError
 
     def clear(self) -> int:
@@ -167,8 +254,8 @@ class CampaignCache(CacheStore):
                 pass
             os.close(fd)
 
-    def get(self, digest: str) -> Optional[Dict[str, Any]]:
-        """The cached ``{"result", "manifest"}`` payload, or None on a miss.
+    def load(self, digest: str) -> Optional[Tuple[Dict[str, Any], str]]:
+        """The cached payload and its result digest, or None on a miss.
 
         Any validation failure — unreadable file, broken JSON, missing
         checksum, checksum mismatch — warns, evicts the entry, and reports a
@@ -176,29 +263,18 @@ class CampaignCache(CacheStore):
         """
         path = self._path(digest)
         try:
-            text = path.read_text(encoding="utf-8")
+            raw = path.read_bytes()
         except FileNotFoundError:
             return None
         except OSError as exc:
             self._evict(path, digest, f"unreadable: {exc}")
             return None
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            self._evict(path, digest, f"truncated or invalid JSON: {exc}")
+            result, manifest, result_digest = decode_envelope(raw)
+        except EnvelopeError as exc:
+            self._evict(path, digest, str(exc))
             return None
-        if (
-            not isinstance(payload, dict)
-            or "result" not in payload
-            or "checksum" not in payload
-        ):
-            self._evict(path, digest, "malformed envelope")
-            return None
-        expected = _envelope_checksum(payload["result"], payload.get("manifest"))
-        if payload["checksum"] != expected:
-            self._evict(path, digest, "checksum mismatch (corrupted content)")
-            return None
-        return {"result": payload["result"], "manifest": payload.get("manifest")}
+        return {"result": result, "manifest": manifest}, result_digest
 
     def _evict(self, path: Path, digest: str, reason: str) -> None:
         self.evictions += 1
@@ -214,29 +290,25 @@ class CampaignCache(CacheStore):
             except OSError:
                 pass
 
-    def put(self, digest: str, payload: Dict[str, Any]) -> None:
+    def put(self, digest: str, payload: Dict[str, Any]) -> str:
         """Durably store one result envelope (locked, atomic, fsynced).
 
-        Write path: pid-unique hidden tmp file → flush → ``fsync`` the file
-        → ``os.replace`` over the final name → ``fsync`` the directory.  A
-        crash or power cut at any point leaves either the old state or the
-        complete new entry, never a torn one.
+        Write path: pid-unique hidden tmp file → one ``write`` of the
+        encoded envelope → flush → ``fsync`` the file → ``os.replace`` over
+        the final name → ``fsync`` the directory.  A crash or power cut at
+        any point leaves either the old state or the complete new entry,
+        never a torn one.  Returns the result's digest.
         """
-        result = payload["result"]
-        manifest = payload.get("manifest")
-        envelope = {
-            "result": result,
-            "manifest": manifest,
-            "checksum": _envelope_checksum(result, manifest),
-        }
+        body, result_digest = encode_envelope(
+            payload["result"], payload.get("manifest")
+        )
         path = self._path(digest)
         with self._lock():
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.parent / f".{digest}.{os.getpid()}.tmp"
             try:
-                with tmp.open("w", encoding="utf-8") as handle:
-                    json.dump(envelope, handle, sort_keys=True,
-                              separators=(",", ":"))
+                with tmp.open("wb") as handle:
+                    handle.write(body)
                     handle.flush()
                     os.fsync(handle.fileno())
                 os.replace(tmp, path)
@@ -247,6 +319,7 @@ class CampaignCache(CacheStore):
                     pass
                 raise
             _fsync_dir(path.parent)
+        return result_digest
 
     def __contains__(self, digest: str) -> bool:
         return self._path(digest).exists()
@@ -310,27 +383,16 @@ class HttpCacheStore(CacheStore):
             self.errors += 1
             return None
 
-    def get(self, digest: str) -> Optional[Dict[str, Any]]:
+    def load(self, digest: str) -> Optional[Tuple[Dict[str, Any], str]]:
         body = self._request("GET", digest)
         if body is None:
             return None
         try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            self._evict(digest, "undecodable envelope")
+            result, manifest, result_digest = decode_envelope(body)
+        except EnvelopeError as exc:
+            self._evict(digest, str(exc))
             return None
-        if (
-            not isinstance(payload, dict)
-            or "result" not in payload
-            or "checksum" not in payload
-        ):
-            self._evict(digest, "malformed envelope")
-            return None
-        expected = _envelope_checksum(payload["result"], payload.get("manifest"))
-        if payload["checksum"] != expected:
-            self._evict(digest, "checksum mismatch (corrupted content)")
-            return None
-        return {"result": payload["result"], "manifest": payload.get("manifest")}
+        return {"result": result, "manifest": manifest}, result_digest
 
     def _evict(self, digest: str, reason: str) -> None:
         self.evictions += 1
@@ -342,17 +404,12 @@ class HttpCacheStore(CacheStore):
         )
         self._request("DELETE", digest)
 
-    def put(self, digest: str, payload: Dict[str, Any]) -> None:
-        result = payload["result"]
-        manifest = payload.get("manifest")
-        envelope = {
-            "result": result,
-            "manifest": manifest,
-            "checksum": _envelope_checksum(result, manifest),
-        }
-        body = json.dumps(envelope, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
+    def put(self, digest: str, payload: Dict[str, Any]) -> str:
+        body, result_digest = encode_envelope(
+            payload["result"], payload.get("manifest")
+        )
         self._request("PUT", digest, body=body)
+        return result_digest
 
     def clear(self) -> int:
         import urllib.error
@@ -377,8 +434,10 @@ class CacheServer:
     file server behind the same paths works too):
 
     * ``GET /<aa>/<digest>.json`` — the raw envelope bytes, 404 on a miss;
-    * ``PUT /<aa>/<digest>.json`` — store one envelope (validated: bad
-      JSON or a checksum mismatch is a 400, the write never happens);
+    * ``PUT /<aa>/<digest>.json`` — store one envelope (validated: a
+      missing, non-integer or negative ``Content-Length``, bad JSON or a
+      checksum mismatch is a 400, a length above
+      :data:`MAX_ENVELOPE_BYTES` a 413; the write never happens);
     * ``DELETE /<aa>/<digest>.json`` — drop one entry (evictions);
     * ``DELETE /`` — clear the store; body reports ``{"removed": n}``.
 
@@ -431,24 +490,25 @@ class CacheServer:
                 if digest is None:
                     self._reply(404)
                     return
-                length = int(self.headers.get("Content-Length", 0))
-                body = self.rfile.read(length)
+                # The length is the peer's claim: int() of garbage raises
+                # in the handler thread and read(-1) blocks until the peer
+                # closes, so refuse both before touching the body.
+                declared = (self.headers.get("Content-Length") or "").strip()
+                if not (declared.isascii() and declared.isdigit()):
+                    self._reply(400)
+                    return
+                length = int(declared)
+                if length > MAX_ENVELOPE_BYTES:
+                    self._reply(413)
+                    return
                 try:
-                    envelope = json.loads(body.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError):
+                    result, manifest, _ = decode_envelope(
+                        self.rfile.read(length)
+                    )
+                except EnvelopeError:
                     self._reply(400)
                     return
-                if (
-                    not isinstance(envelope, dict)
-                    or "result" not in envelope
-                    or envelope.get("checksum")
-                    != _envelope_checksum(envelope["result"],
-                                          envelope.get("manifest"))
-                ):
-                    self._reply(400)
-                    return
-                cache.put(digest, {"result": envelope["result"],
-                                   "manifest": envelope.get("manifest")})
+                cache.put(digest, {"result": result, "manifest": manifest})
                 self._reply(200)
 
             def do_DELETE(self) -> None:
@@ -524,6 +584,10 @@ __all__ = [
     "CacheServer",
     "CacheStore",
     "CampaignCache",
+    "EnvelopeError",
     "HttpCacheStore",
+    "MAX_ENVELOPE_BYTES",
+    "decode_envelope",
+    "encode_envelope",
     "make_store",
 ]

@@ -78,8 +78,8 @@ module to it.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
-import json
 import multiprocessing.connection
 import os
 import signal
@@ -90,8 +90,9 @@ from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.engine import CampaignTelemetry
+from ..obs.provenance import canonical_json
 from ..sim.rng import derive_run_seed
-from .cachestore import CLUSTER_REGISTRY_DIRNAME, CampaignCache
+from .cachestore import CLUSTER_REGISTRY_DIRNAME, CacheStore, CampaignCache
 from .config import CACHE_SCHEMA_VERSION, ScenarioConfig, stable_digest
 from .journal import CampaignJournal, JournalReplay
 from .runner import RunResult, RunSpec, execute_run
@@ -270,9 +271,7 @@ class RunRecord:
 
     def metrics_bytes(self) -> bytes:
         """Canonical byte serialization, for bit-identity comparisons."""
-        return json.dumps(
-            self.metrics, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        return canonical_json(self.metrics).encode("utf-8")
 
 
 @dataclass
@@ -342,13 +341,22 @@ class CampaignResult:
 
         Keying by identity rather than grid position makes fingerprints of
         reordered-but-equal campaigns compare equal — the determinism
-        property the tests assert.
+        property the tests assert.  Equal to ``stable_digest`` of the
+        ``{key: metrics}`` dict, streamed: canonical JSON sorts keys, so
+        each record's bytes are hashed in key order without materialising
+        the JSON of the whole campaign.
         """
-        payload = {
-            f"{r.run.scenario}:{r.run.replication}": r.metrics
-            for r in self.records
+        by_key = {
+            f"{r.run.scenario}:{r.run.replication}": r for r in self.records
         }
-        return stable_digest(payload)
+        digest = hashlib.sha256(b"{")
+        for n, key in enumerate(sorted(by_key)):
+            digest.update(
+                (b"," if n else b"") + canonical_json(key).encode("utf-8") + b":"
+            )
+            digest.update(by_key[key].metrics_bytes())
+        digest.update(b"}")
+        return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +816,7 @@ def run_campaign(
     replications: int = 1,
     base_seed: int = 1,
     jobs: Optional[int] = None,
-    cache: Optional[CampaignCache] = None,
+    cache: Optional[CacheStore] = None,
     progress: Optional[ProgressFn] = None,
     policy: Optional[RetryPolicy] = None,
     pool_mode: str = "warm",
@@ -821,9 +829,11 @@ def run_campaign(
     """Run every ``(spec, replication)`` in ``grid``; return ordered records.
 
     ``jobs`` is the worker-process count (default ``os.cpu_count()``; ``1``
-    with no watchdog executes in-process).  ``cache`` enables the on-disk
-    memo: hits skip execution entirely — they are resolved before any
-    worker is dispatched, so a fully cached campaign never starts a pool.
+    with no watchdog executes in-process).  ``cache`` (any
+    :class:`~repro.experiments.cachestore.CacheStore` — a local directory
+    or an HTTP store) enables the memo: hits skip execution entirely —
+    they are resolved before any worker is dispatched, so a fully cached
+    campaign never starts a pool.
     ``progress`` is invoked once per finished run — from the coordinating
     process, in completion order — with ``(record, done_count,
     total_count)``.  ``policy`` configures the self-healing supervisor
@@ -962,27 +972,24 @@ def run_campaign(
             # resolved stays pending-and-undispatched → the remainder.
             pending = []
             break
-        payload = None
+        loaded = None
         if cache is not None:
             seen_evictions = cache.evictions
-            payload = cache.get(run.digest)
+            loaded = cache.load(run.digest)
             if telemetry is not None and cache.evictions > seen_evictions:
                 telemetry.cache_evicted(run.index, run.digest)
         if resume is not None and run.index in resume.completed:
             # Re-verify the journaled completion against the cache: the
-            # entry must exist, pass its checksum (cache.get), and hash to
+            # entry must exist, pass its checksum (cache.load), and hash to
             # the journaled result digest.  Anything else is drift — the
             # unit re-executes.
-            if (
-                payload is not None
-                and stable_digest(payload["result"])
-                == resume.completed[run.index]
-            ):
+            if loaded is not None and loaded[1] == resume.completed[run.index]:
                 verified += 1
             else:
                 drift += 1
-                payload = None
-        if payload is not None:
+                loaded = None
+        if loaded is not None:
+            payload, result_digest = loaded
             if telemetry is not None:
                 telemetry.cache_hit(run.index, run.digest)
                 # Cached units get a span too (consumers see every unit),
@@ -993,8 +1000,7 @@ def run_campaign(
                     scenario=run.scenario[:12], replication=run.replication,
                 )
             if journal is not None:
-                journal.done(run, stable_digest(payload["result"]),
-                             cached=True)
+                journal.done(run, result_digest, cached=True)
             finish(RunRecord(run=run, metrics=payload["result"], cached=True,
                              manifest=payload.get("manifest")))
         else:
@@ -1010,12 +1016,18 @@ def run_campaign(
 
     def store(run: CampaignRun, metrics: Dict[str, Any],
               manifest: Optional[Dict[str, Any]]) -> None:
+        # The store hashes the result while it encodes it; only a
+        # cacheless journal has to encode for the digest alone.
         if cache is not None:
-            cache.put(run.digest, {"result": metrics, "manifest": manifest})
+            result_digest = cache.put(
+                run.digest, {"result": metrics, "manifest": manifest}
+            )
+        elif journal is not None:
+            result_digest = stable_digest(metrics)
         if journal is not None:
             # Journaled after cache.put: a done record implies the cache
             # holds the result, which is what resume verification assumes.
-            journal.done(run, stable_digest(metrics), cached=False)
+            journal.done(run, result_digest, cached=False)
         finish(RunRecord(run=run, metrics=metrics, cached=False,
                          manifest=manifest))
 

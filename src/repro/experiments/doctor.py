@@ -46,13 +46,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from ..obs.provenance import stable_digest
 from ..obs.spans import read_span_log
 from ..obs.validate import validate_journal_file
 from .cachestore import (
     CLUSTER_REGISTRY_DIRNAME,
     CampaignCache,
-    _envelope_checksum,
+    EnvelopeError,
+    decode_envelope,
 )
 from .journal import JournalError, read_journal, replay_journal
 
@@ -84,32 +84,26 @@ class Finding:
         }
 
 
-def _read_envelope(path: Path) -> Optional[str]:
+def _read_envelope(path: Path, journaled: Optional[str] = None) -> Optional[str]:
     """Why this cache entry is bad, or None if it is healthy.
 
-    A read-only re-implementation of the :meth:`CampaignCache.get`
-    validation chain: doctor must never evict as a side effect of
-    *diagnosing* (that is what ``repair`` is for).
+    The :meth:`CampaignCache.load` validation without its eviction: doctor
+    must never evict as a side effect of *diagnosing* (that is what
+    ``repair`` is for).  With ``journaled``, a valid entry must also hash
+    to that ``result_digest``.
     """
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
     except OSError as exc:
         return f"unreadable: {exc}"
-    if not text:
+    if not raw:
         return "zero-length file"
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return f"truncated or invalid JSON: {exc}"
-    if (
-        not isinstance(payload, dict)
-        or "result" not in payload
-        or "checksum" not in payload
-    ):
-        return "malformed envelope (missing result/checksum)"
-    expected = _envelope_checksum(payload["result"], payload.get("manifest"))
-    if payload["checksum"] != expected:
-        return "checksum mismatch (corrupted content)"
+        _, _, result_digest = decode_envelope(raw)
+    except EnvelopeError as exc:
+        return str(exc)
+    if journaled is not None and result_digest != journaled:
+        return "cache result digest differs from the journaled one"
     return None
 
 
@@ -351,17 +345,10 @@ def diagnose_journal(
             # validate_journal_file already flagged the unplanned done.
             continue
         entry = store._path(planned["digest"])
-        reason = None
-        if not entry.is_file():
-            reason = "cache entry missing"
-        else:
-            reason = _read_envelope(entry)
-            if reason is None:
-                payload = json.loads(entry.read_text(encoding="utf-8"))
-                if stable_digest(payload["result"]) != result_digest:
-                    reason = (
-                        "cache result digest differs from the journaled one"
-                    )
+        reason = (
+            _read_envelope(entry, journaled=result_digest)
+            if entry.is_file() else "cache entry missing"
+        )
         if reason is None:
             continue
         finding = Finding(

@@ -119,9 +119,8 @@ class CampaignJournal:
 
     def write(self, record: Dict[str, Any]) -> None:
         """Append one record as a flushed NDJSON line (fsync in batches)."""
-        json.dump(record, self._stream, separators=(",", ":"),
-                  sort_keys=True, default=str)
-        self._stream.write("\n")
+        self._stream.write(json.dumps(record, separators=(",", ":"),
+                                      sort_keys=True, default=str) + "\n")
         self._stream.flush()
         self.records_written += 1
         self._unsynced += 1

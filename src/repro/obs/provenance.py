@@ -34,16 +34,26 @@ from typing import Any, Dict, Optional
 MANIFEST_SCHEMA_VERSION = 1
 
 
+#: ``canonical_json(payload) -> str``: the one canonical rendering — sorted
+#: keys, no whitespace, exact float repr, ASCII-only — that every digest
+#: and every cache envelope is made of.  Because keys are sorted, the
+#: rendering of a dict is the concatenation of the renderings of its
+#: values, which is what lets :mod:`repro.experiments.cachestore` compose
+#: an envelope and its checksum from parts encoded once.  Bound to one
+#: shared encoder's ``encode`` (the C encoder; ``json.dump`` to a stream
+#: never uses it, and ``json.dumps`` with options builds an encoder a call).
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def stable_digest(payload: Any) -> str:
     """SHA-256 hex digest of ``payload`` rendered as canonical JSON.
 
-    The rendering is deterministic (sorted keys, no whitespace, exact float
-    repr) so equal configurations always hash equal across processes and
-    interpreter sessions — the property the content-addressed campaign
-    cache and the manifest reproduction check both key on.
+    The rendering (:data:`canonical_json`) is deterministic, so equal
+    configurations always hash equal across processes and interpreter
+    sessions — the property the content-addressed campaign cache and the
+    manifest reproduction check both key on.
     """
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 def _package_version() -> str:

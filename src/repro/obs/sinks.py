@@ -113,9 +113,9 @@ class NdjsonTraceSink(TraceSink):
     """Newline-delimited JSON, one trace record per line."""
 
     def _write(self, record: TraceRecord) -> None:
-        json.dump(record_to_json_dict(record), self._file,
-                  separators=(",", ":"), sort_keys=True, default=str)
-        self._file.write("\n")
+        self._file.write(json.dumps(
+            record_to_json_dict(record),
+            separators=(",", ":"), sort_keys=True, default=str) + "\n")
 
 
 class CsvTraceSink(TraceSink):

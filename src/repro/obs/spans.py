@@ -135,9 +135,8 @@ class SpanWriter:
 
     def write(self, record: Dict[str, Any]) -> None:
         """Serialize one record as a flushed NDJSON line."""
-        json.dump(record, self._stream, separators=(",", ":"),
-                  sort_keys=True, default=str)
-        self._stream.write("\n")
+        self._stream.write(json.dumps(record, separators=(",", ":"),
+                                      sort_keys=True, default=str) + "\n")
         self._stream.flush()
         self.records_written += 1
         kind = record.get("kind", "?")

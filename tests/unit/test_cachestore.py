@@ -5,27 +5,94 @@ corruption eviction) is covered by the campaign robustness suite; this
 file exercises what PR 10 added on top — the :class:`CacheStore` spec
 round-trip, the ``.cluster`` registry staying invisible to entry walks,
 and the HTTP store/server pair sharing one envelope contract with the
-directory store, including end-to-end corruption detection.
+directory store, including end-to-end corruption detection — and the one
+envelope encoding every store shares (PR 14): its bytes on disk are pinned,
+and entries written before it are still hits.
 """
 
+import hashlib
 import json
+import shutil
+import socket
+from pathlib import Path
 
 import pytest
 
+from repro.experiments import ScenarioConfig, chain_grid, run_campaign
 from repro.experiments.cachestore import (
     CLUSTER_REGISTRY_DIRNAME,
+    MAX_ENVELOPE_BYTES,
     CacheCorruptionWarning,
     CacheServer,
     CacheStore,
     CampaignCache,
+    EnvelopeError,
     HttpCacheStore,
+    decode_envelope,
+    encode_envelope,
     make_store,
 )
+from repro.obs.provenance import stable_digest
 
 DIGEST = "ab" + "0" * 62
 OTHER = "cd" + "1" * 62
 PAYLOAD = {"result": {"goodput": 123.0, "rtx": 4},
            "manifest": {"result_digest": "deadbeef"}}
+
+
+#: sha256 of the file ``CampaignCache.put(DIGEST, PAYLOAD)`` writes — the
+#: same value at every commit since the envelope got its checksum (PR 5).
+PAYLOAD_FILE_SHA256 = \
+    "08ed1d2155d88f3b2e266841c0ace7840122e8bfdaa5f49464242edd441faafc"
+
+#: A cache entry written by the commit before the composed encoding
+#: (``run_campaign`` of the grid in the test below), byte for byte.
+PARENT_ENTRY = next((Path(__file__).parents[1] / "data").glob(
+    "parent_envelope_*.json"))
+
+
+# ---------------------------------------------------------------------------
+# the envelope encoding
+
+
+def test_envelope_file_bytes_are_pinned(tmp_path):
+    cache = CampaignCache(tmp_path / "cache")
+    result_digest = cache.put(DIGEST, PAYLOAD)
+    written = cache._path(DIGEST).read_bytes()
+    assert hashlib.sha256(written).hexdigest() == PAYLOAD_FILE_SHA256
+    assert written == encode_envelope(PAYLOAD["result"], PAYLOAD["manifest"])[0]
+    assert result_digest == stable_digest(PAYLOAD["result"])
+    assert cache.load(DIGEST) == (PAYLOAD, result_digest)
+
+
+def test_an_entry_written_before_the_composed_encoding_is_a_hit(tmp_path):
+    digest = PARENT_ENTRY.stem[len("parent_envelope_"):]
+    cache = CampaignCache(tmp_path / "cache")
+    cache._path(digest).parent.mkdir(parents=True)
+    shutil.copy(PARENT_ENTRY, cache._path(digest))
+
+    grid = chain_grid(["newreno"], [2],
+                      config=ScenarioConfig(sim_time=0.5, window=4))
+    result = run_campaign(grid, jobs=1, cache=cache)
+    assert (result.executed, result.cache_hits) == (0, 1)
+    # ... and re-encoding what it holds reproduces the old file exactly.
+    (record,) = result.records
+    assert encode_envelope(record.metrics, record.manifest)[0] \
+        == PARENT_ENTRY.read_bytes()
+
+
+@pytest.mark.parametrize("raw, reason", [
+    (b"", "invalid JSON"),
+    (b"\xff\xfe", "invalid JSON"),
+    (b'{"result":{}', "invalid JSON"),
+    (b"[]", "malformed envelope"),
+    (b'{"checksum":"x"}', "malformed envelope"),
+    (b'{"result":{}}', "malformed envelope"),
+    (b'{"checksum":"x","result":{}}', "checksum mismatch"),
+])
+def test_decode_envelope_names_what_is_wrong(raw, reason):
+    with pytest.raises(EnvelopeError, match=reason):
+        decode_envelope(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +195,34 @@ def test_server_refuses_envelopes_with_bad_checksums(served):
     assert excinfo.value.code == 400
     excinfo.value.close()
     assert remote.get(DIGEST) is None  # the bad write never landed
+
+
+def raw_put(server, headers, body=b""):
+    """Status code of a hand-written PUT; the reply must come within 3 s."""
+    host, port = server.url[len("http://"):].split(":")
+    request = (f"PUT /{DIGEST[:2]}/{DIGEST}.json HTTP/1.1\r\n"
+               f"Host: {host}\r\n{headers}\r\n").encode("ascii") + body
+    with socket.create_connection((host, int(port)), timeout=3.0) as sock:
+        sock.sendall(request)
+        status_line = sock.makefile("rb").readline()
+    return int(status_line.split()[1])
+
+
+@pytest.mark.parametrize("headers, status", [
+    ("", 400),                                     # no Content-Length
+    ("Content-Length: abc\r\n", 400),              # used to raise ValueError
+    ("Content-Length: -1\r\n", 400),               # used to block in read(-1)
+    (f"Content-Length: {MAX_ENVELOPE_BYTES + 1}\r\n", 413),
+])
+def test_server_refuses_bad_content_lengths_before_reading(served, headers,
+                                                           status):
+    server, remote = served
+    body = encode_envelope(PAYLOAD["result"], PAYLOAD["manifest"])[0]
+    assert raw_put(server, headers, body) == status
+    assert remote.get(DIGEST) is None  # nothing was stored
+    # the handler thread survived: a well-formed PUT still lands
+    assert raw_put(server, f"Content-Length: {len(body)}\r\n", body) == 200
+    assert remote.get(DIGEST) == PAYLOAD
 
 
 def test_network_failures_degrade_to_misses(tmp_path):

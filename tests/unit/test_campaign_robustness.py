@@ -9,6 +9,7 @@ supervisor forks its workers, so children inherit the patch.  Cross-process
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +309,110 @@ def test_cache_put_fsyncs_the_tmp_file_and_its_directory(tmp_path, monkeypatch):
     assert True in kinds, "the shard directory was never fsynced"
     assert kinds.index(False) < kinds.index(True), \
         "file must be durable before the rename is"
+
+
+def test_cache_put_is_write_fsync_replace_fsync_under_the_lock(tmp_path,
+                                                              monkeypatch):
+    """The whole durability sequence, pinned step by step, so a faster
+    ``put`` cannot get there by dropping one: the complete envelope is in
+    the tmp file before ``fsync(file)``, that comes before ``os.replace``,
+    ``fsync(dir)`` comes after it — exactly two fsyncs — and the cache
+    ``flock`` is held throughout."""
+    import fcntl
+    import stat
+    from repro.experiments.cachestore import encode_envelope
+
+    digest = "ab" + "0" * 14
+    payload = {"result": {"x": 1}, "manifest": None}
+    body, result_digest = encode_envelope(payload["result"], None)
+    cache = CampaignCache(tmp_path / "cache")
+    final = cache._path(digest)
+    steps = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def lock_is_held():
+        fd = os.open(cache.lock_path, os.O_RDWR)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            return True
+        finally:
+            os.close(fd)
+        return False
+
+    def recording_fsync(fd):
+        info = os.fstat(fd)
+        is_dir = stat.S_ISDIR(info.st_mode)
+        steps.append(("fsync-dir" if is_dir else "fsync-file",
+                      None if is_dir else info.st_size,
+                      final.exists(), lock_is_held()))
+        real_fsync(fd)
+
+    def recording_replace(src, dst):
+        steps.append(("replace", Path(src).read_bytes(), Path(dst) == final,
+                      lock_is_held()))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    assert cache.put(digest, payload) == result_digest
+    monkeypatch.undo()
+
+    assert steps == [
+        ("fsync-file", len(body), False, True),  # all bytes written, not yet visible
+        ("replace", body, True, True),
+        ("fsync-dir", None, True, True),
+    ]
+    assert final.read_bytes() == body
+    assert not lock_is_held()
+
+
+def test_cache_put_failing_mid_write_leaves_no_tmp_and_no_entry(tmp_path,
+                                                                monkeypatch):
+    cache = CampaignCache(tmp_path / "cache")
+
+    def exploding_fsync(fd):
+        raise OSError("I/O error")
+
+    monkeypatch.setattr(os, "fsync", exploding_fsync)
+    with pytest.raises(OSError, match="I/O error"):
+        cache.put("cd" + "0" * 14, {"result": {"x": 1}, "manifest": None})
+    monkeypatch.undo()
+    assert list(cache.root.glob("*/*.tmp")) == []
+    assert list(cache.root.glob("*/*.json")) == []
+
+
+def test_a_unit_is_journaled_done_only_after_its_put_returned(tmp_path):
+    """``done`` implies the cache holds the result (resume relies on it),
+    and carries the digest ``put`` computed — not a second encoding."""
+    from repro.experiments.journal import CampaignJournal
+    from repro.obs.provenance import stable_digest
+
+    events = []
+
+    class RecordingCache(CampaignCache):
+        def put(self, digest, payload):
+            result_digest = super().put(digest, payload)
+            assert self._path(digest).exists()
+            events.append(("put", digest, result_digest))
+            return result_digest
+
+    class RecordingJournal(CampaignJournal):
+        def done(self, run, result_digest, cached):
+            events.append(("done", run.digest, result_digest))
+            super().done(run, result_digest, cached)
+
+    with RecordingJournal(tmp_path / "journal.ndjson") as journal:
+        result = run_campaign(tiny_grid(2), replications=2, jobs=1,
+                              cache=RecordingCache(tmp_path / "cache"),
+                              journal=journal)
+    assert result.executed == 4
+    expected = []
+    for record in result.records:
+        result_digest = stable_digest(record.metrics)
+        expected += [("put", record.run.digest, result_digest),
+                     ("done", record.run.digest, result_digest)]
+    assert events == expected
 
 
 def test_truncated_at_rename_entry_is_evicted_and_recomputed(tmp_path):
