@@ -24,7 +24,7 @@ import statistics
 
 import pytest
 
-from repro.core import BinaryFeedbackDrai, DraiParams, install_drai
+from repro.core import DraiParams, install_drai
 from repro.experiments import ScenarioConfig, full_scale, run_chain
 from repro.net.queues import RedQueue
 from repro.routing import install_aodv_routing
@@ -39,8 +39,8 @@ SEEDS = (1, 2, 3, 4, 5) if full_scale() else (1, 2, 3)
 SIM_TIME = 30.0 if full_scale() else 15.0
 
 
-def _muzha_run(seed, estimator_cls=None, drai_params=None, error_rate=0.0, hops=4):
-    """One Muzha chain run with a configurable DRAI estimator."""
+def _muzha_run(seed, policy=None, drai_params=None, error_rate=0.0, hops=4):
+    """One Muzha chain run with a configurable advice policy."""
     from repro.phy import PacketErrorRate
 
     net = build_chain(
@@ -49,10 +49,7 @@ def _muzha_run(seed, estimator_cls=None, drai_params=None, error_rate=0.0, hops=
         error_model=PacketErrorRate(error_rate) if error_rate else None,
     )
     install_aodv_routing(net.nodes, net.sim)
-    kwargs = {"params": drai_params}
-    if estimator_cls is not None:
-        kwargs["estimator_cls"] = estimator_cls
-    install_drai(net.nodes, net.sim, **kwargs)
+    install_drai(net.nodes, net.sim, params=drai_params, policy=policy)
     flow = start_ftp(net.sim, net.nodes[0], net.nodes[-1], variant="muzha", window=8)
     net.sim.run(until=SIM_TIME)
     return flow
@@ -61,10 +58,10 @@ def _muzha_run(seed, estimator_cls=None, drai_params=None, error_rate=0.0, hops=
 def test_ablation_binary_vs_multilevel_feedback(benchmark):
     def campaign():
         rows = []
-        for name, estimator in [("multi-level", None), ("binary", BinaryFeedbackDrai)]:
+        for name, policy in [("multi-level", None), ("binary", "binary-feedback")]:
             goodputs, wobble = [], []
             for seed in SEEDS:
-                flow = _muzha_run(seed, estimator_cls=estimator)
+                flow = _muzha_run(seed, policy=policy)
                 goodputs.append(flow.goodput_kbps(SIM_TIME))
                 # window restlessness: cwnd changes per second after ramp
                 changes = sum(1 for t, _ in flow.sender.cwnd_trace if t > 2.0)

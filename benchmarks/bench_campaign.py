@@ -1,31 +1,25 @@
-"""Campaign engine benchmarks: pool-mode throughput and warm-cache latency.
+"""Campaign engine benchmarks: warm pool vs fork-per-attempt.
 
 Not a paper figure — these measure the batch engine the figure campaigns
-run on.  Four metrics:
+run on.  Cold and cached units/sec of a journaled, cached campaign are
+``campaign_cold`` / ``campaign_cached`` of ``benchmarks/e2e``; here is the
+comparison it does not make:
 
 * ``campaign_scenarios_per_sec`` — units/sec of the default ``warm``
   persistent-worker pool on a 48-unit uncached grid of deliberately short
   simulations.  Short units make the measurement engine-dominated: it
   tracks dispatch/IPC/fork overhead, which is what the campaign engine
-  owns, rather than simulator speed (``bench_kernel`` owns that);
+  owns, rather than simulator speed;
 * ``campaign_scenarios_per_sec_per_attempt`` — the same grid through the
-  fork-per-attempt fallback backend.  The committed warm-vs-per-attempt
-  ratio is the documented payoff of the persistent pool (one fork per
-  worker instead of one per unit);
-* ``full_run_packets_per_sec`` — delivered packets per wall-clock second
-  of the standard 4-hop, 10 s Muzha run, the end-to-end anchor for the
-  allocation-churn work (``__slots__`` packet/segment/frame types, interned
-  control frames, memoized PHY timings);
-* ``calibration_ops_per_sec`` — the machine-speed reference shared with
-  ``bench_kernel``, so regression checks can compare calibration-normalized
-  ratios instead of absolute rates on drifting CI containers.
+  fork-per-attempt fallback backend.  ``warm_speedup_vs_per_attempt`` is
+  the payoff of the persistent pool (one fork per worker instead of one
+  per unit).
 
 Two entry points:
 
-* ``python benchmarks/bench_campaign.py`` — runs the suite, prints a
+* ``python benchmarks/bench_campaign.py`` — the ``harness`` CLI: prints a
   table, writes ``results/BENCH_campaign.json``, and with ``--check``
-  exits non-zero on a >30% (calibration-normalized) regression against the
-  committed baseline;
+  applies the one regression gate;
 * ``pytest benchmarks/bench_campaign.py`` — the same claims as
   pytest-benchmark cases, marked ``perf`` and excluded from tier-1.
 
@@ -35,13 +29,10 @@ a faster backend that changed the numbers would be a bug, not a win.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import time
-from pathlib import Path
-from typing import Callable, Dict, Tuple
+from typing import Tuple
 
 import pytest
 
@@ -50,12 +41,11 @@ from repro.experiments import (
     ScenarioConfig,
     chain_grid,
     run_campaign,
-    run_chain,
 )
 from repro.experiments.config import full_scale
 
-BASELINE_PATH = Path(__file__).resolve().parent / "baselines" / "bench_campaign_baseline.json"
-DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "results" / "BENCH_campaign.json"
+from conftest import banner, run_once
+from harness import Suite, main, rate
 
 pytestmark = pytest.mark.perf
 
@@ -104,70 +94,34 @@ def run_engine_campaign(pool_mode: str) -> Tuple[int, str]:
     return len(grid) * ENGINE_REPLICATIONS, result.fingerprint()
 
 
-def run_full_run() -> int:
-    """The standard 4-hop, 10 s Muzha run; returns delivered packets."""
-    result = run_chain(4, ["muzha"], config=ScenarioConfig(sim_time=10.0, seed=1))
-    return result.total_delivered_packets
+#: Metric -> pool mode of the engine grid.
+MODES = {
+    "campaign_scenarios_per_sec": "warm",
+    "campaign_scenarios_per_sec_per_attempt": "per-attempt",
+}
 
 
-def _rate(work: Callable[[], int], reps: int) -> float:
-    """Best observed ops/sec over ``reps`` repetitions."""
-    best = 0.0
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        ops = work()
-        dt = time.perf_counter() - t0
-        best = max(best, ops / dt)
-    return best
+def measure_all(fast=False, names=None):
+    """Metric-name -> units/sec for ``names`` (default: both modes)."""
+    fingerprints = {}
 
+    def engine(pool_mode):
+        units, fingerprints[pool_mode] = run_engine_campaign(pool_mode)
+        return units
 
-def _engine_rate(pool_mode: str, reps: int) -> Tuple[float, str]:
-    """Best units/sec plus the (mode-invariant) campaign fingerprint."""
-    best, fingerprint = 0.0, None
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        units, fingerprint = run_engine_campaign(pool_mode)
-        dt = time.perf_counter() - t0
-        best = max(best, units / dt)
-    return best, fingerprint
-
-
-def measure_all(fast: bool = False) -> Dict[str, float]:
-    """Run the whole suite; returns metric-name -> ops/sec.
-
-    GC-frozen like ``bench_kernel.measure_all`` so import-graph growth
-    cannot masquerade as an engine regression.
-    """
-    import gc
-
-    from bench_kernel import run_calibration
-
-    reps = 2 if fast else 3
-    gc.freeze()
-    try:
-        calibration = _rate(run_calibration, 2 if fast else 5)
-        warm, warm_fp = _engine_rate("warm", reps)
-        per_attempt, pa_fp = _engine_rate("per-attempt", reps)
-        if warm_fp != pa_fp:
-            raise AssertionError(
-                f"pool mode changed the campaign metrics: warm fingerprint "
-                f"{warm_fp} != per-attempt {pa_fp}"
-            )
-        return {
-            "calibration_ops_per_sec": calibration,
-            "campaign_scenarios_per_sec": warm,
-            "campaign_scenarios_per_sec_per_attempt": per_attempt,
-            "full_run_packets_per_sec": _rate(run_full_run, 1 if fast else 2),
-        }
-    finally:
-        gc.unfreeze()
+    rates = {
+        name: rate(lambda: engine(pool_mode), 2 if fast else 3)
+        for name, pool_mode in MODES.items()
+        if names is None or name in names
+    }
+    if len(set(fingerprints.values())) > 1:
+        raise AssertionError(
+            f"pool mode changed the campaign metrics: {fingerprints}"
+        )
+    return rates
 
 
 # -- pytest-benchmark cases --------------------------------------------------
-
-# Imported lazily in measure_all for the standalone path; pytest collection
-# imports conftest helpers the usual way.
-from conftest import banner, run_once  # noqa: E402
 
 
 def test_warm_pool_beats_per_attempt(benchmark):
@@ -243,109 +197,21 @@ def test_campaign_warm_cache_executes_nothing(benchmark, tmp_path):
     assert warm.fingerprint() == cold.fingerprint()
 
 
-# -- standalone runner -------------------------------------------------------
+# -- suite declaration -------------------------------------------------------
 
 
-def load_baseline() -> dict:
-    with open(BASELINE_PATH) as handle:
-        return json.load(handle)
-
-
-def build_report(current: Dict[str, float], baseline: dict) -> dict:
-    """Current numbers alongside the committed baseline, drift-normalized."""
-    committed = baseline.get("metrics", {})
-
-    speed_factor = None
-    cal_committed = committed.get("calibration_ops_per_sec")
-    cal_current = current.get("calibration_ops_per_sec")
-    if cal_committed and cal_current:
-        speed_factor = cal_current / cal_committed
-
-    metrics = {}
-    for name, rate in current.items():
-        entry = {"current": round(rate, 1)}
-        if name in committed:
-            entry["baseline"] = committed[name]
-            entry["ratio_vs_baseline"] = round(rate / committed[name], 3)
-            if speed_factor and name != "calibration_ops_per_sec":
-                entry["ratio_vs_baseline_normalized"] = round(
-                    rate / committed[name] / speed_factor, 3)
-        metrics[name] = entry
-
-    report = {
-        "suite": "bench_campaign",
-        "baseline_machine": baseline.get("machine", "unknown"),
+def _derived(current):
+    return {
         "grid": f"48 units ({len(GRID_VARIANTS) * len(ENGINE_HOPS)} scenarios "
                 f"x {ENGINE_REPLICATIONS} replications x "
                 f"{ENGINE_SIM_TIME:g}s), workers={ENGINE_JOBS}, uncached",
-        "metrics": metrics,
+        "warm_speedup_vs_per_attempt": round(
+            current["campaign_scenarios_per_sec"]
+            / current["campaign_scenarios_per_sec_per_attempt"], 2),
     }
-    warm = current.get("campaign_scenarios_per_sec")
-    per_attempt = current.get("campaign_scenarios_per_sec_per_attempt")
-    if warm and per_attempt:
-        report["warm_speedup_vs_per_attempt"] = round(warm / per_attempt, 2)
-    if speed_factor is not None:
-        report["machine_speed_factor"] = round(speed_factor, 3)
-    return report
 
 
-def check_regression(report: dict, tolerance: float) -> list:
-    """Metric names whose (calibration-normalized) rate dropped more than
-    ``tolerance`` below the committed baseline."""
-    failures = []
-    for name, entry in report["metrics"].items():
-        if name == "calibration_ops_per_sec":
-            continue
-        ratio = entry.get("ratio_vs_baseline_normalized",
-                          entry.get("ratio_vs_baseline"))
-        if ratio is not None and ratio < 1.0 - tolerance:
-            failures.append(name)
-    return failures
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="campaign engine benchmark suite")
-    parser.add_argument("--json", default=str(DEFAULT_OUTPUT), metavar="PATH",
-                        help="where to write BENCH_campaign.json")
-    parser.add_argument("--fast", action="store_true",
-                        help="fewer repetitions (CI smoke)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 on a units/sec regression vs the baseline")
-    parser.add_argument("--tolerance", type=float, default=0.30,
-                        help="allowed fractional regression with --check")
-    args = parser.parse_args(argv)
-
-    baseline = load_baseline()
-    current = measure_all(fast=args.fast)
-    report = build_report(current, baseline)
-
-    width = max(len(name) for name in report["metrics"])
-    for name, entry in report["metrics"].items():
-        line = f"{name:<{width}}  {entry['current']:>12,.1f}/s"
-        if "ratio_vs_baseline" in entry:
-            line += f"  ({entry['ratio_vs_baseline']:.2f}x vs committed)"
-        print(line)
-    if "warm_speedup_vs_per_attempt" in report:
-        print(f"\nwarm pool speedup vs fork-per-attempt: "
-              f"{report['warm_speedup_vs_per_attempt']:.2f}x")
-
-    out = Path(args.json)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"report written to {out}")
-
-    if args.check:
-        failures = check_regression(report, args.tolerance)
-        if failures:
-            print(f"PERF REGRESSION (> {args.tolerance:.0%} below committed "
-                  f"baseline): {', '.join(failures)}", file=sys.stderr)
-            return 1
-        print(f"perf check ok (all metrics within {args.tolerance:.0%} "
-              "of the committed baseline)")
-    return 0
-
+SUITE = Suite("bench_campaign", measure_all, derived=_derived)
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(SUITE))

@@ -12,9 +12,7 @@ TCP instead of forked pipe workers.  Metrics:
   sharded across 2 and 4 agents by work-stealing dispatch.  The 2-agent
   speedup over 1 agent is the headline scaling claim: on >= 2 cores it
   must reach 1.7x (parallel efficiency >= 0.85), i.e. the transport may
-  not eat the parallelism it exists to unlock;
-* ``calibration_ops_per_sec`` — the machine-speed reference shared with
-  ``bench_kernel``/``bench_campaign`` for drift-normalized comparisons.
+  not eat the parallelism it exists to unlock.
 
 Agent interpreter start-up (a fresh ``python -m repro.cli worker`` per
 agent) is excluded from the timed region: agents are spawned and given a
@@ -25,23 +23,20 @@ transport that changed the numbers would be a bug, not a win.
 
 Two entry points, mirroring the other suites:
 
-* ``python benchmarks/bench_cluster.py`` — prints a table, writes
-  ``results/BENCH_cluster.json``, and with ``--check`` exits non-zero on
-  a >30% (calibration-normalized) regression against the committed
-  baseline or, on multi-core machines, a 2-agent efficiency below 0.85;
+* ``python benchmarks/bench_cluster.py`` — the ``harness`` CLI: prints a
+  table, writes ``results/BENCH_cluster.json``, and with ``--check``
+  applies the one regression gate plus, on machines with >= 2 cores,
+  the 2-agent scaling floors;
 * ``pytest benchmarks/bench_cluster.py`` — the same claims as pytest
   cases, marked ``perf`` and excluded from tier-1.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import time
-from pathlib import Path
-from typing import Dict, Tuple
+from typing import Tuple
 
 import pytest
 
@@ -52,8 +47,8 @@ from repro.experiments import (
     run_campaign,
 )
 
-BASELINE_PATH = Path(__file__).resolve().parent / "baselines" / "bench_cluster_baseline.json"
-DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "results" / "BENCH_cluster.json"
+from conftest import banner, run_once
+from harness import Suite, main, rate
 
 pytestmark = pytest.mark.perf
 
@@ -72,10 +67,9 @@ AGENT_COUNTS = (1, 2, 4)
 #: the listener before the timed region opens.
 AGENT_SETTLE_S = 2.5
 
-#: The 2-agent-vs-1 floors --check enforces on machines that can express
-#: parallelism at all (>= 2 cores).
-CHECK_MIN_SPEEDUP_2 = 1.7
-CHECK_MIN_EFFICIENCY_2 = 0.85
+#: The 2-agent-vs-1 floors --check enforces on machines with >= 2 cores.
+FLOORS_2_AGENTS = {"speedup_2_agents_vs_1": 1.7,
+                   "parallel_efficiency_2_agents": 0.85}
 
 
 def _engine_grid():
@@ -88,17 +82,16 @@ def _engine_grid():
 # -- measurement core --------------------------------------------------------
 
 
-def run_cluster_campaign(agents: int) -> Tuple[float, str]:
+def run_cluster_campaign(agents: int) -> Tuple[int, float, str]:
     """One uncached 48-unit cluster campaign over ``agents`` TCP agents.
 
-    Returns (units/sec of the timed region, campaign fingerprint).  The
-    transport is opened and its agents spawned before the clock starts;
+    Returns (units, seconds of the timed region, campaign fingerprint).
+    The transport is opened and its agents spawned before the clock starts;
     they sit connected (hello sent, blocked awaiting the welcome) until
     the pool loop accepts them, so the timed region covers handshake,
     dispatch, execution and result framing — not CPython start-up.
     """
     grid = _engine_grid()
-    total = len(grid) * ENGINE_REPLICATIONS
     transport = TcpTransport(spawn_agents=True)
     transport.open()
     try:
@@ -117,77 +110,57 @@ def run_cluster_campaign(agents: int) -> Tuple[float, str]:
     finally:
         transport.close()
     assert result.complete
-    return total / elapsed, result.fingerprint()
+    return len(grid) * ENGINE_REPLICATIONS, elapsed, result.fingerprint()
 
 
-def run_warm_reference() -> Tuple[float, str]:
+def warm_fingerprint() -> str:
     """The same grid through the warm pipe pool (fingerprint referee)."""
-    grid = _engine_grid()
-    total = len(grid) * ENGINE_REPLICATIONS
-    t0 = time.perf_counter()
     result = run_campaign(
-        grid, replications=ENGINE_REPLICATIONS, jobs=2, pool_mode="warm",
+        _engine_grid(), replications=ENGINE_REPLICATIONS, jobs=2,
+        pool_mode="warm",
     )
-    elapsed = time.perf_counter() - t0
     assert result.complete
-    return total / elapsed, result.fingerprint()
+    return result.fingerprint()
 
 
-def measure_all(fast: bool = False) -> Dict[str, float]:
-    """Run the scaling ladder; returns metric-name -> units/sec.
+def _metric(agents: int) -> str:
+    return (f"cluster_scenarios_per_sec_{agents}_"
+            f"{'agent' if agents == 1 else 'agents'}")
 
-    GC-frozen like the sibling suites so allocator churn from the import
-    graph cannot masquerade as a transport regression.
-    """
-    import gc
 
-    from bench_kernel import run_calibration
+def measure_all(fast=False, names=None):
+    """Metric-name -> units/sec for ``names`` (default: the scaling ladder;
+    ``fast`` skips the 4-agent rung — the smoke run only needs 1 vs 2)."""
+    warm_fp = warm_fingerprint()
 
-    reps = 1 if fast else 2
-    gc.freeze()
-    try:
-        t0 = time.perf_counter()
-        calibration_ops = run_calibration()
-        calibration = calibration_ops / (time.perf_counter() - t0)
+    def rung(agents):
+        units, seconds, fingerprint = run_cluster_campaign(agents)
+        if fingerprint != warm_fp:
+            raise AssertionError(
+                f"cluster transport changed the campaign metrics: {agents}-"
+                f"agent fingerprint {fingerprint} != warm {warm_fp}"
+            )
+        return units, seconds
 
-        _, warm_fp = run_warm_reference()
-        metrics: Dict[str, float] = {
-            "calibration_ops_per_sec": calibration,
-        }
-        for agents in AGENT_COUNTS:
-            if fast and agents == 4:
-                continue  # the smoke run only needs the 1-vs-2 claim
-            best = 0.0
-            for _ in range(reps):
-                rate, fingerprint = run_cluster_campaign(agents)
-                if fingerprint != warm_fp:
-                    raise AssertionError(
-                        f"cluster transport changed the campaign metrics: "
-                        f"{agents}-agent fingerprint {fingerprint} != warm "
-                        f"{warm_fp}"
-                    )
-                best = max(best, rate)
-            suffix = "agent" if agents == 1 else "agents"
-            metrics[f"cluster_scenarios_per_sec_{agents}_{suffix}"] = best
-        return metrics
-    finally:
-        gc.unfreeze()
+    return {
+        _metric(agents): rate(lambda: rung(agents), 1 if fast else 2)
+        for agents in AGENT_COUNTS
+        if not (fast and agents == 4)
+        and (names is None or _metric(agents) in names)
+    }
 
 
 # -- pytest cases ------------------------------------------------------------
 
-from conftest import banner, run_once  # noqa: E402
-
 
 def test_cluster_fingerprint_matches_warm_pool(benchmark):
     """The TCP backend is a pure transport change: same bytes as warm."""
-    _, warm_fp = run_warm_reference()
-    rate, cluster_fp = run_once(
+    units, seconds, cluster_fp = run_once(
         benchmark, lambda: run_cluster_campaign(2)
     )
     banner("cluster transport — fingerprint parity")
-    print(f"2-agent TCP cluster: {rate:8.1f} units/s")
-    assert cluster_fp == warm_fp, (
+    print(f"2-agent TCP cluster: {units / seconds:8.1f} units/s")
+    assert cluster_fp == warm_fingerprint(), (
         "cluster transport changed the campaign's metrics"
     )
 
@@ -202,9 +175,10 @@ def test_two_agents_beat_one_on_multicore(benchmark):
     if (os.cpu_count() or 1) < 2:
         pytest.skip(f"parallel speedup not measurable on "
                     f"{os.cpu_count()} core(s)")
-    one, _ = run_cluster_campaign(1)
-    two, _ = run_once(benchmark, lambda: run_cluster_campaign(2))
-    speedup = two / max(one, 1e-9)
+    units, one_s, _ = run_cluster_campaign(1)
+    _, two_s, _ = run_once(benchmark, lambda: run_cluster_campaign(2))
+    one, two = units / one_s, units / two_s
+    speedup = two / one
     banner("cluster transport — 1 vs 2 agents")
     print(f"1 agent : {one:8.1f} units/s")
     print(f"2 agents: {two:8.1f} units/s  ({speedup:.2f}x, "
@@ -212,141 +186,31 @@ def test_two_agents_beat_one_on_multicore(benchmark):
     assert speedup >= 1.3, f"expected >=1.3x with 2 agents, got {speedup:.2f}x"
 
 
-# -- standalone runner -------------------------------------------------------
+# -- suite declaration -------------------------------------------------------
 
 
-def load_baseline() -> dict:
-    with open(BASELINE_PATH) as handle:
-        return json.load(handle)
-
-
-def build_report(current: Dict[str, float], baseline: dict) -> dict:
-    """Current numbers alongside the committed baseline, drift-normalized."""
-    committed = baseline.get("metrics", {})
-
-    speed_factor = None
-    cal_committed = committed.get("calibration_ops_per_sec")
-    cal_current = current.get("calibration_ops_per_sec")
-    if cal_committed and cal_current:
-        speed_factor = cal_current / cal_committed
-
-    metrics = {}
-    for name, rate in current.items():
-        entry = {"current": round(rate, 1)}
-        if name in committed:
-            entry["baseline"] = committed[name]
-            entry["ratio_vs_baseline"] = round(rate / committed[name], 3)
-            if speed_factor and name != "calibration_ops_per_sec":
-                entry["ratio_vs_baseline_normalized"] = round(
-                    rate / committed[name] / speed_factor, 3)
-        metrics[name] = entry
-
-    report = {
-        "suite": "bench_cluster",
-        "baseline_machine": baseline.get("machine", "unknown"),
+def _derived(current):
+    one = current[_metric(1)]
+    derived = {
         "cores": os.cpu_count(),
         "grid": f"48 units ({len(ENGINE_VARIANTS) * len(ENGINE_HOPS)} "
                 f"scenarios x {ENGINE_REPLICATIONS} replications x "
                 f"{ENGINE_SIM_TIME:g}s), localhost TCP agents, uncached",
-        "metrics": metrics,
     }
-    one = current.get("cluster_scenarios_per_sec_1_agent")
-    two = current.get("cluster_scenarios_per_sec_2_agents")
-    four = current.get("cluster_scenarios_per_sec_4_agents")
-    if one and two:
-        report["speedup_2_agents_vs_1"] = round(two / one, 2)
-        report["parallel_efficiency_2_agents"] = round(two / one / 2, 3)
-    if one and four:
-        report["speedup_4_agents_vs_1"] = round(four / one, 2)
-        report["parallel_efficiency_4_agents"] = round(four / one / 4, 3)
-    if speed_factor is not None:
-        report["machine_speed_factor"] = round(speed_factor, 3)
-    return report
+    for agents in AGENT_COUNTS[1:]:
+        if _metric(agents) in current:
+            speedup = current[_metric(agents)] / one
+            derived[f"speedup_{agents}_agents_vs_1"] = round(speedup, 2)
+            derived[f"parallel_efficiency_{agents}_agents"] = round(
+                speedup / agents, 3)
+    return derived
 
 
-def check_regression(report: dict, tolerance: float) -> list:
-    """Failures: per-metric (calibration-normalized) rate drops beyond
-    ``tolerance``, plus — on machines with >= 2 cores — the 2-agent
-    scaling floors (single-core containers cannot express parallelism,
-    exactly as ``bench_campaign`` gates its speedup assertion)."""
-    failures = []
-    for name, entry in report["metrics"].items():
-        if name == "calibration_ops_per_sec":
-            continue
-        ratio = entry.get("ratio_vs_baseline_normalized",
-                          entry.get("ratio_vs_baseline"))
-        if ratio is not None and ratio < 1.0 - tolerance:
-            failures.append(name)
-    if (os.cpu_count() or 1) >= 2:
-        speedup = report.get("speedup_2_agents_vs_1")
-        efficiency = report.get("parallel_efficiency_2_agents")
-        if speedup is not None and speedup < CHECK_MIN_SPEEDUP_2:
-            failures.append(
-                f"speedup_2_agents_vs_1 {speedup:.2f} < {CHECK_MIN_SPEEDUP_2}"
-            )
-        if efficiency is not None and efficiency < CHECK_MIN_EFFICIENCY_2:
-            failures.append(
-                f"parallel_efficiency_2_agents {efficiency:.2f} < "
-                f"{CHECK_MIN_EFFICIENCY_2}"
-            )
-    return failures
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="cluster transport benchmark suite"
-    )
-    parser.add_argument("--json", default=str(DEFAULT_OUTPUT), metavar="PATH",
-                        help="where to write BENCH_cluster.json")
-    parser.add_argument("--fast", action="store_true",
-                        help="fewer repetitions, skip the 4-agent rung "
-                             "(CI smoke)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 on a units/sec regression vs the "
-                             "baseline, or (multi-core) 2-agent efficiency "
-                             f"below {CHECK_MIN_EFFICIENCY_2}")
-    parser.add_argument("--tolerance", type=float, default=0.30,
-                        help="allowed fractional regression with --check")
-    args = parser.parse_args(argv)
-
-    baseline = load_baseline()
-    current = measure_all(fast=args.fast)
-    report = build_report(current, baseline)
-
-    width = max(len(name) for name in report["metrics"])
-    for name, entry in report["metrics"].items():
-        line = f"{name:<{width}}  {entry['current']:>12,.1f}/s"
-        if "ratio_vs_baseline" in entry:
-            line += f"  ({entry['ratio_vs_baseline']:.2f}x vs committed)"
-        print(line)
-    if "speedup_2_agents_vs_1" in report:
-        print(f"\n2 agents vs 1: {report['speedup_2_agents_vs_1']:.2f}x "
-              f"(efficiency {report['parallel_efficiency_2_agents']:.2f}) "
-              f"on {os.cpu_count()} core(s)")
-    if "speedup_4_agents_vs_1" in report:
-        print(f"4 agents vs 1: {report['speedup_4_agents_vs_1']:.2f}x "
-              f"(efficiency {report['parallel_efficiency_4_agents']:.2f})")
-
-    out = Path(args.json)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"report written to {out}")
-
-    if args.check:
-        failures = check_regression(report, args.tolerance)
-        if failures:
-            print(f"PERF REGRESSION (vs committed baseline / scaling "
-                  f"floors): {', '.join(failures)}", file=sys.stderr)
-            return 1
-        floors = ("incl. 2-agent scaling floors"
-                  if (os.cpu_count() or 1) >= 2
-                  else "scaling floors skipped on 1 core")
-        print(f"perf check ok (all metrics within {args.tolerance:.0%} "
-              f"of the committed baseline; {floors})")
-    return 0
-
+SUITE = Suite(
+    "bench_cluster", measure_all, derived=_derived,
+    floors=FLOORS_2_AGENTS if (os.cpu_count() or 1) >= 2 else {},
+    together=[(_metric(1), _metric(2))],
+)
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(SUITE))

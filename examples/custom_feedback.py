@@ -4,9 +4,10 @@
 The paper's §6 future work asks for richer DRAI formulas.  This example
 shows the extension points a downstream user has:
 
-1. a custom :class:`DraiEstimator` subclass installed on every node (the
-   ECN-style ``BinaryFeedbackDrai`` ablation, and an inline "optimist"
-   that never recommends braking — deliberately bad, to show the cost);
+1. a custom :class:`AdvicePolicy` registered under its own name and
+   installed on every node with ``install_drai(policy=...)`` (the shipped
+   ECN-style ``binary-feedback`` ablation, and an inline "optimist" that
+   never recommends braking — deliberately bad, to show the cost);
 2. a custom TCP sender registered under its own variant name (an inline
    Muzha that halves on timeout instead of collapsing to one segment).
 
@@ -16,7 +17,7 @@ quality visibly matters.
 Run:  python examples/custom_feedback.py
 """
 
-from repro.core import BinaryFeedbackDrai, DraiEstimator, TcpMuzha, compute_drai, install_drai
+from repro.core import AdvicePolicy, TcpMuzha, compute_drai, install_drai, register_policy
 from repro.phy import PacketErrorRate
 from repro.routing import install_aodv_routing
 from repro.topology import build_chain
@@ -24,15 +25,27 @@ from repro.traffic import start_ftp
 from repro.transport import register_variant
 
 
-class OptimistDrai(DraiEstimator):
+class OptimistPolicy(AdvicePolicy):
     """Never recommends deceleration or holding (floors the DRAI at 4).
 
     Deliberately bad: it removes the feedback loop's braking half, so the
-    window drifts to the advertised cap and self-inflicts contention.
+    window drifts to the advertised cap and self-inflicts contention.  The
+    family-wide saturation clamp still applies to it, as to every
+    registered policy: while the sampled MAC server or queue is saturated
+    ``AdvicePolicy.advise`` caps the published level at 3 ("hold").
     """
 
-    def _compute(self, queue_len, utilization, occupancy):
-        return max(compute_drai(queue_len, utilization, occupancy, self.params), 4)
+    name = "optimist"
+
+    def _advise(self, signals):
+        fine = compute_drai(
+            signals.queue_len, signals.utilization, signals.occupancy,
+            self.drai_params,
+        )
+        return max(fine, 4)
+
+
+register_policy(OptimistPolicy.name, OptimistPolicy)
 
 
 class TcpMuzhaGentle(TcpMuzha):
@@ -49,10 +62,10 @@ class TcpMuzhaGentle(TcpMuzha):
 register_variant("muzha-gentle", TcpMuzhaGentle)
 
 
-def run(estimator_cls, variant):
+def run(policy, variant):
     net = build_chain(6, seed=3, error_model=PacketErrorRate(0.08))
     install_aodv_routing(net.nodes, net.sim)
-    install_drai(net.nodes, net.sim, estimator_cls=estimator_cls)
+    install_drai(net.nodes, net.sim, policy=policy)
     flow = start_ftp(net.sim, net.nodes[0], net.nodes[-1], variant=variant, window=16)
     net.sim.run(until=15.0)
     return flow
@@ -60,13 +73,13 @@ def run(estimator_cls, variant):
 
 def main() -> None:
     print("Lossy 6-hop chain (8% frame loss), 15 s, window_=16:\n")
-    for label, estimator_cls, variant in [
-        ("stock five-level DRAI", DraiEstimator, "muzha"),
-        ("binary ECN-style DRAI", BinaryFeedbackDrai, "muzha"),
-        ("optimist DRAI (no braking)", OptimistDrai, "muzha"),
-        ("stock DRAI + gentle timeouts", DraiEstimator, "muzha-gentle"),
+    for label, policy, variant in [
+        ("stock five-level DRAI", "fuzzy", "muzha"),
+        ("binary ECN-style DRAI", "binary-feedback", "muzha"),
+        ("optimist DRAI (no braking)", "optimist", "muzha"),
+        ("stock DRAI + gentle timeouts", "fuzzy", "muzha-gentle"),
     ]:
-        flow = run(estimator_cls, variant)
+        flow = run(policy, variant)
         print(
             f"  {label:30s}: {flow.goodput_kbps(15.0):8.1f} kbps, "
             f"{flow.sender.stats.retransmits} retx, "

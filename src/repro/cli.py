@@ -43,9 +43,7 @@ from typing import List, Optional
 
 from .core.drai import DRAI_TABLE, apply_drai
 from .experiments import (
-    CLUSTER_REGISTRY_DIRNAME,
     PAPER_VARIANTS,
-    CampaignCache,
     CampaignJournal,
     GracefulShutdown,
     JournalError,
@@ -55,9 +53,9 @@ from .experiments import (
     ScenarioConfig,
     SweepConfig,
     Table51Parameters,
-    TcpTransport,
     ascii_series,
     chain_grid,
+    cluster_transport,
     export_campaign_csv,
     fig_coexistence,
     fig_dynamics,
@@ -288,7 +286,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             "--pool-mode cluster"
         )
     transport = None
-    cli_owns_transport = False
     if args.pool_mode == "cluster":
         listen = ("127.0.0.1", 0)
         if args.listen is not None:
@@ -296,27 +293,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 listen = parse_endpoint(args.listen)
             except ValueError as exc:
                 raise SystemExit(f"bad --listen: {exc}")
-        registry = None
-        cache_spec = None
-        if cache is not None:
-            cache_spec = cache.describe()
-            if isinstance(cache, CampaignCache):
-                registry = cache.root / CLUSTER_REGISTRY_DIRNAME
-        transport = TcpTransport(
-            listen=listen,
-            spawn_agents=args.agents != 0,
-            cache_spec=cache_spec,
-            registry=registry,
+        transport = cluster_transport(
+            cache, listen=listen, spawn_agents=args.agents != 0
         )
-        # Open before the campaign so the endpoint is printed while
-        # external agents still have time to connect (they join late and
-        # steal work, so nothing is lost by starting without them).
-        cli_owns_transport = transport.open()
-        if args.agents == 0:
-            print(f"cluster: listening on {transport.endpoint}; waiting "
-                  "for external `repro-muzha worker` agents")
-        else:
-            print(f"cluster: listening on {transport.endpoint}")
     resume = None
     journal_path = args.journal
     if args.resume:
@@ -336,12 +315,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"completions, {len(resume.failed)} quarantined, "
             f"{resume.remaining} units remaining"
         )
-    journal = None
-    if journal_path:
-        try:
-            journal = CampaignJournal(journal_path, resume=resume is not None)
-        except JournalError as exc:
-            raise SystemExit(str(exc))
     policy, policy_params = _load_policy(args)
     config = ScenarioConfig(
         sim_time=args.time, routing=args.routing, window=args.window,
@@ -350,7 +323,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     )
     grid = chain_grid(args.variants, args.hops, config=config)
     total_runs = len(grid) * args.replications
-    jobs = args.workers if args.workers is not None else args.jobs
+    jobs = args.jobs
     if args.pool_mode == "cluster" and args.agents:
         jobs = args.agents  # agents to keep at strength = the pool size
 
@@ -375,15 +348,30 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         max_retries=args.max_retries,
         backoff=args.retry_backoff,
     )
-    telemetry = None
-    span_writer = None
-    if args.spans:
-        span_writer = SpanWriter(args.spans)
-        telemetry = CampaignTelemetry(
-            span_writer, heartbeat_interval=args.heartbeat_interval
-        )
     shutdown = GracefulShutdown(drain_timeout=args.drain_timeout)
+    # Everything that can refuse the command line has been parsed by now;
+    # what follows opens files and sockets, and the finally closes them.
+    journal = telemetry = span_writer = None
+    cli_owns_transport = False
     try:
+        if journal_path:
+            try:
+                journal = CampaignJournal(journal_path, resume=resume is not None)
+            except JournalError as exc:
+                raise SystemExit(str(exc))
+        if args.spans:
+            span_writer = SpanWriter(args.spans)
+            telemetry = CampaignTelemetry(
+                span_writer, heartbeat_interval=args.heartbeat_interval
+            )
+        if transport is not None:
+            # Open before the campaign so the endpoint is printed while
+            # external agents still have time to connect (they join late
+            # and steal work, so nothing is lost by starting without them).
+            cli_owns_transport = transport.open()
+            waiting = ("; waiting for external `repro-muzha worker` agents"
+                       if args.agents == 0 else "")
+            print(f"cluster: listening on {transport.endpoint}{waiting}")
         with shutdown:
             result = run_campaign(
                 grid,
@@ -700,13 +688,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "worker agents — self-spawned locally or started "
                                "on other hosts with `repro-muzha worker` — can "
                                "join the campaign (see --listen/--agents)")
-    campaign.add_argument("--workers", type=_positive_int, default=None,
-                          metavar="N",
-                          help="worker pool size (preferred spelling; "
-                               "overrides --jobs when given)")
     campaign.add_argument("--jobs", type=_positive_int,
                           default=os.cpu_count(),
-                          help="worker processes (1 = in-process serial)")
+                          metavar="N",
+                          help="worker pool size (1 = in-process serial)")
     campaign.add_argument("--listen", default=None, metavar="HOST:PORT",
                           help="cluster only: TCP address the coordinator "
                                "listens on (default 127.0.0.1 with an "

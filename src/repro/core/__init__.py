@@ -7,7 +7,7 @@ hysteresis) self-registers with :mod:`repro.core.policy` on import.
 """
 
 from ..transport.registry import register_variant
-from .ablations import BinaryFeedbackDrai, TcpMuzhaNoMarking
+from .ablations import TcpMuzhaNoMarking
 from .drai import (
     DECELERATION_BAND,
     DRAI_TABLE,
@@ -15,7 +15,6 @@ from .drai import (
     MIN_DRAI,
     DraiEstimator,
     DraiParams,
-    QueueRttDrai,
     apply_drai,
     compute_drai,
     install_drai,
@@ -44,7 +43,6 @@ register_variant("muzha-nomark", TcpMuzhaNoMarking)
 
 __all__ = [
     "AdvicePolicy",
-    "BinaryFeedbackDrai",
     "BinaryFeedbackPolicy",
     "DECELERATION_BAND",
     "DRAI_TABLE",
@@ -59,7 +57,6 @@ __all__ = [
     "MIN_DRAI",
     "MuzhaStats",
     "PolicySignals",
-    "QueueRttDrai",
     "QueueTrendParams",
     "QueueTrendPolicy",
     "TcpMuzha",

@@ -1,8 +1,7 @@
 """Ablations of the Muzha design, used by the ablation benchmarks.
 
-``BinaryFeedbackDrai`` collapses the five-level DRAI to an ECN-like binary
-signal — the paper argues (§4.6) this is "too brief for the sender to gain
-further network status"; the bench shows the resulting oscillation.
+The §4.6 binary-feedback ablation is the registered ``binary-feedback``
+advice policy (:mod:`repro.core.policy`).
 
 ``TcpMuzhaNoMarking`` disables the §4.7 random-loss discrimination: every
 triple-dupACK is treated as congestion, quantifying what the marking buys.
@@ -11,26 +10,7 @@ triple-dupACK is treated as congestion, quantifying what the marking buys.
 from __future__ import annotations
 
 from ..transport.segments import TcpSegment
-from .drai import DraiEstimator
 from .muzha import TcpMuzha
-
-
-class BinaryFeedbackDrai(DraiEstimator):
-    """ECN-style single-bit feedback expressed in DRAI terms.
-
-    The node publishes 4 ("no congestion" -> moderate acceleration) or 1
-    ("congestion" -> aggressive deceleration); the stabilizing and
-    moderate levels are unavailable, so a sender at the optimal rate is
-    always pushed away from it.  A shim over the registered
-    ``binary-feedback`` policy, which also inherits the family-wide
-    saturation clamp (advice capped at 3 while the sampled server/queue
-    is saturated).
-    """
-
-    def _default_policy(self):
-        from .policy import BinaryFeedbackPolicy
-
-        return BinaryFeedbackPolicy(drai_params=self.params)
 
 
 class TcpMuzhaNoMarking(TcpMuzha):

@@ -194,6 +194,10 @@ def compute_drai(
     return max(activations, key=lambda lvl: (activations[lvl], -abs(lvl - 3)))
 
 
+#: Registry name of the paper's fuzzy quantiser: the policy when none is named.
+DEFAULT_POLICY = "fuzzy"
+
+
 class DraiEstimator:
     """Per-node DRAI publisher: samples local state, stamps passing packets.
 
@@ -216,15 +220,14 @@ class DraiEstimator:
         params: Optional[DraiParams] = None,
         policy: Optional[Union["AdvicePolicy", str]] = None,
     ) -> None:
+        from .policy import PolicySignals, make_policy
+
+        self._signals = PolicySignals  # bound once, not per sample
         self.sim = sim
         self.node = node
         self.params = params or DraiParams()
-        if policy is None:
-            policy = self._default_policy()
-        elif isinstance(policy, str):
-            from .policy import make_policy
-
-            policy = make_policy(policy, drai_params=self.params)
+        if policy is None or isinstance(policy, str):
+            policy = make_policy(policy or DEFAULT_POLICY, drai_params=self.params)
         self.policy = policy
         self.drai = MAX_DRAI
         self.utilization = 0.0
@@ -244,11 +247,6 @@ class DraiEstimator:
         self.level_counts: Dict[int, int] = {lvl: 0 for lvl in DRAI_TABLE}
         #: Samples spent in each policy state (time-in-state metrics).
         self.state_counts: Dict[str, int] = {}
-
-    def _default_policy(self) -> "AdvicePolicy":
-        from .policy import FuzzyDraiPolicy
-
-        return FuzzyDraiPolicy(drai_params=self.params)
 
     def install(self) -> "DraiEstimator":
         """Attach to the node's stamper chain and start sampling."""
@@ -295,10 +293,8 @@ class DraiEstimator:
             )
 
     def _compute(self, queue_len: float, utilization: float, occupancy: float) -> int:
-        from .policy import PolicySignals
-
         return self.policy.advise(
-            PolicySignals(queue_len, utilization, occupancy, self.queue_trend)
+            self._signals(queue_len, utilization, occupancy, self.queue_trend)
         )
 
     def stamp(self, packet: Packet) -> None:
@@ -307,56 +303,28 @@ class DraiEstimator:
             packet.avbw_s = self.drai
 
 
-class QueueRttDrai(DraiEstimator):
-    """Future-work variant (paper §6): factor queue *growth* into the DRAI.
-
-    A rapidly growing queue predicts congestion before the occupancy
-    thresholds trip, so this estimator demotes the published level by one
-    when the IFQ grew by more than ``growth_threshold`` packets during the
-    last sample interval.  Now a thin shim over the registered
-    ``queue-trend`` policy: the growth bookkeeping lives in the shared
-    :class:`DraiEstimator` sampling window (``queue_trend``), not here.
-    """
-
-    def __init__(self, *args, growth_threshold: float = 2.0, **kwargs) -> None:
-        self.growth_threshold = growth_threshold
-        super().__init__(*args, **kwargs)
-
-    def _default_policy(self):
-        from .policy import QueueTrendParams, QueueTrendPolicy
-
-        return QueueTrendPolicy(
-            QueueTrendParams(growth_threshold=self.growth_threshold),
-            drai_params=self.params,
-        )
-
-
 def install_drai(
     nodes: Iterable[Node],
     sim: Simulator,
     params: Optional[DraiParams] = None,
-    estimator_cls=DraiEstimator,
     policy: Optional[str] = None,
     policy_params: Optional[Dict] = None,
 ) -> Dict[int, DraiEstimator]:
     """Install a DRAI estimator on every node (every node is a router).
 
-    ``policy`` names a registered advice policy (default: the estimator
-    class's own default, i.e. the paper's fuzzy quantiser).  A *fresh*
-    policy instance is built per node — state machines keep per-router
-    state and must never be shared.
+    ``policy`` names a registered advice policy (default: the paper's
+    fuzzy quantiser).  A *fresh* policy instance is built per node — state
+    machines keep per-router state and must never be shared.
     """
+    from .policy import make_policy
+
     if policy is None and policy_params is not None:
         raise ValueError("policy_params requires a policy name")
-    estimators: Dict[int, DraiEstimator] = {}
-    for node in nodes:
-        node_policy = None
-        if policy is not None:
-            from .policy import make_policy
-
-            node_policy = make_policy(policy, params=policy_params,
-                                      drai_params=params)
-        estimators[node.node_id] = estimator_cls(
-            sim, node, params=params, policy=node_policy
+    return {
+        node.node_id: DraiEstimator(
+            sim, node, params=params,
+            policy=make_policy(policy or DEFAULT_POLICY, params=policy_params,
+                               drai_params=params),
         ).install()
-    return estimators
+        for node in nodes
+    }

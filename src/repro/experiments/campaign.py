@@ -811,6 +811,22 @@ def _run_pool(
 ProgressFn = Callable[[RunRecord, int, int], None]
 
 
+def cluster_transport(cache: Optional[CacheStore], **options: Any) -> TcpTransport:
+    """The (unopened) TCP transport of a cluster campaign over ``cache``.
+
+    Agents are offered the cache's spec so every shard shares one store,
+    and a directory cache hosts the liveness registry (``<cache>/.cluster``).
+    ``options`` are :class:`TcpTransport`'s ``listen`` / ``spawn_agents``.
+    """
+    registry = None
+    if isinstance(cache, CampaignCache):
+        registry = cache.root / CLUSTER_REGISTRY_DIRNAME
+    return TcpTransport(
+        cache_spec=cache.describe() if cache is not None else None,
+        registry=registry, **options,
+    )
+
+
 def run_campaign(
     grid: Sequence[RunSpec],
     replications: int = 1,
@@ -916,13 +932,7 @@ def run_campaign(
     transport_info: Optional[Dict[str, Any]] = None
     if pool_mode == "cluster":
         if transport is None:
-            registry = None
-            if isinstance(cache, CampaignCache):
-                registry = cache.root / CLUSTER_REGISTRY_DIRNAME
-            transport = TcpTransport(
-                cache_spec=cache.describe() if cache is not None else None,
-                registry=registry,
-            )
+            transport = cluster_transport(cache)
         owns_transport = transport.open()
         if getattr(transport, "cache_spec", None) is None and cache is not None:
             transport.cache_spec = cache.describe()

@@ -54,7 +54,7 @@ from .cachestore import (
     EnvelopeError,
     decode_envelope,
 )
-from .journal import JournalError, read_journal, replay_journal
+from .journal import JournalError, replay_journal, scan_journal
 
 PathLike = Union[str, Path]
 
@@ -277,14 +277,14 @@ def diagnose_journal(
         ))
         return findings
     try:
-        records, truncated = read_journal(path)
+        scan = scan_journal(path)
     except JournalError as exc:
         findings.append(Finding(
             "error", "journal-corrupt", str(path),
             f"unreadable past repair: {exc}",
         ))
         return findings
-    if truncated:
+    if scan.truncated_tail:
         finding = Finding(
             "warn", "journal-torn-tail", str(path),
             "partial final line (writer killed mid-record); replay "
@@ -293,12 +293,12 @@ def diagnose_journal(
         if repair:
             finding.repaired = _truncate_torn_tail(path)
         findings.append(finding)
-    for violation in validate_journal_file(path, allow_torn_tail=True):
+    for violation in validate_journal_file(scan):
         findings.append(Finding(
             "error", "journal-schema", str(path), violation,
         ))
     try:
-        replay = replay_journal(path)
+        replay = replay_journal(scan)
     except JournalError as exc:
         findings.append(Finding(
             "error", "journal-corrupt", str(path), str(exc),
@@ -314,12 +314,7 @@ def diagnose_journal(
         # The latest generation's begin record carries the coordinator
         # endpoint of a cluster run; probe it so the operator knows
         # whether the interrupted campaign might still be alive.
-        transport: Optional[Dict[str, Any]] = None
-        for record in reversed(records):
-            if record.get("kind") == "begin":
-                transport = record.get("transport")
-                break
-        endpoint = (transport or {}).get("endpoint")
+        endpoint = (replay.transport or {}).get("endpoint")
         if endpoint:
             if _endpoint_alive(str(endpoint)):
                 findings.append(Finding(

@@ -43,7 +43,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..obs.provenance import stable_digest
 
@@ -263,6 +263,9 @@ class JournalReplay:
     interrupted: bool = True
     truncated_tail: bool = False
     last_end: Optional[Dict[str, Any]] = None
+    #: The last generation's ``begin.transport`` (a cluster coordinator's
+    #: endpoint), None for the local pool modes.
+    transport: Optional[Dict[str, Any]] = None
 
     @property
     def remaining(self) -> int:
@@ -286,13 +289,28 @@ class JournalReplay:
             )
 
 
-def read_journal(path: PathLike) -> Tuple[List[Dict[str, Any]], bool]:
-    """All parseable records of a journal, in file order.
+class JournalScan(NamedTuple):
+    """One read of a journal file: what :func:`replay_journal`,
+    :func:`repro.obs.validate.validate_journal_file` and ``doctor`` share."""
 
-    Returns ``(records, truncated_tail)``: a partial final line (writer
-    killed mid-record) is tolerated and reported rather than fatal — the
-    units it would have recorded simply re-execute on resume.  Corrupt
-    JSON *before* the final line is a :class:`JournalError`.
+    path: PathLike
+    #: ``(lineno, record, None)`` per parseable record, in file order —
+    #: the triples the validator consumes.
+    entries: List[Tuple[int, Dict[str, Any], None]]
+    #: No trailing newline: a writer was killed mid-record (a final line
+    #: that does not parse is dropped from ``entries``).
+    truncated_tail: bool
+    #: Nothing but whitespace in the file.
+    blank: bool
+
+
+def scan_journal(path: PathLike) -> JournalScan:
+    """Read and parse a journal once.
+
+    A partial final line (writer killed mid-record) is tolerated and
+    reported rather than fatal — the units it would have recorded simply
+    re-execute on resume.  Corrupt JSON *before* the final line is a
+    :class:`JournalError`.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -300,7 +318,7 @@ def read_journal(path: PathLike) -> Tuple[List[Dict[str, Any]], bool]:
         raise JournalError(f"journal not found: {path}")
     truncated = bool(text) and not text.endswith("\n")
     lines = text.splitlines()
-    records: List[Dict[str, Any]] = []
+    entries: List[Tuple[int, Dict[str, Any], None]] = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -313,13 +331,22 @@ def read_journal(path: PathLike) -> Tuple[List[Dict[str, Any]], bool]:
             raise JournalError(f"{path}: line {lineno}: invalid JSON ({exc})")
         if not isinstance(record, dict):
             raise JournalError(f"{path}: line {lineno}: record is not an object")
-        records.append(record)
-    return records, truncated
+        entries.append((lineno, record, None))
+    return JournalScan(path, entries, truncated, not text.strip())
 
 
-def replay_journal(path: PathLike) -> JournalReplay:
-    """Fold a journal into a :class:`JournalReplay` for ``resume=``."""
-    records, truncated = read_journal(path)
+def read_journal(path: PathLike) -> Tuple[List[Dict[str, Any]], bool]:
+    """``(records, truncated_tail)`` of a journal, in file order."""
+    scan = scan_journal(path)
+    return [record for _, record, _ in scan.entries], scan.truncated_tail
+
+
+def replay_journal(source: Union[PathLike, JournalScan]) -> JournalReplay:
+    """Fold a journal (a path, or a :func:`scan_journal` of one) into a
+    :class:`JournalReplay` for ``resume=``."""
+    scan = source if isinstance(source, JournalScan) else scan_journal(source)
+    path, truncated = scan.path, scan.truncated_tail
+    records = [record for _, record, _ in scan.entries]
     if not records:
         raise JournalError(f"journal {path} holds no records")
     first = records[0]
@@ -350,6 +377,7 @@ def replay_journal(path: PathLike) -> JournalReplay:
         if kind == "begin":
             generations += 1
             open_generation = True
+            replay.transport = record.get("transport")
             if record.get("plan_digest") != replay.plan_digest:
                 raise JournalError(
                     f"journal {path} mixes campaigns: generation "
@@ -385,7 +413,9 @@ __all__ = [
     "JournalError",
     "JournalPlanMismatch",
     "JournalReplay",
+    "JournalScan",
     "plan_digest",
     "read_journal",
     "replay_journal",
+    "scan_journal",
 ]

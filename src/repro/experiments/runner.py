@@ -103,12 +103,6 @@ class RunResult:
         return sum(flow.goodput_kbps for flow in self.flows)
 
     @property
-    def total_delivered_packets(self) -> int:
-        """Data packets delivered end-to-end, summed over flows — the
-        work unit behind the ``full_run_packets_per_sec`` bench metric."""
-        return sum(flow.delivered_packets for flow in self.flows)
-
-    @property
     def fairness(self) -> float:
         """Jain index over the flows' goodputs (Fig. 5.14)."""
         return jain_index([flow.goodput_kbps for flow in self.flows])

@@ -97,8 +97,12 @@ def validate(instance: Any, schema: Dict[str, Any], path: str = "$") -> List[str
     return errors
 
 
-def _iter_ndjson(path: PathLike):
-    """Parse an NDJSON file: yields ``(lineno, record_or_None, error)``.
+#: What a file with no records is reported as (pseudo-line 0).
+_EMPTY_NDJSON = (0, None, "empty NDJSON file (no records)")
+
+
+def _iter_ndjson(text: str):
+    """Parse NDJSON text: yields ``(lineno, record_or_None, error)``.
 
     Structural problems a line-by-line scan would silently bless are
     reported as pseudo-lines: an **empty file** (zero records — what a
@@ -106,9 +110,8 @@ def _iter_ndjson(path: PathLike):
     **truncated final line** (no trailing newline — a writer killed
     mid-record; the partial line is also JSON-checked like any other).
     """
-    text = Path(path).read_text(encoding="utf-8")
     if not text.strip():
-        yield 0, None, "empty NDJSON file (no records)"
+        yield _EMPTY_NDJSON
         return
     if not text.endswith("\n"):
         lastno = text.count("\n") + 1
@@ -132,7 +135,7 @@ def validate_trace_file(path: PathLike) -> List[str]:
     """
     schema = load_schema("trace_record")
     errors: List[str] = []
-    for lineno, record, error in _iter_ndjson(path):
+    for lineno, record, error in _iter_ndjson(Path(path).read_text(encoding="utf-8")):
         if error is not None:
             errors.append(f"line {lineno}: {error}")
             continue
@@ -167,7 +170,7 @@ def validate_span_file(path: PathLike) -> List[str]:
     open_spans: Dict[str, str] = {}  # id -> span name, still open
     seen: Dict[str, str] = {}  # id -> span name, ever opened
     roots = 0
-    for lineno, record, error in _iter_ndjson(path):
+    for lineno, record, error in _iter_ndjson(Path(path).read_text(encoding="utf-8")):
         if error is not None:
             errors.append(f"line {lineno}: {error}")
             continue
@@ -231,7 +234,7 @@ _JOURNAL_KIND_REQUIRED = {
 }
 
 
-def validate_journal_file(path: PathLike,
+def validate_journal_file(source: Any,
                           allow_torn_tail: bool = False) -> List[str]:
     """Violations in a campaign write-ahead journal.
 
@@ -246,21 +249,31 @@ def validate_journal_file(path: PathLike,
     violation to silence — that is exactly what a coordinator killed
     mid-write leaves, and :func:`repro.experiments.journal.replay_journal`
     tolerates it by design (``doctor --repair`` truncates it).
+
+    ``source`` is a path, or the
+    :class:`~repro.experiments.journal.JournalScan` of a caller that has
+    already read the file (``doctor``); a scan has dropped its torn tail.
     """
+    if isinstance(source, (str, Path)):
+        text = Path(source).read_text(encoding="utf-8")
+        entries = _iter_ndjson(text)
+        if allow_torn_tail and text.strip() and not text.endswith("\n"):
+            # Drop what a killed writer leaves behind: the truncation
+            # notice and the partial line itself, if it does not parse.
+            last_lineno = text.count("\n") + 1
+            entries = [entry for entry in entries
+                       if entry[2] is None or entry[0] != last_lineno]
+    else:
+        entries = [_EMPTY_NDJSON] if source.blank else source.entries
     schema = load_schema("journal_record")
-    text = Path(path).read_text(encoding="utf-8")
-    torn = bool(text.strip()) and not text.endswith("\n")
-    last_lineno = text.count("\n") + (1 if torn else 0)
     errors: List[str] = []
     first_kind: Any = None
     plan_digest: Any = None
     planned: set = set()
     ends_seen = 0
     begins_seen = 0
-    for lineno, record, error in _iter_ndjson(path):
+    for lineno, record, error in entries:
         if error is not None:
-            if allow_torn_tail and torn and lineno == last_lineno:
-                continue  # the partial line a killed writer leaves behind
             errors.append(f"line {lineno}: {error}")
             continue
         line_errors = validate(record, schema)

@@ -26,8 +26,8 @@ front with ``reserve_seqs``) and hands all 2k+1 of them to one
 construction — none of these events is ever cancelled.
 :meth:`WirelessChannel.transmit_reference` is the historical
 one-``schedule()``-per-event implementation, kept as the oracle the
-equivalence tests compare against (``tests/props/test_lane_equivalence.py``
-and the ``bench_kernel.py --check`` digest gate): same timestamps (same
+equivalence tests compare against
+(``tests/props/test_lane_equivalence.py``): same timestamps (same
 float grouping), same sequence-number order, same RNG draws.  Nothing
 selects it at run time; a test reaches it by shadowing ``transmit``.
 """

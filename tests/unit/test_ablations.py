@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import BinaryFeedbackDrai, DraiParams, TcpMuzhaNoMarking, compute_drai
+from repro.core import DraiEstimator, DraiParams, TcpMuzhaNoMarking, compute_drai
 from repro.net import Node
 from repro.phy import Position, WirelessChannel
 from repro.sim import Simulator
@@ -17,7 +17,7 @@ class TestBinaryFeedback:
         sim = Simulator(seed=1)
         channel = WirelessChannel(sim)
         node = Node(sim, channel, 0, Position(0))
-        return BinaryFeedbackDrai(sim, node)
+        return DraiEstimator(sim, node, policy="binary-feedback")
 
     def test_only_two_levels_published_while_unsaturated(self):
         est = self.build()

@@ -192,8 +192,6 @@ def test_stats_command_json_snapshot(capsys):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--workers", "0"),
-    ("--workers", "-2"),
     ("--jobs", "0"),
     ("--jobs", "-1"),
     ("--heartbeat-interval", "0"),
@@ -215,7 +213,6 @@ def test_campaign_rejects_nonsense_numeric_knobs(flag, value, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--workers", "1"),
     ("--jobs", "4"),
     ("--heartbeat-interval", "0.25"),
     ("--drain-timeout", "0"),  # zero drain = terminate immediately, valid
@@ -236,6 +233,37 @@ def test_cluster_transport_flags_require_cluster_pool_mode(tmp_path):
             "--cache-dir", str(tmp_path / "cache"),
             "--listen", "127.0.0.1:0",
         ])
+
+
+@pytest.mark.parametrize("refused", [
+    ["--resume", "missing.journal"],
+    ["--policy", "hysteresis", "--policy-params", "{not json"],
+])
+def test_refused_cluster_campaign_never_opens_its_transport(
+        tmp_path, monkeypatch, refused):
+    """A command line refused after --pool-mode cluster was seen must not
+    leave a bound listener or a ``.cluster`` coordinator registration —
+    the doctor would report the latter as a cluster-orphan."""
+    from repro.experiments import TcpTransport, run_doctor
+
+    opened = []
+    real_open = TcpTransport.open
+    monkeypatch.setattr(
+        TcpTransport, "open",
+        lambda self: opened.append(self) or real_open(self),
+    )
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    with pytest.raises(SystemExit):
+        main([
+            "campaign", "--variants", "newreno", "--hops", "2",
+            "--replications", "1", "--time", "0.1",
+            "--pool-mode", "cluster", "--agents", "0",
+            "--cache-dir", str(cache), *refused,
+        ])
+    assert opened == []
+    assert not (cache / ".cluster").exists()
+    assert run_doctor(cache=cache).findings == []
 
 
 def test_worker_command_rejects_bad_endpoint():

@@ -9,11 +9,11 @@ from repro.core import (
     MIN_DRAI,
     DraiEstimator,
     DraiParams,
-    QueueRttDrai,
     apply_drai,
     compute_drai,
     install_drai,
     is_marked,
+    make_policy,
 )
 from repro.net import Node, Packet
 from repro.phy import Position, WirelessChannel
@@ -171,13 +171,33 @@ class TestEstimator:
         for node in nodes:
             assert len(node.stampers) == 1
 
+    def test_a_policy_object_is_used_as_given(self):
+        """Only a name (or None) goes through the registry: any object with
+        ``advise`` is the policy, subclass of ``AdvicePolicy`` or not."""
+        class Always2:
+            name = "always-2"
+
+            def advise(self, signals):
+                return 2
+
+        sim, node = self.build()
+        policy = Always2()
+        est = DraiEstimator(sim, node, policy=policy)
+        assert est.policy is policy
+        assert est._compute(0.0, 0.0, 0.0) == 2
+
 
 class TestQueueRttDrai:
-    def build(self, **kwargs):
+    """The §6 queue-growth variant: the registered ``queue-trend`` policy."""
+
+    def build(self, **policy_params):
         sim = Simulator(seed=1)
         channel = WirelessChannel(sim)
         node = Node(sim, channel, 0, Position(0))
-        return sim, node, QueueRttDrai(sim, node, **kwargs)
+        est = DraiEstimator(
+            sim, node, policy=make_policy("queue-trend", params=policy_params)
+        )
+        return sim, node, est
 
     def test_rapid_queue_growth_demotes_one_level(self):
         _, _, est = self.build(growth_threshold=2.0)

@@ -89,6 +89,61 @@ def test_done_clears_an_earlier_failure_across_generations(tmp_path):
     assert validate_journal_file(path) == []
 
 
+def test_replay_carries_the_last_generations_transport_and_doctor_reads_once(
+        tmp_path, monkeypatch):
+    """``doctor`` needs the interrupted generation's coordinator endpoint
+    and the torn-tail flag; both come from the one replay, so diagnosing a
+    journal opens the file exactly once."""
+    from pathlib import Path
+
+    from repro.experiments import diagnose_journal
+
+    runs = tiny_runs()
+    path = tmp_path / "run.journal"
+    with CampaignJournal(path) as journal:
+        journal.begin(runs, pool_mode="cluster", base_seed=7, replications=2,
+                      resumed=False,
+                      transport={"kind": "tcp", "endpoint": "127.0.0.1:1"})
+        journal.end(status="interrupted", fingerprint=None, executed=0,
+                    cache_hits=0, quarantined=0, remaining=4)
+    assert replay_journal(path).transport["endpoint"] == "127.0.0.1:1"
+    with CampaignJournal(path, resume=True) as journal:
+        journal.begin(runs, pool_mode="warm", base_seed=7, replications=2,
+                      resumed=True)
+    assert replay_journal(path).transport is None  # latest generation wins
+
+    reads = []
+    real_read_text = Path.read_text
+    monkeypatch.setattr(
+        Path, "read_text",
+        lambda self, *a, **kw: reads.append(self) or real_read_text(self, *a, **kw),
+    )
+    categories = [f.category for f in diagnose_journal(path)]
+    assert categories == ["journal-interrupted"]
+    assert [read for read in reads if read == path] == [path]
+
+
+@pytest.mark.parametrize("body, categories", [
+    ("", ["journal-schema", "journal-corrupt"]),
+    ("\n  ", ["journal-torn-tail", "journal-schema", "journal-corrupt"]),
+    ('{"kind":"beg', ["journal-torn-tail", "journal-corrupt"]),
+])
+def test_doctor_on_a_scan_reports_what_it_reported_reading_the_file_thrice(
+        tmp_path, body, categories):
+    """Blank and torn-only journals: the single scan keeps the empty-NDJSON
+    schema finding apart from a dropped partial line."""
+    from repro.experiments import diagnose_journal
+
+    path = tmp_path / "run.journal"
+    path.write_text(body)
+    findings = diagnose_journal(path)
+    assert [f.category for f in findings] == categories
+    if "journal-schema" in categories:
+        schema = [f for f in findings if f.category == "journal-schema"]
+        assert [f.detail for f in schema] == [
+            "line 0: empty NDJSON file (no records)"]
+
+
 def test_journal_with_no_end_record_reads_as_interrupted(tmp_path):
     runs = tiny_runs()
     path = tmp_path / "run.journal"
