@@ -203,14 +203,19 @@ def _load_faults(args: argparse.Namespace):
         raise SystemExit(f"bad fault plan {path}: {exc}")
 
 
-def _cmd_chain(args: argparse.Namespace) -> int:
+def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
+    """The ScenarioConfig a subcommand's flags describe, validated; a flag
+    the subcommand does not have keeps its ScenarioConfig default."""
     policy, policy_params = _load_policy(args)
-    config = ScenarioConfig(
-        sim_time=args.time, seed=args.seed, window=args.window, routing=args.routing,
-        packet_error_rate=args.loss, faults=_load_faults(args),
-        policy=policy, policy_params=policy_params,
+    return ScenarioConfig(
+        sim_time=args.time, seed=args.seed, window=args.window,
+        routing=args.routing, packet_error_rate=getattr(args, "loss", 0.0),
+        faults=_load_faults(args), policy=policy, policy_params=policy_params,
     )
-    result = run_chain(args.hops, [args.variant], config=config)
+
+
+def _cmd_chain(args: argparse.Namespace) -> int:
+    result = run_chain(args.hops, [args.variant], config=_scenario_config(args))
     flow = result.flows[0]
     print(f"{args.variant} over a {args.hops}-hop chain ({args.time:g}s):")
     print(f"  goodput        : {flow.goodput_kbps:8.1f} kbps")
@@ -270,6 +275,7 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    config = _scenario_config(args)  # the seed is re-derived per unit
     cache = None
     if not args.no_cache:
         # A directory path gives the on-disk store; an http(s):// URL a
@@ -315,12 +321,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"completions, {len(resume.failed)} quarantined, "
             f"{resume.remaining} units remaining"
         )
-    policy, policy_params = _load_policy(args)
-    config = ScenarioConfig(
-        sim_time=args.time, routing=args.routing, window=args.window,
-        packet_error_rate=args.loss, faults=_load_faults(args),
-        policy=policy, policy_params=policy_params,
-    )
     grid = chain_grid(args.variants, args.hops, config=config)
     total_runs = len(grid) * args.replications
     jobs = args.jobs
@@ -463,12 +463,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 def _run_scenario(args: argparse.Namespace, instrument=None):
     """Run the ``trace``/``stats`` scenario shape with an optional hook."""
-    policy, policy_params = _load_policy(args)
-    config = ScenarioConfig(
-        sim_time=args.time, seed=args.seed, window=args.window,
-        routing=args.routing, faults=_load_faults(args),
-        policy=policy, policy_params=policy_params,
-    )
+    config = _scenario_config(args)
     if args.scenario == "chain":
         return run_chain(args.hops, [args.variant], config=config,
                          instrument=instrument)
@@ -543,9 +538,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import cProfile
     import pstats
 
-    config = ScenarioConfig(
-        sim_time=args.time, seed=args.seed, window=args.window, routing=args.routing,
-    )
+    config = _scenario_config(args)
 
     def chain_scenario():
         return run_chain(args.hops, [args.variant], config=config)

@@ -46,7 +46,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from ..obs.spans import read_span_log
+from ..obs.ndjson import scan
+from ..obs.report import fold_spans
 from ..obs.validate import validate_journal_file
 from .cachestore import (
     CLUSTER_REGISTRY_DIRNAME,
@@ -367,8 +368,8 @@ def diagnose_spans(path: PathLike, repair: bool = False) -> List[Finding]:
             "error", "spans-missing", str(path), "span log does not exist",
         ))
         return findings
-    raw = path.read_text(encoding="utf-8")
-    if raw and not raw.endswith("\n"):
+    log = scan(path)
+    if log.truncated_tail:
         finding = Finding(
             "warn", "spans-torn-tail", str(path),
             "partial final line (writer killed mid-record)",
@@ -377,19 +378,15 @@ def diagnose_spans(path: PathLike, repair: bool = False) -> List[Finding]:
             finding.repaired = _truncate_torn_tail(path)
         findings.append(finding)
     try:
-        records = read_span_log(path, skip_partial_tail=True)
+        _, opens, closes = fold_spans(log)
     except ValueError as exc:
         findings.append(Finding(
             "error", "spans-corrupt", str(path), str(exc),
         ))
         return findings
-    open_spans: Dict[str, str] = {}
-    for record in records:
-        kind = record.get("kind")
-        if kind == "span_open":
-            open_spans[record.get("id", "?")] = record.get("span", "?")
-        elif kind == "span_close":
-            open_spans.pop(record.get("id", "?"), None)
+    open_spans = {span_id: record.get("span", "?")
+                  for span_id, record in opens.items()
+                  if span_id not in closes}
     if open_spans:
         names = ", ".join(
             f"{sid} ({name})" for sid, name in sorted(open_spans.items())

@@ -38,13 +38,13 @@ The line shapes are committed in
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..obs.ndjson import NdjsonScan, encode_line, scan
 from ..obs.provenance import stable_digest
 
 PathLike = Union[str, Path]
@@ -119,8 +119,7 @@ class CampaignJournal:
 
     def write(self, record: Dict[str, Any]) -> None:
         """Append one record as a flushed NDJSON line (fsync in batches)."""
-        self._stream.write(json.dumps(record, separators=(",", ":"),
-                                      sort_keys=True, default=str) + "\n")
+        self._stream.write(encode_line(record))
         self._stream.flush()
         self.records_written += 1
         self._unsynced += 1
@@ -289,64 +288,38 @@ class JournalReplay:
             )
 
 
-class JournalScan(NamedTuple):
-    """One read of a journal file: what :func:`replay_journal`,
-    :func:`repro.obs.validate.validate_journal_file` and ``doctor`` share."""
-
-    path: PathLike
-    #: ``(lineno, record, None)`` per parseable record, in file order —
-    #: the triples the validator consumes.
-    entries: List[Tuple[int, Dict[str, Any], None]]
-    #: No trailing newline: a writer was killed mid-record (a final line
-    #: that does not parse is dropped from ``entries``).
-    truncated_tail: bool
-    #: Nothing but whitespace in the file.
-    blank: bool
+#: One read of a journal: what replay, the validator and ``doctor`` share.
+JournalScan = NdjsonScan
 
 
 def scan_journal(path: PathLike) -> JournalScan:
     """Read and parse a journal once.
 
-    A partial final line (writer killed mid-record) is tolerated and
-    reported rather than fatal — the units it would have recorded simply
-    re-execute on resume.  Corrupt JSON *before* the final line is a
-    :class:`JournalError`.
+    A torn tail (writer killed mid-record) is tolerated and reported
+    (``truncated_tail``) rather than fatal — the unit it would have
+    recorded simply re-executes on resume.  A line that is not a JSON
+    object *before* it is a :class:`JournalError`.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        journal = scan(Path(path)).complete()
     except FileNotFoundError:
         raise JournalError(f"journal not found: {path}")
-    truncated = bool(text) and not text.endswith("\n")
-    lines = text.splitlines()
-    entries: List[Tuple[int, Dict[str, Any], None]] = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if truncated and lineno == len(lines):
-                break  # the torn tail a killed writer leaves behind
-            raise JournalError(f"{path}: line {lineno}: invalid JSON ({exc})")
-        if not isinstance(record, dict):
-            raise JournalError(f"{path}: line {lineno}: record is not an object")
-        entries.append((lineno, record, None))
-    return JournalScan(path, entries, truncated, not text.strip())
+    journal.records(JournalError)
+    return journal
 
 
 def read_journal(path: PathLike) -> Tuple[List[Dict[str, Any]], bool]:
     """``(records, truncated_tail)`` of a journal, in file order."""
-    scan = scan_journal(path)
-    return [record for _, record, _ in scan.entries], scan.truncated_tail
+    journal = scan_journal(path)
+    return journal.records(JournalError), journal.truncated_tail
 
 
 def replay_journal(source: Union[PathLike, JournalScan]) -> JournalReplay:
     """Fold a journal (a path, or a :func:`scan_journal` of one) into a
     :class:`JournalReplay` for ``resume=``."""
-    scan = source if isinstance(source, JournalScan) else scan_journal(source)
-    path, truncated = scan.path, scan.truncated_tail
-    records = [record for _, record, _ in scan.entries]
+    journal = source if isinstance(source, JournalScan) else scan_journal(source)
+    path, truncated = journal.path, journal.truncated_tail
+    records = journal.records(JournalError)
     if not records:
         raise JournalError(f"journal {path} holds no records")
     first = records[0]

@@ -8,26 +8,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+from ..obs.report import format_table
 from .figures import CoexistencePoint, SweepResult
-
-
-def format_table(
-    headers: Sequence[str], rows: Sequence[Sequence[object]], title: str = ""
-) -> str:
-    """Render an aligned text table."""
-    cells = [[str(c) for c in row] for row in rows]
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in cells)) if cells else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
 
 
 def format_sweep(result: SweepResult, metric: str = "goodput") -> str:

@@ -7,6 +7,8 @@ and gated emits, and this package harvests, records, and attributes:
 * :mod:`~repro.obs.metrics` — Counter/Gauge/Histogram registry with
   per-node and global rollups; :func:`collect_network_metrics` sweeps a
   finished run into a deterministic snapshot.
+* :mod:`~repro.obs.ndjson` — the one NDJSON codec: the line encoder every
+  log writer uses and the never-raising scan every reader goes through.
 * :mod:`~repro.obs.sinks` — NDJSON/CSV file sinks for the trace bus.
 * :mod:`~repro.obs.probe` — periodic cwnd/queue/throughput sampler.
 * :mod:`~repro.obs.flight` — bounded per-node ring buffers dumped on

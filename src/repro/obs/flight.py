@@ -28,13 +28,13 @@ hot path via :meth:`TraceBus.unsubscribe`.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..sim.trace import TraceBus, TraceRecord
+from .ndjson import encode_line
 from .sinks import record_to_json_dict
 
 PathLike = Union[str, Path]
@@ -187,13 +187,9 @@ class FlightRecorder:
                     "time": now,
                     "records": len(records),
                 }
-                handle.write(json.dumps(header, sort_keys=True,
-                                        separators=(",", ":")) + "\n")
+                handle.write(encode_line(header))
                 for record in records:
-                    handle.write(json.dumps(record_to_json_dict(record),
-                                            sort_keys=True,
-                                            separators=(",", ":"),
-                                            default=str) + "\n")
+                    handle.write(encode_line(record_to_json_dict(record)))
         dump = AnomalyDump(rule=rule.name, node=node, time=now,
                            records=len(records), path=path)
         self.dumps.append(dump)

@@ -20,10 +20,11 @@ package installed.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from pathlib import Path
 
+from .ndjson import NdjsonScan
 from .spans import SPAN_BATCH, SPAN_CAMPAIGN, SPAN_UNIT, read_span_log
 
 PathLike = Union[str, Path]
@@ -35,19 +36,19 @@ DEFAULT_BUCKETS = 20
 DEFAULT_TOP_K = 10
 
 
-def _fmt_table(header: Sequence[str], rows: Sequence[Sequence[Any]],
-               title: Optional[str] = None) -> str:
-    """Minimal fixed-width table (kept local: repro.obs must not import
-    repro.experiments, which imports repro.obs)."""
+def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
+                 title: str = "") -> str:
+    """Render an aligned text table (defined here, re-exported by
+    ``experiments.reporting``: ``obs`` must not import ``experiments``)."""
     cells = [[str(c) for c in row] for row in rows]
-    widths = [len(h) for h in header]
-    for row in cells:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    widths = [
+        max(len(headers[i]), *(len(row[i]) for row in cells)) if cells else len(headers[i])
+        for i in range(len(headers))
+    ]
     lines: List[str] = []
     if title:
         lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
     lines.append("  ".join("-" * w for w in widths))
     for row in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
@@ -80,6 +81,25 @@ def _worker_host(wid: str) -> str:
     return wid.rsplit(":", 1)[0] if ":" in wid else "local"
 
 
+def fold_spans(source: Union[PathLike, NdjsonScan]) -> Tuple[list, dict, dict]:
+    """``(records, opens, closes)`` of a span log, torn tail dropped: every
+    record in file order, the ``span_open`` / ``span_close`` ones by span id.
+    :class:`SpanLogError` for a line that is no record, a span with no id."""
+    try:
+        records = read_span_log(source, skip_partial_tail=True)
+    except ValueError as exc:
+        raise SpanLogError(str(exc)) from exc
+    opens: Dict[str, Dict[str, Any]] = {}
+    closes: Dict[str, Dict[str, Any]] = {}
+    for record in records:
+        kind = record.get("kind")
+        if kind in ("span_open", "span_close"):
+            if not isinstance(record.get("id"), str):
+                raise SpanLogError(f"{kind} record without a span id: {record}")
+            (opens if kind == "span_open" else closes)[record["id"]] = record
+    return records, opens, closes
+
+
 def aggregate_span_log(
     path: PathLike,
     buckets: int = DEFAULT_BUCKETS,
@@ -95,27 +115,12 @@ def aggregate_span_log(
     """
     if buckets < 1:
         raise ValueError(f"buckets must be >= 1, got {buckets}")
-    try:
-        records = read_span_log(path, skip_partial_tail=True)
-    except ValueError as exc:
-        raise SpanLogError(str(exc)) from exc
-    opens: Dict[str, Dict[str, Any]] = {}
-    closes: Dict[str, Dict[str, Any]] = {}
-    events: List[Dict[str, Any]] = []
-    heartbeats: List[Dict[str, Any]] = []
-    progress_last: Optional[Dict[str, Any]] = None
-    for record in records:
-        kind = record.get("kind")
-        if kind == "span_open":
-            opens[record["id"]] = record
-        elif kind == "span_close":
-            closes[record["id"]] = record
-        elif kind == "event":
-            events.append(record)
-        elif kind == "heartbeat":
-            heartbeats.append(record)
-        elif kind == "progress":
-            progress_last = record
+    records, opens, closes = fold_spans(path)
+    events = [r for r in records if r.get("kind") == "event"]
+    heartbeats = [r for r in records if r.get("kind") == "heartbeat"]
+    progress_last = next(
+        (r for r in reversed(records) if r.get("kind") == "progress"), None
+    )
 
     campaign_open = next(
         (r for r in opens.values() if r.get("span") == SPAN_CAMPAIGN), None
@@ -366,7 +371,7 @@ def format_report(summary: Dict[str, Any]) -> str:
                 f"{stats.get('utilization', 0.0) * 100:5.1f}%",
                 f"{rss}" if rss is not None else "-",
             ])
-        lines.append(_fmt_table(
+        lines.append(format_table(
             ["worker", "units", "fails", "busy_s", "idle_s", "util",
              "rss_kb"],
             rows, title="workers",
@@ -388,7 +393,7 @@ def format_report(summary: Dict[str, Any]) -> str:
             ]
             for name, stats in hosts.items()
         ]
-        lines.append(_fmt_table(
+        lines.append(format_table(
             ["host", "workers", "units", "fails", "busy_s", "util"],
             rows, title="hosts",
         ))
@@ -416,7 +421,7 @@ def format_report(summary: Dict[str, Any]) -> str:
             [idx, entry["retries"], (entry.get("last_error") or "")[:60]]
             for idx, entry in summary["retries"].items()
         ]
-        lines.append(_fmt_table(["unit", "retries", "last error"], rows,
+        lines.append(format_table(["unit", "retries", "last error"], rows,
                                 title="retried units"))
     if summary["quarantined"]:
         lines.append("")
@@ -424,7 +429,7 @@ def format_report(summary: Dict[str, Any]) -> str:
             [q.get("index"), q.get("attempts"), (q.get("error") or "")[:60]]
             for q in summary["quarantined"]
         ]
-        lines.append(_fmt_table(["unit", "attempts", "error"], rows,
+        lines.append(format_table(["unit", "attempts", "error"], rows,
                                 title="quarantined units (results PARTIAL)"))
 
     if summary["slowest_units"]:
@@ -439,7 +444,7 @@ def format_report(summary: Dict[str, Any]) -> str:
                 f"{timings.get('sim_s', 0.0):.3f}" if timings else "-",
                 f"{timings.get('setup_s', 0.0):.3f}" if timings else "-",
             ])
-        lines.append(_fmt_table(
+        lines.append(format_table(
             ["unit", "worker", "span_s", "sim_s", "setup_s"],
             rows, title=f"slowest units (top {len(rows)})",
         ))
@@ -462,6 +467,7 @@ __all__ = [
     "DEFAULT_TOP_K",
     "SpanLogError",
     "aggregate_span_log",
+    "fold_spans",
     "format_report",
     "render_report",
 ]

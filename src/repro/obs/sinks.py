@@ -21,11 +21,11 @@ a later untraced run on the same simulator is hot again.
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 from typing import Any, Dict, IO, Optional, Sequence, Union
 
 from ..sim.trace import TraceBus, TraceRecord
+from .ndjson import encode, encode_line
 
 PathLike = Union[str, Path]
 
@@ -113,9 +113,7 @@ class NdjsonTraceSink(TraceSink):
     """Newline-delimited JSON, one trace record per line."""
 
     def _write(self, record: TraceRecord) -> None:
-        self._file.write(json.dumps(
-            record_to_json_dict(record),
-            separators=(",", ":"), sort_keys=True, default=str) + "\n")
+        self._file.write(encode_line(record_to_json_dict(record)))
 
 
 class CsvTraceSink(TraceSink):
@@ -130,6 +128,5 @@ class CsvTraceSink(TraceSink):
     def _write(self, record: TraceRecord) -> None:
         self._writer.writerow(
             (repr(record.time), record.source, record.event,
-             json.dumps(record.fields, separators=(",", ":"), sort_keys=True,
-                        default=str))
+             encode(record.fields))
         )

@@ -32,13 +32,13 @@ constraint is kept structurally rather than by discipline.
 
 from __future__ import annotations
 
-import io
-import json
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, IO, List, Optional, Union
+
+from .ndjson import NdjsonScan, encode_line, scan
 
 #: Span names used by the campaign engine, outermost first.
 SPAN_CAMPAIGN = "campaign"
@@ -135,8 +135,7 @@ class SpanWriter:
 
     def write(self, record: Dict[str, Any]) -> None:
         """Serialize one record as a flushed NDJSON line."""
-        self._stream.write(json.dumps(record, separators=(",", ":"),
-                                      sort_keys=True, default=str) + "\n")
+        self._stream.write(encode_line(record))
         self._stream.flush()
         self.records_written += 1
         kind = record.get("kind", "?")
@@ -176,32 +175,22 @@ class SpanIdAllocator:
         return f"{self._PREFIX.get(name, 's')}{self._next}"
 
 
-def read_span_log(path: Union[str, Path],
+def read_span_log(source: Union[str, Path, NdjsonScan],
                   skip_partial_tail: bool = False) -> List[Dict[str, Any]]:
-    """All records of an NDJSON span log, in file order.
+    """All records of an NDJSON span log (a path, or a
+    :func:`~repro.obs.ndjson.scan` of one), in file order.
 
-    Raises ``ValueError`` on an unparsable line — use
+    Raises ``ValueError`` on the first line that is not a JSON object — use
     :func:`repro.obs.validate.validate_span_file` for a diagnostic listing
-    instead of an exception.  ``skip_partial_tail=True`` tolerates exactly
-    one torn *final* line with no trailing newline — what a coordinator
-    killed mid-write leaves behind — so post-mortem consumers
-    (``repro-muzha report``, ``doctor``) can aggregate a partial log.
+    instead of an exception.  ``skip_partial_tail=True`` tolerates a torn
+    tail — what a coordinator killed mid-write leaves behind — so
+    post-mortem consumers (``repro-muzha report``, ``doctor``) can
+    aggregate a partial log.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    torn_tail = skip_partial_tail and bool(text) and not text.endswith("\n")
-    lines = text.splitlines()
-    records: List[Dict[str, Any]] = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            if torn_tail and lineno == len(lines):
-                break
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    return records
+    log = source if isinstance(source, NdjsonScan) else scan(Path(source))
+    if skip_partial_tail:
+        log = log.complete()
+    return log.records()
 
 
 def wall_clock() -> float:

@@ -13,10 +13,10 @@ and wires it into loaders for those schemas:
   write-ahead journal (plan, completions, quarantines, generation ends);
 * ``schemas/run_manifest.schema.json`` — a run provenance manifest.
 
-NDJSON readers treat an *empty* file and a *truncated final line* (no
-trailing newline) as violations: both are what a crashed or still-running
-producer leaves behind, and silently blessing them would let CI validate a
-trace that never happened.
+The NDJSON validators read through :func:`repro.obs.ndjson.scan` and treat
+a *blank* file and a *torn tail* as violations: both are what a crashed or
+still-running producer leaves behind, and silently blessing them would let
+CI validate a trace that never happened.
 
 CLI (used by CI to hold trace/span/manifest output to the committed
 contract)::
@@ -37,6 +37,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
+from .ndjson import NdjsonScan, scan
 from .provenance import manifest_consistent
 
 PathLike = Union[str, Path]
@@ -97,48 +98,32 @@ def validate(instance: Any, schema: Dict[str, Any], path: str = "$") -> List[str
     return errors
 
 
-#: What a file with no records is reported as (pseudo-line 0).
-_EMPTY_NDJSON = (0, None, "empty NDJSON file (no records)")
+Source = Union[PathLike, NdjsonScan]
 
 
-def _iter_ndjson(text: str):
-    """Parse NDJSON text: yields ``(lineno, record_or_None, error)``.
-
-    Structural problems a line-by-line scan would silently bless are
-    reported as pseudo-lines: an **empty file** (zero records — what a
-    producer that died before its first write leaves behind) and a
-    **truncated final line** (no trailing newline — a writer killed
-    mid-record; the partial line is also JSON-checked like any other).
-    """
-    if not text.strip():
-        yield _EMPTY_NDJSON
+def _records(source: Source, errors: List[str], allow_torn_tail: bool = False):
+    """Yield ``(lineno, record)`` of a file (a path, or the scan of a caller
+    that has read it); what is no record goes to ``errors``: bad lines, a
+    blank file as pseudo-line 0, the torn tail unless allowed."""
+    log = source if isinstance(source, NdjsonScan) else scan(Path(source))
+    if log.blank:
+        errors.append("line 0: empty NDJSON file (no records)")
         return
-    if not text.endswith("\n"):
-        lastno = text.count("\n") + 1
-        yield lastno, None, ("truncated final line (no trailing newline — "
-                             "producer died mid-record?)")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            yield lineno, json.loads(line), None
-        except json.JSONDecodeError as exc:
-            yield lineno, None, f"invalid JSON ({exc})"
+    for lineno, record, error in (log.complete() if allow_torn_tail else log).entries:
+        if error is None:
+            yield lineno, record
+        else:
+            errors.append(f"line {lineno}: {error}")
 
 
-def validate_trace_file(path: PathLike) -> List[str]:
+def validate_trace_file(source: Source) -> List[str]:
     """Violations in an NDJSON trace file, one entry per bad line.
 
-    An empty file or a truncated final line is a violation too — see
-    :func:`_iter_ndjson`.
+    A blank file or a torn tail is a violation too.
     """
     schema = load_schema("trace_record")
     errors: List[str] = []
-    for lineno, record, error in _iter_ndjson(Path(path).read_text(encoding="utf-8")):
-        if error is not None:
-            errors.append(f"line {lineno}: {error}")
-            continue
+    for lineno, record in _records(source, errors):
         errors.extend(f"line {lineno}: {err}"
                       for err in validate(record, schema))
     return errors
@@ -155,11 +140,11 @@ _SPAN_KIND_REQUIRED = {
 }
 
 
-def validate_span_file(path: PathLike) -> List[str]:
+def validate_span_file(source: Source) -> List[str]:
     """Violations in an NDJSON campaign span log.
 
-    Three layers: the NDJSON file contract (non-empty, complete final
-    line), the per-line ``span_record`` schema plus per-kind required
+    Three layers: the NDJSON file contract (not blank, no torn tail),
+    the per-line ``span_record`` schema plus per-kind required
     fields, and the referential span structure — every ``span_close``
     names an opened-and-not-yet-closed id, every parent references an
     opened span, exactly one root ``campaign`` span exists, and every
@@ -170,13 +155,10 @@ def validate_span_file(path: PathLike) -> List[str]:
     open_spans: Dict[str, str] = {}  # id -> span name, still open
     seen: Dict[str, str] = {}  # id -> span name, ever opened
     roots = 0
-    for lineno, record, error in _iter_ndjson(Path(path).read_text(encoding="utf-8")):
-        if error is not None:
-            errors.append(f"line {lineno}: {error}")
-            continue
+    for lineno, record in _records(source, errors):
         line_errors = validate(record, schema)
         errors.extend(f"line {lineno}: {err}" for err in line_errors)
-        if line_errors or not isinstance(record, dict):
+        if line_errors:
             continue
         kind = record.get("kind")
         for name in _SPAN_KIND_REQUIRED.get(kind, ()):
@@ -234,7 +216,7 @@ _JOURNAL_KIND_REQUIRED = {
 }
 
 
-def validate_journal_file(source: Any,
+def validate_journal_file(source: Source,
                           allow_torn_tail: bool = False) -> List[str]:
     """Violations in a campaign write-ahead journal.
 
@@ -245,26 +227,11 @@ def validate_journal_file(source: Any,
     ``plan_digest`` matches the first, and at most the *last* generation
     is missing its ``end`` record.
 
-    ``allow_torn_tail=True`` downgrades a truncated final line from a
-    violation to silence — that is exactly what a coordinator killed
-    mid-write leaves, and :func:`repro.experiments.journal.replay_journal`
-    tolerates it by design (``doctor --repair`` truncates it).
-
-    ``source`` is a path, or the
-    :class:`~repro.experiments.journal.JournalScan` of a caller that has
-    already read the file (``doctor``); a scan has dropped its torn tail.
+    ``allow_torn_tail=True`` downgrades a torn tail from a violation to
+    silence — that is exactly what a coordinator killed mid-write leaves,
+    and :func:`repro.experiments.journal.replay_journal` tolerates it by
+    design (``doctor --repair`` truncates it).
     """
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-        entries = _iter_ndjson(text)
-        if allow_torn_tail and text.strip() and not text.endswith("\n"):
-            # Drop what a killed writer leaves behind: the truncation
-            # notice and the partial line itself, if it does not parse.
-            last_lineno = text.count("\n") + 1
-            entries = [entry for entry in entries
-                       if entry[2] is None or entry[0] != last_lineno]
-    else:
-        entries = [_EMPTY_NDJSON] if source.blank else source.entries
     schema = load_schema("journal_record")
     errors: List[str] = []
     first_kind: Any = None
@@ -272,13 +239,10 @@ def validate_journal_file(source: Any,
     planned: set = set()
     ends_seen = 0
     begins_seen = 0
-    for lineno, record, error in entries:
-        if error is not None:
-            errors.append(f"line {lineno}: {error}")
-            continue
+    for lineno, record in _records(source, errors, allow_torn_tail):
         line_errors = validate(record, schema)
         errors.extend(f"line {lineno}: {err}" for err in line_errors)
-        if line_errors or not isinstance(record, dict):
+        if line_errors:
             continue
         kind = record.get("kind")
         if first_kind is None:

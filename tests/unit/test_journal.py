@@ -122,6 +122,17 @@ def test_replay_carries_the_last_generations_transport_and_doctor_reads_once(
     assert categories == ["journal-interrupted"]
     assert [read for read in reads if read == path] == [path]
 
+    # The span log is read once too: torn-tail flag and records, one scan.
+    from repro.experiments import diagnose_spans
+
+    spans = tmp_path / "spans.ndjson"
+    spans.write_text(
+        '{"kind":"span_open","id":"c1","span":"campaign","parent":null,'
+        '"t0":1.0}\n{"kind":"progr')
+    categories = [f.category for f in diagnose_spans(spans)]
+    assert categories == ["spans-torn-tail", "spans-unclosed"]
+    assert [read for read in reads if read == spans] == [spans]
+
 
 @pytest.mark.parametrize("body, categories", [
     ("", ["journal-schema", "journal-corrupt"]),

@@ -1,0 +1,161 @@
+"""The one NDJSON codec (``repro.obs.ndjson``) and the reader contract every
+tool built on it keeps: file *content* is reported, never raised."""
+
+import json
+
+import pytest
+
+from repro.cli import main as cli_main
+from repro.obs.ndjson import TORN_TAIL, NdjsonScan, encode, encode_line, scan
+from repro.obs.validate import main as validate_main
+
+
+# ---------------------------------------------------------------------------
+# Writer
+
+
+def test_encode_line_is_the_line_every_writer_built_by_hand():
+    record = {"b": [1, 2.5, None], "a": {"é": " ", "when": object}}
+    assert encode_line(record) == json.dumps(
+        record, separators=(",", ":"), sort_keys=True, default=str) + "\n"
+    assert encode(record) + "\n" == encode_line(record)
+    assert encode_line(record).isascii() and encode_line(record).count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# Reader
+
+
+def test_scan_reports_every_kind_of_bad_line_as_an_entry():
+    log = scan(b'{"a":1}\n\n[1,2]\n{"a":\n{"s":"\xff"}\n  \n{"b":2}\n{"c"')
+    assert [(n, r) for n, r, e in log.entries if e is None] == [
+        (1, {"a": 1}), (7, {"b": 2})]
+    errors = {n: e for n, r, e in log.entries if e is not None}
+    assert errors[3] == "record is not an object"
+    assert errors[4].startswith("invalid JSON (")
+    assert errors[5] == "invalid UTF-8"
+    assert errors[8] is TORN_TAIL
+    assert sorted(errors) == [3, 4, 5, 8]  # blank lines carry nothing
+    assert log.truncated_tail and not log.blank
+
+
+def test_a_torn_tail_is_never_a_record_even_when_it_parses():
+    log = scan('{"a":1}\n{"b":2}')
+    assert log.truncated_tail
+    assert log.entries[-1] == (2, None, TORN_TAIL)
+    complete = log.complete()
+    assert complete.truncated_tail  # still says the tail was there
+    assert complete.records() == [{"a": 1}]
+    assert complete.complete() is complete  # nothing more to drop
+    with pytest.raises(ValueError, match="<text>: line 2: truncated final"):
+        log.records()
+
+
+@pytest.mark.parametrize("text, truncated, blank", [
+    ("", False, True),
+    ("\n \n", False, True),
+    ("\n  ", True, True),
+    ('{"a":1}\n', False, False),
+    ('{"a":1}\n ', True, False),
+])
+def test_blank_and_truncated_corners(text, truncated, blank):
+    log = scan(text)
+    assert (log.truncated_tail, log.blank) == (truncated, blank)
+    assert isinstance(log, NdjsonScan)
+
+
+def test_scan_of_a_path_reads_it_once_and_names_it_in_errors(
+        tmp_path, monkeypatch):
+    from pathlib import Path
+
+    path = tmp_path / "log.ndjson"
+    path.write_bytes(b'{"a":1}\r\n42\n')
+    reads = []
+    real_read_text = Path.read_text
+    monkeypatch.setattr(
+        Path, "read_text",
+        lambda self, *a, **kw: reads.append(self) or real_read_text(self, *a, **kw),
+    )
+    log = scan(path)
+    assert reads == [path]
+    assert log.entries[0] == (1, {"a": 1}, None)
+    with pytest.raises(KeyError, match=f"{path}: line 2: record is not"):
+        log.records(KeyError)
+
+
+def test_strict_records_raise_the_callers_error_type():
+    from repro.experiments import JournalError
+
+    with pytest.raises(JournalError, match="line 1: record is not an object"):
+        scan("[]\n").records(JournalError)
+
+
+# ---------------------------------------------------------------------------
+# Tools: malformed content is a clean error, not a traceback
+
+MALFORMED = {
+    "list-line": b"[1,2]\n",
+    "number-line": b"42\n",
+    "span-open-without-id": b'{"kind":"span_open"}\n',
+    "span-close-without-id": b'{"kind":"span_close"}\n',
+    "invalid-utf8-line": b'{"kind":"event","name":"x","t":1.0}\n\xff\xfe\n',
+    "invalid-utf8-in-a-string": b'{"kind":"event","name":"\xff","t":1.0}\n',
+    "nul-bytes": b"\x00\x00\x00\n",
+    "empty": b"",
+    "whitespace-only": b"  \n\n",
+}
+
+
+def run_report(path, tmp_path):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["report", str(path)])
+    assert str(exit_info.value).startswith(f"bad span log {path}: ")
+    return 1
+
+
+def run_resume(path, tmp_path):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["campaign", "--hops", "2", "--variants", "newreno",
+                  "--time", "0.5", "--cache-dir", str(tmp_path / "cache"),
+                  "--resume", str(path)])
+    assert str(exit_info.value).startswith("cannot resume: ")
+    return 1
+
+
+TOOLS = {
+    "report": run_report,
+    "doctor-spans": lambda path, _: cli_main(["doctor", "--spans", str(path)]),
+    "doctor-journal": lambda path, _: cli_main(
+        ["doctor", "--journal", str(path)]),
+    "resume": run_resume,
+    "validate-spans": lambda path, _: validate_main(["--spans", str(path)]),
+    "validate-journal": lambda path, _: validate_main(
+        ["--journal", str(path)]),
+    "validate-trace": lambda path, _: validate_main(["--trace", str(path)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+@pytest.mark.parametrize("tool", sorted(TOOLS))
+def test_malformed_content_is_reported_not_raised(tool, name, tmp_path,
+                                                  capsys):
+    """Before the one reader, 18 of these 63 cells died with a traceback —
+    ``report`` and ``doctor --spans`` on a non-object line
+    (``AttributeError``), ``report`` on a span record without an id
+    (``KeyError``), ``doctor`` / ``--resume`` / ``validate`` on invalid
+    UTF-8 (``UnicodeDecodeError``) — and ``doctor --spans`` passed a span
+    record without an id as healthy."""
+    path = tmp_path / "log.ndjson"
+    path.write_bytes(MALFORMED[name])
+    status = TOOLS[tool](path, tmp_path)
+    out = capsys.readouterr().out
+    if tool == "doctor-spans":
+        # An empty span log is no finding (as before); content that is not
+        # a record is a spans-corrupt error, and the exit says so.
+        corrupt = name not in ("empty", "whitespace-only")
+        assert status == (1 if corrupt else 0)
+        assert ("[error] spans-corrupt" in out) == corrupt
+    elif tool == "doctor-journal":
+        assert status == 1 and "[error] journal-corrupt" in out
+    else:
+        assert status == 1
