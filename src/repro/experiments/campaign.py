@@ -542,6 +542,8 @@ def _run_pool(
       a unit that keeps killing its connections is charged after
       ``policy.max_retries + 1`` disconnects, so a poison unit cannot loop
       forever;
+    * a reply that is not for its worker's head unit is never stored: the
+      link is severed and handled as a death, on every transport;
     * a worker whose head unit overstays ``policy.task_timeout`` is
       killed/severed by the watchdog and replaced the same way;
     * failed attempts retry with exponential backoff (the backoff clock
@@ -633,8 +635,8 @@ def _run_pool(
                 worker.wid, "stop", exitcode=worker.link.exitcode
             )
 
-    def on_worker_death(worker: _PoolWorker) -> None:
-        retire(worker, kill=False)
+    def on_worker_death(worker: _PoolWorker, kill: bool = False) -> None:
+        retire(worker, kill)
         code = worker.link.exitcode
         reason = "disconnect" if worker.link.remote else "crash"
         if worker.batch:
@@ -792,8 +794,14 @@ def _run_pool(
                     message = worker.link.recv()
                 except (EOFError, OSError, TransportError):
                     on_worker_death(worker)
-                else:
+                    continue
+                if worker.batch and message[1] == worker.batch[0][0].index:
                     on_message(worker, message)
+                else:
+                    # A reply is only ever for the head unit.  Anything else
+                    # (a confused or hostile agent) would be stored as the
+                    # head unit's result: sever the link instead.
+                    on_worker_death(worker, kill=True)
             if accepted:
                 for link in transport.accept():
                     register(link)
@@ -952,6 +960,9 @@ def run_campaign(
             replications=replications, resumed=resume is not None,
             transport=transport_info,
         )
+        if resume is not None and len(resume.planned) < len(runs):
+            # The first generation was killed inside its write-ahead step.
+            journal.plan([r for r in runs if r.index not in resume.planned])
 
     def finish(record: RunRecord) -> None:
         nonlocal done

@@ -15,14 +15,21 @@ fixes) what it finds:
   fields, checksum mismatches (``get`` would evict these lazily; doctor
   finds them all eagerly);
 * **journal damage** — a torn final line (killed writer; repair truncates
-  it), mid-file corruption, schema violations;
+  it), and whatever :func:`~repro.experiments.journal.fold_journal` — the
+  walk ``campaign --resume`` itself trusts, here with the committed schema
+  on top — reports: ``journal-corrupt`` is exactly what makes ``--resume``
+  refuse (mid-file corruption, a record it cannot read, mixed campaigns),
+  ``journal-schema`` what it reads around (a ``done`` for an unplanned
+  unit, an unknown field).  A generation that never wrote ``end`` is an
+  interrupted generation, not damage — even when a later one resumed it;
 * **journal/cache drift** — journaled completions whose cache entry is
   missing, corrupt, or hashes to a different ``result_digest`` than the
   journal recorded (these re-execute on resume; repair deletes the
   drifted entry so the re-execution starts clean);
 * **unclosed span logs** — spans opened but never closed, the signature
   of a killed campaign (informational; ``repro-muzha report`` renders
-  such logs as partial);
+  such logs as partial), read through the fold ``report`` uses
+  (:func:`repro.obs.report.fold_spans`);
 * **stale cluster registrations** — liveness files under the cache's
   ``.cluster/`` registry whose process is gone (local pid) or whose
   coordinator endpoint no longer answers (remote host): the debris of a
@@ -46,16 +53,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from ..obs.ndjson import scan
+from ..obs.ndjson import cut_torn_tail, first_fatal, relay, scan
 from ..obs.report import fold_spans
-from ..obs.validate import validate_journal_file
+from ..obs.validate import line_check
 from .cachestore import (
     CLUSTER_REGISTRY_DIRNAME,
     CampaignCache,
     EnvelopeError,
     decode_envelope,
 )
-from .journal import JournalError, replay_journal, scan_journal
+from .journal import fold_journal
 
 PathLike = Union[str, Path]
 
@@ -253,12 +260,9 @@ def diagnose_cache(root: PathLike, repair: bool = False) -> List[Finding]:
     return findings
 
 
-def _truncate_torn_tail(path: Path) -> bool:
-    """Cut a journal back to its last complete line."""
+def _cut_torn_tail(path: Path) -> bool:
     try:
-        data = path.read_bytes()
-        cut = data.rfind(b"\n")
-        path.write_bytes(data[: cut + 1] if cut >= 0 else b"")
+        cut_torn_tail(path)
         return True
     except OSError:
         return False
@@ -277,33 +281,26 @@ def diagnose_journal(
             "error", "journal-missing", str(path), "journal does not exist",
         ))
         return findings
-    try:
-        scan = scan_journal(path)
-    except JournalError as exc:
-        findings.append(Finding(
-            "error", "journal-corrupt", str(path),
-            f"unreadable past repair: {exc}",
-        ))
-        return findings
-    if scan.truncated_tail:
+    journal = scan(path)
+    if journal.truncated_tail:
         finding = Finding(
             "warn", "journal-torn-tail", str(path),
             "partial final line (writer killed mid-record); replay "
-            "ignores it, repair truncates it",
+            "ignores it, repair and the next --resume cut it off",
         )
         if repair:
-            finding.repaired = _truncate_torn_tail(path)
+            finding.repaired = _cut_torn_tail(path)
         findings.append(finding)
-    for violation in validate_journal_file(scan):
+    # The same walk --resume trusts, plus the schema: what is fatal here is
+    # exactly what `campaign --resume` refuses with "cannot resume".
+    replay = fold_journal(journal.complete(), line_check("journal_record"))
+    for (_, _, fatal), detail in zip(replay.violations,
+                                     relay(replay.violations)):
         findings.append(Finding(
-            "error", "journal-schema", str(path), violation,
+            "error", "journal-corrupt" if fatal else "journal-schema",
+            str(path), detail,
         ))
-    try:
-        replay = replay_journal(scan)
-    except JournalError as exc:
-        findings.append(Finding(
-            "error", "journal-corrupt", str(path), str(exc),
-        ))
+    if first_fatal(replay.violations) is not None:
         return findings
     if replay.interrupted:
         findings.append(Finding(
@@ -336,11 +333,8 @@ def diagnose_journal(
         return findings
     store = CampaignCache(cache)
     for index, result_digest in sorted(replay.completed.items()):
-        planned = replay.planned.get(index)
-        if planned is None:
-            # validate_journal_file already flagged the unplanned done.
-            continue
-        entry = store._path(planned["digest"])
+        # Every completion the fold counted was planned.
+        entry = store._path(replay.planned[index]["digest"])
         reason = (
             _read_envelope(entry, journaled=result_digest)
             if entry.is_file() else "cache entry missing"
@@ -375,18 +369,16 @@ def diagnose_spans(path: PathLike, repair: bool = False) -> List[Finding]:
             "partial final line (writer killed mid-record)",
         )
         if repair:
-            finding.repaired = _truncate_torn_tail(path)
+            finding.repaired = _cut_torn_tail(path)
         findings.append(finding)
-    try:
-        _, opens, closes = fold_spans(log)
-    except ValueError as exc:
-        findings.append(Finding(
-            "error", "spans-corrupt", str(path), str(exc),
-        ))
+    fold = fold_spans(log.complete())
+    fatal = first_fatal(fold.problems)
+    if fatal is not None:
+        findings.append(Finding("error", "spans-corrupt", str(path), fatal))
         return findings
     open_spans = {span_id: record.get("span", "?")
-                  for span_id, record in opens.items()
-                  if span_id not in closes}
+                  for span_id, record in fold.opens.items()
+                  if span_id not in fold.closes}
     if open_spans:
         names = ", ".join(
             f"{sid} ({name})" for sid, name in sorted(open_spans.items())

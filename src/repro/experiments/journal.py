@@ -11,11 +11,24 @@ makes an interrupted campaign a *checkpoint* instead of a loss:
 * every completion is journaled (``done`` records with the run's canonical
   ``result_digest``), every quarantine too (``failed`` records), appended
   as schema-validated NDJSON and fsynced in batches;
-* :func:`replay_journal` folds a journal back into a
-  :class:`JournalReplay` — completed/failed unit maps plus the interrupted
-  flag — which ``run_campaign(resume=...)`` uses to dispatch only the
-  remainder, after re-verifying each journaled completion against the
-  content-addressed cache (checksum mismatch ⇒ re-execute).
+* :func:`fold_journal` is the one walk that interprets the records: it
+  folds them into a :class:`JournalReplay` — completed/failed unit maps,
+  the interrupted flag — *and* lists every line that breaks the journal's
+  rules, so ``--resume``, ``doctor`` and the validator cannot disagree
+  about what a journal says.  :func:`replay_journal` is that walk for
+  ``run_campaign(resume=...)`` (it raises on what makes the state
+  unusable), which dispatches only the remainder after re-verifying each
+  journaled completion against the content-addressed cache (checksum
+  mismatch ⇒ re-execute); :func:`validate_journal_file` is the same walk
+  with every line also held to the committed schema.
+
+Generation rules (all of them, stated once; :func:`fold_journal` enforces
+them): a journal starts with a ``begin`` of this build's schema version;
+every ``begin`` opens a generation and carries the first one's
+``plan_digest``; ``end`` closes the open generation; a generation that
+never wrote ``end`` is an *interrupted* generation wherever it sits — a
+SIGKILLed coordinator leaves one — and the next ``begin`` closes it; a
+``done``/``failed`` counts only for a unit that was ``planned``.
 
 Determinism: the journal never influences seeds or metrics — unit seeds
 are derived in :func:`repro.experiments.campaign.plan_campaign` before any
@@ -28,32 +41,59 @@ Durability model: records are flushed per line and fsynced every
 :meth:`~CampaignJournal.checkpoint`), so a hard kill loses at most the
 last unsynced batch of completions — those units simply re-execute on
 resume.  A killed writer can leave a partial final line;
-:func:`replay_journal` tolerates it (and reports it), and
-``repro-muzha doctor --repair`` truncates it.
+:func:`replay_journal` tolerates it (and reports it), and both
+``repro-muzha doctor --repair`` and ``CampaignJournal(resume=True)`` cut
+it off (:func:`repro.obs.ndjson.cut_torn_tail`) — a resume that appended
+after it would weld its ``begin`` onto the torn line.
 
 The line shapes are committed in
-``repro/obs/schemas/journal_record.schema.json`` and checked by
-:func:`repro.obs.validate.validate_journal_file`.
+``repro/obs/schemas/journal_record.schema.json``; what a record of each
+``kind`` must carry is :data:`_JOURNAL_KIND_REQUIRED` here.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..obs.ndjson import NdjsonScan, encode_line, scan
+from ..obs.ndjson import (
+    BLANK, LineCheck, NdjsonScan, Problem, cut_torn_tail, encode_line,
+    first_fatal, relay, scan,
+)
 from ..obs.provenance import stable_digest
+from ..obs.validate import line_check
 
 PathLike = Union[str, Path]
 
 #: Bump when the journal line shapes change incompatibly.
 JOURNAL_SCHEMA_VERSION = 1
 
+_NUM, _INT, _STR, _BOOL = (int, float), (int,), (str,), (bool,)
+
+#: What a record of each kind must carry, and as which JSON type(s): the
+#: per-kind contract the committed (necessarily permissive) schema cannot
+#: state, and everything :func:`fold_journal` trusts about a record.
+_JOURNAL_KIND_REQUIRED = {
+    "begin": {"t": _NUM, "schema": _INT, "total": _INT, "base_seed": _INT,
+              "replications": _INT, "pool_mode": _STR, "plan_digest": _STR,
+              "resumed": _BOOL},
+    "planned": {"index": _INT, "scenario": _STR, "replication": _INT,
+                "seed": _INT, "digest": _STR},
+    "done": {"t": _NUM, "index": _INT, "digest": _STR,
+             "result_digest": _STR, "cached": _BOOL},
+    "failed": {"t": _NUM, "index": _INT, "digest": _STR, "error": _STR,
+               "attempts": _INT},
+    "end": {"t": _NUM, "status": _STR, "fingerprint": (str, type(None)),
+            "executed": _INT, "cache_hits": _INT, "quarantined": _INT,
+            "remaining": _INT},
+}
+
 #: Record kinds a journal may contain (``kind`` field of every line).
-JOURNAL_KINDS = ("begin", "planned", "done", "failed", "end")
+JOURNAL_KINDS = tuple(_JOURNAL_KIND_REQUIRED)
 
 #: Terminal statuses of one journal generation.  ``ok`` = every planned
 #: unit accounted for; ``partial`` = quarantined failures remain;
@@ -96,7 +136,9 @@ class CampaignJournal:
     ``resume=False`` (a fresh campaign) refuses to open a path that already
     holds records — silently appending a second campaign to an old journal
     would corrupt both; pass ``resume=True`` (after :func:`replay_journal`)
-    to append a resume generation instead.
+    to append a resume generation instead.  The torn tail of a killed
+    writer is cut off first: replay never counted it, and appending after
+    it would turn it into mid-file corruption.
     """
 
     def __init__(self, path: PathLike, resume: bool = False,
@@ -113,6 +155,8 @@ class CampaignJournal:
                 "--resume or remove it to start over"
             )
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        if resume and self.path.exists():
+            cut_torn_tail(self.path)
         self._stream = self.path.open("a", encoding="utf-8", newline="")
 
     # -- low-level ---------------------------------------------------------------
@@ -183,16 +227,24 @@ class CampaignJournal:
         if transport is not None:
             record["transport"] = transport
         self.write(record)
-        if not resumed:
-            for run in runs:
-                self.write({
-                    "kind": "planned",
-                    "index": run.index,
-                    "scenario": run.scenario,
-                    "replication": run.replication,
-                    "seed": run.seed,
-                    "digest": run.digest,
-                })
+        self.plan(() if resumed else runs)
+
+    def plan(self, runs: Sequence[Any]) -> None:
+        """Journal the ``planned`` record of each of ``runs``; checkpointed.
+
+        :meth:`begin` plans the whole campaign; a resume calls this only for
+        units a first generation killed *inside* its write-ahead step never
+        got to plan (no ``done`` counts without its ``planned``).
+        """
+        for run in runs:
+            self.write({
+                "kind": "planned",
+                "index": run.index,
+                "scenario": run.scenario,
+                "replication": run.replication,
+                "seed": run.seed,
+                "digest": run.digest,
+            })
         self.checkpoint()
 
     def done(self, run: Any, result_digest: str, cached: bool) -> None:
@@ -246,7 +298,10 @@ class JournalReplay:
     record wins across generations); ``failed`` maps index → last error of
     units still quarantined (a later ``done`` clears the failure).
     ``interrupted`` is True when the last generation never wrote its
-    ``end`` record or wrote it with status ``interrupted``.
+    ``end`` record or wrote it with status ``interrupted``.  ``violations``
+    lists every line that broke the journal's rules; the records they name
+    are not in the state, and :func:`replay_journal` hands out no replay
+    with a fatal one.
     """
 
     path: Path
@@ -265,6 +320,7 @@ class JournalReplay:
     #: The last generation's ``begin.transport`` (a cluster coordinator's
     #: endpoint), None for the local pool modes.
     transport: Optional[Dict[str, Any]] = None
+    violations: List[Problem] = field(default_factory=list)
 
     @property
     def remaining(self) -> int:
@@ -314,67 +370,147 @@ def read_journal(path: PathLike) -> Tuple[List[Dict[str, Any]], bool]:
     return journal.records(JournalError), journal.truncated_tail
 
 
-def replay_journal(source: Union[PathLike, JournalScan]) -> JournalReplay:
-    """Fold a journal (a path, or a :func:`scan_journal` of one) into a
-    :class:`JournalReplay` for ``resume=``."""
-    journal = source if isinstance(source, JournalScan) else scan_journal(source)
-    path, truncated = journal.path, journal.truncated_tail
-    records = journal.records(JournalError)
-    if not records:
-        raise JournalError(f"journal {path} holds no records")
-    first = records[0]
-    if first.get("kind") != "begin":
-        raise JournalError(
-            f"journal {path} does not start with a begin record "
-            f"(got {first.get('kind')!r})"
-        )
-    schema = first.get("schema")
-    if schema != JOURNAL_SCHEMA_VERSION:
-        raise JournalError(
-            f"journal {path} has schema {schema!r}; this build reads "
-            f"schema {JOURNAL_SCHEMA_VERSION}"
-        )
-    replay = JournalReplay(
-        path=Path(path),
-        plan_digest=first.get("plan_digest", ""),
-        total=int(first.get("total", 0)),
-        base_seed=int(first.get("base_seed", 0)),
-        replications=int(first.get("replications", 0)),
-        pool_mode=str(first.get("pool_mode", "")),
-        truncated_tail=truncated,
+#: Per kind: the required field names and every tuple of types they may
+#: have, so the common case — a record the writer wrote — is one C-level
+#: pass and one set lookup (the fold runs in every resumed campaign).
+_SIGNATURES = {
+    kind: (tuple(fields), frozenset(itertools.product(*fields.values())))
+    for kind, fields in _JOURNAL_KIND_REQUIRED.items()
+}
+_MISSING = itertools.repeat(type)  # no JSON value is of type `type`
+
+
+def _unreadable(kind: Any, record: Dict[str, Any]) -> Optional[str]:
+    """Why the fold cannot read ``record`` (None: it can): an unknown kind,
+    a required field missing or of the wrong JSON type."""
+    try:
+        names, signatures = _SIGNATURES[kind]
+    except (KeyError, TypeError):  # TypeError: a kind that cannot be a key
+        return f"unknown record kind {kind!r}"
+    if tuple(map(type, map(record.get, names, _MISSING))) in signatures:
+        if "transport" not in record or type(record["transport"]) is dict:
+            return None
+        bad = ["transport"]  # the one optional field the fold reads
+    else:
+        required = _JOURNAL_KIND_REQUIRED[kind]
+        bad = [name for name in names
+               if type(record.get(name, type)) not in required[name]]
+    return f"{kind} record " + ", ".join(
+        f"field {name!r} is {type(record[name]).__name__}"
+        if name in record else f"missing {name!r}" for name in bad
     )
-    generations = 0
+
+
+def fold_journal(journal: JournalScan,
+                 check: Optional[LineCheck] = None) -> JournalReplay:
+    """The one walk over a journal's records: state *and* violations.
+
+    Never raises: a line that is no record, a record it cannot read
+    (:func:`_unreadable`), a first record that is not a ``begin`` of this
+    build's schema version and a generation with another ``plan_digest``
+    are *fatal* violations (the state is not the campaign's); a
+    ``done``/``failed`` for a unit never ``planned`` is only reported.
+    Either way the record leaves the state untouched.  A ``begin`` while a
+    generation is open is no violation — that generation was killed.
+
+    ``check`` is the ``doctor``/validator layer over the same walk, never
+    on the ``--resume`` path: what else is wrong with a readable record
+    (``line_check("journal_record")``: the committed schema).
+    """
+    replay = JournalReplay(
+        path=Path(journal.path), plan_digest="", total=0, base_seed=0,
+        replications=0, pool_mode="", generations=0,
+        truncated_tail=journal.truncated_tail,
+    )
+    report = replay.violations.append
+    if journal.blank:
+        report((0, BLANK, False))
+    if not journal.entries:
+        report((0, "journal holds no records", True))
     open_generation = False
-    for record in records:
+    for lineno, record, error in journal.entries:
+        if error is not None:
+            report((lineno, error, True))
+            continue
         kind = record.get("kind")
+        if replay.generations:
+            error = _unreadable(kind, record)
+        elif kind != "begin":
+            error = f"journal must start with a begin record, got {kind!r}"
+        elif record.get("schema") != JOURNAL_SCHEMA_VERSION:
+            error = (f"journal has schema {record.get('schema')!r}; this "
+                     f"build reads schema {JOURNAL_SCHEMA_VERSION}")
+        else:
+            error = _unreadable(kind, record)
+        if error is not None:
+            report((lineno, error, True))
+            if not replay.generations:
+                break  # no first generation to fold the rest into
+            continue
+        for error in check(record) if check is not None else ():
+            report((lineno, error, False))
         if kind == "begin":
-            generations += 1
+            if not replay.generations:
+                replay.plan_digest = record["plan_digest"]
+                replay.total = record["total"]
+                replay.base_seed = record["base_seed"]
+                replay.replications = record["replications"]
+                replay.pool_mode = record["pool_mode"]
+            elif record["plan_digest"] != replay.plan_digest:
+                report((lineno, "plan_digest differs from the first "
+                                "generation's: the journal mixes campaigns",
+                        True))
+                continue
+            replay.generations += 1
             open_generation = True
             replay.transport = record.get("transport")
-            if record.get("plan_digest") != replay.plan_digest:
-                raise JournalError(
-                    f"journal {path} mixes campaigns: generation "
-                    f"{generations} has a different plan digest"
-                )
         elif kind == "planned":
-            replay.planned[int(record["index"])] = record
-        elif kind == "done":
-            index = int(record["index"])
-            replay.completed[index] = record.get("result_digest", "")
-            replay.failed.pop(index, None)
-        elif kind == "failed":
-            index = int(record["index"])
-            if index not in replay.completed:
-                replay.failed[index] = str(record.get("error", ""))
+            replay.planned[record["index"]] = record
         elif kind == "end":
             open_generation = False
             replay.last_end = record
-    replay.generations = generations
+        elif record["index"] not in replay.planned:
+            report((lineno, f"{kind} record for unplanned unit index "
+                            f"{record['index']}", False))
+        elif kind == "done":
+            replay.completed[record["index"]] = record["result_digest"]
+            replay.failed.pop(record["index"], None)
+        elif record["index"] not in replay.completed:  # failed
+            replay.failed[record["index"]] = record["error"]
     replay.interrupted = open_generation or (
         replay.last_end is not None
-        and replay.last_end.get("status") == "interrupted"
+        and replay.last_end["status"] == "interrupted"
     )
     return replay
+
+
+def replay_journal(source: Union[PathLike, JournalScan]) -> JournalReplay:
+    """Fold a journal (a path, or a :func:`scan_journal` of one) into a
+    :class:`JournalReplay` for ``resume=``; :class:`JournalError` names the
+    first fatal violation."""
+    journal = source if isinstance(source, JournalScan) else scan_journal(source)
+    replay = fold_journal(journal)
+    fatal = first_fatal(replay.violations)
+    if fatal is not None:
+        raise JournalError(f"{journal.path}: {fatal}")
+    return replay
+
+
+def validate_journal_file(source: Union[PathLike, JournalScan],
+                          allow_torn_tail: bool = False) -> List[str]:
+    """Violations in a campaign write-ahead journal: the NDJSON file
+    contract, the generation rules and — its line check — the committed
+    schema, all as :func:`fold_journal` reports them.
+
+    ``allow_torn_tail=True`` downgrades a torn tail from a violation to
+    silence — that is exactly what a coordinator killed mid-write leaves,
+    and :func:`replay_journal` tolerates it by design (``doctor --repair``
+    and the next ``--resume`` cut it off).
+    """
+    journal = source if isinstance(source, JournalScan) else scan(Path(source))
+    if allow_torn_tail:
+        journal = journal.complete()
+    return relay(fold_journal(journal, line_check("journal_record")).violations)
 
 
 __all__ = [
@@ -387,8 +523,10 @@ __all__ = [
     "JournalPlanMismatch",
     "JournalReplay",
     "JournalScan",
+    "fold_journal",
     "plan_digest",
     "read_journal",
     "replay_journal",
     "scan_journal",
+    "validate_journal_file",
 ]

@@ -398,6 +398,19 @@ def _set_nodelay(sock: socket.socket) -> None:
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
+_RESULT_FIELDS = (("index", (int,)), ("metrics", (dict,)),
+                  ("manifest", (dict, type(None))))
+
+#: Per reply kind, the fields of the message :meth:`WorkerLink.recv` returns,
+#: in order, with the JSON types each may hold: an agent is another host, and
+#: nothing it sends is trusted further than this.
+_REPLY_FIELDS = {
+    "ok": _RESULT_FIELDS,
+    "hit": _RESULT_FIELDS,
+    "err": (("index", (int,)), ("error", (str,))),
+}
+
+
 @dataclass(eq=False)
 class SocketLink(WorkerLink):
     """A remote worker agent attached over TCP (length-prefixed JSON)."""
@@ -435,13 +448,17 @@ class SocketLink(WorkerLink):
                 f"agent {self.host}:{self.pid} stalled mid-frame "
                 f"(> {SOCKET_TIMEOUT:g}s)"
             )
-        kind = message.get("kind")
-        if kind in ("ok", "hit"):
-            return (kind, int(message["index"]), message["metrics"],
-                    message.get("manifest"))
-        if kind == "err":
-            return ("err", int(message["index"]), str(message.get("error")))
-        raise TransportError(f"unexpected frame kind {kind!r} from agent")
+        kind = message["kind"]
+        fields = _REPLY_FIELDS.get(kind) if isinstance(kind, str) else None
+        if fields is None:
+            raise TransportError(f"unexpected frame kind {kind!r} from agent")
+        for name, types in fields:
+            if type(message.get(name)) not in types:
+                raise TransportError(
+                    f"{kind} frame from agent {self.host}:{self.pid} has a "
+                    f"missing or mistyped {name!r}"
+                )
+        return (kind, *(message.get(name) for name, _ in fields))
 
     def reap(self) -> None:
         self._close()

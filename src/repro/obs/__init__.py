@@ -8,7 +8,8 @@ and gated emits, and this package harvests, records, and attributes:
   per-node and global rollups; :func:`collect_network_metrics` sweeps a
   finished run into a deterministic snapshot.
 * :mod:`~repro.obs.ndjson` — the one NDJSON codec: the line encoder every
-  log writer uses and the never-raising scan every reader goes through.
+  log writer uses, the never-raising scan every reader goes through, and
+  the one torn-tail cut.
 * :mod:`~repro.obs.sinks` — NDJSON/CSV file sinks for the trace bus.
 * :mod:`~repro.obs.probe` — periodic cwnd/queue/throughput sampler.
 * :mod:`~repro.obs.flight` — bounded per-node ring buffers dumped on
@@ -17,10 +18,13 @@ and gated emits, and this package harvests, records, and attributes:
   metrics snapshot, environment) attached to every result.
 * :mod:`~repro.obs.spans` / :mod:`~repro.obs.engine` — campaign-scale
   telemetry: span/event model, live NDJSON streaming, per-worker health.
-* :mod:`~repro.obs.report` — span-log aggregation behind
-  ``repro-muzha report``.
+* :mod:`~repro.obs.report` — ``fold_spans``, the one reader of a span
+  log's open/close structure, and the aggregation behind ``repro-muzha
+  report`` built on it.
 * :mod:`~repro.obs.validate` — dependency-free schema validation for
-  trace files, span logs, campaign journals and manifests.
+  trace files, span logs and manifests; it interprets no record itself
+  (journals are validated beside their format,
+  ``repro.experiments.journal.validate_journal_file``).
 """
 
 from .engine import CampaignTelemetry, WorkerHealth, read_rss_kb
@@ -54,7 +58,6 @@ from .spans import (
 from .validate import (
     load_schema,
     validate,
-    validate_journal_file,
     validate_manifest_file,
     validate_span_file,
     validate_trace_file,
@@ -96,7 +99,6 @@ __all__ = [
     "render_report",
     "load_schema",
     "validate",
-    "validate_journal_file",
     "validate_manifest_file",
     "validate_span_file",
     "validate_trace_file",

@@ -5,16 +5,24 @@ back by :func:`scan`.
 File contract.  A line ends in ``\\n``; a record is one JSON object on one
 line; blank lines carry nothing.  Whatever follows the last ``\\n`` is the
 **torn tail** a writer killed mid-record leaves behind: never a record, even
-if it parses, because a record is committed by its newline (``doctor
---repair`` cuts back to that same newline).  A **blank** file holds only
+if it parses, because a record is committed by its newline
+(:func:`cut_torn_tail` — ``doctor --repair``, and every ``--resume`` before it
+appends — cuts back to that same newline).  A **blank** file holds only
 whitespace: its producer died before the first write.
+
+A reader that interprets the records (``journal.fold_journal``,
+``report.fold_spans``) says what it found as :data:`Problem` triples.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Type, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Type,
+    Union,
+)
 
 #: ``encode(value) -> str``: compact, key-sorted, ASCII-only, ``str()`` for
 #: what JSON cannot carry.  One shared encoder, like
@@ -26,8 +34,20 @@ encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
 TORN_TAIL = ("truncated final line (no trailing newline — "
              "producer died mid-record?)")
 
+#: What a blank file is reported as (on pseudo-line 0).
+BLANK = "empty NDJSON file (no records)"
+
 #: ``(lineno, record, None)`` for an object, ``(lineno, None, error)`` otherwise.
 Entry = Tuple[int, Optional[Dict[str, Any]], Optional[str]]
+
+#: ``(lineno, what is wrong, fatal)``: what a fold reports about one line
+#: (pseudo-line 0: about the file).  ``fatal`` means the fold's state cannot
+#: be used; anything else is reported and the record left out of the state.
+Problem = Tuple[int, str, bool]
+
+#: ``record -> what else is wrong with it``: the stricter per-line layer a
+#: validator hands to a fold (``validate.line_check``).
+LineCheck = Callable[[Dict[str, Any]], List[str]]
 
 
 def encode_line(record: Dict[str, Any]) -> str:
@@ -98,4 +118,37 @@ def scan(source: Union[Path, str, bytes]) -> NdjsonScan:
     return NdjsonScan(path, entries, bool(tail), not text.strip())
 
 
-__all__ = ["Entry", "NdjsonScan", "TORN_TAIL", "encode", "encode_line", "scan"]
+def relay(problems: Iterable[Problem]) -> List[str]:
+    """A fold's problems as every tool prints them, ``line N: what``."""
+    return [f"line {lineno}: {message}" for lineno, message, _ in problems]
+
+
+def first_fatal(problems: Iterable[Problem]) -> Optional[str]:
+    """The first fatal problem, relayed; None when the state is usable."""
+    return next(iter(relay(p for p in problems if p[2])), None)
+
+
+def cut_torn_tail(path: Union[Path, str]) -> None:
+    """Cut a file back to its last newline, dropping the torn tail.
+
+    Reads backwards from the end only as far as that newline and shrinks
+    the file in place, so a complete file costs one small read and a crash
+    mid-repair leaves the file as it was or repaired, never emptied.
+    """
+    with open(path, "rb") as stream:
+        size = keep = stream.seek(0, os.SEEK_END)
+        while keep:
+            start = max(0, keep - 4096)
+            stream.seek(start)
+            newline = stream.read(keep - start).rfind(b"\n")
+            if newline >= 0:
+                keep = start + newline + 1
+                break
+            keep = start
+    if keep < size:
+        os.truncate(path, keep)
+
+
+__all__ = ["BLANK", "Entry", "LineCheck", "NdjsonScan", "Problem", "TORN_TAIL",
+           "cut_torn_tail", "encode", "encode_line", "first_fatal", "relay",
+           "scan"]

@@ -20,12 +20,12 @@ package installed.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Union
 
 from pathlib import Path
 
-from .ndjson import NdjsonScan
-from .spans import SPAN_BATCH, SPAN_CAMPAIGN, SPAN_UNIT, read_span_log
+from .ndjson import BLANK, LineCheck, NdjsonScan, Problem, first_fatal, scan
+from .spans import SPAN_BATCH, SPAN_CAMPAIGN, SPAN_UNIT, _SPAN_KIND_REQUIRED
 
 PathLike = Union[str, Path]
 
@@ -81,23 +81,70 @@ def _worker_host(wid: str) -> str:
     return wid.rsplit(":", 1)[0] if ":" in wid else "local"
 
 
-def fold_spans(source: Union[PathLike, NdjsonScan]) -> Tuple[list, dict, dict]:
-    """``(records, opens, closes)`` of a span log, torn tail dropped: every
-    record in file order, the ``span_open`` / ``span_close`` ones by span id.
-    :class:`SpanLogError` for a line that is no record, a span with no id."""
-    try:
-        records = read_span_log(source, skip_partial_tail=True)
-    except ValueError as exc:
-        raise SpanLogError(str(exc)) from exc
-    opens: Dict[str, Dict[str, Any]] = {}
-    closes: Dict[str, Dict[str, Any]] = {}
-    for record in records:
+class SpanFold(NamedTuple):
+    """What one walk over a span log (:func:`fold_spans`) found."""
+
+    #: Every record in file order.
+    records: List[Dict[str, Any]]
+    #: The ``span_open`` / ``span_close`` records by span id.
+    opens: Dict[str, Dict[str, Any]]
+    closes: Dict[str, Dict[str, Any]]
+    problems: List[Problem]
+
+
+def fold_spans(log: NdjsonScan, check: Optional[LineCheck] = None) -> SpanFold:
+    """The one walk over a span log's open/close structure; never raises.
+
+    A line that is no record and a span record without an id are *fatal*
+    problems (``report`` refuses the log, ``doctor`` calls it corrupt).
+    What a log of a killed campaign never has is only reported, and the
+    record left out of ``opens``/``closes``: a duplicate span id, a close
+    of a span that is not open; a missing per-kind field, an unopened
+    parent and a root that is no campaign span are reported, the span kept.
+    ``check`` is the validator's layer: what else is wrong with a record.
+    """
+    fold = SpanFold([], {}, {}, [])
+    report = fold.problems.append
+    if log.blank:
+        report((0, BLANK, False))
+    for lineno, record, error in log.entries:
+        if error is not None:
+            report((lineno, error, True))
+            continue
+        for error in check(record) if check is not None else ():
+            report((lineno, error, False))
+        fold.records.append(record)
         kind = record.get("kind")
-        if kind in ("span_open", "span_close"):
-            if not isinstance(record.get("id"), str):
-                raise SpanLogError(f"{kind} record without a span id: {record}")
-            (opens if kind == "span_open" else closes)[record["id"]] = record
-    return records, opens, closes
+        if not isinstance(kind, str):  # not even a possible table key
+            continue
+        span_id = record.get("id")
+        if kind in ("span_open", "span_close") and not isinstance(span_id, str):
+            report((lineno, f"{kind} record without a span id: {record}",
+                    True))
+            continue
+        for name in _SPAN_KIND_REQUIRED.get(kind, ()):
+            if name not in record:
+                report((lineno, f"{kind} record missing {name!r}", False))
+        if kind == "span_open":
+            if span_id in fold.opens:
+                report((lineno, f"duplicate span id {span_id!r}", False))
+                continue
+            parent = record.get("parent")
+            if parent is None:
+                if record.get("span") != SPAN_CAMPAIGN:
+                    report((lineno, "only campaign spans may be roots, "
+                                    f"got {record.get('span')!r}", False))
+            elif not isinstance(parent, str) or parent not in fold.opens:
+                report((lineno, f"parent {parent!r} of span {span_id!r} "
+                                "was never opened", False))
+            fold.opens[span_id] = record
+        elif kind == "span_close":
+            if span_id in fold.opens and span_id not in fold.closes:
+                fold.closes[span_id] = record
+            else:
+                report((lineno, f"close of span {span_id!r} which is not "
+                                "open", False))
+    return fold
 
 
 def aggregate_span_log(
@@ -115,7 +162,10 @@ def aggregate_span_log(
     """
     if buckets < 1:
         raise ValueError(f"buckets must be >= 1, got {buckets}")
-    records, opens, closes = fold_spans(path)
+    records, opens, closes, problems = fold_spans(scan(Path(path)).complete())
+    fatal = first_fatal(problems)
+    if fatal is not None:
+        raise SpanLogError(f"{path}: {fatal}")
     events = [r for r in records if r.get("kind") == "event"]
     heartbeats = [r for r in records if r.get("kind") == "heartbeat"]
     progress_last = next(
@@ -465,6 +515,7 @@ def render_report(path: PathLike, as_json: bool = False,
 __all__ = [
     "DEFAULT_BUCKETS",
     "DEFAULT_TOP_K",
+    "SpanFold",
     "SpanLogError",
     "aggregate_span_log",
     "fold_spans",

@@ -23,11 +23,13 @@ campaign live.  The target may be a filesystem path, an already-open text
 stream, or an inherited pipe file descriptor (``fd:N`` or a plain ``int``),
 so a supervising process can collect telemetry without touching the disk.
 
-The line shapes are committed in ``schemas/span_record.schema.json`` and
-checked by :func:`repro.obs.validate.validate_span_file`.  Nothing here
-runs inside a simulation: span emission is coordinator-side by
-construction, which is how the "telemetry off the simulation hot path"
-constraint is kept structurally rather than by discipline.
+The line shapes are committed in ``schemas/span_record.schema.json``, what
+a record of each ``kind`` must carry is :data:`_SPAN_KIND_REQUIRED` here,
+and :func:`repro.obs.report.fold_spans` is the one reader of the open/close
+structure.  Nothing here runs inside a simulation: span emission is
+coordinator-side by construction, which is how the "telemetry off the
+simulation hot path" constraint is kept structurally rather than by
+discipline.
 """
 
 from __future__ import annotations
@@ -47,8 +49,18 @@ SPAN_UNIT = "unit-attempt"
 
 SPAN_NAMES = (SPAN_CAMPAIGN, SPAN_BATCH, SPAN_UNIT)
 
+#: What a record of each kind must carry: the per-kind contract the
+#: committed (necessarily permissive) schema cannot state.
+_SPAN_KIND_REQUIRED = {
+    "span_open": ("id", "span", "parent", "t0"),
+    "span_close": ("id", "t1", "status"),
+    "event": ("name", "t"),
+    "heartbeat": ("t", "worker", "attrs"),
+    "progress": ("t", "done", "total", "failed"),
+}
+
 #: Record kinds a span log may contain (``kind`` field of every line).
-RECORD_KINDS = ("span_open", "span_close", "event", "heartbeat", "progress")
+RECORD_KINDS = tuple(_SPAN_KIND_REQUIRED)
 
 #: Terminal statuses a span may close with.  ``ok`` is a completed unit or
 #: batch; ``error`` is a unit whose worker reported an exception; ``crash``

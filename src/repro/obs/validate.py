@@ -18,17 +18,23 @@ a *blank* file and a *torn tail* as violations: both are what a crashed or
 still-running producer leaves behind, and silently blessing them would let
 CI validate a trace that never happened.
 
+This module interprets no record: what a span log's or a journal's records
+*mean* — per-kind required fields, open/close and generation structure — is
+decided by the one fold beside each format
+(:func:`repro.obs.report.fold_spans`,
+``repro.experiments.journal.fold_journal``).  A validator hands the fold
+:func:`line_check` of the committed schema and relays what it reports.
+
 CLI (used by CI to hold trace/span/manifest output to the committed
 contract)::
 
     python -m repro.obs.validate --trace out.ndjson \\
         --spans spans.ndjson --manifest out.manifest.json
 
-exits non-zero and prints each violation with its JSON path.  Manifests
+exits non-zero and prints each violation with its JSON path (``--journal``
+reaches ``repro.experiments.journal.validate_journal_file``).  Manifests
 additionally get the :func:`~repro.obs.provenance.manifest_consistent`
-digest self-check; span logs additionally get a referential structure
-check (every close matches an open, every parent exists, exactly one root
-campaign span).
+digest self-check.
 """
 
 from __future__ import annotations
@@ -37,8 +43,9 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
-from .ndjson import NdjsonScan, scan
+from .ndjson import BLANK, LineCheck, NdjsonScan, relay, scan
 from .provenance import manifest_consistent
+from .report import fold_spans
 
 PathLike = Union[str, Path]
 
@@ -101,19 +108,15 @@ def validate(instance: Any, schema: Dict[str, Any], path: str = "$") -> List[str
 Source = Union[PathLike, NdjsonScan]
 
 
-def _records(source: Source, errors: List[str], allow_torn_tail: bool = False):
-    """Yield ``(lineno, record)`` of a file (a path, or the scan of a caller
-    that has read it); what is no record goes to ``errors``: bad lines, a
-    blank file as pseudo-line 0, the torn tail unless allowed."""
-    log = source if isinstance(source, NdjsonScan) else scan(Path(source))
-    if log.blank:
-        errors.append("line 0: empty NDJSON file (no records)")
-        return
-    for lineno, record, error in (log.complete() if allow_torn_tail else log).entries:
-        if error is None:
-            yield lineno, record
-        else:
-            errors.append(f"line {lineno}: {error}")
+def line_check(name: str) -> LineCheck:
+    """``record -> violations`` of the committed ``name`` schema: the layer a
+    validator adds to a fold (``fold_spans``, ``journal.fold_journal``)."""
+    schema = load_schema(name)
+    return lambda record: validate(record, schema)
+
+
+def _scan(source: Source) -> NdjsonScan:
+    return source if isinstance(source, NdjsonScan) else scan(Path(source))
 
 
 def validate_trace_file(source: Source) -> List[str]:
@@ -121,166 +124,35 @@ def validate_trace_file(source: Source) -> List[str]:
 
     A blank file or a torn tail is a violation too.
     """
-    schema = load_schema("trace_record")
-    errors: List[str] = []
-    for lineno, record in _records(source, errors):
+    log, check = _scan(source), line_check("trace_record")
+    errors = [f"line 0: {BLANK}"] if log.blank else []
+    for lineno, record, error in log.entries:
         errors.extend(f"line {lineno}: {err}"
-                      for err in validate(record, schema))
+                      for err in ([error] if error else check(record)))
     return errors
-
-
-#: Per-kind required fields of a span-log record, enforced on top of the
-#: (necessarily permissive) committed schema.
-_SPAN_KIND_REQUIRED = {
-    "span_open": ("id", "span", "parent", "t0"),
-    "span_close": ("id", "t1", "status"),
-    "event": ("name", "t"),
-    "heartbeat": ("t", "worker", "attrs"),
-    "progress": ("t", "done", "total", "failed"),
-}
 
 
 def validate_span_file(source: Source) -> List[str]:
     """Violations in an NDJSON campaign span log.
 
-    Three layers: the NDJSON file contract (not blank, no torn tail),
-    the per-line ``span_record`` schema plus per-kind required
-    fields, and the referential span structure — every ``span_close``
-    names an opened-and-not-yet-closed id, every parent references an
-    opened span, exactly one root ``campaign`` span exists, and every
-    span opened is eventually closed.
+    Everything :func:`repro.obs.report.fold_spans` reports — the NDJSON
+    file contract (not blank, no torn tail), per-kind required fields, the
+    referential span structure — with each record also held to the
+    ``span_record`` schema; on a log clean so far, the two end-of-log
+    totals: exactly one root span, and every span opened was closed.
     """
-    schema = load_schema("span_record")
-    errors: List[str] = []
-    open_spans: Dict[str, str] = {}  # id -> span name, still open
-    seen: Dict[str, str] = {}  # id -> span name, ever opened
-    roots = 0
-    for lineno, record in _records(source, errors):
-        line_errors = validate(record, schema)
-        errors.extend(f"line {lineno}: {err}" for err in line_errors)
-        if line_errors:
-            continue
-        kind = record.get("kind")
-        for name in _SPAN_KIND_REQUIRED.get(kind, ()):
-            if name not in record:
-                errors.append(
-                    f"line {lineno}: {kind} record missing {name!r}"
-                )
-        if kind == "span_open":
-            span_id = record.get("id")
-            if span_id in seen:
-                errors.append(f"line {lineno}: duplicate span id {span_id!r}")
-                continue
-            parent = record.get("parent")
-            if parent is None:
-                if record.get("span") != "campaign":
-                    errors.append(
-                        f"line {lineno}: only campaign spans may be roots, "
-                        f"got {record.get('span')!r}"
-                    )
-                roots += 1
-            elif parent not in seen:
-                errors.append(
-                    f"line {lineno}: parent {parent!r} of span "
-                    f"{span_id!r} was never opened"
-                )
-            seen[span_id] = record.get("span", "?")
-            open_spans[span_id] = seen[span_id]
-        elif kind == "span_close":
-            span_id = record.get("id")
-            if span_id not in open_spans:
-                errors.append(
-                    f"line {lineno}: close of span {span_id!r} which is "
-                    "not open"
-                )
-            else:
-                del open_spans[span_id]
+    fold = fold_spans(_scan(source), line_check("span_record"))
+    errors = relay(fold.problems)
     if not errors:
+        roots = sum(1 for record in fold.opens.values()
+                    if record.get("parent") is None)
         if roots != 1:
             errors.append(f"expected exactly 1 root campaign span, got {roots}")
-        for span_id, name in sorted(open_spans.items()):
-            errors.append(f"span {span_id!r} ({name}) was never closed")
-    return errors
-
-
-#: Per-kind required fields of a journal record, enforced on top of the
-#: (necessarily permissive) committed schema.
-_JOURNAL_KIND_REQUIRED = {
-    "begin": ("t", "schema", "total", "base_seed", "replications",
-              "pool_mode", "plan_digest", "resumed"),
-    "planned": ("index", "scenario", "replication", "seed", "digest"),
-    "done": ("t", "index", "digest", "result_digest", "cached"),
-    "failed": ("t", "index", "digest", "error", "attempts"),
-    "end": ("t", "status", "fingerprint", "executed", "cache_hits",
-            "quarantined", "remaining"),
-}
-
-
-def validate_journal_file(source: Source,
-                          allow_torn_tail: bool = False) -> List[str]:
-    """Violations in a campaign write-ahead journal.
-
-    Three layers: the NDJSON file contract, the per-line
-    ``journal_record`` schema plus per-kind required fields, and the
-    generation structure — the first record is a ``begin``, every
-    ``done``/``failed`` index was ``planned``, every generation's
-    ``plan_digest`` matches the first, and at most the *last* generation
-    is missing its ``end`` record.
-
-    ``allow_torn_tail=True`` downgrades a torn tail from a violation to
-    silence — that is exactly what a coordinator killed mid-write leaves,
-    and :func:`repro.experiments.journal.replay_journal` tolerates it by
-    design (``doctor --repair`` truncates it).
-    """
-    schema = load_schema("journal_record")
-    errors: List[str] = []
-    first_kind: Any = None
-    plan_digest: Any = None
-    planned: set = set()
-    ends_seen = 0
-    begins_seen = 0
-    for lineno, record in _records(source, errors, allow_torn_tail):
-        line_errors = validate(record, schema)
-        errors.extend(f"line {lineno}: {err}" for err in line_errors)
-        if line_errors:
-            continue
-        kind = record.get("kind")
-        if first_kind is None:
-            first_kind = kind
-            if kind != "begin":
-                errors.append(
-                    f"line {lineno}: journal must start with a begin "
-                    f"record, got {kind!r}"
-                )
-        for name in _JOURNAL_KIND_REQUIRED.get(kind, ()):
-            if name not in record:
-                errors.append(
-                    f"line {lineno}: {kind} record missing {name!r}"
-                )
-        if kind == "begin":
-            if begins_seen > ends_seen:
-                errors.append(
-                    f"line {lineno}: begin record before the previous "
-                    "generation ended"
-                )
-            begins_seen += 1
-            if plan_digest is None:
-                plan_digest = record.get("plan_digest")
-            elif record.get("plan_digest") != plan_digest:
-                errors.append(
-                    f"line {lineno}: plan_digest differs from the first "
-                    "generation's (mixed campaigns in one journal)"
-                )
-        elif kind == "planned":
-            planned.add(record.get("index"))
-        elif kind in ("done", "failed"):
-            if planned and record.get("index") not in planned:
-                errors.append(
-                    f"line {lineno}: {kind} record for unplanned unit "
-                    f"index {record.get('index')!r}"
-                )
-        elif kind == "end":
-            ends_seen += 1
+        errors.extend(
+            f"span {span_id!r} ({fold.opens[span_id].get('span', '?')}) was "
+            "never closed"
+            for span_id in sorted(fold.opens.keys() - fold.closes.keys())
+        )
     return errors
 
 
@@ -288,7 +160,7 @@ def validate_manifest_file(path: PathLike) -> List[str]:
     """Schema + digest-consistency violations in a manifest JSON file."""
     try:
         manifest = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not even UTF-8
         return [f"invalid JSON ({exc})"]
     errors = validate(manifest, load_schema("run_manifest"))
     if not errors and not manifest_consistent(manifest):
@@ -323,28 +195,30 @@ def main(argv: Any = None) -> int:
             "nothing to validate: pass --trace, --spans, --manifest "
             "and/or --journal"
         )
+    # ``obs`` imports nothing of ``experiments`` at module level; the journal's
+    # rules live beside its format, and only this entry point reaches them.
+    from ..experiments.journal import validate_journal_file
+
     failures = 0
-
-    def check(path: str, errors: List[str]) -> None:
-        nonlocal failures
-        if errors:
-            failures += 1
-            print(f"FAIL {path}")
-            for err in errors:
-                print(f"  {err}")
-        else:
-            print(f"ok   {path}")
-
-    for trace_path in args.trace:
-        check(trace_path, validate_trace_file(trace_path))
-    for span_path in args.spans:
-        check(span_path, validate_span_file(span_path))
-    for manifest_path in args.manifest:
-        check(manifest_path, validate_manifest_file(manifest_path))
-    for journal_path in args.journal:
-        check(journal_path, validate_journal_file(
-            journal_path, allow_torn_tail=args.allow_torn_tail
-        ))
+    for validator, paths in (
+        (validate_trace_file, args.trace),
+        (validate_span_file, args.spans),
+        (validate_manifest_file, args.manifest),
+        (lambda path: validate_journal_file(path, args.allow_torn_tail),
+         args.journal),
+    ):
+        for path in paths:
+            try:
+                errors = validator(path)
+            except FileNotFoundError:
+                errors = ["not found"]
+            if errors:
+                failures += 1
+                print(f"FAIL {path}")
+                for err in errors:
+                    print(f"  {err}")
+            else:
+                print(f"ok   {path}")
     return 1 if failures else 0
 
 

@@ -29,7 +29,7 @@ import pytest
 
 import repro
 from repro.experiments import BARRIER_ENV, replay_journal
-from repro.obs.validate import validate_journal_file
+from repro.experiments.journal import validate_journal_file
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 

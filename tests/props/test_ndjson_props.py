@@ -5,16 +5,22 @@ nothing a file can contain may raise, and what a killed writer leaves (any
 byte prefix of a valid log) reads as a prefix of what it wrote.
 """
 
+import os
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.experiments import (
+    CampaignCache,
     CampaignJournal,
     JournalError,
     ScenarioConfig,
     chain_grid,
+    diagnose_journal,
     plan_campaign,
     replay_journal,
+    run_campaign,
+    run_doctor,
 )
 from repro.obs import CampaignTelemetry, SpanWriter, aggregate_span_log
 from repro.obs.ndjson import encode_line, scan
@@ -152,6 +158,47 @@ def test_every_crash_point_of_a_journal_replays_or_says_why(tmp_path):
         assert replay.truncated_tail == (not prefix.endswith(b"\n"))
         dones = [r for r in written[:committed] if r["kind"] == "done"]
         assert sorted(replay.completed) == sorted(r["index"] for r in dones)
+
+
+def test_every_crash_point_of_a_journal_resumes_twice_and_stays_healthy(
+        tmp_path, monkeypatch):
+    """Kill the coordinator at any byte, resume, resume again, ask the
+    doctor.  Before ``CampaignJournal(resume=True)`` cut the torn tail, the
+    first resume welded its ``begin`` onto it and the second one (and
+    ``doctor``) died on ``invalid JSON``; a kill between two ``planned``
+    records left a plan no resume completed, so every later ``done`` was
+    for an unplanned unit; and a kill anywhere before ``end`` left the
+    generation ``doctor`` called unended forever."""
+    monkeypatch.setattr(os, "fsync", lambda fd: None)  # ~2500 resumes
+    grid = chain_grid(["newreno"], [2],
+                      config=ScenarioConfig(sim_time=0.5, window=4))
+    cache = CampaignCache(tmp_path / "cache")
+
+    def campaign(path, resume=None):
+        with CampaignJournal(path, resume=resume is not None) as journal:
+            return run_campaign(grid, replications=2, base_seed=7, jobs=1,
+                                cache=cache, pool_mode="inproc",
+                                journal=journal, resume=resume)
+
+    reference = campaign(tmp_path / "whole.journal").fingerprint()
+    blob = (tmp_path / "whole.journal").read_bytes()
+    path = tmp_path / "cut.journal"
+    for cut in range(len(blob) + 1):
+        path.write_bytes(blob[:cut])
+        if blob[:cut].count(b"\n") == 0:
+            continue  # no begin record: "holds no records", asserted above
+        for generations in (2, 3):
+            replay = replay_journal(path)
+            assert replay.violations == []
+            result = campaign(path, resume=replay)
+            assert result.executed == 0  # the cache has it all
+        assert result.fingerprint() == reference
+        final = replay_journal(path)
+        assert (final.generations, final.remaining) == (generations, 0)
+        assert not final.interrupted and not final.truncated_tail
+        assert sorted(final.planned) == [0, 1]
+        assert diagnose_journal(path) == []
+    assert run_doctor(cache=cache.root, journal=path).findings == []
 
 
 def test_every_crash_point_of_a_span_log_aggregates_or_says_why(tmp_path):

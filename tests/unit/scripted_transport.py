@@ -16,7 +16,10 @@ Units (and attempts) the script does not mention succeed.  Fates:
 * ``DIE`` — the link goes EOF while the unit executes (a crashed fork, or
   with ``remote=True`` a dropped connection); units queued behind it in
   the batch never run;
-* ``HANG`` — no reply, ever: only the watchdog gets the worker back.
+* ``HANG`` — no reply, ever: only the watchdog gets the worker back;
+* ``LIE`` — reply ``ok`` under the index of a unit the worker was never
+  sent (a confused or hostile agent);
+* ``TWICE`` — reply ``ok`` for the unit, then once more, unasked.
 
 Links readable-signal through a self-pipe (one byte per buffered reply),
 the same ``fileno()`` contract the loop waits on for pipes and sockets.
@@ -28,7 +31,7 @@ import time
 
 from repro.experiments.transport import Transport, WorkerLink
 
-OK, ERR, DIE, HANG = "ok", "err", "die", "hang"
+OK, ERR, DIE, HANG, LIE, TWICE = "ok", "err", "die", "hang", "lie", "twice"
 
 _EOF = object()
 
@@ -71,8 +74,12 @@ class ScriptedLink(WorkerLink):
         self.spent = self._single_use
         for index, _spec, _digest in units:
             fate = self.transport.next_fate(index)
-            if fate == OK:
-                self._post(("ok", index, {"unit": index}, None))
+            if fate in (OK, TWICE):
+                for _ in range(2 if fate == TWICE else 1):
+                    self._post(("ok", index, {"unit": index}, None))
+            elif fate == LIE:
+                self._post(("ok", index + 1000, {"unit": index + 1000}, None))
+                return
             elif fate == ERR:
                 self._post(("err", index, f"ScriptedError: unit {index}"))
             elif fate == DIE:

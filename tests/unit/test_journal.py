@@ -18,7 +18,11 @@ from repro.experiments import (
     read_journal,
     replay_journal,
 )
-from repro.obs.validate import validate_journal_file
+from repro.experiments.journal import (
+    _JOURNAL_KIND_REQUIRED,
+    validate_journal_file,
+)
+from repro.obs.spans import _SPAN_KIND_REQUIRED
 
 
 def tiny_runs(n_scenarios=2, replications=2, base_seed=7):
@@ -306,6 +310,17 @@ def test_validator_flags_done_for_unplanned_unit(tmp_path):
         journal.write({"kind": "done", "t": 0.0, "index": 999,
                        "digest": "d", "result_digest": "r", "cached": False})
     assert any("unplanned" in err for err in validate_journal_file(path))
+    # ... and replay, the same walk, reports it too and does not count it
+    # (it used to: 5 completions of 4 units, remaining == -1).
+    replay = replay_journal(path)
+    assert [(lineno, fatal) for lineno, _, fatal in replay.violations] == [
+        (7, False)]
+    assert 999 not in replay.completed and replay.remaining == 4
+    from repro.experiments import diagnose_journal
+    finding, interrupted = diagnose_journal(path)
+    assert finding.category == "journal-schema" and "unplanned" in finding.detail
+    assert interrupted.category == "journal-interrupted"
+    assert "4 of 4 units remaining" in interrupted.detail
 
 
 def test_validator_flags_unknown_fields_and_kinds(tmp_path):
@@ -330,3 +345,33 @@ def test_validator_flags_mixed_campaigns(tmp_path):
     assert any("plan_digest" in err for err in validate_journal_file(path))
     with pytest.raises(JournalError, match="mixes campaigns"):
         replay_journal(path)
+
+
+@pytest.mark.parametrize("schema_name, table, optional", [
+    ("journal_record", _JOURNAL_KIND_REQUIRED, {"transport"}),
+    ("span_record", _SPAN_KIND_REQUIRED, set()),
+])
+def test_per_kind_tables_and_committed_schemas_describe_the_same_records(
+        schema_name, table, optional):
+    """The fold's per-kind table says what the (necessarily permissive)
+    schema cannot; they must not drift apart on what they both say."""
+    from repro.obs.validate import load_schema
+
+    schema = load_schema(schema_name)
+    properties = schema["properties"]
+    assert list(table) == properties["kind"]["enum"]
+    json_types = {(int, float): {"number"}, (int,): {"integer"},
+                  (str,): {"string"}, (bool,): {"boolean"},
+                  (str, type(None)): {"string", "null"}}
+    named = set()
+    for kind, fields in table.items():
+        for name in fields:
+            assert name in properties, f"{kind}.{name} is not in the schema"
+            named.add(name)
+            if isinstance(fields, dict):  # the journal's table is typed
+                declared = properties[name]["type"]
+                assert json_types[fields[name]] == (
+                    {declared} if isinstance(declared, str) else set(declared)
+                ), f"{kind}.{name}"
+    # Nothing in the schema is required of no kind, bar the optional ones.
+    assert set(properties) - named == {"kind", *optional}

@@ -103,13 +103,15 @@ MALFORMED = {
     "nul-bytes": b"\x00\x00\x00\n",
     "empty": b"",
     "whitespace-only": b"  \n\n",
+    "missing": None,  # no such file
 }
 
 
 def run_report(path, tmp_path):
     with pytest.raises(SystemExit) as exit_info:
         cli_main(["report", str(path)])
-    assert str(exit_info.value).startswith(f"bad span log {path}: ")
+    assert str(exit_info.value).startswith(
+        (f"bad span log {path}: ", f"span log not found: {path}"))
     return 1
 
 
@@ -132,6 +134,8 @@ TOOLS = {
     "validate-journal": lambda path, _: validate_main(
         ["--journal", str(path)]),
     "validate-trace": lambda path, _: validate_main(["--trace", str(path)]),
+    "validate-manifest": lambda path, _: validate_main(
+        ["--manifest", str(path)]),
 }
 
 
@@ -144,12 +148,19 @@ def test_malformed_content_is_reported_not_raised(tool, name, tmp_path,
     (``AttributeError``), ``report`` on a span record without an id
     (``KeyError``), ``doctor`` / ``--resume`` / ``validate`` on invalid
     UTF-8 (``UnicodeDecodeError``) — and ``doctor --spans`` passed a span
-    record without an id as healthy."""
+    record without an id as healthy.  ``validate`` on a path that does not
+    exist was a ``FileNotFoundError`` traceback, and on a manifest that is
+    not UTF-8 a ``UnicodeDecodeError`` one."""
     path = tmp_path / "log.ndjson"
-    path.write_bytes(MALFORMED[name])
+    if MALFORMED[name] is not None:
+        path.write_bytes(MALFORMED[name])
     status = TOOLS[tool](path, tmp_path)
     out = capsys.readouterr().out
-    if tool == "doctor-spans":
+    if name == "missing":
+        assert status == 1
+        if tool.startswith("validate-"):
+            assert out == f"FAIL {path}\n  not found\n"
+    elif tool == "doctor-spans":
         # An empty span log is no finding (as before); content that is not
         # a record is a spans-corrupt error, and the exit says so.
         corrupt = name not in ("empty", "whitespace-only")

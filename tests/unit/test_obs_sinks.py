@@ -227,6 +227,25 @@ def test_validate_span_file_structure(tmp_path):
     assert any("was never opened" in e for e in errors)
     assert any("not open" in e for e in errors)
     assert any("'nope'" in e for e in errors)
+    # The structure is read by the fold `report` and `doctor` share; the
+    # validator only adds the schema ('nope') and relays, line by line.
+    from repro.obs.ndjson import scan
+    from repro.obs.report import fold_spans
+
+    fold = fold_spans(scan(path))
+    assert [(lineno, fatal) for lineno, _, fatal in fold.problems] == [
+        (1, False), (2, False), (3, False)]
+    assert errors == [
+        f"line {n}: {what}" for n, what, _ in fold.problems
+    ] + ["line 4: $.status: 'nope' is not one of "
+         "['ok', 'error', 'crash', 'timeout', 'aborted', 'interrupted']"]
+    assert list(fold.opens) == ["b1", "u2"] and list(fold.closes) == ["u2"]
+    # A duplicate id and a second close leave the first ones standing.
+    path.write_text(good + good)
+    fold = fold_spans(scan(path))
+    assert [(n, what.split(" span ")[0]) for n, what, _ in fold.problems] == [
+        (5, "duplicate"), (6, "duplicate"), (7, "close of"), (8, "close of")]
+    assert len(fold.records) == 8 and len(fold.opens) == len(fold.closes) == 2
     # A span that never closes is a violation on an otherwise clean log.
     path.write_text(
         '{"kind":"span_open","id":"c1","span":"campaign","parent":null,"t0":1.0}\n'

@@ -28,8 +28,10 @@ from .scripted_transport import (
     DIE,
     ERR,
     HANG,
+    LIE,
     RecordingTelemetry,
     ScriptedTransport,
+    TWICE,
 )
 
 #: Fast enough to keep the file instant, long enough to order events.
@@ -138,6 +140,62 @@ def test_unit_that_keeps_killing_its_connection_is_eventually_charged():
     assert failure.error.startswith(f"connection lost mid-unit {free + 2} times")
     assert outcome.telemetry.unit_attempts() == [(0, 1, "crash"), (0, 2, "crash")]
     assert len(transport.links) == free + 2
+
+
+# -- replies that are not for the head unit -----------------------------------
+
+
+def test_remote_reply_for_another_unit_severs_the_link_and_stores_nothing():
+    """Before the loop looked at a reply's index, unit 1000's "result" was
+    stored (and cached, and journaled) as unit 0's."""
+    transport = ScriptedTransport(
+        script={0: [LIE]}, spawns=False,
+        joiners=[(0, {"remote": True, "host": "nodeb"}),
+                 (0, {"remote": True, "host": "nodec"})],
+    )
+    outcome = run_pool(transport, 2, jobs=2)
+    assert sorted(outcome.stored) == [0, 1]
+    tel = outcome.telemetry
+    # Handled as a disconnect: requeued un-charged, finished elsewhere.
+    assert sorted(tel.unit_attempts()) == [(0, 1, "ok"), (1, 1, "ok")]
+    assert tel.named("retry_scheduled") == []
+    assert sorted(tel.exit_reasons()) == ["disconnect", "stop"]
+    assert sorted(link.fate for link in transport.links) == ["kill", "stop"]
+
+
+def test_agent_that_lies_about_every_unit_cannot_loop_forever():
+    policy = RetryPolicy(max_retries=1, backoff=BACKOFF)
+    lies = policy.max_retries + 1 + 2  # the free disconnects, then 2 charged
+    transport = ScriptedTransport(
+        script={0: [LIE] * lies}, spawns=False,
+        joiners=[(0, {"remote": True, "host": "n"})] * lies,
+    )
+    outcome = run_pool(transport, 1, policy=policy)
+    assert outcome.stored == []
+    failure, = outcome.quarantined
+    assert failure.error.startswith("connection lost mid-unit")
+    assert [link.fate for link in transport.links] == ["kill"] * lies
+
+
+def test_local_reply_for_another_unit_is_a_charged_crash():
+    transport = ScriptedTransport(script={0: [LIE]})
+    outcome = run_pool(transport, 2)
+    assert sorted(outcome.stored) == [0, 1]
+    tel = outcome.telemetry
+    assert (0, 1, "crash") in tel.unit_attempts()
+    assert (0, 2, "ok") in tel.unit_attempts()
+    assert [link.fate for link in transport.links] == ["kill", "stop"]
+
+
+def test_unasked_second_reply_is_not_taken_for_the_next_units_result():
+    """The echo arrives when its link is idle or already on unit 1: either
+    way it answers nothing the link was asked."""
+    transport = ScriptedTransport(script={0: [TWICE]})
+    outcome = run_pool(transport, 3)
+    assert sorted(outcome.stored) == [0, 1, 2]
+    assert outcome.quarantined == []
+    assert transport.links[0].fate == "kill"
+    assert transport.links[0].units[0] == 0
 
 
 def test_batch_mates_behind_a_crash_are_requeued_uncharged():

@@ -210,6 +210,41 @@ def test_handshake_drops_silent_probes(listening_transport):
     assert listening_transport.accept() == []
 
 
+@pytest.mark.parametrize("reply, why", [
+    ({"kind": "ok"}, "'index'"),
+    ({"kind": "ok", "index": "x", "metrics": {}}, "'index'"),
+    ({"kind": "ok", "index": True, "metrics": {}}, "'index'"),
+    ({"kind": "ok", "index": 0, "metrics": [1, 2]}, "'metrics'"),
+    ({"kind": "hit", "index": 0, "metrics": {}, "manifest": "m"}, "'manifest'"),
+    ({"kind": "err", "index": 0}, "'error'"),
+    ({"kind": "err", "index": 0.5, "error": "boom"}, "'index'"),
+    ({"kind": ["ok"], "index": 0, "metrics": {}}, "unexpected frame kind"),
+    ({"kind": "welcome"}, "unexpected frame kind"),
+])
+def test_a_fake_agents_malformed_reply_fails_validation(
+        listening_transport, reply, why):
+    """The module's promise: "a malicious frame can at worst fail
+    validation".  Before ``recv`` checked its fields these were a
+    ``KeyError``/``ValueError`` in the coordinator, or (``metrics`` a list)
+    a result on its way into the cache."""
+    sock = dial(listening_transport)
+    try:
+        send_frame(sock, hello())
+        (link,) = listening_transport.accept()
+        assert recv_frame(sock)["kind"] == "welcome"
+        send_frame(sock, reply)
+        with pytest.raises(TransportError, match=why):
+            link.recv()
+        # What a real agent sends still comes through, field for field.
+        send_frame(sock, {"kind": "ok", "index": 3, "metrics": {"a": 1}})
+        assert link.recv() == ("ok", 3, {"a": 1}, None)
+        send_frame(sock, {"kind": "err", "index": 4, "error": "E: x"})
+        assert link.recv() == ("err", 4, "E: x")
+        link.stop()
+    finally:
+        sock.close()
+
+
 def test_open_is_idempotent_and_reports_ownership():
     transport = TcpTransport(spawn_agents=False)
     try:
