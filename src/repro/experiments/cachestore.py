@@ -14,6 +14,13 @@ behind a small interface:
 * :func:`encode_envelope` / :func:`decode_envelope` — the one place the
   ``{"checksum", "manifest", "result"}`` envelope is built and the one
   place it is validated, whichever store or server moves the bytes;
+* :func:`elide_snapshot` / :func:`share_snapshot` — the pair's one
+  serialised form: a run's metrics snapshot is one object held by both
+  ``result["metrics"]`` and ``manifest["metrics"]``, so it is written once
+  (in the result) and re-attached to the manifest as the same object on
+  the way back in — in envelopes here and in the reply frames of TCP
+  agents (:mod:`~repro.experiments.transport`).  In memory a manifest is
+  always complete;
 * :class:`CampaignCache` — the local directory store, byte-for-byte the
   PR 5 implementation (durable atomic writes, advisory ``flock``,
   checksummed envelopes, lazy eviction of corrupt entries);
@@ -46,6 +53,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
+from ..obs.ndjson import JSON_PARSE_ERRORS
 from ..obs.provenance import canonical_json, stable_digest
 
 try:
@@ -75,9 +83,38 @@ class EnvelopeError(ValueError):
     """Envelope bytes failed validation; ``str(exc)`` is the reason."""
 
 
+def elide_snapshot(result: Any, manifest: Any) -> Any:
+    """``manifest`` as it is serialised beside ``result``: without its
+    ``metrics`` when that is (``is``, else ``==``) ``result["metrics"]``.
+
+    The runner hands one snapshot object to both (``runner._finish``), and
+    it is 45 % of an envelope rendered twice; any other pair — no manifest,
+    no snapshot on either side, two that differ — is returned as it is.
+    :func:`share_snapshot` undoes it.
+    """
+    if (type(manifest) is dict and type(result) is dict
+            and "metrics" in manifest and "metrics" in result):
+        snapshot = result["metrics"]
+        if manifest["metrics"] is snapshot or manifest["metrics"] == snapshot:
+            return {key: value for key, value in manifest.items()
+                    if key != "metrics"}
+    return manifest
+
+
+def share_snapshot(result: Any, manifest: Any) -> Any:
+    """Complete a manifest :func:`elide_snapshot` serialised, in place:
+    ``manifest["metrics"]`` becomes the *same object* as
+    ``result["metrics"]``, the aliasing an executed record has."""
+    if (type(manifest) is dict and type(result) is dict
+            and "metrics" not in manifest and "metrics" in result):
+        manifest["metrics"] = result["metrics"]
+    return manifest
+
+
 def _envelope_checksum(result: Dict[str, Any],
                        manifest: Optional[Dict[str, Any]]) -> str:
-    """The checksum's definition; :func:`_seal` computes it from parts."""
+    """The checksum's definition, over the two parts *as stored*;
+    :func:`_seal` computes it from their encodings."""
     return stable_digest({"manifest": manifest, "result": result})
 
 
@@ -100,13 +137,20 @@ def _seal(manifest_blob: bytes, result_blob: bytes) -> Tuple[str, str]:
 def encode_envelope(result: Dict[str, Any],
                     manifest: Optional[Dict[str, Any]]) -> Tuple[bytes, str]:
     """The envelope's bytes and the result's digest, from one encoding each
-    of ``result`` and ``manifest``.
+    of ``result`` and the manifest as stored.
 
-    The bytes are exactly the canonical JSON of ``{"checksum", "manifest",
-    "result"}`` (what every earlier writer produced), assembled from the
-    part-blobs instead of encoding the 20 KB tree a second time.
+    The bytes are the canonical JSON of ``{"checksum", "manifest",
+    "result"}``, assembled from the part-blobs instead of encoding the tree
+    a second time, where the stored manifest is
+    ``elide_snapshot(result, manifest)`` — the metrics snapshot appears
+    once, in the result — and the checksum covers exactly the two parts
+    stored, so the elision is itself checksummed.  There is one layout and
+    no option; a pair with nothing to elide (no manifest, no ``metrics`` on
+    either side, two snapshots that differ) is byte for byte what every
+    writer before this one produced.
     """
-    manifest_blob = canonical_json(manifest).encode("ascii")
+    manifest_blob = canonical_json(
+        elide_snapshot(result, manifest)).encode("ascii")
     result_blob = canonical_json(result).encode("ascii")
     checksum, result_digest = _seal(manifest_blob, result_blob)
     body = b"".join((
@@ -122,13 +166,22 @@ def decode_envelope(
 ) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]], str]:
     """Validate envelope bytes; return ``(result, manifest, result_digest)``.
 
-    Raises :class:`EnvelopeError` for undecodable bytes, broken JSON, a
-    missing field or a checksum mismatch.  The digest is a by-product of
-    re-deriving the checksum, so readers need not hash the result again.
+    Raises :class:`EnvelopeError` — and nothing else — for undecodable
+    bytes, anything the JSON parser refuses, a missing field or a checksum
+    mismatch.  The checksum is verified over exactly what was stored; only
+    then is the manifest completed (:func:`share_snapshot`), so
+    ``decode_envelope(encode_envelope(r, m)[0])[:2] == (r, m)`` with
+    ``m["metrics"] is r["metrics"]`` where the writer elided it, and an
+    envelope of the earlier layout (snapshot stored twice) verifies and
+    decodes as it always did.  The one pair the law cannot hold for is a
+    manifest *without* ``metrics`` beside a result with it — no valid
+    manifest (``run_manifest.schema.json`` requires the key): decode
+    completes it.  The digest is a by-product of re-deriving the checksum,
+    so readers need not hash the result again.
     """
     try:
         envelope = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError / JSONDecodeError
+    except JSON_PARSE_ERRORS as exc:
         raise EnvelopeError(f"truncated or invalid JSON: {exc}") from None
     if (
         not isinstance(envelope, dict)
@@ -143,7 +196,7 @@ def decode_envelope(
     )
     if envelope["checksum"] != checksum:
         raise EnvelopeError("checksum mismatch (corrupted content)")
-    return result, manifest, result_digest
+    return result, share_snapshot(result, manifest), result_digest
 
 
 def _fsync_dir(path: Path) -> None:
@@ -201,7 +254,8 @@ class CampaignCache(CacheStore):
 
     Layout: ``<root>/<digest[:2]>/<digest>.json`` — one JSON document per
     completed run, a ``{"result", "manifest", "checksum"}`` envelope whose
-    checksum is the content digest of the result+manifest pair.  Writes are
+    checksum is the content digest of the result+manifest pair as stored
+    (:func:`encode_envelope`).  Writes are
     durable and atomic (pid-unique tmp file, fsynced, renamed over the final
     path, directory fsynced) so a campaign killed mid-write — or a power cut
     — never leaves a truncated entry behind; corruption that slips past that
@@ -588,6 +642,8 @@ __all__ = [
     "HttpCacheStore",
     "MAX_ENVELOPE_BYTES",
     "decode_envelope",
+    "elide_snapshot",
     "encode_envelope",
     "make_store",
+    "share_snapshot",
 ]

@@ -61,8 +61,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.ndjson import (
-    BLANK, LineCheck, NdjsonScan, Problem, cut_torn_tail, encode_line,
-    first_fatal, relay, scan,
+    BLANK, BOOL, INT, NUM, OBJ, STR, LineCheck, NdjsonScan, Problem,
+    cut_torn_tail, encode_line, first_fatal, mistyped, relay, scan,
 )
 from ..obs.provenance import stable_digest
 from ..obs.validate import line_check
@@ -72,24 +72,22 @@ PathLike = Union[str, Path]
 #: Bump when the journal line shapes change incompatibly.
 JOURNAL_SCHEMA_VERSION = 1
 
-_NUM, _INT, _STR, _BOOL = (int, float), (int,), (str,), (bool,)
-
 #: What a record of each kind must carry, and as which JSON type(s): the
 #: per-kind contract the committed (necessarily permissive) schema cannot
 #: state, and everything :func:`fold_journal` trusts about a record.
 _JOURNAL_KIND_REQUIRED = {
-    "begin": {"t": _NUM, "schema": _INT, "total": _INT, "base_seed": _INT,
-              "replications": _INT, "pool_mode": _STR, "plan_digest": _STR,
-              "resumed": _BOOL},
-    "planned": {"index": _INT, "scenario": _STR, "replication": _INT,
-                "seed": _INT, "digest": _STR},
-    "done": {"t": _NUM, "index": _INT, "digest": _STR,
-             "result_digest": _STR, "cached": _BOOL},
-    "failed": {"t": _NUM, "index": _INT, "digest": _STR, "error": _STR,
-               "attempts": _INT},
-    "end": {"t": _NUM, "status": _STR, "fingerprint": (str, type(None)),
-            "executed": _INT, "cache_hits": _INT, "quarantined": _INT,
-            "remaining": _INT},
+    "begin": {"t": NUM, "schema": INT, "total": INT, "base_seed": INT,
+              "replications": INT, "pool_mode": STR, "plan_digest": STR,
+              "resumed": BOOL},
+    "planned": {"index": INT, "scenario": STR, "replication": INT,
+                "seed": INT, "digest": STR},
+    "done": {"t": NUM, "index": INT, "digest": STR,
+             "result_digest": STR, "cached": BOOL},
+    "failed": {"t": NUM, "index": INT, "digest": STR, "error": STR,
+               "attempts": INT},
+    "end": {"t": NUM, "status": STR, "fingerprint": (str, type(None)),
+            "executed": INT, "cache_hits": INT, "quarantined": INT,
+            "remaining": INT},
 }
 
 #: Record kinds a journal may contain (``kind`` field of every line).
@@ -387,18 +385,11 @@ def _unreadable(kind: Any, record: Dict[str, Any]) -> Optional[str]:
         names, signatures = _SIGNATURES[kind]
     except (KeyError, TypeError):  # TypeError: a kind that cannot be a key
         return f"unknown record kind {kind!r}"
-    if tuple(map(type, map(record.get, names, _MISSING))) in signatures:
-        if "transport" not in record or type(record["transport"]) is dict:
-            return None
-        bad = ["transport"]  # the one optional field the fold reads
-    else:
-        required = _JOURNAL_KIND_REQUIRED[kind]
-        bad = [name for name in names
-               if type(record.get(name, type)) not in required[name]]
-    return f"{kind} record " + ", ".join(
-        f"field {name!r} is {type(record[name]).__name__}"
-        if name in record else f"missing {name!r}" for name in bad
-    )
+    if tuple(map(type, map(record.get, names, _MISSING))) not in signatures:
+        return mistyped(kind, record, _JOURNAL_KIND_REQUIRED[kind])
+    if "transport" in record:  # the one optional field the fold reads
+        return mistyped(kind, record, {"transport": OBJ})
+    return None
 
 
 def fold_journal(journal: JournalScan,

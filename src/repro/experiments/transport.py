@@ -40,14 +40,25 @@ invisible in the campaign fingerprint.
 Wire format (TCP): every frame is a 4-byte big-endian length followed by
 that many bytes of UTF-8 JSON.  JSON rather than pickle keeps the
 protocol inspectable, language-agnostic and safe to expose on a LAN
-listener — a malicious frame can at worst fail validation.  Specs cross
-the wire via ``RunSpec.to_dict``/``from_dict``.
+listener — a malicious frame can at worst fail validation: bytes the JSON
+parser refuses, for whatever reason (``obs.ndjson.JSON_PARSE_ERRORS``), and
+reply fields of the wrong type are a :class:`TransportError`, which severs
+that link and nothing else.  Specs cross the wire via
+``RunSpec.to_dict``/``from_dict``.
 
 Messages (``kind`` discriminated):
 
 * agent → coordinator: ``hello {host, pid, wire, schema}``; per-unit
   ``ok {index, metrics, manifest}`` / ``hit {…}`` (served from the shared
-  cache store) / ``err {index, error}``;
+  cache store) / ``err {index, error}``.  ``metrics`` is the run's result
+  dict and carries the metrics snapshot under its own ``metrics`` key; the
+  ``manifest`` of an ``ok``/``hit`` is sent *without* its ``metrics`` when
+  that is the same snapshot (``cachestore.elide_snapshot`` — 45 % of the
+  frame otherwise) and :meth:`SocketLink.recv` puts it back as the same
+  object (``share_snapshot``), so the coordinator holds what a pipe would
+  have delivered.  A manifest that arrives with its own ``metrics`` (an
+  agent of an earlier build) is left as sent; the frame shapes and
+  :data:`WIRE_VERSION` are unchanged;
 * coordinator → agent: ``welcome {cache}`` or ``reject {reason}``;
   ``batch {units: [{index, spec, digest}]}``; ``stop {}``.
 
@@ -73,7 +84,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .cachestore import CLUSTER_REGISTRY_DIRNAME, make_store
+from ..obs.ndjson import JSON_PARSE_ERRORS
+from .cachestore import (
+    CLUSTER_REGISTRY_DIRNAME, elide_snapshot, make_store, share_snapshot,
+)
 from .config import CACHE_SCHEMA_VERSION
 from .runner import RunSpec
 
@@ -141,8 +155,8 @@ def recv_frame(sock: socket.socket) -> Dict[str, Any]:
         )
     try:
         message = json.loads(_recv_exact(sock, length).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise TransportError(f"undecodable frame: {exc}")
+    except JSON_PARSE_ERRORS as exc:
+        raise TransportError(f"undecodable frame: {exc}") from None
     if not isinstance(message, dict) or "kind" not in message:
         raise TransportError("frame is not a kind-discriminated object")
     return message
@@ -458,6 +472,8 @@ class SocketLink(WorkerLink):
                     f"{kind} frame from agent {self.host}:{self.pid} has a "
                     f"missing or mistyped {name!r}"
                 )
+        if kind != "err":  # the agent sent the snapshot once, in the result
+            share_snapshot(message["metrics"], message.get("manifest"))
         return (kind, *(message.get(name) for name, _ in fields))
 
     def reap(self) -> None:
@@ -903,13 +919,15 @@ def run_worker_agent(
                 if payload is not None:
                     reply = {"kind": "hit", "index": index,
                              "metrics": payload["result"],
-                             "manifest": payload.get("manifest")}
+                             "manifest": elide_snapshot(
+                                 payload["result"], payload.get("manifest"))}
                 else:
                     try:
                         spec = RunSpec.from_dict(unit["spec"])
                         _, metrics, manifest = execute((index, spec))
                         reply = {"kind": "ok", "index": index,
-                                 "metrics": metrics, "manifest": manifest}
+                                 "metrics": metrics,
+                                 "manifest": elide_snapshot(metrics, manifest)}
                     except BaseException as exc:
                         reply = {"kind": "err", "index": index,
                                  "error": _error_text(exc)}

@@ -49,6 +49,18 @@ Problem = Tuple[int, str, bool]
 #: validator hands to a fold (``validate.line_check``).
 LineCheck = Callable[[Dict[str, Any]], List[str]]
 
+#: What ``json.loads`` raises on text or bytes a disk or a peer handed over —
+#: more than ``JSONDecodeError``: ``UnicodeDecodeError`` and the bare
+#: ``ValueError`` of an integer beyond the interpreter's digit limit are
+#: ``ValueError``s, the ``RecursionError`` of a few thousand nested brackets
+#: is not.  Every reader of untrusted JSON (:func:`scan`, cache envelopes,
+#: wire frames) catches exactly this around its parse and says so in its own
+#: terms.
+JSON_PARSE_ERRORS = (ValueError, RecursionError)
+
+#: The JSON types a fold's per-kind table may require of a field.
+NUM, INT, STR, BOOL, OBJ = (int, float), (int,), (str,), (bool,), (dict,)
+
 
 def encode_line(record: Dict[str, Any]) -> str:
     """One record as the line a writer hands to a single ``write``."""
@@ -106,7 +118,7 @@ def scan(source: Union[Path, str, bytes]) -> NdjsonScan:
             record = json.loads(line)
         except UnicodeEncodeError:
             error = "invalid UTF-8"
-        except (ValueError, RecursionError) as exc:
+        except JSON_PARSE_ERRORS as exc:
             error = f"invalid JSON ({exc})"
         else:
             if not isinstance(record, dict):
@@ -126,6 +138,21 @@ def relay(problems: Iterable[Problem]) -> List[str]:
 def first_fatal(problems: Iterable[Problem]) -> Optional[str]:
     """The first fatal problem, relayed; None when the state is usable."""
     return next(iter(relay(p for p in problems if p[2])), None)
+
+
+def mistyped(kind: str, record: Dict[str, Any],
+             fields: Dict[str, Tuple[type, ...]]) -> Optional[str]:
+    """Why ``record`` does not carry ``fields`` (name -> the exact JSON types
+    it may hold), or None when it does: what makes a record of a known
+    ``kind`` unreadable to a fold."""
+    bad = [name for name, types in fields.items()
+           if type(record.get(name, type)) not in types]  # no value is `type`
+    if not bad:
+        return None
+    return f"{kind} record " + ", ".join(
+        f"field {name!r} is {type(record[name]).__name__}"
+        if name in record else f"missing {name!r}" for name in bad
+    )
 
 
 def cut_torn_tail(path: Union[Path, str]) -> None:
@@ -149,6 +176,7 @@ def cut_torn_tail(path: Union[Path, str]) -> None:
         os.truncate(path, keep)
 
 
-__all__ = ["BLANK", "Entry", "LineCheck", "NdjsonScan", "Problem", "TORN_TAIL",
-           "cut_torn_tail", "encode", "encode_line", "first_fatal", "relay",
-           "scan"]
+__all__ = ["BLANK", "BOOL", "Entry", "INT", "JSON_PARSE_ERRORS", "LineCheck",
+           "NUM", "NdjsonScan", "OBJ", "Problem", "STR", "TORN_TAIL",
+           "cut_torn_tail", "encode", "encode_line", "first_fatal", "mistyped",
+           "relay", "scan"]

@@ -24,7 +24,9 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Union
 
 from pathlib import Path
 
-from .ndjson import BLANK, LineCheck, NdjsonScan, Problem, first_fatal, scan
+from .ndjson import (
+    BLANK, OBJ, LineCheck, NdjsonScan, Problem, first_fatal, mistyped, scan,
+)
 from .spans import SPAN_BATCH, SPAN_CAMPAIGN, SPAN_UNIT, _SPAN_KIND_REQUIRED
 
 PathLike = Union[str, Path]
@@ -95,13 +97,15 @@ class SpanFold(NamedTuple):
 def fold_spans(log: NdjsonScan, check: Optional[LineCheck] = None) -> SpanFold:
     """The one walk over a span log's open/close structure; never raises.
 
-    A line that is no record and a span record without an id are *fatal*
-    problems (``report`` refuses the log, ``doctor`` calls it corrupt).
-    What a log of a killed campaign never has is only reported, and the
-    record left out of ``opens``/``closes``: a duplicate span id, a close
-    of a span that is not open; a missing per-kind field, an unopened
-    parent and a root that is no campaign span are reported, the span kept.
-    ``check`` is the validator's layer: what else is wrong with a record.
+    A line that is no record and a record the fold cannot read — a field
+    its kind requires (:data:`_SPAN_KIND_REQUIRED`) missing or of the wrong
+    JSON type, ``attrs`` not an object — are *fatal* problems (``report``
+    refuses the log, ``doctor`` calls it corrupt) and the record is left
+    out of ``opens``/``closes``.  What a log of a killed campaign never has
+    is only reported: a duplicate span id and a close of a span that is not
+    open leave the first ones standing; an unopened parent and a root that
+    is no campaign span are reported, the span kept.  ``check`` is the
+    validator's layer: what else is wrong with a record.
     """
     fold = SpanFold([], {}, {}, [])
     report = fold.problems.append
@@ -115,16 +119,17 @@ def fold_spans(log: NdjsonScan, check: Optional[LineCheck] = None) -> SpanFold:
             report((lineno, error, False))
         fold.records.append(record)
         kind = record.get("kind")
-        if not isinstance(kind, str):  # not even a possible table key
+        required = (_SPAN_KIND_REQUIRED.get(kind)
+                    if isinstance(kind, str) else None)
+        if required is None:  # no kind the fold reads; the schema says so
             continue
-        span_id = record.get("id")
-        if kind in ("span_open", "span_close") and not isinstance(span_id, str):
-            report((lineno, f"{kind} record without a span id: {record}",
-                    True))
+        if "attrs" in record:
+            required = {**required, "attrs": OBJ}
+        error = mistyped(kind, record, required)
+        if error is not None:
+            report((lineno, error, True))
             continue
-        for name in _SPAN_KIND_REQUIRED.get(kind, ()):
-            if name not in record:
-                report((lineno, f"{kind} record missing {name!r}", False))
+        span_id = record.get("id")  # a str on the two kinds that use it
         if kind == "span_open":
             if span_id in fold.opens:
                 report((lineno, f"duplicate span id {span_id!r}", False))
@@ -134,7 +139,7 @@ def fold_spans(log: NdjsonScan, check: Optional[LineCheck] = None) -> SpanFold:
                 if record.get("span") != SPAN_CAMPAIGN:
                     report((lineno, "only campaign spans may be roots, "
                                     f"got {record.get('span')!r}", False))
-            elif not isinstance(parent, str) or parent not in fold.opens:
+            elif parent not in fold.opens:
                 report((lineno, f"parent {parent!r} of span {span_id!r} "
                                 "was never opened", False))
             fold.opens[span_id] = record

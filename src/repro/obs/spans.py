@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, IO, List, Optional, Union
 
-from .ndjson import NdjsonScan, encode_line, scan
+from .ndjson import INT, NUM, OBJ, STR, NdjsonScan, encode_line, scan
 
 #: Span names used by the campaign engine, outermost first.
 SPAN_CAMPAIGN = "campaign"
@@ -49,14 +49,17 @@ SPAN_UNIT = "unit-attempt"
 
 SPAN_NAMES = (SPAN_CAMPAIGN, SPAN_BATCH, SPAN_UNIT)
 
-#: What a record of each kind must carry: the per-kind contract the
-#: committed (necessarily permissive) schema cannot state.
+#: What a record of each kind must carry, and as which JSON type(s): the
+#: per-kind contract the committed (necessarily permissive) schema cannot
+#: state, and what ``fold_spans`` and the report trust about a record
+#: (``attrs``, optional on every kind but ``heartbeat``, is an object).
 _SPAN_KIND_REQUIRED = {
-    "span_open": ("id", "span", "parent", "t0"),
-    "span_close": ("id", "t1", "status"),
-    "event": ("name", "t"),
-    "heartbeat": ("t", "worker", "attrs"),
-    "progress": ("t", "done", "total", "failed"),
+    "span_open": {"id": STR, "span": STR, "parent": (str, type(None)),
+                  "t0": NUM},
+    "span_close": {"id": STR, "t1": NUM, "status": STR},
+    "event": {"name": STR, "t": NUM},
+    "heartbeat": {"t": NUM, "worker": STR, "attrs": OBJ},
+    "progress": {"t": NUM, "done": INT, "total": INT, "failed": INT},
 }
 
 #: Record kinds a span log may contain (``kind`` field of every line).

@@ -95,3 +95,44 @@ def test_warm_pool_manifests_replay_via_verify_manifest(inproc_clean):
         assert r.manifest["result_digest"] == (
             inproc_digests[(r.run.scenario, r.run.replication)]
         )
+
+
+@pytest.mark.parametrize("pool_mode", ["inproc", "warm", "cluster"])
+def test_a_cached_record_is_the_executed_record(tmp_path, pool_mode):
+    """Whichever transport carried the result — the runner's own object,
+    a pickle over a pipe, JSON over TCP — the cache holds the metrics
+    snapshot once, and a record resolved from it has the content *and*
+    the aliasing of the record the execution produced."""
+    import json
+
+    from repro.experiments import CampaignCache, replay_manifest
+    from repro.obs import manifest_consistent
+    from repro.obs.validate import validate_manifest_file
+
+    cache = CampaignCache(tmp_path / "cache")
+    config = ScenarioConfig(sim_time=0.5, window=4)
+    grid = chain_grid(["muzha", "newreno"], [2, 3], config=config)
+    jobs = 1 if pool_mode == "inproc" else 2
+    executed = run_campaign(grid, jobs=jobs, pool_mode=pool_mode, cache=cache)
+    cached = run_campaign(grid, jobs=jobs, pool_mode=pool_mode, cache=cache)
+    assert (executed.executed, executed.cache_hits) == (4, 0)
+    assert (cached.executed, cached.cache_hits) == (0, 4)
+    assert cache.evictions == 0
+    for ran, hit in zip(executed.records, cached.records):
+        assert hit.metrics == ran.metrics
+        assert hit.manifest == ran.manifest
+        assert hit.manifest["metrics"] is hit.metrics["metrics"]
+        assert ran.manifest["metrics"] is ran.metrics["metrics"]
+    assert cached.fingerprint() == executed.fingerprint()
+    entries = list(cache._entries())
+    assert len(entries) == 4
+    for entry in entries:
+        assert entry.read_bytes().count(b'"counters":') == 1
+
+    manifest = cached.records[0].manifest
+    assert manifest_consistent(manifest)
+    assert replay_manifest(manifest).result_digest() \
+        == manifest["result_digest"]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert validate_manifest_file(path) == []

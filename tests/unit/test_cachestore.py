@@ -10,10 +10,12 @@ envelope encoding every store shares (PR 14): its bytes on disk are pinned,
 and entries written before it are still hits.
 """
 
+import copy
 import hashlib
 import json
 import shutil
 import socket
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,6 +53,11 @@ PARENT_ENTRY = next((Path(__file__).parents[1] / "data").glob(
     "parent_envelope_*.json"))
 
 
+#: Brackets nested deeper than the JSON parser recurses.
+DEEP_ENVELOPE = (b'{"checksum":"x","result":'
+                 + b"[" * 100000 + b"]" * 100000 + b"}")
+
+
 # ---------------------------------------------------------------------------
 # the envelope encoding
 
@@ -74,11 +81,23 @@ def test_an_entry_written_before_the_composed_encoding_is_a_hit(tmp_path):
     grid = chain_grid(["newreno"], [2],
                       config=ScenarioConfig(sim_time=0.5, window=4))
     result = run_campaign(grid, jobs=1, cache=cache)
-    assert (result.executed, result.cache_hits) == (0, 1)
-    # ... and re-encoding what it holds reproduces the old file exactly.
+    assert (result.executed, result.cache_hits, cache.evictions) == (0, 1, 0)
+    # ... it decodes to what it always did (its own copy of the snapshot),
+    # and re-encoding that stores the snapshot once: a smaller body whose
+    # decode is the same payload again, now sharing the one object.
     (record,) = result.records
-    assert encode_envelope(record.metrics, record.manifest)[0] \
-        == PARENT_ENTRY.read_bytes()
+    old = PARENT_ENTRY.read_bytes()
+    stored = json.loads(old)
+    assert (record.metrics, record.manifest) == (stored["result"],
+                                                 stored["manifest"])
+    assert record.manifest["metrics"] is not record.metrics["metrics"]
+    body, result_digest = encode_envelope(record.metrics, record.manifest)
+    assert len(body) < 0.6 * len(old)
+    assert old.count(b'"counters":') == 2 and body.count(b'"counters":') == 1
+    result, manifest, digest_again = decode_envelope(body)
+    assert (result, manifest) == (record.metrics, record.manifest)
+    assert manifest["metrics"] is result["metrics"]
+    assert result_digest == digest_again == decode_envelope(old)[2]
 
 
 @pytest.mark.parametrize("raw, reason", [
@@ -89,10 +108,92 @@ def test_an_entry_written_before_the_composed_encoding_is_a_hit(tmp_path):
     (b'{"checksum":"x"}', "malformed envelope"),
     (b'{"result":{}}', "malformed envelope"),
     (b'{"checksum":"x","result":{}}', "checksum mismatch"),
+    # 200 KB, far under MAX_ENVELOPE_BYTES: the parser's RecursionError
+    pytest.param(DEEP_ENVELOPE, "invalid JSON", id="deep-nesting"),
+    pytest.param(b'{"checksum":"x","result":' + b"9" * 5000 + b"}",
+                 "invalid JSON" if hasattr(sys, "get_int_max_str_digits")
+                 else "checksum mismatch", id="5000-digit-int"),
 ])
 def test_decode_envelope_names_what_is_wrong(raw, reason):
     with pytest.raises(EnvelopeError, match=reason):
         decode_envelope(raw)
+
+
+def test_a_deeply_nested_entry_is_evicted_not_raised(tmp_path):
+    cache = CampaignCache(tmp_path / "cache")
+    cache._path(DIGEST).parent.mkdir(parents=True)
+    cache._path(DIGEST).write_bytes(DEEP_ENVELOPE)
+    with pytest.warns(CacheCorruptionWarning, match="invalid JSON"):
+        assert cache.load(DIGEST) is None
+    assert cache.evictions == 1 and not cache._path(DIGEST).exists()
+
+
+def test_doctor_reports_a_deeply_nested_entry(tmp_path):
+    from repro.experiments.doctor import diagnose_cache
+
+    cache = CampaignCache(tmp_path / "cache")
+    cache.put(OTHER, PAYLOAD)
+    cache._path(DIGEST).parent.mkdir(parents=True)
+    cache._path(DIGEST).write_bytes(DEEP_ENVELOPE)
+    (finding,) = diagnose_cache(cache.root)
+    assert finding.category == "corrupt-envelope"
+    assert "invalid JSON" in finding.detail
+
+
+# ---------------------------------------------------------------------------
+# one metrics snapshot per envelope
+
+SNAPSHOT = {"counters": {"mac.tx": 7}, "gauges": {"ifq.high_water": 3}}
+
+
+def snapshot_pair(manifest_metrics):
+    result = {"flows": [], "metrics": SNAPSHOT}
+    manifest = {"seed": 1, "metrics": manifest_metrics, "wall_time_s": 0.25}
+    return result, manifest
+
+
+def test_a_shared_snapshot_is_stored_once_and_decoded_as_one_object():
+    result, manifest = snapshot_pair(SNAPSHOT)  # the runner's `is`
+    body, result_digest = encode_envelope(result, manifest)
+    assert body.count(b'"counters":') == 1
+    assert "metrics" in manifest  # the caller's manifest is not touched
+    stored = json.loads(body)
+    assert "metrics" not in stored["manifest"]
+    # The checksum covers what was stored, so the elision is checksummed.
+    assert stored["checksum"] == stable_digest(
+        {"manifest": stored["manifest"], "result": stored["result"]})
+    decoded_result, decoded_manifest, digest = decode_envelope(body)
+    assert (decoded_result, decoded_manifest) == (result, manifest)
+    assert decoded_manifest["metrics"] is decoded_result["metrics"]
+    assert digest == result_digest == stable_digest(result)
+
+
+def test_an_equal_snapshot_that_lost_identity_is_stored_once_too():
+    # What a PUT body of the earlier layout, or a `hit` an agent serves
+    # from such an entry, holds: equal snapshots, two objects.
+    result, manifest = snapshot_pair(copy.deepcopy(SNAPSHOT))
+    assert manifest["metrics"] is not result["metrics"]
+    assert encode_envelope(result, manifest) \
+        == encode_envelope(*snapshot_pair(SNAPSHOT))
+    assert decode_envelope(encode_envelope(result, manifest)[0])[:2] \
+        == (result, manifest)
+
+
+def test_an_unequal_snapshot_is_stored_verbatim():
+    result, manifest = snapshot_pair({"counters": {"mac.tx": 8}})
+    body = encode_envelope(result, manifest)[0]
+    assert body.count(b'"counters":') == 2
+    assert json.loads(body)["manifest"] == manifest
+    decoded_result, decoded_manifest, _ = decode_envelope(body)
+    assert (decoded_result, decoded_manifest) == (result, manifest)
+
+
+def test_decode_completes_a_manifest_stored_without_its_snapshot():
+    # Indistinguishable from an elided one, and no valid manifest anyway.
+    result, manifest = snapshot_pair(SNAPSHOT)
+    del manifest["metrics"]
+    decoded = decode_envelope(encode_envelope(result, manifest)[0])[1]
+    assert decoded == {**manifest, "metrics": SNAPSHOT}
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +324,30 @@ def test_server_refuses_bad_content_lengths_before_reading(served, headers,
     # the handler thread survived: a well-formed PUT still lands
     assert raw_put(server, f"Content-Length: {len(body)}\r\n", body) == 200
     assert remote.get(DIGEST) == PAYLOAD
+
+
+def test_server_answers_400_to_a_deeply_nested_body(served):
+    server, remote = served
+    good = encode_envelope(PAYLOAD["result"], PAYLOAD["manifest"])[0]
+    assert raw_put(server, f"Content-Length: {len(DEEP_ENVELOPE)}\r\n",
+                   DEEP_ENVELOPE) == 400
+    assert remote.get(DIGEST) is None and len(server.cache) == 0
+    # the handler thread answered instead of dying: the next PUT lands
+    assert raw_put(server, f"Content-Length: {len(good)}\r\n", good) == 200
+
+
+def test_server_stores_a_body_of_the_earlier_layout_with_one_snapshot(served):
+    server, remote = served
+    result, manifest = snapshot_pair(SNAPSHOT)
+    old = json.dumps(
+        {"result": result, "manifest": manifest,
+         "checksum": stable_digest({"manifest": manifest, "result": result})},
+        sort_keys=True, separators=(",", ":")).encode()
+    assert old.count(b'"counters":') == 2
+    assert raw_put(server, f"Content-Length: {len(old)}\r\n", old) == 200
+    assert server.cache._path(DIGEST).read_bytes() \
+        == encode_envelope(result, manifest)[0]
+    assert remote.get(DIGEST) == {"result": result, "manifest": manifest}
 
 
 def test_network_failures_degrade_to_misses(tmp_path):

@@ -169,6 +169,19 @@ def test_unclosed_spans_are_flagged_as_a_killed_campaign(tmp_path):
     assert run_doctor(spans=spans).healthy  # warning, not error
 
 
+def test_a_span_with_a_non_numeric_time_is_corrupt(tmp_path, capsys):
+    spans = tmp_path / "spans.ndjson"
+    spans.write_text(
+        '{"kind":"span_open","id":"c1","span":"campaign","parent":null,"t0":"soon"}\n'
+        '{"kind":"span_close","id":"c1","t1":2.0,"status":"ok"}\n'
+    )
+    (finding,) = diagnose_spans(spans)
+    assert (finding.severity, finding.category) == ("error", "spans-corrupt")
+    assert finding.detail == "line 1: span_open record field 't0' is str"
+    assert cli_main(["doctor", "--spans", str(spans)]) == 1
+    assert "field 't0' is str" in capsys.readouterr().out
+
+
 def test_torn_span_tail_is_repairable(tmp_path):
     spans = tmp_path / "spans.ndjson"
     spans.write_text(

@@ -362,16 +362,15 @@ def test_per_kind_tables_and_committed_schemas_describe_the_same_records(
     assert list(table) == properties["kind"]["enum"]
     json_types = {(int, float): {"number"}, (int,): {"integer"},
                   (str,): {"string"}, (bool,): {"boolean"},
-                  (str, type(None)): {"string", "null"}}
+                  (dict,): {"object"}, (str, type(None)): {"string", "null"}}
     named = set()
     for kind, fields in table.items():
-        for name in fields:
+        for name, types in fields.items():
             assert name in properties, f"{kind}.{name} is not in the schema"
             named.add(name)
-            if isinstance(fields, dict):  # the journal's table is typed
-                declared = properties[name]["type"]
-                assert json_types[fields[name]] == (
-                    {declared} if isinstance(declared, str) else set(declared)
-                ), f"{kind}.{name}"
+            declared = properties[name]["type"]
+            assert json_types[types] == (
+                {declared} if isinstance(declared, str) else set(declared)
+            ), f"{kind}.{name}"
     # Nothing in the schema is required of no kind, bar the optional ones.
     assert set(properties) - named == {"kind", *optional}

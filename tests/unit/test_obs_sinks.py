@@ -246,6 +246,33 @@ def test_validate_span_file_structure(tmp_path):
     assert [(n, what.split(" span ")[0]) for n, what, _ in fold.problems] == [
         (5, "duplicate"), (6, "duplicate"), (7, "close of"), (8, "close of")]
     assert len(fold.records) == 8 and len(fold.opens) == len(fold.closes) == 2
+    # A record the fold cannot read — a required field missing or of the
+    # wrong JSON type, `attrs` not an object — is fatal and leaves the
+    # structure untouched: `report` subtracted "soon" from a float.
+    opened, closed = good.splitlines(keepends=True)[::3]
+    for bad, what in [
+        (opened.replace('"t0":1.0', '"t0":"soon"'),
+         "line 1: span_open record field 't0' is str"),
+        (opened.replace(',"t0":1.0', ""),
+         "line 1: span_open record missing 't0'"),
+        (opened.replace('"id":"c1"', '"id":7'),
+         "line 1: span_open record field 'id' is int"),
+        (opened.replace('"t0":1.0', '"t0":true,"attrs":[1]'),
+         "line 1: span_open record field 't0' is bool, "
+         "field 'attrs' is list"),
+        (opened + closed.replace('"t1":2.0', '"t1":null'),
+         "line 2: span_close record field 't1' is NoneType"),
+        (opened + '{"kind":"progress","t":1,"done":"3","total":4}\n',
+         "line 2: progress record field 'done' is str, missing 'failed'"),
+        (opened + '{"kind":"heartbeat","t":1.0,"worker":"w0","attrs":0}\n',
+         "line 2: heartbeat record field 'attrs' is int"),
+    ]:
+        path.write_text(bad)
+        fold = fold_spans(scan(path))
+        lineno = int(what.split(":")[0][len("line "):])
+        assert (lineno, what.split(": ", 1)[1], True) in fold.problems
+        assert what in validate_span_file(path)
+        assert len(fold.opens) == lineno - 1 and not fold.closes
     # A span that never closes is a violation on an otherwise clean log.
     path.write_text(
         '{"kind":"span_open","id":"c1","span":"campaign","parent":null,"t0":1.0}\n'

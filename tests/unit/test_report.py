@@ -180,6 +180,32 @@ def test_gracefully_interrupted_campaign_renders_resume_hint(tmp_path):
     assert "PARTIAL" not in text
 
 
+@pytest.mark.parametrize("line, finding", [
+    ('{"kind":"span_open","id":"c1","span":"campaign","parent":null,'
+     '"t0":"soon"}', "line 1: span_open record field 't0' is str"),
+    ('{"kind":"span_open","id":"c1","span":"campaign","parent":null}',
+     "line 1: span_open record missing 't0'"),
+    ('{"kind":"span_open","id":"c1","span":"campaign","parent":null,'
+     '"t0":1.0,"attrs":[1]}', "line 1: span_open record field 'attrs' is list"),
+], ids=["t0-str", "t0-missing", "attrs-list"])
+def test_a_span_of_the_wrong_shape_is_a_finding_not_a_traceback(
+        tmp_path, line, finding):
+    """Each was a ``TypeError``/``AttributeError`` out of the arithmetic."""
+    from repro.cli import main as cli_main
+
+    path = tmp_path / "spans.ndjson"
+    path.write_text(
+        line + "\n"
+        '{"kind":"span_open","id":"u2","span":"unit-attempt","parent":"c1",'
+        '"t0":1.0}\n'
+        '{"kind":"span_close","id":"u2","t1":2.0,"status":"ok"}\n'
+        '{"kind":"span_close","id":"c1","t1":2.0,"status":"ok"}\n')
+    with pytest.raises(SpanLogError, match=finding):
+        aggregate_span_log(path)
+    with pytest.raises(SystemExit, match="bad span log .*" + finding):
+        cli_main(["report", str(path)])
+
+
 def test_aggregate_rejects_log_without_campaign(tmp_path):
     path = tmp_path / "no-campaign.ndjson"
     with SpanWriter(path) as writer:

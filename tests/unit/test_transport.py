@@ -14,10 +14,14 @@ import multiprocessing.connection
 import os
 import socket
 import struct
+import sys
+import threading
 
 import pytest
 
+from repro.experiments import CampaignCache, RunSpec, ScenarioConfig
 from repro.experiments.config import CACHE_SCHEMA_VERSION
+from repro.obs.provenance import stable_digest
 from repro.experiments.transport import (
     MAX_FRAME_BYTES,
     WIRE_VERSION,
@@ -28,6 +32,7 @@ from repro.experiments.transport import (
     _connect_with_retry,
     parse_endpoint,
     recv_frame,
+    run_worker_agent,
     send_frame,
 )
 
@@ -94,15 +99,34 @@ def test_oversized_length_prefix_is_rejected_before_allocation():
         b.close()
 
 
+def send_raw(sock, body):
+    """One frame of bytes ``send_frame`` would never produce."""
+    sock.sendall(struct.pack(">I", len(body)) + body)
+
+
+#: Two frames the stdlib parser refuses with something other than a
+#: ``JSONDecodeError``: a ``RecursionError``, and (where the interpreter
+#: limits int <-> str conversion) a plain ``ValueError``.
+DEEP_FRAME = b'{"kind":"ok","index":0,"metrics":' + b"[" * 50000 + \
+    b"]" * 50000 + b"}"
+DIGITS_FRAME = b'{"kind":"ok","index":' + b"7" * 5000 + b',"metrics":{}}'
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter parses integers of any length")
+
+
 @pytest.mark.parametrize("body", [
     b"\xff\xfe not json at all",     # undecodable bytes
     b'"just a string"',              # JSON, but not an object
     b'{"no": "kind field"}',         # object without the discriminator
+    pytest.param(DEEP_FRAME, id="deep-nesting"),
+    pytest.param(DIGITS_FRAME, id="5000-digit-index",
+                 marks=needs_digit_limit),
 ])
 def test_garbage_frames_raise_transport_error(body):
     a, b = socket_pair()
     try:
-        a.sendall(struct.pack(">I", len(body)) + body)
+        send_raw(a, body)
         with pytest.raises(TransportError):
             recv_frame(b)
     finally:
@@ -220,19 +244,27 @@ def test_handshake_drops_silent_probes(listening_transport):
     ({"kind": "err", "index": 0.5, "error": "boom"}, "'index'"),
     ({"kind": ["ok"], "index": 0, "metrics": {}}, "unexpected frame kind"),
     ({"kind": "welcome"}, "unexpected frame kind"),
+    pytest.param(DEEP_FRAME, "undecodable frame", id="deep-nesting"),
+    pytest.param(DIGITS_FRAME, "undecodable frame", id="5000-digit-index",
+                 marks=needs_digit_limit),
 ])
 def test_a_fake_agents_malformed_reply_fails_validation(
         listening_transport, reply, why):
     """The module's promise: "a malicious frame can at worst fail
     validation".  Before ``recv`` checked its fields these were a
     ``KeyError``/``ValueError`` in the coordinator, or (``metrics`` a list)
-    a result on its way into the cache."""
+    a result on its way into the cache; the two raw frames were a
+    ``RecursionError``/``ValueError`` out of ``recv_frame`` that no
+    ``except`` of the pool loop names, ending the campaign."""
     sock = dial(listening_transport)
     try:
         send_frame(sock, hello())
         (link,) = listening_transport.accept()
         assert recv_frame(sock)["kind"] == "welcome"
-        send_frame(sock, reply)
+        if isinstance(reply, bytes):
+            send_raw(sock, reply)
+        else:
+            send_frame(sock, reply)
         with pytest.raises(TransportError, match=why):
             link.recv()
         # What a real agent sends still comes through, field for field.
@@ -243,6 +275,79 @@ def test_a_fake_agents_malformed_reply_fails_validation(
         link.stop()
     finally:
         sock.close()
+
+
+SNAPSHOT = {"counters": {"mac.tx": 7}, "gauges": {}}
+
+
+def test_recv_completes_a_manifest_sent_without_its_snapshot(
+        listening_transport):
+    sock = dial(listening_transport)
+    try:
+        send_frame(sock, hello())
+        (link,) = listening_transport.accept()
+        send_frame(sock, {"kind": "ok", "index": 0,
+                          "metrics": {"flows": [], "metrics": SNAPSHOT},
+                          "manifest": {"seed": 1}})
+        _, _, metrics, manifest = link.recv()
+        assert manifest == {"seed": 1, "metrics": SNAPSHOT}
+        assert manifest["metrics"] is metrics["metrics"]
+        # An agent of an earlier build sends the snapshot twice: untouched.
+        full = {"seed": 1, "metrics": {"counters": {}}}
+        send_frame(sock, {"kind": "hit", "index": 1,
+                          "metrics": {"flows": [], "metrics": SNAPSHOT},
+                          "manifest": full})
+        assert link.recv()[3] == full
+        link.stop()
+    finally:
+        sock.close()
+
+
+def test_an_agents_reply_frames_carry_the_snapshot_once(tmp_path):
+    """``ok`` from an execution (one object: the `is` branch) and ``hit``
+    from a cache entry of the earlier layout (two equal objects: `==`)."""
+    result = {"flows": [], "metrics": SNAPSHOT}
+    manifest = {"seed": 1, "metrics": SNAPSHOT}
+    cached = {"result": result, "manifest": json.loads(json.dumps(manifest))}
+    store = CampaignCache(tmp_path / "cache")
+    entry = store._path("ab" + "0" * 62)
+    entry.parent.mkdir(parents=True)
+    entry.write_text(json.dumps(
+        {**cached, "checksum": stable_digest(
+            {"manifest": cached["manifest"], "result": result})}))
+    spec = RunSpec(kind="chain", hops=2, variants=("newreno",),
+                   config=ScenarioConfig(sim_time=0.5))
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    endpoint = "127.0.0.1:%d" % listener.getsockname()[1]
+    agent = threading.Thread(target=run_worker_agent, kwargs={
+        "connect": endpoint, "cache": str(store.root),
+        "execute": lambda unit: (unit[0], result, manifest),
+    })
+    agent.start()
+    sock, _ = listener.accept()
+    sock.settimeout(5.0)
+    try:
+        assert recv_frame(sock)["kind"] == "hello"
+        send_frame(sock, {"kind": "welcome", "cache": None})
+        send_frame(sock, {"kind": "batch", "units": [
+            {"index": 0, "spec": spec.to_dict(), "digest": "cd" + "1" * 62},
+            {"index": 1, "spec": spec.to_dict(), "digest": entry.stem},
+        ]})
+        for kind in ("ok", "hit"):
+            (length,) = struct.unpack(">I", sock.recv(4))
+            body = sock.recv(length)
+            assert body.count(b'"counters":') == 1
+            reply = json.loads(body)
+            assert reply["kind"] == kind and reply["metrics"] == result
+            assert reply["manifest"] == {"seed": 1}
+        assert "metrics" in manifest  # the agent's own objects are whole
+        send_frame(sock, {"kind": "stop"})
+    finally:
+        sock.close()
+        listener.close()
+        agent.join(timeout=5.0)
+    assert not agent.is_alive()
 
 
 def test_open_is_idempotent_and_reports_ownership():
