@@ -24,35 +24,24 @@ import statistics
 
 import pytest
 
-from repro.core import DraiParams, install_drai
+from repro.core import DraiParams
 from repro.experiments import ScenarioConfig, full_scale, run_chain
 from repro.net.queues import RedQueue
-from repro.routing import install_aodv_routing
 from repro.stats.fairness import jain_index
 from repro.stats.timeseries import time_average
-from repro.topology import build_chain
-from repro.traffic import start_ftp
 
-from conftest import banner, run_once
+from conftest import banner, run_once, run_waypoint_field
 
 SEEDS = (1, 2, 3, 4, 5) if full_scale() else (1, 2, 3)
 SIM_TIME = 30.0 if full_scale() else 15.0
 
 
-def _muzha_run(seed, policy=None, drai_params=None, error_rate=0.0, hops=4):
-    """One Muzha chain run with a configurable advice policy."""
-    from repro.phy import PacketErrorRate
-
-    net = build_chain(
-        hops,
-        seed=seed,
-        error_model=PacketErrorRate(error_rate) if error_rate else None,
-    )
-    install_aodv_routing(net.nodes, net.sim)
-    install_drai(net.nodes, net.sim, params=drai_params, policy=policy)
-    flow = start_ftp(net.sim, net.nodes[0], net.nodes[-1], variant="muzha", window=8)
-    net.sim.run(until=SIM_TIME)
-    return flow
+def _muzha_run(seed, policy=None, drai_params=None):
+    """The flow of one 4-hop Muzha chain run under a configurable advice
+    policy."""
+    config = ScenarioConfig(sim_time=SIM_TIME, seed=seed, window=8,
+                            policy=policy, drai_params=drai_params)
+    return run_chain(4, ["muzha"], config=config).flows[0]
 
 
 def test_ablation_binary_vs_multilevel_feedback(benchmark):
@@ -62,9 +51,9 @@ def test_ablation_binary_vs_multilevel_feedback(benchmark):
             goodputs, wobble = [], []
             for seed in SEEDS:
                 flow = _muzha_run(seed, policy=policy)
-                goodputs.append(flow.goodput_kbps(SIM_TIME))
+                goodputs.append(flow.goodput_kbps)
                 # window restlessness: cwnd changes per second after ramp
-                changes = sum(1 for t, _ in flow.sender.cwnd_trace if t > 2.0)
+                changes = sum(1 for t, _ in flow.cwnd_trace if t > 2.0)
                 wobble.append(changes / (SIM_TIME - 2.0))
             rows.append((name, statistics.mean(goodputs), statistics.mean(wobble)))
         return rows
@@ -122,10 +111,8 @@ def test_ablation_drai_threshold_sensitivity(benchmark):
             goodputs, mean_cwnds = [], []
             for seed in SEEDS:
                 flow = _muzha_run(seed, drai_params=params)
-                goodputs.append(flow.goodput_kbps(SIM_TIME))
-                mean_cwnds.append(
-                    time_average(flow.sender.cwnd_trace, 1.0, SIM_TIME)
-                )
+                goodputs.append(flow.goodput_kbps)
+                mean_cwnds.append(time_average(flow.cwnd_trace, 1.0, SIM_TIME))
             rows.append(
                 (name, statistics.mean(goodputs), statistics.mean(mean_cwnds))
             )
@@ -143,25 +130,25 @@ def test_ablation_drai_threshold_sensitivity(benchmark):
         assert goodput > 100.0, f"{name} thresholds collapsed throughput"
 
 
+def _swap_in_red(network, flows):
+    """An ``instrument`` that mutates: every node's IFQ becomes a RED queue
+    (so the run's manifest does not replay — see ``execute_run``)."""
+    for node in network.nodes:
+        red = RedQueue(50, rng=network.sim.stream(f"red.{node.node_id}"))
+        red.on_wakeup = node.mac.wakeup
+        node.ifq = red
+        node.mac.queue = red
+
+
 def test_ablation_red_vs_droptail_ifq(benchmark):
     def campaign():
         results = {}
-        for queue_kind in ("droptail", "red"):
+        for queue_kind, instrument in (("droptail", None), ("red", _swap_in_red)):
             goodputs = []
             for seed in SEEDS:
-                net = build_chain(4, seed=seed)
-                if queue_kind == "red":
-                    for node in net.nodes:
-                        red = RedQueue(50, rng=net.sim.stream(f"red.{node.node_id}"))
-                        red.on_wakeup = node.mac.wakeup
-                        node.ifq = red
-                        node.mac.queue = red
-                install_aodv_routing(net.nodes, net.sim)
-                flow = start_ftp(
-                    net.sim, net.nodes[0], net.nodes[-1], variant="newreno", window=8
-                )
-                net.sim.run(until=SIM_TIME)
-                goodputs.append(flow.goodput_kbps(SIM_TIME))
+                config = ScenarioConfig(sim_time=SIM_TIME, seed=seed, window=8)
+                run = run_chain(4, ["newreno"], config=config, instrument=instrument)
+                goodputs.append(run.flows[0].goodput_kbps)
             results[queue_kind] = statistics.mean(goodputs)
         return results
 
@@ -225,35 +212,8 @@ def _bakeoff_fault(policy, seed, sim_time):
 
 def _bakeoff_mobile(policy, seed, sim_time):
     """A roaming random-waypoint field with one corner-to-corner flow."""
-    from repro.obs.metrics import collect_network_metrics
-    from repro.phy import Area, Position, RandomWaypointMobility
-    from repro.topology import make_network
-
-    side = 700.0
-    net = make_network(seed=seed)
-    rng = net.sim.stream("placement")
-    for _ in range(12):
-        net.add_node(Position(rng.uniform(0, side), rng.uniform(0, side)))
-    install_aodv_routing(net.nodes, net.sim)
-    install_drai(net.nodes, net.sim, policy=policy)
-    RandomWaypointMobility(
-        net.sim,
-        net.channel,
-        [n.radio for n in net.nodes],
-        Area(0.0, 0.0, side, side),
-        speed_range=(2.0, 10.0),
-        pause_time=1.0,
-    ).start()
-    flow = start_ftp(net.sim, net.nodes[0], net.nodes[-1], variant="muzha", window=8)
-    net.sim.run(until=sim_time)
-    snapshot = collect_network_metrics(net, [flow]).snapshot()
-    return {
-        "flows": [{
-            "goodput_kbps": flow.goodput_kbps(sim_time),
-            "retransmits": flow.sender.stats.retransmits,
-        }],
-        "metrics": snapshot,
-    }
+    config = ScenarioConfig(sim_time=sim_time, seed=seed, window=8, policy=policy)
+    return run_waypoint_field("muzha", config).to_dict()
 
 
 _BAKEOFF_RUNNERS = {

@@ -12,39 +12,12 @@ from __future__ import annotations
 
 import statistics
 
-from repro.core import install_drai
-from repro.experiments import full_scale
-from repro.phy import Area, Position, RandomWaypointMobility
-from repro.routing import install_aodv_routing
-from repro.topology import make_network
-from repro.traffic import start_ftp
+from repro.experiments import ScenarioConfig, full_scale
 
-from conftest import banner, run_once
+from conftest import banner, run_once, run_waypoint_field
 
 SEEDS = (1, 2, 3, 4, 5) if full_scale() else (1, 2, 3)
 SIM_TIME = 40.0 if full_scale() else 20.0
-SIDE = 700.0
-
-
-def _run(variant, seed):
-    net = make_network(seed=seed)
-    rng = net.sim.stream("placement")
-    for _ in range(12):
-        net.add_node(Position(rng.uniform(0, SIDE), rng.uniform(0, SIDE)))
-    install_aodv_routing(net.nodes, net.sim)
-    if variant.startswith("muzha"):
-        install_drai(net.nodes, net.sim)
-    RandomWaypointMobility(
-        net.sim,
-        net.channel,
-        [n.radio for n in net.nodes],
-        Area(0.0, 0.0, SIDE, SIDE),
-        speed_range=(2.0, 10.0),
-        pause_time=1.0,
-    ).start()
-    flow = start_ftp(net.sim, net.nodes[0], net.nodes[-1], variant=variant, window=4)
-    net.sim.run(until=SIM_TIME)
-    return flow
 
 
 def test_mobility_extension(benchmark):
@@ -53,9 +26,10 @@ def test_mobility_extension(benchmark):
         for variant in ("muzha", "newreno"):
             goodputs, retx = [], []
             for seed in SEEDS:
-                flow = _run(variant, seed)
-                goodputs.append(flow.goodput_kbps(SIM_TIME))
-                retx.append(flow.sender.stats.retransmits)
+                config = ScenarioConfig(sim_time=SIM_TIME, seed=seed, window=4)
+                flow = run_waypoint_field(variant, config).flows[0]
+                goodputs.append(flow.goodput_kbps)
+                retx.append(flow.retransmits)
             rows[variant] = (statistics.mean(goodputs), statistics.mean(retx))
         return rows
 

@@ -29,7 +29,12 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         item.add_marker(pytest.mark.perf)
 
-from repro.experiments import SweepConfig, SweepResult, throughput_retransmit_sweep
+from repro.experiments import (
+    SweepConfig,
+    SweepResult,
+    run_flows,
+    throughput_retransmit_sweep,
+)
 
 _SWEEP_CACHE: Dict[int, SweepResult] = {}
 
@@ -67,3 +72,30 @@ def figures_dir():
     path = Path(__file__).resolve().parent.parent / "results" / "figures"
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def run_waypoint_field(variant, config):
+    """One corner-to-corner flow over a roaming random-waypoint field.
+
+    The mobile scene of ``bench_mobility`` and the policy bake-off: 12 radios
+    placed uniformly on a 700 m x 700 m field, roaming at 2-10 m/s with 1 s
+    pauses — assembled and harvested by ``run_flows`` like every other run.
+    """
+    from repro.phy import Area, Position, RandomWaypointMobility
+    from repro.topology import make_network
+
+    side = 700.0
+    net = make_network(seed=config.seed)
+    rng = net.sim.stream("placement")
+    for _ in range(12):
+        net.add_node(Position(rng.uniform(0, side), rng.uniform(0, side)))
+    mobility = RandomWaypointMobility(
+        net.sim,
+        net.channel,
+        [n.radio for n in net.nodes],
+        Area(0.0, 0.0, side, side),
+        speed_range=(2.0, 10.0),
+        pause_time=1.0,
+    )
+    return run_flows(net, [(net.nodes[0], net.nodes[-1])], [variant], config,
+                     instrument=lambda network, flows: mobility.start())

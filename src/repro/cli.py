@@ -50,6 +50,8 @@ from .experiments import (
     JournalPlanMismatch,
     POOL_MODES,
     RetryPolicy,
+    RunSpec,
+    SCENARIO_KINDS,
     ScenarioConfig,
     SweepConfig,
     Table51Parameters,
@@ -57,8 +59,8 @@ from .experiments import (
     chain_grid,
     cluster_transport,
     export_campaign_csv,
+    execute_run,
     fig_coexistence,
-    fig_dynamics,
     format_coexistence,
     format_sweep,
     format_table,
@@ -66,10 +68,9 @@ from .experiments import (
     parse_endpoint,
     replay_journal,
     run_campaign,
-    run_chain,
-    run_cross,
     run_doctor,
     run_worker_agent,
+    scenario_key,
     throughput_retransmit_sweep,
 )
 from .experiments.campaign import _execute_unit
@@ -214,8 +215,24 @@ def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
     )
 
 
+def _spec_from_args(args: argparse.Namespace, shape: Optional[str] = None) -> RunSpec:
+    """The RunSpec a run subcommand's flags describe.  ``shape`` (default:
+    the ``scenario`` positional) is a ``RunSpec.kind`` or ``"dynamics"``,
+    Simulation 3B's three same-variant flows entering a chain at 0/10/20 s."""
+    shape = shape or args.scenario
+    config = _scenario_config(args)
+    if shape == "dynamics":
+        return RunSpec("chain", args.hops, (args.variant,) * 3,
+                       starts=(0.0, 10.0, 20.0), record_dynamics=True,
+                       config=config)
+    variants = (args.variant,)
+    if shape == "cross":  # --variant runs left->right, --b top->bottom
+        variants += (getattr(args, "b", "newreno"),)
+    return RunSpec(shape, args.hops, variants, config=config)
+
+
 def _cmd_chain(args: argparse.Namespace) -> int:
-    result = run_chain(args.hops, [args.variant], config=_scenario_config(args))
+    result = execute_run(_spec_from_args(args, "chain"))
     flow = result.flows[0]
     print(f"{args.variant} over a {args.hops}-hop chain ({args.time:g}s):")
     print(f"  goodput        : {flow.goodput_kbps:8.1f} kbps")
@@ -253,14 +270,7 @@ def _cmd_cross(args: argparse.Namespace) -> int:
 
 
 def _cmd_dynamics(args: argparse.Namespace) -> int:
-    result = fig_dynamics(
-        args.variant,
-        hops=args.hops,
-        starts=(0.0, 10.0, 20.0),
-        sim_time=args.time,
-        seed=args.seed,
-        window=args.window,
-    )
+    result = execute_run(_spec_from_args(args, "dynamics"))
     for i, flow in enumerate(result.flows):
         print(ascii_series(flow.rate_series_kbps, label=f"flow {i} (kbps)"))
         print()
@@ -321,7 +331,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"completions, {len(resume.failed)} quarantined, "
             f"{resume.remaining} units remaining"
         )
-    grid = chain_grid(args.variants, args.hops, config=config)
+    # A cell named twice (``--hops 2 2``) is one scenario, listed once.
+    cells = {}
+    for spec in chain_grid(args.variants, args.hops, config=config):
+        cells.setdefault(scenario_key(spec), spec)
+    grid = list(cells.values())
     total_runs = len(grid) * args.replications
     jobs = args.jobs
     if args.pool_mode == "cluster" and args.agents:
@@ -399,11 +413,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             span_writer.close()
     elapsed = time.time() - started
 
+    by_cell = {}
+    for record in result.records:
+        by_cell.setdefault(record.run.scenario, []).append(
+            record.result.total_goodput_kbps)
     rows = []
-    for spec in grid:
-        records = [r for r in result.records
-                   if r.run.spec.with_seed(0) == spec.with_seed(0)]
-        goodputs = [r.result.total_goodput_kbps for r in records]
+    for key, spec in cells.items():
+        goodputs = by_cell.get(key)
         if goodputs:
             rows.append(
                 [spec.hops, "+".join(spec.variants),
@@ -461,16 +477,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
                             retry=args.retry)
 
 
-def _run_scenario(args: argparse.Namespace, instrument=None):
-    """Run the ``trace``/``stats`` scenario shape with an optional hook."""
-    config = _scenario_config(args)
-    if args.scenario == "chain":
-        return run_chain(args.hops, [args.variant], config=config,
-                         instrument=instrument)
-    return run_cross(args.hops, args.variant, args.b, config=config,
-                     instrument=instrument)
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     sink_cls = CsvTraceSink if args.format == "csv" else NdjsonTraceSink
     events = tuple(args.events) if args.events else ("*",)
@@ -487,7 +493,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             attach_run_probe(network, flows, interval=args.probe_interval)
 
     with sink:
-        result = _run_scenario(args, instrument)
+        result = execute_run(_spec_from_args(args), instrument)
     for recorder in flight_holder:
         recorder.detach()
 
@@ -510,7 +516,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    result = _run_scenario(args)
+    result = execute_run(_spec_from_args(args))
     snapshot = result.metrics
     if args.json:
         json.dump(snapshot, sys.stdout, sort_keys=True, indent=2)
@@ -538,29 +544,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import cProfile
     import pstats
 
-    config = _scenario_config(args)
-
-    def chain_scenario():
-        return run_chain(args.hops, [args.variant], config=config)
-
-    def cross_scenario():
-        return fig_coexistence(
-            "newreno", args.variant, hops_list=(args.hops,), sim_time=args.time,
-            seeds=(args.seed,), window=args.window,
-        )
-
-    def dynamics_scenario():
-        return fig_dynamics(
-            args.variant, hops=args.hops, starts=(0.0, 10.0, 20.0),
-            sim_time=args.time, seed=args.seed, window=args.window,
-        )
-
-    scenarios = {
-        "chain": chain_scenario, "cross": cross_scenario, "dynamics": dynamics_scenario,
-    }
+    spec = _spec_from_args(args)
     profiler = cProfile.Profile()
     profiler.enable()
-    scenarios[args.scenario]()
+    execute_run(spec)
     profiler.disable()
 
     stats = pstats.Stats(profiler, stream=sys.stdout)
@@ -772,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker.set_defaults(func=_cmd_worker)
 
     def add_scenario_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("scenario", choices=("chain", "cross"),
+        p.add_argument("scenario", choices=tuple(SCENARIO_KINDS),
                        help="which scenario shape to run")
         p.add_argument("--hops", type=int, default=4)
         p.add_argument("--variant",
@@ -818,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile", help="cProfile a scenario to find simulator hot spots"
     )
     _add_common(profile)
-    profile.add_argument("scenario", choices=("chain", "cross", "dynamics"),
+    profile.add_argument("scenario", choices=(*SCENARIO_KINDS, "dynamics"),
                          help="which scenario shape to profile")
     profile.add_argument("--hops", type=int, default=4)
     profile.add_argument("--variant", choices=sorted(PAPER_VARIANTS) + ["tahoe", "reno"],

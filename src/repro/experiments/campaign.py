@@ -384,12 +384,20 @@ def plan_campaign(
     replications: int = 1,
     base_seed: int = 1,
 ) -> List[CampaignRun]:
-    """Expand a scenario grid into seeded, cache-addressed run units."""
+    """Expand a scenario grid into seeded, cache-addressed run units.
+
+    A scenario the grid names more than once is planned once, at its first
+    position: its replications would be the same keys, seeds and digests.
+    """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     runs: List[CampaignRun] = []
+    planned = set()
     for spec in grid:
         key = scenario_key(spec)
+        if key in planned:
+            continue
+        planned.add(key)
         for replication in range(replications):
             seed = derive_run_seed(base_seed, key, replication)
             seeded = spec.with_seed(seed)

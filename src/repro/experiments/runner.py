@@ -1,21 +1,27 @@
-"""Scenario runners: build a network, attach flows, run, collect results.
+"""The scenario assembler: the one place a built network becomes a run.
 
-Three scenario shapes cover every figure in the paper:
+Every run in this repository — CLI commands, ``fig_*`` generators, campaign
+units, the ablation and mobility benches — is the paper's "802.11 DCF + AODV
++ drop-tail IFQ + FTP/TCP" (Table 5.1) and is put together here, once:
 
-* :func:`run_chain` — h-hop chain, one or more (possibly staggered) flows
-  end-to-end (Simulations 1, 2 and 3B);
-* :func:`run_cross` — h-hop cross with one horizontal and one vertical flow
-  (Simulation 3A);
-* both return a :class:`RunResult` with per-flow goodput, retransmission
-  counts, cwnd traces and optional throughput-dynamics series.
+* :func:`run_flows` takes a built :class:`~repro.topology.Network` plus
+  ``(source, destination)`` endpoints and owns the rest: routing, DRAI, the
+  fault plan, one FTP flow per endpoint, the throughput-dynamics probes,
+  the ``instrument`` hook, the simulation loop and the harvest into a
+  :class:`RunResult` with its provenance manifest.
+* :func:`execute_run` turns a declarative, picklable :class:`RunSpec` into
+  that call — topology and endpoints come from :data:`SCENARIO_KINDS`: an
+  h-hop chain with one or more (possibly staggered) end-to-end flows
+  (Simulations 1, 2, 3B), an h-hop cross with a horizontal and a vertical
+  flow (Simulation 3A) — and stamps the spec into the manifest, so every
+  result replays from its manifest alone (:func:`verify_manifest`).
+  :func:`run_chain` / :func:`run_cross` spell the two kinds positionally.
 
-For batch execution the same runs are described declaratively: a
-:class:`RunSpec` is a picklable value object naming the topology, flows and
-:class:`ScenarioConfig`, and :func:`execute_run` is the pure module-level
-function that turns one spec into a :class:`RunResult`.  The campaign engine
-ships ``RunSpec`` instances to ``multiprocessing`` workers and hashes them
-for its on-disk cache, so a spec must capture *everything* the run depends
-on and nothing else.
+The campaign engine ships ``RunSpec`` instances to ``multiprocessing``
+workers and hashes them for its on-disk cache, so a spec must capture
+*everything* the run depends on and nothing else.  A scene the kinds cannot
+express (a mobile field, a scripted DCF timeline) builds its own network
+and hands it to :func:`run_flows`.
 """
 
 from __future__ import annotations
@@ -24,15 +30,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.drai import DraiEstimator, install_drai
+from ..core.drai import install_drai
 from ..faults import install_faults
+from ..net.node import Node
 from ..obs.metrics import collect_network_metrics
+from ..obs.probe import Sample, TimeseriesProbe
 from ..obs.provenance import attach_spec, build_manifest, stable_digest
 from ..phy.error_models import NoError, PacketErrorRate
 from ..routing import install_aodv_routing, install_static_routing
 from ..stats.fairness import jain_index
-from ..stats.throughput import ThroughputSampler
-from ..topology import Network, build_chain, build_cross
+from ..stats.timeseries import differentiate
+from ..topology import Network, build_chain, build_cross, chain_endpoints
 from ..traffic import FtpFlow, start_ftp
 from .config import ScenarioConfig
 
@@ -138,14 +146,36 @@ class RunResult:
         )
 
 
+Endpoints = Sequence[Tuple[Node, Node]]  # (source, destination) per flow
+
+
+def _chain_scene(hops: int, flows: int, **medium: Any) -> Tuple[Network, Endpoints]:
+    """An h-hop chain; every flow runs node 0 -> node h."""
+    network = build_chain(hops, **medium)
+    return network, [chain_endpoints(network)] * flows
+
+
+def _cross_scene(hops: int, flows: int, **medium: Any) -> Tuple[Network, Endpoints]:
+    """The Fig. 5.15 cross: one flow left -> right, one top -> bottom."""
+    network = build_cross(hops, **medium)
+    return network, [(network.left, network.right), (network.top, network.bottom)]
+
+
+#: ``RunSpec.kind`` -> ``builder(hops, flows, **medium)``.  The only place a
+#: kind is interpreted: ``RunSpec`` validates against it, :func:`execute_run`
+#: builds through it and the CLI offers its keys as ``choices``.
+SCENARIO_KINDS = {"chain": _chain_scene, "cross": _cross_scene}
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """Declarative, picklable description of one scenario run.
 
-    ``kind`` selects the topology/flow shape: ``"chain"`` maps to
-    :func:`run_chain` (``variants[i]`` starts at ``starts[i]``), ``"cross"``
-    maps to :func:`run_cross` (exactly two variants: horizontal, vertical).
-    The embedded config's ``seed`` fully determines the run's randomness.
+    ``kind`` selects the topology and endpoints from :data:`SCENARIO_KINDS`:
+    on a ``"chain"`` every flow runs end to end, a ``"cross"`` takes exactly
+    two variants (horizontal, vertical).  Flow ``i`` uses ``variants[i]`` and
+    starts at ``starts[i]`` (default 0).  The embedded config's ``seed`` fully
+    determines the run's randomness.
     """
 
     kind: str
@@ -156,7 +186,7 @@ class RunSpec:
     config: ScenarioConfig = field(default_factory=ScenarioConfig)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("chain", "cross"):
+        if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown run kind {self.kind!r}")
         if self.kind == "cross" and len(self.variants) != 2:
             raise ValueError("cross runs take exactly two variants")
@@ -191,34 +221,32 @@ class RunSpec:
         return cls(**data)
 
 
-def execute_run(spec: RunSpec) -> RunResult:
+def execute_run(spec: RunSpec, instrument: Optional[Instrument] = None) -> RunResult:
     """Execute one :class:`RunSpec` — a pure function of the spec.
 
     Module-level and argument-picklable by design: this is the unit of work
     campaign worker processes receive.  The returned result's manifest
-    additionally records the full spec, so the run can be replayed (and its
-    byte-identity verified) from the manifest alone.
+    records the full spec, so the run can be replayed (and its byte-identity
+    verified) from the manifest alone.
+
+    ``instrument`` is for *observers* — trace sinks, probes, flight
+    recorders — which do not perturb a run, so an observed run's manifest
+    verifies like a plain one.  An ``instrument`` that *mutates* the network
+    (swaps a queue, sets a radio literal) runs something the spec does not
+    describe: its manifest still carries the spec, but replaying it runs the
+    unmodified scene and :func:`verify_manifest` answers False.
     """
-    if spec.kind == "chain":
-        result = run_chain(
-            spec.hops,
-            list(spec.variants),
-            config=spec.config,
-            starts=list(spec.starts) if spec.starts is not None else None,
-            record_dynamics=spec.record_dynamics,
-        )
-    elif spec.kind == "cross":
-        result = run_cross(
-            spec.hops,
-            spec.variants[0],
-            spec.variants[1],
-            config=spec.config,
-            record_dynamics=spec.record_dynamics,
-        )
-    else:  # pragma: no cover
-        raise ValueError(f"unknown run kind {spec.kind!r}")
-    if result.manifest is not None:
-        attach_spec(result.manifest, spec.to_dict())
+    setup_start = time.perf_counter()
+    config = spec.config
+    loss = config.packet_error_rate
+    network, endpoints = SCENARIO_KINDS[spec.kind](
+        spec.hops, len(spec.variants), seed=config.seed,
+        error_model=PacketErrorRate(loss) if loss > 0 else NoError(),
+        ifq_capacity=config.ifq_capacity,
+    )
+    result = run_flows(network, endpoints, spec.variants, config, spec.starts,
+                       spec.record_dynamics, instrument, setup_start)
+    attach_spec(result.manifest, spec.to_dict())
     return result
 
 
@@ -241,31 +269,77 @@ def verify_manifest(manifest: Dict[str, Any]) -> bool:
     return stable_digest(replay.to_dict()) == manifest.get("result_digest")
 
 
-def _needs_drai(variants: Sequence[str]) -> bool:
-    return any(v.startswith("muzha") for v in variants)
+def run_flows(
+    network: Network,
+    endpoints: Endpoints,
+    variants: Sequence[str],
+    config: Optional[ScenarioConfig] = None,
+    starts: Optional[Sequence[float]] = None,
+    record_dynamics: bool = False,
+    instrument: Optional[Instrument] = None,
+    setup_start: Optional[float] = None,
+) -> RunResult:
+    """Assemble and run one FTP/TCP flow per endpoint pair over ``network``.
 
+    In this order: install routing, DRAI (when a Muzha variant is present)
+    and the config's fault plan; start flow ``i`` from ``endpoints[i][0]`` to
+    ``endpoints[i][1]`` with ``variants[i]`` at ``starts[i]`` (default 0) on
+    ports ``1000+i``/``2000+i``, sampling its sink every
+    ``config.sampler_interval`` from then on if ``record_dynamics``; call
+    ``instrument(network, flows)``; run to ``config.sim_time``; harvest.
 
-def _install_routing(network: Network, config: ScenarioConfig) -> None:
+    The manifest carries no spec — only :func:`execute_run` knows one.
+    ``setup_start`` is the ``perf_counter`` reading at which the caller began
+    building ``network`` (default: now), so ``setup_s`` covers the topology.
+    """
+    if setup_start is None:
+        setup_start = time.perf_counter()
+    config = config or ScenarioConfig()
+    starts = list(starts or [0.0] * len(variants))
+    if len(starts) != len(variants):
+        raise ValueError("starts and variants must have equal length")
+    if len(endpoints) != len(variants):
+        raise ValueError("endpoints and variants must have equal length")
+    sim = network.sim
     if config.routing == "aodv":
-        install_aodv_routing(network.nodes, network.sim)
+        install_aodv_routing(network.nodes, sim)
     elif config.routing == "static":
         install_static_routing(network.nodes, network.channel)
     else:
         raise ValueError(f"unknown routing {config.routing!r}")
-
-
-def _error_model(config: ScenarioConfig):
-    if config.packet_error_rate > 0:
-        return PacketErrorRate(config.packet_error_rate)
-    return NoError()
+    if any(v.startswith("muzha") for v in variants):
+        install_drai(network.nodes, sim, params=config.drai_params,
+                     policy=config.policy, policy_params=config.policy_params)
+    if config.faults is not None:
+        install_faults(network, config.faults, horizon=config.sim_time)
+    flows: List[FtpFlow] = []
+    delivered: List[List[Sample]] = []  # cumulative bytes per flow, if sampled
+    for i, ((src, dst), variant, start) in enumerate(zip(endpoints, variants, starts)):
+        flow = start_ftp(
+            sim, src, dst, variant=variant, window=config.window, mss=config.mss,
+            sport=1000 + i, dport=2000 + i, start_time=start,
+        )
+        flows.append(flow)
+        series: List[Sample] = []
+        if record_dynamics:
+            name = f"flow{i}.delivered_bytes"
+            probe = TimeseriesProbe(sim, config.sampler_interval).watch(
+                name, lambda sink=flow.sink: sink.delivered_bytes)
+            sim.at(start, probe.start)
+            series = probe.series[name]
+        delivered.append(series)
+    if instrument is not None:
+        instrument(network, flows)
+    return _finish(network, flows, delivered, config,
+                   setup_s=time.perf_counter() - setup_start)
 
 
 def _finish(
     network: Network,
     flows: List[FtpFlow],
-    samplers: List[Optional[ThroughputSampler]],
+    delivered: List[List[Sample]],
     config: ScenarioConfig,
-    setup_s: float = 0.0,
+    setup_s: float,
 ) -> RunResult:
     """Run the built scenario and assemble its result + manifest.
 
@@ -279,7 +353,7 @@ def _finish(
     wall_time_s = time.perf_counter() - wall_start
     harvest_start = time.perf_counter()
     results: List[FlowResult] = []
-    for flow, sampler in zip(flows, samplers):
+    for flow, series in zip(flows, delivered):
         active = max(config.sim_time - flow.start_time, 1e-9)
         results.append(
             FlowResult(
@@ -292,7 +366,9 @@ def _finish(
                 fast_retransmits=flow.sender.stats.fast_retransmits,
                 start_time=flow.start_time,
                 cwnd_trace=list(flow.sender.cwnd_trace),
-                rate_series_kbps=sampler.rates_kbps() if sampler else [],
+                # bytes/s per interval -> kbit/s (Figs 5.19-5.22)
+                rate_series_kbps=[(t, rate * 8.0 / 1000.0)
+                                  for t, rate in differentiate(series)],
             )
         )
     mac_drops = sum(n.mac.counters.drops_retry_limit for n in network.nodes)
@@ -340,55 +416,12 @@ def run_chain(
     """Run ``len(variants)`` end-to-end flows over an h-hop chain.
 
     Flow ``i`` uses ``variants[i]``, starts at ``starts[i]`` (default 0) and
-    runs node 0 -> node h on its own port pair.  ``instrument`` (if given)
-    is called with the built network and flows just before the simulation
-    runs — the hook trace sinks, probes and flight recorders attach through.
+    runs node 0 -> node h on its own port pair; ``instrument`` as for
+    :func:`execute_run`, which this spells positionally.
     """
-    setup_start = time.perf_counter()
-    config = config or ScenarioConfig()
-    starts = list(starts or [0.0] * len(variants))
-    if len(starts) != len(variants):
-        raise ValueError("starts and variants must have equal length")
-    network = build_chain(
-        hops,
-        seed=config.seed,
-        error_model=_error_model(config),
-        ifq_capacity=config.ifq_capacity,
-    )
-    _install_routing(network, config)
-    if _needs_drai(variants):
-        install_drai(network.nodes, network.sim, params=config.drai_params,
-                     policy=config.policy, policy_params=config.policy_params)
-    if config.faults is not None:
-        install_faults(network, config.faults, horizon=config.sim_time)
-    src, dst = network.nodes[0], network.nodes[-1]
-    flows: List[FtpFlow] = []
-    samplers: List[Optional[ThroughputSampler]] = []
-    for i, (variant, start) in enumerate(zip(variants, starts)):
-        flow = start_ftp(
-            network.sim,
-            src,
-            dst,
-            variant=variant,
-            window=config.window,
-            mss=config.mss,
-            sport=1000 + i,
-            dport=2000 + i,
-            start_time=start,
-        )
-        flows.append(flow)
-        if record_dynamics:
-            sampler = ThroughputSampler(
-                network.sim, flow.sink, interval=config.sampler_interval
-            )
-            network.sim.at(start, sampler.start)
-            samplers.append(sampler)
-        else:
-            samplers.append(None)
-    if instrument is not None:
-        instrument(network, flows)
-    return _finish(network, flows, samplers, config,
-                   setup_s=time.perf_counter() - setup_start)
+    spec = RunSpec("chain", hops, variants, starts, record_dynamics,
+                   config or ScenarioConfig())
+    return execute_run(spec, instrument)
 
 
 def run_cross(
@@ -400,47 +433,6 @@ def run_cross(
     instrument: Optional[Instrument] = None,
 ) -> RunResult:
     """Run the Fig. 5.15 cross: one flow left->right, one top->bottom."""
-    setup_start = time.perf_counter()
-    config = config or ScenarioConfig()
-    network = build_cross(
-        hops,
-        seed=config.seed,
-        error_model=_error_model(config),
-        ifq_capacity=config.ifq_capacity,
-    )
-    _install_routing(network, config)
-    variants = (variant_horizontal, variant_vertical)
-    if _needs_drai(variants):
-        install_drai(network.nodes, network.sim, params=config.drai_params,
-                     policy=config.policy, policy_params=config.policy_params)
-    if config.faults is not None:
-        install_faults(network, config.faults, horizon=config.sim_time)
-    endpoints = [
-        (network.left, network.right),
-        (network.top, network.bottom),
-    ]
-    flows: List[FtpFlow] = []
-    samplers: List[Optional[ThroughputSampler]] = []
-    for i, (variant, (src, dst)) in enumerate(zip(variants, endpoints)):
-        flow = start_ftp(
-            network.sim,
-            src,
-            dst,
-            variant=variant,
-            window=config.window,
-            mss=config.mss,
-            sport=1000 + i,
-            dport=2000 + i,
-        )
-        flows.append(flow)
-        if record_dynamics:
-            sampler = ThroughputSampler(
-                network.sim, flow.sink, interval=config.sampler_interval
-            ).start()
-            samplers.append(sampler)
-        else:
-            samplers.append(None)
-    if instrument is not None:
-        instrument(network, flows)
-    return _finish(network, flows, samplers, config,
-                   setup_s=time.perf_counter() - setup_start)
+    spec = RunSpec("cross", hops, (variant_horizontal, variant_vertical), None,
+                   record_dynamics, config or ScenarioConfig())
+    return execute_run(spec, instrument)

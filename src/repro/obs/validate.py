@@ -43,7 +43,8 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
-from .ndjson import BLANK, LineCheck, NdjsonScan, relay, scan
+from .ndjson import (BLANK, JSON_PARSE_ERRORS, LineCheck, NdjsonScan, relay,
+                     scan)
 from .provenance import manifest_consistent
 from .report import fold_spans
 
@@ -66,7 +67,10 @@ _TYPE_CHECKS = {
 def load_schema(name: str) -> Dict[str, Any]:
     """Load a packaged schema by stem, e.g. ``load_schema("trace_record")``."""
     path = SCHEMA_DIR / f"{name}.schema.json"
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except JSON_PARSE_ERRORS as exc:  # a damaged install, said as one line
+        raise ValueError(f"schema {path.name} is not valid JSON: {exc}") from None
 
 
 def validate(instance: Any, schema: Dict[str, Any], path: str = "$") -> List[str]:
@@ -160,8 +164,8 @@ def validate_manifest_file(path: PathLike) -> List[str]:
     """Schema + digest-consistency violations in a manifest JSON file."""
     try:
         manifest = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not JSON, or not even UTF-8
-        return [f"invalid JSON ({exc})"]
+    except JSON_PARSE_ERRORS as exc:  # not JSON, not UTF-8, or nested too deep
+        return [f"not valid JSON: {exc}"]
     errors = validate(manifest, load_schema("run_manifest"))
     if not errors and not manifest_consistent(manifest):
         errors.append("embedded config/spec digests do not match their payloads")
@@ -212,6 +216,8 @@ def main(argv: Any = None) -> int:
                 errors = validator(path)
             except FileNotFoundError:
                 errors = ["not found"]
+            except ValueError as exc:  # load_schema: a committed schema is damaged
+                errors = [str(exc)]
             if errors:
                 failures += 1
                 print(f"FAIL {path}")

@@ -1,11 +1,10 @@
-"""Metrics (substrate S10): throughput sampling, Jain fairness, time series."""
+"""Metrics (substrate S10): goodput, Jain fairness, time series."""
 
 from .fairness import jain_index, worst_case_index
-from .throughput import ThroughputSampler, goodput_kbps
+from .throughput import goodput_kbps
 from .timeseries import differentiate, resample, time_average, value_at
 
 __all__ = [
-    "ThroughputSampler",
     "differentiate",
     "goodput_kbps",
     "jain_index",

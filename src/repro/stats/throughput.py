@@ -1,43 +1,13 @@
-"""Throughput measurement: samplers over sinks and summary helpers."""
+"""Throughput measurement: summary helpers over sinks.
+
+Periodic sampling is :class:`repro.obs.probe.TimeseriesProbe`'s job;
+:func:`repro.stats.timeseries.differentiate` turns its cumulative
+delivered-bytes series into the Fig. 5.19–5.22 dynamics.
+"""
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-from ..sim.simulator import Simulator
-from ..sim.timer import PeriodicTimer
 from ..transport.receiver import TcpSink
-from .timeseries import differentiate
-
-
-class ThroughputSampler:
-    """Periodically samples a sink's cumulative delivered bytes.
-
-    ``series`` holds cumulative (time, bytes) samples; :meth:`rates_kbps`
-    converts to instantaneous throughput for the Fig. 5.19–5.22 dynamics.
-    """
-
-    def __init__(self, sim: Simulator, sink: TcpSink, interval: float = 0.5) -> None:
-        self.sim = sim
-        self.sink = sink
-        self.interval = interval
-        self.series: List[Tuple[float, float]] = []
-        self._timer = PeriodicTimer(sim, interval, self._sample, name="stats.thr")
-
-    def start(self) -> "ThroughputSampler":
-        self.series.append((self.sim.now, float(self.sink.delivered_bytes)))
-        self._timer.start()
-        return self
-
-    def stop(self) -> None:
-        self._timer.stop()
-
-    def _sample(self) -> None:
-        self.series.append((self.sim.now, float(self.sink.delivered_bytes)))
-
-    def rates_kbps(self) -> List[Tuple[float, float]]:
-        """Per-interval throughput in kilobits per second."""
-        return [(t, rate * 8.0 / 1000.0) for t, rate in differentiate(self.series)]
 
 
 def goodput_kbps(sink: TcpSink, duration: float) -> float:

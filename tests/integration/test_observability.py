@@ -9,7 +9,17 @@ import json
 
 import pytest
 
-from repro.experiments import ScenarioConfig, run_chain, verify_manifest
+from repro.experiments import (
+    RunSpec,
+    ScenarioConfig,
+    chain_grid,
+    execute_run,
+    fig_dynamics,
+    run_campaign,
+    run_chain,
+    run_cross,
+    verify_manifest,
+)
 from repro.obs import (
     FlightRecorder,
     NdjsonTraceSink,
@@ -97,8 +107,91 @@ def test_manifest_reproduces_run_byte_identically(traced_chain):
 
 
 def test_spec_manifest_verifies_end_to_end():
-    from repro.experiments import RunSpec, execute_run
-
     spec = RunSpec(kind="chain", hops=4, variants=("muzha",),
                    config=ScenarioConfig(sim_time=3.0, seed=1))
     assert verify_manifest(execute_run(spec).manifest)
+
+
+# -- every manifest replays ---------------------------------------------------
+#
+# Only ``execute_run`` used to stamp the spec, so a manifest from
+# ``run_chain`` / ``run_cross`` / ``repro-muzha trace`` carried
+# ``"spec": null`` and ``verify_manifest`` answered ``ValueError: manifest
+# carries no spec; cannot replay``.  Every run now goes through
+# ``execute_run``; verifying an *observed* run's manifest is also the
+# standing check that observing changes nothing.
+
+
+@pytest.mark.parametrize("argv", [
+    ["chain", "--hops", "4", "--variant", "muzha"],
+    ["cross", "--hops", "4", "--variant", "muzha", "--b", "newreno"],
+], ids=["chain", "cross"])
+def test_the_manifest_trace_writes_replays(argv, tmp_path, capsys):
+    from repro.cli import main
+
+    out = tmp_path / "trace.ndjson"
+    assert main(["trace", *argv, "--time", "2", "--out", str(out),
+                 "--flight-dir", str(tmp_path / "flight")]) == 0
+    capsys.readouterr()
+    manifest_path = f"{out}.manifest.json"
+    assert validate_manifest_file(manifest_path) == []
+    with open(manifest_path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    assert manifest["spec"] is not None
+    assert manifest["spec"]["kind"] == argv[0]
+    assert verify_manifest(manifest)
+
+
+def _short(**changes):
+    return ScenarioConfig(sim_time=2.0, seed=3, **changes)
+
+
+def _campaign_record_manifest():
+    grid = chain_grid(["newreno"], [2], config=_short())
+    return run_campaign(grid, pool_mode="inproc").records[0].manifest
+
+
+@pytest.mark.parametrize("make_manifest", [
+    lambda: run_chain(3, ["sack", "muzha"], config=_short(),
+                      starts=[0.0, 0.5]).manifest,
+    lambda: run_cross(4, "vegas", "muzha", config=_short(window=4)).manifest,
+    lambda: fig_dynamics("newreno", hops=2, starts=(0.0, 0.5, 1.0),
+                         sim_time=2.0, sampler_interval=0.5).manifest,
+    _campaign_record_manifest,
+], ids=["run_chain", "run_cross", "fig_dynamics", "campaign-record"])
+def test_every_manifest_replays(make_manifest):
+    manifest = make_manifest()
+    assert manifest["spec"] is not None
+    assert verify_manifest(manifest)
+
+
+def test_run_chain_stamps_the_spec_execute_run_would():
+    config = _short(window=4)
+    wrapped = run_chain(3, ["muzha", "newreno"], config=config,
+                        starts=[0.0, 0.5], record_dynamics=True)
+    spec = RunSpec(kind="chain", hops=3, variants=("muzha", "newreno"),
+                   starts=(0.0, 0.5), record_dynamics=True, config=config)
+    direct = execute_run(spec)
+    assert wrapped.manifest["spec"] == direct.manifest["spec"] == spec.to_dict()
+    assert wrapped.manifest["spec_digest"] == direct.manifest["spec_digest"]
+
+
+def test_a_mutating_instrument_makes_the_manifest_non_replayable():
+    """The documented limit (``execute_run``): an ``instrument`` that swaps
+    the IFQ runs something the spec does not describe, and
+    ``verify_manifest`` says so instead of blessing it."""
+    from repro.net.queues import RedQueue
+
+    def swap_in_red(network, flows):
+        for node in network.nodes:
+            red = RedQueue(50, min_th=1.0, max_th=3.0, max_p=1.0, weight=0.5,
+                           rng=network.sim.stream(f"red.{node.node_id}"))
+            red.on_wakeup = node.mac.wakeup
+            node.ifq = red
+            node.mac.queue = red
+
+    config = _short(window=32)
+    mutated = run_chain(2, ["newreno"], config=config, instrument=swap_in_red)
+    assert mutated.manifest["spec"] is not None
+    assert verify_manifest(mutated.manifest) is False
+    assert verify_manifest(run_chain(2, ["newreno"], config=config).manifest)

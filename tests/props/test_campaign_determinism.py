@@ -104,6 +104,21 @@ def test_replications_draw_independent_seeds():
         assert run.seed == derive_run_seed(1, run.scenario, run.replication)
 
 
+def test_a_scenario_named_twice_is_planned_once():
+    """A duplicate cell used to be simulated, journaled and reported twice
+    (same key, seeds and digests).  It is planned once, at its first
+    position; a duplicate-free grid plans exactly as before."""
+    grid = small_grid()
+    plain = plan_campaign(grid, replications=2, base_seed=7)
+    assert [r.index for r in plain] == list(range(8))
+    # A seed-only variant is the same scenario: seeds are re-derived anyway.
+    doubled = [grid[0], grid[1], grid[0].with_seed(99), *grid[2:], grid[1]]
+    assert plan_campaign(doubled, replications=2, base_seed=7) == plain
+    result = run_campaign([grid[0], grid[0]], replications=2, jobs=1)
+    assert result.planned == 2 and len(result.records) == 2
+    assert len({r.run.digest for r in result.records}) == 2
+
+
 def test_scenario_key_ignores_seed_but_digest_tracks_it():
     config = ScenarioConfig(sim_time=1.5, window=4)
     spec = RunSpec(kind="chain", hops=2, variants=("muzha",), config=config)

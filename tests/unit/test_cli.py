@@ -1,8 +1,43 @@
 """Unit tests for the repro-muzha CLI."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+HELP_GOLDENS = Path(__file__).parent.parent / "data" / "help"
+SUBCOMMANDS = ("chain", "sweep", "cross", "dynamics", "campaign", "worker",
+               "trace", "stats", "profile", "report", "doctor", "tables")
+
+
+def test_every_subcommand_has_a_help_golden():
+    choices = build_parser()._subparsers._group_actions[0].choices
+    assert tuple(choices) == SUBCOMMANDS
+    assert sorted(path.stem for path in HELP_GOLDENS.glob("*.txt")) == sorted(
+        SUBCOMMANDS + ("repro-muzha",))
+
+
+@pytest.mark.parametrize("command", ("repro-muzha",) + SUBCOMMANDS)
+def test_help_equals_the_committed_golden(command, monkeypatch):
+    """``tests/data/help/<command>.txt`` is ``--help`` as printed at
+    ``COLUMNS=80`` by the commit before the CLI built its runs from one
+    ``_spec_from_args``.  A deliberate flag change shows up as a reviewed
+    diff of a text file; anything else is a regression.  Normalised: the
+    one heading Python 3.10 renamed (CI runs 3.9 and 3.12) and the line
+    breaks of the usage paragraph, which 3.13 wraps differently."""
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser()
+    if command != "repro-muzha":
+        parser = parser._subparsers._group_actions[0].choices[command]
+    golden = (HELP_GOLDENS / f"{command}.txt").read_text()
+
+    def normalise(text):
+        text = text.replace("optional arguments:", "options:")
+        usage, _, rest = text.partition("\n\n")
+        return " ".join(usage.split()) + "\n\n" + rest
+
+    assert normalise(parser.format_help()) == normalise(golden)
 
 
 def test_parser_builds_and_knows_all_subcommands():
@@ -109,6 +144,23 @@ def test_campaign_command_no_cache_always_simulates(tmp_path, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "1 simulated, 0 cache hits" in out
+
+
+def test_campaign_command_lists_a_cell_named_twice_once(capsys):
+    """``--hops 2 2`` used to print "2 scenarios x 2 replications = 4
+    runs", simulate 4 units (2 of them exact duplicates) and list the cell
+    on two rows of the means table, each claiming ``runs = 4``."""
+    assert main([
+        "campaign", "--hops", "2", "2", "--variants", "newreno",
+        "--replications", "2", "--time", "1", "--jobs", "1",
+        "--no-cache", "--quiet",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "campaign: 1 scenarios x 2 replications = 2 runs" in out
+    assert "2 simulated, 0 cache hits, 0 failed" in out
+    rows = [line.split() for line in out.splitlines()
+            if line.split()[:2] == ["2", "newreno"]]
+    assert len(rows) == 1 and rows[0][-1] == "2"  # one row, runs = 2
 
 
 def test_campaign_command_clear_cache(tmp_path, capsys):

@@ -16,6 +16,7 @@ from repro.experiments import (
     format_table,
     run_chain,
     run_cross,
+    run_flows,
     stable_digest,
 )
 from repro.experiments.figures import (
@@ -124,6 +125,24 @@ class TestRunners:
     def test_run_chain_mismatched_starts_rejected(self):
         with pytest.raises(ValueError):
             run_chain(2, ["newreno"], starts=[0.0, 1.0])
+
+    def test_run_flows_assembles_any_built_network(self):
+        """``run_chain`` is ``run_flows`` over a chain: a scene the kinds
+        cannot express builds its own network and gets the same assembly."""
+        from repro.topology import build_chain
+
+        config = ScenarioConfig(sim_time=2.0, seed=5)
+        network = build_chain(2, seed=config.seed)
+        ends = [(network.nodes[0], network.nodes[-1])]
+        seen = []
+        result = run_flows(network, ends, ["muzha"], config,
+                           instrument=lambda net, flows: seen.append((net, flows)))
+        assert seen[0][0] is network and len(seen[0][1]) == 1
+        assert result.result_digest() == run_chain(
+            2, ["muzha"], config=config).result_digest()
+        assert result.manifest["spec"] is None  # only execute_run knows a spec
+        with pytest.raises(ValueError, match="endpoints and variants"):
+            run_flows(build_chain(2), ends * 2, ["muzha"], config)
 
     def test_run_cross_two_flows(self):
         result = run_cross(

@@ -101,6 +101,8 @@ MALFORMED = {
     "invalid-utf8-line": b'{"kind":"event","name":"x","t":1.0}\n\xff\xfe\n',
     "invalid-utf8-in-a-string": b'{"kind":"event","name":"\xff","t":1.0}\n',
     "nul-bytes": b"\x00\x00\x00\n",
+    # RecursionError out of json.loads, not a ValueError
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000 + b"\n",
     "empty": b"",
     "whitespace-only": b"  \n\n",
     "missing": None,  # no such file
@@ -150,7 +152,10 @@ def test_malformed_content_is_reported_not_raised(tool, name, tmp_path,
     UTF-8 (``UnicodeDecodeError``) — and ``doctor --spans`` passed a span
     record without an id as healthy.  ``validate`` on a path that does not
     exist was a ``FileNotFoundError`` traceback, and on a manifest that is
-    not UTF-8 a ``UnicodeDecodeError`` one."""
+    not UTF-8 a ``UnicodeDecodeError`` one; ``validate --manifest`` on
+    100 000 nested brackets a ``RecursionError`` one (it caught only
+    ``ValueError``) until it caught ``JSON_PARSE_ERRORS`` like every other
+    reader."""
     path = tmp_path / "log.ndjson"
     if MALFORMED[name] is not None:
         path.write_bytes(MALFORMED[name])
@@ -170,3 +175,25 @@ def test_malformed_content_is_reported_not_raised(tool, name, tmp_path,
         assert status == 1 and "[error] journal-corrupt" in out
     else:
         assert status == 1
+        if (tool, name) == ("validate-manifest", "deep-nesting"):
+            assert out.startswith(f"FAIL {path}\n  not valid JSON: ")
+
+
+def test_a_damaged_committed_schema_is_reported_not_raised(tmp_path, capsys,
+                                                           monkeypatch):
+    """``load_schema`` had the same bare ``json.loads``: a schema file of
+    100 000 nested brackets was a ``RecursionError`` traceback out of
+    ``validate``; it is one ``not valid JSON`` line and exit 1."""
+    import importlib
+
+    # ``repro.obs.validate`` the attribute is the function of that name.
+    validate = importlib.import_module("repro.obs.validate")
+    (tmp_path / "run_manifest.schema.json").write_bytes(MALFORMED["deep-nesting"])
+    monkeypatch.setattr(validate, "SCHEMA_DIR", tmp_path)
+    with pytest.raises(ValueError, match="run_manifest.schema.json is not valid JSON"):
+        validate.load_schema("run_manifest")
+    manifest = tmp_path / "m.json"
+    manifest.write_text("{}")
+    assert validate_main(["--manifest", str(manifest)]) == 1
+    assert capsys.readouterr().out.startswith(
+        f"FAIL {manifest}\n  schema run_manifest.schema.json is not valid JSON: ")

@@ -98,15 +98,18 @@ class TestThroughput:
             goodput_kbps(FakeSink(), 0.0)
 
     def test_sampler_records_series_and_rates(self):
+        """The dynamics sampler is a one-watch ``TimeseriesProbe``: an
+        immediate first sample, one per interval, rate = delta bytes / dt."""
+        from repro.obs import TimeseriesProbe
         from repro.sim import Simulator
-        from repro.stats import ThroughputSampler
 
         class FakeSink:
             delivered_bytes = 0
 
         sim = Simulator(seed=1)
         sink = FakeSink()
-        sampler = ThroughputSampler(sim, sink, interval=1.0).start()
+        probe = TimeseriesProbe(sim, interval=1.0).watch(
+            "bytes", lambda: sink.delivered_bytes).start()
 
         def grow():
             sink.delivered_bytes += 1250  # 10 kbit per second
@@ -114,7 +117,10 @@ class TestThroughput:
         for t in (0.5, 1.5, 2.5):
             sim.at(t, grow)
         sim.run(until=3.0)
-        sampler.stop()
-        rates = sampler.rates_kbps()
+        probe.stop()
+        series = probe.series["bytes"]
+        assert series[0] == (0.0, 0.0)
+        assert [t for t, _ in series] == [0.0, 1.0, 2.0, 3.0]
+        rates = [(t, rate * 8.0 / 1000.0) for t, rate in differentiate(series)]
         assert len(rates) == 3
         assert all(rate == pytest.approx(10.0) for _, rate in rates)
