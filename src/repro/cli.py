@@ -85,6 +85,7 @@ from .obs import (
     render_report,
 )
 from .stats import jain_index, resample
+from .transport import known_variants
 
 
 def _positive_int(text: str) -> int:
@@ -609,12 +610,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="TCP Muzha reproduction: run the paper's experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every flag that takes a TCP variant accepts exactly the registry.
+    variants = known_variants()
 
     chain = sub.add_parser("chain", help="single flow over an h-hop chain")
     _add_common(chain)
     chain.add_argument("--hops", type=int, default=4)
-    chain.add_argument("--variant", choices=sorted(PAPER_VARIANTS) + ["tahoe", "reno"],
-                       default="muzha")
+    chain.add_argument("--variant", choices=variants, default="muzha")
     chain.add_argument("--loss", type=float, default=0.0,
                        help="per-frame random loss probability")
     chain.add_argument("--trace", action="store_true", help="print the cwnd trace")
@@ -630,15 +632,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     cross = sub.add_parser("cross", help="Simulation 3A coexistence on a cross")
     _add_common(cross)
-    cross.add_argument("--a", default="newreno", help="horizontal flow variant")
-    cross.add_argument("--b", default="muzha", help="vertical flow variant")
+    cross.add_argument("--a", choices=variants, default="newreno",
+                       help="horizontal flow variant")
+    cross.add_argument("--b", choices=variants, default="muzha",
+                       help="vertical flow variant")
     cross.add_argument("--hops", type=int, nargs="+", default=[4])
     cross.add_argument("--seeds", type=int, default=3)
     cross.set_defaults(func=_cmd_cross)
 
     dynamics = sub.add_parser("dynamics", help="Simulation 3B staggered flows")
     _add_common(dynamics)
-    dynamics.add_argument("--variant", default="muzha")
+    dynamics.add_argument("--variant", choices=variants, default="muzha")
     dynamics.add_argument("--hops", type=int, default=4)
     dynamics.set_defaults(func=_cmd_dynamics)
 
@@ -648,7 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(campaign)
     campaign.add_argument("--hops", type=int, nargs="+", default=[4, 8, 16],
                           help="chain lengths in the grid")
-    campaign.add_argument("--variants", nargs="+", default=list(PAPER_VARIANTS),
+    campaign.add_argument("--variants", nargs="+", choices=variants,
+                          default=list(PAPER_VARIANTS),
                           help="TCP variants in the grid")
     campaign.add_argument("--replications", type=int, default=3,
                           help="independent replications per scenario")
@@ -762,11 +767,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario", choices=tuple(SCENARIO_KINDS),
                        help="which scenario shape to run")
         p.add_argument("--hops", type=int, default=4)
-        p.add_argument("--variant",
-                       choices=sorted(PAPER_VARIANTS) + ["tahoe", "reno"],
-                       default="muzha",
+        p.add_argument("--variant", choices=variants, default="muzha",
                        help="flow variant (horizontal flow for cross)")
-        p.add_argument("--b", default="newreno",
+        p.add_argument("--b", choices=variants, default="newreno",
                        help="vertical flow variant (cross only)")
 
     trace = sub.add_parser(
@@ -808,8 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("scenario", choices=(*SCENARIO_KINDS, "dynamics"),
                          help="which scenario shape to profile")
     profile.add_argument("--hops", type=int, default=4)
-    profile.add_argument("--variant", choices=sorted(PAPER_VARIANTS) + ["tahoe", "reno"],
-                         default="muzha")
+    profile.add_argument("--variant", choices=variants, default="muzha")
     profile.add_argument("--sort", choices=("tottime", "cumulative", "ncalls"),
                          default="tottime", help="stat ordering for the report")
     profile.add_argument("--limit", type=int, default=25,

@@ -18,16 +18,5 @@ class TcpMuzhaNoMarking(TcpMuzha):
 
     variant = "muzha-nomark"
 
-    def _on_triple_dupack(self, seg: TcpSegment) -> None:
-        if self.in_recovery:
-            return
-        # Force the congestion interpretation regardless of the echoed MRAI.
-        forced = TcpSegment(
-            "ack",
-            sport=seg.sport,
-            dport=seg.dport,
-            ack=seg.ack,
-            sack_blocks=seg.sack_blocks,
-            echo_mrai=1,
-        )
-        super()._on_triple_dupack(forced)
+    def _congestion_loss(self, seg: TcpSegment) -> bool:
+        return True  # whatever MRAI the duplicate ACKs echo

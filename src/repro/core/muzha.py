@@ -1,17 +1,19 @@
 """TCP Muzha — the paper's router-assisted congestion control (Chapter 4).
 
-Differences from loss-driven TCP, exactly as Table 4.1 specifies:
+The paper specifies the sender as a diff against NewReno, and so does this
+module: :class:`TcpMuzha` *is* :class:`~repro.transport.newreno.TcpNewReno`
+with the four rows of Table 4.1 overridden, one method each:
 
-* **No slow start.**  The connection starts directly in congestion
-  avoidance; the window is steered by the path-minimum DRAI (the MRAI)
-  echoed on every ACK, applied once per RTT via Table 5.2.
-* **Two phases only:** CA (congestion avoidance) and FF (fast retransmit &
-  fast recovery, inherited from NewReno).
-* **Marked vs unmarked duplicate ACKs (§4.7):** three duplicate ACKs whose
-  echoed MRAI is in the deceleration band mean congestion -> halve cwnd and
-  enter FF.  Three *unmarked* duplicate ACKs mean random (wireless) loss ->
-  retransmit and enter FF *without any window reduction*.
-* **Timeout:** cwnd <- 1 and back to CA (never slow start).
+1. **New ACK in CA** (``_on_new_ack``) — no slow start; the window is
+   steered by the path-minimum DRAI (the MRAI) echoed on every ACK, applied
+   once per RTT via Table 5.2.
+2. **Three marked duplicate ACKs** and
+3. **three unmarked duplicate ACKs** (``_recovery_window``, §4.7) — an echoed
+   MRAI in the deceleration band means congestion: FF ends at cwnd/2;
+   otherwise the loss was random (wireless): FF ends at the window it began
+   with.  Entering, inflating and leaving FF — fast retransmit & fast
+   recovery with partial ACKs — is NewReno's code, untouched.
+4. **Timeout** (``_on_timeout``) — cwnd <- 1 and back to CA, never slow start.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..net.packet import Packet
-from ..transport.base import TcpSenderBase
+from ..transport.newreno import TcpNewReno
 from ..transport.segments import TcpSegment
 from .drai import DRAI_TABLE, MAX_DRAI, apply_drai, is_marked
 
@@ -36,7 +38,7 @@ class MuzhaStats:
     )
 
 
-class TcpMuzha(TcpSenderBase):
+class TcpMuzha(TcpNewReno):
     """Router-assisted sender driven by the MRAI feedback."""
 
     variant = "muzha"
@@ -51,8 +53,6 @@ class TcpMuzha(TcpSenderBase):
         #: Apply at most one Table 5.2 adjustment per RTT: the next
         #: adjustment is allowed once snd_una passes this barrier.
         self._adjust_barrier = 0
-        #: cwnd to restore when the current FF episode completes.
-        self._ff_exit_cwnd = self.cwnd
 
     # -- router-assist plumbing ---------------------------------------------------
 
@@ -60,14 +60,13 @@ class TcpMuzha(TcpSenderBase):
         # Carry the AVBW-S option, initialised to the maximum DRAI (§4.4).
         packet.avbw_s = MAX_DRAI
 
-    # -- CA phase: MRAI-driven window control ------------------------------------------
-
-    def _grow_window(self) -> None:
-        pass  # growth comes exclusively from the MRAI feedback
+    # -- CA phase: MRAI-driven window control (Table 4.1 row 1) ------------------------
 
     def _on_new_ack(self, acked: int, seg: TcpSegment) -> None:
         if self.in_recovery:
-            self._ff_new_ack(acked, seg)
+            super()._on_new_ack(acked, seg)  # FF phase: NewReno's
+            if not self.in_recovery:
+                self._arm_adjust_barrier()
             return
         mrai = seg.echo_mrai
         if mrai is None:
@@ -90,41 +89,20 @@ class TcpMuzha(TcpSenderBase):
             self.snd_nxt, self.snd_una + self.usable_window
         )
 
-    # -- FF phase: NewReno-style recovery with loss classification -----------------------
+    # -- FF phase: which window the episode ends at (Table 4.1 rows 2-3, §4.7) ---------
 
-    def _on_triple_dupack(self, seg: TcpSegment) -> None:
-        if self.in_recovery:
-            return
-        self.stats.fast_retransmits += 1
-        self.in_recovery = True
-        self.recover = self.snd_nxt
-        if is_marked(seg.echo_mrai):
-            # Congestion loss: halve, as Table 4.1 row 2.
+    def _recovery_window(self, seg: TcpSegment) -> float:
+        # ssthresh is deliberately left alone: it stays 0, there is no slow start.
+        if self._congestion_loss(seg):
             self.muzha.marked_loss_events += 1
-            self._ff_exit_cwnd = max(self.cwnd / 2.0, 1.0)
-        else:
-            # Random loss: retransmit only, no window reduction (row 3).
-            self.muzha.random_loss_events += 1
-            self._ff_exit_cwnd = self.cwnd
-        self._transmit(self.snd_una, is_retransmit=True)
-        # Inflate by the three departed segments to keep the ACK clock.
-        self._set_cwnd(self._ff_exit_cwnd + 3.0)
+            return max(self.cwnd / 2.0, 1.0)
+        # Random loss: retransmit only, no window reduction.
+        self.muzha.random_loss_events += 1
+        return self.cwnd
 
-    def _on_extra_dupack(self, seg: TcpSegment) -> None:
-        if self.in_recovery:
-            self._set_cwnd(self.cwnd + 1.0)
-
-    def _ff_new_ack(self, acked: int, seg: TcpSegment) -> None:
-        if seg.ack >= self.recover:
-            # FF complete: deflate to the classified exit window.
-            self.in_recovery = False
-            self._set_cwnd(self._ff_exit_cwnd)
-            self._arm_adjust_barrier()
-            return
-        # Partial ACK: next hole, NewReno style, window pinned.
-        self.stats.fast_retransmits += 1
-        self._transmit(self.snd_una, is_retransmit=True)
-        self._set_cwnd(max(self.cwnd - acked + 1.0, self._ff_exit_cwnd))
+    def _congestion_loss(self, seg: TcpSegment) -> bool:
+        """True when the third duplicate ACK is *marked* (§4.7)."""
+        return is_marked(seg.echo_mrai)
 
     # -- timeout: back to CA, never slow start (Table 4.1 row 4) ----------------------------
 

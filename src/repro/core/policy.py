@@ -181,7 +181,7 @@ class FuzzyDraiPolicy(AdvicePolicy):
         return self.params.queue_hard_hi, self.params.occ_sat_hi
 
 
-class BinaryFeedbackPolicy(AdvicePolicy):
+class BinaryFeedbackPolicy(FuzzyDraiPolicy):
     """ECN-style single-bit feedback expressed in DRAI terms (§4.6 ablation).
 
     Publishes 1 ("congestion") or 4 ("no congestion"); the stabilizing and
@@ -193,19 +193,9 @@ class BinaryFeedbackPolicy(AdvicePolicy):
     """
 
     name = "binary-feedback"
-    params_cls = DraiParams
-
-    def default_params(self) -> DraiParams:
-        return self.drai_params
 
     def _advise(self, signals: PolicySignals) -> int:
-        fine = compute_drai(
-            signals.queue_len, signals.utilization, signals.occupancy, self.params
-        )
-        return 1 if fine <= 2 else 4
-
-    def saturation_bounds(self) -> Tuple[float, float]:
-        return self.params.queue_hard_hi, self.params.occ_sat_hi
+        return 1 if super()._advise(signals) <= 2 else 4
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Transport layer (substrate S6): packet-granularity TCP senders
 (Tahoe/Reno/NewReno/SACK/Vegas, plus Westwood and Veno from the related
 work), the SACK scoreboard, the common sink (with optional delayed ACKs),
-and RTT/RTO estimation.  TCP Muzha itself lives in :mod:`repro.core`."""
+and RTT/RTO estimation.  TCP Muzha's CA phase and loss classification live
+in :mod:`repro.core`; its FF phase (fast retransmit & fast recovery) lives
+here — it is :mod:`.newreno` over :mod:`.reno`, as for every other sender."""
 
 from .base import TcpSenderBase, TcpSenderStats
 from .newreno import TcpNewReno

@@ -7,6 +7,8 @@ Concrete variants (Tahoe/Reno/NewReno/SACK/Vegas and TCP Muzha in
 * ``_on_triple_dupack(seg)``    — third duplicate ACK;
 * ``_on_extra_dupack(seg)``     — duplicate ACKs beyond the third;
 * ``_on_timeout()``             — retransmission timer expired;
+* ``_loss_ssthresh(seg)``       — ``ssthresh`` after a loss (third duplicate
+  ACK ``seg``, or ``None`` on a timeout);
 * ``_on_rtt_sample(rtt)``       — one Karn-valid RTT measurement per window;
 * ``_decorate_data_packet(pkt)``— stamp IP options (Muzha's AVBW-S).
 
@@ -82,6 +84,8 @@ class TcpSenderBase:
         self.dupacks = 0
         self.in_recovery = False
         self.recover = 0
+        #: Window the current fast-recovery episode deflates to when it ends.
+        self.exit_cwnd = self.cwnd
 
         self.rtt = RttEstimator(min_rto=min_rto)
         self._rto_timer = Timer(sim, self._on_rto_expiry, name="tcp.rto")
@@ -260,10 +264,15 @@ class TcpSenderBase:
     def _on_new_ack(self, acked: int, seg: TcpSegment) -> None:
         self._grow_window()
 
+    def _loss_ssthresh(self, seg: Optional[TcpSegment]) -> float:
+        """``ssthresh`` after a loss: ``seg`` is the third duplicate ACK, or
+        ``None`` when the retransmission timer expired."""
+        return self._flight_half()
+
     def _on_triple_dupack(self, seg: TcpSegment) -> None:
         """Fast retransmit (Tahoe default: back to slow start)."""
         self.stats.fast_retransmits += 1
-        self.ssthresh = self._flight_half()
+        self.ssthresh = self._loss_ssthresh(seg)
         self._set_cwnd(1.0)
         self._transmit(self.snd_una, is_retransmit=True)
 
@@ -271,7 +280,7 @@ class TcpSenderBase:
         pass
 
     def _on_timeout(self) -> None:
-        self.ssthresh = self._flight_half()
+        self.ssthresh = self._loss_ssthresh(None)
         self._set_cwnd(1.0)
         self.in_recovery = False
 

@@ -14,6 +14,7 @@ from typing import List, Optional, Set, Tuple
 from ..net.node import Node
 from ..net.packet import Packet
 from ..sim.simulator import Simulator
+from ..sim.timer import Timer
 from .segments import TcpSegment
 
 
@@ -55,8 +56,6 @@ class TcpSink:
         self.first_delivery: Optional[float] = None
         self.last_delivery: Optional[float] = None
         self._pending_ack: Optional[tuple] = None  # (packet, segment)
-        from ..sim.timer import Timer
-
         self._delack_timer = Timer(sim, self._flush_delayed_ack, name="tcp.delack")
 
     # -- receive path -----------------------------------------------------------

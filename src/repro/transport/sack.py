@@ -32,13 +32,9 @@ class TcpSack(TcpReno):
         super()._handle_ack(seg)
 
     def _on_triple_dupack(self, seg: TcpSegment) -> None:
-        if self.in_recovery:
+        if not self._begin_recovery(seg):
             return
-        self.stats.fast_retransmits += 1
-        self.ssthresh = self._flight_half()
-        self.in_recovery = True
-        self.recover = self.snd_nxt
-        self._set_cwnd(self.ssthresh)
+        self._set_cwnd(self.exit_cwnd)
         # Three dupacks plus the SACKed segments have left the network.
         self._pipe = max(
             self.outstanding - self.dupack_threshold - self.scoreboard.sacked_count(),
@@ -56,15 +52,13 @@ class TcpSack(TcpReno):
     def _on_new_ack(self, acked: int, seg: TcpSegment) -> None:
         if not self.in_recovery:
             self._grow_window()
-            return
-        if seg.ack >= self.recover:
-            self.in_recovery = False
+        elif seg.ack >= self.recover:
             self.scoreboard.reset_episode()
-            self._set_cwnd(self.ssthresh)
-            return
-        # Partial ACK: those segments left the pipe; keep filling holes.
-        self._pipe = max(self._pipe - acked, 0)
-        self._sack_send_loop()
+            super()._on_new_ack(acked, seg)  # full ACK: Reno ends the episode
+        else:
+            # Partial ACK: those segments left the pipe; keep filling holes.
+            self._pipe = max(self._pipe - acked, 0)
+            self._sack_send_loop()
 
     def _on_timeout(self) -> None:
         super()._on_timeout()

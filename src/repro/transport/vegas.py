@@ -21,6 +21,13 @@ from .reno import TcpReno
 from .segments import TcpSegment
 
 
+def backlog(cwnd: float, base_rtt: float, rtt: float) -> float:
+    """Packets queued in the network, by Vegas' estimate: (expected - actual)
+    throughput times ``base_rtt``; 0 before the first RTT sample.  Veno
+    (:mod:`.veno`) reads the same estimate."""
+    return cwnd * (1.0 - base_rtt / rtt) if rtt > 0 else 0.0
+
+
 class TcpVegas(TcpReno):
     """Delay-based Vegas congestion control."""
 
@@ -50,8 +57,7 @@ class TcpVegas(TcpReno):
         self.base_rtt = min(self.base_rtt, rtt)
         if rtt <= 0:
             return
-        # Backlog estimate in packets: (expected - actual) * baseRTT.
-        diff = self.cwnd * (1.0 - self.base_rtt / rtt)
+        diff = backlog(self.cwnd, self.base_rtt, rtt)
         if self._in_vegas_ss:
             if diff > self.gamma:
                 # Leave slow start before overshooting; shed 1/8 of cwnd.

@@ -15,8 +15,11 @@ benchmarks.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .reno import TcpReno
 from .segments import TcpSegment
+from .vegas import backlog
 
 
 class TcpVeno(TcpReno):
@@ -39,9 +42,7 @@ class TcpVeno(TcpReno):
         self._last_rtt = rtt
 
     def _backlog(self) -> float:
-        if self._last_rtt <= 0 or self.base_rtt == float("inf"):
-            return 0.0
-        return self.cwnd * (1.0 - self.base_rtt / self._last_rtt)
+        return backlog(self.cwnd, self.base_rtt, self._last_rtt)
 
     # -- window dynamics -----------------------------------------------------------
 
@@ -56,16 +57,9 @@ class TcpVeno(TcpReno):
                 return
         self._set_cwnd(self.cwnd + 1.0 / max(self.cwnd, 1.0))
 
-    def _on_triple_dupack(self, seg: TcpSegment) -> None:
-        if self.in_recovery:
-            return
-        self.stats.fast_retransmits += 1
-        if self._backlog() < self.beta:
-            # random loss: shed only one fifth of the window
-            self.ssthresh = max(self.cwnd * 4.0 / 5.0, 2.0)
-        else:
-            self.ssthresh = self._flight_half()
-        self.in_recovery = True
-        self.recover = self.snd_nxt
-        self._transmit(self.snd_una, is_retransmit=True)
-        self._set_cwnd(self.ssthresh + 3.0)
+    def _loss_ssthresh(self, seg: Optional[TcpSegment]) -> float:
+        if seg is not None and self._backlog() < self.beta:
+            # random loss (duplicate ACKs, path not congested): shed only
+            # one fifth of the window.  A timeout always halves.
+            return max(self.cwnd * 4.0 / 5.0, 2.0)
+        return self._flight_half()

@@ -12,6 +12,9 @@ natural end-to-end contrast in the extension benchmarks.
 
 from __future__ import annotations
 
+import math
+from typing import Optional
+
 from .newreno import TcpNewReno
 from .segments import TcpSegment
 
@@ -42,8 +45,6 @@ class TcpWestwood(TcpNewReno):
         super()._handle_ack(seg)
 
     def _update_bandwidth(self, acked: int) -> None:
-        import math
-
         now = self.sim.now
         if self._last_ack_time >= 0:
             interval = now - self._last_ack_time
@@ -65,17 +66,5 @@ class TcpWestwood(TcpNewReno):
 
     # -- faster recovery: BDP-based ssthresh --------------------------------------------
 
-    def _on_triple_dupack(self, seg: TcpSegment) -> None:
-        if self.in_recovery:
-            return
-        self.stats.fast_retransmits += 1
-        self.ssthresh = self._bdp_window()
-        self.in_recovery = True
-        self.recover = self.snd_nxt
-        self._transmit(self.snd_una, is_retransmit=True)
-        self._set_cwnd(self.ssthresh + 3.0)
-
-    def _on_timeout(self) -> None:
-        self.ssthresh = self._bdp_window()
-        self._set_cwnd(1.0)
-        self.in_recovery = False
+    def _loss_ssthresh(self, seg: Optional[TcpSegment]) -> float:
+        return self._bdp_window()

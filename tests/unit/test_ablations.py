@@ -63,7 +63,7 @@ class TestNoMarking:
         # ... but the ablation still halves
         assert sender.muzha.marked_loss_events == 1
         assert sender.muzha.random_loss_events == 0
-        assert sender._ff_exit_cwnd == pytest.approx(4.0)
+        assert sender.exit_cwnd == pytest.approx(4.0)
 
     def test_variant_name(self):
         assert TcpMuzhaNoMarking.variant == "muzha-nomark"

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.transport import known_variants
 
 HELP_GOLDENS = Path(__file__).parent.parent / "data" / "help"
 SUBCOMMANDS = ("chain", "sweep", "cross", "dynamics", "campaign", "worker",
@@ -93,6 +94,39 @@ def test_chain_command_with_trace(capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "cwnd" in out
+
+
+def test_chain_command_runs_a_related_work_variant(capsys):
+    """``--variant veno`` used to answer ``invalid choice`` although the
+    registry (and ``campaign --variants veno``) knew the name."""
+    assert main(["chain", "--hops", "2", "--time", "2", "--variant", "veno"]) == 0
+    assert "goodput" in capsys.readouterr().out
+
+
+def test_campaign_command_rejects_an_unknown_variant_before_planning(capsys):
+    """It used to plan the unit, burn three attempts with back-off and
+    quarantine it with a ``KeyError`` from inside a worker."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["campaign", "--hops", "2", "--variants", "nonsense",
+              "--replications", "1", "--time", "1", "--no-cache"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["chain", "--variant"], ["cross", "--a"], ["cross", "--b"],
+    ["dynamics", "--variant"], ["campaign", "--variants"],
+    ["trace", "chain", "--variant"], ["trace", "cross", "--b"],
+    ["stats", "chain", "--variant"], ["stats", "cross", "--b"],
+    ["profile", "chain", "--variant"],
+], ids=" ".join)
+def test_every_variant_flag_takes_exactly_the_registered_names(argv, capsys):
+    parser = build_parser()
+    for name in known_variants():
+        parser.parse_args(argv + [name])
+    with pytest.raises(SystemExit):
+        parser.parse_args(argv + ["nonsense"])
+    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
 
 
 def test_sweep_command(capsys):

@@ -94,7 +94,7 @@ class TestLossClassification:
             ack(sender, una, echo_mrai=1)
         assert sender.in_recovery
         assert sender.muzha.marked_loss_events == 1
-        assert sender._ff_exit_cwnd == pytest.approx(4.0)
+        assert sender.exit_cwnd == pytest.approx(4.0)
         assert sent_seqs(node).count(una) == 2  # fast retransmit
 
     def test_unmarked_triple_dupack_keeps_window(self):
@@ -105,7 +105,7 @@ class TestLossClassification:
             ack(sender, una, echo_mrai=4)  # acceleration band: random loss
         assert sender.in_recovery
         assert sender.muzha.random_loss_events == 1
-        assert sender._ff_exit_cwnd == pytest.approx(8.0)
+        assert sender.exit_cwnd == pytest.approx(8.0)
         assert sent_seqs(node).count(una) == 2
 
     def test_missing_echo_counts_as_random(self):

@@ -50,7 +50,13 @@ class TestRegistry:
             sender_class("bbr")
         assert "newreno" in str(excinfo.value)
 
-    def test_register_custom_variant(self):
+    def test_register_custom_variant(self, monkeypatch):
+        from repro.transport import registry
+
+        # Register into a copy: the CLI's choices and the transcript fence
+        # read the registry, and a leaked name would reach both.
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+
         class Custom(TcpNewReno):
             variant = "custom-test"
 

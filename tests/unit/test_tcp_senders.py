@@ -164,3 +164,84 @@ class TestNewReno:
         ack(sender, sender.recover)
         assert not sender.in_recovery
         assert sender.cwnd == pytest.approx(sender.ssthresh)
+
+
+class TestPinnedDeviations:
+    """Two places the baseline senders knowingly differ from NS-2 / RFC 6582
+    (DESIGN.md §6).  These tests assert today's behaviour by name, so that it
+    can only change on purpose; ROADMAP item 4 decides whether it should."""
+
+    def timed_out(self):
+        sim, node, sender = make_sender(TcpNewReno)
+        for i in range(1, 9):
+            ack(sender, i)  # cwnd 9, segments 8..16 outstanding
+        assert (sender.cwnd, sender.snd_una, sender.snd_nxt) == (9.0, 8, 17)
+        sim.run(until=sim.now + sender.rtt.rto)  # the timer fires once
+        assert sender.stats.timeouts == 1
+        assert (sender.cwnd, sender.ssthresh) == (1.0, 4.5)
+        return sim, node, sender
+
+    def test_no_go_back_n_after_an_rto(self):
+        """NS-2's ``reset_rtx_timer`` pulls ``t_seqno_`` back to
+        ``highest_ack_ + 1``, so the ACK of the retransmission clocks out the
+        next hole.  Here ``snd_nxt`` stays at the high-water mark: that ACK
+        opens the window to 2 with 8 "outstanding", nothing is sent, and the
+        next hole waits for a Karn-backed-off timer."""
+        sim, node, sender = self.timed_out()
+        assert sent_seqs(node)[-1] == 8  # only snd_una was retransmitted
+        assert sender.snd_nxt == 17  # not pulled back to snd_una + 1
+        sent_before = len(node.sent)
+        ack(sender, 9)  # the retransmission alone is acknowledged
+        assert (sender.cwnd, sender.outstanding) == (2.0, 8)
+        assert len(node.sent) == sent_before  # nothing is sent
+        assert sender.rtt.backoff_factor == 2  # and the timer stays backed off
+        sim.run(until=sim.now + sender.rtt.rto)
+        assert sender.stats.timeouts == 2
+        assert sent_seqs(node)[-1] == 9  # the next hole, one RTO later
+
+    def test_no_recover_guard_after_an_rto(self):
+        """RFC 6582 §3.2 (NS-2 ``bugfix_``) sets ``recover`` to the highest
+        sequence sent when the timer fires and ignores duplicate ACKs at or
+        below it.  Here a timeout leaves ``recover`` alone, so three duplicate
+        ACKs for segment 9 — below the pre-timeout high-water mark 17 —
+        trigger a fast retransmit and cut ``ssthresh`` a second time."""
+        sim, node, sender = self.timed_out()
+        assert sender.recover == 0  # never set on a timeout
+        ack(sender, 9)
+        for _ in range(3):
+            ack(sender, 9)
+        assert sender.stats.fast_retransmits == 1
+        assert sender.in_recovery and sender.recover == sender.snd_nxt
+        assert sender.ssthresh == 2.0  # 4.5 after the timeout: cut again
+        assert sent_seqs(node).count(9) == 2
+
+
+class TestRecoveryTraceRecord:
+    def test_one_record_per_episode_and_no_mrai_for_a_baseline(self):
+        from repro.sim.trace import TraceRecorder
+
+        sim, node, sender = make_sender(TcpNewReno)
+        for i in range(1, 9):
+            ack(sender, i)
+        with TraceRecorder(sim.trace, "tcp.recovery") as recorder:
+            for _ in range(3):
+                ack(sender, 8)
+            ack(sender, 10)  # partial ACK: same episode
+            for _ in range(3):
+                ack(sender, 10)  # third duplicate ACK inside the episode
+        [record] = recorder.records
+        assert record.fields == {
+            "node": 0, "port": 10, "seq": 8, "cwnd": 9.0,
+            "exit_cwnd": sender.ssthresh, "mrai": None,
+        }
+
+    def test_tahoe_has_no_recovery_phase_to_report(self):
+        from repro.sim.trace import TraceRecorder
+
+        sim, node, sender = make_sender(TcpTahoe)
+        for i in range(1, 6):
+            ack(sender, i)
+        with TraceRecorder(sim.trace, "tcp.recovery") as recorder:
+            for _ in range(3):
+                ack(sender, 5)
+        assert sender.stats.fast_retransmits == 1 and not recorder.records
