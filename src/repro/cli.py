@@ -546,12 +546,21 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import pstats
 
     spec = _spec_from_args(args)
+    kept = []
     profiler = cProfile.Profile()
     profiler.enable()
-    execute_run(spec)
+    execute_run(spec, lambda network, flows: kept.append(network))
     profiler.disable()
 
     stats = pstats.Stats(profiler, stream=sys.stdout)
+    # What one MAC frame cost in this run (EXPERIMENTS.md "What a frame
+    # costs"; tests/unit/test_hot_path_budget.py pins the same ratios).
+    network, calls = kept[0], stats.total_calls
+    frames = network.channel.transmissions
+    events = network.sim.scheduler.processed_events
+    n = max(frames, 1)  # --time 0 sends nothing
+    print(f"frames {frames}  events {events} ({events / n:.2f} per frame)"
+          f"  calls {calls} ({calls / n:.1f} per frame)")
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.limit)
     if args.out:
         stats.dump_stats(args.out)

@@ -83,6 +83,11 @@ class DcfMac:
         params: Optional[MacParams] = None,
     ) -> None:
         self.sim = sim
+        #: The clock and the event API, one hop away: the per-frame path
+        #: reads ``_sched.now`` (a plain attribute) and schedules/cancels on
+        #: the scheduler itself rather than through the Simulator shortcuts.
+        #: Never cache ``now`` across callbacks.
+        self._sched = sim.scheduler
         self.channel = channel
         self.radio = radio
         self.address = address
@@ -164,10 +169,10 @@ class DcfMac:
         """Power the MAC down (node crash): cancel every pending timer and
         event, drop the in-service packet, and ignore stale callbacks.
 
-        Events whose handles the MAC does not keep (``mac.tx_done``, SIFS
-        responses already queued) may still fire after shutdown; the
-        ``_down`` guards turn them into no-ops instead of stale-state
-        corruption.
+        Callbacks the MAC holds no handle for (the radio's ``phy_tx_end``
+        for a frame still on the air, SIFS responses already queued) may
+        still arrive after shutdown; the ``_down`` guards turn them into
+        no-ops instead of stale-state corruption.
         """
         if self._down:
             return
@@ -175,7 +180,7 @@ class DcfMac:
         self._reset_tx_state()
         self._response_timer.stop()
         self._pending_response = None
-        self.sim.cancel(self._nav_event)
+        self._sched.cancel(self._nav_event)
         self._nav_event = None
         self.nav.clear()
         self._use_eifs = False
@@ -198,29 +203,71 @@ class DcfMac:
     def _medium_busy(self) -> bool:
         return (
             self.radio.carrier_busy
-            or self.nav.busy(self.sim.now)
+            or self._sched.now < self.nav.until
             or self._pending_response is not None
         )
 
-    def _reevaluate_medium(self) -> None:
-        if self._medium_busy():
+    def _set_medium(self, busy: bool) -> None:
+        """The one busy/idle transition: freeze the backoff when the medium
+        turns busy, stamp the idle instant and (re)start it when it clears.
+
+        The ``_access_event`` / ``CONTEND`` tests are guards *around*
+        ``_pause_countdown`` / ``_maybe_start_countdown`` (which keep their
+        own): most edges arrive at a MAC that is not contending.
+        """
+        if busy:
             if self._medium_idle_since is not None:
                 self._medium_idle_since = None
-                self._pause_countdown()
-        else:
-            if self._medium_idle_since is None:
-                self._medium_idle_since = self.sim.now
+                if self._access_event is not None:
+                    self._pause_countdown()
+        elif self._medium_idle_since is None:
+            self._medium_idle_since = self._sched.now
+            if self._state is DcfState.CONTEND:
                 self._maybe_start_countdown()
+
+    def _reevaluate_medium(self) -> None:
+        """Re-derive all three terms (carrier, NAV, pending SIFS response):
+        for NAV end, SIFS responses and restart, where no PHY edge says
+        which way the medium went."""
+        self._set_medium(self._medium_busy())
 
     # -- PHY listener interface -----------------------------------------------------
 
     def phy_channel_busy(self) -> None:
-        self.meter.on_busy(self.sim.now)
-        self._reevaluate_medium()
+        """A busy edge *is* "medium busy": the radio reports it only after
+        it appended the signal / set ``_transmitting``, so the carrier term
+        of :meth:`_medium_busy` is True at this instant whatever NAV says."""
+        self.meter.on_busy(self._sched.now)
+        self._set_medium(True)
 
     def phy_channel_idle(self) -> None:
-        self.meter.on_idle(self.sim.now)
-        self._reevaluate_medium()
+        """An idle edge settles the carrier term: the radio reports it only
+        when ``not (_transmitting or _signals)``, which leaves NAV and a
+        pending SIFS response — read at the same ``now`` — to decide."""
+        now = self._sched.now
+        self.meter.on_idle(now)
+        self._set_medium(
+            now < self.nav.until or self._pending_response is not None
+        )
+
+    def phy_tx_end(self, frame: MacFrame) -> None:
+        """Our own ``frame`` left the air (after the idle edge, if any): arm
+        the CTS/ACK wait or finish a broadcast.  This is the channel's tx-end
+        entry itself — the MAC schedules no tx-done event of its own."""
+        if self._down:
+            return  # the node died between keying up and tx completion
+        if frame.kind is FrameKind.RTS:
+            self._cts_timer.start(
+                self.params.sifs + self._cts_time + self.params.timeout_guard
+            )
+        elif frame.kind is FrameKind.DATA:
+            if frame.is_broadcast:
+                self._finish_current(success=True)
+            elif self._current is not None and frame.payload is self._current.packet:
+                self._state = DcfState.WAIT_ACK
+                self._ack_timer.start(
+                    self.params.sifs + self._ack_time + self.params.timeout_guard
+                )
 
     def phy_rx_error(self) -> None:
         # A frame we might have decoded was lost: defer by EIFS next time,
@@ -251,14 +298,15 @@ class DcfMac:
     def _update_nav(self, frame: MacFrame) -> None:
         if frame.duration <= 0:
             return
-        now = self.sim.now
+        sched = self._sched
+        now = sched.now
         until = now + frame.duration
         prev = self.nav.until
         if self.nav.set(until):
             # Each successful extension adds exactly the newly reserved span.
             self.counters.nav_time_s += until - max(prev, now)
-            self.sim.cancel(self._nav_event)
-            self._nav_event = self.sim.at(
+            sched.cancel(self._nav_event)
+            self._nav_event = sched.schedule(
                 until, self._on_nav_end, name="mac.nav_end"
             )
             self._reevaluate_medium()
@@ -279,16 +327,21 @@ class DcfMac:
             return
         ifs = self._eifs if self._use_eifs else self.params.difs
         self._countdown_ifs = ifs
-        self._countdown_start = self.sim.now
+        sched = self._sched
+        self._countdown_start = now = sched.now
         delay = ifs + self._backoff_slots * self.params.slot_time
-        self._access_event = self.sim.after(delay, self._access, name="mac.access")
+        # now + delay, grouped as schedule_after() forms it (float addition
+        # is not associative; see WirelessChannel.transmit).
+        self._access_event = sched.schedule(
+            now + delay, self._access, name="mac.access"
+        )
 
     def _pause_countdown(self) -> None:
         if self._access_event is None:
             return
-        self.sim.cancel(self._access_event)
+        self._sched.cancel(self._access_event)
         self._access_event = None
-        elapsed = self.sim.now - self._countdown_start - self._countdown_ifs
+        elapsed = self._sched.now - self._countdown_start - self._countdown_ifs
         if elapsed > 0:
             slots_done = int(elapsed / self.params.slot_time + 1e-9)
             self._backoff_slots = max(0, self._backoff_slots - slots_done)
@@ -301,7 +354,7 @@ class DcfMac:
         if (
             first_attempt
             and idle_since is not None
-            and self.sim.now - idle_since >= self.params.difs
+            and self._sched.now - idle_since >= self.params.difs
             and not self._use_eifs
         ):
             self._backoff_slots = 0
@@ -406,24 +459,8 @@ class DcfMac:
             self.counters.broadcast_tx += 1
         else:
             self.counters.data_tx += 1
+        # The channel's tx-end entry comes back as phy_tx_end(frame).
         self.channel.transmit(self.radio, frame, tx_time)
-        self.sim.after(tx_time, self._tx_done, frame, name="mac.tx_done")
-
-    def _tx_done(self, frame: MacFrame) -> None:
-        if self._down:
-            return  # the node died between keying up and tx completion
-        if frame.kind is FrameKind.RTS:
-            self._cts_timer.start(
-                self.params.sifs + self._cts_time + self.params.timeout_guard
-            )
-        elif frame.kind is FrameKind.DATA:
-            if frame.is_broadcast:
-                self._finish_current(success=True)
-            elif self._current is not None and frame.payload is self._current.packet:
-                self._state = DcfState.WAIT_ACK
-                self._ack_timer.start(
-                    self.params.sifs + self._ack_time + self.params.timeout_guard
-                )
 
     # -- SIFS responses ------------------------------------------------------------------
 
@@ -450,7 +487,7 @@ class DcfMac:
             self._pending_response is not None
             or self.radio.transmitting
             or self._state in (DcfState.WAIT_CTS, DcfState.SEND_DATA, DcfState.WAIT_ACK)
-            or self.nav.busy(self.sim.now)
+            or self._sched.now < self.nav.until
         ):
             return  # cannot honour the reservation; sender will retry
         duration = max(0.0, frame.duration - self.params.sifs - self._cts_time)
@@ -557,7 +594,7 @@ class DcfMac:
         self._ack_timer.stop()
         self._pause_countdown()
         if self._current is not None:
-            self.service_meter.on_idle(self.sim.now)
+            self.service_meter.on_idle(self._sched.now)
         self._current = None
         self._retries_short = 0
         self._retries_long = 0
@@ -574,6 +611,6 @@ class DcfMac:
             self._state = DcfState.IDLE
             return
         self._current = entry
-        self.service_meter.on_busy(self.sim.now)
+        self.service_meter.on_busy(self._sched.now)
         self._frame_id += 1
         self._begin_contention(first_attempt=True)

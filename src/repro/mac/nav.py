@@ -7,12 +7,10 @@ class Nav:
     """Tracks the time until which the medium is virtually reserved."""
 
     def __init__(self) -> None:
-        self._until = 0.0
-
-    @property
-    def until(self) -> float:
-        """Absolute time at which the current reservation ends."""
-        return self._until
+        #: Absolute time at which the current reservation ends.  A plain
+        #: attribute (the DCF reads it on every idle edge); move it only
+        #: through :meth:`set` / :meth:`clear`.
+        self.until = 0.0
 
     def set(self, until: float) -> bool:
         """Extend the reservation to ``until`` if later than the current one.
@@ -20,15 +18,15 @@ class Nav:
         Returns True if the NAV actually moved (callers use this to know
         whether a medium-state re-evaluation is needed).
         """
-        if until > self._until:
-            self._until = until
+        if until > self.until:
+            self.until = until
             return True
         return False
 
     def busy(self, now: float) -> bool:
         """True while the virtual reservation is still in effect."""
-        return now < self._until
+        return now < self.until
 
     def clear(self) -> None:
         """Drop any reservation (used on channel reset in tests)."""
-        self._until = 0.0
+        self.until = 0.0

@@ -19,6 +19,11 @@ departure path.  Sense-only neighbours (inside carrier-sense but outside
 decode range) never consult the error model, and a ``NoError`` medium skips
 the departure trampoline entirely.
 
+A frame therefore schedules ``2k + 1`` entries — its tx-end plus the ``k``
+pairs — and the MAC adds none: the tx-end entry hands the frame back to the
+sender (``Radio.end_transmit(frame)`` → ``PhyListener.phy_tx_end``), which
+is the MAC's tx-done.
+
 One transmit path: :meth:`WirelessChannel.transmit` builds the scheduler's
 fire-and-forget heap tuples while it walks the fan-out (seqs claimed up
 front with ``reserve_seqs``) and hands all 2k+1 of them to one
@@ -208,6 +213,17 @@ class WirelessChannel:
 
         Schedules tx_end first, then per neighbour an arrival/departure pair
         in fan-out order (the seq order :meth:`transmit_reference` pins).
+
+        The tx-end entry carries the frame: ``src.end_transmit(frame)`` is
+        also the sending MAC's tx-done (``PhyListener.phy_tx_end``), so a
+        frame costs these ``2k + 1`` heap entries and nothing else.  It holds
+        the *first* seq of the frame's block where a separate MAC event would
+        hold the first seq *after* it, both at ``now + duration``; only a
+        block member with that exact timestamp could sort between the two —
+        a departure at a neighbour with propagation delay 0.0, i.e. two
+        radios on one position.  No builder, scenario, test or bench
+        co-locates radios (``coords_st`` is ``unique=True``), so there is
+        deliberately no second path for that case.
         """
         self.transmissions += 1
         src.begin_transmit(duration)
@@ -226,7 +242,10 @@ class WirelessChannel:
         # schedules during the emit sees the seq interleaving
         # transmit_reference gives it.
         items = [
-            (now + duration, 0, sched.reserve_seqs(1), (src.end_transmit, ()))
+            (
+                now + duration, 0, sched.reserve_seqs(1),
+                (src.end_transmit, (frame,)),
+            )
         ]
         if self.sim.trace.wants("phy.tx"):
             self.sim.emit(
@@ -273,7 +292,7 @@ class WirelessChannel:
         sched = self.sim.scheduler
         schedule = sched.schedule
         now = sched.now
-        schedule(now + duration, src.end_transmit, name="phy.tx_end")
+        schedule(now + duration, src.end_transmit, frame, name="phy.tx_end")
         if self.sim.trace.wants("phy.tx"):
             self.sim.emit(
                 "phy", "phy.tx", src=src.node_id, duration=duration,

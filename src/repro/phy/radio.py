@@ -30,6 +30,15 @@ class PhyListener(Protocol):
     def phy_rx_error(self) -> None:
         """A decodable frame was lost (collision or bit errors)."""
 
+    def phy_tx_end(self, frame: object) -> None:
+        """This node's own transmission of ``frame`` left the air.
+
+        Reported on every tx-end — also while other energy keeps the medium
+        busy, and also on a powered-off radio (the MAC has its own crash
+        flag).  Order: the idle edge, if there is one, comes *first*, so
+        the listener sees the medium state its next decision depends on.
+        """
+
 
 class Signal:
     """One transmission as heard at a particular radio."""
@@ -79,7 +88,6 @@ class Radio:
         self.down = False
         self._signals: List[Signal] = []
         self._transmitting = False
-        self._tx_end = 0.0
         # Decode-outcome counters over receivable signals, harvested by
         # repro.obs.metrics.collect_network_metrics.
         self.rx_ok = 0
@@ -113,7 +121,6 @@ class Radio:
     def restore(self) -> None:
         """Power back on with a clean slate (any mid-air frames are missed)."""
         self.down = False
-        self._tx_end = 0.0
 
     # -- transmit side (driven by the channel) ---------------------------------
 
@@ -125,19 +132,28 @@ class Radio:
             raise RuntimeError(f"radio {self.node_id} is already transmitting")
         was_busy = self.carrier_busy
         self._transmitting = True
-        self._tx_end = self.sim.now + duration
         for signal in self._signals:
             signal.corrupted = True
         if not was_busy and self.listener is not None:
             self.listener.phy_channel_busy()
 
-    def end_transmit(self) -> None:
-        """Leave TX state; reports idle if nothing remains on the air."""
+    def end_transmit(self, frame: object) -> None:
+        """Leave TX state: report idle if nothing remains on the air, then
+        tell the listener its ``frame`` is out (:meth:`PhyListener.phy_tx_end`).
+
+        This is the channel's tx-end entry and the MAC's tx-done in one: the
+        MAC schedules no event of its own for it.  The idle edge is skipped
+        on a ``down`` radio (stale tx-end after a mid-transmission shutdown)
+        and while other signals keep the carrier busy; ``phy_tx_end`` is
+        reported regardless — otherwise CTS/ACK timers would never arm.
+        """
         self._transmitting = False
-        if self.down:
-            return  # stale tx-end after a mid-transmission shutdown
-        if not self.carrier_busy and self.listener is not None:
-            self.listener.phy_channel_idle()
+        listener = self.listener
+        if listener is None:
+            return
+        if not (self.down or self._signals):
+            listener.phy_channel_idle()
+        listener.phy_tx_end(frame)
 
     # -- receive side (driven by the channel) ----------------------------------
 

@@ -41,12 +41,23 @@ class EventScheduler:
         sched = EventScheduler()
         sched.schedule(1.5, callback, arg1, arg2)
         sched.run(until=10.0)
+
+    ``now`` is a plain attribute, assigned only by the run loop
+    (:meth:`run` / :meth:`step`).  Per-frame code (``DcfMac``, ``Timer``)
+    keeps a scheduler reference and reads it directly — one lookup, no call
+    — and never caches the value across callbacks.
+
+    What one MAC frame puts on the heap: the channel's ``2k + 1``
+    fire-and-forget entries (tx-end plus an arrival/departure pair per
+    carrier-sense neighbour, see ``WirelessChannel.transmit``).  The MAC adds
+    none of its own — the tx-end entry *is* its tx-done notification.
     """
 
     def __init__(self) -> None:
         self._heap: list = []
         self._free: list = []
-        self._now = 0.0
+        #: Current simulation time in seconds (read-only for callers).
+        self.now = 0.0
         self._seq = 0
         self._pending = 0
         self._processed = 0
@@ -54,11 +65,6 @@ class EventScheduler:
         self._stopped = False
 
     # -- inspection ---------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     @property
     def pending_events(self) -> int:
@@ -86,9 +92,9 @@ class EventScheduler:
         The returned object may be a recycled instance; drop the reference
         once the event fires or is cancelled.
         """
-        if time < self._now:
+        if time < self.now:
             raise SchedulerError(
-                f"cannot schedule event at {time:.9f}, now is {self._now:.9f}"
+                f"cannot schedule event at {time:.9f}, now is {self.now:.9f}"
             )
         self._seq = seq = self._seq + 1
         free = self._free
@@ -120,7 +126,7 @@ class EventScheduler:
         if delay < 0:
             raise SchedulerError(f"negative delay {delay}")
         return self.schedule(
-            self._now + delay, callback, *args, priority=priority, name=name
+            self.now + delay, callback, *args, priority=priority, name=name
         )
 
     def reserve_seqs(self, n: int) -> int:
@@ -197,7 +203,7 @@ class EventScheduler:
             time, _, _, event = heappop(heap)
             if type(event) is tuple:  # fire-and-forget entry
                 self._pending -= 1
-                self._now = time
+                self.now = time
                 self._processed += 1
                 event[0](*event[1])
                 return True
@@ -208,7 +214,7 @@ class EventScheduler:
             # Mark before invoking: a callback that cancels *itself* must be
             # a no-op, not a second decrement of the pending count.
             event.fired = True
-            self._now = time
+            self.now = time
             self._processed += 1
             event.callback(*event.args)
             self._recycle(event)
@@ -260,7 +266,7 @@ class EventScheduler:
                         break
                     pop(heap)
                     self._pending -= 1
-                    self._now = time
+                    self.now = time
                     self._processed += 1
                     event[0](*event[1])
                     executed += 1
@@ -275,15 +281,15 @@ class EventScheduler:
                 pop(heap)
                 self._pending -= 1
                 event.fired = True
-                self._now = time
+                self.now = time
                 self._processed += 1
                 event.callback(*event.args)
                 self._recycle(event)
                 executed += 1
-            if until is not None and self._now < until and not self._stopped:
+            if until is not None and self.now < until and not self._stopped:
                 next_time = self.peek_time()
                 if next_time is None or next_time > until:
-                    self._now = until
+                    self.now = until
         finally:
             self._running = False
 

@@ -46,8 +46,8 @@ class Simulator:
         """Schedule ``callback`` ``delay`` seconds from now."""
         return self.scheduler.schedule_after(delay, callback, *args, **kwargs)
 
-    # Aliases matching the EventScheduler API so helpers like Timer can be
-    # constructed from either a Simulator or a bare EventScheduler.
+    # Aliases matching the EventScheduler API, for code written against
+    # either (Timer itself resolves a Simulator to its scheduler).
     def schedule(
         self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any
     ) -> Event:

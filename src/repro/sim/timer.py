@@ -3,6 +3,11 @@
 These wrap the raw event API with the idioms protocol code needs:
 ``restart()`` (cancel + reschedule), ``pause()``/``resume()`` with remaining
 time preserved (used by 802.11 backoff), and periodic ticks.
+
+Timers drive the :class:`EventScheduler` itself.  They may be constructed
+from a ``Simulator`` or from a bare scheduler; the facade is resolved once,
+at construction, because arming a timer is per-frame work (every CTS, ACK
+and SIFS wait of every MAC frame).
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from .event import Event
-from .scheduler import EventScheduler
+from .scheduler import EventScheduler, SchedulerError
 
 
 class Timer:
@@ -22,7 +27,8 @@ class Timer:
         callback: Callable[[], Any],
         name: Optional[str] = None,
     ) -> None:
-        self._scheduler = scheduler
+        # A Simulator is resolved to its EventScheduler here, once.
+        self._scheduler: EventScheduler = getattr(scheduler, "scheduler", scheduler)
         self._callback = callback
         self._name = name
         self._event: Optional[Event] = None
@@ -46,11 +52,21 @@ class Timer:
         return None
 
     def start(self, delay: float) -> None:
-        """Arm the timer ``delay`` seconds from now (restarting if armed)."""
-        self.stop()
-        self._event = self._scheduler.schedule_after(
-            delay, self._fire, name=self._name
-        )
+        """Arm the timer ``delay`` seconds from now (restarting if armed).
+
+        Exactly ``stop()`` then ``schedule_after(delay)``, in that order —
+        disarm, drop any paused remainder, *then* validate the delay — with
+        ``now + delay`` the very sum ``schedule_after`` forms (float addition
+        is not associative), written out against the scheduler.
+        """
+        sched = self._scheduler
+        if self._event is not None:
+            sched.cancel(self._event)
+            self._event = None
+        self._remaining = None
+        if delay < 0:
+            raise SchedulerError(f"negative delay {delay}")
+        self._event = sched.schedule(sched.now + delay, self._fire, name=self._name)
 
     def restart(self, delay: float) -> None:
         """Alias of :meth:`start`, for readability at call sites."""
@@ -98,7 +114,7 @@ class PeriodicTimer:
     ) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
-        self._scheduler = scheduler
+        self._scheduler: EventScheduler = getattr(scheduler, "scheduler", scheduler)
         self.interval = interval
         self._callback = callback
         self._name = name

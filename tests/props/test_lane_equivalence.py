@@ -13,7 +13,10 @@ below and above:
   ``phy.error`` RNG end state);
 * full-stack checks compare ``stable_digest`` of complete scenario runs
   (with random loss and a fault plan) and campaign metric bytes across
-  paths.
+  paths;
+* a differential check of the tx-end merge: re-creating, on every node, the
+  separate ``mac.tx_done`` event the MAC used to schedule beside the
+  channel's tx-end entry changes no result byte.
 
 Nothing selects the reference at run time; the tests reach it by shadowing
 ``transmit`` — on the instance, or on the class for ``inproc`` campaigns
@@ -29,6 +32,7 @@ from repro.experiments import (
     chain_grid,
     run_campaign,
     run_chain,
+    run_cross,
 )
 from repro.experiments.config import stable_digest
 from repro.faults import FaultEvent, FaultPlan
@@ -252,3 +256,80 @@ def test_campaign_metric_bytes_identical_across_lanes(monkeypatch):
     reference = campaign()
     assert production.complete and reference.complete
     assert metric_bytes(reference) == metric_bytes(production)
+
+
+# -- the tx-end merge: one heap entry is both PHY tx-end and MAC tx-done -------
+
+
+def _two_event_tx_done(network, flows):
+    """Give every MAC back the two-event shape it had before the merge.
+
+    ``phy_tx_end`` (the channel's tx-end entry, first seq of the frame's
+    block) is muted; instead ``_send_frame`` schedules the original handler
+    as a separate ``mac.tx_done`` event right after ``transmit()`` returned —
+    the first seq *after* the block, same timestamp.
+    """
+    for node in network.nodes:
+        mac = node.mac
+        tx_done, send = mac.phy_tx_end, mac._send_frame
+
+        def send_frame(frame, mac=mac, send=send, tx_done=tx_done):
+            send(frame)
+            mac.sim.after(
+                mac._tx_time(frame), tx_done, frame, name="mac.tx_done"
+            )
+
+        mac.phy_tx_end = lambda frame: None
+        mac._send_frame = send_frame
+
+
+_CRASHES = FaultPlan(events=(
+    FaultEvent(time=0.5, kind="node_crash", node=1, duration=0.4),
+    FaultEvent(time=1.6, kind="node_crash", node=2, duration=0.3),
+))
+
+#: (label, runner) — a lossy chain with two node crashes, a long chain at the
+#: widest window, and a lossy cross: every way a tx-end can meet other events.
+_MERGE_SCENES = [
+    ("3-hop muzha+sack, 5% loss, two crashes", lambda instrument: run_chain(
+        3, ["muzha", "sack"], instrument=instrument, config=ScenarioConfig(
+            sim_time=3.0, seed=11, window=4, packet_error_rate=0.05,
+            faults=_CRASHES))),
+    ("8-hop newreno, window 32", lambda instrument: run_chain(
+        8, ["newreno"], instrument=instrument,
+        config=ScenarioConfig(sim_time=3.0, seed=2, window=32))),
+    ("4-hop muzha x vegas cross, 2% loss", lambda instrument: run_cross(
+        4, "muzha", "vegas", instrument=instrument, config=ScenarioConfig(
+            sim_time=3.0, seed=3, window=8, packet_error_rate=0.02))),
+]
+
+
+def _digest_events_frames_nodes(runner, instrument=None):
+    kept = []
+
+    def hook(network, flows):
+        kept.append(network)
+        if instrument is not None:
+            instrument(network, flows)
+
+    digest = runner(hook).result_digest()
+    network = kept[0]
+    return (
+        digest, network.sim.scheduler.processed_events,
+        network.channel.transmissions, len(network.nodes),
+    )
+
+
+@pytest.mark.parametrize(
+    "runner", [r for _, r in _MERGE_SCENES], ids=[l for l, _ in _MERGE_SCENES]
+)
+def test_merged_tx_end_equals_a_separate_tx_done_event(runner):
+    digest, events, frames, nodes = _digest_events_frames_nodes(runner)
+    digest2, events2, frames2, _ = _digest_events_frames_nodes(
+        runner, _two_event_tx_done
+    )
+    assert digest2 == digest
+    assert frames2 == frames
+    # The shim really ran: one more event per frame whose tx-end fell inside
+    # the run (a radio has at most one frame on the air when the run stops).
+    assert frames - nodes <= events2 - events <= frames

@@ -65,6 +65,23 @@ def test_profile_command_reports_hot_spots(tmp_path, capsys):
     assert stats.total_calls > 0
 
 
+def test_profile_command_says_what_a_frame_cost(capsys):
+    import re
+
+    assert main(["profile", "chain", "--hops", "4", "--time", "1",
+                 "--window", "8", "--limit", "1"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    match = re.fullmatch(
+        r"frames (\d+)  events (\d+) \(([\d.]+) per frame\)"
+        r"  calls (\d+) \(([\d.]+) per frame\)", first)
+    assert match, first
+    frames, events, calls = (int(match[i]) for i in (1, 2, 4))
+    assert frames == 858  # the scene of tests/unit/test_hot_path_budget.py
+    assert match[3] == f"{events / frames:.2f}"
+    assert match[5] == f"{calls / frames:.1f}"
+    assert events / frames <= 9.0
+
+
 def test_tables_command(capsys):
     assert main(["tables"]) == 0
     out = capsys.readouterr().out

@@ -250,3 +250,45 @@ class TestDcfExchange:
         sim.run(until=1.0)
         assert macs[0].state is DcfState.IDLE
         assert not macs[0].busy_with_packet
+
+
+class TestTxEndIsTxDone:
+    """The channel's tx-end entry is the MAC's tx-done (``phy_tx_end``)."""
+
+    def _rts(self):
+        return MacFrame(FrameKind.RTS, src=0, dst=1, size_bytes=20, duration=0.001)
+
+    def test_send_frame_schedules_only_the_channels_entries(self):
+        # radios 1 and 2 are inside radio 0's carrier-sense range: k = 2
+        sim, macs, uppers, queues = build_macs(
+            [Position(0), Position(200), Position(400)]
+        )
+        assert sim.scheduler.pending_events == 0
+        macs[0]._send_frame(self._rts())
+        heap = sim.scheduler._heap
+        assert sim.scheduler.pending_events == len(heap) == 2 * 2 + 1
+        # all of them the channel's fire-and-forget tuples: no Event, and in
+        # particular no ``mac.tx_done``
+        assert all(type(entry[3]) is tuple for entry in heap)
+
+    def test_cts_timer_is_armed_at_the_tx_end_instant(self):
+        sim, macs, uppers, queues = build_macs([Position(0), Position(200)])
+        mac, rts = macs[0], self._rts()
+        tx_time = mac._tx_time(rts)
+        mac._send_frame(rts)
+        assert mac.state is DcfState.WAIT_CTS
+        sim.run(until=tx_time * 0.999)
+        assert not mac._cts_timer.running
+        sim.run(until=tx_time)
+        p = mac.params
+        assert mac._cts_timer.expiry == tx_time + (
+            p.sifs + mac._cts_time + p.timeout_guard
+        )
+
+    def test_tx_end_after_shutdown_is_ignored(self):
+        sim, macs, uppers, queues = build_macs([Position(0), Position(200)])
+        mac, rts = macs[0], self._rts()
+        mac._send_frame(rts)
+        mac.shutdown()
+        sim.run(until=mac._tx_time(rts))
+        assert not mac._cts_timer.running

@@ -152,3 +152,38 @@ def test_custom_mac_params_respected():
     sim.run(until=0.5)
     assert m0.counters.rts_tx == 0  # went straight to DATA
     assert len(u1.delivered) == 1
+
+
+#: The crash scene of DESIGN.md §6 "the busy meter survives a crash".
+_OUTAGE_START, _OUTAGE_S = 1.0, 1.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="pinned defect (DESIGN.md §6): Node.crash() -> Radio.shutdown() "
+    "clears the signals without an idle edge, so MediumUtilizationMeter keeps "
+    "its pre-crash _busy_since and integrates the whole outage as busy; the "
+    "fix (DcfMac.shutdown closes the meter at now) moves every faulted "
+    "digest and is its own PR (ROADMAP open items, fault path)",
+)
+def test_busy_meter_is_closed_by_a_crash():
+    from repro.experiments import ScenarioConfig, run_chain
+    from repro.faults import FaultEvent, FaultPlan
+
+    kept = []
+    plan = FaultPlan(events=(
+        FaultEvent(time=_OUTAGE_START, kind="node_crash", node=2,
+                   duration=_OUTAGE_S),
+    ))
+    config = ScenarioConfig(sim_time=2.2, seed=1, window=8, faults=plan)
+    run_chain(4, ["muzha"], config,
+              instrument=lambda network, flows: kept.append(network))
+    node, now = kept[0].node(2), kept[0].sim.now
+    # back up, nothing on the air at this instant...
+    assert not node.down and not node.radio.carrier_busy
+    meter = node.mac.meter
+    # ...so the meter must read idle (today: "busy since 0.99736"),
+    assert meter.total_busy_time(now + 1.0) == meter.total_busy_time(now)
+    # and a powered-off radio sensed nothing: the outage is not busy time
+    # (today: 2.096 s busy of 2.2 s, busy_fraction 1.0 for the DRAI sampler).
+    assert meter.total_busy_time(now) <= now - _OUTAGE_S

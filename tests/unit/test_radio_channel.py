@@ -41,6 +41,9 @@ class RecordingMac:
     def phy_rx_error(self):
         self.errors += 1
 
+    def phy_tx_end(self, frame):
+        pass
+
 
 def setup(positions, **channel_kwargs):
     sim = Simulator(seed=1)
@@ -175,3 +178,73 @@ def test_begin_transmit_while_transmitting_raises():
     channel.transmit(radios[0], Frame(), 0.002)
     with pytest.raises(RuntimeError):
         radios[0].begin_transmit(0.001)
+
+
+# -- the tx-end contract (PhyListener.phy_tx_end) -----------------------------
+
+
+class OrderedMac(RecordingMac):
+    """Logs edges and tx-ends in the order the radio reports them."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.log = []
+
+    def phy_channel_busy(self):
+        self.log.append("busy")
+
+    def phy_channel_idle(self):
+        self.log.append("idle")
+
+    def phy_tx_end(self, frame):
+        self.log.append(("tx_end", frame))
+
+
+def setup_ordered(positions):
+    sim, channel, radios, _ = setup(positions)
+    macs = [OrderedMac() for _ in radios]
+    for radio, mac in zip(radios, macs):
+        radio.listener = mac
+    return sim, channel, radios, macs
+
+
+def test_tx_end_reports_idle_edge_then_the_frame():
+    sim, channel, radios, macs = setup_ordered([Position(0), Position(200)])
+    frame = Frame(tag="mine")
+    channel.transmit(radios[0], frame, 0.001)
+    sim.run()
+    assert macs[0].log == ["busy", "idle", ("tx_end", frame)]
+    assert sim.now == pytest.approx(0.001, abs=1e-5)
+
+
+def test_tx_end_without_idle_edge_while_energy_remains():
+    sim, channel, radios, macs = setup_ordered([Position(0), Position(200)])
+    mine, other = Frame(tag="mine"), Frame(tag="other")
+    channel.transmit(radios[0], mine, 0.001)
+    channel.transmit(radios[1], other, 0.003)
+    sim.run(until=0.002)
+    # own tx is over, radio 1's signal still on the air: tx-end, no idle edge
+    assert macs[0].log == ["busy", ("tx_end", mine)]
+    assert radios[0].carrier_busy
+    sim.run()
+    assert macs[0].log == ["busy", ("tx_end", mine), "idle"]
+
+
+def test_tx_end_is_reported_on_a_down_radio_without_an_idle_edge():
+    sim, channel, radios, macs = setup_ordered([Position(0), Position(200)])
+    frame = Frame()
+    channel.transmit(radios[0], frame, 0.001)
+    sim.at(0.0005, radios[0].shutdown)
+    sim.run()
+    assert radios[0].down and not radios[0].transmitting
+    assert macs[0].log == ["busy", ("tx_end", frame)]
+
+
+def test_radio_without_listener_ends_transmission_silently():
+    sim = Simulator(seed=1)
+    channel = WirelessChannel(sim)
+    radio = Radio(sim, 0)
+    channel.register(radio, Position(0))
+    channel.transmit(radio, Frame(), 0.001)
+    sim.run()
+    assert not radio.transmitting and not radio.carrier_busy

@@ -11,7 +11,7 @@ def feed_rtt(sim, sender, rtt):
     """Advance time and deliver an ACK so the timed sample equals ``rtt``."""
     target = sender._timed_at + rtt
     if target > sim.now:
-        sim.scheduler._now = target  # direct clock hop (test-only)
+        sim.scheduler.now = target  # direct clock hop (test-only)
     ack(sender, sender.snd_nxt)
 
 

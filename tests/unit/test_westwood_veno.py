@@ -13,14 +13,14 @@ class TestWestwood:
         # one cumulative ACK per 10 ms -> 100 packets/s steady state; the
         # Tustin filter's tau is 0.5 s, so give it several time constants.
         for i in range(1, 400):
-            sim.scheduler._now = i * 0.01
+            sim.scheduler.now = i * 0.01
             ack(sender, i)
         assert sender.bandwidth_estimate == pytest.approx(100.0, rel=0.1)
 
     def test_loss_sets_ssthresh_to_bdp_not_half(self):
         sim, node, sender = make_sender(TcpWestwood)
         for i in range(1, 30):
-            sim.scheduler._now = i * 0.01
+            sim.scheduler.now = i * 0.01
             ack(sender, i)
         # srtt is tiny in this harness, so pin a known RTT for the check
         sender.rtt.srtt = 0.1
@@ -39,7 +39,7 @@ class TestWestwood:
     def test_timeout_uses_bdp_ssthresh(self):
         sim, node, sender = make_sender(TcpWestwood)
         for i in range(1, 10):
-            sim.scheduler._now = i * 0.01
+            sim.scheduler.now = i * 0.01
             ack(sender, i)
         sender.rtt.srtt = 0.05
         sender.rtt.samples = 3
