@@ -1,19 +1,18 @@
-"""Campaign engine benchmarks: warm pool vs fork-per-attempt.
+"""Campaign engine benchmarks: the warm pool on engine-dominated units.
 
 Not a paper figure — these measure the batch engine the figure campaigns
 run on.  Cold and cached units/sec of a journaled, cached campaign are
 ``campaign_cold`` / ``campaign_cached`` of ``benchmarks/e2e``; here is the
-comparison it does not make:
+number it does not take:
 
 * ``campaign_scenarios_per_sec`` — units/sec of the default ``warm``
   persistent-worker pool on a 48-unit uncached grid of deliberately short
   simulations.  Short units make the measurement engine-dominated: it
   tracks dispatch/IPC/fork overhead, which is what the campaign engine
-  owns, rather than simulator speed;
-* ``campaign_scenarios_per_sec_per_attempt`` — the same grid through the
-  fork-per-attempt fallback backend.  ``warm_speedup_vs_per_attempt`` is
-  the payoff of the persistent pool (one fork per worker instead of one
-  per unit).
+  owns, rather than simulator speed.
+
+The 48-unit engine grid and its warm-pool fingerprint are shared with
+``bench_cluster``, which measures the TCP transport on the same units.
 
 Two entry points:
 
@@ -23,8 +22,8 @@ Two entry points:
 * ``pytest benchmarks/bench_campaign.py`` — the same claims as
   pytest-benchmark cases, marked ``perf`` and excluded from tier-1.
 
-Every mode comparison also asserts byte-identical campaign fingerprints:
-a faster backend that changed the numbers would be a bug, not a win.
+Every comparison also asserts byte-identical campaign fingerprints: a
+faster configuration that changed the numbers would be a bug, not a win.
 """
 
 from __future__ import annotations
@@ -59,6 +58,7 @@ SIM_TIME = 8.0 if full_scale() else 3.0
 #: the critical path, which is the point — fork/dispatch/IPC amortization
 #: is invisible behind multi-second simulations.
 ENGINE_HOPS = (2, 3, 4)
+ENGINE_VARIANTS = ("muzha", "newreno")
 ENGINE_REPLICATIONS = 8
 ENGINE_SIM_TIME = 0.1
 #: Forced worker count: the engine comparison is about per-unit overhead,
@@ -75,7 +75,7 @@ def _grid():
 
 def _engine_grid():
     return chain_grid(
-        GRID_VARIANTS, ENGINE_HOPS,
+        ENGINE_VARIANTS, ENGINE_HOPS,
         config=ScenarioConfig(sim_time=ENGINE_SIM_TIME, window=4),
     )
 
@@ -83,71 +83,32 @@ def _engine_grid():
 # -- measurement cores (shared by pytest and the standalone runner) ----------
 
 
-def run_engine_campaign(pool_mode: str) -> Tuple[int, str]:
-    """One uncached 48-unit campaign; returns (units, fingerprint)."""
+def run_engine_campaign() -> Tuple[int, str]:
+    """One uncached 48-unit warm-pool campaign; returns (units, fingerprint)."""
     grid = _engine_grid()
     result = run_campaign(
         grid, replications=ENGINE_REPLICATIONS, jobs=ENGINE_JOBS,
-        pool_mode=pool_mode,
+        pool_mode="warm",
     )
     assert result.complete
     return len(grid) * ENGINE_REPLICATIONS, result.fingerprint()
 
 
-#: Metric -> pool mode of the engine grid.
-MODES = {
-    "campaign_scenarios_per_sec": "warm",
-    "campaign_scenarios_per_sec_per_attempt": "per-attempt",
-}
+def warm_fingerprint() -> str:
+    """The engine grid's fingerprint through the warm pool: the referee
+    another transport's run of the same grid must match."""
+    return run_engine_campaign()[1]
 
 
 def measure_all(fast=False, names=None):
-    """Metric-name -> units/sec for ``names`` (default: both modes)."""
-    fingerprints = {}
-
-    def engine(pool_mode):
-        units, fingerprints[pool_mode] = run_engine_campaign(pool_mode)
-        return units
-
-    rates = {
-        name: rate(lambda: engine(pool_mode), 2 if fast else 3)
-        for name, pool_mode in MODES.items()
-        if names is None or name in names
-    }
-    if len(set(fingerprints.values())) > 1:
-        raise AssertionError(
-            f"pool mode changed the campaign metrics: {fingerprints}"
-        )
-    return rates
+    """Metric-name -> units/sec for ``names`` (default: the one metric)."""
+    if names is not None and "campaign_scenarios_per_sec" not in names:
+        return {}
+    return {"campaign_scenarios_per_sec": rate(
+        lambda: run_engine_campaign()[0], 2 if fast else 3)}
 
 
 # -- pytest-benchmark cases --------------------------------------------------
-
-
-def test_warm_pool_beats_per_attempt(benchmark):
-    """The persistent pool amortizes forks: >= 1.3x on the 48-unit grid.
-
-    (The committed baseline documents >= 2x; the in-test floor is looser so
-    hardware drift does not flake the suite.)
-    """
-    pa_start = time.perf_counter()
-    _, pa_fp = run_engine_campaign("per-attempt")
-    pa_elapsed = time.perf_counter() - pa_start
-
-    warm_start = time.perf_counter()
-    warm_fp = run_once(benchmark, lambda: run_engine_campaign("warm"))[1]
-    warm_elapsed = time.perf_counter() - warm_start
-
-    speedup = pa_elapsed / max(warm_elapsed, 1e-9)
-    banner("campaign engine — warm pool vs fork-per-attempt")
-    print(f"grid              : 48 units x {ENGINE_SIM_TIME:g}s, "
-          f"workers={ENGINE_JOBS}")
-    print(f"per-attempt       : {pa_elapsed:6.2f}s")
-    print(f"warm pool         : {warm_elapsed:6.2f}s")
-    print(f"speedup           : {speedup:5.2f}x")
-
-    assert warm_fp == pa_fp, "pool mode changed the campaign's metrics"
-    assert speedup >= 1.3, f"expected >=1.3x warm speedup, got {speedup:.2f}x"
 
 
 def test_campaign_parallel_speedup(benchmark):
@@ -202,12 +163,9 @@ def test_campaign_warm_cache_executes_nothing(benchmark, tmp_path):
 
 def _derived(current):
     return {
-        "grid": f"48 units ({len(GRID_VARIANTS) * len(ENGINE_HOPS)} scenarios "
-                f"x {ENGINE_REPLICATIONS} replications x "
+        "grid": f"48 units ({len(ENGINE_VARIANTS) * len(ENGINE_HOPS)} "
+                f"scenarios x {ENGINE_REPLICATIONS} replications x "
                 f"{ENGINE_SIM_TIME:g}s), workers={ENGINE_JOBS}, uncached",
-        "warm_speedup_vs_per_attempt": round(
-            current["campaign_scenarios_per_sec"]
-            / current["campaign_scenarios_per_sec_per_attempt"], 2),
     }
 
 

@@ -40,25 +40,23 @@ from typing import Tuple
 
 import pytest
 
-from repro.experiments import (
-    ScenarioConfig,
-    TcpTransport,
-    chain_grid,
-    run_campaign,
-)
+from repro.experiments import TcpTransport, run_campaign
 
+# The bench_campaign engine grid: 48 units of 0.1 s simulations, short
+# enough that dispatch/framing overhead is on the critical path — which is
+# exactly what this suite measures — and its warm-pool fingerprint.
+from bench_campaign import (
+    ENGINE_HOPS,
+    ENGINE_REPLICATIONS,
+    ENGINE_SIM_TIME,
+    ENGINE_VARIANTS,
+    _engine_grid,
+    warm_fingerprint,
+)
 from conftest import banner, run_once
 from harness import Suite, main, rate
 
 pytestmark = pytest.mark.perf
-
-#: The bench_campaign engine grid: 6 scenarios x 8 replications = 48 units
-#: of 0.1 s simulations, short enough that dispatch/framing overhead is on
-#: the critical path — which is exactly what this suite measures.
-ENGINE_HOPS = (2, 3, 4)
-ENGINE_VARIANTS = ("muzha", "newreno")
-ENGINE_REPLICATIONS = 8
-ENGINE_SIM_TIME = 0.1
 
 #: Agent counts of the scaling ladder.
 AGENT_COUNTS = (1, 2, 4)
@@ -70,13 +68,6 @@ AGENT_SETTLE_S = 2.5
 #: The 2-agent-vs-1 floors --check enforces on machines with >= 2 cores.
 FLOORS_2_AGENTS = {"speedup_2_agents_vs_1": 1.7,
                    "parallel_efficiency_2_agents": 0.85}
-
-
-def _engine_grid():
-    return chain_grid(
-        ENGINE_VARIANTS, ENGINE_HOPS,
-        config=ScenarioConfig(sim_time=ENGINE_SIM_TIME, window=4),
-    )
 
 
 # -- measurement core --------------------------------------------------------
@@ -111,16 +102,6 @@ def run_cluster_campaign(agents: int) -> Tuple[int, float, str]:
         transport.close()
     assert result.complete
     return len(grid) * ENGINE_REPLICATIONS, elapsed, result.fingerprint()
-
-
-def warm_fingerprint() -> str:
-    """The same grid through the warm pipe pool (fingerprint referee)."""
-    result = run_campaign(
-        _engine_grid(), replications=ENGINE_REPLICATIONS, jobs=2,
-        pool_mode="warm",
-    )
-    assert result.complete
-    return result.fingerprint()
 
 
 def _metric(agents: int) -> str:

@@ -669,15 +669,11 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--loss", type=float, default=0.0,
                           help="per-frame random loss probability")
     campaign.add_argument("--pool-mode", choices=list(POOL_MODES), default="warm",
-                          help="execution backend: 'warm' (default) keeps a "
-                               "persistent pool of workers and streams batches "
-                               "to them; 'per-attempt' forks a fresh process "
-                               "per unit attempt (slower, but maximum isolation "
-                               "— prefer it when a unit corrupts interpreter "
-                               "state, e.g. leaks globals or C-level state, and "
-                               "a warm worker must not carry that into the next "
-                               "unit); 'inproc' runs everything in this process "
-                               "(no isolation, no timeouts; best for debugging); "
+                          help="where the workers live: 'warm' (default) "
+                               "keeps a persistent pool of workers forked from "
+                               "this process and streams batches to them "
+                               "(--jobs 1 without a watchdog runs the units in "
+                               "this process instead; best for debugging); "
                                "'cluster' runs the pool over a TCP transport so "
                                "worker agents — self-spawned locally or started "
                                "on other hosts with `repro-muzha worker` — can "

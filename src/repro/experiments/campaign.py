@@ -16,29 +16,21 @@ that grid into a batch workload:
   plus the code schema version — so re-running a campaign only executes
   scenarios whose parameters (or the simulator itself) changed.
 
-One loop, four transports.  :func:`_run_pool` is the only supervisor: it
+One loop, three transports.  :func:`_run_pool` is the only supervisor: it
 alone knows how attempts are retried, backed off, quarantined, timed out,
-drained and reported.  A ``pool_mode`` merely names the
-:mod:`~repro.experiments.transport` that loop talks to its workers
-through:
+drained and reported.  A ``pool_mode`` says where the workers live; the
+:mod:`~repro.experiments.transport` the loop talks to them through
+follows from it:
 
 * ``"warm"`` (default) — :class:`~repro.experiments.transport.
   PipeTransport`: long-lived workers, each forked once, pull batches of
-  up to :data:`WARM_BATCH_MAX` units over a duplex pipe and stream one
-  result back per unit, so interpreter startup and module import are
-  amortised over the whole campaign.
-* ``"per-attempt"`` — the same pipe transport with one-unit batches and
-  single-use links: a worker reports itself spent after its unit, the
-  loop stops it in good order and forks its successor, so every attempt
-  gets a pristine fork of the coordinator.  Slower on short runs; prefer
-  it when hunting state-leak bugs or when a unit is suspected of
-  corrupting interpreter-global state.
-* ``"inproc"`` — :class:`~repro.experiments.transport.InlineTransport`:
-  a single link that executes each unit in the coordinating process when
-  the loop dispatches it.  No forks, and nothing for the watchdog to
-  kill.  The debugging backend (breakpoints and monkeypatches apply
-  directly; Ctrl-C propagates).  ``jobs == 1`` without a watchdog picks
-  it in every local mode.
+  up to ``PipeTransport.prefetch`` units over a duplex pipe and stream
+  one result back per unit, so interpreter startup and module import are
+  amortised over the whole campaign.  With ``jobs == 1`` and no watchdog
+  there is no pool at all: :class:`~repro.experiments.transport.
+  InlineTransport` executes each unit in the coordinating process when
+  the loop dispatches it — the debugging path (breakpoints and
+  monkeypatches apply directly; Ctrl-C propagates).
 * ``"cluster"`` — :class:`~repro.experiments.transport.TcpTransport`:
   worker *agents* (``repro-muzha worker --connect HOST:PORT``) dial the
   coordinator's listener — from other hosts, or self-spawned locally —
@@ -50,7 +42,7 @@ through:
 Because the policy lives in one place, every mode reports the same way:
 workers are ``w<n>`` (``host:w<n>`` for agents), each attempt is one
 ``unit-attempt`` span, and a failed attempt waits
-:meth:`RetryPolicy.retry_delay` before its retry — ``inproc`` included.
+:meth:`RetryPolicy.retry_delay` before its retry — in-process included.
 
 Self-healing: each attempt runs under the supervisor with an optional
 wall-clock watchdog (:class:`RetryPolicy.task_timeout`).  A worker that
@@ -119,13 +111,9 @@ CRASH_ONCE_ENV = "REPRO_CAMPAIGN_CRASH_ONCE"
 #: campaigns run through unimpeded.
 BARRIER_ENV = "REPRO_CAMPAIGN_BARRIER"
 
-#: Execution backends accepted by :func:`run_campaign`'s ``pool_mode``.
-POOL_MODES = ("warm", "per-attempt", "inproc", "cluster")
-
-#: Upper bound on how many units one warm-pool dispatch hands a worker.
-#: Small enough that a late straggler batch cannot serialise the tail of a
-#: campaign, large enough to amortise the pipe round-trip on tiny units.
-WARM_BATCH_MAX = 4
+#: Where :func:`run_campaign`'s workers live: forked on this host, or
+#: behind a TCP listener.
+POOL_MODES = ("warm", "cluster")
 
 
 class GracefulShutdown:
@@ -422,7 +410,7 @@ def plan_campaign(
 class RetryPolicy:
     """How the supervisor treats crashed or hung workers.
 
-    ``task_timeout`` is a per-attempt wall-clock deadline in seconds (None
+    ``task_timeout`` is a wall-clock deadline per attempt in seconds (None
     disables the watchdog).  A failed attempt is retried up to
     ``max_retries`` times — attempt ``n``'s retry waits
     ``backoff * 2**(n-1)`` seconds first — after which the unit is
@@ -531,10 +519,10 @@ def _run_pool(
     The one supervisor loop behind every ``pool_mode``: ``transport``
     provides the :class:`~repro.experiments.transport.WorkerLink` objects
     — the coordinating process itself (``InlineTransport``), forked pipe
-    workers (``PipeTransport``, persistent or single-use) or TCP worker
-    agents (``TcpTransport``) — and the loop waits on links and the
-    transport's listener alike, so agents can join mid-campaign and
-    immediately start stealing units from the shared ready-queue.  The
+    workers (``PipeTransport``) or TCP worker agents (``TcpTransport``)
+    — and the loop waits on links and the transport's listener alike, so
+    agents can join mid-campaign and immediately start stealing units from
+    the shared ready-queue.  The
     retry, quarantine, watchdog, drain and telemetry policy lives here
     and nowhere else:
 
@@ -542,9 +530,6 @@ def _run_pool(
       pipe EOF; the unit it was executing is charged a failed attempt, the
       rest of its batch is requeued un-charged, and a fresh worker is
       spawned to keep the pool at strength;
-    * a link that reports itself ``spent`` (a single-use worker after its
-      one batch) is stopped in good order and the same keep-at-strength
-      spawn forks its successor — a recycle, not a replacement;
     * a *remote* link that drops mid-unit requeues its head unit
       **un-charged** — the connection died, not necessarily the work — but
       a unit that keeps killing its connections is charged after
@@ -635,7 +620,7 @@ def _run_pool(
             worker.link.reap()
 
     def stop(worker: _PoolWorker) -> None:
-        """Orderly exit: the worker is done (or spent), it did not fail."""
+        """Orderly exit: the worker is done, it did not fail."""
         workers.pop(worker.link)
         worker.link.stop()
         if telemetry is not None:
@@ -703,8 +688,6 @@ def _run_pool(
                 store(run, message[2], message[3])
         else:
             fail(worker, run, attempt, "error", message[2])
-        if worker.idle and worker.link.spent:
-            stop(worker)
 
     def dispatch() -> None:
         """Hand ready units to idle workers, ``transport.prefetch`` each.
@@ -758,8 +741,8 @@ def _run_pool(
                 if shutdown.abort or all(w.idle for w in workers.values()):
                     break
             else:
-                # Bring the pool to strength and keep it there: crashed and
-                # spent workers are succeeded as long as there is (or will
+                # Bring the pool to strength and keep it there: crashed
+                # workers are succeeded as long as there is (or will
                 # be) work for them.  Spawns that join asynchronously (TCP
                 # agents) are counted via ``pending_spawns`` so a slow
                 # joiner is not double-spawned.
@@ -872,22 +855,20 @@ def run_campaign(
     (watchdog timeout, retries, backoff); units that exhaust their retries
     land in ``CampaignResult.failed`` and the campaign still completes.
 
-    ``pool_mode`` picks the transport the one supervisor loop runs over
-    (see the module docstring): ``"warm"`` (persistent forked workers, the
-    default), ``"per-attempt"`` (a fresh fork per attempt), ``"inproc"``
-    (units execute in this process; no forks, nothing for the watchdog to
-    kill), or ``"cluster"`` (worker agents join over TCP and a mid-unit
+    ``pool_mode`` says where the workers live (see the module docstring):
+    ``"warm"`` (persistent workers forked from this process, the default)
+    or ``"cluster"`` (worker agents join over TCP and a mid-unit
     disconnect requeues the unit un-charged).  ``jobs == 1`` with no
-    watchdog short-circuits to in-process execution in every local mode
-    — a single-slot pool buys nothing over running the units directly —
-    but never in ``cluster`` mode, where even one worker lives behind the
+    watchdog runs the units in this process instead of a ``warm`` pool —
+    a single-slot pool buys nothing over running them directly — but
+    never in ``cluster`` mode, where even one worker lives behind the
     transport.  ``transport`` lets a ``cluster`` caller supply a pre-opened
     :class:`~repro.experiments.transport.TcpTransport` (to pin the listen
     address, disable agent self-spawn, or reuse warmed agents across
     campaigns); by default ``cluster`` opens a loopback transport that
     keeps itself at ``jobs`` local agents.  A transport this function
-    opened, it also closes.  Passing ``transport`` with any other
-    ``pool_mode`` is a ``ValueError``: the local modes build their own.
+    opened, it also closes.  Passing ``transport`` with ``"warm"`` is a
+    ``ValueError``: the local pool builds its own.
 
     ``telemetry`` (a :class:`repro.obs.engine.CampaignTelemetry`) streams
     spans, coordinator events, worker heartbeats and progress over NDJSON as
@@ -916,8 +897,8 @@ def run_campaign(
         )
     if transport is not None and pool_mode != "cluster":
         raise ValueError(
-            f"transport= conflicts with pool_mode {pool_mode!r}: local modes "
-            'build their own transport; pass pool_mode="cluster" to use it'
+            f"transport= conflicts with pool_mode {pool_mode!r}: the local "
+            'pool builds its own transport; pass pool_mode="cluster" to use it'
         )
     runs = plan_campaign(grid, replications=replications, base_seed=base_seed)
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
@@ -1077,17 +1058,12 @@ def run_campaign(
         if pending:
             if pool_mode == "cluster":
                 pool = transport
-            elif pool_mode == "inproc" or (
-                jobs == 1 and policy.task_timeout is None
-            ):
+            elif jobs == 1 and policy.task_timeout is None:
                 # A single-slot pool with no watchdog buys nothing over
                 # running the units right here.
                 pool = InlineTransport(_execute_unit)
-            elif pool_mode == "per-attempt":
-                pool = PipeTransport(_execute_unit, prefetch=1,
-                                     single_use=True)
             else:
-                pool = PipeTransport(_execute_unit, prefetch=WARM_BATCH_MAX)
+                pool = PipeTransport(_execute_unit)
             _run_pool(pool, pending, jobs, policy, store, quarantine,
                       telemetry, shutdown, store_hit=store_hit)
     finally:

@@ -307,7 +307,6 @@ class JournalReplay:
     total: int
     base_seed: int
     replications: int
-    pool_mode: str
     completed: Dict[int, str] = field(default_factory=dict)
     failed: Dict[int, str] = field(default_factory=dict)
     planned: Dict[int, Dict[str, Any]] = field(default_factory=dict)
@@ -410,7 +409,7 @@ def fold_journal(journal: JournalScan,
     """
     replay = JournalReplay(
         path=Path(journal.path), plan_digest="", total=0, base_seed=0,
-        replications=0, pool_mode="", generations=0,
+        replications=0, generations=0,
         truncated_tail=journal.truncated_tail,
     )
     report = replay.violations.append
@@ -446,7 +445,6 @@ def fold_journal(journal: JournalScan,
                 replay.total = record["total"]
                 replay.base_seed = record["base_seed"]
                 replay.replications = record["replications"]
-                replay.pool_mode = record["pool_mode"]
             elif record["plan_digest"] != replay.plan_digest:
                 report((lineno, "plan_digest differs from the first "
                                 "generation's: the journal mixes campaigns",

@@ -4,18 +4,15 @@ The coordinator's supervisor loop
 (:func:`repro.experiments.campaign._run_pool`) owns every policy — retry,
 backoff, quarantine, watchdog, drain, telemetry — and knows its workers
 only through two small interfaces, :class:`Transport` (how workers come
-to exist) and :class:`WorkerLink` (how one is talked to).  Every
-``pool_mode`` is a transport:
+to exist) and :class:`WorkerLink` (how one is talked to):
 
-* :class:`InlineTransport` / :class:`InlineLink` — ``inproc``: a single
-  link whose ``send_batch`` runs the units in the coordinating process,
-  so breakpoints and monkeypatches apply directly;
-* :class:`PipeTransport` / :class:`PipeLink` — ``warm`` and
-  ``per-attempt``: workers forked from the coordinator (inheriting test
-  monkeypatches and chaos hooks) pull unit batches over a duplex pipe and
-  stream one result message back per unit.  ``single_use`` links report
-  themselves spent after their first batch, so with ``prefetch = 1`` every
-  attempt runs in a pristine fork;
+* :class:`InlineTransport` / :class:`InlineLink` — ``jobs == 1`` without
+  a watchdog: a single link whose ``send_batch`` runs the units in the
+  coordinating process, so breakpoints and monkeypatches apply directly;
+* :class:`PipeTransport` / :class:`PipeLink` — ``warm``: long-lived
+  workers forked from the coordinator (inheriting test monkeypatches and
+  chaos hooks) pull unit batches over a duplex pipe and stream one result
+  message back per unit;
 * :class:`TcpTransport` / :class:`SocketLink` — ``cluster``:
   length-prefixed JSON frames over TCP.  Worker *agents* (``repro-muzha
   worker --connect HOST:PORT``) — on other hosts, or extra local
@@ -116,9 +113,6 @@ SOCKET_TIMEOUT = 30.0
 #: dropping the connection (liveness probes connect and send nothing).
 HANDSHAKE_TIMEOUT = 2.0
 
-#: Names of the transports (``Transport.name``).
-TRANSPORTS = ("inline", "pipe", "tcp")
-
 
 class TransportError(RuntimeError):
     """A transport link violated the wire protocol (treated as link death)."""
@@ -190,9 +184,6 @@ class WorkerLink:
     remote: bool = False
     #: Whether ``pid`` names a process on *this* host (safe for /proc RSS).
     pid_is_local: bool = False
-    #: True once the link will accept no further batch: the pool loop stops
-    #: it (orderly, not a failure) as soon as its current batch resolves.
-    spent: bool = False
 
     def fileno(self) -> int:
         raise NotImplementedError
@@ -222,9 +213,6 @@ class WorkerLink:
     @property
     def exitcode(self) -> Optional[int]:
         return None
-
-    def describe(self) -> str:
-        return f"{type(self).__name__}(host={self.host}, pid={self.pid})"
 
 
 def _error_text(exc: BaseException) -> str:
@@ -304,7 +292,8 @@ def _reset_worker_signals() -> None:
         pass
 
 
-def _pipe_worker_main(conn, execute: ExecuteFn) -> None:
+def _pipe_worker_main(conn, execute: ExecuteFn,
+                      coordinator_ends: Sequence[Any]) -> None:
     """Forked worker loop, the far end of a :class:`PipeLink`.
 
     Pulls ``("batch", [(index, spec), ...])`` messages until ``("stop",)``
@@ -312,8 +301,15 @@ def _pipe_worker_main(conn, execute: ExecuteFn) -> None:
     message)`` reply is sent per unit *as it completes*, so the supervisor
     can reset its per-unit watchdog between units of the same batch and
     attribute a crash to exactly the unit that was executing.
+
+    ``coordinator_ends`` are the coordinator's ends of this worker's pipe
+    and of its live siblings', copied in by the fork.  They are closed
+    first: while any copy stays open the worker's pipe never reaches EOF,
+    and a worker of a killed coordinator would wait in ``recv`` forever.
     """
     _reset_worker_signals()
+    for end in coordinator_ends:
+        end.close()
     while True:
         try:
             message = conn.recv()
@@ -344,8 +340,6 @@ class PipeLink(WorkerLink):
 
     process: Any = None
     conn: Any = None
-    #: Spent after its first batch (the ``per-attempt`` backend).
-    single_use: bool = False
 
     def __post_init__(self) -> None:
         self.host = None
@@ -358,7 +352,6 @@ class PipeLink(WorkerLink):
 
     def send_batch(self, units: Sequence[Tuple[int, Any, str]]) -> None:
         self.conn.send(("batch", [(index, spec) for index, spec, _ in units]))
-        self.spent = self.single_use
 
     def recv(self) -> Tuple[Any, ...]:
         return self.conn.recv()
@@ -495,9 +488,6 @@ class SocketLink(WorkerLink):
         except OSError:  # pragma: no cover
             pass
 
-    def describe(self) -> str:
-        return f"agent {self.agent_host}:{self.agent_pid}"
-
 
 # ---------------------------------------------------------------------------
 # Transports (how the pool loop obtains links)
@@ -546,8 +536,8 @@ class Transport:
 
 class InlineTransport(Transport):
     """No workers at all: one :class:`InlineLink` runs every unit in the
-    coordinating process (``inproc``, and any single-job local campaign
-    without a watchdog)."""
+    coordinating process (a local campaign with ``jobs == 1`` and no
+    watchdog)."""
 
     name = "inline"
 
@@ -569,30 +559,35 @@ class PipeTransport(Transport):
 
     Forking from the coordinator is a feature, not an implementation
     detail: workers inherit monkeypatches (the robustness tests patch
-    the unit function) and the chaos hooks' environment.  ``prefetch``
-    units ride in one dispatch; ``single_use`` workers are retired after
-    their first batch and a fresh fork takes the next one.
+    the unit function) and the chaos hooks' environment.  The transport
+    keeps the coordinator's end of every live pipe so each new fork can
+    close its copies of them (see :func:`_pipe_worker_main`).
     """
 
     name = "pipe"
     can_spawn = True
+    #: Small enough that a late straggler batch cannot serialise the tail
+    #: of a campaign, large enough to amortise the pipe round-trip on tiny
+    #: units.
+    prefetch = 4
 
-    def __init__(self, execute: ExecuteFn, prefetch: int = 1,
-                 single_use: bool = False) -> None:
+    def __init__(self, execute: ExecuteFn) -> None:
         self._execute = execute
-        self.prefetch = prefetch
-        self._single_use = single_use
+        self._coordinator_ends: List[Any] = []
 
     def spawn(self) -> Optional[WorkerLink]:
         ctx = _pool_context()
         parent, child = ctx.Pipe(duplex=True)
+        self._coordinator_ends = [
+            end for end in self._coordinator_ends if not end.closed
+        ] + [parent]
         process = ctx.Process(
-            target=_pipe_worker_main, args=(child, self._execute), daemon=True
+            target=_pipe_worker_main,
+            args=(child, self._execute, self._coordinator_ends), daemon=True,
         )
         process.start()
         child.close()
-        return PipeLink(process=process, conn=parent,
-                        single_use=self._single_use)
+        return PipeLink(process=process, conn=parent)
 
 
 @dataclass
@@ -952,7 +947,6 @@ __all__ = [
     "PipeTransport",
     "SOCKET_TIMEOUT",
     "SocketLink",
-    "TRANSPORTS",
     "TcpTransport",
     "Transport",
     "TransportError",

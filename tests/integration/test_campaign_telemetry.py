@@ -3,7 +3,7 @@
 A warm-pool campaign run with a span sink must produce a schema-valid
 NDJSON log whose unit count matches the ``CampaignResult``, with worker
 heartbeats and cache counters; fingerprints must be byte-identical with
-spans on or off across every pool backend; and a telemetry subscriber
+spans on or off wherever the workers live; and a telemetry subscriber
 detaching mid-run (the FlightRecorder pattern) must neither stall the
 trace bus nor perturb results.
 """
@@ -22,7 +22,7 @@ from repro.experiments import (
     run_campaign,
     run_chain,
 )
-from repro.experiments.campaign import CRASH_ONCE_ENV, POOL_MODES
+from repro.experiments.campaign import CRASH_ONCE_ENV
 from repro.obs import (
     CampaignTelemetry,
     FlightRecorder,
@@ -39,11 +39,20 @@ def small_grid():
     return chain_grid(["muzha"], [2], config=ScenarioConfig(sim_time=1.5))
 
 
-def run_with_spans(tmp_path, name, **kwargs):
+#: Where a campaign's units run, by test id: ``inproc`` is ``jobs=1``,
+#: which executes every unit in the coordinating process.
+PLACEMENTS = {
+    "inproc": {"jobs": 1},
+    "warm": {"pool_mode": "warm"},
+    "cluster": {"pool_mode": "cluster"},
+}
+
+
+def run_with_spans(tmp_path, name, jobs=2, **kwargs):
     path = tmp_path / name
     with SpanWriter(path) as writer:
         telemetry = CampaignTelemetry(writer, heartbeat_interval=0.01)
-        result = run_campaign(small_grid(), replications=2, jobs=2,
+        result = run_campaign(small_grid(), replications=2, jobs=jobs,
                               telemetry=telemetry, **kwargs)
     return result, path, telemetry
 
@@ -73,12 +82,12 @@ def test_warm_campaign_span_log_is_valid_and_complete(tmp_path):
     assert campaign_close["attrs"]["counters"]["units.ok"] == 2
 
 
-@pytest.mark.parametrize("pool_mode", POOL_MODES)
-def test_fingerprints_identical_with_spans_on_or_off(tmp_path, pool_mode):
-    traced, path, _ = run_with_spans(tmp_path, f"{pool_mode}.ndjson",
-                                     pool_mode=pool_mode)
-    untraced = run_campaign(small_grid(), replications=2, jobs=2,
-                            pool_mode=pool_mode)
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_fingerprints_identical_with_spans_on_or_off(tmp_path, placement):
+    traced, path, _ = run_with_spans(tmp_path, f"{placement}.ndjson",
+                                     **PLACEMENTS[placement])
+    untraced = run_campaign(small_grid(), replications=2,
+                            **{"jobs": 2, **PLACEMENTS[placement]})
     assert traced.fingerprint() == untraced.fingerprint()
     assert validate_span_file(path) == []
 
@@ -146,7 +155,7 @@ def test_warm_crash_emits_replacement_spans(tmp_path, monkeypatch):
     assert len(aborted) == 1
 
 
-# -- one telemetry contract for every local mode ------------------------------
+# -- one telemetry contract in and out of process ----------------------------
 
 
 def worker_event_reasons(records):
@@ -166,15 +175,14 @@ def unit_attempt_closes(records):
     )
 
 
-@pytest.mark.parametrize("pool_mode", ["warm", "per-attempt", "inproc"])
+@pytest.mark.parametrize("placement", ["warm", "inproc"])
 def test_span_log_contract_is_the_same_in_every_local_mode(
-    tmp_path, monkeypatch, pool_mode
+    tmp_path, monkeypatch, placement
 ):
     """The supervisor loop is the only telemetry source, so a unit that
     raises once reads the same whatever the transport: one ``unit-attempt``
     span per attempt, workers named ``w<n>``, every exit a ``stop`` (an
-    exception kills nobody) and no replacements — per-attempt's recycled
-    forks included."""
+    exception kills nobody) and no replacements."""
     sentinel = tmp_path / "raised"
     real = campaign._execute_unit
 
@@ -186,7 +194,7 @@ def test_span_log_contract_is_the_same_in_every_local_mode(
 
     monkeypatch.setattr(campaign, "_execute_unit", raise_once)
     result, path, _ = run_with_spans(
-        tmp_path, f"contract-{pool_mode}.ndjson", pool_mode=pool_mode,
+        tmp_path, f"contract-{placement}.ndjson", **PLACEMENTS[placement],
         policy=RetryPolicy(max_retries=1, backoff=0.01),
     )
     assert result.complete
@@ -202,14 +210,12 @@ def test_span_log_contract_is_the_same_in_every_local_mode(
     summary = aggregate_span_log(path)
     assert summary["worker_events"]["replaced"] == 0
     assert summary["worker_events"]["spawned"] == len(reasons)
-    if pool_mode == "per-attempt":
-        assert len(workers) == 3  # a fresh fork per attempt
-    if pool_mode == "inproc":
+    if placement == "inproc":
         assert workers == {"w1"}
     assert summary["retries"]["0"]["retries"] == 1
 
 
-@pytest.mark.parametrize("pool_mode", ["warm", "per-attempt"])
+@pytest.mark.parametrize("pool_mode", ["warm"])
 def test_crashed_worker_exits_as_crash_and_is_replaced_once(
     tmp_path, monkeypatch, pool_mode
 ):

@@ -4,7 +4,8 @@ The cluster backend moves units over TCP to worker-agent subprocesses —
 a completely different execution path from the forked pipe pool — yet
 nothing of that may show in results: every unit's seed is derived in
 ``plan_campaign`` before dispatch, so the campaign fingerprint must be
-byte-identical to ``inproc`` on clean and faulted grids alike.  On top of
+byte-identical to a ``jobs=1`` campaign (every unit run in the
+coordinating process) on clean and faulted grids alike.  On top of
 the equivalence contract this file exercises the transport's failure
 modes: a mid-unit TCP disconnect must requeue the unit *un-charged* (the
 wire died, not necessarily the work), a late-joining agent must steal
@@ -93,19 +94,17 @@ def start_agent(endpoint, env=None, retry="30"):
 
 
 # ---------------------------------------------------------------------------
-# byte-identity with the in-process backend
+# byte-identity with in-process execution
 
 
 @pytest.fixture(scope="module")
 def inproc_clean():
-    return run_campaign(clean_grid(), replications=2, jobs=1,
-                        pool_mode="inproc")
+    return run_campaign(clean_grid(), replications=2, jobs=1)
 
 
 @pytest.fixture(scope="module")
 def inproc_faulted():
-    return run_campaign(faulted_grid(), replications=2, jobs=1,
-                        pool_mode="inproc")
+    return run_campaign(faulted_grid(), replications=2, jobs=1)
 
 
 def test_cluster_is_byte_identical_on_a_clean_grid(inproc_clean):
@@ -242,7 +241,7 @@ def test_cluster_sigterm_resume_matches_uninterrupted_single_host(tmp_path):
 
     reference = subprocess.run(
         [sys.executable, "-m", "repro.cli", "campaign", *base_args,
-         "--pool-mode", "inproc", "--jobs", "1",
+         "--jobs", "1",
          "--cache-dir", str(tmp_path / "refcache")],
         env=agent_env(), capture_output=True, text=True, timeout=300,
     )

@@ -46,7 +46,7 @@ def test_two_threads_sharing_a_cache_agree_and_corrupt_nothing(tmp_path):
         try:
             results[name] = run_campaign(
                 tiny_grid(), replications=2, base_seed=7, jobs=1,
-                cache=CampaignCache(root), pool_mode="inproc",
+                cache=CampaignCache(root),
             )
         except BaseException as exc:  # noqa: BLE001 - surfaced below
             errors.append(exc)
@@ -82,7 +82,7 @@ def test_two_processes_sharing_a_cache_agree_and_corrupt_nothing(tmp_path):
         sys.executable, "-m", "repro.cli", "campaign",
         "--variants", "newreno", "muzha", "--hops", "2",
         "--replications", "2", "--time", "0.5", "--window", "4",
-        "--seed", "7", "--jobs", "2", "--pool-mode", "per-attempt",
+        "--seed", "7", "--jobs", "2",
         "--cache-dir", str(root), "--quiet",
     ]
     procs = [subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,

@@ -148,7 +148,7 @@ def _short(**changes):
 
 def _campaign_record_manifest():
     grid = chain_grid(["newreno"], [2], config=_short())
-    return run_campaign(grid, pool_mode="inproc").records[0].manifest
+    return run_campaign(grid, jobs=1).records[0].manifest
 
 
 @pytest.mark.parametrize("make_manifest", [

@@ -1,11 +1,12 @@
 """Execution-backend equivalence for the campaign engine.
 
-The warm-worker pool (PR 5) must be a pure performance change: for the
-same grid and base seed, the ``warm``, ``per-attempt``, and ``inproc``
-backends have to produce byte-identical results — same canonical metric
-bytes per (scenario, replication), same campaign fingerprint — because
-every unit's seed is derived in ``plan_campaign`` before dispatch, making
-worker assignment, batching, and completion order invisible.
+The warm-worker pool must be a pure performance change: for the same grid
+and base seed, a ``warm`` pool and a ``jobs=1`` campaign (every unit run
+in the coordinating process) have to produce byte-identical results —
+same canonical metric bytes per (scenario, replication), same campaign
+fingerprint — because every unit's seed is derived in ``plan_campaign``
+before dispatch, making worker assignment, batching, and completion order
+invisible.
 
 That contract is checked twice: on a clean grid and on a grid running
 under an injected fault plan (a relay crash mid-transfer), since fault
@@ -23,8 +24,6 @@ from repro.experiments import (
     verify_manifest,
 )
 from repro.faults import FaultEvent, FaultPlan
-
-POOL_MODES = ("inproc", "per-attempt", "warm")
 
 
 def clean_grid():
@@ -49,15 +48,15 @@ def by_identity(result):
 
 @pytest.fixture(scope="module")
 def inproc_clean():
-    return run_campaign(clean_grid(), replications=2, jobs=1, pool_mode="inproc")
+    return run_campaign(clean_grid(), replications=2, jobs=1)
 
 
 @pytest.fixture(scope="module")
 def inproc_faulted():
-    return run_campaign(faulted_grid(), replications=2, jobs=1, pool_mode="inproc")
+    return run_campaign(faulted_grid(), replications=2, jobs=1)
 
 
-@pytest.mark.parametrize("pool_mode", ["warm", "per-attempt"])
+@pytest.mark.parametrize("pool_mode", ["warm"])
 def test_pool_modes_are_byte_identical_on_a_clean_grid(inproc_clean, pool_mode):
     pooled = run_campaign(
         clean_grid(), replications=2, jobs=2, pool_mode=pool_mode
@@ -67,7 +66,7 @@ def test_pool_modes_are_byte_identical_on_a_clean_grid(inproc_clean, pool_mode):
     assert pooled.fingerprint() == inproc_clean.fingerprint()
 
 
-@pytest.mark.parametrize("pool_mode", ["warm", "per-attempt"])
+@pytest.mark.parametrize("pool_mode", ["warm"])
 def test_pool_modes_are_byte_identical_under_a_fault_plan(
     inproc_faulted, pool_mode
 ):
@@ -81,7 +80,7 @@ def test_pool_modes_are_byte_identical_under_a_fault_plan(
 
 def test_warm_pool_manifests_replay_via_verify_manifest(inproc_clean):
     """Provenance manifests from warm workers pass the strong replay check,
-    and carry the same result digest the in-process backend records."""
+    and carry the same result digest a ``jobs=1`` campaign records."""
     pooled = run_campaign(clean_grid(), replications=2, jobs=2, pool_mode="warm")
     record = pooled.records[0]
     assert record.manifest is not None
@@ -97,8 +96,17 @@ def test_warm_pool_manifests_replay_via_verify_manifest(inproc_clean):
         )
 
 
-@pytest.mark.parametrize("pool_mode", ["inproc", "warm", "cluster"])
-def test_a_cached_record_is_the_executed_record(tmp_path, pool_mode):
+#: Where a campaign's units run, by test id: ``inproc`` is ``jobs=1``,
+#: which executes every unit in this process with no pool at all.
+PLACEMENTS = {
+    "inproc": {"jobs": 1},
+    "warm": {"jobs": 2, "pool_mode": "warm"},
+    "cluster": {"jobs": 2, "pool_mode": "cluster"},
+}
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_a_cached_record_is_the_executed_record(tmp_path, placement):
     """Whichever transport carried the result — the runner's own object,
     a pickle over a pipe, JSON over TCP — the cache holds the metrics
     snapshot once, and a record resolved from it has the content *and*
@@ -112,9 +120,8 @@ def test_a_cached_record_is_the_executed_record(tmp_path, pool_mode):
     cache = CampaignCache(tmp_path / "cache")
     config = ScenarioConfig(sim_time=0.5, window=4)
     grid = chain_grid(["muzha", "newreno"], [2, 3], config=config)
-    jobs = 1 if pool_mode == "inproc" else 2
-    executed = run_campaign(grid, jobs=jobs, pool_mode=pool_mode, cache=cache)
-    cached = run_campaign(grid, jobs=jobs, pool_mode=pool_mode, cache=cache)
+    executed = run_campaign(grid, cache=cache, **PLACEMENTS[placement])
+    cached = run_campaign(grid, cache=cache, **PLACEMENTS[placement])
     assert (executed.executed, executed.cache_hits) == (4, 0)
     assert (cached.executed, cached.cache_hits) == (0, 4)
     assert cache.evictions == 0

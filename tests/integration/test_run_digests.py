@@ -11,7 +11,7 @@ Five — lossy single-flow chains for ``tahoe``, ``reno``, ``veno``,
 recovery became one code path (``TcpReno._begin_recovery``); each carries a
 ``covers`` block, the sender counters an observer read off that run.  Every
 row is run three ways — ``execute_run(spec)``, the ``run_chain`` /
-``run_cross`` wrapper, and an ``inproc`` ``run_campaign`` record — and all
+``run_cross`` wrapper, and a ``jobs=1`` ``run_campaign`` record — and all
 three must hash to the committed digest.
 
 A digest is the sha256 of the canonical result (flows, cwnd traces, rate
@@ -127,7 +127,7 @@ def test_three_ways_to_run_a_spec_hash_to_the_committed_digest(row):
     # The committed seed is the one a base_seed=1 campaign derives for the
     # scenario, so the campaign runs exactly this spec.
     [record] = run_campaign([spec], replications=1, base_seed=1,
-                            pool_mode="inproc").records
+                            jobs=1).records
     assert record.run.spec == spec
     assert {
         "execute_run": execute_run(spec).result_digest(),

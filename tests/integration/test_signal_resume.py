@@ -4,16 +4,20 @@ A mid-flight ``repro-muzha campaign`` receiving SIGTERM must drain, leave
 no orphan worker processes behind, write a valid resumable journal, exit
 with the distinct "interrupted, resumable" status (3) — and a subsequent
 ``--resume`` must execute exactly the remainder and land on a fingerprint
-byte-identical to an uninterrupted run.  Exercised against all four pool
-backends: the three local ones here, ``cluster`` in ``test_cluster.py``.
+byte-identical to an uninterrupted run.  Exercised on the ``warm`` pool
+and on ``--jobs 1`` (units run in the coordinator) here, on ``cluster``
+in ``test_cluster.py``.
 
 Timing is made deterministic with the :data:`BARRIER_ENV` hook: the
 worker executing the chosen unit touches ``<base>.ready`` and blocks
 until ``<base>.go`` appears, giving the test a guaranteed mid-campaign
-moment to deliver the signal at.  For the pooled backends the barrier is
-never released — the drain deadline expires and the blocked units become
-the remainder; for ``inproc`` (where the barrier blocks the coordinator
+moment to deliver the signal at.  For the pool the barrier is never
+released — the drain deadline expires and the blocked units become the
+remainder; with ``--jobs 1`` (where the barrier blocks the coordinator
 itself) it is released right after the signal so the drain can finish.
+
+A coordinator that cannot drain — SIGKILLed — must not strand its forked
+workers either: they see their pipe close and exit on their own.
 """
 
 import json
@@ -40,11 +44,11 @@ BASE_ARGS = [
     "--time", "0.5", "--window", "4", "--seed", "7", "--quiet",
 ]
 
-#: (pool_mode, jobs, barrier unit index).  inproc executes in index order,
-#: so the barrier sits on unit 1 and unit 0 is already journaled by the
-#: time ``.ready`` appears; the pooled backends block unit 0 on one worker
-#: while the other worker makes progress.
-BACKENDS = [("warm", 2, 0), ("per-attempt", 2, 0), ("inproc", 1, 1)]
+#: (jobs, barrier unit index), by test id.  ``--jobs 1`` executes in the
+#: coordinator in index order, so the barrier sits on unit 1 and unit 0 is
+#: already journaled by the time ``.ready`` appears; the warm pool blocks
+#: unit 0 on one worker while the other worker makes progress.
+BACKENDS = {"warm": (2, 0), "inproc": (1, 1)}
 
 
 def campaign_env(**extra):
@@ -54,11 +58,10 @@ def campaign_env(**extra):
     return env
 
 
-def campaign_cmd(cache, pool_mode, jobs, *extra):
+def campaign_cmd(cache, jobs, *extra):
     return [
         sys.executable, "-m", "repro.cli", "campaign", *BASE_ARGS,
-        "--pool-mode", pool_mode, "--jobs", str(jobs),
-        "--cache-dir", str(cache), *extra,
+        "--jobs", str(jobs), "--cache-dir", str(cache), *extra,
     ]
 
 
@@ -116,24 +119,24 @@ def reference_fingerprint(tmp_path_factory):
     """Fingerprint of the same campaign run uninterrupted."""
     tmp = tmp_path_factory.mktemp("reference")
     proc = subprocess.run(
-        campaign_cmd(tmp / "cache", "inproc", 1),
+        campaign_cmd(tmp / "cache", 1),
         env=campaign_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return parse_fingerprint(proc.stdout)
 
 
-@pytest.mark.parametrize("pool_mode,jobs,barrier_index", BACKENDS,
-                         ids=[b[0] for b in BACKENDS])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_sigterm_mid_campaign_drains_and_resumes_byte_identically(
-    tmp_path, pool_mode, jobs, barrier_index, reference_fingerprint
+    tmp_path, backend, reference_fingerprint
 ):
+    jobs, barrier_index = BACKENDS[backend]
     cache = tmp_path / "cache"
     journal = tmp_path / "run.journal"
     barrier = tmp_path / "barrier"
 
     proc = subprocess.Popen(
-        campaign_cmd(cache, pool_mode, jobs,
+        campaign_cmd(cache, jobs,
                      "--journal", str(journal), "--drain-timeout", "2.0"),
         env=campaign_env(**{BARRIER_ENV: f"{barrier}:{barrier_index}"}),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -146,7 +149,7 @@ def test_sigterm_mid_campaign_drains_and_resumes_byte_identically(
         wait_for(lambda: journal_has_a_done_record(journal),
                  90, "a journaled completion")
         proc.send_signal(signal.SIGTERM)
-        if pool_mode == "inproc":
+        if jobs == 1:
             # The barrier blocks the coordinator itself: release it so the
             # drain can run to the loop's shutdown check.
             (barrier.parent / f"{barrier.name}.go").touch()
@@ -178,7 +181,7 @@ def test_sigterm_mid_campaign_drains_and_resumes_byte_identically(
     # Resume executes exactly the remainder and matches the uninterrupted
     # fingerprint byte for byte.
     resumed = subprocess.run(
-        campaign_cmd(cache, pool_mode, jobs, "--resume", str(journal)),
+        campaign_cmd(cache, jobs, "--resume", str(journal)),
         env=campaign_env(), capture_output=True, text=True, timeout=300,
     )
     assert resumed.returncode == 0, resumed.stderr
@@ -194,3 +197,49 @@ def test_sigterm_mid_campaign_drains_and_resumes_byte_identically(
     assert final.generations == 2
     assert not final.interrupted
     assert final.remaining == 0
+
+
+#: A coordinator that forks two idle pipe workers, prints their pids and
+#: waits to be killed.
+ORPHAN_COORDINATOR = """
+import time
+from repro.experiments.transport import PipeTransport
+transport = PipeTransport(lambda unit: unit)
+print(*(transport.spawn().pid for _ in range(2)), flush=True)
+time.sleep(600)
+"""
+
+
+def process_is_gone(pid):
+    """No process ``pid``, or only its zombie: a container without an init
+    process that reaps may keep an exited orphan's entry around."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rpartition(")")[2].split()[0] == "Z"
+
+
+def test_forked_workers_exit_when_their_coordinator_is_sigkilled():
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ORPHAN_COORDINATOR],
+        env=campaign_env(), stdout=subprocess.PIPE, text=True,
+    )
+    pids = []
+    try:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        assert len(pids) == 2
+        proc.kill()
+        proc.wait()
+        wait_for(lambda: all(map(process_is_gone, pids)), 5,
+                 "the SIGKILLed coordinator's workers to exit")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        for pid in pids:  # never leave a stranded worker behind the test
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

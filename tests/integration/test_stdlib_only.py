@@ -16,7 +16,7 @@ from repro.experiments import ScenarioConfig, chain_grid, run_campaign, run_chai
 config = ScenarioConfig(sim_time=0.5, window=4)
 run_chain(4, ["muzha"], config=config)
 grid = chain_grid(["muzha", "newreno"], [2], config=config)
-result = run_campaign(grid, replications=2, jobs=1, pool_mode="inproc")
+result = run_campaign(grid, replications=2, jobs=1)
 assert result.complete and len(result.records) == 4
 assert "numpy" not in sys.modules, "a production import pulled numpy in"
 """

@@ -20,7 +20,7 @@ from repro.experiments.journal import (
 
 CAMPAIGN = ["campaign", "--hops", "2", "--variants", "newreno",
             "--replications", "2", "--time", "0.5", "--jobs", "1",
-            "--pool-mode", "inproc", "--quiet"]
+            "--quiet"]
 
 #: The kinds of the real journal's lines, which the explicit examples below
 #: address by position.

@@ -19,7 +19,7 @@ below and above:
   channel's tx-end entry changes no result byte.
 
 Nothing selects the reference at run time; the tests reach it by shadowing
-``transmit`` — on the instance, or on the class for ``inproc`` campaigns
+``transmit`` — on the instance, or on the class for ``jobs=1`` campaigns
 (the MAC looks ``channel.transmit`` up per call).
 """
 
@@ -235,7 +235,7 @@ def test_full_stack_digests_identical_across_lanes_with_loss_and_faults():
 
 
 def test_campaign_metric_bytes_identical_across_lanes(monkeypatch):
-    """Every run of an ``inproc`` campaign has equal canonical metric bytes
+    """Every run of a ``jobs=1`` campaign has equal canonical metric bytes
     on both paths (the reference shadows ``transmit`` on the class)."""
     config = ScenarioConfig(sim_time=1.0, window=4, packet_error_rate=0.1)
     grid = chain_grid(["muzha", "newreno"], [2, 3], config=config)
@@ -247,7 +247,7 @@ def test_campaign_metric_bytes_identical_across_lanes(monkeypatch):
         }
 
     def campaign():
-        return run_campaign(grid, replications=2, jobs=1, pool_mode="inproc")
+        return run_campaign(grid, replications=2, jobs=1)
 
     production = campaign()
     monkeypatch.setattr(

@@ -177,8 +177,7 @@ def test_every_crash_point_of_a_journal_resumes_twice_and_stays_healthy(
     def campaign(path, resume=None):
         with CampaignJournal(path, resume=resume is not None) as journal:
             return run_campaign(grid, replications=2, base_seed=7, jobs=1,
-                                cache=cache, pool_mode="inproc",
-                                journal=journal, resume=resume)
+                                cache=cache, journal=journal, resume=resume)
 
     reference = campaign(tmp_path / "whole.journal").fingerprint()
     blob = (tmp_path / "whole.journal").read_bytes()

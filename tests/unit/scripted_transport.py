@@ -39,13 +39,11 @@ _EOF = object()
 class ScriptedLink(WorkerLink):
     """One scripted worker; records what the loop did to it."""
 
-    def __init__(self, transport, remote=False, host=None, send_fails=False,
-                 single_use=False):
+    def __init__(self, transport, remote=False, host=None, send_fails=False):
         self.transport = transport
         self.remote = remote
         self.host = host
         self._send_fails = send_fails
-        self._single_use = single_use
         self._outbox = collections.deque()
         self._rfd, self._wfd = os.pipe()
         self._exitcode = None
@@ -71,7 +69,6 @@ class ScriptedLink(WorkerLink):
             self._post(_EOF)  # the corpse reads as EOF when the loop looks
             raise BrokenPipeError("scripted: worker died before the send")
         self.batches.append((time.monotonic(), [i for i, _, _ in units]))
-        self.spent = self._single_use
         for index, _spec, _digest in units:
             fate = self.transport.next_fate(index)
             if fate in (OK, TWICE):

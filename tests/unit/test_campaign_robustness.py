@@ -104,7 +104,7 @@ def _fail_once_then_delegate(sentinel, index, failure):
     return patched
 
 
-@pytest.mark.parametrize("pool_mode", ["warm", "per-attempt"])
+@pytest.mark.parametrize("pool_mode", ["warm"])
 def test_crashed_worker_is_retried_and_campaign_completes(
     tmp_path, monkeypatch, pool_mode
 ):
@@ -169,7 +169,7 @@ def test_persistent_crash_is_quarantined_not_fatal(tmp_path, monkeypatch):
     assert [r.run.index for r in result.records] == [1]
 
 
-@pytest.mark.parametrize("pool_mode", ["warm", "per-attempt"])
+@pytest.mark.parametrize("pool_mode", ["warm"])
 def test_hung_worker_hits_the_watchdog_then_retry_succeeds(
     tmp_path, monkeypatch, pool_mode
 ):
@@ -226,7 +226,7 @@ def test_worker_exception_message_survives_the_pipe(monkeypatch):
     assert "ValueError: broke in the child" in result.failed[0].error
 
 
-@pytest.mark.parametrize("pool_mode", ["warm", "per-attempt"])
+@pytest.mark.parametrize("pool_mode", ["warm"])
 def test_crash_once_env_hook(tmp_path, monkeypatch, pool_mode):
     sentinel = tmp_path / "env-crash"
     monkeypatch.setenv(campaign.CRASH_ONCE_ENV, f"{sentinel}:0")
@@ -238,19 +238,43 @@ def test_crash_once_env_hook(tmp_path, monkeypatch, pool_mode):
     assert result.complete    # ...and the retry healed it
 
 
+@pytest.mark.parametrize("task_timeout", [None, 60.0],
+                         ids=["no-watchdog", "watchdog"])
+def test_one_job_runs_in_process_unless_a_watchdog_needs_a_worker(
+    tmp_path, monkeypatch, task_timeout
+):
+    """``jobs=1`` executes in the coordinator; a watchdog can only kill a
+    process, so ``jobs=1`` with a ``task_timeout`` gets one forked worker."""
+    real = campaign._execute_unit
+
+    def recording(args):
+        (tmp_path / f"pid-{os.getpid()}").touch()
+        return real(args)
+
+    monkeypatch.setattr(campaign, "_execute_unit", recording)
+    result = run_campaign(tiny_grid(2), jobs=1,
+                          policy=RetryPolicy(task_timeout=task_timeout))
+    assert result.complete and result.executed == 2
+    pids = {int(path.name[len("pid-"):]) for path in tmp_path.glob("pid-*")}
+    if task_timeout is None:
+        assert pids == {os.getpid()}
+    else:
+        assert len(pids) == 1 and os.getpid() not in pids
+
+
 # ---------------------------------------------------------------------------
 # Cache hits must short-circuit before worker dispatch
 
 
-@pytest.mark.parametrize("pool_mode", ["warm", "per-attempt", "inproc"])
+@pytest.mark.parametrize("placement", ["warm", "inproc"])
 def test_fully_cached_campaign_never_dispatches_a_worker(
-    tmp_path, monkeypatch, pool_mode
+    tmp_path, monkeypatch, placement
 ):
     """Cache hits are resolved in the coordinator, before any dispatch.
 
-    With every unit cached, ``_execute_unit`` must never run — in any pool
-    mode — so a campaign against a hot cache completes even when executing
-    a unit would blow up.
+    With every unit cached, ``_execute_unit`` must never run — in a warm
+    pool or in this process (``jobs=1``) — so a campaign against a hot
+    cache completes even when executing a unit would blow up.
     """
     cache = CampaignCache(tmp_path / "cache")
     cold = run_campaign(tiny_grid(2), jobs=1, cache=cache)
@@ -260,7 +284,8 @@ def test_fully_cached_campaign_never_dispatches_a_worker(
         raise AssertionError("cache hit must not reach _execute_unit")
 
     monkeypatch.setattr(campaign, "_execute_unit", poisoned)
-    hot = run_campaign(tiny_grid(2), jobs=2, cache=cache, pool_mode=pool_mode)
+    hot = run_campaign(tiny_grid(2), jobs=1 if placement == "inproc" else 2,
+                       cache=cache)
     assert hot.complete
     assert hot.executed == 0
     assert hot.cache_hits == 2

@@ -328,6 +328,19 @@ def test_campaign_accepts_boundary_numeric_knobs(flag, value):
     assert args.command == "campaign"
 
 
+@pytest.mark.parametrize("removed", ["inproc", "per-attempt"])
+def test_campaign_pool_mode_is_warm_or_cluster(removed, capsys):
+    """``--pool-mode`` says where the workers live; ``--jobs 1`` is how a
+    campaign runs in this process."""
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["campaign", "--pool-mode", removed])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --pool-mode: invalid choice" in err and removed in err
+
+
 def test_cluster_transport_flags_require_cluster_pool_mode(tmp_path):
     with pytest.raises(SystemExit, match="--pool-mode cluster"):
         main([

@@ -33,8 +33,7 @@ def campaign_state(tmp_path):
     journal_path = tmp_path / "run.journal"
     with CampaignJournal(journal_path) as journal:
         result = run_campaign(tiny_grid(), replications=2, jobs=1,
-                              cache=cache, pool_mode="inproc",
-                              journal=journal)
+                              cache=cache, journal=journal)
     assert result.complete
     return cache, journal_path, result
 

@@ -160,6 +160,8 @@ def test_doctor_on_a_scan_reports_what_it_reported_reading_the_file_thrice(
 
 
 def test_journal_with_no_end_record_reads_as_interrupted(tmp_path):
+    from repro.experiments import CampaignCache, diagnose_journal, run_campaign
+
     runs = tiny_runs()
     path = tmp_path / "run.journal"
     with CampaignJournal(path) as journal:
@@ -170,6 +172,20 @@ def test_journal_with_no_end_record_reads_as_interrupted(tmp_path):
     assert replay.interrupted
     assert replay.last_end is None
     assert replay.completed == {0: "digest-0"}
+
+    # Earlier builds wrote per-attempt journals; this one resumes them.
+    grid = chain_grid(["newreno"], [2, 3],
+                      config=ScenarioConfig(sim_time=0.5, window=4))
+    with CampaignJournal(path, resume=True) as journal:
+        result = run_campaign(grid, replications=2, base_seed=7, jobs=1,
+                              cache=CampaignCache(tmp_path / "cache"),
+                              journal=journal, resume=replay)
+    assert result.complete
+    assert result.executed == 4  # unit 0's journaled result is in no cache
+    final = replay_journal(path)
+    assert (final.generations, final.interrupted) == (2, False)
+    assert validate_journal_file(path) == []
+    assert diagnose_journal(path) == []
 
 
 # ---------------------------------------------------------------------------

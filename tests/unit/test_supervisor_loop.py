@@ -2,7 +2,7 @@
 
 Every branch of the loop's failure handling — charged crash, un-charged
 disconnect and its cap, innocent batch-mates, watchdog, backoff,
-quarantine, late-joiner steal, drain/abort, failed send, recycling — is
+quarantine, late-joiner steal, drain/abort, failed send — is
 driven through a :class:`ScriptedTransport` whose links die, hang and join
 on a script.  No process is forked and no unit is simulated, so the whole
 file runs in well under a second; the real-process suites
@@ -286,17 +286,6 @@ def test_late_joiner_steals_from_the_shared_queue():
     assert sorted(early.units + late.units) == list(range(6))
 
 
-def test_single_use_links_are_recycled_not_replaced():
-    transport = ScriptedTransport(link_kwargs=[{"single_use": True}])
-    outcome = run_pool(transport, 3)
-    assert outcome.stored == [0, 1, 2]
-    assert [link.units for link in transport.links] == [[0], [1], [2]]
-    assert [link.fate for link in transport.links] == ["stop"] * 3
-    tel = outcome.telemetry
-    assert tel.exit_reasons() == ["stop"] * 3
-    assert tel.replacements() == 0
-
-
 def test_drain_waits_for_in_flight_work_then_aborts_at_the_deadline():
     shutdown = GracefulShutdown(drain_timeout=0.05)
     transport = ScriptedTransport(script={0: [HANG]})
@@ -324,10 +313,18 @@ def test_drain_leaves_at_once_when_nothing_is_in_flight():
     assert transport.links[0].units == [0]
 
 
-# -- run_campaign's transport argument ---------------------------------------
+# -- run_campaign's pool_mode and transport arguments ------------------------
 
 
-@pytest.mark.parametrize("pool_mode", ["warm", "per-attempt", "inproc"])
+@pytest.mark.parametrize("pool_mode", ["per-attempt", "inproc"])
+def test_a_removed_pool_mode_is_a_value_error(pool_mode):
+    grid = chain_grid(["newreno"], [2], config=ScenarioConfig(sim_time=0.5))
+    with pytest.raises(ValueError,
+                       match=rf"{pool_mode}.*\('warm', 'cluster'\)"):
+        run_campaign(grid, pool_mode=pool_mode)
+
+
+@pytest.mark.parametrize("pool_mode", ["warm"])
 def test_transport_with_a_local_pool_mode_is_a_conflict(pool_mode):
     transport = TcpTransport(spawn_agents=False)
     grid = chain_grid(["newreno"], [2], config=ScenarioConfig(sim_time=0.5))

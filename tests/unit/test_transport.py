@@ -420,7 +420,7 @@ def test_inline_link_runs_units_in_this_process_and_buffers_replies():
         assert link.recv() == ("ok", 0, {"pid": os.getpid()}, None)
         assert link.recv() == ("err", 1, "RuntimeError: unit defect")
         assert not readable(link)
-        assert not link.spent and not link.remote
+        assert not link.remote
     finally:
         link.stop()
 
@@ -434,13 +434,10 @@ def test_inline_link_lets_ctrl_c_through():
         link.stop()
 
 
-@pytest.mark.parametrize("single_use", [False, True])
-def test_pipe_link_runs_units_in_a_fork_and_reports_itself_spent(single_use):
-    link = PipeTransport(tag_pid, single_use=single_use).spawn()
+def test_pipe_link_runs_units_in_a_fork():
+    link = PipeTransport(tag_pid).spawn()
     try:
-        assert not link.spent
         link.send_batch([(0, "run", "d0"), (1, "raise", "d1")])
-        assert link.spent is single_use
         kind, index, metrics, _ = link.recv()
         assert (kind, index) == ("ok", 0)
         assert metrics["pid"] == link.pid != os.getpid()
@@ -448,3 +445,18 @@ def test_pipe_link_runs_units_in_a_fork_and_reports_itself_spent(single_use):
     finally:
         link.stop()
     assert link.exitcode == 0
+
+
+def test_a_pipe_worker_sees_eof_while_a_younger_sibling_lives():
+    """Every fork closes its copies of the coordinator's pipe ends — its own
+    and its older siblings' — so closing a link's end is EOF for its
+    worker even though a sibling was forked after it."""
+    transport = PipeTransport(tag_pid)
+    first, second = transport.spawn(), transport.spawn()
+    try:
+        first.conn.close()
+        first.process.join(timeout=5.0)
+        assert first.exitcode == 0
+    finally:
+        first.kill()
+        second.stop()
