@@ -24,7 +24,7 @@ import statistics
 
 import pytest
 
-from repro.core import DraiParams
+from repro.core import DraiParams, known_policies
 from repro.experiments import ScenarioConfig, full_scale, run_chain
 from repro.net.queues import RedQueue
 from repro.stats.fairness import jain_index
@@ -173,7 +173,7 @@ def test_ablation_red_vs_droptail_ifq(benchmark):
 # which (re)generates results/BENCH_policies.json; ``--quick`` shrinks the
 # grid for CI smoke runs and ``--policy-names``/``--scenarios`` subset it.
 
-BAKEOFF_POLICIES = ("fuzzy", "binary-feedback", "queue-trend", "hysteresis")
+BAKEOFF_POLICIES = tuple(known_policies())
 BAKEOFF_SCENARIOS = ("static", "mobile", "fault")
 DRAI_SAMPLE_INTERVAL = DraiParams().sample_interval
 

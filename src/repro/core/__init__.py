@@ -2,8 +2,8 @@
 
 Importing this package registers the Muzha variants with the transport
 registry, so scenario code can request ``variant="muzha"``.  The
-router-advice policy family (fuzzy / binary-feedback / queue-trend /
-hysteresis) self-registers with :mod:`repro.core.policy` on import.
+router-advice policy family (fuzzy / binary-feedback / hysteresis)
+self-registers with :mod:`repro.core.policy` on import.
 """
 
 from ..transport.registry import register_variant
@@ -30,8 +30,6 @@ from .policy import (
     HysteresisParams,
     HysteresisPolicy,
     PolicySignals,
-    QueueTrendParams,
-    QueueTrendPolicy,
     known_policies,
     make_policy,
     policy_class,
@@ -57,8 +55,6 @@ __all__ = [
     "MIN_DRAI",
     "MuzhaStats",
     "PolicySignals",
-    "QueueTrendParams",
-    "QueueTrendPolicy",
     "TcpMuzha",
     "TcpMuzhaNoMarking",
     "apply_drai",

@@ -206,11 +206,11 @@ class DraiEstimator:
     DRAI if smaller, so the receiver sees the path minimum (the MRAI).
 
     The estimator owns the *sampling-window bookkeeping* — busy-time
-    deltas, EWMA smoothing and the queue-trend delta — and delegates the
-    level decision to a pluggable :class:`~repro.core.policy.AdvicePolicy`
-    (default: the paper's fuzzy quantiser, a pure refactor of the old
-    inline computation).  ``policy`` accepts a policy instance or a
-    registry name; stateful policies must not be shared between nodes.
+    deltas and EWMA smoothing of the queue, medium and MAC-service
+    signals — and delegates the level decision to a pluggable
+    :class:`~repro.core.policy.AdvicePolicy` (default: the paper's fuzzy
+    quantiser).  ``policy`` accepts a policy instance or a registry name;
+    stateful policies must not be shared between nodes.
     """
 
     def __init__(
@@ -233,10 +233,6 @@ class DraiEstimator:
         self.utilization = 0.0
         self.occupancy = 0.0
         self.queue_ema = 0.0
-        #: Change in the effective backlog since the previous sample — the
-        #: shared window bookkeeping trend-sensitive policies consume.
-        self.queue_trend = 0.0
-        self._prev_queue = 0.0
         self._last_sample_at = sim.now
         self._last_busy_total = node.mac.meter.total_busy_time(sim.now)
         self._last_service_total = node.mac.service_meter.total_busy_time(sim.now)
@@ -276,8 +272,6 @@ class DraiEstimator:
         effective_queue = self.queue_ema
         if instant >= self.params.queue_hard_lo:
             effective_queue = max(effective_queue, instant)
-        self.queue_trend = effective_queue - self._prev_queue
-        self._prev_queue = effective_queue
         self.drai = self._compute(effective_queue, self.utilization, self.occupancy)
         self.level_counts[self.drai] += 1
         state = self.policy.state()
@@ -294,7 +288,7 @@ class DraiEstimator:
 
     def _compute(self, queue_len: float, utilization: float, occupancy: float) -> int:
         return self.policy.advise(
-            self._signals(queue_len, utilization, occupancy, self.queue_trend)
+            self._signals(queue_len, utilization, occupancy)
         )
 
     def stamp(self, packet: Packet) -> None:

@@ -17,9 +17,6 @@ Registered policies (``make_policy(name)``):
 ``binary-feedback``
     The §4.6 ECN-style ablation: only "congestion" (1) / "no congestion"
     (4) are published (plus the shared saturation clamp to 3).
-``queue-trend``
-    The §6 future-work variant: fuzzy, demoted one level while the backlog
-    grows faster than ``growth_threshold`` packets per sample.
 ``hysteresis``
     A wanctl-style 4-state GREEN/YELLOW/SOFT_RED/RED controller: sustain
     counts before escalation, asymmetric step-up/step-down, per-state
@@ -40,6 +37,7 @@ conformance suite (``tests/unit/test_policy_conformance.py``):
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Type, Union
 
@@ -62,15 +60,11 @@ class PolicySignals:
         Fraction of the window the node's MAC server had a packet in
         service — the router-side proxy for RTT inflation: contention and
         retries inflate service time long before queues build.
-    ``queue_trend``
-        Change in the smoothed backlog since the previous sample (packets);
-        positive while a queue is building.
     """
 
     queue_len: float
     utilization: float
     occupancy: float
-    queue_trend: float = 0.0
 
 
 class AdvicePolicy:
@@ -196,38 +190,6 @@ class BinaryFeedbackPolicy(FuzzyDraiPolicy):
 
     def _advise(self, signals: PolicySignals) -> int:
         return 1 if super()._advise(signals) <= 2 else 4
-
-
-@dataclass(frozen=True)
-class QueueTrendParams:
-    """Parameters of the queue-growth demotion (paper §6 future work)."""
-
-    #: Backlog growth per sample (packets) beyond which the published
-    #: level is demoted by one.
-    growth_threshold: float = 2.0
-
-
-class QueueTrendPolicy(AdvicePolicy):
-    """Fuzzy DRAI with predictive demotion on rapid queue growth.
-
-    A rapidly growing queue predicts congestion before the occupancy
-    thresholds trip; the demotion consumes the ``queue_trend`` signal the
-    estimator's shared sampling-window bookkeeping supplies.
-    """
-
-    name = "queue-trend"
-    params_cls = QueueTrendParams
-
-    def _advise(self, signals: PolicySignals) -> int:
-        level = compute_drai(
-            signals.queue_len,
-            signals.utilization,
-            signals.occupancy,
-            self.drai_params,
-        )
-        if signals.queue_trend > self.params.growth_threshold:
-            level = max(MIN_DRAI, level - 1)
-        return level
 
 
 #: Hysteresis controller states, ordered by severity (index == severity).
@@ -409,20 +371,33 @@ def make_policy(
 ) -> AdvicePolicy:
     """Instantiate a registered policy.
 
-    ``params`` may be the policy's parameter dataclass or a JSON-layer dict
-    (``ScenarioConfig.policy_params``); dicts are validated by constructing
-    the dataclass.  ``drai_params`` seeds the fuzzy backbone the
-    fuzzy-derived policies share.
+    ``params`` is None (the policy's defaults), the policy's parameter
+    dataclass, or a JSON-layer object (``ScenarioConfig.policy_params``)
+    naming fields of that dataclass with finite, non-bool numbers —
+    integers only for ``int`` fields.  Anything else is a ``ValueError``;
+    an unregistered ``name`` is a ``KeyError`` naming the known policies.
+    ``drai_params`` seeds the fuzzy backbone the fuzzy-derived policies
+    share.
     """
     cls = policy_class(name)
     if isinstance(params, dict):
-        if cls.params_cls is None:  # pragma: no cover - no such policy yet
-            raise ValueError(f"policy {name!r} takes no parameters")
+        types = {f.name: f.type for f in dataclasses.fields(cls.params_cls)}
+        for key, value in params.items():
+            if key not in types:
+                raise ValueError(f"policy {name!r} has no parameter {key!r}; "
+                                 f"known: {sorted(types)}")
+            number = int if types[key] in (int, "int") else (int, float)
+            if (isinstance(value, bool) or not isinstance(value, number)
+                    or not abs(value) <= sys.float_info.max):  # NaN, inf
+                kind = "a finite integer" if number is int else "a finite number"
+                raise ValueError(f"{key} must be {kind}, got {value!r}")
         params = cls.params_cls(**params)
+    elif params is not None and not isinstance(params, cls.params_cls):
+        raise ValueError(f"parameters of policy {name!r} must be a JSON "
+                         f"object, got {params!r}")
     return cls(params=params, drai_params=drai_params)
 
 
 register_policy(FuzzyDraiPolicy.name, FuzzyDraiPolicy)
 register_policy(BinaryFeedbackPolicy.name, BinaryFeedbackPolicy)
-register_policy(QueueTrendPolicy.name, QueueTrendPolicy)
 register_policy(HysteresisPolicy.name, HysteresisPolicy)

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..core.drai import DraiParams
+from ..core.policy import make_policy
 from ..faults import FaultPlan
 # Canonical home of the content digest is the provenance module (manifests
 # and the campaign cache must agree on it); re-exported here for callers.
@@ -81,6 +82,19 @@ class ScenarioConfig:
     sampler_interval: float = 1.0
     #: Fault-injection plan (crashes/blackouts/...); None = undisturbed run.
     faults: Optional[FaultPlan] = None
+
+    def __post_init__(self) -> None:
+        # A policy the registry does not know (or no longer knows) fails
+        # here, where the config is built — DESIGN.md §5, "Removing a
+        # registered name" — not inside install_drai mid-assembly.
+        if self.policy is None:
+            if self.policy_params is not None:
+                raise ValueError("policy_params requires a policy name")
+            return
+        try:
+            make_policy(self.policy, self.policy_params)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data form (JSON-safe), suitable for hashing and pickling."""

@@ -29,7 +29,6 @@ signals = st.builds(
     queue_len=queue_lens,
     utilization=fractions,
     occupancy=fractions,
-    queue_trend=st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
 )
 
 sequences = st.lists(signals, min_size=1, max_size=80)

@@ -90,12 +90,36 @@ def test_tables_command(capsys):
 
 
 def test_policy_params_value_errors_exit_cleanly():
-    """Out-of-range params (ValueError, not TypeError) must not traceback."""
-    with pytest.raises(SystemExit, match="bad --policy-params for 'hysteresis'"):
-        main([
-            "chain", "--hops", "2", "--time", "1",
-            "--policy", "hysteresis", "--policy-params", '{"sustain_up": 0}',
-        ])
+    """Out-of-range, unknown, mistyped or non-object params must not
+    traceback.  All but the first two used to pass the CLI and die mid-run
+    with an ``AttributeError`` / ``TypeError``, or run on a NaN or a bool."""
+    not_objects = ['[1]', '"abc"', 'NaN', 'true']
+    cases = [("hysteresis", '{"sustain_up": 0}'),
+             ("fuzzy", '{"sustain_up": 3}')] + [
+        (policy, payload)
+        for policy in ("fuzzy", "hysteresis") for payload in not_objects
+    ] + [
+        ("fuzzy", '{"queue_hard_hi": "x"}'),
+        ("fuzzy", '{"queue_hard_hi": NaN}'),
+        ("fuzzy", '{"queue_hard_hi": true}'),
+        ("hysteresis", '{"util_low": "x"}'),
+        ("hysteresis", '{"util_low": NaN}'),
+        ("hysteresis", '{"sustain_up": true}'),
+        ("hysteresis", '{"sustain_up": 2.0}'),
+    ]
+    for policy, payload in cases:
+        with pytest.raises(SystemExit, match=f"bad --policy-params for '{policy}'"):
+            main([
+                "chain", "--hops", "2", "--time", "2",
+                "--policy", policy, "--policy-params", payload,
+            ])
+
+
+def test_a_removed_policy_is_an_invalid_choice(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["chain", "--hops", "2", "--time", "1", "--policy", "queue-trend"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'queue-trend'" in capsys.readouterr().err
 
 
 def test_chain_command_runs_small_scenario(capsys):

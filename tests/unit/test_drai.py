@@ -1,7 +1,5 @@
 """Unit tests for the DRAI: Table 5.2 semantics and the fuzzy estimator."""
 
-import pytest
-
 from repro.core import (
     DECELERATION_BAND,
     DRAI_TABLE,
@@ -13,7 +11,6 @@ from repro.core import (
     compute_drai,
     install_drai,
     is_marked,
-    make_policy,
 )
 from repro.net import Node, Packet
 from repro.phy import Position, WirelessChannel
@@ -188,46 +185,19 @@ class TestEstimator:
 
 
 class TestQueueRttDrai:
-    """The §6 queue-growth variant: the registered ``queue-trend`` policy."""
+    """Sampling-window edge cases of the estimator over its queue and
+    MAC-service (RTT-proxy) signals, under the default policy."""
 
-    def build(self, **policy_params):
+    def build(self):
         sim = Simulator(seed=1)
         channel = WirelessChannel(sim)
         node = Node(sim, channel, 0, Position(0))
-        est = DraiEstimator(
-            sim, node, policy=make_policy("queue-trend", params=policy_params)
-        )
-        return sim, node, est
-
-    def test_rapid_queue_growth_demotes_one_level(self):
-        _, _, est = self.build(growth_threshold=2.0)
-        # queue jumped 0 -> 5 since last sample: plain level would be 3ish
-        level_plain = compute_drai(5.0, 0.0, 0.0, est.params)
-        est.queue_trend = 5.0  # the estimator's shared window bookkeeping
-        level = est._compute(5.0, 0.0, 0.0)
-        assert level == max(MIN_DRAI, level_plain - 1)
-        # unchanged queue: no growth, no demotion
-        est.queue_trend = 0.0
-        assert est._compute(5.0, 0.0, 0.0) == level_plain
-
-    def test_sampling_window_updates_shared_trend(self):
-        """The growth bookkeeping lives in the base estimator now: each
-        sample leaves ``queue_trend`` = delta of the effective backlog."""
-        sim, node, est = self.build(growth_threshold=2.0)
-        est.install()
-        from repro.mac.dcf import QueuedPacket
-
-        for _ in range(12):
-            node.ifq.enqueue(QueuedPacket(object(), next_hop=5, size_bytes=1000))
-        prev = est._prev_queue
-        est._sample()
-        assert est.queue_trend == pytest.approx(est._prev_queue - prev)
-        assert est.queue_trend > 0.0
+        return sim, node, DraiEstimator(sim, node)
 
     def test_window_boundary_sample_is_well_defined(self):
         """Regression: a sample landing exactly on the previous sample's
         timestamp (zero-width window) must not divide by zero and must
-        contribute zero utilisation/trend, not garbage."""
+        contribute zero utilisation, not garbage."""
         sim, node, est = self.build()
         est.install()
         sim.run(until=10 * est.params.sample_interval)
@@ -237,5 +207,4 @@ class TestQueueRttDrai:
         assert sum(est.level_counts.values()) == samples + 2
         assert 0.0 <= est.utilization <= 1.0
         assert 0.0 <= est.occupancy <= 1.0
-        assert est.queue_trend == 0.0
         assert est.drai == MAX_DRAI  # idle node: boundary samples stay 5

@@ -31,15 +31,13 @@ from repro.core import (
 from repro.core.policy import PolicySignals
 from repro.experiments import ScenarioConfig
 
-EXPECTED_POLICIES = {"fuzzy", "binary-feedback", "queue-trend", "hysteresis"}
+EXPECTED_POLICIES = {"fuzzy", "binary-feedback", "hysteresis"}
 
 
 def signal_walk(n: int = 400, seed: int = 7) -> list:
     """A deterministic pseudo-random walk through signal space.
 
-    Covers idle, loaded, RTT-inflated and queue-saturated regimes, with
-    the trend derived from consecutive queue samples (as the estimator's
-    shared sampling window would supply it).
+    Covers idle, loaded, RTT-inflated and queue-saturated regimes.
     """
     rng = random.Random(seed)
     samples = []
@@ -49,11 +47,10 @@ def signal_walk(n: int = 400, seed: int = 7) -> list:
         # sustained pressure and sustained recovery.
         regime = (i // 50) % 4
         target = (0.0, 3.0, 1.0, 12.0)[regime]
-        prev = queue
         queue = max(0.0, queue + (target - queue) * 0.3 + rng.uniform(-0.5, 0.5))
         util = min(1.0, max(0.0, rng.uniform(0.0, 0.5) + 0.4 * (regime % 2)))
         occ = min(1.0, max(0.0, rng.uniform(0.0, 0.4) + 0.25 * regime))
-        samples.append(PolicySignals(queue, util, occ, queue - prev))
+        samples.append(PolicySignals(queue, util, occ))
     return samples
 
 
@@ -63,7 +60,7 @@ def run_policy(name: str, samples) -> list:
 
 
 def test_registry_has_the_policy_family():
-    assert EXPECTED_POLICIES <= set(known_policies())
+    assert set(known_policies()) == EXPECTED_POLICIES
 
 
 def test_unknown_policy_is_a_loud_error():
@@ -73,7 +70,29 @@ def test_unknown_policy_is_a_loud_error():
         make_policy("no-such-policy")
 
 
-@pytest.mark.parametrize("name", sorted(EXPECTED_POLICIES))
+REMOVED_POLICY = (r"unknown advice policy 'queue-trend'; "
+                  r"known: \['binary-feedback', 'fuzzy', 'hysteresis'\]")
+
+
+def test_a_removed_policy_fails_where_the_config_is_built():
+    with pytest.raises(ValueError, match=REMOVED_POLICY):
+        ScenarioConfig(policy="queue-trend")
+    with pytest.raises(ValueError, match="policy_params requires a policy"):
+        ScenarioConfig(policy_params={"sustain_up": 3})
+
+
+def test_a_manifest_naming_a_removed_policy_does_not_replay():
+    """An old manifest fails as it is read, not inside install_drai."""
+    from repro.experiments import replay_manifest, run_chain
+
+    config = ScenarioConfig(sim_time=0.5, policy="fuzzy")
+    manifest = run_chain(2, ["muzha"], config=config).manifest
+    manifest["spec"]["config"]["policy"] = "queue-trend"
+    with pytest.raises(ValueError, match=REMOVED_POLICY):
+        replay_manifest(manifest)
+
+
+@pytest.mark.parametrize("name", known_policies())
 class TestPolicyConformance:
     def test_advice_always_within_the_five_levels(self, name):
         for advice, _ in run_policy(name, signal_walk()):
