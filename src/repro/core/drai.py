@@ -80,6 +80,14 @@ def _ramp(x: float, low: float, high: float) -> float:
     return min(1.0, max(0.0, (x - low) / (high - low)))
 
 
+def _window_fraction(busy: float, window: float) -> float:
+    """Busy fraction of a sampling window: ``busy`` seconds over ``window``
+    seconds, clamped to [0, 1]; 0.0 for an empty window."""
+    if window <= 0:
+        return 0.0
+    return min(1.0, max(0.0, busy / window))
+
+
 @dataclass(frozen=True)
 class DraiParams:
     """Constants of the fuzzy DRAI formula (our empirical instantiation).
@@ -253,13 +261,17 @@ class DraiEstimator:
 
     def _sample(self) -> None:
         now = self.sim.now
-        meter = self.node.mac.meter
-        service = self.node.mac.service_meter
-        fraction = meter.busy_fraction(self._last_sample_at, self._last_busy_total, now)
-        occ = service.busy_fraction(self._last_sample_at, self._last_service_total, now)
+        mac = self.node.mac
+        # One read per meter serves both the window fraction and the next
+        # window's baseline.
+        busy_total = mac.meter.total_busy_time(now)
+        service_total = mac.service_meter.total_busy_time(now)
+        window = now - self._last_sample_at
+        fraction = _window_fraction(busy_total - self._last_busy_total, window)
+        occ = _window_fraction(service_total - self._last_service_total, window)
         self._last_sample_at = now
-        self._last_busy_total = meter.total_busy_time(now)
-        self._last_service_total = service.total_busy_time(now)
+        self._last_busy_total = busy_total
+        self._last_service_total = service_total
         w = self.params.util_ewma
         self.utilization = (1.0 - w) * self.utilization + w * fraction
         self.occupancy = (1.0 - w) * self.occupancy + w * occ

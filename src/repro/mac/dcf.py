@@ -195,25 +195,39 @@ class DcfMac:
         self._rx_dedup.clear()
         # _frame_id deliberately keeps counting: reusing ids after a reboot
         # would trip the peers' duplicate caches and silently eat frames.
-        self._reevaluate_medium()
+        self._set_medium(self._medium_busy())
         self.wakeup()
 
     # -- medium state -------------------------------------------------------------
 
     def _medium_busy(self) -> bool:
+        radio = self.radio
+        # Radio.carrier_busy, read without the property call.
+        if radio._transmitting or radio._signals:
+            return True
         return (
-            self.radio.carrier_busy
-            or self._sched.now < self.nav.until
+            self._sched.now < self.nav.until
             or self._pending_response is not None
         )
 
     def _set_medium(self, busy: bool) -> None:
-        """The one busy/idle transition: freeze the backoff when the medium
+        """The busy/idle transition: freeze the backoff when the medium
         turns busy, stamp the idle instant and (re)start it when it clears.
+
+        Callers that know the answer pass it (a NAV extension or a queued
+        SIFS response: busy); NAV end and restart, where nothing says which
+        way the medium went, pass :meth:`_medium_busy`.  The carrier edges
+        write their half out instead of calling here — edges are most of the
+        per-frame calls — :meth:`phy_channel_busy` the busy half,
+        :meth:`phy_channel_idle` the idle half.
+
+        Invariant: ``_medium_idle_since`` is None while NAV or a pending
+        SIFS response holds the medium — each is set only right before a
+        busy transition, and the clock only releases them.
 
         The ``_access_event`` / ``CONTEND`` tests are guards *around*
         ``_pause_countdown`` / ``_maybe_start_countdown`` (which keep their
-        own): most edges arrive at a MAC that is not contending.
+        own): most transitions arrive at a MAC that is not contending.
         """
         if busy:
             if self._medium_idle_since is not None:
@@ -225,30 +239,35 @@ class DcfMac:
             if self._state is DcfState.CONTEND:
                 self._maybe_start_countdown()
 
-    def _reevaluate_medium(self) -> None:
-        """Re-derive all three terms (carrier, NAV, pending SIFS response):
-        for NAV end, SIFS responses and restart, where no PHY edge says
-        which way the medium went."""
-        self._set_medium(self._medium_busy())
-
     # -- PHY listener interface -----------------------------------------------------
 
     def phy_channel_busy(self) -> None:
         """A busy edge *is* "medium busy": the radio reports it only after
         it appended the signal / set ``_transmitting``, so the carrier term
-        of :meth:`_medium_busy` is True at this instant whatever NAV says."""
+        of :meth:`_medium_busy` is True at this instant whatever NAV says —
+        :meth:`_set_medium`'s busy half."""
         self.meter.on_busy(self._sched.now)
-        self._set_medium(True)
+        if self._medium_idle_since is not None:
+            self._medium_idle_since = None
+            if self._access_event is not None:
+                self._pause_countdown()
 
     def phy_channel_idle(self) -> None:
         """An idle edge settles the carrier term: the radio reports it only
         when ``not (_transmitting or _signals)``, which leaves NAV and a
-        pending SIFS response — read at the same ``now`` — to decide."""
+        pending SIFS response — read at the same ``now`` — to decide.  If
+        either holds the medium it is already busy (:meth:`_set_medium`'s
+        invariant) and nothing moves; otherwise this is the idle half."""
         now = self._sched.now
         self.meter.on_idle(now)
-        self._set_medium(
-            now < self.nav.until or self._pending_response is not None
-        )
+        if (
+            self._medium_idle_since is None
+            and now >= self.nav.until
+            and self._pending_response is None
+        ):
+            self._medium_idle_since = now
+            if self._state is DcfState.CONTEND:
+                self._maybe_start_countdown()
 
     def phy_tx_end(self, frame: MacFrame) -> None:
         """Our own ``frame`` left the air (after the idle edge, if any): arm
@@ -261,7 +280,7 @@ class DcfMac:
                 self.params.sifs + self._cts_time + self.params.timeout_guard
             )
         elif frame.kind is FrameKind.DATA:
-            if frame.is_broadcast:
+            if frame.dst == BROADCAST:
                 self._finish_current(success=True)
             elif self._current is not None and frame.payload is self._current.packet:
                 self._state = DcfState.WAIT_ACK
@@ -288,7 +307,7 @@ class DcfMac:
                 self._handle_data(frame)
             elif frame.kind is FrameKind.ACK:
                 self._handle_ack(frame)
-        elif frame.is_broadcast and frame.kind is FrameKind.DATA:
+        elif frame.dst == BROADCAST and frame.kind is FrameKind.DATA:
             self.counters.broadcast_rx += 1
             if self.listener is not None:
                 self.listener.mac_deliver(frame.payload, frame.src)
@@ -309,14 +328,14 @@ class DcfMac:
             self._nav_event = sched.schedule(
                 until, self._on_nav_end, name="mac.nav_end"
             )
-            self._reevaluate_medium()
+            self._set_medium(True)  # NAV now reaches past now
 
     def _on_nav_end(self) -> None:
         # Drop the handle before re-evaluating: the scheduler recycles fired
         # events, so keeping (and later cancelling) a dead reference could
         # hit an unrelated reissued event.
         self._nav_event = None
-        self._reevaluate_medium()
+        self._set_medium(self._medium_busy())
 
     # -- backoff countdown ---------------------------------------------------------
 
@@ -441,8 +460,10 @@ class DcfMac:
     def _send_frame(self, frame: MacFrame) -> None:
         tx_time = self._tx_time(frame)
         # Gate before building the field dict: an unsubscribed run must not
-        # pay for trace-field construction on the per-frame hot path.
-        if self.sim.trace.wants("mac.tx"):
+        # pay for trace-field construction on the per-frame hot path, nor
+        # for the wants() call (``active`` is a plain attribute).
+        trace = self.sim.trace
+        if trace.active and trace.wants("mac.tx"):
             self.sim.emit(
                 "mac", "mac.tx",
                 kind=frame.kind.name, src=frame.src, dst=frame.dst,
@@ -455,7 +476,7 @@ class DcfMac:
             self.counters.cts_tx += 1
         elif frame.kind is FrameKind.ACK:
             self.counters.ack_tx += 1
-        elif frame.is_broadcast:
+        elif frame.dst == BROADCAST:
             self.counters.broadcast_tx += 1
         else:
             self.counters.data_tx += 1
@@ -469,16 +490,18 @@ class DcfMac:
             return  # should not happen on a conforming medium; drop quietly
         self._pending_response = frame
         self._response_timer.start(self.params.sifs)
-        self._reevaluate_medium()
+        self._set_medium(True)
 
     def _send_response(self) -> None:
+        """Send the queued response.  Releasing the pending term moves no
+        transition: the response keys the radio up at this instant (a MAC
+        that is up has a radio that is up), so the medium stays busy."""
         frame = self._pending_response
         self._pending_response = None
         if self._down:
             return
         if frame is not None:
             self._send_frame(frame)
-        self._reevaluate_medium()
 
     # -- frame handlers ----------------------------------------------------------------------
 

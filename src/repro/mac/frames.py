@@ -59,7 +59,3 @@ class MacFrame:
             f"size_bytes={self.size_bytes}, duration={self.duration}, "
             f"frame_id={self.frame_id})"
         )
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self.dst == BROADCAST

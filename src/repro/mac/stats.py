@@ -8,7 +8,7 @@ routers quantise into a rate-adjustment recommendation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -33,10 +33,12 @@ class MacCounters:
 
 
 class MediumUtilizationMeter:
-    """Accumulates how long the local medium has been busy.
+    """Accumulates how long the local medium (or the MAC server) was busy.
 
-    Driven by the MAC's busy/idle transitions; readers call
-    :meth:`busy_time_since` with their own bookkeeping of the last read.
+    Driven by the MAC's busy/idle transitions (a repeated transition is a
+    no-op); readers call :meth:`total_busy_time` and keep their own
+    bookkeeping of the last read (the DRAI sampler derives its window
+    fractions from two such reads).
     """
 
     def __init__(self) -> None:
@@ -58,16 +60,3 @@ class MediumUtilizationMeter:
         if self._busy_since >= 0:
             total += now - self._busy_since
         return total
-
-    def busy_fraction(self, since: float, since_busy_time: float, now: float) -> float:
-        """Busy fraction over the window (``since``, ``now``].
-
-        ``since_busy_time`` is the value :meth:`total_busy_time` returned at
-        ``since``; the caller keeps it so the meter itself stays stateless
-        with respect to readers.
-        """
-        window = now - since
-        if window <= 0:
-            return 0.0
-        fraction = (self.total_busy_time(now) - since_busy_time) / window
-        return min(1.0, max(0.0, fraction))

@@ -12,23 +12,32 @@ is invalidated automatically when radios are added or moved.
 Hot path: :meth:`transmit` is called once per MAC frame (RTS/CTS/DATA/ACK),
 and fans out two scheduler events per carrier-sense neighbour.  The fan-out
 list per source is precomputed — bound ``signal_start``/``signal_end``
-methods, propagation delay and rx power per neighbour — so the per-frame
-work is one :class:`Signal` object and two scheduler insertions per
-neighbour, with the frame-size lookup hoisted out of the per-signal
-departure path.  Sense-only neighbours (inside carrier-sense but outside
-decode range) never consult the error model, and a ``NoError`` medium skips
-the departure trampoline entirely.
+methods, the lossy-medium departure callable, propagation delay and rx power
+per neighbour — so the per-frame work is one :class:`Signal` object and two
+heap tuples per neighbour.  Sense-only neighbours (inside carrier-sense but
+outside decode range) never consult the error model, and a ``NoError``
+medium skips the departure trampoline entirely.
 
 A frame therefore schedules ``2k + 1`` entries — its tx-end plus the ``k``
-pairs — and the MAC adds none: the tx-end entry hands the frame back to the
-sender (``Radio.end_transmit(frame)`` → ``PhyListener.phy_tx_end``), which
-is the MAC's tx-done.
+pairs — and the MAC adds none.  Each is a fire-and-forget heap tuple that
+carries its call, ``(time, 0, seq, callback, arg)``:
 
-One transmit path: :meth:`WirelessChannel.transmit` builds the scheduler's
-fire-and-forget heap tuples while it walks the fan-out (seqs claimed up
-front with ``reserve_seqs``) and hands all 2k+1 of them to one
-``bulk_heap_insert`` call, skipping :class:`~repro.sim.event.Event`
-construction — none of these events is ever cancelled.
+* tx-end: ``(t, 0, seq, src.end_transmit, frame)`` — hands the frame back to
+  the sender (``Radio.end_transmit(frame)`` → ``PhyListener.phy_tx_end``),
+  which is the MAC's tx-done;
+* arrival: ``(t, 0, seq, dst.signal_start, signal)``;
+* departure: ``(t, 0, seq, dst.signal_end, signal)`` on a perfect medium and
+  at sense-only neighbours (``corrupted_by_medium`` defaults to False), and
+  ``(t, 0, seq, partial(self._depart, dst.signal_end), signal)`` at a
+  decodable neighbour of a lossy medium — the partial is built once, with
+  the fan-out cache, and ``_depart`` reads the frame size off
+  ``signal.frame`` and draws at departure time.
+
+One transmit path: :meth:`WirelessChannel.transmit` builds these tuples
+while it walks the fan-out (seqs claimed up front with ``reserve_seqs``)
+and hands all 2k+1 of them to one ``bulk_heap_insert`` call, skipping
+:class:`~repro.sim.event.Event` construction — none of these events is ever
+cancelled.
 :meth:`WirelessChannel.transmit_reference` is the historical
 one-``schedule()``-per-event implementation, kept as the oracle the
 equivalence tests compare against
@@ -39,6 +48,7 @@ selects it at run time; a test reaches it by shadowing ``transmit``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..sim import units
@@ -50,10 +60,13 @@ from .position import Position
 from .propagation import DiskPropagation
 from .radio import Radio, Signal
 
-#: One precomputed fan-out entry:
-#: (signal_start, signal_end, receivable, prop_delay, rx_power).
+#: One precomputed fan-out entry: (signal_start, signal_end, depart,
+#: receivable, prop_delay, rx_power).  ``depart`` is the departure callable on
+#: a lossy medium: ``partial(channel._depart, signal_end)`` at a decodable
+#: neighbour, plain ``signal_end`` at a sense-only one.
 FanoutEntry = Tuple[
-    Callable[[Signal], None], Callable[[Signal, bool], None], bool, float, float
+    Callable[[Signal], None], Callable[..., None], Callable[[Signal], None],
+    bool, float, float,
 ]
 
 
@@ -184,7 +197,12 @@ class WirelessChannel:
                 if any(delay < 0 for _, _, delay, _ in entries):
                     raise ValueError("fan-out propagation delays must be >= 0")
                 fanout[src] = [
-                    (dst.signal_start, dst.signal_end, receivable, delay, power)
+                    (
+                        dst.signal_start, dst.signal_end,
+                        partial(self._depart, dst.signal_end)
+                        if receivable else dst.signal_end,
+                        receivable, delay, power,
+                    )
                     for dst, receivable, delay, power in entries
                 ]
             self._fanout = fanout
@@ -227,7 +245,8 @@ class WirelessChannel:
         """
         self.transmissions += 1
         src.begin_transmit(duration)
-        fanout = self._fanout_map()[src]
+        # The cache lookup _fanout_map() makes, without its call.
+        fanout = (self._fanout or self._fanout_map())[src]
         sched = self.sim.scheduler
         now = sched.now
         if duration < 0:
@@ -242,19 +261,16 @@ class WirelessChannel:
         # schedules during the emit sees the seq interleaving
         # transmit_reference gives it.
         items = [
-            (
-                now + duration, 0, sched.reserve_seqs(1),
-                (src.end_transmit, (frame,)),
-            )
+            (now + duration, 0, sched.reserve_seqs(1), src.end_transmit, frame)
         ]
-        if self.sim.trace.wants("phy.tx"):
+        # ``active`` is a plain attribute: an untraced run pays no call here.
+        trace = self.sim.trace
+        if trace.active and trace.wants("phy.tx"):
             self.sim.emit(
                 "phy", "phy.tx", src=src.node_id, duration=duration,
                 neighbors=len(fanout),
             )
-        nbytes = getattr(frame, "size_bytes", 0)
-        no_error = type(self.error_model) is NoError
-        depart = self._depart
+        lossy = type(self.error_model) is not NoError
         append = items.append
         seq = sched.reserve_seqs(2 * len(fanout)) - 1
         # Timestamp arithmetic must group exactly as the historical
@@ -262,19 +278,19 @@ class WirelessChannel:
         # 1-ULP shift here reorders events and breaks golden-trace replay:
         # arrival at now + delay, departure at now + (delay + duration),
         # signal end marker at (now + delay) + duration.
-        for sig_start, sig_end, receivable, delay, power in fanout:
+        for sig_start, sig_end, depart, receivable, delay, power in fanout:
             t_start = now + delay
             signal = Signal(frame, receivable, t_start + duration, power)
             seq += 1
-            append((t_start, 0, seq, (sig_start, (signal,))))
+            append((t_start, 0, seq, sig_start, signal))
             seq += 1
-            t_depart = now + (delay + duration)
-            if receivable and not no_error:
-                append((t_depart, 0, seq, (depart, (sig_end, signal, nbytes))))
-            else:
-                # Sense-only neighbours and a perfect medium never consult
-                # the error model; deliver the end-of-signal directly.
-                append((t_depart, 0, seq, (sig_end, (signal, False))))
+            # A perfect medium (and, inside ``depart``, a sense-only
+            # neighbour) never consults the error model: the end-of-signal
+            # is delivered directly.
+            append((
+                now + (delay + duration), 0, seq,
+                depart if lossy else sig_end, signal,
+            ))
         sched.bulk_heap_insert(items)
 
     def transmit_reference(
@@ -298,16 +314,15 @@ class WirelessChannel:
                 "phy", "phy.tx", src=src.node_id, duration=duration,
                 neighbors=len(fanout),
             )
-        nbytes = getattr(frame, "size_bytes", 0)
         no_error = type(self.error_model) is NoError
-        for sig_start, sig_end, receivable, delay, power in fanout:
+        for sig_start, sig_end, _, receivable, delay, power in fanout:
             t_start = now + delay
             signal = Signal(frame, receivable, t_start + duration, power=power)
             schedule(t_start, sig_start, signal, name="phy.sig_start")
             if receivable and not no_error:
                 schedule(
                     now + (delay + duration), self._depart, sig_end, signal,
-                    nbytes, name="phy.sig_end",
+                    name="phy.sig_end",
                 )
             else:
                 schedule(
@@ -316,14 +331,15 @@ class WirelessChannel:
                 )
 
     def _depart(
-        self,
-        sig_end: Callable[[Signal, bool], None],
-        signal: Signal,
-        nbytes: int,
+        self, sig_end: Callable[[Signal, bool], None], signal: Signal
     ) -> None:
+        """Departure at a decodable neighbour of a lossy medium: draw the
+        medium's verdict now (unless a collision already ruined the frame),
+        then end the signal with it."""
         corrupted_by_medium = False
         if not signal.corrupted:
             corrupted_by_medium = self.error_model.frame_corrupted(
-                self._error_rng, nbytes, self.sim.now
+                self._error_rng, getattr(signal.frame, "size_bytes", 0),
+                self.sim.scheduler.now,
             )
         sig_end(signal, corrupted_by_medium)

@@ -130,7 +130,9 @@ class Radio:
             return  # a powered-off radio cannot key up
         if self._transmitting:
             raise RuntimeError(f"radio {self.node_id} is already transmitting")
-        was_busy = self.carrier_busy
+        # carrier_busy inlined (``_transmitting`` is False here): this runs
+        # once per frame, and the property is a Python-level call.
+        was_busy = bool(self._signals)
         self._transmitting = True
         for signal in self._signals:
             signal.corrupted = True
@@ -185,28 +187,36 @@ class Radio:
         if not was_busy and self.listener is not None:
             self.listener.phy_channel_busy()
 
-    def signal_end(self, signal: Signal, corrupted_by_medium: bool) -> None:
-        """A transmission finished arriving; deliver or report the loss."""
+    def signal_end(
+        self, signal: Signal, corrupted_by_medium: bool = False
+    ) -> None:
+        """A transmission finished arriving; deliver or report the loss.
+
+        ``corrupted_by_medium`` is the error model's verdict, drawn by the
+        channel at departure on a lossy medium; every other departure entry
+        calls with the signal alone.  A receivable signal is reported
+        exactly once — ``phy_receive`` or ``phy_rx_error`` — and then the
+        idle edge, if the carrier cleared; the carrier is read *after* the
+        report, which may have keyed this radio up.
+        """
         try:
             self._signals.remove(signal)
         except ValueError:
             # The signal was discarded by a mid-flight shutdown (possibly
             # followed by a restart); the frame is simply lost.
             return
-        decodable = signal.receivable and not signal.corrupted
+        listener = self.listener
         if signal.receivable:
-            if signal.corrupted:
-                self.collisions += 1
-            elif corrupted_by_medium:
-                self.medium_errors += 1
-            else:
+            if not (signal.corrupted or corrupted_by_medium):
                 self.rx_ok += 1
-        if self.listener is not None:
-            if decodable and not corrupted_by_medium:
-                self.listener.phy_receive(signal.frame)
-            elif signal.receivable:
-                self.listener.phy_rx_error()
-        if self.listener is not None and not (
-            self._transmitting or self._signals
-        ):
-            self.listener.phy_channel_idle()
+                if listener is not None:
+                    listener.phy_receive(signal.frame)
+            else:
+                if signal.corrupted:
+                    self.collisions += 1
+                else:
+                    self.medium_errors += 1
+                if listener is not None:
+                    listener.phy_rx_error()
+        if listener is not None and not (self._transmitting or self._signals):
+            listener.phy_channel_idle()

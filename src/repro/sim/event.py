@@ -1,22 +1,25 @@
 """Event objects for the discrete-event scheduler.
 
 An :class:`Event` is a scheduled callback.  Handles support O(1) cancellation
-(the scheduler lazily discards cancelled entries when they surface at the top
-of the heap), which the MAC layer relies on heavily to pause backoff timers.
+through ``EventScheduler.cancel(event)`` — the one way to cancel, because the
+scheduler keeps the pending count (it lazily discards cancelled entries when
+they surface at the top of the heap).  The MAC layer relies on it heavily to
+pause backoff timers.
 
 Heap ordering lives in the scheduler, not here: the scheduler stores
-``(time, priority, seq, event)`` tuples so heap comparisons resolve on the
-first three scalar fields at C speed and never reach the event object
-(``seq`` is unique, so ties cannot fall through to the unorderable
-callbacks).  ``__lt__`` is kept only for explicitly sorting event lists in
-diagnostics and tests.
+``(time, priority, seq, None, event)`` tuples (the ``None`` marks the entry
+as an :class:`Event`, not a fire-and-forget call — see
+:mod:`repro.sim.scheduler`) so heap comparisons resolve on the first three
+scalar fields at C speed and never reach the event object (``seq`` is
+unique, so ties cannot fall through to the unorderable tail).  ``__lt__`` is
+kept only for explicitly sorting event lists in diagnostics and tests.
 
 Recycling contract: once an event has fired or been cancelled *and* the
 scheduler has observed it leave the heap, the scheduler may reuse the object
 for a future ``schedule()`` call (see ``EventScheduler``'s freelist).  Code
 that holds an :class:`Event` reference must drop it after the event fires or
-after cancelling it — calling ``cancel()`` again on a long-dead handle could
-otherwise hit a recycled, unrelated event.
+after cancelling it — cancelling a long-dead handle again could otherwise
+hit a recycled, unrelated event.
 """
 
 from __future__ import annotations
@@ -53,10 +56,6 @@ class Event:
         self.cancelled = False
         self.fired = False
         self.name = name
-
-    def cancel(self) -> None:
-        """Mark the event so the scheduler skips it when it is popped."""
-        self.cancelled = True
 
     @property
     def active(self) -> bool:

@@ -7,14 +7,27 @@ cancelled events.  Determinism guarantees:
 * events at equal timestamps run in (priority, insertion) order;
 * the clock never moves backwards — scheduling into the past raises.
 
-Hot-path layout: the heap holds ``(time, priority, seq, event)`` tuples, so
-``heapq`` sift comparisons resolve on the scalar prefix at C speed instead of
-calling back into Python (``seq`` is unique; comparisons never reach the
-event object).  ``run()`` drives the heap directly in one tight loop rather
-than composing :meth:`peek_time` + :meth:`step`, and retired event objects
-(fired, or cancelled and popped) go on a bounded freelist so steady-state
-schedule→cancel→reschedule churn — the MAC backoff pattern — allocates
-nothing.  See the recycling contract in :mod:`repro.sim.event`.
+Heap layout: every entry is a five-tuple ``(time, priority, seq, callback,
+payload)``, so ``heapq`` sift comparisons resolve on the scalar prefix at C
+speed instead of calling back into Python (``seq`` is unique; comparisons
+never reach the last two slots).  The fourth slot says which of two kinds
+the entry is:
+
+* ``(time, 0, seq, callback, arg)`` — a *fire-and-forget* entry, inserted by
+  :meth:`EventScheduler.bulk_heap_insert`: the run loop calls
+  ``callback(arg)`` with its one argument straight out of the tuple.  No
+  :class:`Event`, no argument tuple, no handle, no cancellation.
+* ``(time, priority, seq, None, event)`` — an :class:`Event` from
+  :meth:`EventScheduler.schedule`: cancellable, and called as
+  ``event.callback(*event.args)``.
+
+``run()``, ``step()`` and ``peek_time()`` dispatch on ``head[3] is not
+None``.  ``run()`` drives the heap directly in one tight loop rather than
+composing :meth:`peek_time` + :meth:`step`, and retired event objects (fired,
+or cancelled and popped) go on a bounded freelist — recycled inline in the
+loop — so steady-state schedule→cancel→reschedule churn (the MAC backoff
+pattern) allocates nothing.  See the recycling contract in
+:mod:`repro.sim.event`.
 """
 
 from __future__ import annotations
@@ -88,9 +101,9 @@ class EventScheduler:
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute simulation ``time``.
 
-        Returns the :class:`Event`, whose ``cancel()`` removes it (lazily).
-        The returned object may be a recycled instance; drop the reference
-        once the event fires or is cancelled.
+        Returns the :class:`Event`; :meth:`cancel` removes it (lazily).  The
+        returned object may be a recycled instance; drop the reference once
+        the event fires or is cancelled.
         """
         if time < self.now:
             raise SchedulerError(
@@ -110,7 +123,7 @@ class EventScheduler:
             event.name = name
         else:
             event = Event(time, seq, callback, args, priority=priority, name=name)
-        heappush(self._heap, (time, priority, seq, event))
+        heappush(self._heap, (time, priority, seq, None, event))
         self._pending += 1
         return event
 
@@ -144,14 +157,17 @@ class EventScheduler:
     def bulk_heap_insert(self, items: list) -> None:
         """Insert fully-formed fire-and-forget heap items, no questions asked.
 
-        Each item must be ``(time, 0, seq, (callback, args))`` with a seq
-        claimed from :meth:`reserve_seqs`.  The heap holds the bare
-        ``(callback, args)`` tuple in the event slot — no :class:`Event`, no
-        freelist traffic — and the run loop dispatches it with one
-        ``type(...) is tuple`` check.  Such entries return no handle and
-        **cannot be cancelled**; that fits the PHY fan-out exactly (signal
-        arrivals/departures are never revoked).  Work that may need
-        cancelling must use :meth:`schedule`.
+        Each item must be ``(time, 0, seq, callback, arg)`` with a seq
+        claimed from :meth:`reserve_seqs` and ``callback`` not None: the run
+        loop calls ``callback(arg)`` — exactly one argument, taken straight
+        out of the heap tuple, so the entry allocates no ``(callback, args)``
+        pair and no argument tuple, and touches no :class:`Event` or
+        freelist.  A callback that needs more than the one argument gets it
+        bound once, ahead of time (the PHY's lossy departure is a
+        ``functools.partial`` built with the fan-out cache).  Such entries
+        return no handle and **cannot be cancelled**; that fits the PHY
+        fan-out exactly (signal arrivals/departures are never revoked).
+        Work that may need cancelling must use :meth:`schedule`.
 
         The caller **guarantees** ``time >= now`` for every item — there is
         deliberately no per-item clock check here (a past time would drag
@@ -188,6 +204,7 @@ class EventScheduler:
         ``fired``/``cancelled``/``time``/``name`` are deliberately left in
         place so a holder that inspects a retired handle still sees its
         terminal state; everything is reset when the object is reissued.
+        :meth:`run` does the same three steps inline.
         """
         event.callback = None  # type: ignore[assignment]
         event.args = ()
@@ -200,24 +217,24 @@ class EventScheduler:
         """Run the single next live event.  Returns False if queue is empty."""
         heap = self._heap
         while heap:
-            time, _, _, event = heappop(heap)
-            if type(event) is tuple:  # fire-and-forget entry
+            time, _, _, callback, payload = heappop(heap)
+            if callback is not None:  # fire-and-forget entry
                 self._pending -= 1
                 self.now = time
                 self._processed += 1
-                event[0](*event[1])
+                callback(payload)
                 return True
-            if event.cancelled:
-                self._recycle(event)
+            if payload.cancelled:
+                self._recycle(payload)
                 continue
             self._pending -= 1
             # Mark before invoking: a callback that cancels *itself* must be
             # a no-op, not a second decrement of the pending count.
-            event.fired = True
+            payload.fired = True
             self.now = time
             self._processed += 1
-            event.callback(*event.args)
-            self._recycle(event)
+            payload.callback(*payload.args)
+            self._recycle(payload)
             return True
         return False
 
@@ -226,11 +243,10 @@ class EventScheduler:
         heap = self._heap
         while heap:
             head = heap[0]
-            event = head[3]
-            if type(event) is tuple or not event.cancelled:
+            if head[3] is not None or not head[4].cancelled:
                 return head[0]
             heappop(heap)
-            self._recycle(event)
+            self._recycle(head[4])
         return None
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
@@ -248,6 +264,7 @@ class EventScheduler:
         self._running = True
         self._stopped = False
         heap = self._heap
+        free = self._free
         pop = heappop
         try:
             executed = 0
@@ -255,12 +272,11 @@ class EventScheduler:
                 if max_events is not None and executed >= max_events:
                     break
                 head = heap[0]
-                event = head[3]
-                # Fire-and-forget entries (see bulk_heap_insert) carry a
-                # bare (callback, args) tuple instead of an Event: nothing to
-                # cancel, nothing to recycle.  The type check costs one
-                # pointer compare on the hot loop.
-                if type(event) is tuple:
+                callback = head[3]
+                # Fire-and-forget entries (see bulk_heap_insert) carry their
+                # callback and its one argument in the heap tuple itself:
+                # nothing to cancel, nothing to recycle, nothing to unpack.
+                if callback is not None:
                     time = head[0]
                     if until is not None and time > until:
                         break
@@ -268,12 +284,18 @@ class EventScheduler:
                     self._pending -= 1
                     self.now = time
                     self._processed += 1
-                    event[0](*event[1])
+                    callback(head[4])
                     executed += 1
                     continue
+                event = head[4]
+                # Retired events are recycled inline (what _recycle does):
+                # one method call per Event saved on the hot loop.
                 if event.cancelled:
                     pop(heap)
-                    self._recycle(event)
+                    event.callback = None
+                    event.args = ()
+                    if len(free) < _FREELIST_MAX:
+                        free.append(event)
                     continue
                 time = head[0]
                 if until is not None and time > until:
@@ -284,7 +306,10 @@ class EventScheduler:
                 self.now = time
                 self._processed += 1
                 event.callback(*event.args)
-                self._recycle(event)
+                event.callback = None
+                event.args = ()
+                if len(free) < _FREELIST_MAX:
+                    free.append(event)
                 executed += 1
             if until is not None and self.now < until and not self._stopped:
                 next_time = self.peek_time()

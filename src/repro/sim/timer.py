@@ -136,7 +136,11 @@ class PeriodicTimer:
             self._event = None
 
     def _tick(self) -> None:
-        self._event = self._scheduler.schedule_after(
-            self.interval, self._tick, name=self._name
+        # schedule(now + interval), the very sum schedule_after forms, written
+        # out against the scheduler (interval > 0 was checked at
+        # construction): one call per tick instead of two.
+        sched = self._scheduler
+        self._event = sched.schedule(
+            sched.now + self.interval, self._tick, name=self._name
         )
         self._callback()

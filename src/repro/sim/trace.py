@@ -5,12 +5,15 @@ to a :class:`TraceBus`; collectors subscribe by event name.  Tracing is
 opt-in per event name so the hot path pays one dict lookup when nothing is
 subscribed.
 
-Hot-path discipline: instrumented layers must gate on :meth:`TraceBus.wants`
-(or check :attr:`TraceBus.active` first when even the event-name string is
-costly to build) *before* assembling trace fields, so an unsubscribed run
-never constructs the field dict.  ``Simulator.emit`` gates again internally,
-but the keyword arguments it receives are built by the caller — gating only
-there is too late.
+Hot-path discipline: instrumented layers gate on
+``trace.active and trace.wants(event)`` *before* assembling trace fields, so
+an unsubscribed run never constructs the field dict — and never even calls:
+:attr:`TraceBus.active` is a plain attribute, so on an untraced run the
+per-frame gates (``WirelessChannel.transmit``, ``DcfMac._send_frame``) cost
+one attribute load each, and :meth:`TraceBus.wants` is reached only when
+something is subscribed.  ``Simulator.emit`` gates again internally, but the
+keyword arguments it receives are built by the caller — gating only there is
+too late.
 """
 
 from __future__ import annotations
@@ -38,11 +41,10 @@ class TraceBus:
     def __init__(self) -> None:
         self._subscribers: Dict[str, List[TraceCallback]] = {}
         self._wants_all = False
-
-    @property
-    def active(self) -> bool:
-        """True if any subscriber exists at all (cheapest possible gate)."""
-        return bool(self._subscribers)
+        #: True if any subscriber exists at all (the cheapest possible
+        #: gate).  A plain attribute, not a property: ``subscribe`` and
+        #: ``unsubscribe`` keep it equal to ``bool(_subscribers)``.
+        self.active = False
 
     def subscribe(self, event: str, callback: TraceCallback) -> None:
         """Invoke ``callback`` for every record whose event name matches.
@@ -50,6 +52,7 @@ class TraceBus:
         Subscribe to ``"*"`` to receive everything.
         """
         self._subscribers.setdefault(event, []).append(callback)
+        self.active = True
         if event == "*":
             self._wants_all = True
 
@@ -68,6 +71,7 @@ class TraceBus:
         callbacks.remove(callback)
         if not callbacks:
             del self._subscribers[event]
+            self.active = bool(self._subscribers)
         if event == "*":
             self._wants_all = "*" in self._subscribers
 

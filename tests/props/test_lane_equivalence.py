@@ -89,7 +89,7 @@ def _record_deliveries(radio, trace):
         )
         orig_start(signal)
 
-    def end(signal, corrupted_by_medium):
+    def end(signal, corrupted_by_medium=False):
         trace.append(
             ("end", radio.sim.now.hex(), radio.node_id,
              signal.receivable, signal.corrupted, corrupted_by_medium)

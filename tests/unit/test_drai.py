@@ -1,5 +1,7 @@
 """Unit tests for the DRAI: Table 5.2 semantics and the fuzzy estimator."""
 
+import pytest
+
 from repro.core import (
     DECELERATION_BAND,
     DRAI_TABLE,
@@ -12,6 +14,7 @@ from repro.core import (
     install_drai,
     is_marked,
 )
+from repro.core.drai import _window_fraction
 from repro.net import Node, Packet
 from repro.phy import Position, WirelessChannel
 from repro.sim import Simulator
@@ -208,3 +211,26 @@ class TestQueueRttDrai:
         assert 0.0 <= est.utilization <= 1.0
         assert 0.0 <= est.occupancy <= 1.0
         assert est.drai == MAX_DRAI  # idle node: boundary samples stay 5
+
+    def test_window_fraction_is_clamped_and_zero_for_an_empty_window(self):
+        assert _window_fraction(0.5, 2.0) == 0.25
+        assert _window_fraction(3.0, 2.0) == 1.0
+        assert _window_fraction(-1.0, 2.0) == 0.0
+        assert _window_fraction(1.0, 0.0) == 0.0
+        assert _window_fraction(1.0, -1.0) == 0.0
+
+    def test_sample_reads_each_meter_once_per_window(self):
+        """The medium meter was busy for a quarter of (0, 0.04] and the MAC
+        served nothing: one sample folds 0.25 and 0.0 into the EWMAs and
+        moves both baselines to the totals it read."""
+        sim, node, est = self.build()
+        mac = node.mac
+        sim.at(0.01, mac.phy_channel_busy)
+        sim.at(0.02, mac.phy_channel_idle)
+        sim.at(0.04, est._sample)
+        sim.run()
+        w = est.params.util_ewma
+        assert est.utilization == pytest.approx(w * 0.25)
+        assert est.occupancy == 0.0
+        assert est._last_busy_total == mac.meter.total_busy_time(sim.now)
+        assert est._last_service_total == 0.0

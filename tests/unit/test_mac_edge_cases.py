@@ -185,5 +185,5 @@ def test_busy_meter_is_closed_by_a_crash():
     # ...so the meter must read idle (today: "busy since 0.99736"),
     assert meter.total_busy_time(now + 1.0) == meter.total_busy_time(now)
     # and a powered-off radio sensed nothing: the outage is not busy time
-    # (today: 2.096 s busy of 2.2 s, busy_fraction 1.0 for the DRAI sampler).
+    # (today: 2.096 s busy of 2.2 s, busy fraction 1.0 for the DRAI sampler).
     assert meter.total_busy_time(now) <= now - _OUTAGE_S

@@ -2,6 +2,9 @@
 ``WirelessChannel.transmit``, its ``transmit_reference`` twin, and the
 fan-out cache both walk."""
 
+import inspect
+from functools import partial
+
 import pytest
 
 from repro.phy import PacketErrorRate, Position, Radio, WirelessChannel
@@ -30,10 +33,12 @@ def _star(width, error_model=None):
 
 def _pending(sim):
     """The scheduler's pending entries in seq order, as plain comparable rows
-    ``(time.hex(), priority, seq, callback, args)`` — the same shape for
-    fire-and-forget tuples and :class:`Event` objects, on any channel: a
-    bound method becomes ``(owner's node_id or None, name)`` and a
-    :class:`Signal` the tuple of its fields."""
+    ``(time.hex(), priority, seq, callback, args)`` — the call each entry
+    makes, the same shape for fire-and-forget ``(t, 0, seq, callback, arg)``
+    entries and :class:`Event` objects, on any channel: a ``partial`` is
+    unwrapped, defaulted parameters are filled in, a bound method becomes
+    ``(owner's node_id or None, name)`` and a :class:`Signal` the tuple of
+    its fields."""
 
     def plain(arg):
         if hasattr(arg, "__self__"):
@@ -43,12 +48,17 @@ def _pending(sim):
         return arg
 
     rows = []
-    for time, priority, seq, event in sim.scheduler._heap:
-        callback, args = (
-            event if type(event) is tuple else (event.callback, event.args)
-        )
+    for time, priority, seq, callback, payload in sim.scheduler._heap:
+        if callback is None:
+            callback, args = payload.callback, payload.args
+        else:
+            args = (payload,)
+        if isinstance(callback, partial):
+            callback, args = callback.func, callback.args + args
+        bound = inspect.signature(callback).bind(*args)
+        bound.apply_defaults()
         rows.append((time.hex(), priority, seq, plain(callback),
-                     tuple(plain(a) for a in args)))
+                     tuple(plain(a) for a in bound.arguments.values())))
     return sorted(rows, key=lambda row: row[2])
 
 
@@ -59,10 +69,26 @@ def test_fanout_preserves_entry_order_and_fields():
     _, channel, hub = _star(4)
     neighbors = channel._neighbor_map()[hub]
     assert [dst.node_id for dst, _, _, _ in neighbors] == [1, 2, 3, 4]
-    assert channel._fanout_map()[hub] == [
+    fanout = channel._fanout_map()[hub]
+    assert [entry[:2] + entry[3:] for entry in fanout] == [
         (dst.signal_start, dst.signal_end, receivable, delay, power)
         for dst, receivable, delay, power in neighbors
     ]
+    # The lossy-medium departure: _depart bound to signal_end where the
+    # error model is consulted, plain signal_end at a sense-only neighbour
+    # (a wider star reaches past decode range).
+    _, wide, wide_hub = _star(16)
+    wide_fanout = wide._fanout_map()[wide_hub]
+    assert {receivable for _, _, _, receivable, _, _ in wide_fanout} == {
+        True, False
+    }
+    for _, sig_end, depart, receivable, _, _ in wide_fanout:
+        if receivable:
+            assert isinstance(depart, partial)
+            assert depart.func == wide._depart
+            assert depart.args == (sig_end,) and not depart.keywords
+        else:
+            assert depart == sig_end
 
 
 def test_negative_propagation_delay_raises_at_fanout_build(monkeypatch):
@@ -163,21 +189,25 @@ def test_negative_duration_raises_before_anything_is_scheduled(path):
 
 def test_batch_channel_dispatches_to_the_batch_transmit():
     """Every channel's ``transmit`` is the bulk-insert method itself — no
-    per-instance dispatch — and it puts no :class:`Event` on the heap."""
+    per-instance dispatch — and it puts no :class:`Event` on the heap: every
+    entry carries its call, ``(t, 0, seq, callback, arg)``."""
     sim, channel, hub = _star(3)
     assert "transmit" not in vars(channel)
     assert channel.transmit.__func__ is WirelessChannel.transmit
     channel.transmit(hub, _Frame(), 1e-4)
     assert len(sim.scheduler._heap) == 7
-    assert all(type(entry[3]) is tuple for entry in sim.scheduler._heap)
+    assert all(entry[3] is not None for entry in sim.scheduler._heap)
+    assert not any(type(entry[4]) is Event for entry in sim.scheduler._heap)
 
 
 def test_scalar_channel_keeps_the_reference_transmit():
     """The reference is a second method, reached only by shadowing
-    ``transmit``; it schedules one :class:`Event` per entry."""
+    ``transmit``; it schedules one :class:`Event` per entry,
+    ``(t, priority, seq, None, event)``."""
     sim, channel, hub = _star(3)
     assert WirelessChannel.transmit_reference is not WirelessChannel.transmit
     channel.transmit = channel.transmit_reference
     channel.transmit(hub, _Frame(), 1e-4)
     assert len(sim.scheduler._heap) == 7
-    assert all(type(entry[3]) is Event for entry in sim.scheduler._heap)
+    assert all(entry[3] is None for entry in sim.scheduler._heap)
+    assert all(type(entry[4]) is Event for entry in sim.scheduler._heap)

@@ -391,12 +391,13 @@ def test_reentrant_run_raises():
 
 
 def schedule_batch(sched, entries):
-    """Insert ``[(time, callback, args), ...]`` the way the PHY fan-out does:
-    seqs claimed in entry order, then one bulk insertion."""
+    """Insert ``[(time, callback, arg), ...]`` the way the PHY fan-out does:
+    seqs claimed in entry order, then one bulk insertion of
+    ``(time, 0, seq, callback, arg)`` entries (``callback(arg)`` fires)."""
     first = sched.reserve_seqs(len(entries))
     sched.bulk_heap_insert([
-        (time, 0, first + i, (callback, args))
-        for i, (time, callback, args) in enumerate(entries)
+        (time, 0, first + i, callback, arg)
+        for i, (time, callback, arg) in enumerate(entries)
     ])
 
 
@@ -412,9 +413,9 @@ def test_schedule_batch_runs_in_time_order():
     sched = EventScheduler()
     order = []
     schedule_batch(sched, [
-        (2.0, order.append, ("b",)),
-        (1.0, order.append, ("a",)),
-        (3.0, order.append, ("c",)),
+        (2.0, order.append, "b"),
+        (1.0, order.append, "a"),
+        (3.0, order.append, "c"),
     ])
     assert sched.pending_events == 3
     sched.run()
@@ -424,7 +425,7 @@ def test_schedule_batch_runs_in_time_order():
 def test_schedule_batch_ties_fire_in_entry_order():
     sched = EventScheduler()
     order = []
-    schedule_batch(sched, [(1.0, order.append, (label,)) for label in "abcde"])
+    schedule_batch(sched, [(1.0, order.append, label) for label in "abcde"])
     sched.run()
     assert order == list("abcde")
 
@@ -437,11 +438,11 @@ def test_schedule_batch_interleaves_with_scalar_schedule_by_seq():
     order = []
     sched.schedule(1.0, order.append, "s1")
     schedule_batch(sched, [
-        (1.0, order.append, ("b1",)),
-        (1.0, order.append, ("b2",)),
+        (1.0, order.append, "b1"),
+        (1.0, order.append, "b2"),
     ])
     sched.schedule(1.0, order.append, "s2")
-    schedule_batch(sched, [(1.0, order.append, ("b3",))])
+    schedule_batch(sched, [(1.0, order.append, "b3")])
     sched.run()
     assert order == ["s1", "b1", "b2", "s2", "b3"]
 
@@ -453,15 +454,15 @@ def test_schedule_batch_matches_scalar_schedule_execution_for_execution():
     def fill(sched, use_batch):
         order = []
         entries = [
-            (0.5, lambda: order.append(("x", sched.now)), ()),
-            (0.5, lambda: order.append(("y", sched.now)), ()),
-            (0.2, lambda: order.append(("z", sched.now)), ()),
+            (0.5, lambda label: order.append((label, sched.now)), "x"),
+            (0.5, lambda label: order.append((label, sched.now)), "y"),
+            (0.2, lambda label: order.append((label, sched.now)), "z"),
         ]
         if use_batch:
             schedule_batch(sched, entries)
         else:
-            for t, cb, args in entries:
-                sched.schedule(t, cb, *args)
+            for t, cb, arg in entries:
+                sched.schedule(t, cb, arg)
         return order
 
     a, b = EventScheduler(), EventScheduler()
@@ -480,8 +481,8 @@ def test_schedule_batch_entries_run_under_step_and_peek():
     sched = EventScheduler()
     order = []
     schedule_batch(sched, [
-        (1.0, order.append, ("a",)),
-        (2.0, order.append, ("b",)),
+        (1.0, order.append, "a"),
+        (2.0, order.append, "b"),
     ])
     assert sched.peek_time() == 1.0
     assert sched.step()
@@ -502,8 +503,8 @@ def test_schedule_batch_entries_do_not_touch_the_freelist():
     before = len(sched._free)
     assert before >= 2
     schedule_batch(sched, [
-        (2.0, (lambda: None), ()),
-        (2.0, (lambda: None), ()),
+        (2.0, (lambda _: None), None),
+        (2.0, (lambda _: None), None),
     ])
     assert len(sched._free) == before
     sched.run()
@@ -516,10 +517,62 @@ def test_cancelling_around_batch_entries_is_exact():
     sched = EventScheduler()
     fired = []
     doomed = sched.schedule(1.0, fired.append, "scalar-doomed")
-    schedule_batch(sched, [(1.0, fired.append, ("batch",))])
+    schedule_batch(sched, [(1.0, fired.append, "batch")])
     keeper = sched.schedule(1.0, fired.append, "scalar-kept")
     sched.cancel(doomed)
     assert sched.pending_events == 2
     sched.run()
     assert fired == ["batch", "scalar-kept"]
     assert keeper.fired
+
+
+def test_event_and_fire_and_forget_entries_share_one_seq_order():
+    """One timestamp, both entry shapes — ``(t, 0, seq, callback, arg)`` and
+    ``(t, priority, seq, None, event)`` — with a cancelled :class:`Event` at
+    the head: ``run()``, ``step()`` and ``peek_time()`` each skip the
+    cancelled head and fire the rest in seq order."""
+
+    def fill():
+        sched = EventScheduler()
+        order = []
+        doomed = sched.schedule(1.0, order.append, "doomed")
+        schedule_batch(sched, [(1.0, order.append, "f1")])
+        sched.schedule(1.0, order.append, "e1")
+        schedule_batch(sched, [(1.0, order.append, "f2"),
+                               (1.0, order.append, "f3")])
+        sched.schedule(1.0, order.append, "e2")
+        sched.cancel(doomed)
+        return sched, order
+
+    expected = ["f1", "e1", "f2", "f3", "e2"]
+    sched, order = fill()
+    sched.run()
+    assert order == expected
+    assert sched.pending_events == 0 and sched.processed_events == 5
+
+    sched, order = fill()
+    while sched.step():
+        pass
+    assert order == expected
+    assert sched.pending_events == 0 and sched.processed_events == 5
+
+    sched, order = fill()
+    peeked = []
+    while sched.peek_time() is not None:
+        peeked.append(sched._heap[0][2])  # the live head peek_time stopped at
+        sched.run(max_events=1)
+    assert order == expected
+    assert peeked == sorted(peeked) and len(peeked) == 5
+    assert sched.pending_events == 0
+
+
+def test_scheduler_cancel_is_the_only_way_to_cancel():
+    """``Event`` has no ``cancel()`` of its own: one that only set the flag
+    left ``pending_events`` counting a dead event for good."""
+    sched = EventScheduler()
+    event = sched.schedule(1.0, lambda: None)
+    assert not hasattr(event, "cancel")
+    sched.cancel(event)
+    sched.run()
+    assert sched.pending_events == 0
+    assert sched.processed_events == 0

@@ -48,6 +48,20 @@ def test_active_is_the_cheapest_gate():
     assert bus.active
 
 
+def test_active_stays_true_while_another_event_is_subscribed():
+    """``active`` is an attribute the subscription calls keep equal to
+    "anything subscribed": dropping one of two events leaves it True."""
+    bus = TraceBus()
+    first, second = (lambda r: None), (lambda r: None)
+    bus.subscribe("x", first)
+    bus.subscribe("y", second)
+    bus.unsubscribe("x", first)
+    assert bus.active
+    assert not bus.wants("x") and bus.wants("y")
+    bus.unsubscribe("y", second)
+    assert not bus.active
+
+
 def test_hot_path_layers_gate_field_construction_on_wants():
     """The MAC and channel must not build trace-field dicts (or emit at all)
     on an unsubscribed run, and must publish once subscribed."""
