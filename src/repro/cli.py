@@ -21,8 +21,9 @@ Subcommands mirror the paper's three simulations plus the parameter tables:
   human-readable summary (throughput, worker utilization, cache hit ratio,
   retries/quarantine, slowest units);
 * ``repro-muzha doctor --cache results/cache --journal run.journal`` —
-  fsck campaign artifacts (orphaned tmp files, corrupt cache envelopes,
-  journal damage/drift, unclosed span logs); ``--repair`` fixes what it
+  check artifacts (orphaned tmp files, corrupt cache envelopes, journal
+  damage/drift, span logs, and with ``--trace``/``--manifest`` a traced
+  run's output against the committed schemas); ``--repair`` fixes what it
   safely can;
 * ``repro-muzha trace chain --out run.ndjson`` — traced run: NDJSON/CSV
   event trace + provenance manifest (+ optional flight-recorder dumps);
@@ -84,66 +85,49 @@ from .obs import (
     attach_run_probe,
     render_report,
 )
+from .obs.sinks import subscription
 from .stats import jain_index, resample
 from .transport import known_variants
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer strictly greater than zero."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}"
-        )
-    return value
+def _number(parse, low, high=None, above=False):
+    """argparse type: ``parse(text)`` (``int`` or ``float``) that is at least
+    ``low`` — more than ``low`` with ``above`` — and at most ``high``."""
+    what = "an integer" if parse is int else "a number"
+    bounds = (f"in [{low}, {high}]" if high is not None
+              else f"> {low}" if above else f">= {low}")
+
+    def parse_number(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        # Written as ``not (in range)`` so NaN, which compares false, fails.
+        if not ((value > low if above else value >= low)
+                and (high is None or value <= high)):
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {text}")
+        return value
+
+    return parse_number
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a finite number strictly greater than zero."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not value > 0:  # also rejects NaN
-        raise argparse.ArgumentTypeError(
-            f"must be a positive number, got {text}"
-        )
-    return value
+class _Subscription(argparse.Action):
+    """``--events``: the event list a trace sink accepts, refused at parse
+    time by the sink's own rule (:func:`repro.obs.sinks.subscription`)."""
 
-
-def _nonneg_float(text: str) -> float:
-    """argparse type: a finite number greater than or equal to zero."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not value >= 0:  # also rejects NaN
-        raise argparse.ArgumentTypeError(
-            f"must be zero or positive, got {text}"
-        )
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    """argparse type: an integer greater than or equal to zero."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be zero or positive, got {value}"
-        )
-    return value
+    def __call__(self, parser, namespace, values, option_string=None):
+        try:
+            setattr(namespace, self.dest, subscription(values))
+        except ValueError as exc:
+            parser.error(f"argument {option_string}: {exc}")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1, help="master RNG seed")
-    parser.add_argument("--time", type=float, default=30.0, help="simulated seconds")
-    parser.add_argument("--window", type=int, default=8, help="advertised window")
+    parser.add_argument("--time", type=_number(float, 0), default=30.0,
+                        help="simulated seconds")
+    parser.add_argument("--window", type=_number(int, 1), default=8,
+                        help="advertised window")
     parser.add_argument(
         "--routing", choices=("aodv", "static"), default="aodv", help="routing protocol"
     )
@@ -285,14 +269,6 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     config = _scenario_config(args)  # the seed is re-derived per unit
-    cache = None
-    if not args.no_cache:
-        # A directory path gives the on-disk store; an http(s):// URL a
-        # shared remote store (e.g. another host's CacheServer).
-        cache = make_store(args.cache_dir)
-        if args.clear_cache:
-            removed = cache.clear()
-            print(f"cache cleared: {removed} entries removed")
     if args.pool_mode != "cluster" and (
         args.listen is not None or args.agents is not None
     ):
@@ -300,25 +276,20 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             "--listen/--agents configure the TCP transport: they require "
             "--pool-mode cluster"
         )
-    transport = None
-    if args.pool_mode == "cluster":
-        listen = ("127.0.0.1", 0)
-        if args.listen is not None:
-            try:
-                listen = parse_endpoint(args.listen)
-            except ValueError as exc:
-                raise SystemExit(f"bad --listen: {exc}")
-        transport = cluster_transport(
-            cache, listen=listen, spawn_agents=args.agents != 0
-        )
+    listen = ("127.0.0.1", 0)
+    if args.listen is not None:
+        try:
+            listen = parse_endpoint(args.listen)
+        except ValueError as exc:
+            raise SystemExit(f"bad --listen: {exc}")
     resume = None
     journal_path = args.journal
     if args.resume:
-        if args.no_cache:
+        if args.no_cache or args.clear_cache:
             raise SystemExit(
-                "--resume requires the cache (drop --no-cache): journaled "
-                "completions are verified against — and read back from — "
-                "the content-addressed cache"
+                "--resume requires the cache (drop --no-cache and "
+                "--clear-cache): journaled completions are verified "
+                "against — and read back from — the content-addressed cache"
             )
         try:
             resume = replay_journal(args.resume)
@@ -329,6 +300,20 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"resuming {args.resume}: {len(resume.completed)} journaled "
             f"completions, {len(resume.failed)} quarantined, "
             f"{resume.remaining} units remaining"
+        )
+    # Every flag has been checked; only now is the cache touched.
+    cache = None
+    if not args.no_cache:
+        # A directory path gives the on-disk store; an http(s):// URL a
+        # shared remote store (e.g. another host's CacheServer).
+        cache = make_store(args.cache_dir)
+        if args.clear_cache:
+            removed = cache.clear()
+            print(f"cache cleared: {removed} entries removed")
+    transport = None
+    if args.pool_mode == "cluster":
+        transport = cluster_transport(
+            cache, listen=listen, spawn_agents=args.agents != 0
         )
     # A cell named twice (``--hops 2 2``) is one scenario, listed once.
     cells = {}
@@ -478,8 +463,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     sink_cls = CsvTraceSink if args.format == "csv" else NdjsonTraceSink
-    events = tuple(args.events) if args.events else ("*",)
-    sink = sink_cls(args.out, events=events)
+    sink = sink_cls(args.out, events=args.events)
     flight_holder = []
 
     def instrument(network, flows):
@@ -583,14 +567,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_doctor(args: argparse.Namespace) -> int:
     from .experiments.doctor import format_report as format_doctor_report
 
-    if not (args.cache or args.journal or args.spans):
-        raise SystemExit(
-            "nothing to check: pass --cache, --journal and/or --spans"
+    if not (args.cache or args.journal or args.spans or args.trace
+            or args.manifest):
+        raise SystemExit("nothing to check: pass --cache, --journal, "
+                         "--spans, --trace and/or --manifest")
+    try:
+        checkup = run_doctor(
+            cache=args.cache, journal=args.journal, spans=args.spans,
+            repair=args.repair, trace=args.trace, manifest=args.manifest,
         )
-    checkup = run_doctor(
-        cache=args.cache, journal=args.journal, spans=args.spans,
-        repair=args.repair,
-    )
+    except ValueError as exc:  # load_schema: a committed schema is damaged
+        raise SystemExit(f"doctor: {exc}")
     if args.json:
         json.dump(checkup.to_dict(), sys.stdout, sort_keys=True, indent=2)
         sys.stdout.write("\n")
@@ -622,9 +609,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     chain = sub.add_parser("chain", help="single flow over an h-hop chain")
     _add_common(chain)
-    chain.add_argument("--hops", type=int, default=4)
+    chain.add_argument("--hops", type=_number(int, 1), default=4)
     chain.add_argument("--variant", choices=variants, default="muzha")
-    chain.add_argument("--loss", type=float, default=0.0,
+    chain.add_argument("--loss", type=_number(float, 0, 1), default=0.0,
                        help="per-frame random loss probability")
     chain.add_argument("--trace", action="store_true", help="print the cwnd trace")
     _add_faults(chain)
@@ -633,8 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="Figs 5.8-5.13 hop sweep")
     _add_common(sweep)
-    sweep.add_argument("--hops", type=int, nargs="+", default=[4, 8, 16])
-    sweep.add_argument("--seeds", type=int, default=3)
+    sweep.add_argument("--hops", type=_number(int, 1), nargs="+",
+                       default=[4, 8, 16])
+    sweep.add_argument("--seeds", type=_number(int, 1), default=3)
     sweep.set_defaults(func=_cmd_sweep)
 
     cross = sub.add_parser("cross", help="Simulation 3A coexistence on a cross")
@@ -643,28 +631,29 @@ def build_parser() -> argparse.ArgumentParser:
                        help="horizontal flow variant")
     cross.add_argument("--b", choices=variants, default="muzha",
                        help="vertical flow variant")
-    cross.add_argument("--hops", type=int, nargs="+", default=[4])
-    cross.add_argument("--seeds", type=int, default=3)
+    cross.add_argument("--hops", type=_number(int, 1), nargs="+", default=[4])
+    cross.add_argument("--seeds", type=_number(int, 1), default=3)
     cross.set_defaults(func=_cmd_cross)
 
     dynamics = sub.add_parser("dynamics", help="Simulation 3B staggered flows")
     _add_common(dynamics)
     dynamics.add_argument("--variant", choices=variants, default="muzha")
-    dynamics.add_argument("--hops", type=int, default=4)
+    dynamics.add_argument("--hops", type=_number(int, 1), default=4)
     dynamics.set_defaults(func=_cmd_dynamics)
 
     campaign = sub.add_parser(
         "campaign", help="parallel cached batch of chain scenarios"
     )
     _add_common(campaign)
-    campaign.add_argument("--hops", type=int, nargs="+", default=[4, 8, 16],
+    campaign.add_argument("--hops", type=_number(int, 1), nargs="+",
+                          default=[4, 8, 16],
                           help="chain lengths in the grid")
     campaign.add_argument("--variants", nargs="+", choices=variants,
                           default=list(PAPER_VARIANTS),
                           help="TCP variants in the grid")
-    campaign.add_argument("--replications", type=int, default=3,
+    campaign.add_argument("--replications", type=_number(int, 1), default=3,
                           help="independent replications per scenario")
-    campaign.add_argument("--loss", type=float, default=0.0,
+    campaign.add_argument("--loss", type=_number(float, 0, 1), default=0.0,
                           help="per-frame random loss probability")
     campaign.add_argument("--pool-mode", choices=list(POOL_MODES), default="warm",
                           help="where the workers live: 'warm' (default) "
@@ -676,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "worker agents — self-spawned locally or started "
                                "on other hosts with `repro-muzha worker` — can "
                                "join the campaign (see --listen/--agents)")
-    campaign.add_argument("--jobs", type=_positive_int,
+    campaign.add_argument("--jobs", type=_number(int, 1),
                           default=os.cpu_count(),
                           metavar="N",
                           help="worker pool size (1 = in-process serial)")
@@ -686,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "OS-assigned port, printed at startup); bind "
                                "a routable address to accept agents from "
                                "other hosts")
-    campaign.add_argument("--agents", type=_nonneg_int, default=None,
+    campaign.add_argument("--agents", type=_number(int, 0), default=None,
                           metavar="N",
                           help="cluster only: local worker agents to "
                                "self-spawn and keep at strength (default: "
@@ -705,14 +694,16 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also write per-run metrics to a CSV file")
     campaign.add_argument("--quiet", action="store_true",
                           help="suppress per-run progress lines")
-    campaign.add_argument("--task-timeout", type=float, default=None,
+    campaign.add_argument("--task-timeout", type=_number(float, 0, above=True),
+                          default=None,
                           metavar="SECONDS",
                           help="wall-clock watchdog per run attempt "
                                "(default: no timeout)")
-    campaign.add_argument("--max-retries", type=int, default=2,
+    campaign.add_argument("--max-retries", type=_number(int, 0), default=2,
                           help="retries before a crashed/hung run is "
                                "quarantined")
-    campaign.add_argument("--retry-backoff", type=float, default=0.25,
+    campaign.add_argument("--retry-backoff", type=_number(float, 0),
+                          default=0.25,
                           metavar="SECONDS",
                           help="base delay before a retry (doubles per "
                                "attempt)")
@@ -721,7 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "heartbeats, cache/retry events, progress) as "
                                "NDJSON to PATH — or to an inherited pipe via "
                                "'fd:N'; summarise with `repro-muzha report`")
-    campaign.add_argument("--heartbeat-interval", type=_positive_float,
+    campaign.add_argument("--heartbeat-interval",
+                          type=_number(float, 0, above=True),
                           default=1.0, metavar="SECONDS",
                           help="worker heartbeat period in the span stream")
     campaign.add_argument("--journal", default=None, metavar="PATH",
@@ -735,7 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "against the cache and only the remainder "
                                "executes; grid, replications and --seed "
                                "must match the original run")
-    campaign.add_argument("--drain-timeout", type=_nonneg_float, default=10.0,
+    campaign.add_argument("--drain-timeout", type=_number(float, 0),
+                          default=10.0,
                           metavar="SECONDS",
                           help="on SIGINT/SIGTERM, wait this long for "
                                "in-flight units before terminating workers "
@@ -754,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="coordinator endpoint (what `campaign "
                              "--pool-mode cluster` printed, or the "
                              "--listen address it was given)")
-    worker.add_argument("--retry", type=_nonneg_float, default=10.0,
+    worker.add_argument("--retry", type=_number(float, 0), default=10.0,
                         metavar="SECONDS",
                         help="keep retrying the connection this long "
                              "before giving up (agents may be started "
@@ -769,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_scenario_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("scenario", choices=tuple(SCENARIO_KINDS),
                        help="which scenario shape to run")
-        p.add_argument("--hops", type=int, default=4)
+        p.add_argument("--hops", type=_number(int, 1), default=4)
         p.add_argument("--variant", choices=variants, default="muzha",
                        help="flow variant (horizontal flow for cross)")
         p.add_argument("--b", choices=variants, default="newreno",
@@ -784,11 +777,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace output file")
     trace.add_argument("--format", choices=("ndjson", "csv"), default="ndjson",
                        help="trace file format")
-    trace.add_argument("--events", nargs="+", default=None, metavar="EVENT",
+    trace.add_argument("--events", nargs="+", action=_Subscription,
+                       default=("*",), metavar="EVENT",
                        help="only record these event names (default: all)")
     trace.add_argument("--flight-dir", default=None, metavar="DIR",
                        help="arm the flight recorder; anomaly dumps go here")
-    trace.add_argument("--probe-interval", type=float, default=0.5,
+    trace.add_argument("--probe-interval", type=_number(float, 0), default=0.5,
                        help="time-series probe period, seconds (0 disables)")
     _add_faults(trace)
     _add_policy(trace)
@@ -813,11 +807,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(profile)
     profile.add_argument("scenario", choices=(*SCENARIO_KINDS, "dynamics"),
                          help="which scenario shape to profile")
-    profile.add_argument("--hops", type=int, default=4)
+    profile.add_argument("--hops", type=_number(int, 1), default=4)
     profile.add_argument("--variant", choices=variants, default="muzha")
     profile.add_argument("--sort", choices=("tottime", "cumulative", "ncalls"),
                          default="tottime", help="stat ordering for the report")
-    profile.add_argument("--limit", type=int, default=25,
+    profile.add_argument("--limit", type=_number(int, 0), default=25,
                          help="number of rows to print")
     profile.add_argument("--out", default=None, metavar="PATH",
                          help="also dump raw pstats data to PATH")
@@ -830,9 +824,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="NDJSON span log from `campaign --spans`")
     report_p.add_argument("--json", action="store_true",
                           help="emit the aggregate summary as JSON")
-    report_p.add_argument("--top", type=int, default=10, metavar="K",
+    report_p.add_argument("--top", type=_number(int, 0), default=10,
+                          metavar="K",
                           help="slowest units to list")
-    report_p.add_argument("--buckets", type=int, default=20, metavar="N",
+    report_p.add_argument("--buckets", type=_number(int, 1), default=20,
+                          metavar="N",
                           help="throughput timeline resolution")
     report_p.set_defaults(func=_cmd_report)
 
@@ -846,8 +842,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write-ahead journal to check (torn tail, "
                              "schema violations, drift against --cache)")
     doctor.add_argument("--spans", default=None, metavar="PATH",
-                        help="campaign span log to check for unclosed spans "
-                             "(the signature of a killed campaign)")
+                        help="campaign span log to check (torn tail, schema "
+                             "violations, unclosed spans)")
+    doctor.add_argument("--trace", default=None, metavar="PATH",
+                        help="NDJSON trace to check against the committed "
+                             "schema (a blank file or torn tail is an error)")
+    doctor.add_argument("--manifest", default=None, metavar="PATH",
+                        help="run manifest to check against the committed "
+                             "schema and its own config/spec digests")
     doctor.add_argument("--repair", action="store_true",
                         help="fix what can be fixed safely: delete orphaned "
                              "tmp files and corrupt/drifted cache entries, "

@@ -1,13 +1,21 @@
-"""``repro-muzha doctor`` — fsck for campaign state on disk.
+"""``repro-muzha doctor`` — the one judge of every artifact the package writes.
 
-A campaign leaves three artifacts behind: the content-addressed result
-cache, the write-ahead journal, and (optionally) a span log.  All three
-are designed to survive crashes — atomic cache writes, per-line journal
-flushes, torn-tail-tolerant readers — but a killed coordinator, a full
-disk, or a stray ``cp -r`` can still leave debris.  This module walks a
-cache/journal/span-log triple and reports (or, with ``repair=True``,
-fixes) what it finds:
+A traced run leaves a trace and its manifest behind; a campaign leaves the
+content-addressed result cache, the write-ahead journal, and (optionally) a
+span log.  The campaign artifacts are designed to survive crashes — atomic
+cache writes, per-line journal flushes, torn-tail-tolerant readers — but a
+killed coordinator, a full disk, or a stray ``cp -r`` can still leave
+debris.  This module walks any of the five and reports (or, with
+``repair=True``, fixes) what it finds:
 
+* **trace damage** — a trace is written once by one finished run and never
+  resumed, so every line that is no record or breaks the committed
+  ``trace_record`` schema is an error — a blank file and a torn tail too,
+  so a trace that never finished is never blessed;
+* **manifest damage** — not JSON, a ``run_manifest`` schema violation, or
+  embedded config/spec digests that do not match their payloads
+  (:func:`~repro.obs.provenance.manifest_consistent`; replaying the run is
+  ``verify_manifest``'s job, not this one's);
 * **orphaned tmp files** in the cache — the write-in-progress a killed
   ``CampaignCache.put`` left behind (never visible to readers; safe to
   delete);
@@ -26,10 +34,14 @@ fixes) what it finds:
   missing, corrupt, or hashes to a different ``result_digest`` than the
   journal recorded (these re-execute on resume; repair deletes the
   drifted entry so the re-execution starts clean);
-* **unclosed span logs** — spans opened but never closed, the signature
-  of a killed campaign (informational; ``repro-muzha report`` renders
-  such logs as partial), read through the fold ``report`` uses
-  (:func:`repro.obs.report.fold_spans`);
+* **span-log damage** — read through the fold ``report`` uses
+  (:func:`repro.obs.report.fold_spans`), here with the committed schema
+  on top: a torn tail (repair cuts it), a line the fold cannot read
+  (``spans-corrupt``), a record breaking the log's contract
+  (``spans-schema``), a log without exactly one root campaign span
+  (``spans-roots``), and spans opened but never closed — the signature of
+  a killed campaign (a warning; ``repro-muzha report`` renders such logs
+  as partial);
 * **stale cluster registrations** — liveness files under the cache's
   ``.cluster/`` registry whose process is gone (local pid) or whose
   coordinator endpoint no longer answers (remote host): the debris of a
@@ -51,11 +63,13 @@ import os
 import socket
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..obs.ndjson import cut_torn_tail, first_fatal, relay, scan
+from ..obs.ndjson import (BLANK, JSON_PARSE_ERRORS, cut_torn_tail,
+                          first_fatal, relay, scan)
+from ..obs.provenance import manifest_consistent
 from ..obs.report import fold_spans
-from ..obs.validate import line_check
+from ..obs.schema import line_check, load_schema, validate
 from .cachestore import (
     CLUSTER_REGISTRY_DIRNAME,
     CampaignCache,
@@ -66,15 +80,16 @@ from .journal import fold_journal
 
 PathLike = Union[str, Path]
 
-#: Finding severities: ``error`` blocks a clean resume or hides results;
-#: ``warn`` is survivable debris (resume/report already tolerate it);
-#: ``info`` is state worth knowing about (an interrupted, resumable run).
+#: Finding severities: ``error`` blocks a clean resume, hides results or
+#: breaks an artifact's contract; ``warn`` is survivable debris
+#: (resume/report already tolerate it); ``info`` is state worth knowing
+#: about (an interrupted, resumable run).
 SEVERITIES = ("error", "warn", "info")
 
 
 @dataclass
 class Finding:
-    """One diagnosed problem (or notable state) in campaign artifacts."""
+    """One diagnosed problem (or notable state) in an artifact."""
 
     severity: str  # one of SEVERITIES
     category: str  # e.g. "orphan-tmp", "corrupt-envelope", "journal-drift"
@@ -260,6 +275,10 @@ def diagnose_cache(root: PathLike, repair: bool = False) -> List[Finding]:
     return findings
 
 
+def _missing(category: str, path: Path, what: str) -> List[Finding]:
+    return [Finding("error", category, str(path), f"{what} does not exist")]
+
+
 def _cut_torn_tail(path: Path) -> bool:
     try:
         cut_torn_tail(path)
@@ -275,12 +294,9 @@ def diagnose_journal(
 ) -> List[Finding]:
     """Findings for one write-ahead journal (+ drift against ``cache``)."""
     path = Path(path)
-    findings: List[Finding] = []
     if not path.is_file():
-        findings.append(Finding(
-            "error", "journal-missing", str(path), "journal does not exist",
-        ))
-        return findings
+        return _missing("journal-missing", path, "journal")
+    findings: List[Finding] = []
     journal = scan(path)
     if journal.truncated_tail:
         finding = Finding(
@@ -353,15 +369,56 @@ def diagnose_journal(
     return findings
 
 
+def _per_line(category: str, path: Path,
+              problems: List[Tuple[int, str]]) -> List[Finding]:
+    """One ``category`` error per line that has ``(lineno, what)`` problems."""
+    by_line: Dict[int, List[str]] = {}
+    for lineno, what in problems:
+        by_line.setdefault(lineno, []).append(what)
+    return [Finding("error", category, str(path),
+                    f"line {lineno}: {'; '.join(whats)}")
+            for lineno, whats in by_line.items()]
+
+
+def diagnose_trace(path: PathLike) -> List[Finding]:
+    """Findings for one NDJSON event trace: one ``trace-invalid`` per bad
+    line, a blank file and a torn tail included."""
+    path = Path(path)
+    if not path.is_file():
+        return _missing("trace-missing", path, "trace")
+    log, check = scan(path), line_check("trace_record")
+    problems = [(0, BLANK)] if log.blank else []
+    for lineno, record, error in log.entries:
+        problems.extend((lineno, error)
+                        for error in ([error] if error else check(record)))
+    return _per_line("trace-invalid", path, problems)
+
+
+def diagnose_manifest(path: PathLike) -> List[Finding]:
+    """Findings for one run manifest: JSON, schema and digest consistency
+    (no replay — that is ``verify_manifest``)."""
+    path = Path(path)
+    if not path.is_file():
+        return _missing("manifest-missing", path, "manifest")
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except JSON_PARSE_ERRORS as exc:  # not JSON, not UTF-8, or nested too deep
+        errors = [f"not valid JSON: {exc}"]
+    else:
+        errors = validate(manifest, load_schema("run_manifest"))
+        if not errors and not manifest_consistent(manifest):
+            errors = ["embedded config/spec digests do not match their "
+                      "payloads"]
+    return [Finding("error", "manifest-invalid", str(path), error)
+            for error in errors]
+
+
 def diagnose_spans(path: PathLike, repair: bool = False) -> List[Finding]:
     """Findings for one campaign span log."""
     path = Path(path)
-    findings: List[Finding] = []
     if not path.is_file():
-        findings.append(Finding(
-            "error", "spans-missing", str(path), "span log does not exist",
-        ))
-        return findings
+        return _missing("spans-missing", path, "span log")
+    findings: List[Finding] = []
     log = scan(path)
     if log.truncated_tail:
         finding = Finding(
@@ -371,11 +428,25 @@ def diagnose_spans(path: PathLike, repair: bool = False) -> List[Finding]:
         if repair:
             finding.repaired = _cut_torn_tail(path)
         findings.append(finding)
-    fold = fold_spans(log.complete())
+    fold = fold_spans(log.complete(), line_check("span_record"))
     fatal = first_fatal(fold.problems)
     if fatal is not None:
         findings.append(Finding("error", "spans-corrupt", str(path), fatal))
         return findings
+    if not fold.records:  # nothing was ever committed: no campaign, no finding
+        return findings
+    # Every other problem the fold reports is a record breaking the log's
+    # contract (the schema or the span structure).
+    findings.extend(_per_line("spans-schema", path,
+                              [(lineno, what) for lineno, what, _
+                               in fold.problems]))
+    roots = sum(1 for record in fold.opens.values()
+                if record.get("parent") is None)
+    if roots != 1:
+        findings.append(Finding(
+            "error", "spans-roots", str(path),
+            f"expected exactly 1 root campaign span, got {roots}",
+        ))
     open_spans = {span_id: record.get("span", "?")
                   for span_id, record in fold.opens.items()
                   if span_id not in fold.closes}
@@ -422,8 +493,11 @@ def run_doctor(
     journal: Optional[PathLike] = None,
     spans: Optional[PathLike] = None,
     repair: bool = False,
+    trace: Optional[PathLike] = None,
+    manifest: Optional[PathLike] = None,
 ) -> DoctorReport:
-    """Diagnose any combination of cache / journal / span-log artifacts."""
+    """Diagnose any combination of cache / journal / span-log / trace /
+    manifest artifacts."""
     report = DoctorReport()
     if cache is not None:
         report.findings.extend(diagnose_cache(cache, repair=repair))
@@ -433,13 +507,17 @@ def run_doctor(
         )
     if spans is not None:
         report.findings.extend(diagnose_spans(spans, repair=repair))
+    if trace is not None:
+        report.findings.extend(diagnose_trace(trace))
+    if manifest is not None:
+        report.findings.extend(diagnose_manifest(manifest))
     return report
 
 
 def format_report(report: DoctorReport) -> str:
     """Human-readable rendering of a :class:`DoctorReport`."""
     if not report.findings:
-        return "doctor: no findings — campaign state is healthy"
+        return "doctor: no findings — the artifacts are healthy"
     lines = []
     for finding in report.findings:
         mark = "repaired" if finding.repaired else finding.severity
@@ -462,7 +540,9 @@ __all__ = [
     "SEVERITIES",
     "diagnose_cache",
     "diagnose_journal",
+    "diagnose_manifest",
     "diagnose_spans",
+    "diagnose_trace",
     "format_report",
     "run_doctor",
 ]

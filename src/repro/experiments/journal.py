@@ -14,13 +14,13 @@ makes an interrupted campaign a *checkpoint* instead of a loss:
 * :func:`fold_journal` is the one walk that interprets the records: it
   folds them into a :class:`JournalReplay` — completed/failed unit maps,
   the interrupted flag — *and* lists every line that breaks the journal's
-  rules, so ``--resume``, ``doctor`` and the validator cannot disagree
-  about what a journal says.  :func:`replay_journal` is that walk for
+  rules, so ``--resume`` and ``doctor`` cannot disagree about what a
+  journal says.  :func:`replay_journal` is that walk for
   ``run_campaign(resume=...)`` (it raises on what makes the state
   unusable), which dispatches only the remainder after re-verifying each
   journaled completion against the content-addressed cache (checksum
-  mismatch ⇒ re-execute); :func:`validate_journal_file` is the same walk
-  with every line also held to the committed schema.
+  mismatch ⇒ re-execute); ``doctor --journal`` is the same walk with every
+  line also held to the committed schema.
 
 Generation rules (all of them, stated once; :func:`fold_journal` enforces
 them): a journal starts with a ``begin`` of this build's schema version;
@@ -62,10 +62,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.ndjson import (
     BLANK, BOOL, INT, NUM, OBJ, STR, LineCheck, NdjsonScan, Problem,
-    cut_torn_tail, encode_line, first_fatal, mistyped, relay, scan,
+    cut_torn_tail, encode_line, first_fatal, mistyped, scan,
 )
 from ..obs.provenance import stable_digest
-from ..obs.validate import line_check
 
 PathLike = Union[str, Path]
 
@@ -341,7 +340,7 @@ class JournalReplay:
             )
 
 
-#: One read of a journal: what replay, the validator and ``doctor`` share.
+#: One read of a journal: what replay and ``doctor`` share.
 JournalScan = NdjsonScan
 
 
@@ -403,7 +402,7 @@ def fold_journal(journal: JournalScan,
     Either way the record leaves the state untouched.  A ``begin`` while a
     generation is open is no violation — that generation was killed.
 
-    ``check`` is the ``doctor``/validator layer over the same walk, never
+    ``check`` is the ``doctor`` layer over the same walk, never
     on the ``--resume`` path: what else is wrong with a readable record
     (``line_check("journal_record")``: the committed schema).
     """
@@ -485,23 +484,6 @@ def replay_journal(source: Union[PathLike, JournalScan]) -> JournalReplay:
     return replay
 
 
-def validate_journal_file(source: Union[PathLike, JournalScan],
-                          allow_torn_tail: bool = False) -> List[str]:
-    """Violations in a campaign write-ahead journal: the NDJSON file
-    contract, the generation rules and — its line check — the committed
-    schema, all as :func:`fold_journal` reports them.
-
-    ``allow_torn_tail=True`` downgrades a torn tail from a violation to
-    silence — that is exactly what a coordinator killed mid-write leaves,
-    and :func:`replay_journal` tolerates it by design (``doctor --repair``
-    and the next ``--resume`` cut it off).
-    """
-    journal = source if isinstance(source, JournalScan) else scan(Path(source))
-    if allow_torn_tail:
-        journal = journal.complete()
-    return relay(fold_journal(journal, line_check("journal_record")).violations)
-
-
 __all__ = [
     "CampaignJournal",
     "DEFAULT_FSYNC_EVERY",
@@ -517,5 +499,4 @@ __all__ = [
     "read_journal",
     "replay_journal",
     "scan_journal",
-    "validate_journal_file",
 ]

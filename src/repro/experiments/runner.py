@@ -42,6 +42,7 @@ from ..stats.fairness import jain_index
 from ..stats.timeseries import differentiate
 from ..topology import Network, build_chain, build_cross, chain_endpoints
 from ..traffic import FtpFlow, start_ftp
+from ..transport import sender_class
 from .config import ScenarioConfig
 
 #: Hook invoked with ``(network, flows)`` after a scenario is built but
@@ -190,6 +191,11 @@ class RunSpec:
             raise ValueError(f"unknown run kind {self.kind!r}")
         if self.kind == "cross" and len(self.variants) != 2:
             raise ValueError("cross runs take exactly two variants")
+        for variant in self.variants:  # a removed one fails here, not mid-run
+            try:
+                sender_class(variant)
+            except KeyError as exc:
+                raise ValueError(exc.args[0]) from None
         object.__setattr__(self, "variants", tuple(self.variants))
         if self.starts is not None:
             object.__setattr__(self, "starts", tuple(self.starts))

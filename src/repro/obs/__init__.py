@@ -21,10 +21,10 @@ and gated emits, and this package harvests, records, and attributes:
 * :mod:`~repro.obs.report` — ``fold_spans``, the one reader of a span
   log's open/close structure, and the aggregation behind ``repro-muzha
   report`` built on it.
-* :mod:`~repro.obs.validate` — dependency-free schema validation for
-  trace files, span logs and manifests; it interprets no record itself
-  (journals are validated beside their format,
-  ``repro.experiments.journal.validate_journal_file``).
+* :mod:`~repro.obs.schema` — the dependency-free schema engine for the
+  committed ``schemas/*.schema.json``; it names no record kind (what each
+  artifact must hold is judged by ``repro-muzha doctor``,
+  ``repro.experiments.doctor``).
 """
 
 from .engine import CampaignTelemetry, WorkerHealth, read_rss_kb
@@ -55,13 +55,7 @@ from .spans import (
     SpanWriter,
     read_span_log,
 )
-from .validate import (
-    load_schema,
-    validate,
-    validate_manifest_file,
-    validate_span_file,
-    validate_trace_file,
-)
+from .schema import load_schema, validate
 
 __all__ = [
     "AnomalyDump",
@@ -99,7 +93,4 @@ __all__ = [
     "render_report",
     "load_schema",
     "validate",
-    "validate_manifest_file",
-    "validate_span_file",
-    "validate_trace_file",
 ]

@@ -104,8 +104,8 @@ def fold_spans(log: NdjsonScan, check: Optional[LineCheck] = None) -> SpanFold:
     out of ``opens``/``closes``.  What a log of a killed campaign never has
     is only reported: a duplicate span id and a close of a span that is not
     open leave the first ones standing; an unopened parent and a root that
-    is no campaign span are reported, the span kept.  ``check`` is the
-    validator's layer: what else is wrong with a record.
+    is no campaign span are reported, the span kept.  ``check`` is
+    ``doctor``'s layer: what else is wrong with a record.
     """
     fold = SpanFold([], {}, {}, [])
     report = fold.problems.append

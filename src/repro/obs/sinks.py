@@ -7,7 +7,7 @@ a file as it is published:
 * :class:`NdjsonTraceSink` — one JSON object per line
   (``{"t": ..., "source": ..., "event": ..., "fields": {...}}``), the
   format ``schemas/trace_record.schema.json`` describes and
-  :mod:`repro.obs.validate` checks;
+  ``repro-muzha doctor --trace`` checks;
 * :class:`CsvTraceSink` — ``time,source,event,fields`` rows with the field
   dict JSON-encoded in the last column (lossless, spreadsheet-friendly).
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Any, Dict, IO, Optional, Sequence, Union
+from typing import Any, Dict, IO, Optional, Sequence, Tuple, Union
 
 from ..sim.trace import TraceBus, TraceRecord
 from .ndjson import encode, encode_line
@@ -40,22 +40,26 @@ def record_to_json_dict(record: TraceRecord) -> Dict[str, Any]:
     }
 
 
-class TraceSink:
-    """Base class: subscription bookkeeping + lifecycle.
+def subscription(events: Sequence[str]) -> Tuple[str, ...]:
+    """``events`` as a sink subscribes to them: either ``("*",)``
+    (everything) or specific event names.  Mixing ``"*"`` with named events
+    would double-deliver (the bus fans a record out to both match lists),
+    so it is rejected, like an empty list."""
+    events = tuple(events)
+    if not events:
+        raise ValueError("sink needs at least one event name")
+    if "*" in events and len(events) > 1:
+        raise ValueError('subscribe to "*" alone, not alongside names')
+    return events
 
-    ``events`` is either ``("*",)`` (everything) or a tuple of specific
-    event names.  Mixing ``"*"`` with named events would double-deliver
-    (the bus fans a record out to both match lists), so it is rejected.
-    """
+
+class TraceSink:
+    """Base class: subscription bookkeeping + lifecycle; ``events`` is
+    checked by :func:`subscription`."""
 
     def __init__(self, path: PathLike, events: Sequence[str] = ("*",)) -> None:
-        events = tuple(events)
-        if not events:
-            raise ValueError("sink needs at least one event name")
-        if "*" in events and len(events) > 1:
-            raise ValueError('subscribe to "*" alone, not alongside names')
+        self.events = subscription(events)
         self.path = Path(path)
-        self.events = events
         self.records_written = 0
         self.counts: Dict[str, int] = {}
         self._bus: Optional[TraceBus] = None

@@ -196,8 +196,8 @@ def read_span_log(source: Union[str, Path, NdjsonScan],
     :func:`~repro.obs.ndjson.scan` of one), in file order.
 
     Raises ``ValueError`` on the first line that is not a JSON object — use
-    :func:`repro.obs.validate.validate_span_file` for a diagnostic listing
-    instead of an exception.  ``skip_partial_tail=True`` tolerates a torn
+    ``repro-muzha doctor --spans`` (``repro.experiments.doctor``) for a
+    diagnostic listing instead of an exception.  ``skip_partial_tail=True`` tolerates a torn
     tail — what a coordinator killed mid-write leaves behind — so
     post-mortem consumers (``repro-muzha report``, ``doctor``) can
     aggregate a partial log.

@@ -46,18 +46,6 @@ class Simulator:
         """Schedule ``callback`` ``delay`` seconds from now."""
         return self.scheduler.schedule_after(delay, callback, *args, **kwargs)
 
-    # Aliases matching the EventScheduler API, for code written against
-    # either (Timer itself resolves a Simulator to its scheduler).
-    def schedule(
-        self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any
-    ) -> Event:
-        return self.scheduler.schedule(time, callback, *args, **kwargs)
-
-    def schedule_after(
-        self, delay: float, callback: Callable[..., Any], *args: Any, **kwargs: Any
-    ) -> Event:
-        return self.scheduler.schedule_after(delay, callback, *args, **kwargs)
-
     def cancel(self, event: Optional[Event]) -> None:
         """Cancel a pending event (None is a no-op)."""
         self.scheduler.cancel(event)

@@ -1,8 +1,9 @@
 """Restartable one-shot and periodic timers built on the scheduler.
 
 These wrap the raw event API with the idioms protocol code needs:
-``restart()`` (cancel + reschedule), ``pause()``/``resume()`` with remaining
-time preserved (used by 802.11 backoff), and periodic ticks.
+``start()`` on an armed timer restarts it (cancel + reschedule),
+``pause()``/``resume()`` with remaining time preserved (used by 802.11
+backoff), and periodic ticks.
 
 Timers drive the :class:`EventScheduler` itself.  They may be constructed
 from a ``Simulator`` or from a bare scheduler; the facade is resolved once,
@@ -67,10 +68,6 @@ class Timer:
         if delay < 0:
             raise SchedulerError(f"negative delay {delay}")
         self._event = sched.schedule(sched.now + delay, self._fire, name=self._name)
-
-    def restart(self, delay: float) -> None:
-        """Alias of :meth:`start`, for readability at call sites."""
-        self.start(delay)
 
     def stop(self) -> None:
         """Disarm the timer, discarding any paused remainder."""

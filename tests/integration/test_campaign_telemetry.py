@@ -31,8 +31,8 @@ from repro.obs import (
     aggregate_span_log,
     read_span_log,
     stable_digest,
-    validate_span_file,
 )
+from repro.experiments.doctor import diagnose_spans
 
 
 def small_grid():
@@ -64,7 +64,7 @@ def test_warm_campaign_span_log_is_valid_and_complete(tmp_path):
     result, path, telemetry = run_with_spans(tmp_path, "warm.ndjson",
                                              pool_mode="warm")
     assert result.complete
-    assert validate_span_file(path) == []
+    assert diagnose_spans(path) == []
     records = read_span_log(path)
     unit_opens = [r for r in records if r.get("span") == "unit-attempt"]
     # One ok unit-attempt span per campaign record.
@@ -89,7 +89,7 @@ def test_fingerprints_identical_with_spans_on_or_off(tmp_path, placement):
     untraced = run_campaign(small_grid(), replications=2,
                             **{"jobs": 2, **PLACEMENTS[placement]})
     assert traced.fingerprint() == untraced.fingerprint()
-    assert validate_span_file(path) == []
+    assert diagnose_spans(path) == []
 
 
 # -- cache counters -----------------------------------------------------------
@@ -112,7 +112,7 @@ def test_cache_hits_and_evictions_in_result_and_span_log(tmp_path):
     assert second.cache_hits == 1 and second.executed == 1
     assert second.cache_evictions == 1
     assert second.fingerprint() == first.fingerprint()
-    assert validate_span_file(path) == []
+    assert diagnose_spans(path) == []
     summary = aggregate_span_log(path)
     assert summary["cache"] == {"hits": 1, "misses": 1, "evictions": 1,
                                 "hit_ratio": 0.5}
@@ -139,7 +139,7 @@ def test_warm_crash_emits_replacement_spans(tmp_path, monkeypatch):
             telemetry=telemetry,
         )
     assert result.complete  # the retry healed the crash
-    assert validate_span_file(path) == []
+    assert diagnose_spans(path) == []
     summary = aggregate_span_log(path)
     assert summary["worker_events"]["crashed"] == 1
     assert summary["worker_events"]["replaced"] >= 1
@@ -198,7 +198,7 @@ def test_span_log_contract_is_the_same_in_every_local_mode(
         policy=RetryPolicy(max_retries=1, backoff=0.01),
     )
     assert result.complete
-    assert validate_span_file(path) == []
+    assert diagnose_spans(path) == []
     records = read_span_log(path)
     assert unit_attempt_closes(records) == [
         (0, 1, "error"), (0, 2, "ok"), (1, 1, "ok")]
@@ -226,7 +226,7 @@ def test_crashed_worker_exits_as_crash_and_is_replaced_once(
         policy=RetryPolicy(max_retries=1, backoff=0.01),
     )
     assert result.complete
-    assert validate_span_file(path) == []
+    assert diagnose_spans(path) == []
     records = read_span_log(path)
     assert unit_attempt_closes(records) == [
         (0, 1, "crash"), (0, 2, "ok"), (1, 1, "ok")]
@@ -258,7 +258,7 @@ def test_flight_recorder_detach_mid_run_keeps_other_subscribers_live(tmp_path):
             observed["wants_all_after"] = bus._wants_all
             observed["active_after"] = bus.active
 
-        network.sim.schedule(1.0, detach_recorder)
+        network.sim.at(1.0, detach_recorder)
 
     config = ScenarioConfig(sim_time=2.0, seed=7)
     traced = run_chain(3, ["muzha"], config=config, instrument=instrument)

@@ -25,9 +25,8 @@ from repro.obs import (
     NdjsonTraceSink,
     attach_run_probe,
     stable_digest,
-    validate_manifest_file,
-    validate_trace_file,
 )
+from repro.experiments.doctor import diagnose_manifest, diagnose_trace
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +60,7 @@ def traced_chain(tmp_path_factory):
 
 def test_trace_is_nonempty_and_schema_valid(traced_chain):
     assert traced_chain["sink"].records_written > 100
-    assert validate_trace_file(traced_chain["trace_path"]) == []
+    assert diagnose_trace(traced_chain["trace_path"]) == []
 
 
 def test_trace_covers_multiple_layers(traced_chain):
@@ -91,7 +90,7 @@ def test_probe_recorded_cwnd_series(traced_chain):
 
 
 def test_manifest_is_schema_valid(traced_chain):
-    assert validate_manifest_file(traced_chain["manifest_path"]) == []
+    assert diagnose_manifest(traced_chain["manifest_path"]) == []
 
 
 def test_manifest_reproduces_run_byte_identically(traced_chain):
@@ -134,7 +133,7 @@ def test_the_manifest_trace_writes_replays(argv, tmp_path, capsys):
                  "--flight-dir", str(tmp_path / "flight")]) == 0
     capsys.readouterr()
     manifest_path = f"{out}.manifest.json"
-    assert validate_manifest_file(manifest_path) == []
+    assert diagnose_manifest(manifest_path) == []
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
     assert manifest["spec"] is not None

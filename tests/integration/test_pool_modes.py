@@ -115,7 +115,7 @@ def test_a_cached_record_is_the_executed_record(tmp_path, placement):
 
     from repro.experiments import CampaignCache, replay_manifest
     from repro.obs import manifest_consistent
-    from repro.obs.validate import validate_manifest_file
+    from repro.experiments.doctor import diagnose_manifest
 
     cache = CampaignCache(tmp_path / "cache")
     config = ScenarioConfig(sim_time=0.5, window=4)
@@ -142,4 +142,4 @@ def test_a_cached_record_is_the_executed_record(tmp_path, placement):
         == manifest["result_digest"]
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
-    assert validate_manifest_file(path) == []
+    assert diagnose_manifest(path) == []

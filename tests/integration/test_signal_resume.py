@@ -33,7 +33,7 @@ import pytest
 
 import repro
 from repro.experiments import BARRIER_ENV, replay_journal
-from repro.experiments.journal import validate_journal_file
+from repro.experiments.doctor import diagnose_journal
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
@@ -169,7 +169,7 @@ def test_sigterm_mid_campaign_drains_and_resumes_byte_identically(
              10, "orphaned worker processes to exit")
 
     # The journal survived the interruption schema-valid and resumable.
-    assert validate_journal_file(journal) == []
+    assert [f for f in diagnose_journal(journal) if f.severity != "info"] == []
     replay = replay_journal(journal)
     assert replay.interrupted
     assert replay.failed == {}  # drain-killed units are remainder, not failures
@@ -192,7 +192,7 @@ def test_sigterm_mid_campaign_drains_and_resumes_byte_identically(
     assert parse_fingerprint(resumed.stdout) == reference_fingerprint
 
     # The resumed journal closes the loop: a second generation, complete.
-    assert validate_journal_file(journal) == []
+    assert [f for f in diagnose_journal(journal) if f.severity != "info"] == []
     final = replay_journal(journal)
     assert final.generations == 2
     assert not final.interrupted

@@ -1,6 +1,6 @@
-"""One fold, four views: ``replay_journal`` (``campaign --resume``),
-``validate_journal_file``, ``doctor --journal`` and the CLI resume itself
-read a journal through ``journal.fold_journal``, so on any journal they end
+"""One fold, three views: ``replay_journal`` (``campaign --resume``),
+``doctor --journal`` and the CLI resume itself read a journal through
+``journal.fold_journal``, so on any journal they end
 the same way — accepted, or refused with a ``JournalError`` / a finding —
 and never in another exception.  The journals are one mutation away from a
 real one: what a bad disk, a hand edit or a killed coordinator produces.
@@ -12,11 +12,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.cli import main as cli_main
-from repro.experiments import JournalError, replay_journal
-from repro.experiments.journal import (
-    _JOURNAL_KIND_REQUIRED,
-    validate_journal_file,
-)
+from repro.experiments import JournalError, diagnose_journal, replay_journal
+from repro.experiments.journal import _JOURNAL_KIND_REQUIRED
 
 CAMPAIGN = ["campaign", "--hops", "2", "--variants", "newreno",
             "--replications", "2", "--time", "0.5", "--jobs", "1",
@@ -106,9 +103,9 @@ def test_every_view_of_a_mutated_journal_ends_the_same_way(
         replay = replay_journal(path)
     except JournalError:
         replay = None
-    violations = validate_journal_file(path)
-    # The agreement property: nothing the validator lists is unknown to the
-    # replay, and nothing the replay refuses or reports passes validation.
+    violations = [f for f in diagnose_journal(path) if f.severity == "error"]
+    # The agreement property: nothing doctor objects to is unknown to the
+    # replay, and nothing the replay refuses or reports passes doctor.
     assert (violations == []) == (
         replay is not None and replay.violations == [])
     assert (doctor(path) == 0) == (violations == [])
@@ -134,7 +131,8 @@ def test_a_killed_then_resumed_journal_is_what_the_journal_is_for(
     killed = [r for i, r in enumerate(records) if i not in (4, 5)]
     path = write(tmp_path / "killed.journal", killed)
     replay = replay_journal(path)
-    assert replay.violations == [] and validate_journal_file(path) == []
+    assert replay.violations == []
+    assert [f.severity for f in diagnose_journal(path)] == []
     assert replay.generations == 2 and not replay.interrupted
     assert sorted(replay.completed) == [0, 1]
     assert doctor(path) == 0

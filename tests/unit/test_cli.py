@@ -274,10 +274,8 @@ def test_trace_command_writes_ndjson_and_manifest(tmp_path, capsys):
     manifest = json.loads((tmp_path / "trace.ndjson.manifest.json").read_text())
     assert manifest["seed"] == 1
     assert manifest["config"]["sim_time"] == 2.0
-    from repro.obs import validate_manifest_file, validate_trace_file
-
-    assert validate_trace_file(out_path) == []
-    assert validate_manifest_file(tmp_path / "trace.ndjson.manifest.json") == []
+    assert main(["doctor", "--trace", str(out_path), "--manifest",
+                 str(tmp_path / "trace.ndjson.manifest.json")]) == 0
 
 
 def test_trace_command_csv_and_event_filter(tmp_path, capsys):
@@ -404,6 +402,61 @@ def test_refused_cluster_campaign_never_opens_its_transport(
     assert opened == []
     assert not (cache / ".cluster").exists()
     assert run_doctor(cache=cache).findings == []
+
+
+TINY_CAMPAIGN = ["campaign", "--variants", "newreno", "--hops", "2",
+                 "--replications", "1", "--time", "0.1", "--jobs", "1",
+                 "--quiet"]
+
+
+@pytest.mark.parametrize("refused, why", [
+    (["--listen", "127.0.0.1:9"], "--pool-mode cluster"),
+    (["--pool-mode", "cluster", "--listen", "no-port"], "bad --listen"),
+    (["--resume", "missing.journal"], "--clear-cache"),
+])
+def test_a_refused_command_line_never_clears_the_cache(tmp_path, refused,
+                                                       why):
+    """Every one of these printed ``cache cleared: 1 entries removed`` and
+    then refused its own flags.  A resume is refused ``--clear-cache``
+    outright: it verifies its journaled completions against that cache."""
+    cache = tmp_path / "cache"
+    assert main(TINY_CAMPAIGN + ["--cache-dir", str(cache)]) == 0
+    entries = sorted(cache.glob("*/*.json"))
+    assert len(entries) == 1
+    with pytest.raises(SystemExit, match=why):
+        main(TINY_CAMPAIGN + ["--cache-dir", str(cache), "--clear-cache",
+                              *refused])
+    assert sorted(cache.glob("*/*.json")) == entries
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["chain", "--loss", "1.5"], "argument --loss: must be in [0, 1], got 1.5"),
+    (TINY_CAMPAIGN + ["--replications", "0", "--journal", "{tmp}/run.journal",
+                      "--spans", "{tmp}/spans.ndjson",
+                      "--cache-dir", "{tmp}/cache"],
+     "argument --replications: must be >= 1, got 0"),
+    (["trace", "chain", "--events", "*", "mac.tx", "--out", "{tmp}/t.ndjson"],
+     'argument --events: subscribe to "*" alone, not alongside names'),
+    (["stats", "chain", "--hops", "0"], "argument --hops: must be >= 1, got 0"),
+    (["sweep", "--window", "0"], "argument --window: must be >= 1, got 0"),
+    (["cross", "--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
+    (["report", "{tmp}/spans.ndjson", "--buckets", "0"],
+     "argument --buckets: must be >= 1, got 0"),
+    (TINY_CAMPAIGN + ["--max-retries", "-1", "--clear-cache",
+                      "--cache-dir", "{tmp}/cache"],
+     "argument --max-retries: must be >= 0, got -1"),
+], ids=["loss", "replications", "events", "hops", "window", "seeds",
+        "buckets", "max-retries"])
+def test_a_bad_flag_value_is_a_usage_error_before_anything_opens(
+        tmp_path, capsys, argv, error):
+    """Each was a traceback from deep inside the command (a ``ValueError``,
+    or ``StatisticsError`` for ``--seeds 0``) — the campaign's only after
+    ``--journal`` and ``--spans`` were created, or the cache cleared."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    assert exit_info.value.code == 2
+    assert error in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_worker_command_rejects_bad_endpoint():

@@ -1,8 +1,10 @@
-"""``repro-muzha doctor``: diagnosis and repair of campaign artifacts —
-orphaned tmp files, corrupt cache envelopes, journal damage and drift,
-unclosed span logs."""
+"""``repro-muzha doctor``: diagnosis and repair of every artifact the
+package writes — orphaned tmp files, corrupt cache envelopes, journal
+damage and drift, unclosed or schema-breaking span logs, and traces and
+manifests held to what a finished run writes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +218,57 @@ def test_doctor_cli_reports_and_exits_by_health(campaign_state, capsys):
 def test_doctor_cli_requires_a_target():
     with pytest.raises(SystemExit):
         cli_main(["doctor"])
+
+
+# ---------------------------------------------------------------------------
+# Traces and manifests: what one finished run wrote
+
+
+@pytest.fixture(scope="module")
+def traced_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("traced") / "trace.ndjson"
+    assert cli_main(["trace", "chain", "--hops", "4", "--time", "1",
+                     "--out", str(out)]) == 0
+    return out, Path(f"{out}.manifest.json")
+
+
+def test_a_traced_run_is_healthy_and_each_damage_is_its_error(
+        traced_run, tmp_path, capsys):
+    trace, manifest = traced_run
+    capsys.readouterr()
+    assert cli_main(["doctor", "--trace", str(trace),
+                     "--manifest", str(manifest)]) == 0
+    assert capsys.readouterr().out == (
+        "doctor: no findings — the artifacts are healthy\n")
+
+    text = trace.read_bytes()
+    cut = tmp_path / "cut.ndjson"
+    cut.write_bytes(text[:-10])  # the run died mid-line
+    blank = tmp_path / "blank.ndjson"
+    blank.write_bytes(b"")  # the run died before its first record
+    edited = tmp_path / "edited.json"
+    payload = json.loads(manifest.read_text())
+    payload["config"]["sim_time"] = 99.0
+    edited.write_text(json.dumps(payload))
+    spans = tmp_path / "spans.ndjson"
+    spans.write_text(
+        '{"kind":"span_open","id":"c1","span":"campaign","parent":null,'
+        '"t0":1.0,"host":"h"}\n'  # no such field in span_record
+        '{"kind":"span_close","id":"c1","t1":2.0,"status":"ok"}\n')
+    for flag, path, category, detail in [
+        ("--trace", cut, "trace-invalid",
+         f"line {len(text.splitlines())}: truncated final line"),
+        ("--trace", blank, "trace-invalid",
+         "line 0: empty NDJSON file (no records)"),
+        ("--manifest", edited, "manifest-invalid",
+         "embedded config/spec digests do not match their payloads"),
+        ("--spans", spans, "spans-schema",
+         "line 1: $: unexpected property 'host'"),
+    ]:
+        assert cli_main(["doctor", flag, str(path)]) == 1
+        out = capsys.readouterr().out
+        assert f"[error] {category}: {path}\n    {detail}" in out
+        assert out.endswith("1 unrepaired error(s)\n")
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,22 @@ from repro.experiments import (
     JournalPlanMismatch,
     ScenarioConfig,
     chain_grid,
+    diagnose_journal,
     plan_campaign,
     plan_digest,
     read_journal,
     replay_journal,
 )
-from repro.experiments.journal import (
-    _JOURNAL_KIND_REQUIRED,
-    validate_journal_file,
-)
+from repro.experiments.journal import _JOURNAL_KIND_REQUIRED
 from repro.obs.spans import _SPAN_KIND_REQUIRED
+
+
+def complaints(path, category=None):
+    """What ``doctor --journal`` objects to (its error and warn findings),
+    as ``category: detail`` — only ``category``'s details when given."""
+    return [f.detail if category else f"{f.category}: {f.detail}"
+            for f in diagnose_journal(path)
+            if f.severity != "info" and category in (None, f.category)]
 
 
 def tiny_runs(n_scenarios=2, replications=2, base_seed=7):
@@ -65,7 +71,7 @@ def test_write_then_replay_round_trip(tmp_path):
     assert replay.interrupted  # end status was "interrupted"
     assert not replay.truncated_tail
     assert sorted(replay.planned) == [r.index for r in runs]
-    assert validate_journal_file(path) == []
+    assert complaints(path) == []
 
 
 def test_done_clears_an_earlier_failure_across_generations(tmp_path):
@@ -90,7 +96,7 @@ def test_done_clears_an_earlier_failure_across_generations(tmp_path):
     assert replay.failed == {}
     assert not replay.interrupted
     assert replay.last_end["fingerprint"] == "def"
-    assert validate_journal_file(path) == []
+    assert complaints(path) == []
 
 
 def test_replay_carries_the_last_generations_transport_and_doctor_reads_once(
@@ -100,7 +106,6 @@ def test_replay_carries_the_last_generations_transport_and_doctor_reads_once(
     journal opens the file exactly once."""
     from pathlib import Path
 
-    from repro.experiments import diagnose_journal
 
     runs = tiny_runs()
     path = tmp_path / "run.journal"
@@ -147,7 +152,6 @@ def test_doctor_on_a_scan_reports_what_it_reported_reading_the_file_thrice(
         tmp_path, body, categories):
     """Blank and torn-only journals: the single scan keeps the empty-NDJSON
     schema finding apart from a dropped partial line."""
-    from repro.experiments import diagnose_journal
 
     path = tmp_path / "run.journal"
     path.write_text(body)
@@ -160,7 +164,7 @@ def test_doctor_on_a_scan_reports_what_it_reported_reading_the_file_thrice(
 
 
 def test_journal_with_no_end_record_reads_as_interrupted(tmp_path):
-    from repro.experiments import CampaignCache, diagnose_journal, run_campaign
+    from repro.experiments import CampaignCache, run_campaign
 
     runs = tiny_runs()
     path = tmp_path / "run.journal"
@@ -184,7 +188,7 @@ def test_journal_with_no_end_record_reads_as_interrupted(tmp_path):
     assert result.executed == 4  # unit 0's journaled result is in no cache
     final = replay_journal(path)
     assert (final.generations, final.interrupted) == (2, False)
-    assert validate_journal_file(path) == []
+    assert complaints(path) == []
     assert diagnose_journal(path) == []
 
 
@@ -255,8 +259,8 @@ def test_torn_final_line_is_tolerated_and_reported(tmp_path):
     replay = replay_journal(path)
     assert replay.truncated_tail
     assert 3 not in replay.completed  # the torn record never happened
-    assert validate_journal_file(path, allow_torn_tail=True) == []
-    assert validate_journal_file(path) != []  # strict mode still objects
+    assert [f.category for f in diagnose_journal(path)
+            if f.severity != "info"] == ["journal-torn-tail"]
 
 
 def test_midfile_corruption_is_fatal(tmp_path):
@@ -278,7 +282,8 @@ def test_journal_must_start_with_begin(tmp_path):
     path.write_text('{"kind": "done", "index": 0}\n')
     with pytest.raises(JournalError, match="begin"):
         replay_journal(path)
-    assert any("begin" in err for err in validate_journal_file(path))
+    assert any("begin" in err
+               for err in complaints(path, "journal-corrupt"))
 
 
 def test_wrong_schema_version_is_rejected(tmp_path):
@@ -325,14 +330,14 @@ def test_validator_flags_done_for_unplanned_unit(tmp_path):
     with CampaignJournal(path, resume=True) as journal:
         journal.write({"kind": "done", "t": 0.0, "index": 999,
                        "digest": "d", "result_digest": "r", "cached": False})
-    assert any("unplanned" in err for err in validate_journal_file(path))
+    assert any("unplanned" in err
+               for err in complaints(path, "journal-schema"))
     # ... and replay, the same walk, reports it too and does not count it
     # (it used to: 5 completions of 4 units, remaining == -1).
     replay = replay_journal(path)
     assert [(lineno, fatal) for lineno, _, fatal in replay.violations] == [
         (7, False)]
     assert 999 not in replay.completed and replay.remaining == 4
-    from repro.experiments import diagnose_journal
     finding, interrupted = diagnose_journal(path)
     assert finding.category == "journal-schema" and "unplanned" in finding.detail
     assert interrupted.category == "journal-interrupted"
@@ -347,7 +352,7 @@ def test_validator_flags_unknown_fields_and_kinds(tmp_path):
         '"resumed": false, "bogus": 1}\n'
         '{"kind": "vibes"}\n'
     )
-    errors = validate_journal_file(path)
+    errors = complaints(path)
     assert any("bogus" in err for err in errors)
     assert any("vibes" in err for err in errors)
 
@@ -358,7 +363,8 @@ def test_validator_flags_mixed_campaigns(tmp_path):
     with CampaignJournal(path, resume=True) as journal:
         journal.begin(tiny_runs(base_seed=99), pool_mode="warm", base_seed=99,
                       replications=2, resumed=True)
-    assert any("plan_digest" in err for err in validate_journal_file(path))
+    assert any("plan_digest" in err
+               for err in complaints(path, "journal-corrupt"))
     with pytest.raises(JournalError, match="mixes campaigns"):
         replay_journal(path)
 
@@ -371,7 +377,7 @@ def test_per_kind_tables_and_committed_schemas_describe_the_same_records(
         schema_name, table, optional):
     """The fold's per-kind table says what the (necessarily permissive)
     schema cannot; they must not drift apart on what they both say."""
-    from repro.obs.validate import load_schema
+    from repro.obs.schema import load_schema
 
     schema = load_schema(schema_name)
     properties = schema["properties"]

@@ -6,8 +6,8 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.experiments.doctor import diagnose_journal, diagnose_spans
 from repro.obs.ndjson import TORN_TAIL, NdjsonScan, encode, encode_line, scan
-from repro.obs.validate import main as validate_main
 
 
 # ---------------------------------------------------------------------------
@@ -126,18 +126,33 @@ def run_resume(path, tmp_path):
     return 1
 
 
+def run_doctor(flag):
+    return lambda path, _: cli_main(["doctor", f"--{flag}", str(path)])
+
+
+def run_strict(diagnose):
+    """The removed validator's pass/fail rule, read off a doctor view: a
+    file passes only with no ``error`` and no ``warn`` finding.  Only the
+    span log and the journal have ``warn`` findings, so only there does it
+    differ from the doctor's exit rule."""
+    def run(path, _):
+        failing = [f for f in diagnose(path)
+                   if f.severity in ("error", "warn")]
+        for finding in failing:
+            print(f"[{finding.severity}] {finding.category}: {finding.path}")
+        return 1 if failing else 0
+    return run
+
+
 TOOLS = {
     "report": run_report,
-    "doctor-spans": lambda path, _: cli_main(["doctor", "--spans", str(path)]),
-    "doctor-journal": lambda path, _: cli_main(
-        ["doctor", "--journal", str(path)]),
+    "doctor-spans": run_doctor("spans"),
+    "doctor-journal": run_doctor("journal"),
+    "doctor-trace": run_doctor("trace"),
+    "doctor-manifest": run_doctor("manifest"),
     "resume": run_resume,
-    "validate-spans": lambda path, _: validate_main(["--spans", str(path)]),
-    "validate-journal": lambda path, _: validate_main(
-        ["--journal", str(path)]),
-    "validate-trace": lambda path, _: validate_main(["--trace", str(path)]),
-    "validate-manifest": lambda path, _: validate_main(
-        ["--manifest", str(path)]),
+    "validate-spans": run_strict(diagnose_spans),
+    "validate-journal": run_strict(diagnose_journal),
 }
 
 
@@ -145,17 +160,20 @@ TOOLS = {
 @pytest.mark.parametrize("tool", sorted(TOOLS))
 def test_malformed_content_is_reported_not_raised(tool, name, tmp_path,
                                                   capsys):
-    """Before the one reader, 18 of these 63 cells died with a traceback —
+    """Before the one reader, 18 of 63 such cells died with a traceback —
     ``report`` and ``doctor --spans`` on a non-object line
     (``AttributeError``), ``report`` on a span record without an id
-    (``KeyError``), ``doctor`` / ``--resume`` / ``validate`` on invalid
-    UTF-8 (``UnicodeDecodeError``) — and ``doctor --spans`` passed a span
-    record without an id as healthy.  ``validate`` on a path that does not
-    exist was a ``FileNotFoundError`` traceback, and on a manifest that is
-    not UTF-8 a ``UnicodeDecodeError`` one; ``validate --manifest`` on
-    100 000 nested brackets a ``RecursionError`` one (it caught only
-    ``ValueError``) until it caught ``JSON_PARSE_ERRORS`` like every other
-    reader."""
+    (``KeyError``), ``doctor`` / ``--resume`` and the since-removed
+    validator on invalid UTF-8 (``UnicodeDecodeError``) — and ``doctor
+    --spans`` passed a span record without an id as healthy.  A manifest
+    reader must survive a path that does not exist, bytes that are not
+    UTF-8 and 100 000 nested brackets (a ``RecursionError``, not a
+    ``ValueError``: it catches ``JSON_PARSE_ERRORS`` like every other
+    reader).  ``doctor --trace`` and ``--manifest`` hold each file to what
+    a finished run writes, so every malformed input is an error.  The
+    ``validate-`` cells hold a span log and a journal to the strict rule
+    (no ``error``, no ``warn``) the removed validator applied; a blank span
+    log passes it now, as it always passed ``doctor --spans``."""
     path = tmp_path / "log.ndjson"
     if MALFORMED[name] is not None:
         path.write_bytes(MALFORMED[name])
@@ -163,37 +181,39 @@ def test_malformed_content_is_reported_not_raised(tool, name, tmp_path,
     out = capsys.readouterr().out
     if name == "missing":
         assert status == 1
-        if tool.startswith("validate-"):
-            assert out == f"FAIL {path}\n  not found\n"
-    elif tool == "doctor-spans":
+        if tool.startswith(("doctor-", "validate-")):
+            assert f"-missing: {path}\n" in out
+    elif tool.endswith("-spans"):
         # An empty span log is no finding (as before); content that is not
         # a record is a spans-corrupt error, and the exit says so.
         corrupt = name not in ("empty", "whitespace-only")
         assert status == (1 if corrupt else 0)
         assert ("[error] spans-corrupt" in out) == corrupt
-    elif tool == "doctor-journal":
+    elif tool.endswith("-journal"):
         assert status == 1 and "[error] journal-corrupt" in out
+    elif tool in ("doctor-trace", "doctor-manifest"):
+        assert status == 1
+        assert f"[error] {tool[len('doctor-'):]}-invalid: {path}\n" in out
+        if tool == "doctor-manifest" and name == "deep-nesting":
+            assert f"{path}\n    not valid JSON: " in out
     else:
         assert status == 1
-        if (tool, name) == ("validate-manifest", "deep-nesting"):
-            assert out.startswith(f"FAIL {path}\n  not valid JSON: ")
 
 
 def test_a_damaged_committed_schema_is_reported_not_raised(tmp_path, capsys,
                                                            monkeypatch):
     """``load_schema`` had the same bare ``json.loads``: a schema file of
-    100 000 nested brackets was a ``RecursionError`` traceback out of
-    ``validate``; it is one ``not valid JSON`` line and exit 1."""
-    import importlib
+    100 000 nested brackets was a ``RecursionError`` traceback out of the
+    checker; it is one ``not valid JSON`` line and exit 1."""
+    from repro.obs import schema
 
-    # ``repro.obs.validate`` the attribute is the function of that name.
-    validate = importlib.import_module("repro.obs.validate")
     (tmp_path / "run_manifest.schema.json").write_bytes(MALFORMED["deep-nesting"])
-    monkeypatch.setattr(validate, "SCHEMA_DIR", tmp_path)
+    monkeypatch.setattr(schema, "SCHEMA_DIR", tmp_path)
     with pytest.raises(ValueError, match="run_manifest.schema.json is not valid JSON"):
-        validate.load_schema("run_manifest")
+        schema.load_schema("run_manifest")
     manifest = tmp_path / "m.json"
     manifest.write_text("{}")
-    assert validate_main(["--manifest", str(manifest)]) == 1
-    assert capsys.readouterr().out.startswith(
-        f"FAIL {manifest}\n  schema run_manifest.schema.json is not valid JSON: ")
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["doctor", "--manifest", str(manifest)])
+    assert str(exit_info.value).startswith(
+        "doctor: schema run_manifest.schema.json is not valid JSON: ")

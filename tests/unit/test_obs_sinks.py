@@ -1,4 +1,5 @@
-"""Unit tests for trace sinks, the time-series probe, and schema validation."""
+"""Unit tests for trace sinks, the time-series probe, the schema engine and
+``doctor``'s verdicts on traces, manifests and span logs."""
 
 import csv
 import json
@@ -13,10 +14,21 @@ from repro.obs import (
     load_schema,
     record_to_json_dict,
     validate,
-    validate_manifest_file,
-    validate_trace_file,
+)
+from repro.cli import main as cli_main
+from repro.experiments.doctor import (
+    diagnose_manifest,
+    diagnose_spans,
+    diagnose_trace,
 )
 from repro.sim import Simulator, TraceBus, TraceRecord
+
+
+def details(findings, category):
+    """The details of the findings of one category (all must be errors)."""
+    assert all(f.severity == "error" for f in findings
+               if f.category == category)
+    return [f.detail for f in findings if f.category == category]
 
 
 # -- sinks --------------------------------------------------------------------
@@ -142,10 +154,11 @@ def test_validate_trace_file_reports_line_numbers(tmp_path):
         'not json\n'
         '{"t":2.0,"event":"e","fields":{}}\n'
     )
-    errors = validate_trace_file(path)
-    assert len(errors) == 2
-    assert any("line 2" in e for e in errors)
-    assert any("line 3" in e for e in errors)
+    findings = diagnose_trace(path)
+    errors = details(findings, "trace-invalid")
+    assert len(errors) == len(findings) == 2  # one finding per bad line
+    assert errors[0].startswith("line 2: invalid JSON")
+    assert errors[1] == "line 3: $: missing required property 'source'"
 
 
 def test_validate_manifest_file_checks_schema_and_consistency(tmp_path):
@@ -157,43 +170,66 @@ def test_validate_manifest_file_checks_schema_and_consistency(tmp_path):
     )
     path = tmp_path / "m.json"
     path.write_text(json.dumps(manifest))
-    assert validate_manifest_file(path) == []
-    manifest["config_digest"] = "0" * 64  # break digest consistency
+    assert diagnose_manifest(path) == []
+    manifest["config"]["sim_time"] = 3.0  # an edited config: digest mismatch
     path.write_text(json.dumps(manifest))
-    assert validate_manifest_file(path)
+    assert details(diagnose_manifest(path), "manifest-invalid") == [
+        "embedded config/spec digests do not match their payloads"]
+    del manifest["config"]
+    path.write_text(json.dumps(manifest))
+    assert details(diagnose_manifest(path), "manifest-invalid") == [
+        "$: missing required property 'config'"]
+    path.write_text("{")
+    [error] = details(diagnose_manifest(path), "manifest-invalid")
+    assert error.startswith("not valid JSON: ")
+    path.unlink()
+    assert details(diagnose_manifest(path), "manifest-missing") == [
+        "manifest does not exist"]
 
 
-def test_validate_cli_main(tmp_path):
-    from repro.obs.validate import main
+def test_validate_cli_main(tmp_path, capsys):
+    """``doctor --trace/--manifest``: no finding and exit 0 on good files,
+    one ``[error] category: path`` line per bad one and exit 1."""
+    from repro.obs import build_manifest, stable_digest
 
     path = tmp_path / "trace.ndjson"
     path.write_text('{"t":1.0,"source":"s","event":"e","fields":{}}\n')
-    assert main(["--trace", str(path)]) == 0
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(build_manifest(
+        seed=1, config={}, sim_time=1.0, wall_time_s=0.1, metrics={},
+        result_digest=stable_digest({}))))
+    assert cli_main(["doctor", "--trace", str(path),
+                     "--manifest", str(manifest)]) == 0
+    assert capsys.readouterr().out.startswith("doctor: no findings")
     path.write_text('{"t":"x"}\n')
-    assert main(["--trace", str(path)]) == 1
+    assert cli_main(["doctor", "--trace", str(path)]) == 1
+    assert f"[error] trace-invalid: {path}" in capsys.readouterr().out
+    assert cli_main(["doctor", "--manifest", str(tmp_path / "gone.json"),
+                     "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert not report["healthy"]
+    assert [f["category"] for f in report["findings"]] == ["manifest-missing"]
 
 
 def test_validate_rejects_empty_ndjson(tmp_path):
-    from repro.obs.validate import main
-
     path = tmp_path / "empty.ndjson"
     path.write_text("")
-    errors = validate_trace_file(path)
-    assert errors and "empty" in errors[0]
-    assert main(["--trace", str(path)]) == 1
+    assert details(diagnose_trace(path), "trace-invalid") == [
+        "line 0: empty NDJSON file (no records)"]
+    assert cli_main(["doctor", "--trace", str(path)]) == 1
     path.write_text("  \n\n")  # whitespace-only counts as empty too
-    assert validate_trace_file(path)
+    assert details(diagnose_trace(path), "trace-invalid")
 
 
 def test_validate_rejects_truncated_final_line(tmp_path):
     path = tmp_path / "trunc.ndjson"
     path.write_text('{"t":1.0,"source":"s","event":"e","fields":{}}\n'
                     '{"t":2.0,"source":"s","event":"e","fields":{}}')
-    errors = validate_trace_file(path)
-    assert any("truncated final line" in e and "line 2" in e for e in errors)
+    [error] = details(diagnose_trace(path), "trace-invalid")
+    assert error.startswith("line 2: truncated final line")
     # With the newline restored the same content is clean.
     path.write_text(path.read_text() + "\n")
-    assert validate_trace_file(path) == []
+    assert diagnose_trace(path) == []
 
 
 def test_validate_enum_keyword():
@@ -203,8 +239,6 @@ def test_validate_enum_keyword():
 
 
 def test_validate_span_file_structure(tmp_path):
-    from repro.obs import validate_span_file
-
     path = tmp_path / "spans.ndjson"
     good = (
         '{"kind":"span_open","id":"c1","span":"campaign","parent":null,"t0":1.0}\n'
@@ -213,22 +247,23 @@ def test_validate_span_file_structure(tmp_path):
         '{"kind":"span_close","id":"c1","t1":2.0,"status":"ok"}\n'
     )
     path.write_text(good)
-    assert validate_span_file(path) == []
+    assert diagnose_spans(path) == []
     # A root that is not a campaign span, an unknown parent, an unknown
-    # status, and a close without an open are each violations.
+    # status, and a close without an open each break the log's contract.
     path.write_text(
         '{"kind":"span_open","id":"b1","span":"dispatch-batch","parent":null,"t0":1.0}\n'
         '{"kind":"span_open","id":"u2","span":"unit-attempt","parent":"zz","t0":1.0}\n'
         '{"kind":"span_close","id":"u9","t1":2.0,"status":"ok"}\n'
         '{"kind":"span_close","id":"u2","t1":2.0,"status":"nope"}\n'
     )
-    errors = validate_span_file(path)
+    findings = diagnose_spans(path)
+    errors = details(findings, "spans-schema")
     assert any("only campaign spans may be roots" in e for e in errors)
     assert any("was never opened" in e for e in errors)
     assert any("not open" in e for e in errors)
     assert any("'nope'" in e for e in errors)
-    # The structure is read by the fold `report` and `doctor` share; the
-    # validator only adds the schema ('nope') and relays, line by line.
+    # The structure is read by the fold `report` and `doctor` share; doctor
+    # only adds the schema ('nope') and relays, one finding per line.
     from repro.obs.ndjson import scan
     from repro.obs.report import fold_spans
 
@@ -239,6 +274,8 @@ def test_validate_span_file_structure(tmp_path):
         f"line {n}: {what}" for n, what, _ in fold.problems
     ] + ["line 4: $.status: 'nope' is not one of "
          "['ok', 'error', 'crash', 'timeout', 'aborted', 'interrupted']"]
+    assert [f.category for f in findings] == ["spans-schema"] * 4 + [
+        "spans-unclosed"]  # b1 never closed; one root, so no spans-roots
     assert list(fold.opens) == ["b1", "u2"] and list(fold.closes) == ["u2"]
     # A duplicate id and a second close leave the first ones standing.
     path.write_text(good + good)
@@ -246,6 +283,7 @@ def test_validate_span_file_structure(tmp_path):
     assert [(n, what.split(" span ")[0]) for n, what, _ in fold.problems] == [
         (5, "duplicate"), (6, "duplicate"), (7, "close of"), (8, "close of")]
     assert len(fold.records) == 8 and len(fold.opens) == len(fold.closes) == 2
+    assert len(details(diagnose_spans(path), "spans-schema")) == 4
     # A record the fold cannot read — a required field missing or of the
     # wrong JSON type, `attrs` not an object — is fatal and leaves the
     # structure untouched: `report` subtracted "soon" from a float.
@@ -271,23 +309,39 @@ def test_validate_span_file_structure(tmp_path):
         fold = fold_spans(scan(path))
         lineno = int(what.split(":")[0][len("line "):])
         assert (lineno, what.split(": ", 1)[1], True) in fold.problems
-        assert what in validate_span_file(path)
+        assert details(diagnose_spans(path), "spans-corrupt") == [what]
         assert len(fold.opens) == lineno - 1 and not fold.closes
-    # A span that never closes is a violation on an otherwise clean log.
+    # A span that never closes is reported on an otherwise clean log.
     path.write_text(
         '{"kind":"span_open","id":"c1","span":"campaign","parent":null,"t0":1.0}\n'
     )
-    assert any("never closed" in e for e in validate_span_file(path))
+    [finding] = diagnose_spans(path)
+    assert (finding.severity, finding.category) == ("warn", "spans-unclosed")
+    assert "c1 (campaign)" in finding.detail
 
 
-def test_validate_span_cli_main(tmp_path):
-    from repro.obs.validate import main
-
+def test_validate_span_cli_main(tmp_path, capsys):
     path = tmp_path / "spans.ndjson"
-    path.write_text(
-        '{"kind":"span_open","id":"c1","span":"campaign","parent":null,"t0":1.0}\n'
-        '{"kind":"span_close","id":"c1","t1":2.0,"status":"ok"}\n'
-    )
-    assert main(["--spans", str(path)]) == 0
+    opened = ('{"kind":"span_open","id":"c1","span":"campaign",'
+              '"parent":null,"t0":1.0}\n')
+    closed = '{"kind":"span_close","id":"c1","t1":2.0,"status":"ok"}\n'
+    path.write_text(opened + closed)
+    assert cli_main(["doctor", "--spans", str(path)]) == 0
+    # One record that breaks span_record.schema.json: an error, exit 1.
+    path.write_text(opened + closed.replace('"ok"}', '"ok","extra":1}'))
+    assert cli_main(["doctor", "--spans", str(path)]) == 1
+    assert f"[error] spans-schema: {path}" in capsys.readouterr().out
+    # A log with records must have exactly one root campaign span.
+    path.write_text(opened + closed + opened.replace('"c1"', '"c2"')
+                    + closed.replace('"c1"', '"c2"'))
+    assert details(diagnose_spans(path), "spans-roots") == [
+        "expected exactly 1 root campaign span, got 2"]
+    path.write_text('{"kind":"event","t":1.0,"name":"x"}\n')
+    assert details(diagnose_spans(path), "spans-roots") == [
+        "expected exactly 1 root campaign span, got 0"]
+    # An empty log is no finding: nothing was ever written.
     path.write_text("")
-    assert main(["--spans", str(path)]) == 1
+    assert cli_main(["doctor", "--spans", str(path)]) == 0
+    # Nor is one whose only record was cut mid-write: nothing was committed.
+    path.write_text(opened[:20])
+    assert [f.category for f in diagnose_spans(path)] == ["spans-torn-tail"]

@@ -92,6 +92,27 @@ def test_a_manifest_naming_a_removed_policy_does_not_replay():
         replay_manifest(manifest)
 
 
+def test_a_removed_variant_fails_where_the_run_spec_is_built():
+    """``RunSpec("chain", 2, ("nope",))`` used to construct; ``execute_run``
+    then built the network and died with a ``KeyError``.  An old manifest
+    and a campaign grid are refused where they are read, too."""
+    from repro.experiments import RunSpec, chain_grid, replay_manifest, run_chain
+
+    removed = (r"unknown TCP variant 'nope'; known: \['muzha', "
+               r"'muzha-nomark', 'newreno', ")
+    with pytest.raises(ValueError, match=removed):
+        RunSpec("chain", 2, ("nope",))
+    with pytest.raises(ValueError, match=removed):
+        RunSpec("cross", 2, ("newreno", "nope"))
+    with pytest.raises(ValueError, match=removed):
+        chain_grid(["newreno", "nope"], [2])
+    manifest = run_chain(2, ["newreno"],
+                         config=ScenarioConfig(sim_time=0.5)).manifest
+    manifest["spec"]["variants"] = ["nope"]
+    with pytest.raises(ValueError, match=removed):
+        replay_manifest(manifest)
+
+
 @pytest.mark.parametrize("name", known_policies())
 class TestPolicyConformance:
     def test_advice_always_within_the_five_levels(self, name):

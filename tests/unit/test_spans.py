@@ -12,8 +12,8 @@ from repro.obs import (
     WorkerHealth,
     read_rss_kb,
     read_span_log,
-    validate_span_file,
 )
+from repro.experiments.doctor import diagnose_spans
 from repro.obs.spans import SpanIdAllocator
 
 
@@ -123,7 +123,7 @@ def scripted_campaign(tmp_path, name="spans.ndjson"):
 
 def test_telemetry_emits_schema_valid_log(tmp_path):
     path, _ = scripted_campaign(tmp_path)
-    assert validate_span_file(path) == []
+    assert diagnose_spans(path) == []
 
 
 def test_telemetry_span_parentage_and_counters(tmp_path):
@@ -181,7 +181,7 @@ def test_telemetry_crash_aborts_batch_and_marks_replacement(tmp_path):
         tel.worker_exited("w2", "stop")
         tel.end_campaign(executed=2, cache_hits=0, cache_evictions=0,
                          failed=0)
-    assert validate_span_file(path) == []
+    assert diagnose_spans(path) == []
     records = read_span_log(path)
     closes = [r for r in records if r["kind"] == "span_close"]
     assert any(r["status"] == "aborted" for r in closes)  # the dead batch
@@ -201,7 +201,7 @@ def test_telemetry_end_campaign_closes_dangling_state(tmp_path):
         tel.batch_dispatched("w1", [0, 1])
         tel.end_campaign(executed=0, cache_hits=0, cache_evictions=0,
                          failed=2)
-    assert validate_span_file(path) == []  # batch force-closed as aborted
+    assert diagnose_spans(path) == []  # batch force-closed as aborted
     closes = [r for r in read_span_log(path) if r["kind"] == "span_close"]
     assert {r["status"] for r in closes} == {"aborted", "error"}
     # Idempotent: a second end is a no-op, double-begin raises.

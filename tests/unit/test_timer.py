@@ -24,7 +24,7 @@ def test_timer_restart_replaces_pending_expiry():
     fired = []
     timer = Timer(sched, lambda: fired.append(sched.now))
     timer.start(1.0)
-    timer.restart(3.0)
+    timer.start(3.0)
     sched.run()
     assert fired == [3.0]
 
