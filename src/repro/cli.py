@@ -833,7 +833,8 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.set_defaults(func=_cmd_report)
 
     doctor = sub.add_parser(
-        "doctor", help="fsck campaign artifacts: cache, journal, span log"
+        "doctor",
+        help="fsck artifacts: cache, journal, span log, trace, manifest"
     )
     doctor.add_argument("--cache", default=None, metavar="DIR",
                         help="campaign cache directory to check for orphaned "

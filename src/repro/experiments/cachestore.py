@@ -466,16 +466,26 @@ class HttpCacheStore(CacheStore):
         return result_digest
 
     def clear(self) -> int:
+        """Clear the remote store; returns the server's ``removed`` count,
+        or 0 with one more :attr:`errors` when the server is unreachable or
+        its reply carries no such count."""
         import urllib.error
         import urllib.request
 
         request = urllib.request.Request(self.base_url + "/", method="DELETE")
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return int(json.loads(resp.read().decode("utf-8"))["removed"])
-        except (urllib.error.URLError, OSError, ValueError, KeyError):
+                reply = json.loads(resp.read().decode("utf-8"))
+        except (urllib.error.URLError, OSError, ValueError, RecursionError):
+            reply = None
+        removed = reply.get("removed") if isinstance(reply, dict) else None
+        # Only a non-negative JSON integer is a count: a bool, a float, a
+        # string or a list from a confused server is an error, not a number
+        # to coerce.
+        if type(removed) is not int or removed < 0:
             self.errors += 1
             return 0
+        return removed
 
     def describe(self) -> str:
         return self.base_url

@@ -90,32 +90,16 @@ def export_sweep_csv(sweep: SweepResult, path: PathLike) -> Path:
     return target
 
 
-def export_series_csv(
-    series: Sequence[Tuple[float, float]],
-    path: PathLike,
-    x_label: str = "time_s",
-    y_label: str = "value",
-) -> Path:
-    """A single (x, y) series — cwnd traces, throughput dynamics, …"""
-    target = _open_writer(path)
-    with target.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([x_label, y_label])
-        for x, y in series:
-            writer.writerow([f"{x:.6f}", f"{y:.6f}"])
-    return target
-
-
 def export_multi_series_csv(
     series_by_name: Dict[str, Sequence[Tuple[float, float]]],
     path: PathLike,
-    x_label: str = "time_s",
 ) -> Path:
-    """Several named series in long form: (name, x, y) rows."""
+    """Several named series in long form: (name, time_s, value) rows —
+    cwnd traces, throughput dynamics."""
     target = _open_writer(path)
     with target.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["series", x_label, "value"])
+        writer.writerow(["series", "time_s", "value"])
         for name, series in series_by_name.items():
             for x, y in series:
                 writer.writerow([name, f"{x:.6f}", f"{y:.6f}"])
@@ -209,37 +193,6 @@ def read_sweep_csv(path: PathLike) -> SweepResult:
         window=window, hops=tuple(sorted(hops_order)),
         variants=tuple(variant_order), points=points,
     )
-
-
-def read_series_csv(path: PathLike) -> List[Tuple[float, float]]:
-    """Parse a file written by :func:`export_series_csv` (any column
-    labels, two numeric columns)."""
-    path = Path(path)
-    series: List[Tuple[float, float]] = []
-    try:
-        handle = path.open("r", newline="")
-    except OSError as exc:
-        raise ExportError(f"{path}: cannot read ({exc})") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ExportError(f"{path}: empty file, expected a 2-column header")
-        if len(header) != 2:
-            raise ExportError(f"{path}: expected a 2-column header, got {header!r}")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ExportError(
-                    f"{path}:{line}: expected 2 columns, got {len(row)}"
-                )
-            series.append(
-                (_number(path, line, header[0], row[0]),
-                 _number(path, line, header[1], row[1]))
-            )
-    return series
 
 
 def read_multi_series_csv(path: PathLike) -> Dict[str, List[Tuple[float, float]]]:

@@ -309,11 +309,3 @@ class FaultPlan:
     @classmethod
     def load(cls, path: PathLike) -> "FaultPlan":
         return cls.loads(Path(path).read_text(encoding="utf-8"))
-
-    def save(self, path: PathLike) -> Path:
-        path = Path(path)
-        path.write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        return path

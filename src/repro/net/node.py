@@ -14,7 +14,6 @@ from typing import Callable, Dict, List, Optional, Protocol
 
 from ..mac.dcf import DcfMac, QueuedPacket
 from ..mac.frames import BROADCAST
-from ..mac.params import MacParams
 from ..phy.channel import WirelessChannel
 from ..phy.position import Position
 from ..phy.radio import Radio
@@ -53,6 +52,12 @@ class RoutingHooks(Protocol):
     def on_data_packet(self, packet: Packet, from_addr: int) -> None:
         ...
 
+    def on_node_down(self) -> None:
+        ...
+
+    def on_node_up(self) -> None:
+        ...
+
 
 @dataclass
 class NodeCounters:
@@ -80,9 +85,7 @@ class Node:
         channel: WirelessChannel,
         node_id: int,
         position: Position,
-        mac_params: Optional[MacParams] = None,
         ifq_capacity: int = 50,
-        ifq: Optional[DropTailQueue] = None,
     ) -> None:
         self.sim = sim
         self.node_id = node_id
@@ -91,8 +94,8 @@ class Node:
         self.down = False
         self.radio = Radio(sim, node_id)
         channel.register(self.radio, position)
-        self.mac = DcfMac(sim, channel, self.radio, node_id, params=mac_params)
-        self.ifq = ifq if ifq is not None else DropTailQueue(ifq_capacity)
+        self.mac = DcfMac(sim, channel, self.radio, node_id)
+        self.ifq = DropTailQueue(ifq_capacity)
         self.ifq.attach_trace(sim, node_id)
         self.mac.queue = self.ifq
         self.ifq.on_wakeup = self.mac.wakeup
@@ -136,9 +139,8 @@ class Node:
         self.mac.shutdown()
         self.radio.shutdown()
         self.counters.down_drops += len(self.ifq.flush())
-        hook = getattr(self.routing, "on_node_down", None)
-        if hook is not None:
-            hook()
+        if self.routing is not None:
+            self.routing.on_node_down()
         self.channel.set_node_down(self.node_id, True)
 
     def restart(self) -> None:
@@ -151,9 +153,8 @@ class Node:
         self.channel.set_node_down(self.node_id, False)
         self.radio.restore()
         self.mac.restart()
-        hook = getattr(self.routing, "on_node_up", None)
-        if hook is not None:
-            hook()
+        if self.routing is not None:
+            self.routing.on_node_up()
 
     # -- sending ---------------------------------------------------------------
 

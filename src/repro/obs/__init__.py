@@ -53,7 +53,6 @@ from .spans import (
     SPAN_UNIT,
     Span,
     SpanWriter,
-    read_span_log,
 )
 from .schema import load_schema, validate
 
@@ -87,7 +86,6 @@ __all__ = [
     "SPAN_UNIT",
     "Span",
     "SpanWriter",
-    "read_span_log",
     "aggregate_span_log",
     "format_report",
     "render_report",

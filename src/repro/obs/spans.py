@@ -38,9 +38,9 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, IO, List, Optional, Union
+from typing import Any, Dict, IO, Optional, Union
 
-from .ndjson import INT, NUM, OBJ, STR, NdjsonScan, encode_line, scan
+from .ndjson import INT, NUM, OBJ, STR, encode_line
 
 #: Span names used by the campaign engine, outermost first.
 SPAN_CAMPAIGN = "campaign"
@@ -190,24 +190,6 @@ class SpanIdAllocator:
         return f"{self._PREFIX.get(name, 's')}{self._next}"
 
 
-def read_span_log(source: Union[str, Path, NdjsonScan],
-                  skip_partial_tail: bool = False) -> List[Dict[str, Any]]:
-    """All records of an NDJSON span log (a path, or a
-    :func:`~repro.obs.ndjson.scan` of one), in file order.
-
-    Raises ``ValueError`` on the first line that is not a JSON object — use
-    ``repro-muzha doctor --spans`` (``repro.experiments.doctor``) for a
-    diagnostic listing instead of an exception.  ``skip_partial_tail=True`` tolerates a torn
-    tail — what a coordinator killed mid-write leaves behind — so
-    post-mortem consumers (``repro-muzha report``, ``doctor``) can
-    aggregate a partial log.
-    """
-    log = source if isinstance(source, NdjsonScan) else scan(Path(source))
-    if skip_partial_tail:
-        log = log.complete()
-    return log.records()
-
-
 def wall_clock() -> float:
     """The wall-clock source for span timestamps (monkeypatchable)."""
     return time.time()
@@ -223,6 +205,5 @@ __all__ = [
     "Span",
     "SpanIdAllocator",
     "SpanWriter",
-    "read_span_log",
     "wall_clock",
 ]

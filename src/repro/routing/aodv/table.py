@@ -96,6 +96,3 @@ class RoutingTable:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def valid_destinations(self, now: float) -> List[int]:
-        return [dst for dst, e in self._entries.items() if e.alive(now)]

@@ -28,9 +28,6 @@ class StaticRouting(RoutingProtocol):
     def next_hop(self, dst: int) -> Optional[int]:
         return self.routes.get(dst)
 
-    def add_route(self, dst: int, next_hop: int) -> None:
-        self.routes[dst] = next_hop
-
 
 def neighbor_graph(nodes: Iterable[Node], channel) -> Dict[int, list]:
     """Adjacency (by node id) implied by the channel's decode ranges."""

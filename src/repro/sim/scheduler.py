@@ -21,13 +21,12 @@ the entry is:
   :meth:`EventScheduler.schedule`: cancellable, and called as
   ``event.callback(*event.args)``.
 
-``run()``, ``step()`` and ``peek_time()`` dispatch on ``head[3] is not
-None``.  ``run()`` drives the heap directly in one tight loop rather than
-composing :meth:`peek_time` + :meth:`step`, and retired event objects (fired,
-or cancelled and popped) go on a bounded freelist — recycled inline in the
-loop — so steady-state schedule→cancel→reschedule churn (the MAC backoff
-pattern) allocates nothing.  See the recycling contract in
-:mod:`repro.sim.event`.
+``run()`` and ``peek_time()`` dispatch on ``head[3] is not None``.
+``run()`` is the one dispatch loop (``run(max_events=1)`` single-steps).
+Retired event objects (fired, or cancelled and popped) go on a bounded
+freelist, recycled inline in the loop, so steady-state
+schedule→cancel→reschedule churn (the MAC backoff pattern) allocates
+nothing.  See the recycling contract in :mod:`repro.sim.event`.
 """
 
 from __future__ import annotations
@@ -56,9 +55,9 @@ class EventScheduler:
         sched.run(until=10.0)
 
     ``now`` is a plain attribute, assigned only by the run loop
-    (:meth:`run` / :meth:`step`).  Per-frame code (``DcfMac``, ``Timer``)
-    keeps a scheduler reference and reads it directly — one lookup, no call
-    — and never caches the value across callbacks.
+    (:meth:`run`).  Per-frame code (``DcfMac``, ``Timer``) keeps a scheduler
+    reference and reads it directly — one lookup, no call — and never caches
+    the value across callbacks.
 
     What one MAC frame puts on the heap: the channel's ``2k + 1``
     fire-and-forget entries (tx-end plus an arrival/departure pair per
@@ -213,31 +212,6 @@ class EventScheduler:
 
     # -- execution ----------------------------------------------------------
 
-    def step(self) -> bool:
-        """Run the single next live event.  Returns False if queue is empty."""
-        heap = self._heap
-        while heap:
-            time, _, _, callback, payload = heappop(heap)
-            if callback is not None:  # fire-and-forget entry
-                self._pending -= 1
-                self.now = time
-                self._processed += 1
-                callback(payload)
-                return True
-            if payload.cancelled:
-                self._recycle(payload)
-                continue
-            self._pending -= 1
-            # Mark before invoking: a callback that cancels *itself* must be
-            # a no-op, not a second decrement of the pending count.
-            payload.fired = True
-            self.now = time
-            self._processed += 1
-            payload.callback(*payload.args)
-            self._recycle(payload)
-            return True
-        return False
-
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or None if the queue is empty."""
         heap = self._heap
@@ -302,6 +276,8 @@ class EventScheduler:
                     break
                 pop(heap)
                 self._pending -= 1
+                # Mark before invoking: a callback that cancels *itself* must
+                # be a no-op, not a second decrement of the pending count.
                 event.fired = True
                 self.now = time
                 self._processed += 1

@@ -1,9 +1,8 @@
 """Restartable one-shot and periodic timers built on the scheduler.
 
 These wrap the raw event API with the idioms protocol code needs:
-``start()`` on an armed timer restarts it (cancel + reschedule),
-``pause()``/``resume()`` with remaining time preserved (used by 802.11
-backoff), and periodic ticks.
+``start()`` on an armed timer restarts it (cancel + reschedule), and
+periodic ticks.  802.11 backoff runs its own slot countdown in ``DcfMac``.
 
 Timers drive the :class:`EventScheduler` itself.  They may be constructed
 from a ``Simulator`` or from a bare scheduler; the facade is resolved once,
@@ -20,7 +19,7 @@ from .scheduler import EventScheduler, SchedulerError
 
 
 class Timer:
-    """A one-shot timer that can be (re)started, stopped, paused and resumed."""
+    """A one-shot timer that can be (re)started and stopped."""
 
     def __init__(
         self,
@@ -33,17 +32,11 @@ class Timer:
         self._callback = callback
         self._name = name
         self._event: Optional[Event] = None
-        self._remaining: Optional[float] = None
 
     @property
     def running(self) -> bool:
-        """True while the timer is armed (and not paused)."""
+        """True while the timer is armed."""
         return self._event is not None and self._event.active
-
-    @property
-    def paused(self) -> bool:
-        """True if the timer was paused with time remaining."""
-        return self._remaining is not None
 
     @property
     def expiry(self) -> Optional[float]:
@@ -56,43 +49,23 @@ class Timer:
         """Arm the timer ``delay`` seconds from now (restarting if armed).
 
         Exactly ``stop()`` then ``schedule_after(delay)``, in that order —
-        disarm, drop any paused remainder, *then* validate the delay — with
-        ``now + delay`` the very sum ``schedule_after`` forms (float addition
-        is not associative), written out against the scheduler.
+        disarm, *then* validate the delay — with ``now + delay`` the very
+        sum ``schedule_after`` forms (float addition is not associative),
+        written out against the scheduler.
         """
         sched = self._scheduler
         if self._event is not None:
             sched.cancel(self._event)
             self._event = None
-        self._remaining = None
         if delay < 0:
             raise SchedulerError(f"negative delay {delay}")
         self._event = sched.schedule(sched.now + delay, self._fire, name=self._name)
 
     def stop(self) -> None:
-        """Disarm the timer, discarding any paused remainder."""
+        """Disarm the timer."""
         if self._event is not None:
             self._scheduler.cancel(self._event)
             self._event = None
-        self._remaining = None
-
-    def pause(self) -> None:
-        """Freeze the timer, remembering how much time was left."""
-        if not self.running:
-            return
-        self._remaining = max(0.0, self._event.time - self._scheduler.now)  # type: ignore[union-attr]
-        self._scheduler.cancel(self._event)
-        self._event = None
-
-    def resume(self) -> None:
-        """Re-arm a paused timer with its remaining time."""
-        if self._remaining is None:
-            return
-        remaining = self._remaining
-        self._remaining = None
-        self._event = self._scheduler.schedule_after(
-            remaining, self._fire, name=self._name
-        )
 
     def _fire(self) -> None:
         self._event = None

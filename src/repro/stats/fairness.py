@@ -29,10 +29,3 @@ def jain_index(allocations: Sequence[float]) -> float:
     if total == 0 or squares == 0:
         return 1.0
     return (total * total) / (len(allocations) * squares)
-
-
-def worst_case_index(n: int) -> float:
-    """The minimum possible Jain index with ``n`` flows (one flow hogging)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return 1.0 / n

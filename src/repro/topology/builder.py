@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..mac.params import MacParams
 from ..net.node import Node
 from ..phy.channel import WirelessChannel
 from ..phy.error_models import ErrorModel
@@ -58,11 +57,7 @@ def make_network(
 def place_nodes(
     network: Network,
     positions: List[Position],
-    mac_params: Optional[MacParams] = None,
     ifq_capacity: int = 50,
 ) -> List[Node]:
     """Add one node per position (ids assigned in order)."""
-    return [
-        network.add_node(pos, mac_params=mac_params, ifq_capacity=ifq_capacity)
-        for pos in positions
-    ]
+    return [network.add_node(pos, ifq_capacity=ifq_capacity) for pos in positions]

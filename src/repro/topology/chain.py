@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..mac.params import MacParams
 from ..net.node import Node
 from ..phy.error_models import ErrorModel
 from ..phy.position import Position
@@ -32,7 +31,6 @@ def build_chain(
     seed: int = 1,
     spacing: float = DEFAULT_SPACING,
     error_model: Optional[ErrorModel] = None,
-    mac_params: Optional[MacParams] = None,
     ifq_capacity: int = 50,
 ) -> Network:
     """Build an h-hop chain network (nodes 0..h)."""
@@ -40,7 +38,6 @@ def build_chain(
     place_nodes(
         network,
         chain_positions(hops, spacing),
-        mac_params=mac_params,
         ifq_capacity=ifq_capacity,
     )
     return network

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..mac.params import MacParams
 from ..net.node import Node
 from ..phy.error_models import ErrorModel
 from ..phy.position import Position
@@ -62,16 +61,13 @@ def build_cross(
     seed: int = 1,
     spacing: float = DEFAULT_SPACING,
     error_model: Optional[ErrorModel] = None,
-    mac_params: Optional[MacParams] = None,
     ifq_capacity: int = 50,
 ) -> CrossNetwork:
     """Build an h-hop cross network (2h+1 nodes for even ``hops``)."""
     base = make_network(seed=seed, error_model=error_model)
     network = CrossNetwork(sim=base.sim, channel=base.channel)
     positions, left, right, top, bottom, center = cross_positions(hops, spacing)
-    nodes = place_nodes(
-        network, positions, mac_params=mac_params, ifq_capacity=ifq_capacity
-    )
+    nodes = place_nodes(network, positions, ifq_capacity=ifq_capacity)
     network.left = nodes[left]
     network.right = nodes[right]
     network.top = nodes[top]

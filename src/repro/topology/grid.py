@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..mac.params import MacParams
 from ..net.node import Node
 from ..phy.error_models import ErrorModel
 from ..phy.position import Position
@@ -31,7 +30,6 @@ def build_grid(
     seed: int = 1,
     spacing: float = DEFAULT_SPACING,
     error_model: Optional[ErrorModel] = None,
-    mac_params: Optional[MacParams] = None,
     ifq_capacity: int = 50,
 ) -> Network:
     """Build a ``rows x cols`` grid network (node ids row-major)."""
@@ -39,7 +37,6 @@ def build_grid(
     place_nodes(
         network,
         grid_positions(rows, cols, spacing),
-        mac_params=mac_params,
         ifq_capacity=ifq_capacity,
     )
     return network

@@ -1,7 +1,8 @@
 """The TCP receiver ("sink").
 
-Acknowledges every data segment with the cumulative next-expected sequence
-number, reports up to three SACK blocks for out-of-order data, and — the
+Acknowledges every data segment at once — no delayed ACKs, matching the
+paper's NS2 sinks — with the cumulative next-expected sequence number,
+reports up to three SACK blocks for out-of-order data, and — the
 router-assist hook — echoes the AVBW-S value (path-minimum DRAI) of the
 packet that triggered each ACK, so duplicate ACKs carry the congestion
 evidence TCP Muzha uses to classify the loss (§4.7 of the paper).
@@ -14,20 +15,11 @@ from typing import List, Optional, Set, Tuple
 from ..net.node import Node
 from ..net.packet import Packet
 from ..sim.simulator import Simulator
-from ..sim.timer import Timer
 from .segments import TcpSegment
 
 
 class TcpSink:
-    """Receiver endpoint bound to one port of a node.
-
-    ``delayed_ack`` enables RFC 1122 receiver behaviour: in-order segments
-    may wait up to ``delack_timeout`` (or a second segment, whichever comes
-    first) before being acknowledged.  Out-of-order segments and hole fills
-    are always acknowledged immediately, so duplicate-ACK loss detection —
-    which TCP Muzha's marking rides on — is unaffected.  Off by default,
-    matching the paper's NS2 sinks.
-    """
+    """Receiver endpoint bound to one port of a node."""
 
     def __init__(
         self,
@@ -35,15 +27,11 @@ class TcpSink:
         node: Node,
         port: int,
         sack: bool = False,
-        delayed_ack: bool = False,
-        delack_timeout: float = 0.2,
     ) -> None:
         self.sim = sim
         self.node = node
         self.port = port
         self.sack_enabled = sack
-        self.delayed_ack = delayed_ack
-        self.delack_timeout = delack_timeout
         node.bind_port(port, self)
 
         self.rcv_nxt = 0
@@ -51,12 +39,9 @@ class TcpSink:
         self.delivered_packets = 0
         self.delivered_bytes = 0
         self.acks_sent = 0
-        self.delayed_acks = 0
         self.duplicate_data = 0
         self.first_delivery: Optional[float] = None
         self.last_delivery: Optional[float] = None
-        self._pending_ack: Optional[tuple] = None  # (packet, segment)
-        self._delack_timer = Timer(sim, self._flush_delayed_ack, name="tcp.delack")
 
     # -- receive path -----------------------------------------------------------
 
@@ -65,15 +50,12 @@ class TcpSink:
         if not isinstance(segment, TcpSegment) or not segment.is_data:
             return
         seq = segment.seq
-        in_order = seq == self.rcv_nxt
-        filled_hole = False
-        if in_order:
+        if seq == self.rcv_nxt:
             self._deliver(segment)
             # Pull any buffered segments that are now in order.
             while self.rcv_nxt in self._out_of_order:
                 self._out_of_order.discard(self.rcv_nxt)
                 self._deliver_buffered(segment.payload_bytes)
-                filled_hole = True
         elif seq > self.rcv_nxt:
             if seq in self._out_of_order:
                 self.duplicate_data += 1
@@ -81,31 +63,6 @@ class TcpSink:
                 self._out_of_order.add(seq)
         else:
             self.duplicate_data += 1
-
-        if not self.delayed_ack:
-            self._send_ack(packet, segment)
-            return
-        # RFC 1122: delay only plain in-order data; anything that signals
-        # reordering or completes a hole must be acknowledged immediately,
-        # and a second pending segment forces the ACK out.
-        if not in_order or filled_hole:
-            self._flush_delayed_ack()
-            self._send_ack(packet, segment)
-        elif self._pending_ack is not None:
-            self._pending_ack = None
-            self._delack_timer.stop()
-            self._send_ack(packet, segment)
-        else:
-            self._pending_ack = (packet, segment)
-            self._delack_timer.start(self.delack_timeout)
-
-    def _flush_delayed_ack(self) -> None:
-        if self._pending_ack is None:
-            return
-        packet, segment = self._pending_ack
-        self._pending_ack = None
-        self._delack_timer.stop()
-        self.delayed_acks += 1
         self._send_ack(packet, segment)
 
     def _deliver(self, segment: TcpSegment) -> None:

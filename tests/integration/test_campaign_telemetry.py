@@ -29,10 +29,10 @@ from repro.obs import (
     NdjsonTraceSink,
     SpanWriter,
     aggregate_span_log,
-    read_span_log,
     stable_digest,
 )
 from repro.experiments.doctor import diagnose_spans
+from repro.obs.ndjson import scan
 
 
 def small_grid():
@@ -65,7 +65,7 @@ def test_warm_campaign_span_log_is_valid_and_complete(tmp_path):
                                              pool_mode="warm")
     assert result.complete
     assert diagnose_spans(path) == []
-    records = read_span_log(path)
+    records = scan(path).records()
     unit_opens = [r for r in records if r.get("span") == "unit-attempt"]
     # One ok unit-attempt span per campaign record.
     closes = {r["id"]: r for r in records if r["kind"] == "span_close"}
@@ -117,7 +117,7 @@ def test_cache_hits_and_evictions_in_result_and_span_log(tmp_path):
     assert summary["cache"] == {"hits": 1, "misses": 1, "evictions": 1,
                                 "hit_ratio": 0.5}
     # Cached units get spans too, parented to the campaign.
-    records = read_span_log(path)
+    records = scan(path).records()
     cached = [r for r in records if r.get("span") == "unit-attempt"
               and r.get("attrs", {}).get("cached")]
     assert len(cached) == 1
@@ -144,7 +144,7 @@ def test_warm_crash_emits_replacement_spans(tmp_path, monkeypatch):
     assert summary["worker_events"]["crashed"] == 1
     assert summary["worker_events"]["replaced"] >= 1
     assert summary["retries"]["0"]["retries"] == 1
-    records = read_span_log(path)
+    records = scan(path).records()
     statuses = [r["status"] for r in records if r["kind"] == "span_close"
                 and r["id"].startswith("u")]
     assert "crash" in statuses  # the killed attempt has its own span
@@ -199,7 +199,7 @@ def test_span_log_contract_is_the_same_in_every_local_mode(
     )
     assert result.complete
     assert diagnose_spans(path) == []
-    records = read_span_log(path)
+    records = scan(path).records()
     assert unit_attempt_closes(records) == [
         (0, 1, "error"), (0, 2, "ok"), (1, 1, "ok")]
     workers = {r["attrs"]["worker"] for r in records
@@ -227,7 +227,7 @@ def test_crashed_worker_exits_as_crash_and_is_replaced_once(
     )
     assert result.complete
     assert diagnose_spans(path) == []
-    records = read_span_log(path)
+    records = scan(path).records()
     assert unit_attempt_closes(records) == [
         (0, 1, "crash"), (0, 2, "ok"), (1, 1, "ok")]
     reasons = worker_event_reasons(records)

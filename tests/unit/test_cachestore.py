@@ -268,6 +268,62 @@ def test_http_clear_empties_the_store(served):
     assert remote.get(DIGEST) is None
 
 
+@pytest.fixture()
+def clear_reply():
+    """A stub server whose ``DELETE /`` answers 200 with ``reply["body"]``."""
+    import threading
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    reply = {}
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_DELETE(self):
+            body = reply["body"]
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}", reply
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+@pytest.mark.parametrize("body, removed, errors", [
+    (b'{"removed": 3}', 3, 0),
+    (b'{"removed": 0}', 0, 0),
+    (b'{"removed": [1]}', 0, 1),
+    (b"[1]", 0, 1),
+    (b'{"removed": 1e400}', 0, 1),
+    (b'{"removed": -5}', 0, 1),
+    (b'{"removed": true}', 0, 1),
+    (b'{"removed": "7"}', 0, 1),
+    (b'{"removed": 2.9}', 0, 1),
+    # Nested past the JSON decoder's recursion limit.
+    pytest.param(b"[" * 100_000, 0, 1, id="deep-nesting"),
+])
+def test_http_clear_counts_only_a_non_negative_integer_reply(
+        clear_reply, body, removed, errors):
+    """Whatever the server says, ``clear()`` returns a count or 0 with one
+    more error: it never raises and never coerces a bool, a string, a float
+    or a negative number into a count."""
+    url, reply = clear_reply
+    reply["body"] = body
+    remote = HttpCacheStore(url)
+    assert remote.clear() == removed
+    assert remote.errors == errors
+
+
 def test_http_get_evicts_corrupt_entries(served):
     server, remote = served
     remote.put(DIGEST, PAYLOAD)

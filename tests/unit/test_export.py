@@ -8,11 +8,9 @@ from repro.experiments.export import (
     ExportError,
     export_coexistence_csv,
     export_multi_series_csv,
-    export_series_csv,
     export_sweep_csv,
     read_coexistence_csv,
     read_multi_series_csv,
-    read_series_csv,
     read_sweep_csv,
 )
 from repro.experiments.figures import CoexistencePoint, SweepPoint, SweepResult
@@ -46,15 +44,6 @@ def test_sweep_csv_schema(tmp_path):
     assert float(rows[1][3]) == 104.0
 
 
-def test_series_csv(tmp_path):
-    path = export_series_csv(
-        [(0.0, 1.0), (1.5, 2.5)], tmp_path / "trace.csv", y_label="cwnd"
-    )
-    rows = read_rows(path)
-    assert rows[0] == ["time_s", "cwnd"]
-    assert float(rows[2][1]) == 2.5
-
-
 def test_multi_series_csv(tmp_path):
     path = export_multi_series_csv(
         {"a": [(0.0, 1.0)], "b": [(0.0, 2.0), (1.0, 3.0)]},
@@ -74,7 +63,9 @@ def test_coexistence_csv(tmp_path):
 
 
 def test_creates_missing_directories(tmp_path):
-    path = export_series_csv([(0.0, 0.0)], tmp_path / "deep" / "dir" / "f.csv")
+    path = export_multi_series_csv(
+        {"a": [(0.0, 0.0)]}, tmp_path / "deep" / "dir" / "f.csv"
+    )
     assert path.exists()
 
 
@@ -93,13 +84,6 @@ def test_sweep_round_trip(tmp_path):
         assert got.goodput_kbps == pytest.approx(point.goodput_kbps, abs=1e-3)
         assert got.retransmits == pytest.approx(point.retransmits, abs=1e-3)
         assert got.samples == point.samples
-
-
-def test_series_round_trip(tmp_path):
-    series = [(0.0, 1.0), (1.25, 2.5), (3.0, 0.125)]
-    path = export_series_csv(series, tmp_path / "s.csv", y_label="cwnd")
-    loaded = read_series_csv(path)
-    assert loaded == pytest.approx(series, abs=1e-6)
 
 
 def test_multi_series_round_trip(tmp_path):
@@ -168,14 +152,14 @@ def test_read_sweep_rejects_empty_file(tmp_path):
 
 
 def test_read_series_rejects_non_numeric_row(tmp_path):
-    path = write_lines(tmp_path, "time_s,cwnd", "0.0,1.0", "one,2.0")
+    path = write_lines(tmp_path, "series,time_s,value", "a,0.0,1.0", "a,one,2.0")
     with pytest.raises(ExportError, match=r"bad\.csv:3"):
-        read_series_csv(path)
+        read_multi_series_csv(path)
 
 
 def test_read_series_tolerates_trailing_blank_line(tmp_path):
-    path = write_lines(tmp_path, "time_s,v", "0.0,1.0", "")
-    assert read_series_csv(path) == [(0.0, 1.0)]
+    path = write_lines(tmp_path, "series,time_s,value", "a,0.0,1.0", "")
+    assert read_multi_series_csv(path) == {"a": [(0.0, 1.0)]}
 
 
 def test_read_multi_series_rejects_extra_column(tmp_path):

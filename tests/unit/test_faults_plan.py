@@ -106,7 +106,8 @@ def test_plan_round_trips_through_dict_and_json(tmp_path):
     plan = scripted_plan()
     assert FaultPlan.from_dict(plan.to_dict()) == plan
     assert FaultPlan.loads(json.dumps(plan.to_dict())) == plan
-    path = plan.save(tmp_path / "plan.json")
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan.to_dict(), indent=2), encoding="utf-8")
     assert FaultPlan.load(path) == plan
 
 

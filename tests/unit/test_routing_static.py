@@ -19,11 +19,10 @@ def build(positions, seed=1):
 
 
 def test_static_routing_lookup():
-    routing = StaticRouting({5: 2})
+    routing = StaticRouting({5: 2, 6: 3})
     assert routing.next_hop(5) == 2
-    assert routing.next_hop(6) is None
-    routing.add_route(6, 3)
     assert routing.next_hop(6) == 3
+    assert routing.next_hop(7) is None
 
 
 def test_neighbor_graph_chain():

@@ -132,9 +132,10 @@ def test_stop_halts_run():
     assert fired == [1]
 
 
-def test_step_returns_false_on_empty_queue():
+def test_single_step_on_empty_queue_runs_nothing():
     sched = EventScheduler()
-    assert sched.step() is False
+    sched.run(max_events=1)
+    assert sched.processed_events == 0 and sched.now == 0.0
 
 
 def test_peek_time_skips_cancelled():
@@ -476,8 +477,9 @@ def test_schedule_batch_matches_scalar_schedule_execution_for_execution():
 
 
 def test_schedule_batch_entries_run_under_step_and_peek():
-    """The fire-and-forget heap entries work through every execution path,
-    not just run(): step() dispatches them and peek_time() sees them."""
+    """The fire-and-forget heap entries work one at a time, not just in a
+    full run(): run(max_events=1) dispatches them and peek_time() sees
+    them."""
     sched = EventScheduler()
     order = []
     schedule_batch(sched, [
@@ -485,12 +487,13 @@ def test_schedule_batch_entries_run_under_step_and_peek():
         (2.0, order.append, "b"),
     ])
     assert sched.peek_time() == 1.0
-    assert sched.step()
+    sched.run(max_events=1)
     assert order == ["a"] and sched.now == 1.0
     assert sched.peek_time() == 2.0
-    assert sched.step()
-    assert not sched.step()
-    assert order == ["a", "b"]
+    sched.run(max_events=1)
+    sched.run(max_events=1)
+    assert order == ["a", "b"] and sched.processed_events == 2
+    assert sched.peek_time() is None
 
 
 def test_schedule_batch_entries_do_not_touch_the_freelist():
@@ -529,8 +532,8 @@ def test_cancelling_around_batch_entries_is_exact():
 def test_event_and_fire_and_forget_entries_share_one_seq_order():
     """One timestamp, both entry shapes — ``(t, 0, seq, callback, arg)`` and
     ``(t, priority, seq, None, event)`` — with a cancelled :class:`Event` at
-    the head: ``run()``, ``step()`` and ``peek_time()`` each skip the
-    cancelled head and fire the rest in seq order."""
+    the head: ``run()``, ``run(max_events=1)`` and ``peek_time()`` each
+    skip the cancelled head and fire the rest in seq order."""
 
     def fill():
         sched = EventScheduler()
@@ -551,8 +554,8 @@ def test_event_and_fire_and_forget_entries_share_one_seq_order():
     assert sched.pending_events == 0 and sched.processed_events == 5
 
     sched, order = fill()
-    while sched.step():
-        pass
+    for _ in range(len(expected) + 1):  # one more step than there is work
+        sched.run(max_events=1)
     assert order == expected
     assert sched.pending_events == 0 and sched.processed_events == 5
 

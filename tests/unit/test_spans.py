@@ -11,9 +11,9 @@ from repro.obs import (
     SpanWriter,
     WorkerHealth,
     read_rss_kb,
-    read_span_log,
 )
 from repro.experiments.doctor import diagnose_spans
+from repro.obs.ndjson import scan
 from repro.obs.spans import SpanIdAllocator
 
 
@@ -26,7 +26,7 @@ def test_span_writer_path_target_flushes_per_line(tmp_path):
         writer.write({"kind": "event", "name": "x", "t": 1.0})
         writer.write({"kind": "progress", "t": 2.0, "done": 1, "total": 2,
                       "failed": 0})
-    records = read_span_log(path)
+    records = scan(path).records()
     assert [r["kind"] for r in records] == ["event", "progress"]
     assert writer.records_written == 2
     assert writer.counts == {"event": 1, "progress": 1}
@@ -47,7 +47,7 @@ def test_span_writer_fd_target(tmp_path):
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o600)
     with SpanWriter(f"fd:{fd}") as writer:
         writer.write({"kind": "event", "name": "x", "t": 0.0})
-    assert read_span_log(path)[0]["name"] == "x"
+    assert scan(path).records()[0]["name"] == "x"
     with pytest.raises(OSError):
         os.close(fd)  # the writer owned and closed the descriptor
 
@@ -128,7 +128,7 @@ def test_telemetry_emits_schema_valid_log(tmp_path):
 
 def test_telemetry_span_parentage_and_counters(tmp_path):
     path, tel = scripted_campaign(tmp_path)
-    records = read_span_log(path)
+    records = scan(path).records()
     opens = {r["id"]: r for r in records if r["kind"] == "span_open"}
     closes = {r["id"]: r for r in records if r["kind"] == "span_close"}
     campaign = next(r for r in opens.values() if r["span"] == "campaign")
@@ -156,7 +156,7 @@ def test_telemetry_span_parentage_and_counters(tmp_path):
 
 def test_telemetry_heartbeats_cover_every_worker(tmp_path):
     path, tel = scripted_campaign(tmp_path)
-    beats = [r for r in read_span_log(path) if r["kind"] == "heartbeat"]
+    beats = [r for r in scan(path).records() if r["kind"] == "heartbeat"]
     assert tel.heartbeats == len(beats) >= 1
     assert {b["worker"] for b in beats} == {"w1"}
     final = beats[-1]
@@ -182,7 +182,7 @@ def test_telemetry_crash_aborts_batch_and_marks_replacement(tmp_path):
         tel.end_campaign(executed=2, cache_hits=0, cache_evictions=0,
                          failed=0)
     assert diagnose_spans(path) == []
-    records = read_span_log(path)
+    records = scan(path).records()
     closes = [r for r in records if r["kind"] == "span_close"]
     assert any(r["status"] == "aborted" for r in closes)  # the dead batch
     assert any(r["status"] == "crash" for r in closes)  # the dead unit
@@ -202,7 +202,7 @@ def test_telemetry_end_campaign_closes_dangling_state(tmp_path):
         tel.end_campaign(executed=0, cache_hits=0, cache_evictions=0,
                          failed=2)
     assert diagnose_spans(path) == []  # batch force-closed as aborted
-    closes = [r for r in read_span_log(path) if r["kind"] == "span_close"]
+    closes = [r for r in scan(path).records() if r["kind"] == "span_close"]
     assert {r["status"] for r in closes} == {"aborted", "error"}
     # Idempotent: a second end is a no-op, double-begin raises.
     with SpanWriter(io.StringIO()) as writer:

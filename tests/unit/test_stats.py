@@ -4,12 +4,10 @@ import pytest
 
 from repro.stats import (
     differentiate,
-    goodput_kbps,
     jain_index,
     resample,
     time_average,
     value_at,
-    worst_case_index,
 )
 
 
@@ -39,9 +37,9 @@ class TestJainIndex:
             jain_index([-1.0, 1.0])
 
     def test_worst_case(self):
-        assert worst_case_index(4) == 0.25
-        with pytest.raises(ValueError):
-            worst_case_index(0)
+        # One flow holding everything is the floor: exactly 1/n.
+        for n in (1, 2, 4, 7):
+            assert jain_index([10.0] + [0.0] * (n - 1)) == pytest.approx(1.0 / n)
 
 
 class TestTimeSeries:
@@ -84,19 +82,6 @@ class TestTimeSeries:
 
 
 class TestThroughput:
-    def test_goodput_computation(self):
-        class FakeSink:
-            delivered_bytes = 125_000  # 1 Mbit
-
-        assert goodput_kbps(FakeSink(), 10.0) == pytest.approx(100.0)
-
-    def test_goodput_validates_duration(self):
-        class FakeSink:
-            delivered_bytes = 1
-
-        with pytest.raises(ValueError):
-            goodput_kbps(FakeSink(), 0.0)
-
     def test_sampler_records_series_and_rates(self):
         """The dynamics sampler is a one-watch ``TimeseriesProbe``: an
         immediate first sample, one per interval, rate = delta bytes / dt."""

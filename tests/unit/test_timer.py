@@ -39,46 +39,6 @@ def test_timer_stop_cancels():
     assert fired == []
 
 
-def test_timer_pause_resume_preserves_remaining_time():
-    sched = make()
-    fired = []
-    timer = Timer(sched, lambda: fired.append(sched.now))
-    timer.start(2.0)
-    sched.schedule(0.5, timer.pause)
-    sched.schedule(1.0, timer.resume)
-    sched.run()
-    # paused at 0.5 with 1.5 remaining, resumed at 1.0 -> fires at 2.5
-    assert fired == [2.5]
-
-
-def test_timer_pause_when_not_running_is_noop():
-    sched = make()
-    timer = Timer(sched, lambda: None)
-    timer.pause()
-    assert not timer.paused
-
-
-def test_timer_resume_without_pause_is_noop():
-    sched = make()
-    fired = []
-    timer = Timer(sched, lambda: fired.append(1))
-    timer.resume()
-    sched.run()
-    assert fired == []
-
-
-def test_timer_stop_discards_paused_remainder():
-    sched = make()
-    fired = []
-    timer = Timer(sched, lambda: fired.append(1))
-    timer.start(2.0)
-    sched.schedule(0.5, timer.pause)
-    sched.schedule(0.6, timer.stop)
-    sched.schedule(0.7, timer.resume)
-    sched.run()
-    assert fired == []
-
-
 def test_timer_expiry_property():
     sched = make()
     timer = Timer(sched, lambda: None)
