@@ -11,9 +11,6 @@ number it does not take:
   tracks dispatch/IPC/fork overhead, which is what the campaign engine
   owns, rather than simulator speed.
 
-The 48-unit engine grid and its warm-pool fingerprint are shared with
-``bench_cluster``, which measures the TCP transport on the same units.
-
 Two entry points:
 
 * ``python benchmarks/bench_campaign.py`` — the ``harness`` CLI: prints a
@@ -88,16 +85,9 @@ def run_engine_campaign() -> Tuple[int, str]:
     grid = _engine_grid()
     result = run_campaign(
         grid, replications=ENGINE_REPLICATIONS, jobs=ENGINE_JOBS,
-        pool_mode="warm",
     )
     assert result.complete
     return len(grid) * ENGINE_REPLICATIONS, result.fingerprint()
-
-
-def warm_fingerprint() -> str:
-    """The engine grid's fingerprint through the warm pool: the referee
-    another transport's run of the same grid must match."""
-    return run_engine_campaign()[1]
 
 
 def measure_all(fast=False, names=None):

@@ -1,4 +1,4 @@
-"""The one harness behind ``bench_kernel`` / ``bench_campaign`` / ``bench_cluster``.
+"""The one harness behind ``bench_kernel`` and ``bench_campaign``.
 
 A suite module keeps its measurement cores and pytest ``perf`` cases and
 declares a :class:`Suite`; everything else lives here, once: the best-of-N
@@ -94,7 +94,7 @@ def rate(work: Callable[[], Any], reps: int) -> float:
 
     ``work`` returns its op count and is timed here, or returns
     ``(ops, seconds)`` when it times its own hot section (the fan-out pair
-    excludes event execution, the cluster rungs exclude agent start-up).
+    excludes event execution).
     """
     best = 0.0
     for _ in range(reps):

@@ -10,13 +10,7 @@ Subcommands mirror the paper's three simulations plus the parameter tables:
   (``--spans out.ndjson`` streams live campaign telemetry; ``--journal
   run.journal`` write-ahead-journals every unit so an interrupted campaign
   — Ctrl-C / SIGTERM exits with code 3 — resumes with ``--resume
-  run.journal``, executing only the remainder; ``--pool-mode cluster
-  --listen HOST:PORT`` runs the coordinator over TCP so worker agents can
-  join from other hosts);
-* ``repro-muzha worker --connect HOST:PORT`` — a cluster worker agent:
-  dials a campaign coordinator, pulls unit batches, streams results back
-  (``--cache`` points it at a shared result store; otherwise it uses the
-  one the coordinator offers);
+  run.journal``, executing only the remainder);
 * ``repro-muzha report out.ndjson`` — aggregate a campaign span log into a
   human-readable summary (throughput, worker utilization, cache hit ratio,
   retries/quarantine, slowest units);
@@ -49,7 +43,6 @@ from .experiments import (
     GracefulShutdown,
     JournalError,
     JournalPlanMismatch,
-    POOL_MODES,
     RetryPolicy,
     RunSpec,
     SCENARIO_KINDS,
@@ -58,7 +51,6 @@ from .experiments import (
     Table51Parameters,
     ascii_series,
     chain_grid,
-    cluster_transport,
     export_campaign_csv,
     execute_run,
     fig_coexistence,
@@ -66,15 +58,12 @@ from .experiments import (
     format_sweep,
     format_table,
     make_store,
-    parse_endpoint,
     replay_journal,
     run_campaign,
     run_doctor,
-    run_worker_agent,
     scenario_key,
     throughput_retransmit_sweep,
 )
-from .experiments.campaign import _execute_unit
 from .faults import FaultPlan, FaultPlanError
 from .obs import (
     CampaignTelemetry,
@@ -109,6 +98,16 @@ def _number(parse, low, high=None, above=False):
         return value
 
     return parse_number
+
+
+def _cache_dir(text: str) -> str:
+    """argparse type: a cache directory, refused at parse time by
+    :func:`~repro.experiments.cachestore.make_store`'s own rule."""
+    try:
+        make_store(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return text
 
 
 class _Subscription(argparse.Action):
@@ -269,19 +268,6 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     config = _scenario_config(args)  # the seed is re-derived per unit
-    if args.pool_mode != "cluster" and (
-        args.listen is not None or args.agents is not None
-    ):
-        raise SystemExit(
-            "--listen/--agents configure the TCP transport: they require "
-            "--pool-mode cluster"
-        )
-    listen = ("127.0.0.1", 0)
-    if args.listen is not None:
-        try:
-            listen = parse_endpoint(args.listen)
-        except ValueError as exc:
-            raise SystemExit(f"bad --listen: {exc}")
     resume = None
     journal_path = args.journal
     if args.resume:
@@ -304,26 +290,16 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     # Every flag has been checked; only now is the cache touched.
     cache = None
     if not args.no_cache:
-        # A directory path gives the on-disk store; an http(s):// URL a
-        # shared remote store (e.g. another host's CacheServer).
         cache = make_store(args.cache_dir)
         if args.clear_cache:
             removed = cache.clear()
             print(f"cache cleared: {removed} entries removed")
-    transport = None
-    if args.pool_mode == "cluster":
-        transport = cluster_transport(
-            cache, listen=listen, spawn_agents=args.agents != 0
-        )
     # A cell named twice (``--hops 2 2``) is one scenario, listed once.
     cells = {}
     for spec in chain_grid(args.variants, args.hops, config=config):
         cells.setdefault(scenario_key(spec), spec)
     grid = list(cells.values())
     total_runs = len(grid) * args.replications
-    jobs = args.jobs
-    if args.pool_mode == "cluster" and args.agents:
-        jobs = args.agents  # agents to keep at strength = the pool size
 
     def report(record, done, total):
         run = record.run
@@ -337,7 +313,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     print(
         f"campaign: {len(grid)} scenarios x {args.replications} replications "
-        f"= {total_runs} runs, pool={args.pool_mode} workers={jobs}, "
+        f"= {total_runs} runs, pool=warm workers={args.jobs}, "
         f"cache={'off' if cache is None else args.cache_dir}"
     )
     started = time.time()
@@ -348,9 +324,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     )
     shutdown = GracefulShutdown(drain_timeout=args.drain_timeout)
     # Everything that can refuse the command line has been parsed by now;
-    # what follows opens files and sockets, and the finally closes them.
+    # what follows opens files, and the finally closes them.
     journal = telemetry = span_writer = None
-    cli_owns_transport = False
     try:
         if journal_path:
             try:
@@ -362,35 +337,23 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             telemetry = CampaignTelemetry(
                 span_writer, heartbeat_interval=args.heartbeat_interval
             )
-        if transport is not None:
-            # Open before the campaign so the endpoint is printed while
-            # external agents still have time to connect (they join late
-            # and steal work, so nothing is lost by starting without them).
-            cli_owns_transport = transport.open()
-            waiting = ("; waiting for external `repro-muzha worker` agents"
-                       if args.agents == 0 else "")
-            print(f"cluster: listening on {transport.endpoint}{waiting}")
         with shutdown:
             result = run_campaign(
                 grid,
                 replications=args.replications,
                 base_seed=args.seed,
-                jobs=jobs,
+                jobs=args.jobs,
                 cache=cache,
                 progress=report if not args.quiet else None,
                 policy=policy,
-                pool_mode=args.pool_mode,
                 telemetry=telemetry,
                 journal=journal,
                 resume=resume,
                 shutdown=shutdown,
-                transport=transport,
             )
     except JournalPlanMismatch as exc:
         raise SystemExit(f"cannot resume: {exc}")
     finally:
-        if cli_owns_transport:
-            transport.close()
         if journal is not None:
             journal.close()
         if span_writer is not None:
@@ -450,15 +413,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print("not resumable: the campaign ran without --journal")
         return 3
     return 0 if result.complete else 1
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    try:
-        parse_endpoint(args.connect)
-    except ValueError as exc:
-        raise SystemExit(f"bad --connect: {exc}")
-    return run_worker_agent(args.connect, _execute_unit, cache=args.cache,
-                            retry=args.retry)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -655,37 +609,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="independent replications per scenario")
     campaign.add_argument("--loss", type=_number(float, 0, 1), default=0.0,
                           help="per-frame random loss probability")
-    campaign.add_argument("--pool-mode", choices=list(POOL_MODES), default="warm",
-                          help="where the workers live: 'warm' (default) "
-                               "keeps a persistent pool of workers forked from "
-                               "this process and streams batches to them "
-                               "(--jobs 1 without a watchdog runs the units in "
-                               "this process instead; best for debugging); "
-                               "'cluster' runs the pool over a TCP transport so "
-                               "worker agents — self-spawned locally or started "
-                               "on other hosts with `repro-muzha worker` — can "
-                               "join the campaign (see --listen/--agents)")
     campaign.add_argument("--jobs", type=_number(int, 1),
                           default=os.cpu_count(),
                           metavar="N",
                           help="worker pool size (1 = in-process serial)")
-    campaign.add_argument("--listen", default=None, metavar="HOST:PORT",
-                          help="cluster only: TCP address the coordinator "
-                               "listens on (default 127.0.0.1 with an "
-                               "OS-assigned port, printed at startup); bind "
-                               "a routable address to accept agents from "
-                               "other hosts")
-    campaign.add_argument("--agents", type=_number(int, 0), default=None,
-                          metavar="N",
-                          help="cluster only: local worker agents to "
-                               "self-spawn and keep at strength (default: "
-                               "the worker pool size); 0 disables "
-                               "self-spawning — the campaign then runs "
-                               "entirely on external agents that dial "
-                               "--listen")
-    campaign.add_argument("--cache-dir", default="results/cache",
-                          help="result cache: an on-disk directory, or an "
-                               "http(s):// URL of a shared remote store")
+    campaign.add_argument("--cache-dir", type=_cache_dir,
+                          default="results/cache",
+                          help="result cache: an on-disk directory")
     campaign.add_argument("--no-cache", action="store_true",
                           help="always simulate; do not read or write the cache")
     campaign.add_argument("--clear-cache", action="store_true",
@@ -737,27 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_faults(campaign)
     _add_policy(campaign)
     campaign.set_defaults(func=_cmd_campaign)
-
-    worker = sub.add_parser(
-        "worker",
-        help="cluster worker agent: execute campaign units for a "
-             "coordinator reachable over TCP",
-    )
-    worker.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="coordinator endpoint (what `campaign "
-                             "--pool-mode cluster` printed, or the "
-                             "--listen address it was given)")
-    worker.add_argument("--retry", type=_number(float, 0), default=10.0,
-                        metavar="SECONDS",
-                        help="keep retrying the connection this long "
-                             "before giving up (agents may be started "
-                             "before the coordinator)")
-    worker.add_argument("--cache", default=None, metavar="SPEC",
-                        help="shared result store to consult before "
-                             "executing a unit: a directory path or an "
-                             "http(s):// URL (default: whatever store the "
-                             "coordinator offers in its handshake)")
-    worker.set_defaults(func=_cmd_worker)
 
     def add_scenario_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("scenario", choices=tuple(SCENARIO_KINDS),

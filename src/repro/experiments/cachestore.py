@@ -1,46 +1,29 @@
-"""Pluggable content-addressed result stores for campaign sharding.
+"""The content-addressed result store of campaign runs.
 
 The campaign engine memoises completed runs in a content-addressed store
-keyed by :func:`repro.experiments.campaign.run_digest`.  PR 5 hard-coded
-that store to one local directory; cluster-scale sharding (PR 10) needs
-the *same* envelope contract to be servable over a network so that every
-shard of a distributed campaign — the coordinator and every remote worker
-agent — reads and writes one shared memo.  This module lifts the store
-behind a small interface:
+keyed by :func:`repro.experiments.campaign.run_digest`:
 
-* :class:`CacheStore` — the abstract contract: ``load``/``get``/``put`` of
+* :class:`CacheStore` — the contract: ``load``/``get``/``put`` of
   ``{"result", "manifest"}`` payloads under a digest, plus the eviction
   counter the campaign result reports;
 * :func:`encode_envelope` / :func:`decode_envelope` — the one place the
   ``{"checksum", "manifest", "result"}`` envelope is built and the one
-  place it is validated, whichever store or server moves the bytes;
+  place it is validated;
 * :func:`elide_snapshot` / :func:`share_snapshot` — the pair's one
   serialised form: a run's metrics snapshot is one object held by both
   ``result["metrics"]`` and ``manifest["metrics"]``, so it is written once
   (in the result) and re-attached to the manifest as the same object on
-  the way back in — in envelopes here and in the reply frames of TCP
-  agents (:mod:`~repro.experiments.transport`).  In memory a manifest is
-  always complete;
-* :class:`CampaignCache` — the local directory store, byte-for-byte the
-  PR 5 implementation (durable atomic writes, advisory ``flock``,
-  checksummed envelopes, lazy eviction of corrupt entries);
-* :class:`HttpCacheStore` — the same envelopes over plain HTTP
-  (``GET``/``PUT``/``DELETE /<digest[:2]>/<digest>.json``), shaped like an
-  object store so shards on different hosts can share one cache.  Network
-  failures degrade to cache misses — a flaky cache server can slow a
-  campaign down but never wreck it;
-* :class:`CacheServer` — a stdlib ``ThreadingHTTPServer`` that exposes a
-  local :class:`CampaignCache` directory under that protocol (used by the
-  tests, the cluster bench and CI; run one near your shards);
-* :func:`make_store` — spec-string factory: ``http(s)://…`` becomes an
-  :class:`HttpCacheStore`, anything else a :class:`CampaignCache` rooted
-  at that path.  This is how a worker agent rebuilds the coordinator's
-  store from the spec carried in the transport handshake.
+  the way back in.  In memory a manifest is always complete;
+* :class:`CampaignCache` — the local directory store (durable atomic
+  writes, advisory ``flock``, checksummed envelopes, lazy eviction of
+  corrupt entries);
+* :func:`make_store` — spec-string factory: a directory path becomes a
+  :class:`CampaignCache`.
 
 Envelope integrity is end-to-end: the checksum is computed by the writer,
-stored inside the envelope, and re-verified by every reader — the HTTP
-hop adds no trust, a corrupt byte anywhere surfaces as an eviction and a
-recompute, never as different campaign bytes.
+stored inside the envelope, and re-verified by every reader — a corrupt
+byte anywhere surfaces as an eviction and a recompute, never as different
+campaign bytes.
 """
 
 from __future__ import annotations
@@ -63,16 +46,10 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 PathLike = Union[str, Path]
 
-#: Subdirectory of a local cache root holding cluster registration files
-#: (coordinator/worker liveness records written by the TCP transport).
-#: Everything that walks ``<root>/*/*.json`` must skip it.
-CLUSTER_REGISTRY_DIRNAME = ".cluster"
-
-
-#: Largest envelope body :class:`CacheServer` reads off a ``PUT``; a
-#: declared length above it is refused (413) before any byte is read.
-#: Envelopes are ~20 KB (a few MB with ``record_dynamics``).
-MAX_ENVELOPE_BYTES = 64 * 1024 * 1024
+#: The glob of every shard directory :meth:`CampaignCache._path` writes
+#: (the first two hex digits of a digest); nothing else under a cache root
+#: is an entry.
+SHARD_GLOB = "[0-9a-f][0-9a-f]"
 
 
 class CacheCorruptionWarning(UserWarning):
@@ -224,7 +201,7 @@ class CacheStore:
     writers of the same digest are writing the same bytes) and returns the
     result's digest for the same reason; ``evictions`` counts corrupt
     entries the store discarded over its lifetime.  ``describe()`` is the
-    spec string :func:`make_store` rebuilds the store from on another host.
+    spec string :func:`make_store` rebuilds the store from.
     """
 
     evictions: int = 0
@@ -280,11 +257,8 @@ class CampaignCache(CacheStore):
         return self.root / digest[:2] / f"{digest}.json"
 
     def _entries(self) -> Iterator[Path]:
-        """Every envelope file, skipping the cluster registry sidecar dir."""
-        for entry in self.root.glob("*/*.json"):
-            if entry.parent.name == CLUSTER_REGISTRY_DIRNAME:
-                continue
-            yield entry
+        """Every envelope file in the shard directories."""
+        return self.root.glob(f"{SHARD_GLOB}/*.json")
 
     @property
     def lock_path(self) -> Path:
@@ -394,263 +368,28 @@ class CampaignCache(CacheStore):
         return str(self.root.resolve())
 
 
-class HttpCacheStore(CacheStore):
-    """The campaign envelope protocol over HTTP (object-store shaped).
-
-    Entries live at ``<base>/<digest[:2]>/<digest>.json`` exactly as on
-    disk; the body is the full ``{"result", "manifest", "checksum"}``
-    envelope, validated on every read just like the directory store.  A
-    corrupt body is evicted with a best-effort ``DELETE`` and reported as
-    a miss.  Network errors (server down, timeout) are also misses — a
-    shard losing its shared cache recomputes, it never fails.
-    """
-
-    def __init__(self, base_url: str, timeout: float = 5.0) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self.evictions = 0
-        #: Network failures swallowed (observability, not control flow).
-        self.errors = 0
-
-    def _url(self, digest: str) -> str:
-        return f"{self.base_url}/{digest[:2]}/{digest}.json"
-
-    def _request(self, method: str, digest: str,
-                 body: Optional[bytes] = None) -> Optional[bytes]:
-        import urllib.error
-        import urllib.request
-
-        request = urllib.request.Request(
-            self._url(digest), data=body, method=method
-        )
-        if body is not None:
-            request.add_header("Content-Type", "application/json")
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return resp.read()
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            if exc.code != 404:
-                self.errors += 1
-            return None
-        except (urllib.error.URLError, OSError):
-            self.errors += 1
-            return None
-
-    def load(self, digest: str) -> Optional[Tuple[Dict[str, Any], str]]:
-        body = self._request("GET", digest)
-        if body is None:
-            return None
-        try:
-            result, manifest, result_digest = decode_envelope(body)
-        except EnvelopeError as exc:
-            self._evict(digest, str(exc))
-            return None
-        return {"result": result, "manifest": manifest}, result_digest
-
-    def _evict(self, digest: str, reason: str) -> None:
-        self.evictions += 1
-        warnings.warn(
-            f"remote cache entry {digest[:12]}… {reason}; "
-            "evicting and recomputing",
-            CacheCorruptionWarning,
-            stacklevel=3,
-        )
-        self._request("DELETE", digest)
-
-    def put(self, digest: str, payload: Dict[str, Any]) -> str:
-        body, result_digest = encode_envelope(
-            payload["result"], payload.get("manifest")
-        )
-        self._request("PUT", digest, body=body)
-        return result_digest
-
-    def clear(self) -> int:
-        """Clear the remote store; returns the server's ``removed`` count,
-        or 0 with one more :attr:`errors` when the server is unreachable or
-        its reply carries no such count."""
-        import urllib.error
-        import urllib.request
-
-        request = urllib.request.Request(self.base_url + "/", method="DELETE")
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                reply = json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError, RecursionError):
-            reply = None
-        removed = reply.get("removed") if isinstance(reply, dict) else None
-        # Only a non-negative JSON integer is a count: a bool, a float, a
-        # string or a list from a confused server is an error, not a number
-        # to coerce.
-        if type(removed) is not int or removed < 0:
-            self.errors += 1
-            return 0
-        return removed
-
-    def describe(self) -> str:
-        return self.base_url
-
-
-class CacheServer:
-    """Serve a local :class:`CampaignCache` directory over HTTP.
-
-    Protocol (mirrors the on-disk layout, so an object store or a static
-    file server behind the same paths works too):
-
-    * ``GET /<aa>/<digest>.json`` — the raw envelope bytes, 404 on a miss;
-    * ``PUT /<aa>/<digest>.json`` — store one envelope (validated: a
-      missing, non-integer or negative ``Content-Length``, bad JSON or a
-      checksum mismatch is a 400, a length above
-      :data:`MAX_ENVELOPE_BYTES` a 413; the write never happens);
-    * ``DELETE /<aa>/<digest>.json`` — drop one entry (evictions);
-    * ``DELETE /`` — clear the store; body reports ``{"removed": n}``.
-
-    Thread-per-request via ``ThreadingHTTPServer``; the underlying
-    :class:`CampaignCache` serialises writers with its ``flock``.
-    """
-
-    def __init__(self, root: PathLike, host: str = "127.0.0.1",
-                 port: int = 0) -> None:
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        cache = CampaignCache(root)
-
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, fmt: str, *args: Any) -> None:
-                pass  # tests/CI do not want per-request stderr chatter
-
-            def _reply(self, code: int, body: bytes = b"") -> None:
-                self.send_response(code)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                if body:
-                    self.wfile.write(body)
-
-            def _digest(self) -> Optional[str]:
-                parts = self.path.strip("/").split("/")
-                if len(parts) != 2 or not parts[1].endswith(".json"):
-                    return None
-                digest = parts[1][: -len(".json")]
-                if parts[0] != digest[:2]:
-                    return None
-                return digest
-
-            def do_GET(self) -> None:
-                digest = self._digest()
-                if digest is None:
-                    self._reply(404)
-                    return
-                path = cache._path(digest)
-                try:
-                    body = path.read_bytes()
-                except OSError:
-                    self._reply(404)
-                    return
-                self._reply(200, body)
-
-            def do_PUT(self) -> None:
-                digest = self._digest()
-                if digest is None:
-                    self._reply(404)
-                    return
-                # The length is the peer's claim: int() of garbage raises
-                # in the handler thread and read(-1) blocks until the peer
-                # closes, so refuse both before touching the body.
-                declared = (self.headers.get("Content-Length") or "").strip()
-                if not (declared.isascii() and declared.isdigit()):
-                    self._reply(400)
-                    return
-                length = int(declared)
-                if length > MAX_ENVELOPE_BYTES:
-                    self._reply(413)
-                    return
-                try:
-                    result, manifest, _ = decode_envelope(
-                        self.rfile.read(length)
-                    )
-                except EnvelopeError:
-                    self._reply(400)
-                    return
-                cache.put(digest, {"result": result, "manifest": manifest})
-                self._reply(200)
-
-            def do_DELETE(self) -> None:
-                if self.path.strip("/") == "":
-                    removed = cache.clear()
-                    self._reply(200, json.dumps({"removed": removed})
-                                .encode("utf-8"))
-                    return
-                digest = self._digest()
-                if digest is None:
-                    self._reply(404)
-                    return
-                try:
-                    cache._path(digest).unlink()
-                except OSError:
-                    self._reply(404)
-                    return
-                self._reply(200)
-
-        self.cache = cache
-        self._server = ThreadingHTTPServer((host, port), Handler)
-        self._thread: Optional[Any] = None
-
-    @property
-    def url(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "CacheServer":
-        import threading
-
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.1},
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "CacheServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
-
-
 def make_store(spec: Union[str, Path, CacheStore, None]) -> Optional[CacheStore]:
-    """Build a :class:`CacheStore` from its spec string.
-
-    ``http://`` / ``https://`` URLs become an :class:`HttpCacheStore`;
-    anything else is a local directory path (:class:`CampaignCache`).  An
-    existing store instance passes through; None stays None.  The spec
-    round-trips through :meth:`CacheStore.describe`, which is how the TCP
-    transport hands the coordinator's store to remote worker agents.
+    """Build a :class:`CacheStore` from its spec string: a local directory
+    path (:class:`CampaignCache`).  An existing store instance passes
+    through; None stays None.  A URL is a ``ValueError``: only a directory
+    path is supported.  The spec round-trips through
+    :meth:`CacheStore.describe`.
     """
     if spec is None or isinstance(spec, CacheStore):
         return spec
     text = str(spec)
-    if text.startswith("http://") or text.startswith("https://"):
-        return HttpCacheStore(text)
+    if "://" in text:
+        raise ValueError(
+            f"cache store {text!r}: only a directory path is supported"
+        )
     return CampaignCache(text)
 
 
 __all__ = [
-    "CLUSTER_REGISTRY_DIRNAME",
     "CacheCorruptionWarning",
-    "CacheServer",
     "CacheStore",
     "CampaignCache",
     "EnvelopeError",
-    "HttpCacheStore",
-    "MAX_ENVELOPE_BYTES",
     "decode_envelope",
     "elide_snapshot",
     "encode_envelope",

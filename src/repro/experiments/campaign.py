@@ -9,40 +9,29 @@ that grid into a batch workload:
   ``os.cpu_count()``);
 * every run's master seed is derived from its ``(scenario, replication)``
   key via :func:`repro.sim.rng.derive_run_seed`, so metrics are
-  bit-identical whatever the worker count, pool mode, batching, or
-  execution order;
+  bit-identical whatever the worker count, batching, or execution order;
 * completed runs are memoised in a :class:`CampaignCache` — an on-disk
   content-addressed store keyed by the hash of the run's full configuration
   plus the code schema version — so re-running a campaign only executes
   scenarios whose parameters (or the simulator itself) changed.
 
-One loop, three transports.  :func:`_run_pool` is the only supervisor: it
+One loop, one local pool.  :func:`_run_pool` is the only supervisor: it
 alone knows how attempts are retried, backed off, quarantined, timed out,
-drained and reported.  A ``pool_mode`` says where the workers live; the
-:mod:`~repro.experiments.transport` the loop talks to them through
-follows from it:
+drained and reported.  It talks to its workers through a
+:mod:`~repro.experiments.transport`:
+:class:`~repro.experiments.transport.PipeTransport`'s long-lived workers,
+each forked once, pull batches of up to ``PipeTransport.prefetch`` units
+over a duplex pipe and stream one result back per unit, so interpreter
+startup and module import are amortised over the whole campaign.  With
+``jobs == 1`` and no watchdog there is no pool at all:
+:class:`~repro.experiments.transport.InlineTransport` executes each unit
+in the coordinating process when the loop dispatches it — the debugging
+path (breakpoints and monkeypatches apply directly; Ctrl-C propagates).
 
-* ``"warm"`` (default) — :class:`~repro.experiments.transport.
-  PipeTransport`: long-lived workers, each forked once, pull batches of
-  up to ``PipeTransport.prefetch`` units over a duplex pipe and stream
-  one result back per unit, so interpreter startup and module import are
-  amortised over the whole campaign.  With ``jobs == 1`` and no watchdog
-  there is no pool at all: :class:`~repro.experiments.transport.
-  InlineTransport` executes each unit in the coordinating process when
-  the loop dispatches it — the debugging path (breakpoints and
-  monkeypatches apply directly; Ctrl-C propagates).
-* ``"cluster"`` — :class:`~repro.experiments.transport.TcpTransport`:
-  worker *agents* (``repro-muzha worker --connect HOST:PORT``) dial the
-  coordinator's listener — from other hosts, or self-spawned locally —
-  and pull units through the same work-stealing dispatch.  Agents may
-  join late; a dead connection requeues its in-flight unit un-charged
-  (the wire died, not necessarily the work).  Shards share one
-  content-addressed cache via :mod:`repro.experiments.cachestore`.
-
-Because the policy lives in one place, every mode reports the same way:
-workers are ``w<n>`` (``host:w<n>`` for agents), each attempt is one
-``unit-attempt`` span, and a failed attempt waits
-:meth:`RetryPolicy.retry_delay` before its retry — in-process included.
+Because the policy lives in one place, both report the same way: workers
+are ``w<n>``, each attempt is one ``unit-attempt`` span, and a failed
+attempt waits :meth:`RetryPolicy.retry_delay` before its retry —
+in-process included.
 
 Self-healing: each attempt runs under the supervisor with an optional
 wall-clock watchdog (:class:`RetryPolicy.task_timeout`).  A worker that
@@ -60,10 +49,10 @@ hits short-circuit before dispatch: a fully cached campaign never starts
 a worker at all.
 
 Determinism contract: ``run_campaign(grid)`` is a pure function of the grid
-and the campaign seed — pool mode included.  Per-unit seeds are derived in
+and the campaign seed — worker count included.  Per-unit seeds are derived in
 :func:`plan_campaign` before any dispatch, so which worker executes a
 unit (and in which batch) is invisible in the results.  The property tests
-in ``tests/props/test_campaign_determinism.py`` and the pool-mode
+in ``tests/props/test_campaign_determinism.py`` and the pool
 byte-identity tests in ``tests/integration/test_pool_modes.py`` hold this
 module to it.
 """
@@ -84,17 +73,11 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, 
 from ..obs.engine import CampaignTelemetry
 from ..obs.provenance import canonical_json
 from ..sim.rng import derive_run_seed
-from .cachestore import CLUSTER_REGISTRY_DIRNAME, CacheStore, CampaignCache
+from .cachestore import CacheStore
 from .config import CACHE_SCHEMA_VERSION, ScenarioConfig, stable_digest
 from .journal import CampaignJournal, JournalReplay
 from .runner import RunResult, RunSpec, execute_run
-from .transport import (
-    InlineTransport,
-    PipeTransport,
-    TcpTransport,
-    Transport,
-    TransportError,
-)
+from .transport import InlineTransport, PipeTransport, Transport
 
 PathLike = Union[str, Path]
 
@@ -111,9 +94,9 @@ CRASH_ONCE_ENV = "REPRO_CAMPAIGN_CRASH_ONCE"
 #: campaigns run through unimpeded.
 BARRIER_ENV = "REPRO_CAMPAIGN_BARRIER"
 
-#: Where :func:`run_campaign`'s workers live: forked on this host, or
-#: behind a TCP listener.
-POOL_MODES = ("warm", "cluster")
+#: The ``pool_mode`` values :func:`run_campaign` accepts: its one local
+#: pool of forked workers.
+POOL_MODES = ("warm",)
 
 
 class GracefulShutdown:
@@ -483,7 +466,7 @@ def _execute_unit(
 
 @dataclass
 class _PoolWorker:
-    """Supervisor bookkeeping for one connected worker (any transport).
+    """Supervisor bookkeeping for one worker (any transport).
 
     ``batch`` lists the (run, attempt) pairs currently dispatched to the
     worker, in execution order: the head is the unit executing right now,
@@ -492,7 +475,7 @@ class _PoolWorker:
     """
 
     link: Any  # transport.WorkerLink
-    wid: str = ""  # telemetry worker id ("w<n>", or "host:w<n>" for agents)
+    wid: str = ""  # telemetry worker id ("w<n>")
     batch: List[Tuple[CampaignRun, int]] = field(default_factory=list)
     deadline: Optional[float] = None
 
@@ -510,43 +493,28 @@ def _run_pool(
     quarantine: Callable[[FailedRun], None],
     telemetry: Optional[CampaignTelemetry] = None,
     shutdown: Optional[GracefulShutdown] = None,
-    store_hit: Optional[
-        Callable[[CampaignRun, Dict[str, Any], Optional[Dict[str, Any]]], None]
-    ] = None,
 ) -> None:
     """Run ``pending`` on a work-stealing pool of supervised workers.
 
-    The one supervisor loop behind every ``pool_mode``: ``transport``
-    provides the :class:`~repro.experiments.transport.WorkerLink` objects
-    — the coordinating process itself (``InlineTransport``), forked pipe
-    workers (``PipeTransport``) or TCP worker agents (``TcpTransport``)
-    — and the loop waits on links and the transport's listener alike, so
-    agents can join mid-campaign and immediately start stealing units from
-    the shared ready-queue.  The
-    retry, quarantine, watchdog, drain and telemetry policy lives here
-    and nowhere else:
+    ``transport`` provides the :class:`~repro.experiments.transport.
+    WorkerLink` objects — the coordinating process itself
+    (``InlineTransport``) or forked pipe workers (``PipeTransport``) —
+    and idle workers pull from one shared ready-queue.  The retry,
+    quarantine, watchdog, drain and telemetry policy lives here and
+    nowhere else:
 
-    * a local worker that dies (crash, ``os._exit``, kill) is detected via
-      pipe EOF; the unit it was executing is charged a failed attempt, the
-      rest of its batch is requeued un-charged, and a fresh worker is
-      spawned to keep the pool at strength;
-    * a *remote* link that drops mid-unit requeues its head unit
-      **un-charged** — the connection died, not necessarily the work — but
-      a unit that keeps killing its connections is charged after
-      ``policy.max_retries + 1`` disconnects, so a poison unit cannot loop
-      forever;
+    * a worker that dies (crash, ``os._exit``, kill) is detected via pipe
+      EOF; the unit it was executing is charged a failed attempt, the rest
+      of its batch is requeued un-charged, and a fresh worker is spawned to
+      keep the pool at strength;
     * a reply that is not for its worker's head unit is never stored: the
-      link is severed and handled as a death, on every transport;
+      link is severed and handled as a crash;
     * a worker whose head unit overstays ``policy.task_timeout`` is
-      killed/severed by the watchdog and replaced the same way;
+      killed by the watchdog and replaced the same way;
     * failed attempts retry with exponential backoff (the backoff clock
       lives in the ready-queue, so a waiting retry never blocks a worker);
     * units that exhaust their retries are quarantined and the campaign
       completes without them.
-
-    Remote agents consult the shared cache store before executing and may
-    answer ``hit`` instead of ``ok``; ``store_hit`` records those as cached
-    completions (same metrics bytes, so fingerprints are untouched).
 
     ``shutdown.requested`` turns the loop into a drain: no new spawns or
     dispatches, in-flight batches are awaited until ``shutdown.abort``
@@ -562,30 +530,16 @@ def _run_pool(
     backoff: List[Tuple[float, CampaignRun, int]] = []
     workers: Dict[Any, _PoolWorker] = {}  # link -> worker
     worker_serial = itertools.count(1)
-    #: Mid-unit disconnect count per unit index (remote links only).
-    disconnects: Dict[int, int] = {}
     #: Workers lost to a crash or the watchdog and not yet replaced.
     lost = 0
-
-    def register(link: Any, replacement: bool = False) -> None:
-        serial = next(worker_serial)
-        wid = (
-            f"{link.host}:w{serial}" if link.remote else f"w{serial}"
-        )
-        workers[link] = _PoolWorker(link=link, wid=wid)
-        if telemetry is not None:
-            telemetry.worker_spawned(
-                wid,
-                link.pid if link.pid_is_local else None,
-                replacement=replacement,
-                host=link.host,
-            )
 
     def spawn() -> None:
         nonlocal lost
         link = transport.spawn()
-        if link is not None:  # TCP agents join later through accept()
-            register(link, replacement=lost > 0)
+        wid = f"w{next(worker_serial)}"
+        workers[link] = _PoolWorker(link=link, wid=wid)
+        if telemetry is not None:
+            telemetry.worker_spawned(wid, link.pid, replacement=lost > 0)
         lost = max(0, lost - 1)
 
     def fail(worker: _PoolWorker, run: CampaignRun, attempt: int,
@@ -631,28 +585,13 @@ def _run_pool(
     def on_worker_death(worker: _PoolWorker, kill: bool = False) -> None:
         retire(worker, kill)
         code = worker.link.exitcode
-        reason = "disconnect" if worker.link.remote else "crash"
         if worker.batch:
             run, attempt = worker.batch.pop(0)
-            if not worker.link.remote:
-                fail(worker, run, attempt, "crash",
-                     f"worker crashed (exit code {code})")
-            else:
-                # The *connection* died; the work itself may be blameless
-                # (agent host rebooted, network blip).  Requeue un-charged —
-                # but cap it: a unit that repeatedly takes its connection
-                # down with it is eventually charged like a local crash.
-                seen = disconnects.get(run.index, 0) + 1
-                disconnects[run.index] = seen
-                if seen <= policy.max_retries + 1:
-                    ready.append((run, attempt))
-                else:
-                    fail(worker, run, attempt, "crash",
-                         f"connection lost mid-unit {seen} times "
-                         f"(last exit code {code})")
+            fail(worker, run, attempt, "crash",
+                 f"worker crashed (exit code {code})")
             requeue_innocent(worker)
         if telemetry is not None:
-            telemetry.worker_exited(worker.wid, reason, exitcode=code)
+            telemetry.worker_exited(worker.wid, "crash", exitcode=code)
 
     def on_worker_timeout(worker: _PoolWorker) -> None:
         retire(worker, kill=True)
@@ -673,19 +612,14 @@ def _run_pool(
             if worker.batch and policy.task_timeout is not None
             else None
         )
-        kind = message[0]
-        if kind in ("ok", "hit"):
-            cached = kind == "hit"
+        if message[0] == "ok":
             if telemetry is not None:
                 telemetry.unit_result(
-                    worker.wid, run.index, attempt, "ok", cached=cached,
+                    worker.wid, run.index, attempt, "ok",
                     scenario=run.scenario[:12], replication=run.replication,
                     manifest=message[3],
                 )
-            if cached and store_hit is not None:
-                store_hit(run, message[2], message[3])
-            else:
-                store(run, message[2], message[3])
+            store(run, message[2], message[3])
         else:
             fail(worker, run, attempt, "error", message[2])
 
@@ -693,9 +627,8 @@ def _run_pool(
         """Hand ready units to idle workers, ``transport.prefetch`` each.
 
         This *is* the work-stealing: the queue is shared, idle workers
-        (however they joined, whenever they joined) pull from it, and the
-        per-worker grain shrinks as more workers show up, so a late joiner
-        steals its share of whatever remains.
+        pull from it, and the per-worker grain shrinks as the queue does,
+        so the tail of a campaign spreads over every worker.
         """
         idle = [w for w in workers.values() if w.idle]
         if not idle:
@@ -743,11 +676,9 @@ def _run_pool(
             else:
                 # Bring the pool to strength and keep it there: crashed
                 # workers are succeeded as long as there is (or will
-                # be) work for them.  Spawns that join asynchronously (TCP
-                # agents) are counted via ``pending_spawns`` so a slow
-                # joiner is not double-spawned.
+                # be) work for them.
                 while transport.can_spawn and (
-                    len(workers) + transport.pending_spawns < target_workers
+                    len(workers) < target_workers
                 ) and (
                     ready or backoff
                     or any(not w.idle for w in workers.values())
@@ -772,30 +703,22 @@ def _run_pool(
             future_ready = [at for at, _, _ in backoff if at > now]
             if future_ready:
                 timeout = min(timeout, max(0.0, min(future_ready) - now))
-            ready_objs = multiprocessing.connection.wait(
-                list(workers) + transport.waitables, timeout=timeout
-            )
-            accepted = False
-            for obj in ready_objs:
-                worker = workers.get(obj)
-                if worker is None:
-                    accepted = True  # the transport listener is readable
-                    continue
+            for link in multiprocessing.connection.wait(
+                list(workers), timeout=timeout
+            ):
+                worker = workers[link]
                 try:
                     message = worker.link.recv()
-                except (EOFError, OSError, TransportError):
+                except (EOFError, OSError):
                     on_worker_death(worker)
                     continue
                 if worker.batch and message[1] == worker.batch[0][0].index:
                     on_message(worker, message)
                 else:
                     # A reply is only ever for the head unit.  Anything else
-                    # (a confused or hostile agent) would be stored as the
-                    # head unit's result: sever the link instead.
+                    # (a confused worker) would be stored as the head unit's
+                    # result: sever the link instead.
                     on_worker_death(worker, kill=True)
-            if accepted:
-                for link in transport.accept():
-                    register(link)
             now = time.monotonic()
             for worker in [
                 w for w in workers.values()
@@ -808,22 +731,6 @@ def _run_pool(
 
 
 ProgressFn = Callable[[RunRecord, int, int], None]
-
-
-def cluster_transport(cache: Optional[CacheStore], **options: Any) -> TcpTransport:
-    """The (unopened) TCP transport of a cluster campaign over ``cache``.
-
-    Agents are offered the cache's spec so every shard shares one store,
-    and a directory cache hosts the liveness registry (``<cache>/.cluster``).
-    ``options`` are :class:`TcpTransport`'s ``listen`` / ``spawn_agents``.
-    """
-    registry = None
-    if isinstance(cache, CampaignCache):
-        registry = cache.root / CLUSTER_REGISTRY_DIRNAME
-    return TcpTransport(
-        cache_spec=cache.describe() if cache is not None else None,
-        registry=registry, **options,
-    )
 
 
 def run_campaign(
@@ -839,14 +746,13 @@ def run_campaign(
     journal: Optional[CampaignJournal] = None,
     resume: Optional[JournalReplay] = None,
     shutdown: Optional[GracefulShutdown] = None,
-    transport: Optional[Transport] = None,
 ) -> CampaignResult:
     """Run every ``(spec, replication)`` in ``grid``; return ordered records.
 
     ``jobs`` is the worker-process count (default ``os.cpu_count()``; ``1``
-    with no watchdog executes in-process).  ``cache`` (any
-    :class:`~repro.experiments.cachestore.CacheStore` — a local directory
-    or an HTTP store) enables the memo: hits skip execution entirely —
+    with no watchdog executes in-process).  ``cache`` (a
+    :class:`~repro.experiments.cachestore.CacheStore`) enables the memo:
+    hits skip execution entirely —
     they are resolved before any worker is dispatched, so a fully cached
     campaign never starts a pool.
     ``progress`` is invoked once per finished run — from the coordinating
@@ -855,20 +761,11 @@ def run_campaign(
     (watchdog timeout, retries, backoff); units that exhaust their retries
     land in ``CampaignResult.failed`` and the campaign still completes.
 
-    ``pool_mode`` says where the workers live (see the module docstring):
-    ``"warm"`` (persistent workers forked from this process, the default)
-    or ``"cluster"`` (worker agents join over TCP and a mid-unit
-    disconnect requeues the unit un-charged).  ``jobs == 1`` with no
-    watchdog runs the units in this process instead of a ``warm`` pool —
-    a single-slot pool buys nothing over running them directly — but
-    never in ``cluster`` mode, where even one worker lives behind the
-    transport.  ``transport`` lets a ``cluster`` caller supply a pre-opened
-    :class:`~repro.experiments.transport.TcpTransport` (to pin the listen
-    address, disable agent self-spawn, or reuse warmed agents across
-    campaigns); by default ``cluster`` opens a loopback transport that
-    keeps itself at ``jobs`` local agents.  A transport this function
-    opened, it also closes.  Passing ``transport`` with ``"warm"`` is a
-    ``ValueError``: the local pool builds its own.
+    ``pool_mode`` accepts only ``"warm"`` (persistent workers forked from
+    this process; see the module docstring) and is recorded in the journal
+    and the telemetry.  ``jobs == 1`` with no watchdog runs the units in
+    this process instead — a single-slot pool buys nothing over running
+    them directly.
 
     ``telemetry`` (a :class:`repro.obs.engine.CampaignTelemetry`) streams
     spans, coordinator events, worker heartbeats and progress over NDJSON as
@@ -888,17 +785,12 @@ def run_campaign(
     ``interrupted=True`` and the journal closes resumable.
 
     The returned records are always in grid order, and their metrics are
-    byte-identical for any ``jobs`` value and any ``pool_mode`` — resumed
-    or not: seeds come from :func:`plan_campaign`, never from scheduling.
+    byte-identical for any ``jobs`` value — resumed or not: seeds come from
+    :func:`plan_campaign`, never from scheduling.
     """
     if pool_mode not in POOL_MODES:
         raise ValueError(
             f"unknown pool_mode {pool_mode!r}; expected one of {POOL_MODES}"
-        )
-    if transport is not None and pool_mode != "cluster":
-        raise ValueError(
-            f"transport= conflicts with pool_mode {pool_mode!r}: the local "
-            'pool builds its own transport; pass pool_mode="cluster" to use it'
         )
     runs = plan_campaign(grid, replications=replications, base_seed=base_seed)
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
@@ -919,35 +811,15 @@ def run_campaign(
     done = 0
     evictions_before = cache.evictions if cache is not None else 0
 
-    # Cluster mode opens its transport before the journal's begin record is
-    # written, so the record can carry the coordinator's endpoint — that is
-    # what lets a resume (and the doctor) reason about the previous
-    # generation's cluster.  Ownership rule: whoever transitioned the
-    # transport to open closes it, so a caller-provided pre-opened
-    # transport (a bench reusing warmed agents) survives this campaign.
-    owns_transport = False
-    transport_info: Optional[Dict[str, Any]] = None
-    if pool_mode == "cluster":
-        if transport is None:
-            transport = cluster_transport(cache)
-        owns_transport = transport.open()
-        if getattr(transport, "cache_spec", None) is None and cache is not None:
-            transport.cache_spec = cache.describe()
-        transport_info = transport.info()
-
     if telemetry is not None:
-        extra: Dict[str, Any] = {}
-        if transport_info is not None and "endpoint" in transport_info:
-            extra["transport"] = transport_info["endpoint"]
         telemetry.begin_campaign(
             len(runs), pool_mode, jobs,
-            base_seed=base_seed, replications=replications, **extra,
+            base_seed=base_seed, replications=replications,
         )
     if journal is not None:
         journal.begin(
             runs, pool_mode=pool_mode, base_seed=base_seed,
             replications=replications, resumed=resume is not None,
-            transport=transport_info,
         )
         if resume is not None and len(resume.planned) < len(runs):
             # The first generation was killed inside its write-ahead step.
@@ -1041,34 +913,15 @@ def run_campaign(
         finish(RunRecord(run=run, metrics=metrics, cached=False,
                          manifest=manifest))
 
-    def store_hit(run: CampaignRun, metrics: Dict[str, Any],
-                  manifest: Optional[Dict[str, Any]]) -> None:
-        # A remote agent answered from the shared cache store: same bytes
-        # as an execution (the fingerprint cannot tell), recorded as a
-        # cached completion.  The result already lives in the shared
-        # store, so no local put.
-        if telemetry is not None:
-            telemetry.cache_hit(run.index, run.digest)
-        if journal is not None:
-            journal.done(run, stable_digest(metrics), cached=True)
-        finish(RunRecord(run=run, metrics=metrics, cached=True,
-                         manifest=manifest))
-
-    try:
-        if pending:
-            if pool_mode == "cluster":
-                pool = transport
-            elif jobs == 1 and policy.task_timeout is None:
-                # A single-slot pool with no watchdog buys nothing over
-                # running the units right here.
-                pool = InlineTransport(_execute_unit)
-            else:
-                pool = PipeTransport(_execute_unit)
-            _run_pool(pool, pending, jobs, policy, store, quarantine,
-                      telemetry, shutdown, store_hit=store_hit)
-    finally:
-        if owns_transport:
-            transport.close()
+    if pending:
+        if jobs == 1 and policy.task_timeout is None:
+            # A single-slot pool with no watchdog buys nothing over
+            # running the units right here.
+            pool: Transport = InlineTransport(_execute_unit)
+        else:
+            pool = PipeTransport(_execute_unit)
+        _run_pool(pool, pending, jobs, policy, store, quarantine,
+                  telemetry, shutdown)
 
     failed.sort(key=lambda f: f.run.index)
     evictions = (cache.evictions - evictions_before) if cache is not None else 0

@@ -41,15 +41,7 @@ debris.  This module walks any of the five and reports (or, with
   (``spans-schema``), a log without exactly one root campaign span
   (``spans-roots``), and spans opened but never closed — the signature of
   a killed campaign (a warning; ``repro-muzha report`` renders such logs
-  as partial);
-* **stale cluster registrations** — liveness files under the cache's
-  ``.cluster/`` registry whose process is gone (local pid) or whose
-  coordinator endpoint no longer answers (remote host): the debris of a
-  killed distributed campaign (repair deletes them);
-* **cluster endpoints in interrupted journals** — a ``begin`` record
-  carrying a transport endpoint is probed: still answering means the
-  campaign may still be running (resuming risks double execution), dead
-  means it is safe to resume (resumes never reconnect).
+  as partial).
 
 Every diagnosis is a :class:`Finding`; nothing here ever *executes* a
 simulation, takes the cache lock for reads, or mutates anything unless
@@ -59,8 +51,6 @@ simulation, takes the cache lock for reads, or mutates anything unless
 from __future__ import annotations
 
 import json
-import os
-import socket
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -71,7 +61,7 @@ from ..obs.provenance import manifest_consistent
 from ..obs.report import fold_spans
 from ..obs.schema import line_check, load_schema, validate
 from .cachestore import (
-    CLUSTER_REGISTRY_DIRNAME,
+    SHARD_GLOB,
     CampaignCache,
     EnvelopeError,
     decode_envelope,
@@ -138,98 +128,6 @@ def _remove(path: Path) -> bool:
         return False
 
 
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` is a live process on *this* host."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - alive but not ours
-        return True
-    except OSError:  # pragma: no cover - exotic platform failure
-        return False
-    return True
-
-
-def _endpoint_alive(endpoint: str, timeout: float = 0.5) -> bool:
-    """Whether a ``host:port`` coordinator endpoint accepts connections.
-
-    A bare connect-and-close: the coordinator's accept loop treats a
-    connection that sends no ``hello`` as a garbage connect and drops it
-    silently, so probing a live campaign is harmless.
-    """
-    try:
-        host, _, port = endpoint.rpartition(":")
-        with socket.create_connection((host, int(port)), timeout=timeout):
-            return True
-    except (OSError, ValueError):
-        return False
-
-
-def _diagnose_cluster_registry(root: Path, repair: bool) -> List[Finding]:
-    """Findings for the ``.cluster/`` liveness registry of one cache.
-
-    :class:`~repro.experiments.transport.TcpTransport` writes one JSON
-    file per coordinator/worker and removes them on a clean close, so
-    anything still here belongs to a campaign that is either *running*
-    (pid alive / endpoint answering — reported as info, never repaired)
-    or *dead* (stale registration — repair deletes it).
-    """
-    registry = root / CLUSTER_REGISTRY_DIRNAME
-    findings: List[Finding] = []
-    if not registry.is_dir():
-        return findings
-    local_host = socket.gethostname()
-    for path in sorted(registry.glob("*.json")):
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-            kind = str(record["kind"])
-            host = str(record["host"])
-            pid = int(record["pid"])
-            endpoint = str(record["endpoint"])
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            finding = Finding(
-                "warn", "cluster-registry-corrupt", str(path),
-                f"unreadable cluster registration: {exc}",
-            )
-            if repair:
-                finding.repaired = _remove(path)
-            findings.append(finding)
-            continue
-        if host == local_host and pid > 0:
-            alive = _pid_alive(pid)
-            how = f"pid {pid} is {'alive' if alive else 'gone'}"
-        else:
-            # Remote (or pid-less) registrant: the best liveness signal
-            # we have is whether its coordinator endpoint still answers.
-            alive = _endpoint_alive(endpoint)
-            how = (f"coordinator endpoint {endpoint} is "
-                   f"{'answering' if alive else 'not answering'}")
-        if alive:
-            findings.append(Finding(
-                "info", "cluster-active", str(path),
-                f"registered cluster {kind} on {host} looks live ({how}); "
-                "a distributed campaign may still be running",
-            ))
-            continue
-        finding = Finding(
-            "warn", "cluster-orphan", str(path),
-            f"stale cluster {kind} registration ({how}); the {kind} "
-            "exited without cleaning up",
-        )
-        if repair:
-            finding.repaired = _remove(path)
-        findings.append(finding)
-    if repair:
-        try:  # leave no empty registry behind once every file is gone
-            registry.rmdir()
-        except OSError:
-            pass
-    return findings
-
-
 def diagnose_cache(root: PathLike, repair: bool = False) -> List[Finding]:
     """Findings for one campaign cache directory."""
     root = Path(root)
@@ -243,12 +141,8 @@ def diagnose_cache(root: PathLike, repair: bool = False) -> List[Finding]:
     # Orphaned write-in-progress files: the current hidden pid-unique form
     # (.<digest>.<pid>.tmp) and the legacy <digest>.tmp form both end in
     # .tmp, and pathlib's ``*`` matches dotfiles, so one glob covers both.
-    # That same dotfile matching would also pull in the ``.cluster/``
-    # liveness registry, which is not envelope-shaped — skip it here and
-    # diagnose it separately below.
-    for tmp in sorted(root.glob("*/*.tmp")):
-        if tmp.parent.name == CLUSTER_REGISTRY_DIRNAME:
-            continue
+    # Only the shard directories ``put`` writes are walked.
+    for tmp in sorted(root.glob(f"{SHARD_GLOB}/*.tmp")):
         finding = Finding(
             "warn", "orphan-tmp", str(tmp),
             "orphaned write-in-progress file (coordinator killed "
@@ -257,9 +151,7 @@ def diagnose_cache(root: PathLike, repair: bool = False) -> List[Finding]:
         if repair:
             finding.repaired = _remove(tmp)
         findings.append(finding)
-    for entry in sorted(root.glob("*/*.json")):
-        if entry.parent.name == CLUSTER_REGISTRY_DIRNAME:
-            continue
+    for entry in sorted(root.glob(f"{SHARD_GLOB}/*.json")):
         reason = _read_envelope(entry)
         if reason is None:
             continue
@@ -271,7 +163,6 @@ def diagnose_cache(root: PathLike, repair: bool = False) -> List[Finding]:
         if repair:
             finding.repaired = _remove(entry)
         findings.append(finding)
-    findings.extend(_diagnose_cluster_registry(root, repair))
     return findings
 
 
@@ -325,26 +216,6 @@ def diagnose_journal(
             f"{replay.total} units remaining; resume with "
             "--resume",
         ))
-        # The latest generation's begin record carries the coordinator
-        # endpoint of a cluster run; probe it so the operator knows
-        # whether the interrupted campaign might still be alive.
-        endpoint = (replay.transport or {}).get("endpoint")
-        if endpoint:
-            if _endpoint_alive(str(endpoint)):
-                findings.append(Finding(
-                    "warn", "cluster-endpoint-live", str(path),
-                    f"interrupted cluster generation's coordinator "
-                    f"endpoint {endpoint} still answers — the campaign "
-                    "may still be running; resuming now risks executing "
-                    "units twice",
-                ))
-            else:
-                findings.append(Finding(
-                    "info", "cluster-endpoint-stale", str(path),
-                    f"interrupted cluster generation's coordinator "
-                    f"endpoint {endpoint} no longer answers; safe to "
-                    "resume (resumes never reconnect to it)",
-                ))
     if cache is None:
         return findings
     store = CampaignCache(cache)

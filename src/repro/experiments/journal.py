@@ -61,7 +61,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.ndjson import (
-    BLANK, BOOL, INT, NUM, OBJ, STR, LineCheck, NdjsonScan, Problem,
+    BLANK, BOOL, INT, NUM, STR, LineCheck, NdjsonScan, Problem,
     cut_torn_tail, encode_line, first_fatal, mistyped, scan,
 )
 from ..obs.provenance import stable_digest
@@ -193,8 +193,7 @@ class CampaignJournal:
     # -- campaign lifecycle ------------------------------------------------------
 
     def begin(self, runs: Sequence[Any], *, pool_mode: str, base_seed: int,
-              replications: int, resumed: bool,
-              transport: Optional[Dict[str, Any]] = None) -> None:
+              replications: int, resumed: bool) -> None:
         """Journal the campaign plan — the write-ahead step.
 
         Written (and fsynced) *before* any dispatch, so even a campaign
@@ -202,15 +201,8 @@ class CampaignJournal:
         per-unit ``planned`` records are written once, by the first
         generation; a resume generation re-states only the ``plan_digest``
         (verified against the original by :meth:`JournalReplay.verify_plan`).
-
-        ``transport`` (cluster campaigns) records the coordinator's
-        transport — ``{"kind": "tcp", "endpoint": "host:port"}`` — purely
-        as provenance: resumes never reconnect to it (the endpoint is dead
-        by definition once a resume is needed), but ``repro-muzha doctor``
-        probes it to tell a stale interrupted journal from a campaign that
-        is still running.
         """
-        record: Dict[str, Any] = {
+        self.write({
             "kind": "begin",
             "t": time.time(),
             "schema": JOURNAL_SCHEMA_VERSION,
@@ -220,10 +212,7 @@ class CampaignJournal:
             "pool_mode": pool_mode,
             "plan_digest": plan_digest(runs),
             "resumed": resumed,
-        }
-        if transport is not None:
-            record["transport"] = transport
-        self.write(record)
+        })
         self.plan(() if resumed else runs)
 
     def plan(self, runs: Sequence[Any]) -> None:
@@ -313,9 +302,6 @@ class JournalReplay:
     interrupted: bool = True
     truncated_tail: bool = False
     last_end: Optional[Dict[str, Any]] = None
-    #: The last generation's ``begin.transport`` (a cluster coordinator's
-    #: endpoint), None for the local pool modes.
-    transport: Optional[Dict[str, Any]] = None
     violations: List[Problem] = field(default_factory=list)
 
     @property
@@ -385,8 +371,6 @@ def _unreadable(kind: Any, record: Dict[str, Any]) -> Optional[str]:
         return f"unknown record kind {kind!r}"
     if tuple(map(type, map(record.get, names, _MISSING))) not in signatures:
         return mistyped(kind, record, _JOURNAL_KIND_REQUIRED[kind])
-    if "transport" in record:  # the one optional field the fold reads
-        return mistyped(kind, record, {"transport": OBJ})
     return None
 
 
@@ -451,7 +435,6 @@ def fold_journal(journal: JournalScan,
                 continue
             replay.generations += 1
             open_generation = True
-            replay.transport = record.get("transport")
         elif kind == "planned":
             replay.planned[record["index"]] = record
         elif kind == "end":

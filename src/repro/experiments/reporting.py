@@ -48,10 +48,10 @@ def format_coexistence(
 def ascii_series(
     series: Sequence[Tuple[float, float]],
     width: int = 64,
-    height: int = 12,
     label: str = "",
 ) -> str:
-    """Tiny ASCII line chart of an (x, y) series (for examples / benches)."""
+    """Tiny ASCII line chart, twelve rows tall, of an (x, y) series (for
+    examples / benches)."""
     if not series:
         return f"{label}: (no data)"
     xs = [x for x, _ in series]
@@ -59,6 +59,7 @@ def ascii_series(
     y_max = max(ys) or 1.0
     x_min, x_max = min(xs), max(xs)
     span = (x_max - x_min) or 1.0
+    height = 12
     grid = [[" "] * width for _ in range(height)]
     for x, y in series:
         col = int((x - x_min) / span * (width - 1))

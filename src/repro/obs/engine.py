@@ -218,20 +218,15 @@ class CampaignTelemetry:
     # -- workers -----------------------------------------------------------------
 
     def worker_spawned(self, worker: str, pid: Optional[int],
-                       replacement: bool = False,
-                       host: Optional[str] = None) -> None:
-        """``pid`` must be a *local* pid or None: it feeds the ``/proc``
-        RSS gauge, which cannot see a remote agent's process.  ``host``
-        names the machine a cluster agent joined from."""
+                       replacement: bool = False) -> None:
+        """``pid`` (a process on this host, or None) feeds the ``/proc``
+        RSS gauge."""
         now = time.monotonic()
         self._workers[worker] = WorkerHealth(
             worker=worker, pid=pid, spawned_mono=now, state_since=now
         )
-        attrs: Dict[str, Any] = {"worker": worker, "pid": pid,
-                                 "replacement": replacement}
-        if host is not None:
-            attrs["host"] = host
-        self.event("worker.spawn", **attrs)
+        self.event("worker.spawn", worker=worker, pid=pid,
+                   replacement=replacement)
         if replacement:
             self._count("workers.replaced")
         self._count("workers.spawned")

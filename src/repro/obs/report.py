@@ -6,9 +6,8 @@ operator questions a silent batch run raises — how fast did it go, were
 the workers balanced, did the cache help, what failed and what was slow:
 
 * :func:`aggregate_span_log` folds a log into one plain-data summary
-  (campaign facts, throughput-over-time buckets, per-worker and per-host
-  utilization — cluster workers are named ``host:wN`` — cache hit ratio,
-  retry/quarantine tables, slowest-unit top-k);
+  (campaign facts, throughput-over-time buckets, per-worker utilization,
+  cache hit ratio, retry/quarantine tables, slowest-unit top-k);
 * :func:`format_report` renders that summary as the human-readable text
   the CLI prints (``--json`` emits the aggregate itself).
 
@@ -71,16 +70,6 @@ def _sparkline(values: Sequence[float]) -> str:
 
 class SpanLogError(ValueError):
     """The span log is missing the structure a report needs."""
-
-
-def _worker_host(wid: str) -> str:
-    """Host a worker id belongs to.
-
-    Cluster transports name remote workers ``host:wN`` while local pool
-    workers keep the bare ``wN`` form, so the id itself carries the
-    attribution (``w3`` → ``local``, ``nodeb:w2`` → ``nodeb``).
-    """
-    return wid.rsplit(":", 1)[0] if ":" in wid else "local"
 
 
 class SpanFold(NamedTuple):
@@ -258,32 +247,6 @@ def aggregate_span_log(
             entry.get("busy_s", 0.0) / active if active > 0 else 0.0
         )
 
-    # -- hosts (cluster runs) -------------------------------------------------
-    # Roll per-worker stats up by host so a distributed campaign shows
-    # where the work actually landed. Units completed come from the unit
-    # spans (authoritative even if a worker died between heartbeats).
-    hosts: Dict[str, Dict[str, Any]] = {}
-    for name, stats in workers.items():
-        entry = hosts.setdefault(_worker_host(name), {
-            "workers": 0, "units_done": 0, "failures": 0,
-            "busy_s": 0.0, "idle_s": 0.0,
-        })
-        entry["workers"] += 1
-        entry["units_done"] += stats.get("units_done", 0)
-        entry["failures"] += stats.get("failures", 0)
-        entry["busy_s"] += stats.get("busy_s", 0.0)
-        entry["idle_s"] += stats.get("idle_s", 0.0)
-    for unit in ok_units:
-        entry = hosts.setdefault(_worker_host(str(unit["worker"])), {
-            "workers": 0, "units_done": 0, "failures": 0,
-            "busy_s": 0.0, "idle_s": 0.0,
-        })
-        entry["units_ok"] = entry.get("units_ok", 0) + 1
-    for entry in hosts.values():
-        active = entry["busy_s"] + entry["idle_s"]
-        entry.setdefault("units_ok", 0)
-        entry["utilization"] = entry["busy_s"] / active if active > 0 else 0.0
-
     # -- events: cache / retries / workers ------------------------------------
     def count_events(name: str) -> int:
         return sum(1 for e in events if e.get("name") == name)
@@ -353,7 +316,6 @@ def aggregate_span_log(
         },
         "timeline": timeline,
         "workers": {w: workers[w] for w in sorted(workers)},
-        "hosts": {h: hosts[h] for h in sorted(hosts)},
         "cache": cache,
         "retries": {
             str(idx): retries[idx] for idx in sorted(
@@ -430,27 +392,6 @@ def format_report(summary: Dict[str, Any]) -> str:
             ["worker", "units", "fails", "busy_s", "idle_s", "util",
              "rss_kb"],
             rows, title="workers",
-        ))
-
-    hosts = summary.get("hosts") or {}
-    # A hosts rollup only says something the worker table does not when
-    # remote workers took part (any host other than the implicit local).
-    if any(host != "local" for host in hosts):
-        lines.append("")
-        rows = [
-            [
-                name,
-                stats.get("workers", 0),
-                stats.get("units_ok", 0),
-                stats.get("failures", 0),
-                f"{stats.get('busy_s', 0.0):.2f}",
-                f"{stats.get('utilization', 0.0) * 100:5.1f}%",
-            ]
-            for name, stats in hosts.items()
-        ]
-        lines.append(format_table(
-            ["host", "workers", "units", "fails", "busy_s", "util"],
-            rows, title="hosts",
         ))
 
     cache = summary["cache"]

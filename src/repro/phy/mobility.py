@@ -59,7 +59,6 @@ class RandomWaypointMobility:
         speed_range: Tuple[float, float] = (1.0, 5.0),
         pause_time: float = 2.0,
         tick_interval: float = 0.5,
-        rng_name: str = "mobility",
     ) -> None:
         lo, hi = speed_range
         if not 0 < lo <= hi:
@@ -75,7 +74,7 @@ class RandomWaypointMobility:
         self.speed_range = speed_range
         self.pause_time = pause_time
         self.tick_interval = tick_interval
-        self._rng = sim.stream(rng_name)
+        self._rng = sim.stream("mobility")
         self._states: Dict[Radio, _WaypointState] = {}
         self._timer = PeriodicTimer(sim, tick_interval, self._tick, name="mobility")
         self.ticks = 0

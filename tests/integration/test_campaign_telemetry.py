@@ -3,7 +3,7 @@
 A warm-pool campaign run with a span sink must produce a schema-valid
 NDJSON log whose unit count matches the ``CampaignResult``, with worker
 heartbeats and cache counters; fingerprints must be byte-identical with
-spans on or off wherever the workers live; and a telemetry subscriber
+spans on or off wherever the units run; and a telemetry subscriber
 detaching mid-run (the FlightRecorder pattern) must neither stall the
 trace bus nor perturb results.
 """
@@ -44,7 +44,6 @@ def small_grid():
 PLACEMENTS = {
     "inproc": {"jobs": 1},
     "warm": {"pool_mode": "warm"},
-    "cluster": {"pool_mode": "cluster"},
 }
 
 

@@ -101,14 +101,13 @@ def test_warm_pool_manifests_replay_via_verify_manifest(inproc_clean):
 PLACEMENTS = {
     "inproc": {"jobs": 1},
     "warm": {"jobs": 2, "pool_mode": "warm"},
-    "cluster": {"jobs": 2, "pool_mode": "cluster"},
 }
 
 
 @pytest.mark.parametrize("placement", PLACEMENTS)
 def test_a_cached_record_is_the_executed_record(tmp_path, placement):
-    """Whichever transport carried the result — the runner's own object,
-    a pickle over a pipe, JSON over TCP — the cache holds the metrics
+    """Whichever transport carried the result — the runner's own object or
+    a pickle over a pipe — the cache holds the metrics
     snapshot once, and a record resolved from it has the content *and*
     the aliasing of the record the execution produced."""
     import json

@@ -5,8 +5,7 @@ no orphan worker processes behind, write a valid resumable journal, exit
 with the distinct "interrupted, resumable" status (3) — and a subsequent
 ``--resume`` must execute exactly the remainder and land on a fingerprint
 byte-identical to an uninterrupted run.  Exercised on the ``warm`` pool
-and on ``--jobs 1`` (units run in the coordinator) here, on ``cluster``
-in ``test_cluster.py``.
+and on ``--jobs 1`` (units run in the coordinator).
 
 Timing is made deterministic with the :data:`BARRIER_ENV` hook: the
 worker executing the chosen unit touches ``<base>.ready`` and blocks

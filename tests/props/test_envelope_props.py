@@ -13,7 +13,6 @@ over arbitrary JSON trees and over a real entry
 """
 
 import copy
-import http.client
 import json
 import warnings
 from pathlib import Path
@@ -23,7 +22,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.experiments.cachestore import (
     CacheCorruptionWarning,
-    CacheServer,
     CampaignCache,
     EnvelopeError,
     _envelope_checksum,
@@ -209,22 +207,6 @@ def test_a_dropped_or_retyped_field_is_an_envelope_error(body, field, value):
     assert checked_decode(retyped(body, field, value)) is None
 
 
-@pytest.fixture(scope="module")
-def server(tmp_path_factory):
-    with CacheServer(tmp_path_factory.mktemp("served")) as running:
-        yield running
-
-
-def put(server, body):
-    host, port = server.url[len("http://"):].split(":")
-    connection = http.client.HTTPConnection(host, int(port), timeout=5.0)
-    try:
-        connection.request("PUT", f"/{DIGEST[:2]}/{DIGEST}.json", body=body)
-        return connection.getresponse().status
-    finally:
-        connection.close()
-
-
 damage = st.one_of(
     st.tuples(st.just("flip"), st.integers(0, len(OLD) - 1),
               st.integers(0, 7)),
@@ -238,8 +220,7 @@ damage = st.one_of(
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(how=damage)
-def test_stores_evict_and_servers_refuse_a_damaged_entry(
-        body, server, tmp_path, how):
+def test_the_store_evicts_a_damaged_entry(body, tmp_path, how):
     kind, where, bit = how
     if kind == "flip":
         damaged = bytearray(body)
@@ -260,10 +241,6 @@ def test_stores_evict_and_servers_refuse_a_damaged_entry(
     evicted = expected is None
     assert cache._path(DIGEST).exists() is not evicted
     assert [w.category for w in caught] == [CacheCorruptionWarning] * evicted
-
-    server.cache.clear()
-    assert put(server, damaged) == (400 if expected is None else 200)
-    assert server.cache.get(DIGEST) == expected  # 400: nothing was stored
 
 
 def record(scenario, replication, metrics):

@@ -2,9 +2,9 @@
 
 The supervisor loop (``campaign._run_pool``) knows its workers only
 through ``Transport``/``WorkerLink``, so a link that answers from a script
-exercises every failure branch of the loop — crash, disconnect, hang,
-failed send, late join — deterministically and in milliseconds, with no
-process to kill and no timing to hope for.
+exercises every failure branch of the loop — crash, hang, failed send,
+a reply for the wrong unit — deterministically and in milliseconds, with
+no process to kill and no timing to hope for.
 
 The script maps a unit index to the fate of its successive attempts::
 
@@ -13,16 +13,15 @@ The script maps a unit index to the fate of its successive attempts::
 Units (and attempts) the script does not mention succeed.  Fates:
 
 * ``OK`` / ``ERR`` — reply ``ok`` / ``err`` for the unit;
-* ``DIE`` — the link goes EOF while the unit executes (a crashed fork, or
-  with ``remote=True`` a dropped connection); units queued behind it in
-  the batch never run;
+* ``DIE`` — the link goes EOF while the unit executes (a crashed fork);
+  units queued behind it in the batch never run;
 * ``HANG`` — no reply, ever: only the watchdog gets the worker back;
 * ``LIE`` — reply ``ok`` under the index of a unit the worker was never
-  sent (a confused or hostile agent);
+  sent (a confused worker);
 * ``TWICE`` — reply ``ok`` for the unit, then once more, unasked.
 
 Links readable-signal through a self-pipe (one byte per buffered reply),
-the same ``fileno()`` contract the loop waits on for pipes and sockets.
+the same ``fileno()`` contract the loop waits on for pipes.
 """
 
 import collections
@@ -39,10 +38,8 @@ _EOF = object()
 class ScriptedLink(WorkerLink):
     """One scripted worker; records what the loop did to it."""
 
-    def __init__(self, transport, remote=False, host=None, send_fails=False):
+    def __init__(self, transport, send_fails=False):
         self.transport = transport
-        self.remote = remote
-        self.host = host
         self._send_fails = send_fails
         self._outbox = collections.deque()
         self._rfd, self._wfd = os.pipe()
@@ -92,8 +89,6 @@ class ScriptedLink(WorkerLink):
         item = self._outbox.popleft()
         if item is _EOF:
             raise EOFError("scripted: link died")
-        self.transport.replies += 1
-        self.transport.release_joiners()
         return item
 
     def _dispose(self, fate):
@@ -118,68 +113,33 @@ class ScriptedLink(WorkerLink):
 
 
 class ScriptedTransport(Transport):
-    """Factory of :class:`ScriptedLink`.
-
-    ``spawns`` models the pipe pool (``spawn()`` attaches a link at once);
-    ``joiners`` models cluster agents: ``(after_replies, link_kwargs)``
-    pairs, each becoming acceptable through the listener once the loop has
-    received that many replies (0 = present from the start).
-    ``link_kwargs`` is applied to spawned links in order (the last entry
-    repeats), e.g. ``[{"send_fails": True}, {}]`` makes only the first
-    worker die on its first send.
+    """Factory of :class:`ScriptedLink`, modelling the pipe pool:
+    ``spawn()`` attaches a link at once.  ``link_kwargs`` is applied to
+    spawned links in order (the last entry repeats), e.g.
+    ``[{"send_fails": True}, {}]`` makes only the first worker die on its
+    first send.
     """
 
-    name = "scripted"
+    can_spawn = True
 
-    def __init__(self, script=None, prefetch=1, spawns=True, link_kwargs=(),
-                 joiners=()):
+    def __init__(self, script=None, prefetch=1, link_kwargs=()):
         self.script = {k: list(v) for k, v in (script or {}).items()}
         self.prefetch = prefetch
-        self.can_spawn = spawns
         self._link_kwargs = list(link_kwargs)
-        self._joiners = sorted(joiners, key=lambda j: j[0])
-        self._listen_r, self._listen_w = os.pipe()
-        self._acceptable = []
         self.links = []
-        self.replies = 0
-        self.release_joiners()
 
     def next_fate(self, index):
         fates = self.script.get(index)
         return fates.pop(0) if fates else OK
-
-    def _make_link(self, **kwargs):
-        link = ScriptedLink(self, **kwargs)
-        self.links.append(link)
-        return link
 
     def spawn(self):
         kwargs = {}
         if self._link_kwargs:
             kwargs = (self._link_kwargs.pop(0) if len(self._link_kwargs) > 1
                       else self._link_kwargs[0])
-        return self._make_link(**kwargs)
-
-    def release_joiners(self):
-        while self._joiners and self._joiners[0][0] <= self.replies:
-            _, kwargs = self._joiners.pop(0)
-            self._acceptable.append(kwargs)
-            os.write(self._listen_w, b"\0")
-
-    @property
-    def waitables(self):
-        return [self._listen_r]
-
-    def accept(self):
-        links = []
-        while self._acceptable:
-            os.read(self._listen_r, 1)
-            links.append(self._make_link(**self._acceptable.pop(0)))
-        return links
-
-    def close(self):
-        os.close(self._listen_r)
-        os.close(self._listen_w)
+        link = ScriptedLink(self, **kwargs)
+        self.links.append(link)
+        return link
 
 
 class RecordingTelemetry:

@@ -1,5 +1,5 @@
 """``benchmarks/harness.py`` — the one report shape, the one gate and the
-one CLI of the three bench suites — driven with synthetic numbers: nothing
+one CLI of the two bench suites — driven with synthetic numbers: nothing
 here times anything."""
 
 import importlib.util
@@ -171,10 +171,10 @@ def test_committed_baselines_and_reports_have_the_one_shape(path):
 
 def test_every_suite_has_a_baseline():
     assert [path.stem for path in BASELINES] == [
-        f"bench_{suite}_baseline" for suite in ("campaign", "cluster", "kernel")]
+        f"bench_{suite}_baseline" for suite in ("campaign", "kernel")]
 
 
-@pytest.mark.parametrize("suite", ["kernel", "campaign", "cluster"])
+@pytest.mark.parametrize("suite", ["kernel", "campaign"])
 def test_suite_cli_has_exactly_three_options(suite):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     text = subprocess.run(

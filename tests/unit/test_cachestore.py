@@ -1,20 +1,17 @@
-"""Unit tests for the pluggable campaign result stores.
+"""Unit tests for the campaign result store.
 
 The local :class:`CampaignCache` behaviour (atomic writes, locking,
 corruption eviction) is covered by the campaign robustness suite; this
-file exercises what PR 10 added on top — the :class:`CacheStore` spec
-round-trip, the ``.cluster`` registry staying invisible to entry walks,
-and the HTTP store/server pair sharing one envelope contract with the
-directory store, including end-to-end corruption detection — and the one
-envelope encoding every store shares (PR 14): its bytes on disk are pinned,
-and entries written before it are still hits.
+file exercises the :class:`CacheStore` spec round-trip (a directory path,
+never a URL), that only the shard directories are cache content, and the
+one envelope encoding: its bytes on disk are pinned, and entries written
+before it are still hits.
 """
 
 import copy
 import hashlib
 import json
 import shutil
-import socket
 import sys
 from pathlib import Path
 
@@ -22,18 +19,15 @@ import pytest
 
 from repro.experiments import ScenarioConfig, chain_grid, run_campaign
 from repro.experiments.cachestore import (
-    CLUSTER_REGISTRY_DIRNAME,
-    MAX_ENVELOPE_BYTES,
     CacheCorruptionWarning,
-    CacheServer,
     CacheStore,
     CampaignCache,
     EnvelopeError,
-    HttpCacheStore,
     decode_envelope,
     encode_envelope,
     make_store,
 )
+from repro.experiments.doctor import diagnose_cache
 from repro.obs.provenance import stable_digest
 
 DIGEST = "ab" + "0" * 62
@@ -108,7 +102,7 @@ def test_an_entry_written_before_the_composed_encoding_is_a_hit(tmp_path):
     (b'{"checksum":"x"}', "malformed envelope"),
     (b'{"result":{}}', "malformed envelope"),
     (b'{"checksum":"x","result":{}}', "checksum mismatch"),
-    # 200 KB, far under MAX_ENVELOPE_BYTES: the parser's RecursionError
+    # 200 KB of brackets: the parser's RecursionError
     pytest.param(DEEP_ENVELOPE, "invalid JSON", id="deep-nesting"),
     pytest.param(b'{"checksum":"x","result":' + b"9" * 5000 + b"}",
                  "invalid JSON" if hasattr(sys, "get_int_max_str_digits")
@@ -205,9 +199,13 @@ def test_make_store_builds_each_kind(tmp_path):
     local = make_store(tmp_path / "cache")
     assert isinstance(local, CampaignCache)
     assert make_store(local) is local  # instances pass through
-    remote = make_store("http://127.0.0.1:9/cache")
-    assert isinstance(remote, HttpCacheStore)
-    assert isinstance(make_store("https://example/cache"), HttpCacheStore)
+
+
+@pytest.mark.parametrize("url", ["http://127.0.0.1:9/cache",
+                                 "https://example/cache"])
+def test_make_store_refuses_a_url(url):
+    with pytest.raises(ValueError, match="only a directory path"):
+        make_store(url)
 
 
 def test_describe_round_trips_through_make_store(tmp_path):
@@ -215,208 +213,29 @@ def test_describe_round_trips_through_make_store(tmp_path):
     rebuilt = make_store(local.describe())
     assert isinstance(rebuilt, CampaignCache)
     assert rebuilt.root == local.root.resolve()
-    remote = HttpCacheStore("http://127.0.0.1:9/cache/")
-    rebuilt = make_store(remote.describe())
-    assert isinstance(rebuilt, HttpCacheStore)
-    assert rebuilt.base_url == remote.base_url
 
 
 # ---------------------------------------------------------------------------
-# the .cluster registry is not cache content
+# only the shard directories are cache content
 
 
 def test_cluster_registry_is_invisible_to_entry_walks(tmp_path):
+    """A ``.cluster/`` liveness registry an earlier build left under the
+    cache root is neither an entry nor a corrupt one: every walk matches
+    only the two-hex-digit shard directories ``put`` writes."""
     cache = CampaignCache(tmp_path / "cache")
     cache.put(DIGEST, PAYLOAD)
-    registry = cache.root / CLUSTER_REGISTRY_DIRNAME
-    registry.mkdir()
-    liveness = registry / "coordinator-host-1.json"
-    liveness.write_text('{"kind": "coordinator"}')
+    leftover = cache.root / ".cluster" / "coordinator.json"
+    leftover.parent.mkdir()
+    leftover.write_text('{"kind": "coordinator"}')
+    (cache.root / ".cluster" / ".x.1.tmp").write_text("")
 
     assert len(cache) == 1
+    assert diagnose_cache(cache.root) == []
     assert cache.clear() == 1
-    assert liveness.is_file()  # clear() must not eat liveness records
+    assert leftover.is_file()  # clear() leaves what is not its own alone
     assert cache.get(DIGEST) is None
-
-
-# ---------------------------------------------------------------------------
-# HTTP store against a live CacheServer
-
-
-@pytest.fixture()
-def served(tmp_path):
-    with CacheServer(tmp_path / "cache") as server:
-        yield server, HttpCacheStore(server.url)
-
-
-def test_http_roundtrip_shares_envelopes_with_the_directory_store(served):
-    server, remote = served
-    assert remote.get(DIGEST) is None
-    remote.put(DIGEST, PAYLOAD)
-    assert remote.get(DIGEST) == PAYLOAD
-    assert DIGEST in remote
-    # Same envelope the local store would have written: a directory-store
-    # reader on the served root sees an identical payload.
-    assert server.cache.get(DIGEST) == PAYLOAD
-
-
-def test_http_clear_empties_the_store(served):
-    _, remote = served
-    remote.put(DIGEST, PAYLOAD)
-    remote.put(OTHER, PAYLOAD)
-    assert remote.clear() == 2
-    assert remote.get(DIGEST) is None
-
-
-@pytest.fixture()
-def clear_reply():
-    """A stub server whose ``DELETE /`` answers 200 with ``reply["body"]``."""
-    import threading
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-    reply = {}
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_DELETE(self):
-            body = reply["body"]
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}", reply
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join()
-
-
-@pytest.mark.parametrize("body, removed, errors", [
-    (b'{"removed": 3}', 3, 0),
-    (b'{"removed": 0}', 0, 0),
-    (b'{"removed": [1]}', 0, 1),
-    (b"[1]", 0, 1),
-    (b'{"removed": 1e400}', 0, 1),
-    (b'{"removed": -5}', 0, 1),
-    (b'{"removed": true}', 0, 1),
-    (b'{"removed": "7"}', 0, 1),
-    (b'{"removed": 2.9}', 0, 1),
-    # Nested past the JSON decoder's recursion limit.
-    pytest.param(b"[" * 100_000, 0, 1, id="deep-nesting"),
-])
-def test_http_clear_counts_only_a_non_negative_integer_reply(
-        clear_reply, body, removed, errors):
-    """Whatever the server says, ``clear()`` returns a count or 0 with one
-    more error: it never raises and never coerces a bool, a string, a float
-    or a negative number into a count."""
-    url, reply = clear_reply
-    reply["body"] = body
-    remote = HttpCacheStore(url)
-    assert remote.clear() == removed
-    assert remote.errors == errors
-
-
-def test_http_get_evicts_corrupt_entries(served):
-    server, remote = served
-    remote.put(DIGEST, PAYLOAD)
-    entry = server.cache._path(DIGEST)
-    envelope = json.loads(entry.read_text())
-    envelope["result"]["goodput"] = 999.0  # flip a byte past the checksum
-    entry.write_text(json.dumps(envelope))
-    with pytest.warns(CacheCorruptionWarning):
-        assert remote.get(DIGEST) is None
-    assert remote.evictions == 1
-    assert not entry.exists()  # the DELETE eviction reached the server
-
-
-def test_server_refuses_envelopes_with_bad_checksums(served):
-    server, remote = served
-    import urllib.error
-    import urllib.request
-
-    body = json.dumps({"result": {"x": 1}, "manifest": None,
-                       "checksum": "not-the-checksum"}).encode()
-    request = urllib.request.Request(
-        f"{server.url}/{DIGEST[:2]}/{DIGEST}.json", data=body, method="PUT"
-    )
-    with pytest.raises(urllib.error.HTTPError) as excinfo:
-        urllib.request.urlopen(request, timeout=5.0)
-    assert excinfo.value.code == 400
-    excinfo.value.close()
-    assert remote.get(DIGEST) is None  # the bad write never landed
-
-
-def raw_put(server, headers, body=b""):
-    """Status code of a hand-written PUT; the reply must come within 3 s."""
-    host, port = server.url[len("http://"):].split(":")
-    request = (f"PUT /{DIGEST[:2]}/{DIGEST}.json HTTP/1.1\r\n"
-               f"Host: {host}\r\n{headers}\r\n").encode("ascii") + body
-    with socket.create_connection((host, int(port)), timeout=3.0) as sock:
-        sock.sendall(request)
-        status_line = sock.makefile("rb").readline()
-    return int(status_line.split()[1])
-
-
-@pytest.mark.parametrize("headers, status", [
-    ("", 400),                                     # no Content-Length
-    ("Content-Length: abc\r\n", 400),              # used to raise ValueError
-    ("Content-Length: -1\r\n", 400),               # used to block in read(-1)
-    (f"Content-Length: {MAX_ENVELOPE_BYTES + 1}\r\n", 413),
-])
-def test_server_refuses_bad_content_lengths_before_reading(served, headers,
-                                                           status):
-    server, remote = served
-    body = encode_envelope(PAYLOAD["result"], PAYLOAD["manifest"])[0]
-    assert raw_put(server, headers, body) == status
-    assert remote.get(DIGEST) is None  # nothing was stored
-    # the handler thread survived: a well-formed PUT still lands
-    assert raw_put(server, f"Content-Length: {len(body)}\r\n", body) == 200
-    assert remote.get(DIGEST) == PAYLOAD
-
-
-def test_server_answers_400_to_a_deeply_nested_body(served):
-    server, remote = served
-    good = encode_envelope(PAYLOAD["result"], PAYLOAD["manifest"])[0]
-    assert raw_put(server, f"Content-Length: {len(DEEP_ENVELOPE)}\r\n",
-                   DEEP_ENVELOPE) == 400
-    assert remote.get(DIGEST) is None and len(server.cache) == 0
-    # the handler thread answered instead of dying: the next PUT lands
-    assert raw_put(server, f"Content-Length: {len(good)}\r\n", good) == 200
-
-
-def test_server_stores_a_body_of_the_earlier_layout_with_one_snapshot(served):
-    server, remote = served
-    result, manifest = snapshot_pair(SNAPSHOT)
-    old = json.dumps(
-        {"result": result, "manifest": manifest,
-         "checksum": stable_digest({"manifest": manifest, "result": result})},
-        sort_keys=True, separators=(",", ":")).encode()
-    assert old.count(b'"counters":') == 2
-    assert raw_put(server, f"Content-Length: {len(old)}\r\n", old) == 200
-    assert server.cache._path(DIGEST).read_bytes() \
-        == encode_envelope(result, manifest)[0]
-    assert remote.get(DIGEST) == {"result": result, "manifest": manifest}
-
-
-def test_network_failures_degrade_to_misses(tmp_path):
-    """A dead cache server slows a shard down; it never fails it."""
-    # A fresh CacheServer bound then torn down yields a port with nothing
-    # listening — connection refused, immediately.
-    with CacheServer(tmp_path / "cache") as server:
-        dead_url = server.url
-    remote = HttpCacheStore(dead_url, timeout=1.0)
-    assert remote.get(DIGEST) is None
-    remote.put(DIGEST, PAYLOAD)  # must not raise
-    assert remote.clear() == 0
-    assert remote.errors >= 2
+    assert diagnose_cache(cache.root) == []
 
 
 def test_cache_store_contract_default_contains():

@@ -8,8 +8,8 @@ from repro.cli import build_parser, main
 from repro.transport import known_variants
 
 HELP_GOLDENS = Path(__file__).parent.parent / "data" / "help"
-SUBCOMMANDS = ("chain", "sweep", "cross", "dynamics", "campaign", "worker",
-               "trace", "stats", "profile", "report", "doctor", "tables")
+SUBCOMMANDS = ("chain", "sweep", "cross", "dynamics", "campaign", "trace",
+               "stats", "profile", "report", "doctor", "tables")
 
 
 def test_every_subcommand_has_a_help_golden():
@@ -323,7 +323,6 @@ def test_stats_command_json_snapshot(capsys):
     ("--heartbeat-interval", "-0.5"),
     ("--heartbeat-interval", "nan"),
     ("--drain-timeout", "-1"),
-    ("--agents", "-1"),
 ])
 def test_campaign_rejects_nonsense_numeric_knobs(flag, value, capsys):
     """Zero/negative pool sizes and periods die as clear argparse errors,
@@ -341,7 +340,6 @@ def test_campaign_rejects_nonsense_numeric_knobs(flag, value, capsys):
     ("--jobs", "4"),
     ("--heartbeat-interval", "0.25"),
     ("--drain-timeout", "0"),  # zero drain = terminate immediately, valid
-    ("--agents", "0"),  # zero agents = external joiners only, valid
 ])
 def test_campaign_accepts_boundary_numeric_knobs(flag, value):
     from repro.cli import build_parser
@@ -350,58 +348,36 @@ def test_campaign_accepts_boundary_numeric_knobs(flag, value):
     assert args.command == "campaign"
 
 
+@pytest.mark.parametrize("dest, value", [("pool_mode", "warm"),
+                                         ("listen", "127.0.0.1:0"),
+                                         ("agents", "2")])
+def test_the_removed_campaign_flags_are_unrecognized(dest, value, capsys):
+    """Campaigns run on one host: where the workers live is not a flag."""
+    flag = "--" + dest.replace("_", "-")
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["campaign", flag, value])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("removed", ["inproc", "per-attempt"])
 def test_campaign_pool_mode_is_warm_or_cluster(removed, capsys):
-    """``--pool-mode`` says where the workers live; ``--jobs 1`` is how a
-    campaign runs in this process."""
-    from repro.cli import build_parser
-
+    """No pool mode survives, the in-process ones included: ``--jobs 1`` is
+    how a campaign runs in this process."""
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(["campaign", "--pool-mode", removed])
     assert excinfo.value.code == 2
+    assert f"unrecognized arguments: --pool-mode {removed}" in \
+        capsys.readouterr().err
+
+
+def test_the_worker_command_is_an_invalid_choice(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["worker", "--connect", "127.0.0.1:9"])
+    assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    assert "argument --pool-mode: invalid choice" in err and removed in err
-
-
-def test_cluster_transport_flags_require_cluster_pool_mode(tmp_path):
-    with pytest.raises(SystemExit, match="--pool-mode cluster"):
-        main([
-            "campaign", "--variants", "newreno", "--hops", "2",
-            "--replications", "1", "--time", "0.1",
-            "--cache-dir", str(tmp_path / "cache"),
-            "--listen", "127.0.0.1:0",
-        ])
-
-
-@pytest.mark.parametrize("refused", [
-    ["--resume", "missing.journal"],
-    ["--policy", "hysteresis", "--policy-params", "{not json"],
-])
-def test_refused_cluster_campaign_never_opens_its_transport(
-        tmp_path, monkeypatch, refused):
-    """A command line refused after --pool-mode cluster was seen must not
-    leave a bound listener or a ``.cluster`` coordinator registration —
-    the doctor would report the latter as a cluster-orphan."""
-    from repro.experiments import TcpTransport, run_doctor
-
-    opened = []
-    real_open = TcpTransport.open
-    monkeypatch.setattr(
-        TcpTransport, "open",
-        lambda self: opened.append(self) or real_open(self),
-    )
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    with pytest.raises(SystemExit):
-        main([
-            "campaign", "--variants", "newreno", "--hops", "2",
-            "--replications", "1", "--time", "0.1",
-            "--pool-mode", "cluster", "--agents", "0",
-            "--cache-dir", str(cache), *refused,
-        ])
-    assert opened == []
-    assert not (cache / ".cluster").exists()
-    assert run_doctor(cache=cache).findings == []
+    assert "argument command: invalid choice: 'worker'" in err
 
 
 TINY_CAMPAIGN = ["campaign", "--variants", "newreno", "--hops", "2",
@@ -409,23 +385,17 @@ TINY_CAMPAIGN = ["campaign", "--variants", "newreno", "--hops", "2",
                  "--quiet"]
 
 
-@pytest.mark.parametrize("refused, why", [
-    (["--listen", "127.0.0.1:9"], "--pool-mode cluster"),
-    (["--pool-mode", "cluster", "--listen", "no-port"], "bad --listen"),
-    (["--resume", "missing.journal"], "--clear-cache"),
-])
-def test_a_refused_command_line_never_clears_the_cache(tmp_path, refused,
-                                                       why):
-    """Every one of these printed ``cache cleared: 1 entries removed`` and
-    then refused its own flags.  A resume is refused ``--clear-cache``
-    outright: it verifies its journaled completions against that cache."""
+def test_a_refused_command_line_never_clears_the_cache(tmp_path):
+    """A resume once printed ``cache cleared: 1 entries removed`` and then
+    refused its own flags.  It is refused ``--clear-cache`` outright: it
+    verifies its journaled completions against that cache."""
     cache = tmp_path / "cache"
     assert main(TINY_CAMPAIGN + ["--cache-dir", str(cache)]) == 0
     entries = sorted(cache.glob("*/*.json"))
     assert len(entries) == 1
-    with pytest.raises(SystemExit, match=why):
+    with pytest.raises(SystemExit, match="--clear-cache"):
         main(TINY_CAMPAIGN + ["--cache-dir", str(cache), "--clear-cache",
-                              *refused])
+                              "--resume", "missing.journal"])
     assert sorted(cache.glob("*/*.json")) == entries
 
 
@@ -445,8 +415,13 @@ def test_a_refused_command_line_never_clears_the_cache(tmp_path, refused,
     (TINY_CAMPAIGN + ["--max-retries", "-1", "--clear-cache",
                       "--cache-dir", "{tmp}/cache"],
      "argument --max-retries: must be >= 0, got -1"),
+    (TINY_CAMPAIGN + ["--journal", "{tmp}/run.journal",
+                      "--spans", "{tmp}/spans.ndjson",
+                      "--cache-dir", "http://127.0.0.1:9/cache"],
+     "argument --cache-dir: cache store 'http://127.0.0.1:9/cache': only a "
+     "directory path is supported"),
 ], ids=["loss", "replications", "events", "hops", "window", "seeds",
-        "buckets", "max-retries"])
+        "buckets", "max-retries", "cache-dir"])
 def test_a_bad_flag_value_is_a_usage_error_before_anything_opens(
         tmp_path, capsys, argv, error):
     """Each was a traceback from deep inside the command (a ``ValueError``,
@@ -457,8 +432,3 @@ def test_a_bad_flag_value_is_a_usage_error_before_anything_opens(
     assert exit_info.value.code == 2
     assert error in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-
-
-def test_worker_command_rejects_bad_endpoint():
-    with pytest.raises(SystemExit, match="HOST:PORT"):
-        main(["worker", "--connect", "no-port-here"])

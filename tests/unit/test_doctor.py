@@ -269,155 +269,3 @@ def test_a_traced_run_is_healthy_and_each_damage_is_its_error(
         out = capsys.readouterr().out
         assert f"[error] {category}: {path}\n    {detail}" in out
         assert out.endswith("1 unrepaired error(s)\n")
-
-
-# ---------------------------------------------------------------------------
-# Cluster artifact diagnosis
-
-
-def dead_local_pid():
-    """A pid guaranteed dead: a child we already reaped."""
-    import subprocess
-    import sys
-
-    proc = subprocess.Popen([sys.executable, "-c", "pass"])
-    proc.wait()
-    return proc.pid
-
-
-def closed_endpoint():
-    """A 127.0.0.1 endpoint that refuses connections."""
-    import socket
-
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    return f"127.0.0.1:{port}"
-
-
-def write_registration(cache_root, kind, host, pid, endpoint):
-    from repro.experiments import CLUSTER_REGISTRY_DIRNAME
-
-    registry = cache_root / CLUSTER_REGISTRY_DIRNAME
-    registry.mkdir(parents=True, exist_ok=True)
-    path = registry / f"{kind}-{host}-{pid}.json"
-    path.write_text(json.dumps({
-        "kind": kind, "host": host, "pid": pid,
-        "endpoint": endpoint, "started": 1.0,
-    }))
-    return path
-
-
-def test_stale_cluster_registrations_are_found_and_repaired(campaign_state):
-    import socket
-
-    cache, _, _ = campaign_state
-    path = write_registration(
-        cache.root, "worker", socket.gethostname(), dead_local_pid(),
-        closed_endpoint(),
-    )
-
-    findings = diagnose_cache(cache.root)
-    assert [f.category for f in findings] == ["cluster-orphan"]
-    assert findings[0].severity == "warn"
-    assert path.exists()  # report mode never mutates
-
-    repaired = diagnose_cache(cache.root, repair=True)
-    assert all(f.repaired for f in repaired)
-    assert not path.exists()
-    # An emptied registry directory is cleaned up with its last file.
-    assert not path.parent.exists()
-
-
-def test_live_cluster_registrations_are_informational_and_kept(campaign_state):
-    import os
-    import socket
-
-    cache, _, _ = campaign_state
-    path = write_registration(
-        cache.root, "coordinator", socket.gethostname(), os.getpid(),
-        closed_endpoint(),
-    )
-    findings = diagnose_cache(cache.root, repair=True)
-    assert [f.category for f in findings] == ["cluster-active"]
-    assert findings[0].severity == "info"
-    assert not findings[0].repaired
-    assert path.exists()  # a live campaign's registration is never deleted
-    assert run_doctor(cache=cache.root).healthy
-
-
-def test_remote_registrations_are_probed_by_endpoint(campaign_state):
-    import socket
-
-    cache, _, _ = campaign_state
-    listener = socket.socket()
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    live = f"127.0.0.1:{listener.getsockname()[1]}"
-    try:
-        write_registration(cache.root, "worker", "elsewhere", 99, live)
-        write_registration(
-            cache.root, "worker", "elsewhere", 100, closed_endpoint()
-        )
-        categories = sorted(
-            f.category for f in diagnose_cache(cache.root)
-        )
-        assert categories == ["cluster-active", "cluster-orphan"]
-    finally:
-        listener.close()
-
-
-def test_corrupt_registrations_are_repairable(campaign_state):
-    from repro.experiments import CLUSTER_REGISTRY_DIRNAME
-
-    cache, _, _ = campaign_state
-    registry = cache.root / CLUSTER_REGISTRY_DIRNAME
-    registry.mkdir()
-    bad = registry / "worker-x-1.json"
-    bad.write_text("{not json")
-
-    findings = diagnose_cache(cache.root)
-    assert [f.category for f in findings] == ["cluster-registry-corrupt"]
-    diagnose_cache(cache.root, repair=True)
-    assert not bad.exists()
-
-
-def test_interrupted_cluster_journal_probes_the_coordinator_endpoint(tmp_path):
-    import socket
-
-    from repro.experiments import plan_campaign
-
-    runs = plan_campaign(tiny_grid(), replications=2, base_seed=1)
-
-    # Dead endpoint: safe to resume, informational.
-    stale = tmp_path / "stale.journal"
-    with CampaignJournal(stale) as journal:
-        journal.begin(runs, pool_mode="cluster", base_seed=1, replications=2,
-                      resumed=False,
-                      transport={"kind": "tcp", "endpoint": closed_endpoint()})
-    categories = {f.category: f.severity for f in diagnose_journal(stale)}
-    assert categories == {"journal-interrupted": "info",
-                          "cluster-endpoint-stale": "info"}
-    assert run_doctor(journal=stale).healthy
-
-    # Answering endpoint: the campaign may still be running — warn.
-    listener = socket.socket()
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    try:
-        live = tmp_path / "live.journal"
-        with CampaignJournal(live) as journal:
-            journal.begin(
-                runs, pool_mode="cluster", base_seed=1, replications=2,
-                resumed=False,
-                transport={
-                    "kind": "tcp",
-                    "endpoint": f"127.0.0.1:{listener.getsockname()[1]}",
-                },
-            )
-        findings = {f.category: f for f in diagnose_journal(live)}
-        assert findings["cluster-endpoint-live"].severity == "warn"
-        assert "risks executing" in findings["cluster-endpoint-live"].detail
-    finally:
-        listener.close()

@@ -99,28 +99,64 @@ def test_done_clears_an_earlier_failure_across_generations(tmp_path):
     assert complaints(path) == []
 
 
-def test_replay_carries_the_last_generations_transport_and_doctor_reads_once(
-        tmp_path, monkeypatch):
-    """``doctor`` needs the interrupted generation's coordinator endpoint
-    and the torn-tail flag; both come from the one replay, so diagnosing a
-    journal opens the file exactly once."""
+def test_a_cluster_journal_gets_a_verdict_and_resumes_on_the_local_pool(
+        tmp_path, monkeypatch, capsys):
+    """A journal an earlier build's ``cluster`` generation left behind —
+    ``pool_mode: "cluster"`` and the coordinator's ``transport`` endpoint
+    in its ``begin`` — is an interrupted campaign like any other: doctor
+    says so without dialing the endpoint, and ``--resume`` finishes it on
+    the local pool with the fingerprint of a fresh run."""
+    import socket
+
+    from repro.cli import main
+    from repro.experiments import CampaignCache
+
+    campaign = ["campaign", "--variants", "newreno", "--hops", "2",
+                "--replications", "3", "--time", "0.5", "--window", "4",
+                "--jobs", "2", "--quiet", "--cache-dir", str(tmp_path)]
+    fresh = tmp_path / "fresh.journal"
+    assert main(campaign + ["--journal", str(fresh)]) == 0
+    records, _ = read_journal(fresh)
+    fingerprint = records[-1]["fingerprint"]
+
+    # The cluster generation: the same plan, one unit done, then killed.
+    begin, *planned = [r for r in records if r["kind"] in ("begin", "planned")]
+    first, *rest = [r for r in records if r["kind"] == "done"]
+    begin.update(pool_mode="cluster",
+                 transport={"kind": "tcp", "endpoint": "127.0.0.1:9"})
+    path = tmp_path / "cluster.journal"
+    path.write_text("".join(json.dumps(record) + "\n"
+                            for record in (begin, *planned, first)))
+    for record in rest:  # executed by the killed generation's agents: gone
+        CampaignCache(tmp_path)._path(record["digest"]).unlink()
+
+    def dial(*args, **kwargs):
+        raise AssertionError(f"dialed {args[0]!r}")
+
+    monkeypatch.setattr(socket, "create_connection", dial)
+    capsys.readouterr()
+    assert main(["doctor", "--journal", str(path), "--json"]) == 0
+    findings = json.loads(capsys.readouterr().out)["findings"]
+    assert [f["category"] for f in findings] == ["journal-interrupted"]
+    assert not hasattr(replay_journal(path), "transport")
+
+    assert main(campaign + ["--resume", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "2 simulated, 1 cache hits" in out
+    assert f"campaign fingerprint: {fingerprint}" in out
+
+
+def test_doctor_reads_a_journal_and_a_span_log_once(tmp_path, monkeypatch):
+    """The torn-tail flag and the records come from one scan, so
+    diagnosing a journal or a span log opens the file exactly once."""
     from pathlib import Path
 
+    from repro.experiments import diagnose_spans
 
-    runs = tiny_runs()
-    path = tmp_path / "run.journal"
-    with CampaignJournal(path) as journal:
-        journal.begin(runs, pool_mode="cluster", base_seed=7, replications=2,
-                      resumed=False,
-                      transport={"kind": "tcp", "endpoint": "127.0.0.1:1"})
-        journal.end(status="interrupted", fingerprint=None, executed=0,
-                    cache_hits=0, quarantined=0, remaining=4)
-    assert replay_journal(path).transport["endpoint"] == "127.0.0.1:1"
+    path = write_generation(tmp_path / "run.journal", tiny_runs(), {0})
     with CampaignJournal(path, resume=True) as journal:
-        journal.begin(runs, pool_mode="warm", base_seed=7, replications=2,
-                      resumed=True)
-    assert replay_journal(path).transport is None  # latest generation wins
-
+        journal.begin(tiny_runs(), pool_mode="warm", base_seed=7,
+                      replications=2, resumed=True)
     reads = []
     real_read_text = Path.read_text
     monkeypatch.setattr(
@@ -130,9 +166,6 @@ def test_replay_carries_the_last_generations_transport_and_doctor_reads_once(
     categories = [f.category for f in diagnose_journal(path)]
     assert categories == ["journal-interrupted"]
     assert [read for read in reads if read == path] == [path]
-
-    # The span log is read once too: torn-tail flag and records, one scan.
-    from repro.experiments import diagnose_spans
 
     spans = tmp_path / "spans.ndjson"
     spans.write_text(

@@ -64,12 +64,12 @@ def test_format_coexistence_lists_every_hop_row():
 
 def test_ascii_series_empty_and_flat():
     assert "(no data)" in ascii_series([], label="cwnd")
-    flat = ascii_series([(0.0, 0.0), (1.0, 0.0)], width=8, height=4)
+    flat = ascii_series([(0.0, 0.0), (1.0, 0.0)], width=8)
     assert "+" + "-" * 8 in flat  # axis renders even for all-zero series
 
 
 def test_ascii_series_marks_extremes():
-    out = ascii_series([(0.0, 0.0), (10.0, 5.0)], width=16, height=4, label="y")
+    out = ascii_series([(0.0, 0.0), (10.0, 5.0)], width=16, label="y")
     lines = out.splitlines()
     assert "max=5.0" in lines[0]
     assert lines[1].rstrip().endswith("*")  # peak in the top row, last column
