@@ -227,11 +227,17 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seeds(args: argparse.Namespace) -> tuple:
+    """``--seeds`` consecutive seeds, the first of them ``--seed``."""
+    return tuple(range(args.seed, args.seed + args.seeds))
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     sweep_config = SweepConfig(
-        hops=tuple(args.hops), seeds=tuple(range(1, args.seeds + 1)), sim_time=args.time
+        hops=tuple(args.hops), seeds=_seeds(args), sim_time=args.time
     )
-    sweep = throughput_retransmit_sweep(args.window, sweep=sweep_config)
+    sweep = throughput_retransmit_sweep(args.window, sweep=sweep_config,
+                                        routing=args.routing)
     print(format_sweep(sweep, metric="goodput"))
     print()
     print(format_sweep(sweep, metric="retransmits"))
@@ -244,8 +250,9 @@ def _cmd_cross(args: argparse.Namespace) -> int:
         args.b,
         hops_list=tuple(args.hops),
         sim_time=args.time,
-        seeds=tuple(range(1, args.seeds + 1)),
+        seeds=_seeds(args),
         window=args.window,
+        routing=args.routing,
     )
     print(format_coexistence(points, args.a, args.b))
     return 0

@@ -11,16 +11,76 @@ retransmit_sweep   Figs 5.11–5.13 (retransmissions vs hops) — same runs
 fig_coexistence    Figs 5.16–5.18 (two flows on a cross + Jain index)
 fig_dynamics       Figs 5.19–5.22 (three staggered flows' rate series)
 =================  =========================================================
+
+How a figure executes: a generator first builds every run it needs as a
+fully-seeded :class:`~repro.experiments.runner.RunSpec`, in a fixed order
+(variant × hops × seed for the sweep, hops × seed for coexistence, one spec
+per variant for the cwnd traces, one for the dynamics), then hands the list
+to :func:`_run_specs`.  That runs them on the campaign engine's one
+supervisor (:func:`repro.experiments.campaign._run_pool`): forked workers,
+``os.cpu_count()`` of them, when there are two or more specs and cores, in
+this process otherwise.  Results come back in spec order and are folded
+exactly as a serial loop would fold them, so where a run executed never
+shows in a figure.  Unlike :func:`~repro.experiments.campaign.run_campaign`
+there is no cache, no journal and no per-unit seed derivation: every spec
+keeps the seed the caller gave, which is what the golden figure CSVs were
+produced with.
 """
 
 from __future__ import annotations
 
+import os
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from . import campaign
 from .config import PAPER_VARIANTS, ScenarioConfig, SweepConfig
-from .runner import RunResult, run_chain, run_cross
+from .runner import RunResult, RunSpec
+from .transport import InlineTransport, PipeTransport
+
+
+def _run_specs(specs: Sequence[RunSpec]) -> List[RunResult]:
+    """Execute ``specs`` on the campaign supervisor; results in spec order.
+
+    A simulation is deterministic, so a unit that fails once fails every
+    time: it gets one attempt (``max_retries=0``), and a quarantined unit
+    raises :class:`RuntimeError` naming its spec and carrying the worker's
+    ``Type: message`` once the other units have finished.
+    """
+    runs = [
+        campaign.CampaignRun(
+            index=i, scenario=campaign.scenario_key(spec), replication=0,
+            seed=spec.config.seed, spec=spec, digest=campaign.run_digest(spec))
+        for i, spec in enumerate(specs)
+    ]
+    jobs = os.cpu_count() or 1
+    # ``campaign.<name>`` is looked up per call, so a test's monkeypatch of
+    # the unit function reaches the workers forked below.
+    if len(runs) <= 1 or jobs == 1:
+        transport = InlineTransport(campaign._execute_unit)
+    else:
+        transport = PipeTransport(campaign._execute_unit)
+    results: Dict[int, RunResult] = {}
+    failed: List[campaign.FailedRun] = []
+
+    def store(run: campaign.CampaignRun, metrics: Dict[str, Any],
+              manifest: Optional[Dict[str, Any]]) -> None:
+        result = RunResult.from_dict(metrics)
+        result.manifest = manifest
+        results[run.index] = result
+
+    campaign._run_pool(transport, runs, jobs,
+                       campaign.RetryPolicy(max_retries=0), store, failed.append)
+    if failed:
+        first = min(failed, key=lambda failure: failure.run.index)
+        spec = first.run.spec
+        raise RuntimeError(
+            f"{spec.kind} run hops={spec.hops} "
+            f"variants={'+'.join(spec.variants)} seed={spec.config.seed} "
+            f"failed: {first.error}"
+        )
+    return [results[run.index] for run in runs]
 
 
 @dataclass
@@ -59,14 +119,12 @@ def fig_cwnd_traces(
     routing: str = "aodv",
 ) -> Dict[str, List[Tuple[float, float]]]:
     """Figs 5.2–5.7: one single-flow run per variant, returning cwnd traces."""
-    traces: Dict[str, List[Tuple[float, float]]] = {}
-    for variant in variants:
-        config = ScenarioConfig(
-            sim_time=sim_time, seed=seed, routing=routing, window=window
-        )
-        result = run_chain(hops, [variant], config=config)
-        traces[variant] = result.flows[0].cwnd_trace
-    return traces
+    config = ScenarioConfig(sim_time=sim_time, seed=seed, routing=routing,
+                            window=window)
+    runs = _run_specs([RunSpec("chain", hops, (variant,), config=config)
+                       for variant in variants])
+    return {variant: run.flows[0].cwnd_trace
+            for variant, run in zip(variants, runs)}
 
 
 def throughput_retransmit_sweep(
@@ -81,25 +139,20 @@ def throughput_retransmit_sweep(
     """
     sweep = sweep or SweepConfig.for_scale()
     result = SweepResult(window=window, hops=tuple(sweep.hops), variants=tuple(variants))
+    runs = iter(_run_specs([
+        RunSpec("chain", hops, (variant,), config=ScenarioConfig(
+            sim_time=sweep.sim_time, seed=seed, routing=routing, window=window))
+        for variant in variants for hops in sweep.hops for seed in sweep.seeds
+    ]))
     for variant in variants:
         for hops in sweep.hops:
-            goodputs: List[float] = []
-            retransmits: List[float] = []
-            timeouts: List[float] = []
-            for seed in sweep.seeds:
-                config = ScenarioConfig(
-                    sim_time=sweep.sim_time, seed=seed, routing=routing, window=window
-                )
-                run = run_chain(hops, [variant], config=config)
-                flow = run.flows[0]
-                goodputs.append(flow.goodput_kbps)
-                retransmits.append(float(flow.retransmits))
-                timeouts.append(float(flow.timeouts))
+            flows = [next(runs).flows[0] for _ in sweep.seeds]
+            goodputs = [flow.goodput_kbps for flow in flows]
             result.points[(variant, hops)] = SweepPoint(
                 goodput_kbps=statistics.mean(goodputs),
                 goodput_stdev=statistics.stdev(goodputs) if len(goodputs) > 1 else 0.0,
-                retransmits=statistics.mean(retransmits),
-                timeouts=statistics.mean(timeouts),
+                retransmits=statistics.mean(float(f.retransmits) for f in flows),
+                timeouts=statistics.mean(float(f.timeouts) for f in flows),
                 samples=len(goodputs),
             )
     return result
@@ -126,25 +179,20 @@ def fig_coexistence(
 ) -> List[CoexistencePoint]:
     """Figs 5.16–5.18: ``variant_a`` (horizontal) vs ``variant_b`` (vertical)
     on an h-hop cross; goodputs and Jain fairness, averaged over seeds."""
+    runs = iter(_run_specs([
+        RunSpec("cross", hops, (variant_a, variant_b), config=ScenarioConfig(
+            sim_time=sim_time, seed=seed, routing=routing, window=window))
+        for hops in hops_list for seed in seeds
+    ]))
     points: List[CoexistencePoint] = []
     for hops in hops_list:
-        a_vals: List[float] = []
-        b_vals: List[float] = []
-        fairness_vals: List[float] = []
-        for seed in seeds:
-            config = ScenarioConfig(
-                sim_time=sim_time, seed=seed, routing=routing, window=window
-            )
-            run = run_cross(hops, variant_a, variant_b, config=config)
-            a_vals.append(run.flows[0].goodput_kbps)
-            b_vals.append(run.flows[1].goodput_kbps)
-            fairness_vals.append(run.fairness)
+        contests = [next(runs) for _ in seeds]
         points.append(
             CoexistencePoint(
                 hops=hops,
-                goodput_a_kbps=statistics.mean(a_vals),
-                goodput_b_kbps=statistics.mean(b_vals),
-                fairness=statistics.mean(fairness_vals),
+                goodput_a_kbps=statistics.mean(r.flows[0].goodput_kbps for r in contests),
+                goodput_b_kbps=statistics.mean(r.flows[1].goodput_kbps for r in contests),
+                fairness=statistics.mean(r.fairness for r in contests),
             )
         )
     return points
@@ -169,10 +217,6 @@ def fig_dynamics(
         window=window,
         sampler_interval=sampler_interval,
     )
-    return run_chain(
-        hops,
-        [variant] * len(starts),
-        config=config,
-        starts=starts,
-        record_dynamics=True,
-    )
+    spec = RunSpec("chain", hops, (variant,) * len(starts), starts=starts,
+                   record_dynamics=True, config=config)
+    return _run_specs([spec])[0]

@@ -12,6 +12,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+# Below this peak allocation the squares lose precision; measured goodputs
+# never get near it, so their index is computed on the raw values.
+_RESCALE_BELOW = 1e-100
+
 
 def jain_index(allocations: Sequence[float]) -> float:
     """Jain's fairness index of ``allocations`` (must be non-negative).
@@ -22,10 +26,13 @@ def jain_index(allocations: Sequence[float]) -> float:
         return 1.0
     if any(x < 0 for x in allocations):
         raise ValueError("allocations must be non-negative")
+    peak = max(allocations)
+    if peak == 0:
+        return 1.0
+    if peak < _RESCALE_BELOW:
+        # Squares of tiny allocations underflow to subnormals or zero; J is
+        # scale-invariant, so compute it relative to the largest allocation.
+        allocations = [x / peak for x in allocations]
     total = sum(allocations)
     squares = sum(x * x for x in allocations)
-    # squares can underflow to exactly 0.0 for subnormal allocations even
-    # when total > 0; such allocations are indistinguishable from zero.
-    if total == 0 or squares == 0:
-        return 1.0
     return (total * total) / (len(allocations) * squares)

@@ -13,6 +13,7 @@ are the CSVs' own rounding (3–6 decimal places) plus a hair of float
 slack — the simulator is deterministic, so anything beyond that is drift.
 """
 
+import os
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,25 @@ def test_cwnd_trace_matches_committed_4hop_figure(variant):
     for (t_new, v_new), (t_old, v_old) in zip(fresh, want):
         assert t_new == pytest.approx(t_old, abs=2e-6)
         assert v_new == pytest.approx(v_old, abs=2e-6)
+
+
+def test_cwnd_traces_of_all_variants_in_one_pooled_call_match_the_figure(
+    monkeypatch,
+):
+    """The four runs of one ``fig_cwnd_traces`` call go to forked workers
+    (``os.cpu_count`` patched to 2, so on any host); the committed figure
+    still comes back point for point."""
+    committed = read_multi_series_csv(golden(GOLDEN_TRACES))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    traces = fig_cwnd_traces(4, variants=tuple(committed), window=32,
+                             sim_time=10.0, seed=1)
+    assert list(traces) == list(committed)
+    for variant, want in committed.items():
+        fresh = traces[variant]
+        assert len(fresh) == len(want), variant
+        for (t_new, v_new), (t_old, v_old) in zip(fresh, want):
+            assert t_new == pytest.approx(t_old, abs=2e-6)
+            assert v_new == pytest.approx(v_old, abs=2e-6)
 
 
 def test_cwnd_trace_artefact_has_all_paper_variants():

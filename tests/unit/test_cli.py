@@ -5,6 +5,13 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import (
+    SweepConfig,
+    fig_coexistence,
+    format_coexistence,
+    format_sweep,
+    throughput_retransmit_sweep,
+)
 from repro.transport import known_variants
 
 HELP_GOLDENS = Path(__file__).parent.parent / "data" / "help"
@@ -182,6 +189,35 @@ def test_cross_command(capsys):
     assert main(["cross", "--hops", "4", "--seeds", "1", "--time", "5"]) == 0
     out = capsys.readouterr().out
     assert "Jain index" in out
+
+
+@pytest.mark.parametrize("flags, routing, seeds", [
+    (["--routing", "static"], "static", (1,)),
+    (["--seed", "4"], "aodv", (4,)),
+], ids=["routing", "seed"])
+def test_sweep_command_runs_the_figure_its_flags_name(flags, routing, seeds,
+                                                      capsys):
+    assert main(["sweep", "--hops", "3", "--seeds", "1", "--time", "2",
+                 "--window", "4"] + flags) == 0
+    sweep = throughput_retransmit_sweep(
+        4, SweepConfig(hops=(3,), seeds=seeds, sim_time=2.0), routing=routing)
+    assert capsys.readouterr().out == (
+        format_sweep(sweep, metric="goodput") + "\n\n"
+        + format_sweep(sweep, metric="retransmits") + "\n")
+
+
+@pytest.mark.parametrize("flags, routing, seeds", [
+    (["--routing", "static"], "static", (1,)),
+    (["--seed", "4"], "aodv", (4,)),
+], ids=["routing", "seed"])
+def test_cross_command_runs_the_figure_its_flags_name(flags, routing, seeds,
+                                                      capsys):
+    assert main(["cross", "--hops", "2", "--seeds", "1", "--time", "2"]
+                + flags) == 0
+    points = fig_coexistence("newreno", "muzha", hops_list=(2,), sim_time=2.0,
+                             seeds=seeds, window=8, routing=routing)
+    assert capsys.readouterr().out == (
+        format_coexistence(points, "newreno", "muzha") + "\n")
 
 
 def test_dynamics_command(capsys):

@@ -32,6 +32,11 @@ class TestJainIndex:
         xs = [1.0, 2.0, 3.0]
         assert jain_index(xs) == pytest.approx(jain_index([10 * x for x in xs]))
 
+    def test_tiny_allocations_keep_their_index(self):
+        # The squares of these underflow; one hog of two is still 1/2.
+        assert jain_index([0.0, 8.7e-162]) == pytest.approx(0.5)
+        assert jain_index([0.0, 1.1e-162]) == pytest.approx(0.5)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             jain_index([-1.0, 1.0])
