@@ -19,8 +19,8 @@ Subcommands mirror the paper's three simulations plus the parameter tables:
   damage/drift, span logs, and with ``--trace``/``--manifest`` a traced
   run's output against the committed schemas); ``--repair`` fixes what it
   safely can;
-* ``repro-muzha trace chain --out run.ndjson`` — traced run: NDJSON/CSV
-  event trace + provenance manifest (+ optional flight-recorder dumps);
+* ``repro-muzha trace chain --out run.ndjson`` — traced run: NDJSON event
+  trace + provenance manifest (+ optional flight-recorder dumps);
 * ``repro-muzha stats chain`` — metrics snapshot of a run (rollup tables
   or the full JSON document);
 * ``repro-muzha profile chain`` — cProfile a scenario's simulator hot spots;
@@ -67,7 +67,6 @@ from .experiments import (
 from .faults import FaultPlan, FaultPlanError
 from .obs import (
     CampaignTelemetry,
-    CsvTraceSink,
     FlightRecorder,
     NdjsonTraceSink,
     SpanWriter,
@@ -341,9 +340,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 raise SystemExit(str(exc))
         if args.spans:
             span_writer = SpanWriter(args.spans)
-            telemetry = CampaignTelemetry(
-                span_writer, heartbeat_interval=args.heartbeat_interval
-            )
+            telemetry = CampaignTelemetry(span_writer)
         with shutdown:
             result = run_campaign(
                 grid,
@@ -423,8 +420,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    sink_cls = CsvTraceSink if args.format == "csv" else NdjsonTraceSink
-    sink = sink_cls(args.out, events=args.events)
+    sink = NdjsonTraceSink(args.out, events=args.events)
     flight_holder = []
 
     def instrument(network, flows):
@@ -646,13 +642,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "attempt)")
     campaign.add_argument("--spans", default=None, metavar="PATH",
                           help="stream campaign telemetry (spans, worker "
-                               "heartbeats, cache/retry events, progress) as "
-                               "NDJSON to PATH — or to an inherited pipe via "
-                               "'fd:N'; summarise with `repro-muzha report`")
-    campaign.add_argument("--heartbeat-interval",
-                          type=_number(float, 0, above=True),
-                          default=1.0, metavar="SECONDS",
-                          help="worker heartbeat period in the span stream")
+                               "and retry events) as NDJSON to PATH — or to "
+                               "an inherited pipe via 'fd:N'; summarise with "
+                               "`repro-muzha report`")
     campaign.add_argument("--journal", default=None, metavar="PATH",
                           help="write-ahead journal: the plan is recorded "
                                "before dispatch and every completion after "
@@ -676,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.set_defaults(func=_cmd_campaign)
 
     def add_scenario_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("scenario", choices=tuple(SCENARIO_KINDS),
+        p.add_argument("scenario", choices=(*SCENARIO_KINDS, "dynamics"),
                        help="which scenario shape to run")
         p.add_argument("--hops", type=_number(int, 1), default=4)
         p.add_argument("--variant", choices=variants, default="muzha",
@@ -691,8 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_args(trace)
     trace.add_argument("--out", default="trace.ndjson", metavar="PATH",
                        help="trace output file")
-    trace.add_argument("--format", choices=("ndjson", "csv"), default="ndjson",
-                       help="trace file format")
     trace.add_argument("--events", nargs="+", action=_Subscription,
                        default=("*",), metavar="EVENT",
                        help="only record these event names (default: all)")
@@ -721,10 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile", help="cProfile a scenario to find simulator hot spots"
     )
     _add_common(profile)
-    profile.add_argument("scenario", choices=(*SCENARIO_KINDS, "dynamics"),
-                         help="which scenario shape to profile")
-    profile.add_argument("--hops", type=_number(int, 1), default=4)
-    profile.add_argument("--variant", choices=variants, default="muzha")
+    add_scenario_args(profile)
     profile.add_argument("--sort", choices=("tottime", "cumulative", "ncalls"),
                          default="tottime", help="stat ordering for the report")
     profile.add_argument("--limit", type=_number(int, 0), default=25,

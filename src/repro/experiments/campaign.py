@@ -685,8 +685,6 @@ def _run_pool(
                 ):
                     spawn()
                 dispatch()
-            if telemetry is not None:
-                telemetry.tick()
             now = time.monotonic()
             timeout = 0.5
             deadlines = [
@@ -768,8 +766,8 @@ def run_campaign(
     them directly.
 
     ``telemetry`` (a :class:`repro.obs.engine.CampaignTelemetry`) streams
-    spans, coordinator events, worker heartbeats and progress over NDJSON as
-    the campaign runs.  It observes the coordinator only — nothing telemetry
+    spans and the coordinator events no span carries over NDJSON as the
+    campaign runs.  It observes the coordinator only — nothing telemetry
     does can reach a worker or a result, so metrics and fingerprints are
     byte-identical with telemetry on or off.
 
@@ -829,8 +827,6 @@ def run_campaign(
         nonlocal done
         records[record.run.index] = record
         done += 1
-        if telemetry is not None:
-            telemetry.progress(done, len(runs), len(failed))
         if progress is not None:
             progress(record, done, len(runs))
 
@@ -844,7 +840,6 @@ def run_campaign(
             telemetry.quarantined(
                 failure.run.index, failure.attempts, failure.error
             )
-            telemetry.progress(done, len(runs), len(failed))
 
     pending: List[CampaignRun] = []
     verified = drift = 0
@@ -873,7 +868,6 @@ def run_campaign(
         if loaded is not None:
             payload, result_digest = loaded
             if telemetry is not None:
-                telemetry.cache_hit(run.index, run.digest)
                 # Cached units get a span too (consumers see every unit),
                 # but no manifest: its timings/engine facts describe the
                 # original execution, not this campaign.
@@ -886,8 +880,6 @@ def run_campaign(
             finish(RunRecord(run=run, metrics=payload["result"], cached=True,
                              manifest=payload.get("manifest")))
         else:
-            if telemetry is not None and cache is not None:
-                telemetry.cache_miss(run.index, run.digest)
             pending.append(run)
 
     if resume is not None and telemetry is not None:

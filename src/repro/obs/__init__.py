@@ -10,14 +10,14 @@ and gated emits, and this package harvests, records, and attributes:
 * :mod:`~repro.obs.ndjson` — the one NDJSON codec: the line encoder every
   log writer uses, the never-raising scan every reader goes through, and
   the one torn-tail cut.
-* :mod:`~repro.obs.sinks` — NDJSON/CSV file sinks for the trace bus.
+* :mod:`~repro.obs.sinks` — the NDJSON file sink for the trace bus.
 * :mod:`~repro.obs.probe` — periodic cwnd/queue/throughput sampler.
 * :mod:`~repro.obs.flight` — bounded per-node ring buffers dumped on
   anomalies (RTO storms, route failures, queue-full bursts).
 * :mod:`~repro.obs.provenance` — run manifests (seed, config digest,
   metrics snapshot, environment) attached to every result.
 * :mod:`~repro.obs.spans` / :mod:`~repro.obs.engine` — campaign-scale
-  telemetry: span/event model, live NDJSON streaming, per-worker health.
+  telemetry: span/event model, live NDJSON streaming.
 * :mod:`~repro.obs.report` — ``fold_spans``, the one reader of a span
   log's open/close structure, and the aggregation behind ``repro-muzha
   report`` built on it.
@@ -27,7 +27,7 @@ and gated emits, and this package harvests, records, and attributes:
   ``repro.experiments.doctor``).
 """
 
-from .engine import CampaignTelemetry, WorkerHealth, read_rss_kb
+from .engine import CampaignTelemetry
 from .flight import AnomalyDump, AnomalyRule, DEFAULT_RULES, FlightRecorder
 from .metrics import (
     Counter,
@@ -46,7 +46,7 @@ from .provenance import (
     stable_digest,
 )
 from .report import aggregate_span_log, format_report, render_report
-from .sinks import CsvTraceSink, NdjsonTraceSink, TraceSink, record_to_json_dict
+from .sinks import NdjsonTraceSink, record_to_json_dict
 from .spans import (
     SPAN_BATCH,
     SPAN_CAMPAIGN,
@@ -74,13 +74,9 @@ __all__ = [
     "build_manifest",
     "manifest_consistent",
     "stable_digest",
-    "CsvTraceSink",
     "NdjsonTraceSink",
-    "TraceSink",
     "record_to_json_dict",
     "CampaignTelemetry",
-    "WorkerHealth",
-    "read_rss_kb",
     "SPAN_BATCH",
     "SPAN_CAMPAIGN",
     "SPAN_UNIT",

@@ -1,13 +1,18 @@
-"""Campaign-engine telemetry: spans, coordinator events, worker health.
+"""Campaign-engine telemetry: spans and the coordinator events no span carries.
 
 :class:`CampaignTelemetry` is the instrumentation facade
 :func:`repro.experiments.campaign.run_campaign` drives.  It owns the span
-lifecycle (``campaign`` → ``dispatch-batch`` → ``unit-attempt``), the
-coordinator event stream (cache hit/miss/evict, retry, backoff, worker
-spawn/crash/timeout/replacement, quarantine), per-worker health accounting
-(units done, busy vs idle seconds, RSS where ``/proc`` exposes it) and the
-live ``progress`` ticker — all serialized through one
-:class:`~repro.obs.spans.SpanWriter`.
+lifecycle (``campaign`` → ``dispatch-batch`` → ``unit-attempt``) and
+emits an event only for a fact no span carries: a worker's spawn and exit
+(``worker.spawn`` / ``worker.stop`` / ``worker.crash`` /
+``worker.timeout``), ``retry``, ``quarantine``, ``cache.evict``,
+``campaign.resume`` and ``campaign.interrupt`` — all serialized through
+one :class:`~repro.obs.spans.SpanWriter`.  Every fact is written once: a
+unit's completion is its ``unit-attempt`` span, a worker's busy time its
+``dispatch-batch`` spans, a cache hit a ``cached`` unit span, and
+:func:`repro.obs.report.aggregate_span_log` derives the per-worker and
+cache numbers from them.  A unit leaves exactly one span pair, so the
+log's length depends on the campaign, never on wall time.
 
 Cost model: the campaign engine holds a plain ``telemetry`` reference that
 is ``None`` by default and guards every call site with ``if telemetry is
@@ -18,16 +23,13 @@ untouchable by construction: telemetry only *observes* dispatch and
 completion; seeds, specs and metrics flow exactly as before.
 
 Everything is wall-clock (``time.time``) on the wire — spans describe the
-campaign's real-world execution, not simulated time — while busy/idle
-bookkeeping uses the monotonic clock internally so a system clock step
-cannot produce negative utilization.
+campaign's real-world execution, not simulated time.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Sequence
 
 from .spans import (
     SPAN_BATCH,
@@ -40,77 +42,6 @@ from .spans import (
 )
 
 
-def read_rss_kb(pid: int) -> Optional[int]:
-    """Resident set size of ``pid`` in kB via ``/proc``, or None.
-
-    Linux-only by implementation; any failure (no procfs, process gone,
-    unparsable line) degrades to None — worker heartbeats then simply omit
-    the gauge rather than breaking the campaign.
-    """
-    try:
-        with open(f"/proc/{pid}/status", "r", encoding="ascii",
-                  errors="replace") as handle:
-            for line in handle:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1])
-    except (OSError, ValueError, IndexError):
-        return None
-    return None
-
-
-@dataclass
-class WorkerHealth:
-    """Coordinator-side health ledger for one (possibly long-lived) worker."""
-
-    worker: str
-    pid: Optional[int]
-    spawned_mono: float
-    units_done: int = 0
-    failures: int = 0
-    busy_s: float = 0.0
-    idle_s: float = 0.0
-    state: str = "idle"  # "idle" | "busy"
-    state_since: float = 0.0
-    max_rss_kb: Optional[int] = None
-
-    def _accumulate(self, now: float) -> None:
-        elapsed = max(0.0, now - self.state_since)
-        if self.state == "busy":
-            self.busy_s += elapsed
-        else:
-            self.idle_s += elapsed
-        self.state_since = now
-
-    def mark(self, state: str, now: float) -> None:
-        """Transition to ``state``, charging the elapsed stint first."""
-        self._accumulate(now)
-        self.state = state
-
-    def gauges(self, now: float) -> Dict[str, Any]:
-        """A snapshot of the ledger *including* the in-progress stint."""
-        busy, idle = self.busy_s, self.idle_s
-        elapsed = max(0.0, now - self.state_since)
-        if self.state == "busy":
-            busy += elapsed
-        else:
-            idle += elapsed
-        gauges: Dict[str, Any] = {
-            "pid": self.pid,
-            "units_done": self.units_done,
-            "failures": self.failures,
-            "busy_s": round(busy, 6),
-            "idle_s": round(idle, 6),
-            "state": self.state,
-        }
-        if self.pid is not None:
-            rss = read_rss_kb(self.pid)
-            if rss is not None:
-                self.max_rss_kb = max(rss, self.max_rss_kb or 0)
-        if self.max_rss_kb is not None:
-            gauges["rss_kb"] = self.max_rss_kb
-        return gauges
-
-
 @dataclass
 class _OpenBatch:
     """An in-flight dispatch-batch span on one worker."""
@@ -121,41 +52,24 @@ class _OpenBatch:
 
 
 class CampaignTelemetry:
-    """Drive span/event/heartbeat/progress emission for one campaign.
+    """Drive span and event emission for one campaign.
 
-    The campaign engine calls the ``worker_*``/``batch_*``/``unit_*``/
-    ``cache_*`` hooks from its coordinator loop; this class turns them into
-    schema-valid NDJSON records and keeps the per-worker health ledgers the
-    heartbeats report.  One instance covers exactly one
+    The campaign engine calls the ``worker_*``/``batch_*``/``unit_*``
+    hooks (and the retry/quarantine/eviction/resume/interrupt ones) from
+    its coordinator loop; this class turns them into schema-valid NDJSON
+    records.  One instance covers exactly one
     :func:`~repro.experiments.campaign.run_campaign` call.
     """
 
-    def __init__(
-        self,
-        writer: SpanWriter,
-        heartbeat_interval: float = 1.0,
-    ) -> None:
-        if heartbeat_interval <= 0:
-            raise ValueError(
-                f"heartbeat_interval must be positive, got {heartbeat_interval}"
-            )
+    def __init__(self, writer: SpanWriter) -> None:
         self.writer = writer
-        self.heartbeat_interval = heartbeat_interval
         self._ids = SpanIdAllocator()
         self._campaign: Optional[Span] = None
         self._campaign_done = False
-        self._workers: Dict[str, WorkerHealth] = {}
         self._batches: Dict[str, _OpenBatch] = {}
-        self._last_beat = float("-inf")
         self._last_unit_wall = 0.0  # batchless (cache-hit) unit-start estimate
-        self.heartbeats = 0
-        #: Aggregates folded into the campaign close record.
-        self.counters: Dict[str, int] = {}
 
     # -- low-level emit ----------------------------------------------------------
-
-    def _count(self, key: str, n: int = 1) -> None:
-        self.counters[key] = self.counters.get(key, 0) + n
 
     def event(self, name: str, **attrs: Any) -> None:
         """Emit one point-in-time coordinator event."""
@@ -164,7 +78,6 @@ class CampaignTelemetry:
         if attrs:
             record["attrs"] = attrs
         self.writer.write(record)
-        self._count(f"events.{name}")
 
     # -- campaign span -----------------------------------------------------------
 
@@ -189,12 +102,7 @@ class CampaignTelemetry:
                      remaining: int = 0) -> None:
         if self._campaign is None or self._campaign_done:
             return
-        now_wall = wall_clock()
-        now = time.monotonic()
-        # A worker the pool never told us about leaving still deserves a
-        # final ledger line; then close any batch a crash left dangling.
-        for worker in list(self._workers):
-            self._final_heartbeat(worker, now_wall, now)
+        # Close any batch a crash left dangling.
         for worker in list(self._batches):
             self._close_batch(worker, status="aborted")
         if interrupted:
@@ -206,12 +114,12 @@ class CampaignTelemetry:
             "cache_hits": cache_hits,
             "cache_evictions": cache_evictions,
             "failed": failed,
-            "counters": dict(sorted(self.counters.items())),
         }
         if interrupted or remaining:
             attrs["remaining"] = remaining
         self.writer.write(
-            self._campaign.close_record(now_wall, status=status, attrs=attrs)
+            self._campaign.close_record(wall_clock(), status=status,
+                                        attrs=attrs)
         )
         self._campaign_done = True
 
@@ -219,53 +127,16 @@ class CampaignTelemetry:
 
     def worker_spawned(self, worker: str, pid: Optional[int],
                        replacement: bool = False) -> None:
-        """``pid`` (a process on this host, or None) feeds the ``/proc``
-        RSS gauge."""
-        now = time.monotonic()
-        self._workers[worker] = WorkerHealth(
-            worker=worker, pid=pid, spawned_mono=now, state_since=now
-        )
+        """A worker joined the pool: the start of its lifetime."""
         self.event("worker.spawn", worker=worker, pid=pid,
                    replacement=replacement)
-        if replacement:
-            self._count("workers.replaced")
-        self._count("workers.spawned")
 
     def worker_exited(self, worker: str, reason: str,
                       exitcode: Optional[int] = None) -> None:
         """A worker left the pool: ``reason`` in stop/crash/timeout."""
-        now_wall = wall_clock()
-        now = time.monotonic()
         if worker in self._batches:
             self._close_batch(worker, status="aborted")
-        self._final_heartbeat(worker, now_wall, now)
         self.event(f"worker.{reason}", worker=worker, exitcode=exitcode)
-        self._workers.pop(worker, None)
-
-    def _final_heartbeat(self, worker: str, now_wall: float,
-                         now_mono: float) -> None:
-        health = self._workers.get(worker)
-        if health is None:
-            return
-        self.writer.write({
-            "kind": "heartbeat", "t": now_wall, "worker": worker,
-            "attrs": health.gauges(now_mono),
-        })
-        self.heartbeats += 1
-
-    def tick(self) -> None:
-        """Interval-gated heartbeat sweep over every live worker.
-
-        The coordinator calls this once per supervisor-loop iteration; the
-        gate keeps the log volume bounded by wall time, not loop rate.
-        """
-        now = time.monotonic()
-        if now - self._last_beat < self.heartbeat_interval:
-            return
-        self._last_beat = now
-        now_wall = wall_clock()
-        for worker in list(self._workers):
-            self._final_heartbeat(worker, now_wall, now)
 
     # -- batches -----------------------------------------------------------------
 
@@ -284,12 +155,7 @@ class CampaignTelemetry:
         self._batches[worker] = _OpenBatch(
             span=span, outstanding=len(indices), last_result_wall=now_wall
         )
-        health = self._workers.get(worker)
-        if health is not None:
-            health.mark("busy", time.monotonic())
         self.writer.write(span.open_record())
-        self._count("batches.dispatched")
-        self._count("units.dispatched", len(indices))
         return span.id
 
     def _close_batch(self, worker: str, status: str) -> None:
@@ -299,10 +165,6 @@ class CampaignTelemetry:
         self.writer.write(
             batch.span.close_record(wall_clock(), status=status)
         )
-        health = self._workers.get(worker)
-        if health is not None:
-            health.mark("idle", time.monotonic())
-
     # -- units -------------------------------------------------------------------
 
     def unit_result(
@@ -359,12 +221,6 @@ class CampaignTelemetry:
         self.writer.write(
             span.close_record(now_wall, status=status, attrs=close_attrs)
         )
-        health = self._workers.get(worker)
-        if health is not None:
-            if status == "ok":
-                health.units_done += 1
-            else:
-                health.failures += 1
         if batch is not None:
             batch.outstanding -= 1
             if status in ("crash", "timeout"):
@@ -373,17 +229,8 @@ class CampaignTelemetry:
                 self._close_batch(worker, status="aborted")
             elif batch.outstanding <= 0:
                 self._close_batch(worker, status="ok")
-        self._count(f"units.{status}")
-        if cached:
-            self._count("units.cached")
 
     # -- cache -------------------------------------------------------------------
-
-    def cache_hit(self, index: int, digest: str) -> None:
-        self.event("cache.hit", index=index, digest=digest[:12])
-
-    def cache_miss(self, index: int, digest: str) -> None:
-        self.event("cache.miss", index=index, digest=digest[:12])
 
     def cache_evicted(self, index: int, digest: str) -> None:
         self.event("cache.evict", index=index, digest=digest[:12])
@@ -413,17 +260,7 @@ class CampaignTelemetry:
     def quarantined(self, index: int, attempts: int, error: str) -> None:
         self.event("quarantine", index=index, attempts=attempts, error=error)
 
-    # -- progress ----------------------------------------------------------------
-
-    def progress(self, done: int, total: int, failed: int) -> None:
-        self.writer.write({
-            "kind": "progress", "t": wall_clock(), "done": done,
-            "total": total, "failed": failed,
-        })
-
 
 __all__ = [
     "CampaignTelemetry",
-    "WorkerHealth",
-    "read_rss_kb",
 ]

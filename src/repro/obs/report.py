@@ -28,6 +28,9 @@ from .ndjson import (
 )
 from .spans import SPAN_BATCH, SPAN_CAMPAIGN, SPAN_UNIT, _SPAN_KIND_REQUIRED
 
+#: The events that end a worker's lifetime.
+WORKER_EXITS = ("worker.stop", "worker.crash", "worker.timeout")
+
 PathLike = Union[str, Path]
 
 #: Timeline resolution of the throughput-over-time section.
@@ -148,6 +151,14 @@ def aggregate_span_log(
 ) -> Dict[str, Any]:
     """Fold one span log into a plain-data campaign summary.
 
+    Each number is derived from the spans and the worker events, which
+    state every fact once: a worker's ``units_done`` and ``failures`` are
+    its unit spans, its ``busy_s`` the sum of its batch-span durations, its
+    ``idle_s`` its lifetime (spawn event to exit event, or the log's last
+    timestamp) minus ``busy_s``; cache ``hits`` are the cached unit spans
+    and ``hit_ratio`` is ``hits / total``.  ``heartbeat`` and ``progress``
+    records in logs written by earlier versions are ignored.
+
     Tolerates a log from a killed campaign: an unclosed campaign/batch/unit
     span (coordinator SIGKILLed mid-run) or a torn final line (killed
     mid-write) yields a *partial* summary covering what was recorded, with
@@ -161,10 +172,6 @@ def aggregate_span_log(
     if fatal is not None:
         raise SpanLogError(f"{path}: {fatal}")
     events = [r for r in records if r.get("kind") == "event"]
-    heartbeats = [r for r in records if r.get("kind") == "heartbeat"]
-    progress_last = next(
-        (r for r in reversed(records) if r.get("kind") == "progress"), None
-    )
 
     campaign_open = next(
         (r for r in opens.values() if r.get("span") == SPAN_CAMPAIGN), None
@@ -227,37 +234,55 @@ def aggregate_span_log(
     }
 
     # -- workers --------------------------------------------------------------
+    t_last = max([r["t0"] for r in opens.values()]
+                 + [r["t1"] for r in closes.values()]
+                 + [e["t"] for e in events])
     workers: Dict[str, Dict[str, Any]] = {}
-    for beat in heartbeats:
-        attrs = beat.get("attrs", {})
-        entry = workers.setdefault(beat.get("worker", "?"), {})
-        # Heartbeats are cumulative; the last one per worker wins.
-        entry.update({
-            "units_done": attrs.get("units_done", 0),
-            "failures": attrs.get("failures", 0),
-            "busy_s": attrs.get("busy_s", 0.0),
-            "idle_s": attrs.get("idle_s", 0.0),
-            "pid": attrs.get("pid"),
-            "rss_kb": attrs.get("rss_kb"),
-            "heartbeats": entry.get("heartbeats", 0) + 1,
-        })
-    for entry in workers.values():
-        active = entry.get("busy_s", 0.0) + entry.get("idle_s", 0.0)
+    lifetimes: Dict[str, List[float]] = {}
+
+    def worker_of(attrs: Dict[str, Any]) -> Optional[str]:
+        worker = attrs.get("worker")
+        return worker if isinstance(worker, str) else None
+
+    for event in events:
+        name, attrs = event.get("name"), event.get("attrs", {})
+        worker = worker_of(attrs)
+        if name == "worker.spawn" and worker is not None:
+            workers[worker] = {"pid": attrs.get("pid"), "units_done": 0,
+                               "failures": 0, "busy_s": 0.0}
+            lifetimes[worker] = [event["t"], t_last]
+        elif name in WORKER_EXITS and worker in lifetimes:
+            lifetimes[worker][1] = event["t"]
+    for span_id, record in opens.items():
+        worker = worker_of(record.get("attrs", {}))
+        if record.get("span") == SPAN_BATCH and worker in workers:
+            t1 = closes[span_id]["t1"] if span_id in closes else t_last
+            workers[worker]["busy_s"] += t1 - record["t0"]
+    for unit in units:
+        worker = worker_of(unit)
+        if worker in workers and unit["status"] != "incomplete":
+            key = "units_done" if unit["status"] == "ok" else "failures"
+            workers[worker][key] += 1
+    for worker, entry in workers.items():
+        t0, t1 = lifetimes[worker]
+        lifetime = t1 - t0
+        entry["idle_s"] = max(0.0, lifetime - entry["busy_s"])
         entry["utilization"] = (
-            entry.get("busy_s", 0.0) / active if active > 0 else 0.0
+            entry["busy_s"] / lifetime if lifetime > 0 else 0.0
         )
 
     # -- events: cache / retries / workers ------------------------------------
     def count_events(name: str) -> int:
         return sum(1 for e in events if e.get("name") == name)
 
+    total = c_attrs.get("total")
+    hits = len(ok_units) - len(executed_units)  # the cached unit spans
     cache = {
-        "hits": count_events("cache.hit"),
-        "misses": count_events("cache.miss"),
+        "hits": hits,
         "evictions": count_events("cache.evict"),
+        "hit_ratio": hits / total if isinstance(total, int) and total > 0
+        else None,
     }
-    looked_up = cache["hits"] + cache["misses"]
-    cache["hit_ratio"] = cache["hits"] / looked_up if looked_up else None
 
     retries: Dict[int, Dict[str, Any]] = {}
     for event in events:
@@ -303,7 +328,7 @@ def aggregate_span_log(
             "partial": campaign_close is None,
             "pool_mode": c_attrs.get("pool_mode"),
             "jobs": c_attrs.get("jobs"),
-            "total": c_attrs.get("total"),
+            "total": total,
             "t_begin": t_begin,
             "t_end": t_end,
             "wall_s": wall_s,
@@ -312,7 +337,6 @@ def aggregate_span_log(
             "cache_hits": end_attrs.get("cache_hits", cache["hits"]),
             "failed": end_attrs.get("failed", len(quarantined)),
             "remaining": end_attrs.get("remaining", 0),
-            "counters": end_attrs.get("counters", {}),
         },
         "timeline": timeline,
         "workers": {w: workers[w] for w in sorted(workers)},
@@ -329,10 +353,9 @@ def aggregate_span_log(
         "units": {
             "total_attempts": len(units),
             "ok": len(ok_units),
-            "cached": len(ok_units) - len(executed_units),
+            "cached": hits,
             "executed": len(executed_units),
         },
-        "last_progress": progress_last,
     }
 
 
@@ -378,7 +401,6 @@ def format_report(summary: Dict[str, Any]) -> str:
         lines.append("")
         rows = []
         for name, stats in summary["workers"].items():
-            rss = stats.get("rss_kb")
             rows.append([
                 name,
                 stats.get("units_done", 0),
@@ -386,11 +408,9 @@ def format_report(summary: Dict[str, Any]) -> str:
                 f"{stats.get('busy_s', 0.0):.2f}",
                 f"{stats.get('idle_s', 0.0):.2f}",
                 f"{stats.get('utilization', 0.0) * 100:5.1f}%",
-                f"{rss}" if rss is not None else "-",
             ])
         lines.append(format_table(
-            ["worker", "units", "fails", "busy_s", "idle_s", "util",
-             "rss_kb"],
+            ["worker", "units", "fails", "busy_s", "idle_s", "util"],
             rows, title="workers",
         ))
 
@@ -398,7 +418,7 @@ def format_report(summary: Dict[str, Any]) -> str:
     ratio = cache["hit_ratio"]
     lines.append("")
     lines.append(
-        f"cache: {cache['hits']} hits / {cache['misses']} misses"
+        f"cache: {cache['hits']} hits of {campaign.get('total')} units"
         + (f" ({ratio * 100:.0f}% hit ratio)" if ratio is not None else "")
         + f", {cache['evictions']} corruption evictions"
     )

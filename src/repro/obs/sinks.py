@@ -1,15 +1,11 @@
-"""Pluggable file sinks for the trace bus.
+"""The file sink for the trace bus.
 
-A sink subscribes to one or more event names on a
-:class:`~repro.sim.trace.TraceBus` and serializes every matching record to
-a file as it is published:
-
-* :class:`NdjsonTraceSink` — one JSON object per line
-  (``{"t": ..., "source": ..., "event": ..., "fields": {...}}``), the
-  format ``schemas/trace_record.schema.json`` describes and
-  ``repro-muzha doctor --trace`` checks;
-* :class:`CsvTraceSink` — ``time,source,event,fields`` rows with the field
-  dict JSON-encoded in the last column (lossless, spreadsheet-friendly).
+:class:`NdjsonTraceSink` subscribes to one or more event names on a
+:class:`~repro.sim.trace.TraceBus` and writes every matching record to a
+file as it is published, one JSON object per line
+(``{"t": ..., "source": ..., "event": ..., "fields": {...}}``): the
+format ``schemas/trace_record.schema.json`` describes and
+``repro-muzha doctor --trace`` checks.
 
 Sinks honour the repo's tracing cost model: *attaching* a sink is what
 turns the corresponding layer emits on (``TraceBus.wants`` starts
@@ -20,12 +16,11 @@ a later untraced run on the same simulator is hot again.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 from typing import Any, Dict, IO, Optional, Sequence, Tuple, Union
 
 from ..sim.trace import TraceBus, TraceRecord
-from .ndjson import encode, encode_line
+from .ndjson import encode_line
 
 PathLike = Union[str, Path]
 
@@ -53,8 +48,8 @@ def subscription(events: Sequence[str]) -> Tuple[str, ...]:
     return events
 
 
-class TraceSink:
-    """Base class: subscription bookkeeping + lifecycle; ``events`` is
+class NdjsonTraceSink:
+    """Newline-delimited JSON, one trace record per line; ``events`` is
     checked by :func:`subscription`."""
 
     def __init__(self, path: PathLike, events: Sequence[str] = ("*",)) -> None:
@@ -67,13 +62,12 @@ class TraceSink:
 
     # -- lifecycle --------------------------------------------------------------
 
-    def attach(self, bus: TraceBus) -> "TraceSink":
+    def attach(self, bus: TraceBus) -> "NdjsonTraceSink":
         """Open the file and start receiving matching records from ``bus``."""
         if self._bus is not None:
             raise RuntimeError("sink is already attached")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._file = self.path.open("w", encoding="utf-8", newline="")
-        self._open()
         for event in self.events:
             bus.subscribe(event, self._on_record)
         self._bus = bus
@@ -91,7 +85,7 @@ class TraceSink:
 
     close = detach
 
-    def __enter__(self) -> "TraceSink":
+    def __enter__(self) -> "NdjsonTraceSink":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
@@ -102,35 +96,4 @@ class TraceSink:
     def _on_record(self, record: TraceRecord) -> None:
         self.records_written += 1
         self.counts[record.event] = self.counts.get(record.event, 0) + 1
-        self._write(record)
-
-    # -- format hooks -----------------------------------------------------------
-
-    def _open(self) -> None:
-        """Called once after the file is opened (headers etc.)."""
-
-    def _write(self, record: TraceRecord) -> None:
-        raise NotImplementedError
-
-
-class NdjsonTraceSink(TraceSink):
-    """Newline-delimited JSON, one trace record per line."""
-
-    def _write(self, record: TraceRecord) -> None:
         self._file.write(encode_line(record_to_json_dict(record)))
-
-
-class CsvTraceSink(TraceSink):
-    """CSV with a JSON-encoded ``fields`` column."""
-
-    HEADER = ("time", "source", "event", "fields")
-
-    def _open(self) -> None:
-        self._writer = csv.writer(self._file)
-        self._writer.writerow(self.HEADER)
-
-    def _write(self, record: TraceRecord) -> None:
-        self._writer.writerow(
-            (repr(record.time), record.source, record.event,
-             encode(record.fields))
-        )

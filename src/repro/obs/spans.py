@@ -10,12 +10,15 @@ the wire format for that layer:
   wall-clock start/stop and structured attributes.  Campaign telemetry
   uses three span names, nested ``campaign`` → ``dispatch-batch`` →
   ``unit-attempt``;
-* an **event** is a point-in-time record (``cache.hit``, ``retry``,
-  ``worker.crash``, …);
-* a **heartbeat** is a per-worker gauge sample (units done, busy/idle
-  seconds, RSS);
-* a **progress** record is the live ``done/total`` ticker a consumer can
-  tail.
+* an **event** is a point-in-time record of a fact no span carries
+  (``worker.spawn``, ``retry``, ``cache.evict``, …).
+
+A campaign writes only these two kinds of record (``span_open`` /
+``span_close`` and ``event``): each fact once, so a live consumer tails
+the ``unit-attempt`` spans for progress, and ``repro-muzha report``
+derives worker and cache numbers from the spans.  Logs written by earlier
+versions also hold ``heartbeat`` and ``progress`` records: such a log
+still reads, and those records are ignored.
 
 Records stream as NDJSON through :class:`SpanWriter` — one JSON object per
 line, flushed per record so ``tail -f`` (or a pipe consumer) sees a running
@@ -53,6 +56,8 @@ SPAN_NAMES = (SPAN_CAMPAIGN, SPAN_BATCH, SPAN_UNIT)
 #: per-kind contract the committed (necessarily permissive) schema cannot
 #: state, and what ``fold_spans`` and the report trust about a record
 #: (``attrs``, optional on every kind but ``heartbeat``, is an object).
+#: ``heartbeat`` and ``progress`` are written by earlier versions only and
+#: ignored; they stay so that such a log still reads.
 _SPAN_KIND_REQUIRED = {
     "span_open": {"id": STR, "span": STR, "parent": (str, type(None)),
                   "t0": NUM},
@@ -113,7 +118,7 @@ class Span:
 
 
 class SpanWriter:
-    """Line-buffered NDJSON writer for span/event/progress records.
+    """Line-buffered NDJSON writer for span and event records.
 
     ``target`` selects the transport:
 

@@ -1,9 +1,9 @@
 """Acceptance tests for campaign-scale telemetry (spans/report PR).
 
 A warm-pool campaign run with a span sink must produce a schema-valid
-NDJSON log whose unit count matches the ``CampaignResult``, with worker
-heartbeats and cache counters; fingerprints must be byte-identical with
-spans on or off wherever the units run; and a telemetry subscriber
+NDJSON log whose unit count matches the ``CampaignResult``, from which the
+report derives worker and cache numbers; fingerprints must be byte-identical
+with spans on or off wherever the units run; and a telemetry subscriber
 detaching mid-run (the FlightRecorder pattern) must neither stall the
 trace bus nor perturb results.
 """
@@ -47,21 +47,20 @@ PLACEMENTS = {
 }
 
 
-def run_with_spans(tmp_path, name, jobs=2, **kwargs):
+def run_with_spans(tmp_path, name, jobs=2, replications=2, **kwargs):
     path = tmp_path / name
     with SpanWriter(path) as writer:
-        telemetry = CampaignTelemetry(writer, heartbeat_interval=0.01)
-        result = run_campaign(small_grid(), replications=2, jobs=jobs,
-                              telemetry=telemetry, **kwargs)
-    return result, path, telemetry
+        telemetry = CampaignTelemetry(writer)
+        result = run_campaign(small_grid(), replications=replications,
+                              jobs=jobs, telemetry=telemetry, **kwargs)
+    return result, path
 
 
 # -- warm-pool acceptance -----------------------------------------------------
 
 
 def test_warm_campaign_span_log_is_valid_and_complete(tmp_path):
-    result, path, telemetry = run_with_spans(tmp_path, "warm.ndjson",
-                                             pool_mode="warm")
+    result, path = run_with_spans(tmp_path, "warm.ndjson", pool_mode="warm")
     assert result.complete
     assert diagnose_spans(path) == []
     records = scan(path).records()
@@ -70,21 +69,25 @@ def test_warm_campaign_span_log_is_valid_and_complete(tmp_path):
     closes = {r["id"]: r for r in records if r["kind"] == "span_close"}
     ok_units = [u for u in unit_opens if closes[u["id"]]["status"] == "ok"]
     assert len(ok_units) == len(result.records) == 2
-    # Worker heartbeats exist and carry gauges.
-    beats = [r for r in records if r["kind"] == "heartbeat"]
-    assert telemetry.heartbeats == len(beats) >= 1
-    assert all("units_done" in b["attrs"] for b in beats)
-    # The campaign close record carries counters.
+    # Spans and fact events only: no heartbeat, progress or cache hit/miss.
+    assert {r["kind"] for r in records} == {"span_open", "span_close",
+                                             "event"}
+    assert not {r["name"] for r in records if r["kind"] == "event"} & {
+        "cache.hit", "cache.miss"}
+    # The report derives each worker's ledger from the spans.
     campaign_close = closes[next(r["id"] for r in records
                                  if r.get("span") == "campaign")]
     assert campaign_close["attrs"]["executed"] == 2
-    assert campaign_close["attrs"]["counters"]["units.ok"] == 2
+    assert "counters" not in campaign_close["attrs"]
+    workers = aggregate_span_log(path)["workers"]
+    assert workers and sum(w["units_done"] for w in workers.values()) == 2
+    assert all(w["pid"] is not None for w in workers.values())
 
 
 @pytest.mark.parametrize("placement", PLACEMENTS)
 def test_fingerprints_identical_with_spans_on_or_off(tmp_path, placement):
-    traced, path, _ = run_with_spans(tmp_path, f"{placement}.ndjson",
-                                     **PLACEMENTS[placement])
+    traced, path = run_with_spans(tmp_path, f"{placement}.ndjson",
+                                  **PLACEMENTS[placement])
     untraced = run_campaign(small_grid(), replications=2,
                             **{"jobs": 2, **PLACEMENTS[placement]})
     assert traced.fingerprint() == untraced.fingerprint()
@@ -103,7 +106,7 @@ def test_cache_hits_and_evictions_in_result_and_span_log(tmp_path):
     victim.write_text(victim.read_text()[:40])
     path = tmp_path / "cached.ndjson"
     with SpanWriter(path) as writer:
-        telemetry = CampaignTelemetry(writer, heartbeat_interval=0.01)
+        telemetry = CampaignTelemetry(writer)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             second = run_campaign(small_grid(), replications=2, jobs=2,
@@ -113,7 +116,7 @@ def test_cache_hits_and_evictions_in_result_and_span_log(tmp_path):
     assert second.fingerprint() == first.fingerprint()
     assert diagnose_spans(path) == []
     summary = aggregate_span_log(path)
-    assert summary["cache"] == {"hits": 1, "misses": 1, "evictions": 1,
+    assert summary["cache"] == {"hits": 1, "evictions": 1,
                                 "hit_ratio": 0.5}
     # Cached units get spans too, parented to the campaign.
     records = scan(path).records()
@@ -121,6 +124,20 @@ def test_cache_hits_and_evictions_in_result_and_span_log(tmp_path):
               and r.get("attrs", {}).get("cached")]
     assert len(cached) == 1
     assert cached[0]["attrs"]["worker"] == "cache"
+
+
+def test_a_cached_rerun_reports_one_hit_per_cached_unit_span(tmp_path):
+    cache = CampaignCache(tmp_path / "cache")
+    run_campaign(small_grid(), replications=3, jobs=1, cache=cache)
+    result, path = run_with_spans(tmp_path, "rerun.ndjson", jobs=1,
+                                  replications=3, cache=cache)
+    assert result.cache_hits == 3 and result.executed == 0
+    cached = [r for r in scan(path).records()
+              if r.get("span") == "unit-attempt" and r["attrs"]["cached"]]
+    summary = aggregate_span_log(path)
+    assert summary["cache"]["hits"] == len(cached) == 3
+    assert summary["cache"]["hit_ratio"] == 1.0
+    assert summary["workers"] == {}  # a fully cached campaign starts no pool
 
 
 # -- crash / replacement ------------------------------------------------------
@@ -131,7 +148,7 @@ def test_warm_crash_emits_replacement_spans(tmp_path, monkeypatch):
     monkeypatch.setenv(CRASH_ONCE_ENV, f"{sentinel}:0")
     path = tmp_path / "crash.ndjson"
     with SpanWriter(path) as writer:
-        telemetry = CampaignTelemetry(writer, heartbeat_interval=0.01)
+        telemetry = CampaignTelemetry(writer)
         result = run_campaign(
             small_grid(), replications=2, jobs=2, pool_mode="warm",
             policy=RetryPolicy(max_retries=2, backoff=0.01),
@@ -192,7 +209,7 @@ def test_span_log_contract_is_the_same_in_every_local_mode(
         return real(args)
 
     monkeypatch.setattr(campaign, "_execute_unit", raise_once)
-    result, path, _ = run_with_spans(
+    result, path = run_with_spans(
         tmp_path, f"contract-{placement}.ndjson", **PLACEMENTS[placement],
         policy=RetryPolicy(max_retries=1, backoff=0.01),
     )
@@ -220,7 +237,7 @@ def test_crashed_worker_exits_as_crash_and_is_replaced_once(
 ):
     sentinel = tmp_path / "crash-sentinel"
     monkeypatch.setenv(CRASH_ONCE_ENV, f"{sentinel}:0")
-    result, path, _ = run_with_spans(
+    result, path = run_with_spans(
         tmp_path, f"crash-{pool_mode}.ndjson", pool_mode=pool_mode,
         policy=RetryPolicy(max_retries=1, backoff=0.01),
     )

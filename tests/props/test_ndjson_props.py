@@ -127,14 +127,12 @@ def span_log_bytes(path):
         telemetry = CampaignTelemetry(writer)
         telemetry.begin_campaign(3, "warm", 1)
         telemetry.worker_spawned("w1", 101)
-        telemetry.cache_hit(2, "d" * 64)
         telemetry.unit_result("cache", 2, 0, "ok", cached=True)
         telemetry.batch_dispatched("w1", [0, 1])
         telemetry.unit_result("w1", 0, 1, "ok")
         telemetry.unit_result("w1", 1, 1, "error", error="ValueError: nope")
         telemetry.quarantined(1, 1, "ValueError: nope")
         telemetry.worker_exited("w1", "stop")
-        telemetry.progress(3, 3, 1)
         telemetry.end_campaign(executed=1, cache_hits=1, cache_evictions=0,
                                failed=1)
     return path.read_bytes()

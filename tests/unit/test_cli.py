@@ -1,5 +1,6 @@
 """Unit tests for the repro-muzha CLI."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -314,18 +315,58 @@ def test_trace_command_writes_ndjson_and_manifest(tmp_path, capsys):
                  str(tmp_path / "trace.ndjson.manifest.json")]) == 0
 
 
-def test_trace_command_csv_and_event_filter(tmp_path, capsys):
-    out_path = tmp_path / "trace.csv"
+def test_trace_command_filters_events(tmp_path, capsys):
+    out_path = tmp_path / "trace.ndjson"
     assert main([
         "trace", "chain", "--hops", "2", "--time", "2",
         "--variant", "newreno", "--out", str(out_path),
-        "--format", "csv", "--events", "tcp.cwnd", "mac.tx",
+        "--events", "tcp.cwnd", "mac.tx",
     ]) == 0
-    header = out_path.read_text().splitlines()[0]
-    assert header == "time,source,event,fields"
-    body = out_path.read_text()
-    assert "tcp.cwnd" in body
-    assert "ifq.enqueue" not in body  # filtered out
+    events = {json.loads(line)["event"]
+              for line in out_path.read_text().splitlines()}
+    assert events == {"tcp.cwnd", "mac.tx"}  # ifq.enqueue etc. filtered out
+
+
+def test_the_trace_format_flag_is_gone(capsys):
+    """NDJSON is the one trace format: the one ``doctor --trace`` reads."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["trace", "chain", "--format", "csv"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+
+def run_capturing_specs(monkeypatch, argv):
+    """``main(argv)``, returning the RunSpecs it executed."""
+    import repro.cli as cli
+
+    specs = []
+    real = cli.execute_run
+
+    def capture(spec, *args):
+        specs.append(spec)
+        return real(spec, *args)
+
+    monkeypatch.setattr(cli, "execute_run", capture)
+    assert main(argv) == 0
+    return specs
+
+
+def test_profile_cross_runs_the_vertical_flow_its_b_names(monkeypatch,
+                                                          capsys):
+    [spec] = run_capturing_specs(monkeypatch, [
+        "profile", "cross", "--b", "sack", "--hops", "2", "--time", "1",
+        "--limit", "1"])
+    assert (spec.kind, spec.variants) == ("cross", ("muzha", "sack"))
+    assert "function calls" in capsys.readouterr().out
+
+
+def test_stats_command_runs_dynamics(monkeypatch, capsys):
+    [spec] = run_capturing_specs(monkeypatch, [
+        "stats", "dynamics", "--hops", "2", "--time", "2",
+        "--variant", "newreno"])
+    assert spec.variants == ("newreno",) * 3
+    assert spec.starts == (0.0, 10.0, 20.0)
+    assert "total goodput" in capsys.readouterr().out
 
 
 def test_stats_command_prints_counters(capsys):
@@ -355,9 +396,6 @@ def test_stats_command_json_snapshot(capsys):
 @pytest.mark.parametrize("flag,value", [
     ("--jobs", "0"),
     ("--jobs", "-1"),
-    ("--heartbeat-interval", "0"),
-    ("--heartbeat-interval", "-0.5"),
-    ("--heartbeat-interval", "nan"),
     ("--drain-timeout", "-1"),
 ])
 def test_campaign_rejects_nonsense_numeric_knobs(flag, value, capsys):
@@ -374,7 +412,6 @@ def test_campaign_rejects_nonsense_numeric_knobs(flag, value, capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--jobs", "4"),
-    ("--heartbeat-interval", "0.25"),
     ("--drain-timeout", "0"),  # zero drain = terminate immediately, valid
 ])
 def test_campaign_accepts_boundary_numeric_knobs(flag, value):
@@ -386,9 +423,11 @@ def test_campaign_accepts_boundary_numeric_knobs(flag, value):
 
 @pytest.mark.parametrize("dest, value", [("pool_mode", "warm"),
                                          ("listen", "127.0.0.1:0"),
-                                         ("agents", "2")])
+                                         ("agents", "2"),
+                                         ("heartbeat_interval", "0.25")])
 def test_the_removed_campaign_flags_are_unrecognized(dest, value, capsys):
-    """Campaigns run on one host: where the workers live is not a flag."""
+    """Campaigns run on one host: where the workers live is not a flag.
+    The span log states each fact once: it has no heartbeat to pace."""
     flag = "--" + dest.replace("_", "-")
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(["campaign", flag, value])

@@ -1,16 +1,13 @@
 """Unit tests for trace sinks, the time-series probe, the schema engine and
 ``doctor``'s verdicts on traces, manifests and span logs."""
 
-import csv
 import json
 
 import pytest
 
 from repro.obs import (
-    CsvTraceSink,
     NdjsonTraceSink,
     TimeseriesProbe,
-    TraceSink,
     load_schema,
     record_to_json_dict,
     validate,
@@ -51,17 +48,6 @@ def test_ndjson_sink_round_trips_records(tmp_path):
     assert sink.counts == {"mac.tx": 1, "ifq.drop": 1}
 
 
-def test_csv_sink_writes_header_and_json_fields(tmp_path):
-    path = tmp_path / "trace.csv"
-    bus = TraceBus()
-    with CsvTraceSink(path).attach(bus):
-        bus.emit(TraceRecord(0.25, "tcp.0", "tcp.cwnd", {"cwnd": 4.0}))
-    rows = list(csv.reader(path.open()))
-    assert rows[0] == ["time", "source", "event", "fields"]
-    assert rows[1][:3] == ["0.25", "tcp.0", "tcp.cwnd"]
-    assert json.loads(rows[1][3]) == {"cwnd": 4.0}
-
-
 def test_sink_event_filter_and_detach_regate(tmp_path):
     bus = TraceBus()
     sink = NdjsonTraceSink(tmp_path / "t.ndjson", events=("ifq.drop",))
@@ -77,9 +63,9 @@ def test_sink_event_filter_and_detach_regate(tmp_path):
 
 def test_sink_rejects_bad_event_lists(tmp_path):
     with pytest.raises(ValueError):
-        TraceSink(tmp_path / "t", events=())
+        NdjsonTraceSink(tmp_path / "t", events=())
     with pytest.raises(ValueError):
-        TraceSink(tmp_path / "t", events=("*", "mac.tx"))
+        NdjsonTraceSink(tmp_path / "t", events=("*", "mac.tx"))
 
 
 def test_sink_double_attach_raises(tmp_path):

@@ -9,12 +9,18 @@ from repro.obs import (
     CampaignTelemetry,
     Span,
     SpanWriter,
-    WorkerHealth,
-    read_rss_kb,
+    aggregate_span_log,
 )
 from repro.experiments.doctor import diagnose_spans
-from repro.obs.ndjson import scan
+from repro.obs.ndjson import encode_line, scan
 from repro.obs.spans import SpanIdAllocator
+
+#: The events a campaign writes: each carries a fact no span carries.
+FACT_EVENTS = {
+    "worker.spawn", "worker.stop", "worker.crash", "worker.timeout",
+    "retry", "quarantine", "cache.evict", "campaign.resume",
+    "campaign.interrupt",
+}
 
 
 # -- SpanWriter ---------------------------------------------------------------
@@ -24,12 +30,12 @@ def test_span_writer_path_target_flushes_per_line(tmp_path):
     path = tmp_path / "nested" / "spans.ndjson"
     with SpanWriter(path) as writer:
         writer.write({"kind": "event", "name": "x", "t": 1.0})
-        writer.write({"kind": "progress", "t": 2.0, "done": 1, "total": 2,
-                      "failed": 0})
+        writer.write({"kind": "span_open", "id": "c1", "span": "campaign",
+                      "parent": None, "t0": 2.0})
     records = scan(path).records()
-    assert [r["kind"] for r in records] == ["event", "progress"]
+    assert [r["kind"] for r in records] == ["event", "span_open"]
     assert writer.records_written == 2
-    assert writer.counts == {"event": 1, "progress": 1}
+    assert writer.counts == {"event": 1, "span_open": 1}
     assert path.read_text().endswith("\n")
 
 
@@ -72,26 +78,40 @@ def test_span_id_allocator_is_prefixed_and_unique():
     assert ids.allocate("unit-attempt") == "u4"
 
 
-# -- WorkerHealth -------------------------------------------------------------
+# -- worker health, derived from the spans ----------------------------------
 
 
-def test_worker_health_busy_idle_accounting():
-    health = WorkerHealth(worker="w1", pid=None, spawned_mono=0.0,
-                          state_since=0.0)
-    health.mark("busy", 2.0)   # 2s idle
-    health.mark("idle", 5.0)   # 3s busy
-    gauges = health.gauges(6.0)  # +1s idle in progress
-    assert gauges["busy_s"] == pytest.approx(3.0)
-    assert gauges["idle_s"] == pytest.approx(3.0)
-    assert gauges["state"] == "idle"
-    assert "rss_kb" not in gauges  # no pid, no sample
-
-
-def test_read_rss_kb_own_process():
-    rss = read_rss_kb(os.getpid())
-    # Linux: a positive sample; elsewhere: a graceful None.
-    assert rss is None or rss > 0
-    assert read_rss_kb(2 ** 30) is None  # no such pid
+def test_worker_health_busy_idle_accounting(tmp_path):
+    """A worker's busy time is its batch spans and its idle time the rest
+    of its life, spawn event to exit event: 2 s idle, 3 s busy, 1 s idle."""
+    records = [
+        {"kind": "span_open", "id": "c1", "span": "campaign",
+         "parent": None, "t0": 0.0},
+        {"kind": "event", "name": "worker.spawn", "t": 0.0,
+         "attrs": {"worker": "w1", "pid": 7, "replacement": False}},
+        {"kind": "span_open", "id": "b2", "span": "dispatch-batch",
+         "parent": "c1", "t0": 2.0, "attrs": {"worker": "w1", "units": [0]}},
+        {"kind": "span_open", "id": "u3", "span": "unit-attempt",
+         "parent": "b2", "t0": 2.0,
+         "attrs": {"index": 0, "attempt": 1, "worker": "w1",
+                   "cached": False}},
+        {"kind": "span_close", "id": "u3", "t1": 5.0, "status": "ok"},
+        {"kind": "span_close", "id": "b2", "t1": 5.0, "status": "ok"},
+        {"kind": "event", "name": "worker.stop", "t": 6.0,
+         "attrs": {"worker": "w1", "exitcode": 0}},
+        {"kind": "span_close", "id": "c1", "t1": 7.0, "status": "ok"},
+    ]
+    path = tmp_path / "spans.ndjson"
+    path.write_text("".join(encode_line(r) for r in records))
+    assert diagnose_spans(path) == []
+    assert aggregate_span_log(path)["workers"] == {"w1": {
+        "pid": 7, "units_done": 1, "failures": 0,
+        "busy_s": 3.0, "idle_s": 3.0, "utilization": 0.5,
+    }}
+    # A worker the log never sees exit lives to the log's last timestamp.
+    path.write_text("".join(encode_line(r) for r in records[:-2]))
+    worker = aggregate_span_log(path)["workers"]["w1"]
+    assert (worker["busy_s"], worker["idle_s"]) == (3.0, 2.0)
 
 
 # -- CampaignTelemetry --------------------------------------------------------
@@ -101,17 +121,13 @@ def scripted_campaign(tmp_path, name="spans.ndjson"):
     """Drive a full scripted coordinator sequence; returns the log path."""
     path = tmp_path / name
     with SpanWriter(path) as writer:
-        tel = CampaignTelemetry(writer, heartbeat_interval=0.001)
+        tel = CampaignTelemetry(writer)
         tel.begin_campaign(3, "warm", 2)
         tel.worker_spawned("w1", os.getpid())
-        tel.cache_hit(2, "f" * 64)
         tel.unit_result("cache", 2, 0, "ok", cached=True)
-        tel.cache_miss(0, "a" * 64)
-        tel.cache_miss(1, "b" * 64)
         tel.batch_dispatched("w1", [0, 1])
         tel.unit_result("w1", 0, 1, "ok",
                         manifest={"timings": {"sim_s": 0.5}})
-        tel.tick()
         tel.unit_result("w1", 1, 1, "error", error="ValueError: boom")
         tel.retry_scheduled(1, 1, 0.25, "ValueError: boom")
         tel.batch_dispatched("w1", [1])
@@ -145,23 +161,33 @@ def test_telemetry_span_parentage_and_counters(tmp_path):
     assert closes[campaign["id"]]["status"] == "ok"
     attrs = closes[campaign["id"]]["attrs"]
     assert attrs["executed"] == 2 and attrs["cache_hits"] == 1
-    assert attrs["counters"]["units.ok"] == 3
-    assert attrs["counters"]["units.error"] == 1
-    assert attrs["counters"]["events.retry"] == 1
+    assert "counters" not in attrs  # the report derives them
+    summary = aggregate_span_log(path)
+    assert summary["units"] == {"total_attempts": 4, "ok": 3, "cached": 1,
+                                "executed": 2}
+    assert summary["workers"]["w1"]["failures"] == 1
+    assert summary["retries"] == {
+        "1": {"retries": 1, "last_error": "ValueError: boom"}}
     # Worker-measured timings travel on the unit close record.
     unit0_close = closes[next(u["id"] for u in units
                               if u["attrs"]["index"] == 0)]
     assert unit0_close["attrs"]["timings"] == {"sim_s": 0.5}
 
 
-def test_telemetry_heartbeats_cover_every_worker(tmp_path):
-    path, tel = scripted_campaign(tmp_path)
-    beats = [r for r in scan(path).records() if r["kind"] == "heartbeat"]
-    assert tel.heartbeats == len(beats) >= 1
-    assert {b["worker"] for b in beats} == {"w1"}
-    final = beats[-1]
-    assert final["attrs"]["units_done"] == 2
-    assert final["attrs"]["failures"] == 1
+def test_telemetry_log_holds_only_spans_and_fact_events(tmp_path):
+    """Each fact once: no heartbeat, progress or cache hit/miss records,
+    one span pair per unit attempt, and the derived ledger covers the one
+    worker."""
+    path, _ = scripted_campaign(tmp_path)
+    records = scan(path).records()
+    assert {r["kind"] for r in records} == {"span_open", "span_close",
+                                             "event"}
+    assert {r["name"] for r in records if r["kind"] == "event"} <= FACT_EVENTS
+    units = [r for r in records if r.get("span") == "unit-attempt"]
+    assert len(units) == 4  # one cached, three dispatched attempts
+    worker = aggregate_span_log(path)["workers"]["w1"]
+    assert (worker["pid"], worker["units_done"], worker["failures"]) == (
+        os.getpid(), 2, 1)
 
 
 def test_telemetry_crash_aborts_batch_and_marks_replacement(tmp_path):
@@ -218,6 +244,6 @@ def test_telemetry_end_campaign_closes_dangling_state(tmp_path):
         assert writer.records_written == before
 
 
-def test_telemetry_rejects_bad_heartbeat_interval():
-    with pytest.raises(ValueError):
-        CampaignTelemetry(SpanWriter(io.StringIO()), heartbeat_interval=0.0)
+def test_telemetry_takes_no_heartbeat_interval():
+    with pytest.raises(TypeError):
+        CampaignTelemetry(SpanWriter(io.StringIO()), heartbeat_interval=1.0)
