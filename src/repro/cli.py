@@ -75,6 +75,7 @@ from .obs import (
 )
 from .obs.sinks import subscription
 from .stats import jain_index, resample
+from .topology.cross import check_cross_hops
 from .transport import known_variants
 
 
@@ -209,7 +210,18 @@ def _spec_from_args(args: argparse.Namespace, shape: Optional[str] = None) -> Ru
     variants = (args.variant,)
     if shape == "cross":  # --variant runs left->right, --b top->bottom
         variants += (getattr(args, "b", "newreno"),)
+        _refuse_bad_cross([args.hops])
     return RunSpec(shape, args.hops, variants, config=config)
+
+
+def _refuse_bad_cross(hops_list) -> None:
+    """Exit with the topology's one-line refusal of a cross of odd or too
+    few hops, before anything runs."""
+    for hops in hops_list:
+        try:
+            check_cross_hops(hops)
+        except ValueError as exc:
+            raise SystemExit(str(exc))
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
@@ -220,8 +232,9 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     print(f"  delivered      : {flow.delivered_packets} packets")
     print(f"  retransmissions: {flow.retransmits}")
     print(f"  timeouts       : {flow.timeouts}")
-    if args.trace:
-        grid = resample(flow.cwnd_trace, 0.0, args.time, args.time / 64)
+    if args.trace:  # --time 0 has no grid to sample: "(no data)"
+        grid = (resample(flow.cwnd_trace, 0.0, args.time, args.time / 64)
+                if args.time > 0 else [])
         print(ascii_series(grid, label="cwnd"))
     return 0
 
@@ -244,6 +257,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_cross(args: argparse.Namespace) -> int:
+    _refuse_bad_cross(args.hops)
     points = fig_coexistence(
         args.a,
         args.b,

@@ -41,6 +41,7 @@ from ..routing import install_aodv_routing, install_static_routing
 from ..stats.fairness import jain_index
 from ..stats.timeseries import differentiate
 from ..topology import Network, build_chain, build_cross, chain_endpoints
+from ..topology.cross import check_cross_hops
 from ..traffic import FtpFlow, start_ftp
 from ..transport import sender_class
 from .config import ScenarioConfig
@@ -93,7 +94,7 @@ class RunResult:
     """Outcome of one scenario run.
 
     ``metrics`` is the run's deterministic observability snapshot
-    (:meth:`repro.obs.metrics.MetricsRegistry.snapshot`): a pure function
+    (:func:`repro.obs.metrics.collect_network_metrics`): a pure function
     of the seeded run, so it serializes with the result and participates in
     fingerprints.  ``manifest`` carries environment facts (wall time,
     platform, package version) and is therefore *excluded* from
@@ -174,9 +175,9 @@ class RunSpec:
 
     ``kind`` selects the topology and endpoints from :data:`SCENARIO_KINDS`:
     on a ``"chain"`` every flow runs end to end, a ``"cross"`` takes exactly
-    two variants (horizontal, vertical).  Flow ``i`` uses ``variants[i]`` and
-    starts at ``starts[i]`` (default 0).  The embedded config's ``seed`` fully
-    determines the run's randomness.
+    two variants (horizontal, vertical) and an even ``hops`` of at least 2.
+    Flow ``i`` uses ``variants[i]`` and starts at ``starts[i]`` (default 0).
+    The embedded config's ``seed`` fully determines the run's randomness.
     """
 
     kind: str
@@ -189,8 +190,10 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown run kind {self.kind!r}")
-        if self.kind == "cross" and len(self.variants) != 2:
-            raise ValueError("cross runs take exactly two variants")
+        if self.kind == "cross":
+            if len(self.variants) != 2:
+                raise ValueError("cross runs take exactly two variants")
+            check_cross_hops(self.hops)  # not mid-run, in a forked worker
         for variant in self.variants:  # a removed one fails here, not mid-run
             try:
                 sender_class(variant)

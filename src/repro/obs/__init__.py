@@ -4,9 +4,9 @@ Everything here sits *on top of* the simulator's existing tracing and
 counter infrastructure — the hot paths keep their plain-``int`` counters
 and gated emits, and this package harvests, records, and attributes:
 
-* :mod:`~repro.obs.metrics` — Counter/Gauge/Histogram registry with
-  per-node and global rollups; :func:`collect_network_metrics` sweeps a
-  finished run into a deterministic snapshot.
+* :mod:`~repro.obs.metrics` — :func:`collect_network_metrics` reads every
+  layer's counters once into a deterministic snapshot: labelled counter,
+  gauge and cwnd-histogram series plus per-node and global rollups.
 * :mod:`~repro.obs.ndjson` — the one NDJSON codec: the line encoder every
   log writer uses, the never-raising scan every reader goes through, and
   the one torn-tail cut.
@@ -29,14 +29,7 @@ and gated emits, and this package harvests, records, and attributes:
 
 from .engine import CampaignTelemetry
 from .flight import AnomalyDump, AnomalyRule, DEFAULT_RULES, FlightRecorder
-from .metrics import (
-    Counter,
-    DEFAULT_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    collect_network_metrics,
-)
+from .metrics import collect_network_metrics
 from .probe import TimeseriesProbe, attach_run_probe
 from .provenance import (
     MANIFEST_SCHEMA_VERSION,
@@ -61,11 +54,6 @@ __all__ = [
     "AnomalyRule",
     "DEFAULT_RULES",
     "FlightRecorder",
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "collect_network_metrics",
     "TimeseriesProbe",
     "attach_run_probe",

@@ -1,277 +1,169 @@
-"""Metrics registry: cheap counters/gauges/histograms with rollups.
+"""Metrics snapshot: one pass over a network's layer counters.
 
-Two usage modes:
+The simulator's hot paths keep plain-``int`` layer counters and pay nothing
+for observability; :func:`collect_network_metrics` reads every layer of a
+finished (or running) network once, and the returned object's
+``snapshot()`` is the deterministic, JSON-safe dict that run results,
+manifests and the campaign cache embed and every run digest hashes:
 
-* **Live metrics** — components create :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` objects through a :class:`MetricsRegistry` and bump
-  them directly.  The primitives are ``__slots__`` objects whose update is
-  one attribute add, so they are safe on warm (not innermost) paths.
-* **Harvest** — the simulator's innermost loops (per-frame MAC/PHY, per-
-  packet queue) keep their existing plain-``int`` layer counters and pay
-  *zero* registry overhead; :func:`collect_network_metrics` sweeps every
-  layer of a finished (or running) :class:`~repro.topology.builder.Network`
-  into a registry after the fact.  This is how every scenario run gets its
-  snapshot without perturbing the benchmarked hot paths.
-
-``MetricsRegistry.snapshot()`` renders everything as a deterministic,
-JSON-safe dict — per-metric label series plus per-node and global rollups —
-which is what run manifests embed and the campaign cache stores.  Identical
-seeds produce byte-identical snapshots; the provenance tests hold the
-registry to that.
+* ``counters`` / ``gauges`` / ``histograms`` map a metric name to a label
+  string (``key=value`` pairs in key order: ``flow=0,node=0``) to a value;
+  names and label strings are sorted.
+* Integer layer fields are counters, and writes to one series add up (the
+  ``tcp.*`` sender stats are labelled by node only, so flows from one node
+  share a series).  Float fields are gauges: the last write wins, and they
+  stay out of the rollups.
+* ``rollups.global`` sums each counter over its series; ``rollups.per_node``
+  sums it within each ``node`` label, nodes ordered ``(len, str)`` (``"2"``
+  before ``"10"``).  Harvest order never leaks into the snapshot.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable
 
-LabelKey = Tuple[Tuple[str, Any], ...]
+#: Inclusive upper edges (packets) of the cwnd-sample histogram; one
+#: overflow bucket, ``inf``, catches everything beyond the last.
+_CWND_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+_CWND_BUCKETS = tuple(f"le_{bound:g}" for bound in _CWND_BOUNDS) + ("inf",)
 
-#: Default cwnd-style histogram bucket upper bounds (packets).
-DEFAULT_BUCKETS: Tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-
-
-class Counter:
-    """Monotonic event count."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
+Series = Dict[str, Dict[str, Any]]
+Rollup = Dict[str, int]  # metric name -> counter sum
 
 
-class Gauge:
-    """Last-written instantaneous value."""
+def _sorted(series: Series) -> Series:
+    return {name: dict(sorted(series[name].items())) for name in sorted(series)}
 
-    __slots__ = ("value",)
+
+class NetworkMetrics:
+    """What :func:`collect_network_metrics` harvested; ``snapshot()`` renders it."""
 
     def __init__(self) -> None:
-        self.value = 0.0
+        self.counters: Series = {}
+        self.gauges: Series = {}
+        self.histograms: Series = {}
+        self.totals: Rollup = {}
+        self.per_node: Dict[str, Rollup] = {}
 
-    def set(self, value: float) -> None:
-        self.value = value
+    def count(self, name: str, labels: str, rollup: Rollup, value: int) -> None:
+        """Add ``value`` to a series, its global total and its node's rollup."""
+        series = self.counters.setdefault(name, {})
+        series[labels] = series.get(labels, 0) + value
+        self.totals[name] = self.totals.get(name, 0) + value
+        rollup[name] = rollup.get(name, 0) + value
 
-    def add(self, delta: float) -> None:
-        self.value += delta
+    def gauge(self, name: str, labels: str, value: float) -> None:
+        self.gauges.setdefault(name, {})[labels] = value
 
-
-class Histogram:
-    """Fixed-bucket distribution: counts of observations per upper bound.
-
-    ``bounds`` are inclusive upper edges; one overflow bucket catches
-    everything beyond the last bound.  ``observe`` is O(log buckets).
-    """
-
-    __slots__ = ("bounds", "counts", "total", "count")
-
-    def __init__(self, bounds: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        ordered = tuple(sorted(float(b) for b in bounds))
-        if not ordered:
-            raise ValueError("histogram needs at least one bucket bound")
-        if len(set(ordered)) != len(ordered):
-            raise ValueError(f"duplicate bucket bounds in {bounds}")
-        self.bounds = ordered
-        self.counts = [0] * (len(ordered) + 1)
-        self.total = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.total += value
-        self.count += 1
-
-    def to_dict(self) -> Dict[str, Any]:
-        buckets = {f"le_{bound:g}": count
-                   for bound, count in zip(self.bounds, self.counts)}
-        buckets["inf"] = self.counts[-1]
-        return {
-            "buckets": buckets,
-            "count": self.count,
-            "sum": self.total,
-            "mean": self.total / self.count if self.count else 0.0,
-        }
-
-
-def _label_key(labels: Dict[str, Any]) -> LabelKey:
-    return tuple(sorted(labels.items()))
-
-
-def _label_str(key: LabelKey) -> str:
-    return ",".join(f"{k}={v}" for k, v in key) if key else ""
-
-
-class MetricsRegistry:
-    """Namespace of labelled metrics with deterministic export.
-
-    Metrics are keyed by ``(name, sorted labels)``; asking for an existing
-    key returns the same object (get-or-create), so layers can look their
-    metric up once and hold the reference.
-    """
-
-    def __init__(self) -> None:
-        self._counters: Dict[Tuple[str, LabelKey], Counter] = {}
-        self._gauges: Dict[Tuple[str, LabelKey], Gauge] = {}
-        self._histograms: Dict[Tuple[str, LabelKey], Histogram] = {}
-
-    # -- get-or-create accessors ---------------------------------------------
-
-    def counter(self, name: str, **labels: Any) -> Counter:
-        key = (name, _label_key(labels))
-        metric = self._counters.get(key)
-        if metric is None:
-            metric = self._counters[key] = Counter()
-        return metric
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        key = (name, _label_key(labels))
-        metric = self._gauges.get(key)
-        if metric is None:
-            metric = self._gauges[key] = Gauge()
-        return metric
-
-    def histogram(
-        self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS, **labels: Any
-    ) -> Histogram:
-        key = (name, _label_key(labels))
-        metric = self._histograms.get(key)
-        if metric is None:
-            metric = self._histograms[key] = Histogram(bounds)
-        elif metric.bounds != tuple(sorted(float(b) for b in bounds)):
-            raise ValueError(f"histogram {name!r} already exists with "
-                             f"bounds {metric.bounds}")
-        return metric
-
-    # -- export ----------------------------------------------------------------
-
-    @staticmethod
-    def _series(store: Dict[Tuple[str, LabelKey], Any], render) -> Dict[str, Any]:
-        out: Dict[str, Dict[str, Any]] = {}
-        for (name, key) in sorted(store, key=lambda k: (k[0], _label_str(k[1]))):
-            out.setdefault(name, {})[_label_str(key)] = render(store[(name, key)])
-        return out
+    def fields(self, prefix: str, record: Any, labels: str, rollup: Rollup) -> None:
+        """Harvest a layer's counter record: ints count, floats are gauges."""
+        for field_name, value in vars(record).items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                continue
+            if isinstance(value, float):
+                self.gauge(f"{prefix}.{field_name}", labels, value)
+            else:
+                self.count(f"{prefix}.{field_name}", labels, rollup, value)
 
     def snapshot(self) -> Dict[str, Any]:
-        """Deterministic JSON-safe export of every metric plus rollups.
-
-        Rollups sum counters over their label sets: ``global`` per metric
-        name, ``per_node`` per metric name within each ``node=`` label.
-        Insertion order never leaks — keys are sorted — so two registries
-        holding equal values serialize byte-identically.
-        """
-        per_node: Dict[str, Dict[str, int]] = {}
-        rollup: Dict[str, int] = {}
-        for (name, key), counter in self._counters.items():
-            rollup[name] = rollup.get(name, 0) + counter.value
-            labels = dict(key)
-            if "node" in labels:
-                bucket = per_node.setdefault(str(labels["node"]), {})
-                bucket[name] = bucket.get(name, 0) + counter.value
+        per_node = self.per_node
         return {
-            "counters": self._series(self._counters, lambda m: m.value),
-            "gauges": self._series(self._gauges, lambda m: m.value),
-            "histograms": self._series(self._histograms, lambda m: m.to_dict()),
+            "counters": _sorted(self.counters),
+            "gauges": _sorted(self.gauges),
+            "histograms": _sorted(self.histograms),
             "rollups": {
-                "global": {name: rollup[name] for name in sorted(rollup)},
+                "global": dict(sorted(self.totals.items())),
                 "per_node": {
-                    node: {n: v for n, v in sorted(per_node[node].items())}
+                    node: dict(sorted(per_node[node].items()))
                     for node in sorted(per_node, key=lambda s: (len(s), s))
                 },
             },
         }
 
 
-# ---------------------------------------------------------------------------
-# Layer harvest
+def _cwnd_histogram(trace: Iterable[Any]) -> Dict[str, Any]:
+    counts = [0] * len(_CWND_BUCKETS)
+    total = 0.0
+    for _, cwnd in trace:
+        counts[bisect_left(_CWND_BOUNDS, cwnd)] += 1
+        total += cwnd
+    count = sum(counts)
+    return {
+        "buckets": dict(zip(_CWND_BUCKETS, counts)),
+        "count": count,
+        "sum": total,
+        "mean": total / count if count else 0.0,
+    }
 
 
-def _harvest_dataclass_counters(
-    registry: MetricsRegistry, prefix: str, counters: Any, node: int
-) -> None:
-    for field_name, value in vars(counters).items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        if isinstance(value, float):
-            registry.gauge(f"{prefix}.{field_name}", node=node).set(value)
-        else:
-            registry.counter(f"{prefix}.{field_name}", node=node).inc(value)
-
-
-def collect_network_metrics(
-    network: Any,
-    flows: Iterable[Any] = (),
-    registry: Optional[MetricsRegistry] = None,
-) -> MetricsRegistry:
-    """Sweep every layer of ``network`` (and ``flows``) into a registry.
+def collect_network_metrics(network: Any, flows: Iterable[Any] = ()) -> NetworkMetrics:
+    """Sweep every layer of ``network`` (and ``flows``) in one pass.
 
     Harvested per node: PHY decode outcomes (``phy.rx_ok`` /
     ``phy.collisions`` / ``phy.medium_errors``), the full MAC counter set
     (retries, retry-limit drops, NAV seconds, backoff slots, ...), IFQ
     enqueue/dequeue/drop/high-water/occupancy, network-layer forwarding
     counters, routing counters (plus the AODV RREQ/RREP/RERR set when AODV
-    is installed), and the DRAI advice distribution when the estimator is
+    is installed), and the DRAI advice distribution and per-state dwell
+    samples (x sample_interval = time-in-state) when the estimator is
     installed.  Per flow: the TCP sender stats, final cwnd/ssthresh/RTO
     gauges, a cwnd-sample histogram, and sink delivery counters.
 
-    Purely read-only: safe to call mid-run for a live snapshot.
+    Purely read-only: safe to call mid-run.
     """
-    registry = registry or MetricsRegistry()
+    m = NetworkMetrics()
     for node in network.nodes:
         nid = node.node_id
+        at = f"node={nid}"
+        rollup = m.per_node.setdefault(str(nid), {})
         radio = node.radio
-        registry.counter("phy.rx_ok", node=nid).inc(radio.rx_ok)
-        registry.counter("phy.collisions", node=nid).inc(radio.collisions)
-        registry.counter("phy.medium_errors", node=nid).inc(radio.medium_errors)
-        _harvest_dataclass_counters(registry, "mac", node.mac.counters, nid)
+        m.count("phy.rx_ok", at, rollup, radio.rx_ok)
+        m.count("phy.collisions", at, rollup, radio.collisions)
+        m.count("phy.medium_errors", at, rollup, radio.medium_errors)
+        m.fields("mac", node.mac.counters, at, rollup)
         ifq = node.ifq
-        registry.counter("ifq.enqueued", node=nid).inc(ifq.enqueued)
-        registry.counter("ifq.dequeued", node=nid).inc(ifq.dequeued)
-        registry.counter("ifq.drops", node=nid).inc(ifq.drops)
-        registry.counter("ifq.high_water", node=nid).inc(ifq.high_water)
-        registry.gauge("ifq.len", node=nid).set(float(len(ifq)))
-        registry.gauge("ifq.occupancy", node=nid).set(ifq.occupancy)
+        m.count("ifq.enqueued", at, rollup, ifq.enqueued)
+        m.count("ifq.dequeued", at, rollup, ifq.dequeued)
+        m.count("ifq.drops", at, rollup, ifq.drops)
+        m.count("ifq.high_water", at, rollup, ifq.high_water)
+        m.gauge("ifq.len", at, float(len(ifq)))
+        m.gauge("ifq.occupancy", at, ifq.occupancy)
         early = getattr(ifq, "early_drops", None)
         if early is not None:
-            registry.counter("ifq.early_drops", node=nid).inc(early)
-        _harvest_dataclass_counters(registry, "net", node.counters, nid)
+            m.count("ifq.early_drops", at, rollup, early)
+        m.fields("net", node.counters, at, rollup)
         if node.routing is not None:
-            _harvest_dataclass_counters(
-                registry, "routing", node.routing.counters, nid
-            )
+            m.fields("routing", node.routing.counters, at, rollup)
             aodv = getattr(node.routing, "aodv", None)
             if aodv is not None:
-                _harvest_dataclass_counters(registry, "aodv", aodv, nid)
+                m.fields("aodv", aodv, at, rollup)
         drai = getattr(node, "drai", None)
         if drai is not None:
-            for level, count in sorted(drai.level_counts.items()):
-                registry.counter("drai.advice", node=nid, level=level).inc(count)
-            registry.gauge("drai.level", node=nid).set(float(drai.drai))
-            registry.gauge("drai.utilization", node=nid).set(drai.utilization)
-            registry.gauge("drai.occupancy", node=nid).set(drai.occupancy)
-            # Per-state dwell counters: samples spent in each advice-policy
-            # state (x sample_interval = time-in-state, the bake-off metric).
-            for state, count in sorted(drai.state_counts.items()):
-                registry.counter(
-                    "drai.state_samples", node=nid,
-                    policy=drai.policy.name, state=state,
-                ).inc(count)
+            for level, count in drai.level_counts.items():
+                m.count("drai.advice", f"level={level},{at}", rollup, count)
+            m.gauge("drai.level", at, float(drai.drai))
+            m.gauge("drai.utilization", at, drai.utilization)
+            m.gauge("drai.occupancy", at, drai.occupancy)
+            policy = f"{at},policy={drai.policy.name}"
+            for state, count in drai.state_counts.items():
+                m.count("drai.state_samples", f"{policy},state={state}",
+                        rollup, count)
     for i, flow in enumerate(flows):
         sender = flow.sender
         nid = sender.node.node_id
-        _harvest_dataclass_counters(registry, "tcp", sender.stats, nid)
-        registry.gauge("tcp.cwnd", node=nid, flow=i).set(sender.cwnd)
-        registry.gauge("tcp.ssthresh", node=nid, flow=i).set(sender.ssthresh)
-        registry.gauge("tcp.rto", node=nid, flow=i).set(sender.rtt.rto)
-        hist = registry.histogram("tcp.cwnd_samples", node=nid, flow=i)
-        for _, cwnd in sender.cwnd_trace:
-            hist.observe(cwnd)
-        sink_node = flow.sink.node.node_id
-        registry.counter("tcp.delivered_packets", node=sink_node, flow=i).inc(
-            flow.sink.delivered_packets
-        )
-        registry.counter("tcp.delivered_bytes", node=sink_node, flow=i).inc(
-            flow.sink.delivered_bytes
-        )
-    return registry
+        rollup = m.per_node.setdefault(str(nid), {})
+        m.fields("tcp", sender.stats, f"node={nid}", rollup)
+        at = f"flow={i},node={nid}"
+        m.gauge("tcp.cwnd", at, sender.cwnd)
+        m.gauge("tcp.ssthresh", at, sender.ssthresh)
+        m.gauge("tcp.rto", at, sender.rtt.rto)
+        histograms = m.histograms.setdefault("tcp.cwnd_samples", {})
+        histograms[at] = _cwnd_histogram(sender.cwnd_trace)
+        sink = flow.sink
+        nid = sink.node.node_id
+        rollup = m.per_node.setdefault(str(nid), {})
+        at = f"flow={i},node={nid}"
+        m.count("tcp.delivered_packets", at, rollup, sink.delivered_packets)
+        m.count("tcp.delivered_bytes", at, rollup, sink.delivered_bytes)
+    return m

@@ -11,7 +11,7 @@ cache is rebuilt per tick), which is the standard discrete-event treatment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..sim.simulator import Simulator
 from ..sim.timer import PeriodicTimer
@@ -126,9 +126,3 @@ class RandomWaypointMobility:
                     current.y + (state.destination.y - current.y) * fraction,
                 ),
             )
-
-    # -- inspection ------------------------------------------------------------------
-
-    def destination_of(self, radio: Radio) -> Optional[Position]:
-        state = self._states.get(radio)
-        return state.destination if state else None

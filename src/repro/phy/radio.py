@@ -88,8 +88,8 @@ class Radio:
         self.down = False
         self._signals: List[Signal] = []
         self._transmitting = False
-        # Decode-outcome counters over receivable signals, harvested by
-        # repro.obs.metrics.collect_network_metrics.
+        # Decode-outcome counters over receivable signals, read once per run
+        # into the metrics snapshot by collect_network_metrics.
         self.rx_ok = 0
         self.collisions = 0
         self.medium_errors = 0

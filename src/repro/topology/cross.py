@@ -17,17 +17,22 @@ from .builder import Network, make_network, place_nodes
 from .chain import DEFAULT_SPACING
 
 
+def check_cross_hops(hops: int) -> None:
+    """Refuse a cross whose centre would not lie on both chains: ``hops``
+    must be even and at least 2."""
+    if hops < 2 or hops % 2 != 0:
+        raise ValueError(f"cross topology needs an even hops >= 2, got {hops}")
+
+
 def cross_positions(
     hops: int, spacing: float = DEFAULT_SPACING
 ) -> Tuple[List[Position], int, int, int, int, int]:
     """Positions for an h-hop cross plus the indices of its five landmarks.
 
     Returns ``(positions, left, right, top, bottom, center)`` where the
-    named values are node indices.  ``hops`` must be even so the centre
-    node lies on both chains.
+    named values are node indices (see :func:`check_cross_hops`).
     """
-    if hops < 2 or hops % 2 != 0:
-        raise ValueError(f"cross topology needs an even hops >= 2, got {hops}")
+    check_cross_hops(hops)
     half = hops // 2
     positions: List[Position] = []
     # Horizontal chain: node 0 .. node hops, centre at index `half`.

@@ -59,7 +59,6 @@ class TcpSenderBase:
         mss: int = DEFAULT_MSS,
         min_rto: float = 0.2,
         max_packets: Optional[int] = None,
-        initial_ssthresh: Optional[float] = None,
         limited_transmit: bool = True,
     ) -> None:
         if window < 1:
@@ -78,7 +77,7 @@ class TcpSenderBase:
         node.bind_port(sport, self)
 
         self.cwnd = 1.0
-        self.ssthresh = float(window if initial_ssthresh is None else initial_ssthresh)
+        self.ssthresh = float(window)
         self.snd_una = 0
         self.snd_nxt = 0
         self.dupacks = 0

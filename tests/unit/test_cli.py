@@ -145,6 +145,13 @@ def test_chain_command_with_trace(capsys):
     assert "cwnd" in out
 
 
+def test_chain_trace_of_a_zero_second_run_has_no_data(capsys):
+    """``--time 0`` stays valid (``profile`` relies on it); the cwnd chart
+    used to die in ``resample(..., step=0.0)``."""
+    assert main(["chain", "--hops", "2", "--time", "0", "--trace"]) == 0
+    assert "cwnd: (no data)" in capsys.readouterr().out
+
+
 def test_chain_command_runs_a_related_work_variant(capsys):
     """``--variant veno`` used to answer ``invalid choice`` although the
     registry (and ``campaign --variants veno``) knew the name."""
@@ -190,6 +197,39 @@ def test_cross_command(capsys):
     assert main(["cross", "--hops", "4", "--seeds", "1", "--time", "5"]) == 0
     out = capsys.readouterr().out
     assert "Jain index" in out
+
+
+def _bad_cross(hops):
+    return f"^cross topology needs an even hops >= 2, got {hops}$"
+
+
+@pytest.mark.parametrize("hops", ["3", "1"])
+def test_cross_command_refuses_an_odd_or_short_cross_before_running(
+        hops, monkeypatch):
+    """``cross --hops 3`` used to fork workers and then raise
+    ``RuntimeError``; it is refused in one line before anything runs."""
+    import repro.cli as cli
+
+    monkeypatch.setattr(cli, "fig_coexistence",
+                        lambda *args, **kwargs: pytest.fail("the figure ran"))
+    with pytest.raises(SystemExit, match=_bad_cross(hops)):
+        main(["cross", "--hops", "4", hops, "--seeds", "1", "--time", "1"])
+
+
+@pytest.mark.parametrize("command", ["stats", "trace", "profile"])
+def test_scenario_commands_refuse_an_odd_or_short_cross_before_running(
+        command, monkeypatch, tmp_path):
+    """``stats cross --hops 1`` used to end in a ``ValueError`` traceback
+    from the topology builder, mid-run."""
+    import repro.cli as cli
+
+    monkeypatch.setattr(cli, "execute_run",
+                        lambda *args, **kwargs: pytest.fail("the run started"))
+    monkeypatch.chdir(tmp_path)
+    for hops in ("1", "3"):
+        with pytest.raises(SystemExit, match=_bad_cross(hops)):
+            main([command, "cross", "--hops", hops, "--time", "1"])
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags, routing, seeds", [

@@ -74,8 +74,6 @@ class TestRandomWaypoint:
         for _ in range(200):
             sim.run(until=sim.now + 0.5)
             current = channel.position_of(radios[0])
-            if arrived_at is None and current == mob.destination_of(radios[0]) is None:
-                pass
             if current == last and arrived_at is None:
                 arrived_at = sim.now
             if arrived_at is not None and sim.now < arrived_at + 4.5:

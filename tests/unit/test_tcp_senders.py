@@ -23,7 +23,8 @@ class TestWindowMechanics:
         assert sender.cwnd == 4
 
     def test_congestion_avoidance_grows_linearly(self):
-        sim, node, sender = make_sender(TcpTahoe, initial_ssthresh=2)
+        sim, node, sender = make_sender(TcpTahoe)
+        sender.ssthresh = 2.0
         ack(sender, 1)  # reaches ssthresh
         ack(sender, 2)
         cwnd_before = sender.cwnd

@@ -77,10 +77,18 @@ class TestCross:
         assert net.center.node_id in path
 
     def test_odd_hops_rejected(self):
+        from repro.experiments import RunSpec
+
         with pytest.raises(ValueError):
             cross_positions(3)
         with pytest.raises(ValueError):
             cross_positions(0)
+        # A spec checks the same rule where it is built, not mid-run in a
+        # forked worker.
+        for hops in (1, 3, 5):
+            with pytest.raises(ValueError, match=f"even hops >= 2, got {hops}"):
+                RunSpec("cross", hops, ("newreno", "muzha"))
+        assert RunSpec("chain", 3, ("newreno",)).hops == 3
 
     def test_larger_cross_sizes(self):
         for hops in (6, 8):
