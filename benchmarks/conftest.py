@@ -4,16 +4,11 @@ Every benchmark regenerates one table or figure of the paper: it runs the
 corresponding simulation campaign, prints the same rows/series the paper
 plots, and asserts the qualitative shape (who wins, monotonicity, fairness
 ordering).  Set ``REPRO_FULL=1`` for paper-scale campaigns (longer
-simulations, full hop grids, more seeds).
-
-The chain sweeps behind Figs 5.8-5.13 are expensive, so they are computed
-once per advertised window in a session-scoped cache shared by the
-throughput and retransmission benchmarks.
+simulations, full hop grids, more seeds).  Figs 5.8-5.13 have no benchmark:
+their paper-scale evidence is the claims suite, ``tests/claims/``.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 import pytest
 
@@ -29,28 +24,7 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         item.add_marker(pytest.mark.perf)
 
-from repro.experiments import (
-    SweepConfig,
-    SweepResult,
-    run_flows,
-    throughput_retransmit_sweep,
-)
-
-_SWEEP_CACHE: Dict[int, SweepResult] = {}
-
-
-@pytest.fixture(scope="session")
-def sweep_for_window():
-    """Callable returning the (cached) Fig 5.8-5.13 sweep for a window."""
-
-    def get(window: int) -> SweepResult:
-        if window not in _SWEEP_CACHE:
-            _SWEEP_CACHE[window] = throughput_retransmit_sweep(
-                window, sweep=SweepConfig.for_scale()
-            )
-        return _SWEEP_CACHE[window]
-
-    return get
+from repro.experiments import run_flows
 
 
 def run_once(benchmark, func):

@@ -1,22 +1,15 @@
-"""Collect the paper-scale campaign results recorded in EXPERIMENTS.md.
+"""Collect the paper-scale Simulation 3 results recorded in EXPERIMENTS.md:
+the cross-topology coexistence runs (Figs 5.16–5.18) and the
+staggered-flow dynamics (Figs 5.19–5.22).  The Simulation 2 chain sweeps
+(Figs 5.8–5.13) are the claims suite's, ``tests/claims/``; these blocks
+stay here until the Simulation 3 claims join it.
 
-Run:  REPRO_FULL=1 python results/collect.py
+Run:  PYTHONPATH=src python results/collect.py
 """
-import statistics, sys, time
-
 from repro.experiments import (
-    PAPER_VARIANTS, ScenarioConfig, SweepConfig, fig_coexistence,
-    fig_dynamics, format_coexistence, format_sweep, throughput_retransmit_sweep,
+    PAPER_VARIANTS, fig_coexistence, fig_dynamics, format_coexistence,
 )
 from repro.stats import jain_index
-
-t0 = time.time()
-sweep_cfg = SweepConfig(hops=(4, 8, 16, 32), seeds=(1, 2, 3), sim_time=30.0)
-for window in (4, 8, 32):
-    sweep = throughput_retransmit_sweep(window, sweep=sweep_cfg)
-    print(format_sweep(sweep, metric="goodput"), flush=True)
-    print(format_sweep(sweep, metric="retransmits"), flush=True)
-    print(flush=True)
 
 for a, b in [("newreno", "vegas"), ("newreno", "muzha"), ("muzha", "muzha"), ("newreno", "newreno")]:
     points = fig_coexistence(a, b, hops_list=(4, 6, 8), sim_time=50.0, seeds=(1, 2, 3, 4, 5))
@@ -31,4 +24,3 @@ for variant in PAPER_VARIANTS:
         shares.append(sum(tail) / len(tail) if tail else 0.0)
     print(f"dynamics {variant}: shares={[round(s,1) for s in shares]} jain={jain_index(shares):.3f}", flush=True)
 
-print(f"\ntotal wall time: {time.time()-t0:.0f}s", flush=True)

@@ -137,7 +137,7 @@ def throughput_retransmit_sweep(
 
     Each grid point averages over ``sweep.seeds`` independent runs.
     """
-    sweep = sweep or SweepConfig.for_scale()
+    sweep = sweep or SweepConfig()
     result = SweepResult(window=window, hops=tuple(sweep.hops), variants=tuple(variants))
     runs = iter(_run_specs([
         RunSpec("chain", hops, (variant,), config=ScenarioConfig(

@@ -6,11 +6,14 @@ configurations behind two of them and compare against the committed
 numbers, so a refactor that silently drifts the reproduction's results
 fails here rather than in a future figure regeneration.
 
-The committed artefacts were produced by the quick-scale benchmark
-configuration: sweeps at ``sim_time=15 s`` over seeds 1–3, cwnd traces at
-``window_=32, sim_time=10 s, seed=1`` (see ``benchmarks/``).  Tolerances
-are the CSVs' own rounding (3–6 decimal places) plus a hair of float
-slack — the simulator is deterministic, so anything beyond that is drift.
+The ``fig5.8``–``fig5.10`` sweep CSVs are the committed quick-scale drift
+fence, produced by ``export_sweep_csv(throughput_retransmit_sweep(w), …)``
+at ``SweepConfig``'s defaults (15 s, seeds 1–3, hops 4/8/16); they do not
+change.  The paper-scale evidence for those figures is ``tests/claims/``.
+The cwnd traces were run at ``window_=32, sim_time=10 s, seed=1`` (see
+``benchmarks/``).  Tolerances are the CSVs' own rounding (3–6 decimal
+places) plus a hair of float slack — the simulator is deterministic, so
+anything beyond that is drift.
 """
 
 import os
@@ -33,7 +36,7 @@ GOLDEN_SWEEP = FIGURES / "fig5.8_sweep_w4.csv"
 GOLDEN_TRACES = FIGURES / "fig5_cwnd_traces_4hop.csv"
 
 #: Configuration the committed quick-scale sweep artefacts were run with.
-SWEEP_CONFIG = SweepConfig(hops=(4, 8, 16), seeds=(1, 2, 3), sim_time=15.0)
+SWEEP_CONFIG = SweepConfig()
 
 
 def golden(path):

@@ -1,10 +1,11 @@
-"""DESIGN.md cites benchmark tests by id; every id must name a real test.
+"""DESIGN.md cites benchmark and claims tests by id; every id must name a
+real test.
 
 Sixteen of the nineteen ids in §3's "Bench target" column once named
-functions that never existed (``test_fig5_8_window4`` for what is
+functions that never existed (``test_fig5_8_window4`` for what was
 ``test_fig5_8_to_10_throughput_vs_hops[4]``), so the experiment index sent
 readers to nothing.  The files are parsed with ``ast`` — nothing under
-``benchmarks/`` is imported or collected.
+``benchmarks/`` or ``tests/claims/`` is imported or collected.
 """
 
 import ast
@@ -12,7 +13,7 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent.parent
-CITATION = re.compile(r"(benchmarks/\w+\.py)::(test_\w+)")
+CITATION = re.compile(r"((?:benchmarks|tests/claims)/\w+\.py)::(test_\w+)")
 
 
 def test_every_bench_target_cited_in_design_md_exists():

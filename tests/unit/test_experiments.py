@@ -6,7 +6,6 @@ from repro.experiments import (
     PAPER_VARIANTS,
     RunSpec,
     ScenarioConfig,
-    SweepConfig,
     Table51Parameters,
     ascii_series,
     execute_run,
@@ -37,13 +36,6 @@ class TestConfig:
 
     def test_paper_variants(self):
         assert PAPER_VARIANTS == ("muzha", "newreno", "sack", "vegas")
-
-    def test_sweep_scales(self):
-        quick = SweepConfig.for_scale(full=False)
-        full = SweepConfig.for_scale(full=True)
-        assert max(full.hops) == 32
-        assert len(full.seeds) >= len(quick.seeds)
-        assert full.sim_time >= quick.sim_time
 
 
 class TestRunSpec:
