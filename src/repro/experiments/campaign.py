@@ -179,6 +179,13 @@ class GracefulShutdown:
 # Scenario identity and cache keys
 
 
+def _unseeded(spec: RunSpec) -> Dict[str, Any]:
+    """``spec.to_dict()`` without ``config.seed``: a fresh render."""
+    payload = spec.to_dict()
+    del payload["config"]["seed"]
+    return payload
+
+
 def scenario_key(spec: RunSpec) -> str:
     """Stable identity of a scenario *shape*, independent of its seed.
 
@@ -186,9 +193,12 @@ def scenario_key(spec: RunSpec) -> str:
     replications of it draw their seeds from this key, so adding a scenario
     to a grid can never perturb another scenario's randomness.
     """
-    payload = spec.to_dict()
-    payload["config"].pop("seed")
-    return stable_digest(payload)
+    return stable_digest(_unseeded(spec))
+
+
+def _keyed(rendered: Dict[str, Any]) -> str:
+    """:func:`run_digest` of a spec already rendered by ``to_dict``."""
+    return stable_digest({"schema": CACHE_SCHEMA_VERSION, "spec": rendered})
 
 
 def run_digest(spec: RunSpec) -> str:
@@ -198,9 +208,7 @@ def run_digest(spec: RunSpec) -> str:
     depends on, plus :data:`CACHE_SCHEMA_VERSION` so bumping that constant
     invalidates all previously cached results at once.
     """
-    return stable_digest(
-        {"schema": CACHE_SCHEMA_VERSION, "spec": spec.to_dict()}
-    )
+    return _keyed(spec.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +241,9 @@ class RunRecord:
     metrics: Dict[str, Any]  # RunResult.to_dict() — canonical plain data
     cached: bool
     manifest: Optional[Dict[str, Any]] = None
+    #: ``metrics``' canonical encoding when it came with them — the bytes a
+    #: cache hit read — so :meth:`metrics_bytes` need not encode again.
+    encoded: Optional[bytes] = field(default=None, repr=False, compare=False)
 
     @property
     def result(self) -> RunResult:
@@ -242,6 +253,8 @@ class RunRecord:
 
     def metrics_bytes(self) -> bytes:
         """Canonical byte serialization, for bit-identity comparisons."""
+        if self.encoded is not None:
+            return self.encoded
         return canonical_json(self.metrics).encode("utf-8")
 
 
@@ -359,27 +372,31 @@ def plan_campaign(
 
     A scenario the grid names more than once is planned once, at its first
     position: its replications would be the same keys, seeds and digests.
+    Each scenario is rendered once: its :func:`scenario_key` is hashed from
+    the render, which then takes each replication's seed in turn for its
+    :func:`run_digest`.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     runs: List[CampaignRun] = []
     planned = set()
     for spec in grid:
-        key = scenario_key(spec)
+        rendered = _unseeded(spec)
+        key = stable_digest(rendered)
         if key in planned:
             continue
         planned.add(key)
         for replication in range(replications):
             seed = derive_run_seed(base_seed, key, replication)
-            seeded = spec.with_seed(seed)
+            rendered["config"]["seed"] = seed
             runs.append(
                 CampaignRun(
                     index=len(runs),
                     scenario=key,
                     replication=replication,
                     seed=seed,
-                    spec=seeded,
-                    digest=run_digest(seeded),
+                    spec=spec.with_seed(seed),
+                    digest=_keyed(rendered),
                 )
             )
     return runs
@@ -866,7 +883,7 @@ def run_campaign(
                 drift += 1
                 loaded = None
         if loaded is not None:
-            payload, result_digest = loaded
+            payload, result_digest, result_bytes = loaded
             if telemetry is not None:
                 # Cached units get a span too (consumers see every unit),
                 # but no manifest: its timings/engine facts describe the
@@ -878,7 +895,8 @@ def run_campaign(
             if journal is not None:
                 journal.done(run, result_digest, cached=True)
             finish(RunRecord(run=run, metrics=payload["result"], cached=True,
-                             manifest=payload.get("manifest")))
+                             manifest=payload.get("manifest"),
+                             encoded=result_bytes))
         else:
             pending.append(run)
 

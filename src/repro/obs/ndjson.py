@@ -46,7 +46,7 @@ Entry = Tuple[int, Optional[Dict[str, Any]], Optional[str]]
 Problem = Tuple[int, str, bool]
 
 #: ``record -> what else is wrong with it``: the stricter per-line layer a
-#: validator hands to a fold (``validate.line_check``).
+#: validator hands to a fold (``schema.line_check``).
 LineCheck = Callable[[Dict[str, Any]], List[str]]
 
 #: What ``json.loads`` raises on text or bytes a disk or a peer handed over —

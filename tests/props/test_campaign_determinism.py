@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.core.drai import DraiParams
 from repro.experiments import (
     CampaignCache,
     RunSpec,
@@ -23,7 +24,9 @@ from repro.experiments import (
     run_digest,
     scenario_key,
 )
+from repro.experiments.campaign import CampaignRun
 from repro.experiments.config import CACHE_SCHEMA_VERSION
+from repro.faults import FaultEvent, FaultPlan
 from repro.sim import derive_run_seed
 
 
@@ -117,6 +120,57 @@ def test_a_scenario_named_twice_is_planned_once():
     result = run_campaign([grid[0], grid[0]], replications=2, jobs=1)
     assert result.planned == 2 and len(result.records) == 2
     assert len({r.run.digest for r in result.records}) == 2
+
+
+def plan_by_spec(grid, replications, base_seed):
+    """The plan as the public key functions define it: every unit's spec is
+    seeded first and rendered twice, for its key and for its digest."""
+    runs, planned = [], set()
+    for spec in grid:
+        key = scenario_key(spec)
+        if key in planned:
+            continue
+        planned.add(key)
+        for replication in range(replications):
+            seed = derive_run_seed(base_seed, key, replication)
+            seeded = spec.with_seed(seed)
+            runs.append(CampaignRun(
+                index=len(runs), scenario=key, replication=replication,
+                seed=seed, spec=seeded, digest=run_digest(seeded)))
+    return runs
+
+
+def test_a_scenario_rendered_once_plans_the_same_units():
+    """``plan_campaign`` renders each scenario once and re-seeds the render
+    per replication; the units are the ones the key functions define, in
+    the same order, and the grid's specs are left as they were."""
+    faults = FaultPlan(events=(
+        FaultEvent(time=0.5, kind="node_crash", node=1, duration=0.5),
+        FaultEvent(time=0.8, kind="error_burst",
+                   model={"kind": "per", "per": 0.2}, duration=0.2),
+    ))
+    grid = small_grid() + [
+        RunSpec(kind="cross", hops=4, variants=("muzha", "newreno"),
+                starts=(0.0, 0.5),
+                config=ScenarioConfig(sim_time=1.0, faults=faults, seed=5)),
+        RunSpec(kind="chain", hops=3, variants=("muzha", "vegas"),
+                starts=(0.0, 1.0), record_dynamics=True,
+                config=ScenarioConfig(
+                    sim_time=2.0, drai_params=DraiParams(queue_empty_lo=0.75),
+                    policy="hysteresis",
+                    policy_params={"queue_red": 6.0, "sustain_up": 3})),
+    ]
+    grid.append(grid[-1].with_seed(123))  # the same scenario, named again
+    rendered = [spec.to_dict() for spec in grid]
+
+    runs = plan_campaign(grid, replications=3, base_seed=11)
+    assert runs == plan_by_spec(grid, replications=3, base_seed=11)
+    assert len(runs) == 3 * (len(grid) - 1)
+    for run in runs:
+        assert run.digest == run_digest(run.spec)
+        assert run.scenario == scenario_key(run.spec)
+        assert run.spec.config.seed == run.seed
+    assert [spec.to_dict() for spec in grid] == rendered
 
 
 def test_scenario_key_ignores_seed_but_digest_tracks_it():

@@ -1,5 +1,5 @@
 """The envelope boundary: its composed encoding, its one-snapshot layout,
-and what it does with bytes nobody meant to write.
+its reader, and what it does with bytes nobody meant to write.
 
 ``encode_envelope`` assembles a cache envelope from two part-blobs and
 ``CampaignResult.fingerprint`` streams records into one hash; both rely on
@@ -9,7 +9,10 @@ encoded once (:func:`whole_tree_envelope`), which is also the oracle for
 the layout that wrote the metrics snapshot twice: files written then must
 stay hits, so old and new are compared on decoded payloads and digests,
 over arbitrary JSON trees and over a real entry
-(``tests/data/parent_envelope_*.json``) mutated byte by byte.
+(``tests/data/parent_envelope_*.json``) mutated byte by byte.  The reader
+verifies the writer's layout over the bytes it read and re-encodes nothing;
+any other layout gets the semantic check, and a cached record fingerprints
+the result bytes the store read.
 """
 
 import copy
@@ -20,6 +23,14 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repro.experiments import (
+    CampaignJournal,
+    ScenarioConfig,
+    chain_grid,
+    replay_journal,
+    run_campaign,
+)
+from repro.experiments import cachestore
 from repro.experiments.cachestore import (
     CacheCorruptionWarning,
     CampaignCache,
@@ -134,6 +145,63 @@ def test_the_earlier_layout_and_this_one_decode_to_the_same_payload(pair):
             {"manifest": stored["manifest"], "result": stored["result"]})
 
 
+def semantic_envelope(result, manifest, layout):
+    """An envelope with a valid checksum in a layout the writer never
+    produces: whitespace throughout, or the writer's head and key order
+    around parts that are not canonical JSON."""
+    checksum = _envelope_checksum(result, manifest)
+    if layout == "indented":
+        return json.dumps({"checksum": checksum, "manifest": manifest,
+                           "result": result}, indent=1).encode("ascii")
+    return b"".join((
+        b'{"checksum":"', checksum.encode("ascii"), b'","manifest":',
+        json.dumps(manifest, indent=1).encode("ascii"), b',"result":',
+        json.dumps(result, separators=(", ", ": ")).encode("ascii"), b"}",
+    ))
+
+
+NONCANONICAL = ["indented", "writer-head"]
+
+
+def _no_encoding(*args, **kwargs):
+    raise AssertionError("the reader re-encoded an envelope it can verify "
+                         "over the bytes read")
+
+
+@given(pair=pairs)
+def test_the_writers_layout_decodes_without_encoding_anything(pair):
+    result, manifest = pair
+    body, result_digest = encode_envelope(result, manifest)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cachestore, "canonical_json", _no_encoding)
+        decoded = decode_envelope(body)
+    assert decoded == (result, manifest, result_digest)
+    assert result_digest == stable_digest(result)
+
+
+@pytest.mark.parametrize("layout", NONCANONICAL)
+@settings(max_examples=60)
+@given(pair=pairs)
+def test_another_layout_with_a_semantic_checksum_still_decodes(layout, pair):
+    result, manifest = pair
+    body = semantic_envelope(result, elide_snapshot(result, manifest), layout)
+    assert decode_envelope(body) == (result, manifest, stable_digest(result))
+
+
+@pytest.mark.parametrize("layout", NONCANONICAL)
+def test_a_store_reads_canonical_result_bytes_from_any_layout(layout,
+                                                              tmp_path):
+    result, manifest, _ = decode_envelope(NEW)
+    body = semantic_envelope(result, elide_snapshot(result, manifest), layout)
+    cache = CampaignCache(tmp_path / "cache")
+    cache._path(DIGEST).parent.mkdir(parents=True)
+    cache._path(DIGEST).write_bytes(body)
+    payload, result_digest, result_bytes = cache.load(DIGEST)
+    assert payload == {"result": result, "manifest": manifest}
+    assert result_bytes == canonical_json(result).encode("ascii")
+    assert result_digest == stable_digest(result)
+
+
 # ---------------------------------------------------------------------------
 # mutation: a real entry of either layout, damaged
 
@@ -183,6 +251,19 @@ def test_no_flipped_byte_escapes_the_checksum(body):
         # other bytes (the 17th digit of a float): same payload, and
         # `checked_decode` has re-derived its checksum.
         assert checked_decode(bytes(damaged)) in (None, intact), position
+
+
+@pytest.mark.parametrize("layout", NONCANONICAL)
+@settings(max_examples=150, deadline=None)
+@given(where=st.floats(0, 1, exclude_max=True), bit=st.integers(0, 7))
+def test_no_flipped_byte_escapes_the_semantic_check(layout, where, bit):
+    result, manifest, _ = decode_envelope(NEW)
+    body = semantic_envelope(result, elide_snapshot(result, manifest), layout)
+    intact = checked_decode(body)
+    assert intact == {"result": result, "manifest": manifest}
+    damaged = bytearray(body)
+    damaged[int(where * len(body))] ^= 1 << bit
+    assert checked_decode(bytes(damaged)) in (None, intact)
 
 
 def retyped(body, field, value):
@@ -260,6 +341,48 @@ def test_streamed_fingerprint_equals_the_digest_of_the_dict(rows):
     # before "a:0" — string order of the key, not numeric, not per-field.
     # Repeated keys keep their last record, as the dict did.
     result = CampaignResult(records=[record(*row) for row in rows])
+    assert all(r.encoded is None for r in result.records)  # built by hand
     assert result.fingerprint() == stable_digest(
         {f"{scenario}:{replication}": metrics
          for scenario, replication, metrics in rows})
+
+
+def test_cached_records_fingerprint_the_bytes_read_and_share_keys(tmp_path):
+    grid = chain_grid(["muzha", "newreno"], [2],
+                      config=ScenarioConfig(sim_time=0.5, window=4))
+    cache = CampaignCache(tmp_path / "cache")
+    path = tmp_path / "journal.ndjson"
+
+    def campaign(**kwargs):
+        return run_campaign(grid, replications=2, jobs=1, cache=cache,
+                            **kwargs)
+
+    cold = campaign()
+    with CampaignJournal(path) as journal:
+        warm = campaign(journal=journal)
+    with CampaignJournal(path, resume=True) as journal:
+        resumed = campaign(journal=journal, resume=replay_journal(path))
+    assert (cold.executed, warm.cache_hits, resumed.cache_hits) == (4, 4, 4)
+    for result in (cold, warm, resumed):
+        assert result.fingerprint() == stable_digest({
+            f"{r.run.scenario}:{r.run.replication}": r.metrics
+            for r in result.records})
+    assert warm.fingerprint() == cold.fingerprint()
+    for first, second in zip(warm.records, resumed.records):
+        for cached in (first, second):
+            # the bytes the store read, handed out as they are
+            assert cached.metrics_bytes() is cached.encoded
+            assert cached.encoded == canonical_json(
+                cached.metrics).encode("ascii")
+
+    # Two decoded envelopes hold one str object per distinct key.
+    a, b = warm.records[0], resumed.records[1]
+    for left, right in [
+        (a.metrics, b.metrics),
+        (a.metrics["metrics"]["rollups"]["global"],
+         b.metrics["metrics"]["rollups"]["global"]),
+        (a.manifest["timings"], b.manifest["timings"]),
+        (a.manifest, b.manifest),
+    ]:
+        assert left is not right and sorted(left) == sorted(right)
+        assert all(x is y for x, y in zip(sorted(left), sorted(right)))

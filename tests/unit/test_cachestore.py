@@ -28,7 +28,7 @@ from repro.experiments.cachestore import (
     make_store,
 )
 from repro.experiments.doctor import diagnose_cache
-from repro.obs.provenance import stable_digest
+from repro.obs.provenance import canonical_json, stable_digest
 
 DIGEST = "ab" + "0" * 62
 OTHER = "cd" + "1" * 62
@@ -63,7 +63,11 @@ def test_envelope_file_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(written).hexdigest() == PAYLOAD_FILE_SHA256
     assert written == encode_envelope(PAYLOAD["result"], PAYLOAD["manifest"])[0]
     assert result_digest == stable_digest(PAYLOAD["result"])
-    assert cache.load(DIGEST) == (PAYLOAD, result_digest)
+    payload, digest_read, result_bytes = cache.load(DIGEST)
+    assert (payload, digest_read) == (PAYLOAD, result_digest)
+    # ... and the result's bytes as read are its canonical encoding, the
+    # bytes a cached record's fingerprint hashes.
+    assert result_bytes == canonical_json(PAYLOAD["result"]).encode("ascii")
 
 
 def test_an_entry_written_before_the_composed_encoding_is_a_hit(tmp_path):
