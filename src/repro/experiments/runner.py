@@ -204,10 +204,17 @@ class RunSpec:
             object.__setattr__(self, "starts", tuple(self.starts))
 
     def with_seed(self, seed: int) -> "RunSpec":
-        """A copy whose config carries ``seed`` (specs are immutable)."""
-        from dataclasses import replace
+        """A copy whose config carries ``seed`` (specs are immutable).
 
-        return replace(self, config=self.config.replace(seed=seed))
+        Only the seed changes, and no ``__post_init__`` check reads it, so
+        both copies are made field for field, without running the checks
+        this spec passed again: a campaign re-seeds every unit it plans.
+        """
+        config = object.__new__(type(self.config))
+        config.__dict__.update(vars(self.config), seed=seed)
+        spec = object.__new__(type(self))
+        spec.__dict__.update(vars(self), config=config)
+        return spec
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe plain-data form — the campaign cache hashes this."""

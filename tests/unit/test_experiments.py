@@ -56,10 +56,34 @@ class TestRunSpec:
         assert stable_digest(spec.to_dict()) == stable_digest(spec.to_dict())
 
     def test_with_seed_changes_only_the_seed(self):
-        spec = RunSpec(kind="chain", hops=2, variants=("muzha",))
+        """The field-for-field copy equals the two ``dataclasses.replace``
+        calls it stands for, on a spec that uses every field, and leaves
+        the spec it came from as it was."""
+        import dataclasses
+
+        from repro.core.drai import DraiParams
+        from repro.faults import FaultEvent, FaultPlan
+
+        config = ScenarioConfig(
+            sim_time=2.0, seed=7, window=4, drai_params=DraiParams(),
+            policy="hysteresis", policy_params={"sustain_up": 3},
+            packet_error_rate=0.01,
+            faults=FaultPlan(events=(FaultEvent(
+                time=0.5, kind="node_crash", node=1, duration=0.5),)))
+        spec = RunSpec(kind="chain", hops=3, variants=("muzha", "vegas"),
+                       starts=(0.0, 1.0), record_dynamics=True, config=config)
+        before = spec.to_dict()
         reseeded = spec.with_seed(99)
         assert reseeded.config.seed == 99
         assert reseeded.config.replace(seed=spec.config.seed) == spec.config
+        assert reseeded == dataclasses.replace(
+            spec, config=dataclasses.replace(config, seed=99))
+        assert type(reseeded) is RunSpec
+        assert type(reseeded.config) is ScenarioConfig
+        assert reseeded.config is not config and config.seed == 7
+        assert spec.to_dict() == before
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            reseeded.hops = 4  # type: ignore[misc]
 
     def test_execute_run_matches_run_chain(self):
         config = ScenarioConfig(sim_time=2.0, seed=3, window=4)
