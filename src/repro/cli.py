@@ -7,18 +7,17 @@ Subcommands mirror the paper's three simulations plus the parameter tables:
 * ``repro-muzha cross --a newreno --b muzha`` — Simulation 3A coexistence;
 * ``repro-muzha dynamics --variant muzha`` — Simulation 3B staggered flows;
 * ``repro-muzha campaign --jobs 4`` — parallel cached scenario campaigns
-  (``--spans out.ndjson`` streams live campaign telemetry; ``--journal
-  run.journal`` write-ahead-journals every unit so an interrupted campaign
-  — Ctrl-C / SIGTERM exits with code 3 — resumes with ``--resume
-  run.journal``, executing only the remainder);
-* ``repro-muzha report out.ndjson`` — aggregate a campaign span log into a
+  (``--journal run.journal`` write-ahead-journals every unit, with its
+  timing and worker, so an interrupted campaign — Ctrl-C / SIGTERM exits
+  with code 3 — resumes with ``--resume run.journal``, executing only the
+  remainder);
+* ``repro-muzha report run.journal`` — aggregate a campaign journal into a
   human-readable summary (throughput, worker utilization, cache hit ratio,
   retries/quarantine, slowest units);
 * ``repro-muzha doctor --cache results/cache --journal run.journal`` —
   check artifacts (orphaned tmp files, corrupt cache envelopes, journal
-  damage/drift, span logs, and with ``--trace``/``--manifest`` a traced
-  run's output against the committed schemas); ``--repair`` fixes what it
-  safely can;
+  damage/drift, and with ``--trace``/``--manifest`` a traced run's output
+  against the committed schemas); ``--repair`` fixes what it safely can;
 * ``repro-muzha trace chain --out run.ndjson`` — traced run: NDJSON event
   trace + provenance manifest (+ optional flight-recorder dumps);
 * ``repro-muzha stats chain`` — metrics snapshot of a run (rollup tables
@@ -58,6 +57,7 @@ from .experiments import (
     format_sweep,
     format_table,
     make_store,
+    render_report,
     replay_journal,
     run_campaign,
     run_doctor,
@@ -65,14 +65,7 @@ from .experiments import (
     throughput_retransmit_sweep,
 )
 from .faults import FaultPlan, FaultPlanError
-from .obs import (
-    CampaignTelemetry,
-    FlightRecorder,
-    NdjsonTraceSink,
-    SpanWriter,
-    attach_run_probe,
-    render_report,
-)
+from .obs import FlightRecorder, NdjsonTraceSink, attach_run_probe
 from .obs.sinks import subscription
 from .stats import jain_index, resample
 from .topology.cross import check_cross_hops
@@ -132,9 +125,22 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _fault_plan(path: str) -> FaultPlan:
+    """argparse type: the fault plan at ``path``, parsed — a plan that
+    cannot be read or parsed is a usage error, said in one line."""
+    try:
+        return FaultPlan.load(path)
+    except FileNotFoundError:
+        raise argparse.ArgumentTypeError(f"fault plan not found: {path}")
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read fault plan {path}: {exc}")
+    except FaultPlanError as exc:
+        raise argparse.ArgumentTypeError(f"bad fault plan {path}: {exc}")
+
+
 def _add_faults(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--faults", default=None, metavar="PLAN.json",
+        "--faults", type=_fault_plan, default=None, metavar="PLAN.json",
         help="fault-injection plan (crashes/blackouts/...) to run under",
     )
 
@@ -169,24 +175,11 @@ def _load_policy(args: argparse.Namespace):
         raise SystemExit(f"bad --policy-params JSON: {exc}")
 
 
-def _load_faults(args: argparse.Namespace):
-    """The parsed FaultPlan named by ``--faults``, or None."""
-    path = getattr(args, "faults", None)
-    if path is None:
-        return None
-    try:
-        return FaultPlan.load(path)
-    except FileNotFoundError:
-        raise SystemExit(f"fault plan not found: {path}")
-    except FaultPlanError as exc:
-        raise SystemExit(f"bad fault plan {path}: {exc}")
-
-
 def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
     """The ScenarioConfig a subcommand's flags describe, validated; a flag
     the subcommand does not have keeps its ScenarioConfig default."""
     policy, policy_params = _load_policy(args)
-    faults = _load_faults(args)
+    faults = getattr(args, "faults", None)
     try:  # only the policy fields can make ScenarioConfig raise
         return ScenarioConfig(
             sim_time=args.time, seed=args.seed, window=args.window,
@@ -345,16 +338,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     shutdown = GracefulShutdown(drain_timeout=args.drain_timeout)
     # Everything that can refuse the command line has been parsed by now;
     # what follows opens files, and the finally closes them.
-    journal = telemetry = span_writer = None
+    journal = None
     try:
         if journal_path:
             try:
                 journal = CampaignJournal(journal_path, resume=resume is not None)
             except JournalError as exc:
                 raise SystemExit(str(exc))
-        if args.spans:
-            span_writer = SpanWriter(args.spans)
-            telemetry = CampaignTelemetry(span_writer)
         with shutdown:
             result = run_campaign(
                 grid,
@@ -364,7 +354,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 cache=cache,
                 progress=report if not args.quiet else None,
                 policy=policy,
-                telemetry=telemetry,
                 journal=journal,
                 resume=resume,
                 shutdown=shutdown,
@@ -374,8 +363,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     finally:
         if journal is not None:
             journal.close()
-        if span_writer is not None:
-            span_writer.close()
     elapsed = time.time() - started
 
     by_cell = {}
@@ -402,10 +389,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     )
     if not result.interrupted:
         print(f"campaign fingerprint: {result.fingerprint()}")
-    if span_writer is not None:
-        print(f"{span_writer.records_written} telemetry records written to "
-              f"{args.spans} (summarise with `repro-muzha report "
-              f"{args.spans}`)")
+    if journal is not None:
+        print(f"{journal.records_written} journal records written to "
+              f"{journal_path} (summarise with `repro-muzha report "
+              f"{journal_path}`)")
     if result.failed:
         print("\nquarantined runs (campaign results above are PARTIAL):")
         for failure in result.failed:
@@ -523,29 +510,28 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .obs.report import SpanLogError
+    from .experiments.report import CampaignLogError
 
     try:
-        print(render_report(args.spanlog, as_json=args.json,
+        print(render_report(args.log, as_json=args.json,
                             buckets=args.buckets, top_k=args.top))
     except FileNotFoundError:
-        raise SystemExit(f"span log not found: {args.spanlog}")
-    except SpanLogError as exc:
-        raise SystemExit(f"bad span log {args.spanlog}: {exc}")
+        raise SystemExit(f"campaign log not found: {args.log}")
+    except CampaignLogError as exc:
+        raise SystemExit(f"bad campaign log {args.log}: {exc}")
     return 0
 
 
 def _cmd_doctor(args: argparse.Namespace) -> int:
     from .experiments.doctor import format_report as format_doctor_report
 
-    if not (args.cache or args.journal or args.spans or args.trace
-            or args.manifest):
+    if not (args.cache or args.journal or args.trace or args.manifest):
         raise SystemExit("nothing to check: pass --cache, --journal, "
-                         "--spans, --trace and/or --manifest")
+                         "--trace and/or --manifest")
     try:
         checkup = run_doctor(
-            cache=args.cache, journal=args.journal, spans=args.spans,
-            repair=args.repair, trace=args.trace, manifest=args.manifest,
+            cache=args.cache, journal=args.journal, repair=args.repair,
+            trace=args.trace, manifest=args.manifest,
         )
     except ValueError as exc:  # load_schema: a committed schema is damaged
         raise SystemExit(f"doctor: {exc}")
@@ -654,16 +640,12 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="SECONDS",
                           help="base delay before a retry (doubles per "
                                "attempt)")
-    campaign.add_argument("--spans", default=None, metavar="PATH",
-                          help="stream campaign telemetry (spans, worker "
-                               "and retry events) as NDJSON to PATH — or to "
-                               "an inherited pipe via 'fd:N'; summarise with "
-                               "`repro-muzha report`")
     campaign.add_argument("--journal", default=None, metavar="PATH",
                           help="write-ahead journal: the plan is recorded "
-                               "before dispatch and every completion after "
-                               "it, so an interrupted campaign (exit code 3) "
-                               "can be resumed with --resume PATH")
+                               "before dispatch and every completion, retry "
+                               "and worker event after it, so an interrupted "
+                               "campaign (exit code 3) can be resumed with "
+                               "--resume PATH; `report PATH` summarises it")
     campaign.add_argument("--resume", default=None, metavar="JOURNAL",
                           help="resume an interrupted campaign from its "
                                "journal: completed units are re-verified "
@@ -735,10 +717,12 @@ def build_parser() -> argparse.ArgumentParser:
     profile.set_defaults(func=_cmd_profile)
 
     report_p = sub.add_parser(
-        "report", help="summarise a campaign telemetry span log"
+        "report", help="summarise a campaign journal"
     )
-    report_p.add_argument("spanlog", metavar="SPANLOG.ndjson",
-                          help="NDJSON span log from `campaign --spans`")
+    report_p.add_argument("log", metavar="JOURNAL",
+                          help="journal from `campaign --journal` (or a span "
+                               "log an earlier build's `campaign --spans` "
+                               "wrote)")
     report_p.add_argument("--json", action="store_true",
                           help="emit the aggregate summary as JSON")
     report_p.add_argument("--top", type=_number(int, 0), default=10,
@@ -751,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     doctor = sub.add_parser(
         "doctor",
-        help="fsck artifacts: cache, journal, span log, trace, manifest"
+        help="fsck artifacts: cache, journal, trace, manifest"
     )
     doctor.add_argument("--cache", default=None, metavar="DIR",
                         help="campaign cache directory to check for orphaned "
@@ -759,9 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
     doctor.add_argument("--journal", default=None, metavar="PATH",
                         help="write-ahead journal to check (torn tail, "
                              "schema violations, drift against --cache)")
-    doctor.add_argument("--spans", default=None, metavar="PATH",
-                        help="campaign span log to check (torn tail, schema "
-                             "violations, unclosed spans)")
     doctor.add_argument("--trace", default=None, metavar="PATH",
                         help="NDJSON trace to check against the committed "
                              "schema (a blank file or torn tail is an error)")

@@ -29,9 +29,9 @@ in the coordinating process when the loop dispatches it — the debugging
 path (breakpoints and monkeypatches apply directly; Ctrl-C propagates).
 
 Because the policy lives in one place, both report the same way: workers
-are ``w<n>``, each attempt is one ``unit-attempt`` span, and a failed
-attempt waits :meth:`RetryPolicy.retry_delay` before its retry —
-in-process included.
+are ``w<n>``, each executed attempt is one journal record (a ``done``, a
+``retry`` or a quarantine's ``failed``), and a failed attempt waits
+:meth:`RetryPolicy.retry_delay` before its retry — in-process included.
 
 Self-healing: each attempt runs under the supervisor with an optional
 wall-clock watchdog (:class:`RetryPolicy.task_timeout`).  A worker that
@@ -70,12 +70,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..obs.engine import CampaignTelemetry
 from ..obs.provenance import canonical_json
 from ..sim.rng import derive_run_seed
 from .cachestore import CacheStore
 from .config import CACHE_SCHEMA_VERSION, ScenarioConfig, stable_digest
-from .journal import CampaignJournal, JournalReplay
+from .journal import Attempt, CampaignJournal, JournalReplay
 from .runner import RunResult, RunSpec, execute_run
 from .transport import InlineTransport, PipeTransport, Transport
 
@@ -488,13 +487,23 @@ class _PoolWorker:
     ``batch`` lists the (run, attempt) pairs currently dispatched to the
     worker, in execution order: the head is the unit executing right now,
     the tail is queued behind it in the worker's loop.  ``deadline`` is the
-    head unit's watchdog cutoff (reset every time a result arrives).
+    head unit's watchdog cutoff (reset every time a result arrives), and
+    ``since`` the wall-clock start of the head unit's attempt: the later of
+    the batch's dispatch and the worker's previous result.
     """
 
     link: Any  # transport.WorkerLink
-    wid: str = ""  # telemetry worker id ("w<n>")
+    wid: str = ""  # journaled worker id ("w<n>")
     batch: List[Tuple[CampaignRun, int]] = field(default_factory=list)
     deadline: Optional[float] = None
+    since: float = 0.0
+
+    def attempt(self, number: int) -> Attempt:
+        """The head unit's attempt ``number``, ending now; the next unit's
+        attempt starts where it ends."""
+        now = time.time()
+        started, self.since = self.since, now
+        return Attempt(self.wid, number, started, now)
 
     @property
     def idle(self) -> bool:
@@ -506,9 +515,10 @@ def _run_pool(
     pending: Sequence[CampaignRun],
     jobs: int,
     policy: RetryPolicy,
-    store: Callable[[CampaignRun, Dict[str, Any], Optional[Dict[str, Any]]], None],
-    quarantine: Callable[[FailedRun], None],
-    telemetry: Optional[CampaignTelemetry] = None,
+    store: Callable[[CampaignRun, Dict[str, Any], Optional[Dict[str, Any]],
+                     Attempt], None],
+    quarantine: Callable[[FailedRun, Attempt, str], None],
+    journal: Optional[CampaignJournal] = None,
     shutdown: Optional[GracefulShutdown] = None,
 ) -> None:
     """Run ``pending`` on a work-stealing pool of supervised workers.
@@ -517,8 +527,11 @@ def _run_pool(
     WorkerLink` objects — the coordinating process itself
     (``InlineTransport``) or forked pipe workers (``PipeTransport``) —
     and idle workers pull from one shared ready-queue.  The retry,
-    quarantine, watchdog, drain and telemetry policy lives here and
-    nowhere else:
+    quarantine, watchdog and drain policy lives here and nowhere else, and
+    so does what ``journal`` learns of it — worker spawns and exits, and a
+    ``retry`` record per charged attempt that runs again; ``store`` and
+    ``quarantine`` get the :class:`~repro.experiments.journal.Attempt` that
+    ended a unit:
 
     * a worker that dies (crash, ``os._exit``, kill) is detected via pipe
       EOF; the unit it was executing is charged a failed attempt, the rest
@@ -555,26 +568,28 @@ def _run_pool(
         link = transport.spawn()
         wid = f"w{next(worker_serial)}"
         workers[link] = _PoolWorker(link=link, wid=wid)
-        if telemetry is not None:
-            telemetry.worker_spawned(wid, link.pid, replacement=lost > 0)
+        if journal is not None:
+            journal.event("worker.spawn", worker=wid, pid=link.pid,
+                          replacement=lost > 0)
         lost = max(0, lost - 1)
+
+    def exited(worker: _PoolWorker, reason: str) -> None:
+        if journal is not None:
+            journal.event(f"worker.{reason}", worker=worker.wid,
+                          exitcode=worker.link.exitcode)
 
     def fail(worker: _PoolWorker, run: CampaignRun, attempt: int,
              status: str, error: str) -> None:
-        """One charged failed attempt: its span, then retry or quarantine."""
-        if telemetry is not None:
-            telemetry.unit_result(
-                worker.wid, run.index, attempt, status,
-                scenario=run.scenario[:12], replication=run.replication,
-                error=error,
-            )
+        """One charged failed attempt: a retry, or the unit's quarantine."""
+        ended = worker.attempt(attempt)
         if attempt <= policy.max_retries:
             delay = policy.retry_delay(attempt)
-            if telemetry is not None:
-                telemetry.retry_scheduled(run.index, attempt, delay, error)
+            if journal is not None:
+                journal.retry(run, ended, status, error, delay)
             backoff.append((time.monotonic() + delay, run, attempt + 1))
         else:
-            quarantine(FailedRun(run=run, error=error, attempts=attempt))
+            quarantine(FailedRun(run=run, error=error, attempts=attempt),
+                       ended, status)
 
     def requeue_innocent(worker: _PoolWorker) -> None:
         """Units queued behind a failed head unit go back un-charged."""
@@ -594,21 +609,16 @@ def _run_pool(
         """Orderly exit: the worker is done, it did not fail."""
         workers.pop(worker.link)
         worker.link.stop()
-        if telemetry is not None:
-            telemetry.worker_exited(
-                worker.wid, "stop", exitcode=worker.link.exitcode
-            )
+        exited(worker, "stop")
 
     def on_worker_death(worker: _PoolWorker, kill: bool = False) -> None:
         retire(worker, kill)
-        code = worker.link.exitcode
         if worker.batch:
             run, attempt = worker.batch.pop(0)
             fail(worker, run, attempt, "crash",
-                 f"worker crashed (exit code {code})")
+                 f"worker crashed (exit code {worker.link.exitcode})")
             requeue_innocent(worker)
-        if telemetry is not None:
-            telemetry.worker_exited(worker.wid, "crash", exitcode=code)
+        exited(worker, "crash")
 
     def on_worker_timeout(worker: _PoolWorker) -> None:
         retire(worker, kill=True)
@@ -616,10 +626,7 @@ def _run_pool(
         fail(worker, run, attempt, "timeout",
              f"timed out after {policy.task_timeout:g}s wall clock")
         requeue_innocent(worker)
-        if telemetry is not None:
-            telemetry.worker_exited(
-                worker.wid, "timeout", exitcode=worker.link.exitcode
-            )
+        exited(worker, "timeout")
 
     def on_message(worker: _PoolWorker, message: Tuple[Any, ...]) -> None:
         run, attempt = worker.batch.pop(0)
@@ -630,13 +637,7 @@ def _run_pool(
             else None
         )
         if message[0] == "ok":
-            if telemetry is not None:
-                telemetry.unit_result(
-                    worker.wid, run.index, attempt, "ok",
-                    scenario=run.scenario[:12], replication=run.replication,
-                    manifest=message[3],
-                )
-            store(run, message[2], message[3])
+            store(run, message[2], message[3], worker.attempt(attempt))
         else:
             fail(worker, run, attempt, "error", message[2])
 
@@ -664,12 +665,9 @@ def _run_pool(
             worker.deadline = (
                 now + policy.task_timeout if policy.task_timeout is not None else None
             )
-            # Announced before the send: an inline link executes the
-            # batch inside ``send_batch``, and its spans must start here.
-            if telemetry is not None:
-                telemetry.batch_dispatched(
-                    worker.wid, [run.index for run, _ in chunk]
-                )
+            # Stamped before the send: an inline link executes the batch
+            # inside ``send_batch``, and its first attempt starts here.
+            worker.since = time.time()
             try:
                 worker.link.send_batch(
                     [(run.index, run.spec, run.digest) for run, _ in chunk]
@@ -678,8 +676,7 @@ def _run_pool(
                 # Death noticed mid-send: the worker never received the
                 # batch, so nothing was executing — requeue the whole chunk
                 # un-charged and let the wait loop reap the (now idle)
-                # corpse without blaming the head unit; its exit closes the
-                # announced batch span as aborted.
+                # corpse without blaming the head unit.
                 requeue_innocent(worker)
 
     try:
@@ -757,7 +754,6 @@ def run_campaign(
     progress: Optional[ProgressFn] = None,
     policy: Optional[RetryPolicy] = None,
     pool_mode: str = "warm",
-    telemetry: Optional[CampaignTelemetry] = None,
     journal: Optional[CampaignJournal] = None,
     resume: Optional[JournalReplay] = None,
     shutdown: Optional[GracefulShutdown] = None,
@@ -777,20 +773,17 @@ def run_campaign(
     land in ``CampaignResult.failed`` and the campaign still completes.
 
     ``pool_mode`` accepts only ``"warm"`` (persistent workers forked from
-    this process; see the module docstring) and is recorded in the journal
-    and the telemetry.  ``jobs == 1`` with no watchdog runs the units in
-    this process instead — a single-slot pool buys nothing over running
-    them directly.
-
-    ``telemetry`` (a :class:`repro.obs.engine.CampaignTelemetry`) streams
-    spans and the coordinator events no span carries over NDJSON as the
-    campaign runs.  It observes the coordinator only — nothing telemetry
-    does can reach a worker or a result, so metrics and fingerprints are
-    byte-identical with telemetry on or off.
+    this process; see the module docstring) and is recorded in the
+    journal.  ``jobs == 1`` with no watchdog runs the units in this process
+    instead — a single-slot pool buys nothing over running them directly.
 
     Crash safety: ``journal`` (a :class:`~repro.experiments.journal.
     CampaignJournal`) write-ahead-records the plan before any dispatch and
-    every completion/quarantine after it.  ``resume`` (a
+    every completion/quarantine after it, with the attempt timing, worker
+    and retry facts ``repro-muzha report`` reads.  It observes the
+    coordinator only — nothing the journal does can reach a worker or a
+    result, so metrics and fingerprints are byte-identical with a journal
+    or without.  ``resume`` (a
     :class:`~repro.experiments.journal.JournalReplay`) replays a previous
     generation: it requires a ``cache``, verifies the plan digest matches,
     re-verifies every journaled completion against the cache (drifted or
@@ -826,15 +819,10 @@ def run_campaign(
     done = 0
     evictions_before = cache.evictions if cache is not None else 0
 
-    if telemetry is not None:
-        telemetry.begin_campaign(
-            len(runs), pool_mode, jobs,
-            base_seed=base_seed, replications=replications,
-        )
     if journal is not None:
         journal.begin(
             runs, pool_mode=pool_mode, base_seed=base_seed,
-            replications=replications, resumed=resume is not None,
+            replications=replications, resumed=resume is not None, jobs=jobs,
         )
         if resume is not None and len(resume.planned) < len(runs):
             # The first generation was killed inside its write-ahead step.
@@ -847,16 +835,13 @@ def run_campaign(
         if progress is not None:
             progress(record, done, len(runs))
 
-    def quarantine(failure: FailedRun) -> None:
+    def quarantine(failure: FailedRun, attempt: Attempt, status: str) -> None:
         nonlocal done
         failed.append(failure)
         done += 1
         if journal is not None:
-            journal.failed(failure.run, failure.error, failure.attempts)
-        if telemetry is not None:
-            telemetry.quarantined(
-                failure.run.index, failure.attempts, failure.error
-            )
+            journal.failed(failure.run, failure.error, failure.attempts,
+                           attempt, status)
 
     pending: List[CampaignRun] = []
     verified = drift = 0
@@ -870,8 +855,9 @@ def run_campaign(
         if cache is not None:
             seen_evictions = cache.evictions
             loaded = cache.load(run.digest)
-            if telemetry is not None and cache.evictions > seen_evictions:
-                telemetry.cache_evicted(run.index, run.digest)
+            if journal is not None and cache.evictions > seen_evictions:
+                journal.event("cache.evict", index=run.index,
+                              digest=run.digest)
         if resume is not None and run.index in resume.completed:
             # Re-verify the journaled completion against the cache: the
             # entry must exist, pass its checksum (cache.load), and hash to
@@ -884,14 +870,6 @@ def run_campaign(
                 loaded = None
         if loaded is not None:
             payload, result_digest, result_bytes = loaded
-            if telemetry is not None:
-                # Cached units get a span too (consumers see every unit),
-                # but no manifest: its timings/engine facts describe the
-                # original execution, not this campaign.
-                telemetry.unit_result(
-                    "cache", run.index, 0, "ok", cached=True,
-                    scenario=run.scenario[:12], replication=run.replication,
-                )
             if journal is not None:
                 journal.done(run, result_digest, cached=True)
             finish(RunRecord(run=run, metrics=payload["result"], cached=True,
@@ -900,14 +878,12 @@ def run_campaign(
         else:
             pending.append(run)
 
-    if resume is not None and telemetry is not None:
-        telemetry.campaign_resumed(
-            str(resume.path), verified=verified, drift=drift,
-            remainder=len(pending),
-        )
+    if resume is not None and journal is not None:
+        journal.event("campaign.resume", verified=verified, drift=drift,
+                      remainder=len(pending))
 
     def store(run: CampaignRun, metrics: Dict[str, Any],
-              manifest: Optional[Dict[str, Any]]) -> None:
+              manifest: Optional[Dict[str, Any]], attempt: Attempt) -> None:
         # The store hashes the result while it encodes it; only a
         # cacheless journal has to encode for the digest alone.
         if cache is not None:
@@ -919,7 +895,8 @@ def run_campaign(
         if journal is not None:
             # Journaled after cache.put: a done record implies the cache
             # holds the result, which is what resume verification assumes.
-            journal.done(run, result_digest, cached=False)
+            journal.done(run, result_digest, cached=False, attempt=attempt,
+                         timings=(manifest or {}).get("timings"))
         finish(RunRecord(run=run, metrics=metrics, cached=False,
                          manifest=manifest))
 
@@ -931,7 +908,7 @@ def run_campaign(
         else:
             pool = PipeTransport(_execute_unit)
         _run_pool(pool, pending, jobs, policy, store, quarantine,
-                  telemetry, shutdown)
+                  journal, shutdown)
 
     failed.sort(key=lambda f: f.run.index)
     evictions = (cache.evictions - evictions_before) if cache is not None else 0
@@ -948,20 +925,6 @@ def run_campaign(
         interrupted=interrupted,
         planned=len(runs),
     )
-    if telemetry is not None:
-        if interrupted:
-            telemetry.campaign_interrupted(
-                shutdown.signal_name or "manual",
-                done=done, total=len(runs),
-            )
-        telemetry.end_campaign(
-            executed=result.executed,
-            cache_hits=result.cache_hits,
-            cache_evictions=evictions,
-            failed=len(failed),
-            interrupted=interrupted,
-            remaining=remaining,
-        )
     if journal is not None:
         if interrupted:
             status = "interrupted"
@@ -978,5 +941,6 @@ def run_campaign(
             cache_hits=result.cache_hits,
             quarantined=len(failed),
             remaining=remaining,
+            signal=(shutdown.signal_name or "manual") if interrupted else None,
         )
     return result

@@ -1,12 +1,12 @@
 """``repro-muzha doctor`` — the one judge of every artifact the package writes.
 
 A traced run leaves a trace and its manifest behind; a campaign leaves the
-content-addressed result cache, the write-ahead journal, and (optionally) a
-span log.  The campaign artifacts are designed to survive crashes — atomic
-cache writes, per-line journal flushes, torn-tail-tolerant readers — but a
-killed coordinator, a full disk, or a stray ``cp -r`` can still leave
-debris.  This module walks any of the five and reports (or, with
-``repair=True``, fixes) what it finds:
+content-addressed result cache and the write-ahead journal.  The campaign
+artifacts are designed to survive crashes — atomic cache writes, per-line
+journal flushes, torn-tail-tolerant readers — but a killed coordinator, a
+full disk, or a stray ``cp -r`` can still leave debris.  This module walks
+any of the four and reports (or, with ``repair=True``, fixes) what it
+finds:
 
 * **trace damage** — a trace is written once by one finished run and never
   resumed, so every line that is no record or breaks the committed
@@ -24,8 +24,8 @@ debris.  This module walks any of the five and reports (or, with
   finds them all eagerly);
 * **journal damage** — a torn final line (killed writer; repair truncates
   it), and whatever :func:`~repro.experiments.journal.fold_journal` — the
-  walk ``campaign --resume`` itself trusts, here with the committed schema
-  on top — reports: ``journal-corrupt`` is exactly what makes ``--resume``
+  walk ``campaign --resume`` and ``report`` themselves trust, here with the
+  committed schema on top — reports: ``journal-corrupt`` is exactly what makes ``--resume``
   refuse (mid-file corruption, a record it cannot read, mixed campaigns),
   ``journal-schema`` what it reads around (a ``done`` for an unplanned
   unit, an unknown field).  A generation that never wrote ``end`` is an
@@ -33,15 +33,7 @@ debris.  This module walks any of the five and reports (or, with
 * **journal/cache drift** — journaled completions whose cache entry is
   missing, corrupt, or hashes to a different ``result_digest`` than the
   journal recorded (these re-execute on resume; repair deletes the
-  drifted entry so the re-execution starts clean);
-* **span-log damage** — read through the fold ``report`` uses
-  (:func:`repro.obs.report.fold_spans`), here with the committed schema
-  on top: a torn tail (repair cuts it), a line the fold cannot read
-  (``spans-corrupt``), a record breaking the log's contract
-  (``spans-schema``), a log without exactly one root campaign span
-  (``spans-roots``), and spans opened but never closed — the signature of
-  a killed campaign (a warning; ``repro-muzha report`` renders such logs
-  as partial).
+  drifted entry so the re-execution starts clean).
 
 Every diagnosis is a :class:`Finding`; nothing here ever *executes* a
 simulation, takes the cache lock for reads, or mutates anything unless
@@ -58,7 +50,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from ..obs.ndjson import (BLANK, JSON_PARSE_ERRORS, cut_torn_tail,
                           first_fatal, relay, scan)
 from ..obs.provenance import manifest_consistent
-from ..obs.report import fold_spans
 from ..obs.schema import line_check, load_schema, validate
 from .cachestore import (
     SHARD_GLOB,
@@ -284,55 +275,6 @@ def diagnose_manifest(path: PathLike) -> List[Finding]:
             for error in errors]
 
 
-def diagnose_spans(path: PathLike, repair: bool = False) -> List[Finding]:
-    """Findings for one campaign span log."""
-    path = Path(path)
-    if not path.is_file():
-        return _missing("spans-missing", path, "span log")
-    findings: List[Finding] = []
-    log = scan(path)
-    if log.truncated_tail:
-        finding = Finding(
-            "warn", "spans-torn-tail", str(path),
-            "partial final line (writer killed mid-record)",
-        )
-        if repair:
-            finding.repaired = _cut_torn_tail(path)
-        findings.append(finding)
-    fold = fold_spans(log.complete(), line_check("span_record"))
-    fatal = first_fatal(fold.problems)
-    if fatal is not None:
-        findings.append(Finding("error", "spans-corrupt", str(path), fatal))
-        return findings
-    if not fold.records:  # nothing was ever committed: no campaign, no finding
-        return findings
-    # Every other problem the fold reports is a record breaking the log's
-    # contract (the schema or the span structure).
-    findings.extend(_per_line("spans-schema", path,
-                              [(lineno, what) for lineno, what, _
-                               in fold.problems]))
-    roots = sum(1 for record in fold.opens.values()
-                if record.get("parent") is None)
-    if roots != 1:
-        findings.append(Finding(
-            "error", "spans-roots", str(path),
-            f"expected exactly 1 root campaign span, got {roots}",
-        ))
-    open_spans = {span_id: record.get("span", "?")
-                  for span_id, record in fold.opens.items()
-                  if span_id not in fold.closes}
-    if open_spans:
-        names = ", ".join(
-            f"{sid} ({name})" for sid, name in sorted(open_spans.items())
-        )
-        findings.append(Finding(
-            "warn", "spans-unclosed", str(path),
-            f"{len(open_spans)} span(s) never closed — killed campaign? "
-            f"({names}); `repro-muzha report` renders this log as partial",
-        ))
-    return findings
-
-
 @dataclass
 class DoctorReport:
     """Everything one ``doctor`` invocation diagnosed."""
@@ -362,13 +304,12 @@ class DoctorReport:
 def run_doctor(
     cache: Optional[PathLike] = None,
     journal: Optional[PathLike] = None,
-    spans: Optional[PathLike] = None,
     repair: bool = False,
     trace: Optional[PathLike] = None,
     manifest: Optional[PathLike] = None,
 ) -> DoctorReport:
-    """Diagnose any combination of cache / journal / span-log / trace /
-    manifest artifacts."""
+    """Diagnose any combination of cache / journal / trace / manifest
+    artifacts."""
     report = DoctorReport()
     if cache is not None:
         report.findings.extend(diagnose_cache(cache, repair=repair))
@@ -376,8 +317,6 @@ def run_doctor(
         report.findings.extend(
             diagnose_journal(journal, cache=cache, repair=repair)
         )
-    if spans is not None:
-        report.findings.extend(diagnose_spans(spans, repair=repair))
     if trace is not None:
         report.findings.extend(diagnose_trace(trace))
     if manifest is not None:
@@ -412,7 +351,6 @@ __all__ = [
     "diagnose_cache",
     "diagnose_journal",
     "diagnose_manifest",
-    "diagnose_spans",
     "diagnose_trace",
     "format_report",
     "run_doctor",

@@ -65,13 +65,17 @@ def _run_specs(specs: Sequence[RunSpec]) -> List[RunResult]:
     failed: List[campaign.FailedRun] = []
 
     def store(run: campaign.CampaignRun, metrics: Dict[str, Any],
-              manifest: Optional[Dict[str, Any]]) -> None:
+              manifest: Optional[Dict[str, Any]], attempt: Any) -> None:
         result = RunResult.from_dict(metrics)
         result.manifest = manifest
         results[run.index] = result
 
+    def quarantine(failure: campaign.FailedRun, attempt: Any,
+                   status: str) -> None:
+        failed.append(failure)
+
     campaign._run_pool(transport, runs, jobs,
-                       campaign.RetryPolicy(max_retries=0), store, failed.append)
+                       campaign.RetryPolicy(max_retries=0), store, quarantine)
     if failed:
         first = min(failed, key=lambda failure: failure.run.index)
         spec = first.run.spec

@@ -1,8 +1,9 @@
-"""Write-ahead journal for crash-safe, resumable campaigns.
+"""Write-ahead journal: the one log of a crash-safe, resumable campaign.
 
 A campaign at "million-unit grid" scale runs for hours; preemption, OOM
 kills and operator Ctrl-C are the norm, not the exception.  The journal
-makes an interrupted campaign a *checkpoint* instead of a loss:
+makes an interrupted campaign a *checkpoint* instead of a loss, and it is
+also where ``repro-muzha report`` reads how the campaign ran:
 
 * before any dispatch, :meth:`CampaignJournal.begin` records the full plan
   — every ``(index, scenario, replication, seed, digest)`` unit plus a
@@ -11,11 +12,18 @@ makes an interrupted campaign a *checkpoint* instead of a loss:
 * every completion is journaled (``done`` records with the run's canonical
   ``result_digest``), every quarantine too (``failed`` records), appended
   as schema-validated NDJSON and fsynced in batches;
+* an executed ``done`` also says who ran it and when (``worker``,
+  ``attempt``, ``t0`` → ``t``) with the worker-measured ``timings``; a
+  failed attempt that will be retried is one ``retry`` record; worker
+  spawns and exits, cache evictions and a resume's verification are
+  ``event`` records.  Each fact is written once: a cache hit is a cached
+  ``done``, a quarantine its ``failed``, an interrupt an ``end`` with
+  status ``interrupted`` (and the ``signal`` that caused it);
 * :func:`fold_journal` is the one walk that interprets the records: it
   folds them into a :class:`JournalReplay` — completed/failed unit maps,
   the interrupted flag — *and* lists every line that breaks the journal's
-  rules, so ``--resume`` and ``doctor`` cannot disagree about what a
-  journal says.  :func:`replay_journal` is that walk for
+  rules, so ``--resume``, ``report`` and ``doctor`` cannot disagree about
+  what a journal says.  :func:`replay_journal` is that walk for
   ``run_campaign(resume=...)`` (it raises on what makes the state
   unusable), which dispatches only the remainder after re-verifying each
   journaled completion against the content-addressed cache (checksum
@@ -23,12 +31,14 @@ makes an interrupted campaign a *checkpoint* instead of a loss:
   line also held to the committed schema.
 
 Generation rules (all of them, stated once; :func:`fold_journal` enforces
-them): a journal starts with a ``begin`` of this build's schema version;
-every ``begin`` opens a generation and carries the first one's
-``plan_digest``; ``end`` closes the open generation; a generation that
-never wrote ``end`` is an *interrupted* generation wherever it sits — a
-SIGKILLed coordinator leaves one — and the next ``begin`` closes it; a
-``done``/``failed`` counts only for a unit that was ``planned``.
+them): a journal starts with a ``begin`` of a schema version this build
+reads (:data:`READABLE_SCHEMAS`: a schema-1 journal, written before the
+journal carried the attempt timing, still resumes); every ``begin`` opens
+a generation and carries the first one's ``plan_digest``; ``end`` closes
+the open generation; a generation that never wrote ``end`` is an
+*interrupted* generation wherever it sits — a SIGKILLed coordinator leaves
+one — and the next ``begin`` closes it; a ``done``/``failed`` counts only
+for a unit that was ``planned``.
 
 Determinism: the journal never influences seeds or metrics — unit seeds
 are derived in :func:`repro.experiments.campaign.plan_campaign` before any
@@ -48,7 +58,8 @@ after it would weld its ``begin`` onto the torn line.
 
 The line shapes are committed in
 ``repro/obs/schemas/journal_record.schema.json``; what a record of each
-``kind`` must carry is :data:`_JOURNAL_KIND_REQUIRED` here.
+``kind`` must carry is :data:`_JOURNAL_KIND_REQUIRED` here, and what it may
+carry besides, :data:`_JOURNAL_KIND_OPTIONAL`.
 """
 
 from __future__ import annotations
@@ -58,10 +69,10 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..obs.ndjson import (
-    BLANK, BOOL, INT, NUM, STR, LineCheck, NdjsonScan, Problem,
+    BLANK, BOOL, INT, NUM, OBJ, STR, LineCheck, NdjsonScan, Problem,
     cut_torn_tail, encode_line, first_fatal, mistyped, scan,
 )
 from ..obs.provenance import stable_digest
@@ -69,7 +80,12 @@ from ..obs.provenance import stable_digest
 PathLike = Union[str, Path]
 
 #: Bump when the journal line shapes change incompatibly.
-JOURNAL_SCHEMA_VERSION = 1
+JOURNAL_SCHEMA_VERSION = 2
+
+#: The schema versions :func:`fold_journal` reads.  Version 1 is version 2
+#: without the attempt timing: no ``retry`` or ``event`` records, and no
+#: optional field (:data:`_JOURNAL_KIND_OPTIONAL`).
+READABLE_SCHEMAS = (1, 2)
 
 #: What a record of each kind must carry, and as which JSON type(s): the
 #: per-kind contract the committed (necessarily permissive) schema cannot
@@ -82,11 +98,30 @@ _JOURNAL_KIND_REQUIRED = {
                 "seed": INT, "digest": STR},
     "done": {"t": NUM, "index": INT, "digest": STR,
              "result_digest": STR, "cached": BOOL},
+    "retry": {"t": NUM, "index": INT, "attempt": INT, "worker": STR,
+              "status": STR, "error": STR, "backoff_s": NUM, "t0": NUM},
     "failed": {"t": NUM, "index": INT, "digest": STR, "error": STR,
                "attempts": INT},
+    "event": {"t": NUM, "name": STR},
     "end": {"t": NUM, "status": STR, "fingerprint": (str, type(None)),
             "executed": INT, "cache_hits": INT, "quarantined": INT,
             "remaining": INT},
+}
+
+#: What a record of each kind may carry besides, and as which JSON type(s)
+#: when it does: the attempt timing an executed ``done`` and a quarantine's
+#: ``failed`` carry, the ``event`` fields (``worker.spawn``: worker, pid,
+#: replacement; ``worker.stop``/``crash``/``timeout``: worker, exitcode;
+#: ``cache.evict``: index, digest; ``campaign.resume``: verified, drift,
+#: remainder), the pool size and the interrupting signal.
+_JOURNAL_KIND_OPTIONAL = {
+    "begin": {"jobs": INT},
+    "done": {"worker": STR, "attempt": INT, "t0": NUM, "timings": OBJ},
+    "failed": {"worker": STR, "status": STR, "t0": NUM},
+    "event": {"worker": STR, "pid": (int, type(None)), "replacement": BOOL,
+              "exitcode": (int, type(None)), "index": INT, "digest": STR,
+              "verified": INT, "drift": INT, "remainder": INT},
+    "end": {"signal": STR},
 }
 
 #: Record kinds a journal may contain (``kind`` field of every line).
@@ -109,6 +144,17 @@ class JournalError(ValueError):
 
 class JournalPlanMismatch(JournalError):
     """A resume was attempted against a journal of a *different* campaign."""
+
+
+class Attempt(NamedTuple):
+    """One executed attempt of a unit: the worker that ran it, which try it
+    was, and its wall-clock start and end (``t0`` is the later of the
+    batch's dispatch and the worker's previous result)."""
+
+    worker: str
+    number: int
+    t0: float
+    t: float
 
 
 def plan_digest(runs: Sequence[Any]) -> str:
@@ -193,7 +239,8 @@ class CampaignJournal:
     # -- campaign lifecycle ------------------------------------------------------
 
     def begin(self, runs: Sequence[Any], *, pool_mode: str, base_seed: int,
-              replications: int, resumed: bool) -> None:
+              replications: int, resumed: bool,
+              jobs: Optional[int] = None) -> None:
         """Journal the campaign plan — the write-ahead step.
 
         Written (and fsynced) *before* any dispatch, so even a campaign
@@ -212,6 +259,7 @@ class CampaignJournal:
             "pool_mode": pool_mode,
             "plan_digest": plan_digest(runs),
             "resumed": resumed,
+            **({} if jobs is None else {"jobs": jobs}),
         })
         self.plan(() if resumed else runs)
 
@@ -233,30 +281,73 @@ class CampaignJournal:
             })
         self.checkpoint()
 
-    def done(self, run: Any, result_digest: str, cached: bool) -> None:
-        """One unit completed (its result is in the cache under ``digest``)."""
-        self.write({
+    def done(self, run: Any, result_digest: str, cached: bool,
+             attempt: Optional[Attempt] = None,
+             timings: Optional[Dict[str, float]] = None) -> None:
+        """One unit completed (its result is in the cache under ``digest``).
+
+        An executed unit passes the ``attempt`` that ran it and the
+        worker-measured ``timings`` of its manifest; a cache hit passes
+        neither — its timings describe an earlier campaign.
+        """
+        record: Dict[str, Any] = {
             "kind": "done",
-            "t": time.time(),
+            "t": time.time() if attempt is None else attempt.t,
             "index": run.index,
             "digest": run.digest,
             "result_digest": result_digest,
             "cached": cached,
+        }
+        if attempt is not None:
+            record.update(worker=attempt.worker, attempt=attempt.number,
+                          t0=attempt.t0)
+        if timings:
+            record["timings"] = timings
+        self.write(record)
+
+    def retry(self, run: Any, attempt: Attempt, status: str, error: str,
+              backoff_s: float) -> None:
+        """A charged attempt failed (``status`` error/crash/timeout) and
+        the unit will run again after ``backoff_s`` seconds."""
+        self.write({
+            "kind": "retry",
+            "t": attempt.t,
+            "index": run.index,
+            "attempt": attempt.number,
+            "worker": attempt.worker,
+            "status": status,
+            "error": error,
+            "backoff_s": round(backoff_s, 6),
+            "t0": attempt.t0,
         })
 
-    def failed(self, run: Any, error: str, attempts: int) -> None:
-        """One unit was quarantined after exhausting its retries."""
-        self.write({
+    def failed(self, run: Any, error: str, attempts: int,
+               attempt: Optional[Attempt] = None,
+               status: Optional[str] = None) -> None:
+        """One unit was quarantined after exhausting its retries; its last
+        ``attempt`` ended with ``status``."""
+        record: Dict[str, Any] = {
             "kind": "failed",
-            "t": time.time(),
+            "t": time.time() if attempt is None else attempt.t,
             "index": run.index,
             "digest": run.digest,
             "error": error,
             "attempts": attempts,
-        })
+        }
+        if attempt is not None:
+            record.update(worker=attempt.worker, t0=attempt.t0)
+        if status is not None:
+            record["status"] = status
+        self.write(record)
+
+    def event(self, name: str, **fields: Any) -> None:
+        """A fact of the coordinator no unit record carries."""
+        self.write({"kind": "event", "t": time.time(), "name": name,
+                    **fields})
 
     def end(self, *, status: str, fingerprint: Optional[str], executed: int,
-            cache_hits: int, quarantined: int, remaining: int) -> None:
+            cache_hits: int, quarantined: int, remaining: int,
+            signal: Optional[str] = None) -> None:
         """Close this generation; always checkpointed."""
         if status not in JOURNAL_END_STATUSES:
             raise ValueError(
@@ -272,6 +363,7 @@ class CampaignJournal:
             "cache_hits": cache_hits,
             "quarantined": quarantined,
             "remaining": remaining,
+            **({} if signal is None else {"signal": signal}),
         })
         self.checkpoint()
 
@@ -352,25 +444,37 @@ def read_journal(path: PathLike) -> Tuple[List[Dict[str, Any]], bool]:
     return journal.records(JournalError), journal.truncated_tail
 
 
-#: Per kind: the required field names and every tuple of types they may
-#: have, so the common case — a record the writer wrote — is one C-level
-#: pass and one set lookup (the fold runs in every resumed campaign).
+#: A missing field reads as the default ``type`` (no JSON value is of type
+#: `type`), whose type is ``type`` again: an optional field may be that.
+_MISSING = itertools.repeat(type)
+_ABSENT = (type,)
+
+#: Per kind: every field the fold reads, with the JSON types each may have
+#: (an optional one may also be absent).
+_READABLE = {
+    kind: {**required, **{name: types + _ABSENT for name, types
+                          in _JOURNAL_KIND_OPTIONAL.get(kind, {}).items()}}
+    for kind, required in _JOURNAL_KIND_REQUIRED.items()
+}
+
+#: Per kind: those field names and every tuple of types they may have, so
+#: the common case — a record the writer wrote — is one C-level pass and
+#: one set lookup (the fold runs in every resumed campaign).
 _SIGNATURES = {
     kind: (tuple(fields), frozenset(itertools.product(*fields.values())))
-    for kind, fields in _JOURNAL_KIND_REQUIRED.items()
+    for kind, fields in _READABLE.items()
 }
-_MISSING = itertools.repeat(type)  # no JSON value is of type `type`
 
 
 def _unreadable(kind: Any, record: Dict[str, Any]) -> Optional[str]:
     """Why the fold cannot read ``record`` (None: it can): an unknown kind,
-    a required field missing or of the wrong JSON type."""
+    a required field missing, or a field of the wrong JSON type."""
     try:
         names, signatures = _SIGNATURES[kind]
     except (KeyError, TypeError):  # TypeError: a kind that cannot be a key
         return f"unknown record kind {kind!r}"
     if tuple(map(type, map(record.get, names, _MISSING))) not in signatures:
-        return mistyped(kind, record, _JOURNAL_KIND_REQUIRED[kind])
+        return mistyped(kind, record, _READABLE[kind])
     return None
 
 
@@ -379,10 +483,11 @@ def fold_journal(journal: JournalScan,
     """The one walk over a journal's records: state *and* violations.
 
     Never raises: a line that is no record, a record it cannot read
-    (:func:`_unreadable`), a first record that is not a ``begin`` of this
-    build's schema version and a generation with another ``plan_digest``
-    are *fatal* violations (the state is not the campaign's); a
-    ``done``/``failed`` for a unit never ``planned`` is only reported.
+    (:func:`_unreadable`), a first record that is not a ``begin`` of a
+    schema version this build reads and a generation with another
+    ``plan_digest`` are *fatal* violations (the state is not the
+    campaign's); a ``done``/``failed`` for a unit never ``planned`` is only
+    reported.
     Either way the record leaves the state untouched.  A ``begin`` while a
     generation is open is no violation — that generation was killed.
 
@@ -410,9 +515,9 @@ def fold_journal(journal: JournalScan,
             error = _unreadable(kind, record)
         elif kind != "begin":
             error = f"journal must start with a begin record, got {kind!r}"
-        elif record.get("schema") != JOURNAL_SCHEMA_VERSION:
+        elif record.get("schema") not in READABLE_SCHEMAS:
             error = (f"journal has schema {record.get('schema')!r}; this "
-                     f"build reads schema {JOURNAL_SCHEMA_VERSION}")
+                     f"build reads schemas {READABLE_SCHEMAS}")
         else:
             error = _unreadable(kind, record)
         if error is not None:
@@ -440,6 +545,8 @@ def fold_journal(journal: JournalScan,
         elif kind == "end":
             open_generation = False
             replay.last_end = record
+        elif kind in ("retry", "event"):
+            continue  # how the campaign ran, not what it holds
         elif record["index"] not in replay.planned:
             report((lineno, f"{kind} record for unplanned unit index "
                             f"{record['index']}", False))
@@ -468,6 +575,7 @@ def replay_journal(source: Union[PathLike, JournalScan]) -> JournalReplay:
 
 
 __all__ = [
+    "Attempt",
     "CampaignJournal",
     "DEFAULT_FSYNC_EVERY",
     "JOURNAL_END_STATUSES",
@@ -477,6 +585,7 @@ __all__ = [
     "JournalPlanMismatch",
     "JournalReplay",
     "JournalScan",
+    "READABLE_SCHEMAS",
     "fold_journal",
     "plan_digest",
     "read_journal",

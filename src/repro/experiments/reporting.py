@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..obs.report import format_table
+from .report import format_table
 from .figures import CoexistencePoint, SweepResult
 
 

@@ -27,16 +27,24 @@ Supported fault kinds:
 ``partition``
     Every link between different ``groups`` is vetoed for ``duration``
     seconds, then healed (nodes absent from all groups are unaffected).
+
+A plan is a trust boundary (``--faults PLAN.json``): whatever the JSON
+holds, parsing it either yields a plan whose fields have the types a run
+needs — integer node ids, peers, capacities and group members, finite
+times and durations — or raises :class:`FaultPlanError`, never anything
+else.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..obs.ndjson import JSON_PARSE_ERRORS
 from ..phy.error_models import (
     ErrorModel,
     GilbertElliott,
@@ -60,6 +68,36 @@ class FaultPlanError(ValueError):
     """A fault plan is malformed (unknown kind, missing field, bad JSON)."""
 
 
+def _object(value: Any, what: str) -> Dict[str, Any]:
+    if not isinstance(value, dict):
+        raise FaultPlanError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _integer(value: Any, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FaultPlanError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _finite(value: Any, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FaultPlanError(f"{what} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond any float
+        finite = False
+    if not finite:
+        raise FaultPlanError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def _integers(value: Any, what: str) -> Tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise FaultPlanError(f"{what} must be a list, got {value!r}")
+    return tuple(_integer(item, f"{what} member") for item in value)
+
+
 def build_error_model(spec: Dict[str, Any]) -> ErrorModel:
     """Construct an :class:`ErrorModel` from a plain-data ``error_burst`` spec.
 
@@ -67,7 +105,8 @@ def build_error_model(spec: Dict[str, Any]) -> ErrorModel:
     ``{"kind": "gilbert_elliott", ...GilbertElliott kwargs}`` or
     ``{"kind": "none"}``.
     """
-    params = {k: v for k, v in spec.items() if k != "kind"}
+    params = {k: v for k, v in _object(spec, "error-model spec").items()
+              if k != "kind"}
     kind = spec.get("kind")
     try:
         if kind == "per":
@@ -102,11 +141,25 @@ class FaultEvent:
             raise FaultPlanError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
-        if self.time < 0:
+        if _finite(self.time, "fault time") < 0:
             raise FaultPlanError(f"fault time must be >= 0, got {self.time}")
-        if self.duration is not None and self.duration <= 0:
+        if self.duration is not None and _finite(
+                self.duration, "fault duration") <= 0:
             raise FaultPlanError(
                 f"fault duration must be positive, got {self.duration}"
+            )
+        for name in ("node", "peer", "capacity"):
+            if getattr(self, name) is not None:
+                _integer(getattr(self, name), f"fault {name}")
+        if self.model is not None:
+            _object(self.model, "error-model spec")
+        if self.groups is not None:
+            if not isinstance(self.groups, (list, tuple)):
+                raise FaultPlanError(
+                    f"partition groups must be a list, got {self.groups!r}")
+            object.__setattr__(
+                self, "groups",
+                tuple(_integers(g, "partition group") for g in self.groups),
             )
         kind = self.kind
         if kind == "node_crash" and self.node is None:
@@ -132,9 +185,6 @@ class FaultEvent:
                 raise FaultPlanError("partition needs groups and duration")
             if len(self.groups) < 2:
                 raise FaultPlanError("partition needs at least two groups")
-            object.__setattr__(
-                self, "groups", tuple(tuple(g) for g in self.groups)
-            )
             seen: set = set()
             for group in self.groups:
                 for node_id in group:
@@ -164,12 +214,8 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "FaultEvent":
-        data = dict(payload)
-        groups = data.get("groups")
-        if groups is not None:
-            data["groups"] = tuple(tuple(g) for g in groups)
         try:
-            return cls(**data)
+            return cls(**_object(payload, "fault event"))
         except TypeError as exc:
             raise FaultPlanError(f"bad fault event {payload!r}: {exc}") from exc
 
@@ -195,12 +241,17 @@ class RandomFaults:
     nodes: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.crashes < 0 or self.blackouts < 0:
+        if (_integer(self.crashes, "random crashes") < 0
+                or _integer(self.blackouts, "random blackouts") < 0):
             raise FaultPlanError("fault counts must be non-negative")
-        if self.crash_downtime <= 0 or self.blackout_duration <= 0:
+        if (_finite(self.crash_downtime, "random crash_downtime") <= 0
+                or _finite(self.blackout_duration,
+                           "random blackout_duration") <= 0):
             raise FaultPlanError("fault durations must be positive")
+        _finite(self.start, "random start")
         if self.nodes is not None:
-            object.__setattr__(self, "nodes", tuple(self.nodes))
+            object.__setattr__(self, "nodes",
+                               _integers(self.nodes, "random nodes"))
 
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
@@ -216,11 +267,8 @@ class RandomFaults:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RandomFaults":
-        data = dict(payload)
-        if data.get("nodes") is not None:
-            data["nodes"] = tuple(data["nodes"])
         try:
-            return cls(**data)
+            return cls(**_object(payload, "random-faults spec"))
         except TypeError as exc:
             raise FaultPlanError(f"bad random-faults spec {payload!r}: {exc}") from exc
 
@@ -286,26 +334,25 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "FaultPlan":
-        if not isinstance(payload, dict):
-            raise FaultPlanError(f"fault plan must be an object, got {payload!r}")
-        unknown = set(payload) - {"events", "random"}
+        unknown = set(_object(payload, "fault plan")) - {"events", "random"}
         if unknown:
             raise FaultPlanError(f"unknown fault-plan keys {sorted(unknown)}")
-        events = tuple(
-            FaultEvent.from_dict(item) for item in payload.get("events", ())
-        )
+        items = payload.get("events", ())
+        if not isinstance(items, (list, tuple)):
+            raise FaultPlanError(f"fault-plan events must be a list, got {items!r}")
+        events = tuple(FaultEvent.from_dict(item) for item in items)
         spec = payload.get("random")
         rand = RandomFaults.from_dict(spec) if spec is not None else None
         return cls(events=events, random=rand)
 
     @classmethod
-    def loads(cls, text: str) -> "FaultPlan":
+    def loads(cls, text: Union[str, bytes]) -> "FaultPlan":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except JSON_PARSE_ERRORS as exc:  # invalid, or nested too deep
             raise FaultPlanError(f"fault plan is not valid JSON: {exc}") from exc
         return cls.from_dict(payload)
 
     @classmethod
     def load(cls, path: PathLike) -> "FaultPlan":
-        return cls.loads(Path(path).read_text(encoding="utf-8"))
+        return cls.loads(Path(path).read_bytes())  # json decodes UTF-8

@@ -16,18 +16,12 @@ and gated emits, and this package harvests, records, and attributes:
   anomalies (RTO storms, route failures, queue-full bursts).
 * :mod:`~repro.obs.provenance` — run manifests (seed, config digest,
   metrics snapshot, environment) attached to every result.
-* :mod:`~repro.obs.spans` / :mod:`~repro.obs.engine` — campaign-scale
-  telemetry: span/event model, live NDJSON streaming.
-* :mod:`~repro.obs.report` — ``fold_spans``, the one reader of a span
-  log's open/close structure, and the aggregation behind ``repro-muzha
-  report`` built on it.
 * :mod:`~repro.obs.schema` — the dependency-free schema engine for the
   committed ``schemas/*.schema.json``; it names no record kind (what each
   artifact must hold is judged by ``repro-muzha doctor``,
   ``repro.experiments.doctor``).
 """
 
-from .engine import CampaignTelemetry
 from .flight import AnomalyDump, AnomalyRule, DEFAULT_RULES, FlightRecorder
 from .metrics import collect_network_metrics
 from .probe import TimeseriesProbe, attach_run_probe
@@ -38,15 +32,7 @@ from .provenance import (
     manifest_consistent,
     stable_digest,
 )
-from .report import aggregate_span_log, format_report, render_report
 from .sinks import NdjsonTraceSink, record_to_json_dict
-from .spans import (
-    SPAN_BATCH,
-    SPAN_CAMPAIGN,
-    SPAN_UNIT,
-    Span,
-    SpanWriter,
-)
 from .schema import load_schema, validate
 
 __all__ = [
@@ -64,15 +50,6 @@ __all__ = [
     "stable_digest",
     "NdjsonTraceSink",
     "record_to_json_dict",
-    "CampaignTelemetry",
-    "SPAN_BATCH",
-    "SPAN_CAMPAIGN",
-    "SPAN_UNIT",
-    "Span",
-    "SpanWriter",
-    "aggregate_span_log",
-    "format_report",
-    "render_report",
     "load_schema",
     "validate",
 ]

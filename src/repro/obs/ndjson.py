@@ -1,6 +1,6 @@
-"""The one NDJSON codec: event traces, flight-recorder dumps, campaign span
-logs and write-ahead journals are written by :func:`encode_line` and read
-back by :func:`scan`.
+"""The one NDJSON codec: event traces, flight-recorder dumps and campaign
+write-ahead journals are written by :func:`encode_line` and read back by
+:func:`scan` (so is a span log an earlier build wrote).
 
 File contract.  A line ends in ``\\n``; a record is one JSON object on one
 line; blank lines carry nothing.  Whatever follows the last ``\\n`` is the
@@ -10,8 +10,9 @@ if it parses, because a record is committed by its newline
 appends — cuts back to that same newline).  A **blank** file holds only
 whitespace: its producer died before the first write.
 
-A reader that interprets the records (``journal.fold_journal``,
-``report.fold_spans``) says what it found as :data:`Problem` triples.
+A reader that interprets the records (``journal.fold_journal``, and
+``report.fold_spans`` for an earlier build's span log) says what it found
+as :data:`Problem` triples.
 """
 
 from __future__ import annotations

@@ -87,9 +87,9 @@ def build_manifest(
 
     ``timings`` (per-subsystem wall seconds: setup/sim/harvest/serialize)
     and ``engine`` (PHY transmission counters) are environment facts like
-    ``wall_time_s`` — campaign telemetry surfaces the timings in
-    unit-attempt spans, and like every environment fact they never enter
-    result fingerprints.
+    ``wall_time_s`` — the campaign journal surfaces the timings in each
+    executed unit's ``done`` record, and like every environment fact they
+    never enter result fingerprints.
     """
     return {
         "manifest_schema": MANIFEST_SCHEMA_VERSION,

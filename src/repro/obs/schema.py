@@ -7,11 +7,11 @@ lists), ``required``, ``properties``, ``additionalProperties: false``,
 ``items`` and ``enum``.
 
 It names no record kind and reads no file but a schema: what a trace, a
-span log, a journal or a manifest must hold — and what each finding is
-called — is decided by ``repro-muzha doctor``
-(``repro.experiments.doctor``), which hands :func:`line_check` of the
-committed schema to the one fold beside each format
-(:func:`repro.obs.report.fold_spans`, ``repro.experiments.journal.fold_journal``).
+journal or a manifest must hold — and what each finding is called — is
+decided by ``repro-muzha doctor`` (``repro.experiments.doctor``), which
+hands :func:`line_check` of the committed schema to the journal's one fold
+(``repro.experiments.journal.fold_journal``) and checks each trace line
+with it.
 """
 
 from __future__ import annotations
@@ -83,6 +83,6 @@ def validate(instance: Any, schema: Dict[str, Any], path: str = "$") -> List[str
 
 def line_check(name: str) -> LineCheck:
     """``record -> violations`` of the committed ``name`` schema: the layer
-    ``doctor`` adds to a fold (``fold_spans``, ``journal.fold_journal``)."""
+    ``doctor`` adds to a fold (``journal.fold_journal``)."""
     schema = load_schema(name)
     return lambda record: validate(record, schema)

@@ -1,14 +1,13 @@
-"""Acceptance tests for campaign-scale telemetry (spans/report PR).
+"""Acceptance tests for campaign telemetry: the journal.
 
-A warm-pool campaign run with a span sink must produce a schema-valid
-NDJSON log whose unit count matches the ``CampaignResult``, from which the
-report derives worker and cache numbers; fingerprints must be byte-identical
-with spans on or off wherever the units run; and a telemetry subscriber
+A warm-pool campaign run with a journal must leave a valid log whose
+completions match the ``CampaignResult``, from which the report derives
+worker and cache numbers; fingerprints must be byte-identical with a
+journal or without wherever the units run; and a telemetry subscriber
 detaching mid-run (the FlightRecorder pattern) must neither stall the
 trace bus nor perturb results.
 """
 
-import os
 import warnings
 
 import pytest
@@ -16,22 +15,17 @@ import pytest
 import repro.experiments.campaign as campaign
 from repro.experiments import (
     CampaignCache,
+    CampaignJournal,
     RetryPolicy,
     ScenarioConfig,
+    aggregate_campaign_log,
     chain_grid,
+    diagnose_journal,
     run_campaign,
     run_chain,
 )
 from repro.experiments.campaign import CRASH_ONCE_ENV
-from repro.obs import (
-    CampaignTelemetry,
-    FlightRecorder,
-    NdjsonTraceSink,
-    SpanWriter,
-    aggregate_span_log,
-    stable_digest,
-)
-from repro.experiments.doctor import diagnose_spans
+from repro.obs import FlightRecorder, NdjsonTraceSink, stable_digest
 from repro.obs.ndjson import scan
 
 
@@ -47,94 +41,92 @@ PLACEMENTS = {
 }
 
 
-def run_with_spans(tmp_path, name, jobs=2, replications=2, **kwargs):
+def run_journaled(tmp_path, name, jobs=2, replications=2, **kwargs):
     path = tmp_path / name
-    with SpanWriter(path) as writer:
-        telemetry = CampaignTelemetry(writer)
+    with CampaignJournal(path) as journal:
         result = run_campaign(small_grid(), replications=replications,
-                              jobs=jobs, telemetry=telemetry, **kwargs)
+                              jobs=jobs, journal=journal, **kwargs)
     return result, path
+
+
+def records_of(path, kind):
+    return [r for r in scan(path).records() if r["kind"] == kind]
 
 
 # -- warm-pool acceptance -----------------------------------------------------
 
 
-def test_warm_campaign_span_log_is_valid_and_complete(tmp_path):
-    result, path = run_with_spans(tmp_path, "warm.ndjson", pool_mode="warm")
+def test_warm_campaign_journal_is_valid_and_complete(tmp_path):
+    result, path = run_journaled(tmp_path, "warm.journal", pool_mode="warm")
     assert result.complete
-    assert diagnose_spans(path) == []
-    records = scan(path).records()
-    unit_opens = [r for r in records if r.get("span") == "unit-attempt"]
-    # One ok unit-attempt span per campaign record.
-    closes = {r["id"]: r for r in records if r["kind"] == "span_close"}
-    ok_units = [u for u in unit_opens if closes[u["id"]]["status"] == "ok"]
-    assert len(ok_units) == len(result.records) == 2
-    # Spans and fact events only: no heartbeat, progress or cache hit/miss.
-    assert {r["kind"] for r in records} == {"span_open", "span_close",
-                                             "event"}
-    assert not {r["name"] for r in records if r["kind"] == "event"} & {
-        "cache.hit", "cache.miss"}
-    # The report derives each worker's ledger from the spans.
-    campaign_close = closes[next(r["id"] for r in records
-                                 if r.get("span") == "campaign")]
-    assert campaign_close["attrs"]["executed"] == 2
-    assert "counters" not in campaign_close["attrs"]
-    workers = aggregate_span_log(path)["workers"]
+    assert diagnose_journal(path) == []
+    # One executed done record, with its attempt timing, per campaign record.
+    done = records_of(path, "done")
+    assert len(done) == len(result.records) == 2
+    for record in done:
+        assert record["worker"].startswith("w") and record["attempt"] == 1
+        assert record["t0"] <= record["t"]
+        assert set(record["timings"]) >= {"setup_s", "sim_s"}
+    # Each fact once: no quarantine, interrupt or batch record.
+    assert {r["name"] for r in records_of(path, "event")} == {
+        "worker.spawn", "worker.stop"}
+    [begin] = records_of(path, "begin")
+    assert begin["schema"] == 2 and begin["jobs"] == 2
+    # The report derives each worker's ledger from the journal.
+    summary = aggregate_campaign_log(path)
+    assert summary["campaign"]["executed"] == 2
+    workers = summary["workers"]
     assert workers and sum(w["units_done"] for w in workers.values()) == 2
     assert all(w["pid"] is not None for w in workers.values())
 
 
 @pytest.mark.parametrize("placement", PLACEMENTS)
-def test_fingerprints_identical_with_spans_on_or_off(tmp_path, placement):
-    traced, path = run_with_spans(tmp_path, f"{placement}.ndjson",
-                                  **PLACEMENTS[placement])
-    untraced = run_campaign(small_grid(), replications=2,
-                            **{"jobs": 2, **PLACEMENTS[placement]})
-    assert traced.fingerprint() == untraced.fingerprint()
-    assert diagnose_spans(path) == []
+def test_fingerprints_identical_with_a_journal_or_without(tmp_path, placement):
+    journaled, path = run_journaled(tmp_path, f"{placement}.journal",
+                                    **PLACEMENTS[placement])
+    bare = run_campaign(small_grid(), replications=2,
+                        **{"jobs": 2, **PLACEMENTS[placement]})
+    assert journaled.fingerprint() == bare.fingerprint()
+    assert diagnose_journal(path) == []
 
 
 # -- cache counters -----------------------------------------------------------
 
 
-def test_cache_hits_and_evictions_in_result_and_span_log(tmp_path):
+def test_cache_hits_and_evictions_in_result_and_journal(tmp_path):
     cache = CampaignCache(tmp_path / "cache")
     first = run_campaign(small_grid(), replications=2, jobs=2, cache=cache)
     assert first.cache_evictions == 0
     # Corrupt one entry: the rerun must evict + recompute it, hit the rest.
     victim = next(cache.root.glob("*/*.json"))
     victim.write_text(victim.read_text()[:40])
-    path = tmp_path / "cached.ndjson"
-    with SpanWriter(path) as writer:
-        telemetry = CampaignTelemetry(writer)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            second = run_campaign(small_grid(), replications=2, jobs=2,
-                                  cache=cache, telemetry=telemetry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        second, path = run_journaled(tmp_path, "cached.journal", cache=cache)
     assert second.cache_hits == 1 and second.executed == 1
     assert second.cache_evictions == 1
     assert second.fingerprint() == first.fingerprint()
-    assert diagnose_spans(path) == []
-    summary = aggregate_span_log(path)
+    assert diagnose_journal(path, cache=cache.root) == []
+    summary = aggregate_campaign_log(path)
     assert summary["cache"] == {"hits": 1, "evictions": 1,
                                 "hit_ratio": 0.5}
-    # Cached units get spans too, parented to the campaign.
-    records = scan(path).records()
-    cached = [r for r in records if r.get("span") == "unit-attempt"
-              and r.get("attrs", {}).get("cached")]
+    # A cache hit is a cached done record, and it gains no attempt fields.
+    cached = [r for r in records_of(path, "done") if r["cached"]]
     assert len(cached) == 1
-    assert cached[0]["attrs"]["worker"] == "cache"
+    assert not {"worker", "attempt", "t0", "timings"} & set(cached[0])
+    [evict] = [r for r in records_of(path, "event")
+               if r["name"] == "cache.evict"]
+    assert evict["digest"] in victim.name
 
 
-def test_a_cached_rerun_reports_one_hit_per_cached_unit_span(tmp_path):
+def test_a_cached_rerun_reports_one_hit_per_cached_done_record(tmp_path):
     cache = CampaignCache(tmp_path / "cache")
     run_campaign(small_grid(), replications=3, jobs=1, cache=cache)
-    result, path = run_with_spans(tmp_path, "rerun.ndjson", jobs=1,
-                                  replications=3, cache=cache)
+    result, path = run_journaled(tmp_path, "rerun.journal", jobs=1,
+                                 replications=3, cache=cache)
     assert result.cache_hits == 3 and result.executed == 0
-    cached = [r for r in scan(path).records()
-              if r.get("span") == "unit-attempt" and r["attrs"]["cached"]]
-    summary = aggregate_span_log(path)
+    cached = [r for r in records_of(path, "done") if r["cached"]]
+    summary = aggregate_campaign_log(path)
     assert summary["cache"]["hits"] == len(cached) == 3
     assert summary["cache"]["hit_ratio"] == 1.0
     assert summary["workers"] == {}  # a fully cached campaign starts no pool
@@ -143,32 +135,25 @@ def test_a_cached_rerun_reports_one_hit_per_cached_unit_span(tmp_path):
 # -- crash / replacement ------------------------------------------------------
 
 
-def test_warm_crash_emits_replacement_spans(tmp_path, monkeypatch):
+def test_warm_crash_journals_the_replacement(tmp_path, monkeypatch):
     sentinel = tmp_path / "crash-sentinel"
     monkeypatch.setenv(CRASH_ONCE_ENV, f"{sentinel}:0")
-    path = tmp_path / "crash.ndjson"
-    with SpanWriter(path) as writer:
-        telemetry = CampaignTelemetry(writer)
-        result = run_campaign(
-            small_grid(), replications=2, jobs=2, pool_mode="warm",
-            policy=RetryPolicy(max_retries=2, backoff=0.01),
-            telemetry=telemetry,
-        )
+    result, path = run_journaled(
+        tmp_path, "crash.journal", pool_mode="warm",
+        policy=RetryPolicy(max_retries=2, backoff=0.01),
+    )
     assert result.complete  # the retry healed the crash
-    assert diagnose_spans(path) == []
-    summary = aggregate_span_log(path)
+    assert diagnose_journal(path) == []
+    summary = aggregate_campaign_log(path)
     assert summary["worker_events"]["crashed"] == 1
     assert summary["worker_events"]["replaced"] >= 1
     assert summary["retries"]["0"]["retries"] == 1
-    records = scan(path).records()
-    statuses = [r["status"] for r in records if r["kind"] == "span_close"
-                and r["id"].startswith("u")]
-    assert "crash" in statuses  # the killed attempt has its own span
-    assert statuses.count("ok") == len(result.records) == 2
-    # The dead worker's batch span closed as aborted, not ok.
-    aborted = [r for r in records if r["kind"] == "span_close"
-               and r["id"].startswith("b") and r["status"] == "aborted"]
-    assert len(aborted) == 1
+    # The killed attempt has its own record, the retry that ran it again.
+    [retry] = records_of(path, "retry")
+    assert (retry["index"], retry["attempt"], retry["status"]) == (
+        0, 1, "crash")
+    assert retry["backoff_s"] == 0.01
+    assert len(records_of(path, "done")) == len(result.records) == 2
 
 
 # -- one telemetry contract in and out of process ----------------------------
@@ -180,25 +165,22 @@ def worker_event_reasons(records):
             and r["name"] != "worker.spawn"]
 
 
-def unit_attempt_closes(records):
-    """``(index, attempt, status)`` of every executed unit-attempt span."""
-    opens = {r["id"]: r["attrs"] for r in records
-             if r["kind"] == "span_open" and r.get("span") == "unit-attempt"}
+def attempt_outcomes(records):
+    """``(index, attempt, status)`` of every executed attempt."""
     return sorted(
-        (opens[r["id"]]["index"], opens[r["id"]]["attempt"], r["status"])
-        for r in records
-        if r["kind"] == "span_close" and r["id"] in opens
+        (r["index"], r["attempt"], r.get("status", "ok"))
+        for r in records if r["kind"] in ("done", "retry") and "worker" in r
     )
 
 
 @pytest.mark.parametrize("placement", ["warm", "inproc"])
-def test_span_log_contract_is_the_same_in_every_local_mode(
+def test_journal_contract_is_the_same_in_every_local_mode(
     tmp_path, monkeypatch, placement
 ):
-    """The supervisor loop is the only telemetry source, so a unit that
-    raises once reads the same whatever the transport: one ``unit-attempt``
-    span per attempt, workers named ``w<n>``, every exit a ``stop`` (an
-    exception kills nobody) and no replacements."""
+    """The supervisor loop is the only source of attempt records, so a unit
+    that raises once reads the same whatever the transport: one record per
+    attempt, workers named ``w<n>``, every exit a ``stop`` (an exception
+    kills nobody) and no replacements."""
     sentinel = tmp_path / "raised"
     real = campaign._execute_unit
 
@@ -209,21 +191,21 @@ def test_span_log_contract_is_the_same_in_every_local_mode(
         return real(args)
 
     monkeypatch.setattr(campaign, "_execute_unit", raise_once)
-    result, path = run_with_spans(
-        tmp_path, f"contract-{placement}.ndjson", **PLACEMENTS[placement],
+    result, path = run_journaled(
+        tmp_path, f"contract-{placement}.journal", **PLACEMENTS[placement],
         policy=RetryPolicy(max_retries=1, backoff=0.01),
     )
     assert result.complete
-    assert diagnose_spans(path) == []
+    assert diagnose_journal(path) == []
     records = scan(path).records()
-    assert unit_attempt_closes(records) == [
+    assert attempt_outcomes(records) == [
         (0, 1, "error"), (0, 2, "ok"), (1, 1, "ok")]
-    workers = {r["attrs"]["worker"] for r in records
-               if r["kind"] == "span_open" and r.get("span") == "unit-attempt"}
+    workers = {r["worker"] for r in records
+               if r["kind"] in ("done", "retry")}
     assert all(w.startswith("w") and w[1:].isdigit() for w in workers)
     reasons = worker_event_reasons(records)
     assert reasons and set(reasons) == {"stop"}
-    summary = aggregate_span_log(path)
+    summary = aggregate_campaign_log(path)
     assert summary["worker_events"]["replaced"] == 0
     assert summary["worker_events"]["spawned"] == len(reasons)
     if placement == "inproc":
@@ -237,19 +219,19 @@ def test_crashed_worker_exits_as_crash_and_is_replaced_once(
 ):
     sentinel = tmp_path / "crash-sentinel"
     monkeypatch.setenv(CRASH_ONCE_ENV, f"{sentinel}:0")
-    result, path = run_with_spans(
-        tmp_path, f"crash-{pool_mode}.ndjson", pool_mode=pool_mode,
+    result, path = run_journaled(
+        tmp_path, f"crash-{pool_mode}.journal", pool_mode=pool_mode,
         policy=RetryPolicy(max_retries=1, backoff=0.01),
     )
     assert result.complete
-    assert diagnose_spans(path) == []
+    assert diagnose_journal(path) == []
     records = scan(path).records()
-    assert unit_attempt_closes(records) == [
+    assert attempt_outcomes(records) == [
         (0, 1, "crash"), (0, 2, "ok"), (1, 1, "ok")]
     reasons = worker_event_reasons(records)
     assert reasons.count("crash") == 1
     assert set(reasons) == {"crash", "stop"}
-    assert aggregate_span_log(path)["worker_events"]["replaced"] == 1
+    assert aggregate_campaign_log(path)["worker_events"]["replaced"] == 1
 
 
 # -- TraceBus detach mid-run (FlightRecorder interaction) --------------------

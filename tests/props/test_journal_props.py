@@ -13,7 +13,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.cli import main as cli_main
 from repro.experiments import JournalError, diagnose_journal, replay_journal
-from repro.experiments.journal import _JOURNAL_KIND_REQUIRED
+from repro.experiments.journal import (
+    _JOURNAL_KIND_OPTIONAL,
+    _JOURNAL_KIND_REQUIRED,
+)
 
 CAMPAIGN = ["campaign", "--hops", "2", "--variants", "newreno",
             "--replications", "2", "--time", "0.5", "--jobs", "1",
@@ -21,11 +24,12 @@ CAMPAIGN = ["campaign", "--hops", "2", "--variants", "newreno",
 
 #: The kinds of the real journal's lines, which the explicit examples below
 #: address by position.
-LAYOUT = ["begin", "planned", "planned", "done", "done", "end",
-          "begin", "done", "done", "end"]
+LAYOUT = ["begin", "planned", "planned", "event", "done", "done", "event",
+          "end", "begin", "done", "done", "event", "end"]
 
-FIELDS = sorted({"kind", *(name for fields in _JOURNAL_KIND_REQUIRED.values()
-                           for name in fields)})
+FIELDS = sorted({"kind", *(name for table in (_JOURNAL_KIND_REQUIRED,
+                                              _JOURNAL_KIND_OPTIONAL)
+                           for fields in table.values() for name in fields)})
 
 lines = st.integers(0, len(LAYOUT) - 1)
 mutations = st.one_of(
@@ -87,13 +91,15 @@ def doctor(path):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutation=mutations)
-@example(mutation=("delete", 5))  # the SIGKILL shape: no end, then a resume
-@example(mutation=("drop-field", 3, "index"))  # was a KeyError traceback
-@example(mutation=("retype", 3, "index", "one"))  # was a ValueError one
+@example(mutation=("delete", 7))  # the SIGKILL shape: no end, then a resume
+@example(mutation=("drop-field", 4, "index"))  # was a KeyError traceback
+@example(mutation=("retype", 4, "index", "one"))  # was a ValueError one
 @example(mutation=("retype", 0, "total", "many"))  # ditto
-@example(mutation=("retype", 3, "cached", None))  # replay never reads it
+@example(mutation=("retype", 4, "cached", None))  # replay never reads it
+@example(mutation=("retype", 4, "t0", "one"))  # report reads it
+@example(mutation=("retype", 3, "pid", [1]))  # ditto
 @example(mutation=("retype", 0, "kind", [1]))  # not even hashable
-@example(mutation=("swap", 1, 3))  # a done before its planned
+@example(mutation=("swap", 1, 4))  # a done before its planned
 @example(mutation=("delete", 0))
 def test_every_view_of_a_mutated_journal_ends_the_same_way(
         real, mutation, tmp_path, capsys):
@@ -128,7 +134,7 @@ def test_a_killed_then_resumed_journal_is_what_the_journal_is_for(
     ``doctor`` called this an unrepaired ``journal-schema`` error (``begin
     record before the previous generation ended``) for ever after."""
     records, _ = real
-    killed = [r for i, r in enumerate(records) if i not in (4, 5)]
+    killed = [r for i, r in enumerate(records) if i not in (5, 6, 7)]
     path = write(tmp_path / "killed.journal", killed)
     replay = replay_journal(path)
     assert replay.violations == []
@@ -137,7 +143,7 @@ def test_a_killed_then_resumed_journal_is_what_the_journal_is_for(
     assert sorted(replay.completed) == [0, 1]
     assert doctor(path) == 0
     # ... and with no resume after the kill it is interrupted, not damaged.
-    path = write(tmp_path / "just-killed.journal", killed[:4])
+    path = write(tmp_path / "just-killed.journal", killed[:5])
     replay = replay_journal(path)
     assert replay.violations == [] and replay.interrupted
     assert (replay.generations, sorted(replay.completed)) == (1, [0])

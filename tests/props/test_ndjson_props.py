@@ -1,11 +1,12 @@
 """Properties of the one NDJSON reader (``repro.obs.ndjson.scan``): it is a
-trust boundary — trace files, span logs and journals come back from disks
+trust boundary — trace files, journals and span logs come back from disks
 that filled up, coordinators that were killed and other machines — so
 nothing a file can contain may raise, and what a killed writer leaves (any
 byte prefix of a valid log) reads as a prefix of what it wrote.
 """
 
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -15,6 +16,7 @@ from repro.experiments import (
     CampaignJournal,
     JournalError,
     ScenarioConfig,
+    aggregate_campaign_log,
     chain_grid,
     diagnose_journal,
     plan_campaign,
@@ -22,9 +24,12 @@ from repro.experiments import (
     run_campaign,
     run_doctor,
 )
-from repro.obs import CampaignTelemetry, SpanWriter, aggregate_span_log
+from repro.experiments.journal import Attempt
+from repro.experiments.report import CampaignLogError
 from repro.obs.ndjson import encode_line, scan
-from repro.obs.report import SpanLogError
+
+#: Span logs an earlier build wrote (``README.md`` there).
+EARLIER = Path(__file__).resolve().parents[1] / "data" / "earlier_build"
 
 scalars = (
     st.none() | st.booleans() | st.integers()
@@ -110,31 +115,24 @@ def journal_bytes(path):
                          replications=2, base_seed=7)
     with CampaignJournal(path) as journal:
         journal.begin(runs, pool_mode="inproc", base_seed=7, replications=2,
-                      resumed=False)
-        journal.done(runs[0], "digest-0", cached=False)
-        journal.failed(runs[1], "boom", attempts=3)
+                      resumed=False, jobs=1)
+        journal.event("worker.spawn", worker="w1", pid=101,
+                      replacement=False)
+        journal.done(runs[0], "digest-0", cached=False,
+                     attempt=Attempt("w1", 1, 1.0, 2.0),
+                     timings={"sim_s": 0.5})
+        journal.retry(runs[1], Attempt("w1", 1, 2.0, 3.0), "error", "boom",
+                      0.25)
+        journal.failed(runs[1], "boom", attempts=2,
+                       attempt=Attempt("w1", 2, 3.25, 4.0), status="error")
+        journal.event("worker.stop", worker="w1", exitcode=0)
         journal.end(status="interrupted", fingerprint=None, executed=1,
-                    cache_hits=0, quarantined=1, remaining=2)
+                    cache_hits=0, quarantined=1, remaining=2,
+                    signal="SIGTERM")
     with CampaignJournal(path, resume=True) as journal:
         journal.begin(runs, pool_mode="warm", base_seed=7, replications=2,
-                      resumed=True)
+                      resumed=True, jobs=2)
         journal.done(runs[1], "digest-1", cached=True)
-    return path.read_bytes()
-
-
-def span_log_bytes(path):
-    with SpanWriter(path) as writer:
-        telemetry = CampaignTelemetry(writer)
-        telemetry.begin_campaign(3, "warm", 1)
-        telemetry.worker_spawned("w1", 101)
-        telemetry.unit_result("cache", 2, 0, "ok", cached=True)
-        telemetry.batch_dispatched("w1", [0, 1])
-        telemetry.unit_result("w1", 0, 1, "ok")
-        telemetry.unit_result("w1", 1, 1, "error", error="ValueError: nope")
-        telemetry.quarantined(1, 1, "ValueError: nope")
-        telemetry.worker_exited("w1", "stop")
-        telemetry.end_campaign(executed=1, cache_hits=1, cache_evictions=0,
-                               failed=1)
     return path.read_bytes()
 
 
@@ -156,6 +154,8 @@ def test_every_crash_point_of_a_journal_replays_or_says_why(tmp_path):
         assert replay.truncated_tail == (not prefix.endswith(b"\n"))
         dones = [r for r in written[:committed] if r["kind"] == "done"]
         assert sorted(replay.completed) == sorted(r["index"] for r in dones)
+        summary = aggregate_campaign_log(path)
+        assert summary["campaign"]["generation"] == replay.generations
 
 
 def test_every_crash_point_of_a_journal_resumes_twice_and_stays_healthy(
@@ -199,7 +199,9 @@ def test_every_crash_point_of_a_journal_resumes_twice_and_stays_healthy(
 
 
 def test_every_crash_point_of_a_span_log_aggregates_or_says_why(tmp_path):
-    blob = span_log_bytes(tmp_path / "whole.ndjson")
+    """``report`` still reads a span log an earlier build wrote, cut
+    anywhere."""
+    blob = (EARLIER / "scripted.spans.ndjson").read_bytes()
     written = scan(blob).records()
     assert len(written) >= 9
     path = tmp_path / "cut.ndjson"
@@ -208,8 +210,8 @@ def test_every_crash_point_of_a_span_log_aggregates_or_says_why(tmp_path):
         check_prefix(prefix, written)
         path.write_bytes(prefix)
         if prefix.count(b"\n") == 0:  # the campaign span never opened
-            with pytest.raises(SpanLogError, match="no campaign span"):
-                aggregate_span_log(path)
+            with pytest.raises(CampaignLogError, match="holds no records"):
+                aggregate_campaign_log(path)
             continue
-        summary = aggregate_span_log(path)
+        summary = aggregate_campaign_log(path)
         assert summary["campaign"]["partial"] == (cut < len(blob))

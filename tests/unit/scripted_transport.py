@@ -142,29 +142,38 @@ class ScriptedTransport(Transport):
         return link
 
 
-class RecordingTelemetry:
-    """Stands in for ``CampaignTelemetry``: records every hook call as
-    ``(name, args, kwargs)`` so tests can assert on what the loop reported."""
+class RecordingJournal:
+    """Stands in for the ``CampaignJournal`` the loop writes to: records its
+    ``retry`` and ``event`` calls, and — with :meth:`attempt`, which the
+    test's ``store``/``quarantine`` call — every attempt the loop ended, so
+    tests can assert on what the loop reported."""
 
     def __init__(self):
-        self.calls = []
+        self.retries = []  # (run, Attempt, status, error, backoff_s)
+        self.events = []   # (name, fields)
+        self._attempts = []
 
-    def __getattr__(self, name):
-        def record(*args, **kwargs):
-            self.calls.append((name, args, kwargs))
-        return record
+    def retry(self, run, attempt, status, error, backoff_s):
+        self.retries.append((run, attempt, status, error, backoff_s))
+        self.attempt(run, attempt, status)
+
+    def event(self, name, **fields):
+        self.events.append((name, fields))
+
+    def attempt(self, run, attempt, status):
+        self._attempts.append((run.index, attempt.number, status))
 
     def named(self, name):
-        return [(args, kwargs) for n, args, kwargs in self.calls if n == name]
+        return [fields for n, fields in self.events if n == name]
 
     def unit_attempts(self):
-        """``(index, attempt, status)`` per unit-attempt, in report order."""
-        return [(args[1], args[2], args[3])
-                for args, _ in self.named("unit_result")]
+        """``(index, attempt, status)`` per unit attempt, in report order."""
+        return list(self._attempts)
 
     def exit_reasons(self):
-        return [args[1] for args, _ in self.named("worker_exited")]
+        return [name.split(".", 1)[1] for name, _ in self.events
+                if name.startswith("worker.") and name != "worker.spawn"]
 
     def replacements(self):
-        return sum(1 for _, kwargs in self.named("worker_spawned")
-                   if kwargs.get("replacement"))
+        return sum(1 for fields in self.named("worker.spawn")
+                   if fields["replacement"])

@@ -423,9 +423,9 @@ def test_a_unit_is_journaled_done_only_after_its_put_returned(tmp_path):
             return result_digest
 
     class RecordingJournal(CampaignJournal):
-        def done(self, run, result_digest, cached):
+        def done(self, run, result_digest, cached, **attempt):
             events.append(("done", run.digest, result_digest))
-            super().done(run, result_digest, cached)
+            super().done(run, result_digest, cached, **attempt)
 
     with RecordingJournal(tmp_path / "journal.ndjson") as journal:
         result = run_campaign(tiny_grid(2), replications=2, jobs=1,

@@ -440,7 +440,7 @@ def test_stats_command_json_snapshot(capsys):
 ])
 def test_campaign_rejects_nonsense_numeric_knobs(flag, value, capsys):
     """Zero/negative pool sizes and periods die as clear argparse errors,
-    not as a hung pool or a division by zero deep in the span engine."""
+    not as a hung pool or a division by zero deep in the engine."""
     from repro.cli import build_parser
 
     with pytest.raises(SystemExit) as excinfo:
@@ -467,7 +467,7 @@ def test_campaign_accepts_boundary_numeric_knobs(flag, value):
                                          ("heartbeat_interval", "0.25")])
 def test_the_removed_campaign_flags_are_unrecognized(dest, value, capsys):
     """Campaigns run on one host: where the workers live is not a flag.
-    The span log states each fact once: it has no heartbeat to pace."""
+    The journal states each fact once: it has no heartbeat to pace."""
     flag = "--" + dest.replace("_", "-")
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(["campaign", flag, value])
@@ -517,7 +517,6 @@ def test_a_refused_command_line_never_clears_the_cache(tmp_path):
 @pytest.mark.parametrize("argv, error", [
     (["chain", "--loss", "1.5"], "argument --loss: must be in [0, 1], got 1.5"),
     (TINY_CAMPAIGN + ["--replications", "0", "--journal", "{tmp}/run.journal",
-                      "--spans", "{tmp}/spans.ndjson",
                       "--cache-dir", "{tmp}/cache"],
      "argument --replications: must be >= 1, got 0"),
     (["trace", "chain", "--events", "*", "mac.tx", "--out", "{tmp}/t.ndjson"],
@@ -525,13 +524,12 @@ def test_a_refused_command_line_never_clears_the_cache(tmp_path):
     (["stats", "chain", "--hops", "0"], "argument --hops: must be >= 1, got 0"),
     (["sweep", "--window", "0"], "argument --window: must be >= 1, got 0"),
     (["cross", "--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
-    (["report", "{tmp}/spans.ndjson", "--buckets", "0"],
+    (["report", "{tmp}/run.journal", "--buckets", "0"],
      "argument --buckets: must be >= 1, got 0"),
     (TINY_CAMPAIGN + ["--max-retries", "-1", "--clear-cache",
                       "--cache-dir", "{tmp}/cache"],
      "argument --max-retries: must be >= 0, got -1"),
     (TINY_CAMPAIGN + ["--journal", "{tmp}/run.journal",
-                      "--spans", "{tmp}/spans.ndjson",
                       "--cache-dir", "http://127.0.0.1:9/cache"],
      "argument --cache-dir: cache store 'http://127.0.0.1:9/cache': only a "
      "directory path is supported"),
@@ -541,7 +539,7 @@ def test_a_bad_flag_value_is_a_usage_error_before_anything_opens(
         tmp_path, capsys, argv, error):
     """Each was a traceback from deep inside the command (a ``ValueError``,
     or ``StatisticsError`` for ``--seeds 0``) — the campaign's only after
-    ``--journal`` and ``--spans`` were created, or the cache cleared."""
+    ``--journal`` was created, or the cache cleared."""
     with pytest.raises(SystemExit) as exit_info:
         main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
     assert exit_info.value.code == 2

@@ -1,7 +1,7 @@
 """``repro-muzha doctor``: diagnosis and repair of every artifact the
 package writes — orphaned tmp files, corrupt cache envelopes, journal
-damage and drift, unclosed or schema-breaking span logs, and traces and
-manifests held to what a finished run writes."""
+damage and drift, and traces and manifests held to what a finished run
+writes."""
 
 import json
 from pathlib import Path
@@ -16,7 +16,6 @@ from repro.experiments import (
     chain_grid,
     diagnose_cache,
     diagnose_journal,
-    diagnose_spans,
     run_campaign,
     run_doctor,
 )
@@ -154,49 +153,6 @@ def test_missing_journal_is_an_error(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Span-log diagnosis
-
-
-def test_unclosed_spans_are_flagged_as_a_killed_campaign(tmp_path):
-    spans = tmp_path / "spans.ndjson"
-    spans.write_text(
-        '{"kind":"span_open","id":"c1","span":"campaign","parent":null,"t0":1.0}\n'
-        '{"kind":"span_open","id":"u2","span":"unit-attempt","parent":"c1","t0":1.1}\n'
-        '{"kind":"span_close","id":"u2","t1":1.5,"status":"ok"}\n'
-    )
-    findings = diagnose_spans(spans)
-    assert [f.category for f in findings] == ["spans-unclosed"]
-    assert "c1" in findings[0].detail
-    assert run_doctor(spans=spans).healthy  # warning, not error
-
-
-def test_a_span_with_a_non_numeric_time_is_corrupt(tmp_path, capsys):
-    spans = tmp_path / "spans.ndjson"
-    spans.write_text(
-        '{"kind":"span_open","id":"c1","span":"campaign","parent":null,"t0":"soon"}\n'
-        '{"kind":"span_close","id":"c1","t1":2.0,"status":"ok"}\n'
-    )
-    (finding,) = diagnose_spans(spans)
-    assert (finding.severity, finding.category) == ("error", "spans-corrupt")
-    assert finding.detail == "line 1: span_open record field 't0' is str"
-    assert cli_main(["doctor", "--spans", str(spans)]) == 1
-    assert "field 't0' is str" in capsys.readouterr().out
-
-
-def test_torn_span_tail_is_repairable(tmp_path):
-    spans = tmp_path / "spans.ndjson"
-    spans.write_text(
-        '{"kind":"span_open","id":"c1","span":"campaign","parent":null,"t0":1.0}\n'
-        '{"kind":"span_close","id":"c1","t1":2.0,"status":"ok"}\n'
-        '{"kind":"progr'
-    )
-    findings = diagnose_spans(spans, repair=True)
-    assert any(f.category == "spans-torn-tail" and f.repaired
-               for f in findings)
-    assert spans.read_text().endswith('"status":"ok"}\n')
-
-
-# ---------------------------------------------------------------------------
 # CLI surface
 
 
@@ -250,11 +206,11 @@ def test_a_traced_run_is_healthy_and_each_damage_is_its_error(
     payload = json.loads(manifest.read_text())
     payload["config"]["sim_time"] = 99.0
     edited.write_text(json.dumps(payload))
-    spans = tmp_path / "spans.ndjson"
-    spans.write_text(
-        '{"kind":"span_open","id":"c1","span":"campaign","parent":null,'
-        '"t0":1.0,"host":"h"}\n'  # no such field in span_record
-        '{"kind":"span_close","id":"c1","t1":2.0,"status":"ok"}\n')
+    journal = tmp_path / "run.journal"
+    journal.write_text(
+        '{"kind":"begin","t":1.0,"schema":2,"total":0,"base_seed":1,'
+        '"replications":1,"pool_mode":"warm","plan_digest":"x",'
+        '"resumed":false,"host":"h"}\n')  # no such field in journal_record
     for flag, path, category, detail in [
         ("--trace", cut, "trace-invalid",
          f"line {len(text.splitlines())}: truncated final line"),
@@ -262,7 +218,7 @@ def test_a_traced_run_is_healthy_and_each_damage_is_its_error(
          "line 0: empty NDJSON file (no records)"),
         ("--manifest", edited, "manifest-invalid",
          "embedded config/spec digests do not match their payloads"),
-        ("--spans", spans, "spans-schema",
+        ("--journal", journal, "journal-schema",
          "line 1: $: unexpected property 'host'"),
     ]:
         assert cli_main(["doctor", flag, str(path)]) == 1

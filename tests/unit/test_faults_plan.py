@@ -225,3 +225,41 @@ def test_same_seed_yields_identical_schedules():
 
     assert scheduled(5) == scheduled(5)
     assert scheduled(5) != scheduled(6)
+
+
+# ---------------------------------------------------------------------------
+# The CLI trust boundary
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"events": 5}', "events must be a list, got 5"),
+    ('{"events": ["ab"]}', "fault event must be an object, got 'ab'"),
+    ('{"random": "x"}', "random-faults spec must be an object, got 'x'"),
+    ('{"events": [{"time": 1, "kind": "error_burst", "model": "x", '
+     '"duration": 1}]}', "error-model spec must be an object, got 'x'"),
+    ("[" * 100_000 + "]" * 100_000, "not valid JSON"),
+    ('{"events": [{"time": 1, "kind": "node_crash", "node": "a"}]}',
+     "fault node must be an integer, got 'a'"),
+    ('{"events": [{"time": NaN, "kind": "node_crash", "node": 1}]}',
+     "fault time must be finite, got nan"),
+], ids=["events-int", "event-str", "random-str", "model-str", "deep-nesting",
+        "node-str", "time-nan"])
+def test_a_bad_plan_is_a_one_line_usage_error(tmp_path, capsys, text, reason):
+    """Each was a traceback out of ``chain --faults`` (``TypeError``,
+    ``ValueError``, ``AttributeError``, ``RecursionError``) or, for a node
+    named ``"a"`` and a NaN time, a plan accepted and a run that failed
+    midway (or ran with a fault at no time)."""
+    from repro.cli import main
+
+    plan = tmp_path / "plan.json"
+    plan.write_text(text)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["chain", "--hops", "2", "--time", "1",
+              "--faults", str(plan)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.splitlines()[-1]
+    assert last.startswith(
+        f"repro-muzha chain: error: argument --faults: bad fault plan {plan}: ")
+    assert reason in last

@@ -19,8 +19,10 @@ from repro.experiments import (
     read_journal,
     replay_journal,
 )
-from repro.experiments.journal import _JOURNAL_KIND_REQUIRED
-from repro.obs.spans import _SPAN_KIND_REQUIRED
+from repro.experiments.journal import (
+    _JOURNAL_KIND_OPTIONAL,
+    _JOURNAL_KIND_REQUIRED,
+)
 
 
 def complaints(path, category=None):
@@ -146,12 +148,12 @@ def test_a_cluster_journal_gets_a_verdict_and_resumes_on_the_local_pool(
     assert f"campaign fingerprint: {fingerprint}" in out
 
 
-def test_doctor_reads_a_journal_and_a_span_log_once(tmp_path, monkeypatch):
+def test_doctor_and_report_read_a_journal_once(tmp_path, monkeypatch):
     """The torn-tail flag and the records come from one scan, so
-    diagnosing a journal or a span log opens the file exactly once."""
+    diagnosing or reporting a journal opens the file exactly once."""
     from pathlib import Path
 
-    from repro.experiments import diagnose_spans
+    from repro.experiments import aggregate_campaign_log
 
     path = write_generation(tmp_path / "run.journal", tiny_runs(), {0})
     with CampaignJournal(path, resume=True) as journal:
@@ -167,13 +169,10 @@ def test_doctor_reads_a_journal_and_a_span_log_once(tmp_path, monkeypatch):
     assert categories == ["journal-interrupted"]
     assert [read for read in reads if read == path] == [path]
 
-    spans = tmp_path / "spans.ndjson"
-    spans.write_text(
-        '{"kind":"span_open","id":"c1","span":"campaign","parent":null,'
-        '"t0":1.0}\n{"kind":"progr')
-    categories = [f.category for f in diagnose_spans(spans)]
-    assert categories == ["spans-torn-tail", "spans-unclosed"]
-    assert [read for read in reads if read == spans] == [spans]
+    with path.open("a") as stream:
+        stream.write('{"kind":"do')
+    assert aggregate_campaign_log(path)["campaign"]["partial"] is True
+    assert [read for read in reads if read == path] == [path, path]
 
 
 @pytest.mark.parametrize("body, categories", [
@@ -404,22 +403,24 @@ def test_validator_flags_mixed_campaigns(tmp_path):
 
 @pytest.mark.parametrize("schema_name, table, optional", [
     ("journal_record", _JOURNAL_KIND_REQUIRED, {"transport"}),
-    ("span_record", _SPAN_KIND_REQUIRED, set()),
 ])
 def test_per_kind_tables_and_committed_schemas_describe_the_same_records(
         schema_name, table, optional):
-    """The fold's per-kind table says what the (necessarily permissive)
-    schema cannot; they must not drift apart on what they both say."""
+    """The fold's per-kind tables (what a kind requires, and what it may
+    carry besides) say what the (necessarily permissive) schema cannot;
+    they must not drift apart on what they both say."""
     from repro.obs.schema import load_schema
 
     schema = load_schema(schema_name)
     properties = schema["properties"]
     assert list(table) == properties["kind"]["enum"]
+    assert set(_JOURNAL_KIND_OPTIONAL) <= set(table)
     json_types = {(int, float): {"number"}, (int,): {"integer"},
                   (str,): {"string"}, (bool,): {"boolean"},
-                  (dict,): {"object"}, (str, type(None)): {"string", "null"}}
+                  (dict,): {"object"}, (str, type(None)): {"string", "null"},
+                  (int, type(None)): {"integer", "null"}}
     named = set()
-    for kind, fields in table.items():
+    for kind, fields in [*table.items(), *_JOURNAL_KIND_OPTIONAL.items()]:
         for name, types in fields.items():
             assert name in properties, f"{kind}.{name} is not in the schema"
             named.add(name)

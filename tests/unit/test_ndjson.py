@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
-from repro.experiments.doctor import diagnose_journal, diagnose_spans
+from repro.experiments.doctor import diagnose_journal
 from repro.obs.ndjson import TORN_TAIL, NdjsonScan, encode, encode_line, scan
 
 
@@ -113,7 +113,7 @@ def run_report(path, tmp_path):
     with pytest.raises(SystemExit) as exit_info:
         cli_main(["report", str(path)])
     assert str(exit_info.value).startswith(
-        (f"bad span log {path}: ", f"span log not found: {path}"))
+        (f"bad campaign log {path}: ", f"campaign log not found: {path}"))
     return 1
 
 
@@ -133,8 +133,8 @@ def run_doctor(flag):
 def run_strict(diagnose):
     """The removed validator's pass/fail rule, read off a doctor view: a
     file passes only with no ``error`` and no ``warn`` finding.  Only the
-    span log and the journal have ``warn`` findings, so only there does it
-    differ from the doctor's exit rule."""
+    journal has ``warn`` findings, so only there does it differ from the
+    doctor's exit rule."""
     def run(path, _):
         failing = [f for f in diagnose(path)
                    if f.severity in ("error", "warn")]
@@ -146,12 +146,10 @@ def run_strict(diagnose):
 
 TOOLS = {
     "report": run_report,
-    "doctor-spans": run_doctor("spans"),
     "doctor-journal": run_doctor("journal"),
     "doctor-trace": run_doctor("trace"),
     "doctor-manifest": run_doctor("manifest"),
     "resume": run_resume,
-    "validate-spans": run_strict(diagnose_spans),
     "validate-journal": run_strict(diagnose_journal),
 }
 
@@ -161,19 +159,19 @@ TOOLS = {
 def test_malformed_content_is_reported_not_raised(tool, name, tmp_path,
                                                   capsys):
     """Before the one reader, 18 of 63 such cells died with a traceback —
-    ``report`` and ``doctor --spans`` on a non-object line
-    (``AttributeError``), ``report`` on a span record without an id
+    ``report`` and the since-removed ``doctor --spans`` on a non-object
+    line (``AttributeError``), ``report`` on a span record without an id
     (``KeyError``), ``doctor`` / ``--resume`` and the since-removed
-    validator on invalid UTF-8 (``UnicodeDecodeError``) — and ``doctor
-    --spans`` passed a span record without an id as healthy.  A manifest
+    validator on invalid UTF-8 (``UnicodeDecodeError``).  ``report`` reads
+    a journal, or a span log of an earlier build when the first record is
+    a span record, and refuses what neither fold can read.  A manifest
     reader must survive a path that does not exist, bytes that are not
     UTF-8 and 100 000 nested brackets (a ``RecursionError``, not a
     ``ValueError``: it catches ``JSON_PARSE_ERRORS`` like every other
     reader).  ``doctor --trace`` and ``--manifest`` hold each file to what
     a finished run writes, so every malformed input is an error.  The
-    ``validate-`` cells hold a span log and a journal to the strict rule
-    (no ``error``, no ``warn``) the removed validator applied; a blank span
-    log passes it now, as it always passed ``doctor --spans``."""
+    ``validate-`` cells hold a journal to the strict rule (no ``error``, no
+    ``warn``) the removed validator applied."""
     path = tmp_path / "log.ndjson"
     if MALFORMED[name] is not None:
         path.write_bytes(MALFORMED[name])
@@ -183,12 +181,6 @@ def test_malformed_content_is_reported_not_raised(tool, name, tmp_path,
         assert status == 1
         if tool.startswith(("doctor-", "validate-")):
             assert f"-missing: {path}\n" in out
-    elif tool.endswith("-spans"):
-        # An empty span log is no finding (as before); content that is not
-        # a record is a spans-corrupt error, and the exit says so.
-        corrupt = name not in ("empty", "whitespace-only")
-        assert status == (1 if corrupt else 0)
-        assert ("[error] spans-corrupt" in out) == corrupt
     elif tool.endswith("-journal"):
         assert status == 1 and "[error] journal-corrupt" in out
     elif tool in ("doctor-trace", "doctor-manifest"):

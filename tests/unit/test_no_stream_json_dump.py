@@ -6,7 +6,7 @@ from pathlib import Path
 import repro
 
 PACKAGE = Path(repro.__file__).resolve().parent
-#: Code that runs once per campaign unit or once per trace/span record.
+#: Code that runs once per campaign unit or once per trace/journal record.
 BANNED_UNDER = ("experiments", "obs")
 
 
@@ -78,16 +78,11 @@ def test_every_ndjson_writer_emits_a_record_in_one_write(tmp_path):
 
     from repro.experiments.journal import CampaignJournal
     from repro.obs.sinks import NdjsonTraceSink
-    from repro.obs.spans import SpanWriter
     from repro.sim import TraceBus, TraceRecord
 
     record = {"kind": "note", "b": [1, 2.5, None], "a": {"é": Path("x")}}
     line = json.dumps(record, separators=(",", ":"), sort_keys=True,
                       default=str) + "\n"
-
-    spans = WriteLog()
-    SpanWriter(spans).write(record)
-    assert spans.writes == [line]
 
     journal = CampaignJournal(tmp_path / "journal.ndjson")
     journal._stream.close()

@@ -1,5 +1,6 @@
-"""Unit tests for trace sinks, the time-series probe, the schema engine and
-``doctor``'s verdicts on traces, manifests and span logs."""
+"""Unit tests for trace sinks, the time-series probe, the schema engine,
+``doctor``'s verdicts on traces and manifests, and the reader of an
+earlier build's span logs."""
 
 import json
 
@@ -15,7 +16,6 @@ from repro.obs import (
 from repro.cli import main as cli_main
 from repro.experiments.doctor import (
     diagnose_manifest,
-    diagnose_spans,
     diagnose_trace,
 )
 from repro.sim import Simulator, TraceBus, TraceRecord
@@ -225,6 +225,16 @@ def test_validate_enum_keyword():
 
 
 def test_validate_span_file_structure(tmp_path):
+    """An earlier build's span log is read by ``report``'s ``fold_spans``:
+    a record it cannot read — a required field missing or of the wrong
+    JSON type, ``attrs`` not an object — is fatal and leaves the structure
+    untouched (``report`` once subtracted "soon" from a float); a
+    duplicate id and a second close leave the first ones standing."""
+    from repro.experiments.report import (
+        CampaignLogError, aggregate_campaign_log, fold_spans,
+    )
+    from repro.obs.ndjson import scan
+
     path = tmp_path / "spans.ndjson"
     good = (
         '{"kind":"span_open","id":"c1","span":"campaign","parent":null,"t0":1.0}\n'
@@ -232,47 +242,12 @@ def test_validate_span_file_structure(tmp_path):
         '{"kind":"span_close","id":"u2","t1":2.0,"status":"ok"}\n'
         '{"kind":"span_close","id":"c1","t1":2.0,"status":"ok"}\n'
     )
-    path.write_text(good)
-    assert diagnose_spans(path) == []
-    # A root that is not a campaign span, an unknown parent, an unknown
-    # status, and a close without an open each break the log's contract.
-    path.write_text(
-        '{"kind":"span_open","id":"b1","span":"dispatch-batch","parent":null,"t0":1.0}\n'
-        '{"kind":"span_open","id":"u2","span":"unit-attempt","parent":"zz","t0":1.0}\n'
-        '{"kind":"span_close","id":"u9","t1":2.0,"status":"ok"}\n'
-        '{"kind":"span_close","id":"u2","t1":2.0,"status":"nope"}\n'
-    )
-    findings = diagnose_spans(path)
-    errors = details(findings, "spans-schema")
-    assert any("only campaign spans may be roots" in e for e in errors)
-    assert any("was never opened" in e for e in errors)
-    assert any("not open" in e for e in errors)
-    assert any("'nope'" in e for e in errors)
-    # The structure is read by the fold `report` and `doctor` share; doctor
-    # only adds the schema ('nope') and relays, one finding per line.
-    from repro.obs.ndjson import scan
-    from repro.obs.report import fold_spans
-
-    fold = fold_spans(scan(path))
-    assert [(lineno, fatal) for lineno, _, fatal in fold.problems] == [
-        (1, False), (2, False), (3, False)]
-    assert errors == [
-        f"line {n}: {what}" for n, what, _ in fold.problems
-    ] + ["line 4: $.status: 'nope' is not one of "
-         "['ok', 'error', 'crash', 'timeout', 'aborted', 'interrupted']"]
-    assert [f.category for f in findings] == ["spans-schema"] * 4 + [
-        "spans-unclosed"]  # b1 never closed; one root, so no spans-roots
-    assert list(fold.opens) == ["b1", "u2"] and list(fold.closes) == ["u2"]
-    # A duplicate id and a second close leave the first ones standing.
     path.write_text(good + good)
     fold = fold_spans(scan(path))
-    assert [(n, what.split(" span ")[0]) for n, what, _ in fold.problems] == [
-        (5, "duplicate"), (6, "duplicate"), (7, "close of"), (8, "close of")]
+    assert fold.problems == []
     assert len(fold.records) == 8 and len(fold.opens) == len(fold.closes) == 2
-    assert len(details(diagnose_spans(path), "spans-schema")) == 4
-    # A record the fold cannot read — a required field missing or of the
-    # wrong JSON type, `attrs` not an object — is fatal and leaves the
-    # structure untouched: `report` subtracted "soon" from a float.
+    assert fold.closes["u2"] is fold.records[2]
+    assert aggregate_campaign_log(path)["units"]["ok"] == 1
     opened, closed = good.splitlines(keepends=True)[::3]
     for bad, what in [
         (opened.replace('"t0":1.0', '"t0":"soon"'),
@@ -294,40 +269,7 @@ def test_validate_span_file_structure(tmp_path):
         path.write_text(bad)
         fold = fold_spans(scan(path))
         lineno = int(what.split(":")[0][len("line "):])
-        assert (lineno, what.split(": ", 1)[1], True) in fold.problems
-        assert details(diagnose_spans(path), "spans-corrupt") == [what]
+        assert fold.problems == [(lineno, what.split(": ", 1)[1], True)]
         assert len(fold.opens) == lineno - 1 and not fold.closes
-    # A span that never closes is reported on an otherwise clean log.
-    path.write_text(
-        '{"kind":"span_open","id":"c1","span":"campaign","parent":null,"t0":1.0}\n'
-    )
-    [finding] = diagnose_spans(path)
-    assert (finding.severity, finding.category) == ("warn", "spans-unclosed")
-    assert "c1 (campaign)" in finding.detail
-
-
-def test_validate_span_cli_main(tmp_path, capsys):
-    path = tmp_path / "spans.ndjson"
-    opened = ('{"kind":"span_open","id":"c1","span":"campaign",'
-              '"parent":null,"t0":1.0}\n')
-    closed = '{"kind":"span_close","id":"c1","t1":2.0,"status":"ok"}\n'
-    path.write_text(opened + closed)
-    assert cli_main(["doctor", "--spans", str(path)]) == 0
-    # One record that breaks span_record.schema.json: an error, exit 1.
-    path.write_text(opened + closed.replace('"ok"}', '"ok","extra":1}'))
-    assert cli_main(["doctor", "--spans", str(path)]) == 1
-    assert f"[error] spans-schema: {path}" in capsys.readouterr().out
-    # A log with records must have exactly one root campaign span.
-    path.write_text(opened + closed + opened.replace('"c1"', '"c2"')
-                    + closed.replace('"c1"', '"c2"'))
-    assert details(diagnose_spans(path), "spans-roots") == [
-        "expected exactly 1 root campaign span, got 2"]
-    path.write_text('{"kind":"event","t":1.0,"name":"x"}\n')
-    assert details(diagnose_spans(path), "spans-roots") == [
-        "expected exactly 1 root campaign span, got 0"]
-    # An empty log is no finding: nothing was ever written.
-    path.write_text("")
-    assert cli_main(["doctor", "--spans", str(path)]) == 0
-    # Nor is one whose only record was cut mid-write: nothing was committed.
-    path.write_text(opened[:20])
-    assert [f.category for f in diagnose_spans(path)] == ["spans-torn-tail"]
+        with pytest.raises(CampaignLogError, match=what):
+            aggregate_campaign_log(path)

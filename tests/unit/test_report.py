@@ -1,62 +1,95 @@
-"""Unit tests for span-log aggregation and the ``report`` rendering."""
+"""Unit tests for campaign-log aggregation and the ``report`` rendering.
+
+``report`` reads a campaign journal; the span logs an earlier build's
+``campaign --spans`` wrote still read, onto the same unit list.  The
+``tests/data/earlier_build/*.spans.ndjson`` logs were written by that
+build (README.md there)."""
 
 import json
+import types
+from pathlib import Path
 
 import pytest
 
-from repro.obs import (
-    CampaignTelemetry,
-    SpanWriter,
-    aggregate_span_log,
-    format_report,
+from repro.experiments import (
+    CampaignJournal,
+    ScenarioConfig,
+    aggregate_campaign_log,
+    chain_grid,
+    plan_campaign,
     render_report,
 )
-from repro.obs.report import SpanLogError
-from repro.obs import spans as spans_mod
+from repro.experiments import journal as journal_mod
+from repro.experiments.journal import Attempt
+from repro.experiments.report import CampaignLogError, format_report
+
+EARLIER = Path(__file__).resolve().parents[1] / "data" / "earlier_build"
+
+
+def runs(n):
+    grid = chain_grid(["newreno"], [2], config=ScenarioConfig(sim_time=0.5))
+    return plan_campaign(grid, replications=n)
 
 
 @pytest.fixture
-def span_log(tmp_path, monkeypatch):
-    """A deterministic scripted span log: fixed wall clock, known shape."""
-    clock = iter(x / 10.0 for x in range(1000, 2000))
-    monkeypatch.setattr(spans_mod, "wall_clock", lambda: next(clock))
-    path = tmp_path / "spans.ndjson"
-    with SpanWriter(path) as writer:
-        tel = CampaignTelemetry(writer)
-        tel.begin_campaign(4, "warm", 2)
-        tel.worker_spawned("w1", None)
-        tel.worker_spawned("w2", None)
-        tel.unit_result("cache", 3, 0, "ok", cached=True)
-        tel.batch_dispatched("w1", [0, 1])
-        tel.batch_dispatched("w2", [2])
-        tel.unit_result("w1", 0, 1, "ok",
-                        manifest={"timings": {"sim_s": 0.2, "setup_s": 0.01}})
-        tel.unit_result("w2", 2, 1, "crash",
-                        error="worker crashed (exit code 9)")
-        tel.worker_exited("w2", "crash", exitcode=9)
-        tel.retry_scheduled(2, 1, 0.25, "worker crashed (exit code 9)")
-        tel.worker_spawned("w3", None, replacement=True)
-        tel.unit_result("w1", 1, 1, "ok")
-        tel.batch_dispatched("w3", [2])
-        tel.unit_result("w3", 2, 2, "error", error="ValueError: nope")
-        tel.quarantined(2, 2, "ValueError: nope")
-        tel.worker_exited("w1", "stop")
-        tel.worker_exited("w3", "stop")
-        tel.end_campaign(executed=2, cache_hits=1, cache_evictions=0,
-                         failed=1)
+def clock(monkeypatch):
+    """Set the journal's wall clock: it reads the given times in turn, then
+    100.0, 100.1, … (attempts carry their own times)."""
+    def reads(*times):
+        ticks = iter([*times, *(x / 10.0 for x in range(1000, 2000))])
+        monkeypatch.setattr(journal_mod, "time",
+                            types.SimpleNamespace(time=lambda: next(ticks)))
+    reads()
+    return reads
+
+
+@pytest.fixture
+def campaign_log(tmp_path, clock):
+    """A scripted journal: one cache hit, two units on w1, a crash on w2
+    retried on its replacement w3, where it fails again and is quarantined."""
+    # begin, three spawns, the cache hit, the crash, two stops and end:
+    # every record that carries no attempt, in the order written.
+    clock(100.0, 100.1, 100.2, 100.3, 100.9, 101.0, 101.8, 101.9, 102.0)
+    units = runs(4)
+    path = tmp_path / "campaign.journal"
+    with CampaignJournal(path) as journal:
+        journal.begin(units, pool_mode="warm", base_seed=1, replications=4,
+                      resumed=False, jobs=2)
+        journal.event("worker.spawn", worker="w1", pid=None,
+                      replacement=False)
+        journal.event("worker.spawn", worker="w2", pid=None,
+                      replacement=False)
+        journal.done(units[3], "r3", cached=True)
+        journal.done(units[0], "r0", cached=False,
+                     attempt=Attempt("w1", 1, 100.4, 100.6),
+                     timings={"sim_s": 0.2, "setup_s": 0.01})
+        journal.retry(units[2], Attempt("w2", 1, 100.5, 100.7), "crash",
+                      "worker crashed (exit code 9)", 0.25)
+        journal.event("worker.crash", worker="w2", exitcode=9)
+        journal.event("worker.spawn", worker="w3", pid=None,
+                      replacement=True)
+        journal.done(units[1], "r1", cached=False,
+                     attempt=Attempt("w1", 1, 100.6, 101.2))
+        journal.failed(units[2], "ValueError: nope", 2,
+                       Attempt("w3", 2, 101.4, 101.5), "error")
+        journal.event("worker.stop", worker="w1", exitcode=0)
+        journal.event("worker.stop", worker="w3", exitcode=0)
+        journal.end(status="partial", fingerprint=None, executed=2,
+                    cache_hits=1, quarantined=1, remaining=0)
     return path
 
 
-def test_aggregate_campaign_and_unit_counts(span_log):
-    summary = aggregate_span_log(span_log)
+def test_aggregate_campaign_and_unit_counts(campaign_log):
+    summary = aggregate_campaign_log(campaign_log)
     campaign = summary["campaign"]
-    assert campaign["status"] == "error"  # one unit quarantined
+    assert campaign["status"] == "partial"  # one unit quarantined
     assert campaign["pool_mode"] == "warm" and campaign["jobs"] == 2
     assert campaign["executed"] == 2 and campaign["cache_hits"] == 1
+    assert campaign["generation"] == 1
     assert summary["units"] == {
         "total_attempts": 5, "ok": 3, "cached": 1, "executed": 2,
     }
-    assert summary["batches"] == 3
+    assert "batches" not in summary
     assert summary["cache"] == {
         "hits": 1, "evictions": 0, "hit_ratio": 0.25,
     }
@@ -73,12 +106,16 @@ def test_aggregate_campaign_and_unit_counts(span_log):
     assert "counters" not in campaign
 
 
-def test_aggregate_workers_are_derived_from_spans(span_log):
-    summary = aggregate_span_log(span_log)
+def test_aggregate_workers_are_derived_from_spans(campaign_log):
+    """Each worker's numbers are derived from its attempts (the spans of
+    ``t0`` to ``t`` the journal's records carry) and its events."""
+    summary = aggregate_campaign_log(campaign_log)
     workers = summary["workers"]
-    assert set(workers) == {"w1", "w2", "w3"}  # not the "cache" pseudo-worker
+    assert set(workers) == {"w1", "w2", "w3"}  # a cache hit has no worker
     assert [(w["units_done"], w["failures"]) for w in workers.values()] == [
         (2, 0), (0, 1), (0, 1)]
+    assert [w["busy_s"] for w in workers.values()] == pytest.approx(
+        [0.2 + 0.6, 0.2, 0.1])
     for stats in workers.values():
         assert 0.0 <= stats["utilization"] <= 1.0
         assert stats["busy_s"] > 0 and stats["idle_s"] >= 0
@@ -86,98 +123,103 @@ def test_aggregate_workers_are_derived_from_spans(span_log):
                               "idle_s", "utilization"}
 
 
-def test_aggregate_timeline_and_slowest(span_log):
-    summary = aggregate_span_log(span_log, buckets=5, top_k=1)
+def test_aggregate_timeline_and_slowest(campaign_log):
+    summary = aggregate_campaign_log(campaign_log, buckets=5, top_k=1)
     assert len(summary["timeline"]["completions"]) == 5
     assert sum(summary["timeline"]["completions"]) == 3  # ok units
     slowest = summary["slowest_units"]
     assert len(slowest) == 1  # top_k honoured
-    assert slowest[0]["dur_s"] > 0
+    assert slowest[0]["index"] == 1 and slowest[0]["dur_s"] == \
+        pytest.approx(0.6)
     assert not slowest[0]["cached"]
 
 
-def test_format_report_mentions_every_section(span_log):
-    text = format_report(aggregate_span_log(span_log))
-    for needle in ("campaign c1", "throughput over time", "workers",
+def test_format_report_mentions_every_section(campaign_log):
+    text = format_report(aggregate_campaign_log(campaign_log))
+    for needle in ("campaign generation 1: 3/4 units ok",
+                   "throughput over time", "workers",
                    "cache: 1 hits of 4 units (25% hit ratio)",
                    "worker faults",
                    "retried units", "quarantined units", "slowest units"):
         assert needle in text, needle
+    assert "dispatch batches" not in text
 
 
-def test_render_report_json_round_trips(span_log):
-    payload = json.loads(render_report(span_log, as_json=True))
+def test_render_report_json_round_trips(campaign_log):
+    payload = json.loads(render_report(campaign_log, as_json=True))
     assert payload["units"]["ok"] == 3
-    assert render_report(span_log).startswith("campaign c1")
+    assert render_report(campaign_log).startswith("campaign generation 1")
 
 
-def test_aggregate_tolerates_unclosed_campaign(tmp_path):
-    path = tmp_path / "cut.ndjson"
-    with SpanWriter(path) as writer:
-        tel = CampaignTelemetry(writer)
-        tel.begin_campaign(2, "warm", 1)
-        tel.worker_spawned("w1", None)
-        tel.batch_dispatched("w1", [0])
-        tel.unit_result("w1", 0, 1, "ok")
-        # coordinator killed here: no worker_exited / end_campaign
-    summary = aggregate_span_log(path)
-    assert summary["campaign"]["status"] == "interrupted"
-    assert summary["campaign"]["partial"] is True
-    assert summary["units"]["ok"] == 1
-    # The partial aggregates still render, flagged as such.
-    text = format_report(summary)
-    assert "aggregates below are PARTIAL" in text
+def test_aggregate_tolerates_unclosed_campaign(tmp_path, clock):
+    """A generation that never wrote ``end`` (coordinator killed) — and an
+    earlier build's span log whose campaign span never closed — aggregate
+    to a partial summary."""
+    units = runs(2)
+    path = tmp_path / "cut.journal"
+    with CampaignJournal(path) as journal:
+        journal.begin(units, pool_mode="warm", base_seed=1, replications=2,
+                      resumed=False, jobs=1)
+        journal.event("worker.spawn", worker="w1", pid=None,
+                      replacement=False)
+        journal.done(units[0], "r0", cached=False,
+                     attempt=Attempt("w1", 1, 100.2, 100.3))
+        # coordinator killed here: no worker exit, no end
+    for log in (path, EARLIER / "unclosed.spans.ndjson"):
+        summary = aggregate_campaign_log(log)
+        assert summary["campaign"]["status"] == "interrupted"
+        assert summary["campaign"]["partial"] is True
+        assert summary["units"]["ok"] == 1
+        # The partial aggregates still render, flagged as such.
+        text = format_report(summary)
+        assert "aggregates below are PARTIAL" in text
 
 
 def test_aggregate_tolerates_killed_campaign_with_torn_tail(tmp_path):
-    """A SIGKILLed campaign's log — unclosed spans AND a half-written
-    final line — aggregates to a partial summary instead of erroring."""
-    path = tmp_path / "killed.ndjson"
-    with SpanWriter(path) as writer:
-        tel = CampaignTelemetry(writer)
-        tel.begin_campaign(4, "warm", 2)
-        tel.worker_spawned("w1", 101)
-        tel.worker_spawned("w2", 102)
-        tel.batch_dispatched("w1", [0, 1])
-        tel.batch_dispatched("w2", [2, 3])
-        tel.unit_result("w1", 0, 1, "ok")
-        tel.unit_result("w2", 2, 1, "ok")
-    # Kill mid-write: the final record is torn.
-    intact = path.read_text()
-    path.write_text(intact + '{"kind": "span_close", "id": "u9", "t1"')
-
-    summary = aggregate_span_log(path)
-    campaign = summary["campaign"]
-    assert campaign["status"] == "interrupted"
-    assert campaign["partial"] is True
-    assert summary["units"]["ok"] == 2  # what was recorded before the kill
-    assert summary["batches"] == 2
-    text = format_report(summary)
-    assert "aggregates below are PARTIAL" in text
+    """A SIGKILLed campaign's log — no close AND a half-written final line
+    — aggregates to a partial summary instead of erroring: a journal cut
+    mid-record, and an earlier build's span log with unclosed spans."""
+    whole = (EARLIER / "campaign.journal").read_bytes()
+    torn = tmp_path / "torn.journal"
+    torn.write_bytes(whole[:whole.rindex(b'{"cached"') + 40])
+    for log, ok in ((torn, 7), (EARLIER / "killed.spans.ndjson", 2)):
+        summary = aggregate_campaign_log(log)
+        campaign = summary["campaign"]
+        assert campaign["status"] == "interrupted"
+        assert campaign["partial"] is True
+        assert summary["units"]["ok"] == ok  # what was recorded before
+        text = format_report(summary)
+        assert "aggregates below are PARTIAL" in text
 
 
-def test_gracefully_interrupted_campaign_renders_resume_hint(tmp_path):
+def test_gracefully_interrupted_campaign_renders_resume_hint(tmp_path, clock):
     """A campaign closed via graceful shutdown (SIGTERM + drain) reports
-    ``interrupted`` with the remaining-unit count and a --resume hint."""
-    path = tmp_path / "interrupted.ndjson"
-    with SpanWriter(path) as writer:
-        tel = CampaignTelemetry(writer)
-        tel.begin_campaign(4, "inproc", 1)
-        tel.unit_result("inline", 0, 1, "ok")
-        tel.unit_result("inline", 1, 1, "ok")
-        tel.campaign_interrupted("SIGTERM", done=2, total=4)
-        tel.end_campaign(executed=2, cache_hits=0, cache_evictions=0,
-                         failed=0, interrupted=True, remaining=2)
-    summary = aggregate_span_log(path)
-    campaign = summary["campaign"]
-    assert campaign["status"] == "interrupted"
-    assert campaign["partial"] is False  # the log itself closed cleanly
-    assert campaign["remaining"] == 2
-    text = format_report(summary)
-    assert "interrupted by graceful shutdown" in text
-    assert "2 units remaining" in text
-    assert "--resume" in text
-    assert "PARTIAL" not in text
+    ``interrupted`` with the signal, the remaining-unit count and a
+    --resume hint — from its journal's ``end``, or an earlier build's span
+    log."""
+    units = runs(4)
+    path = tmp_path / "interrupted.journal"
+    with CampaignJournal(path) as journal:
+        journal.begin(units, pool_mode="warm", base_seed=1, replications=4,
+                      resumed=False, jobs=1)
+        for unit in units[:2]:
+            journal.done(unit, "r", cached=False,
+                         attempt=Attempt("w1", 1, 100.0, 100.1))
+        journal.end(status="interrupted", fingerprint=None, executed=2,
+                    cache_hits=0, quarantined=0, remaining=2,
+                    signal="SIGTERM")
+    for log in (path, EARLIER / "interrupted.spans.ndjson"):
+        summary = aggregate_campaign_log(log)
+        campaign = summary["campaign"]
+        assert campaign["status"] == "interrupted"
+        assert campaign["partial"] is False  # the log itself closed cleanly
+        assert campaign["remaining"] == 2
+        text = format_report(summary)
+        assert "interrupted by graceful shutdown" in text
+        assert "2 units remaining" in text
+        assert "--resume" in text
+        assert "PARTIAL" not in text
+    assert "(SIGTERM)" in format_report(aggregate_campaign_log(path))
 
 
 @pytest.mark.parametrize("line, finding", [
@@ -200,20 +242,22 @@ def test_a_span_of_the_wrong_shape_is_a_finding_not_a_traceback(
         '"t0":1.0}\n'
         '{"kind":"span_close","id":"u2","t1":2.0,"status":"ok"}\n'
         '{"kind":"span_close","id":"c1","t1":2.0,"status":"ok"}\n')
-    with pytest.raises(SpanLogError, match=finding):
-        aggregate_span_log(path)
-    with pytest.raises(SystemExit, match="bad span log .*" + finding):
+    with pytest.raises(CampaignLogError, match=finding):
+        aggregate_campaign_log(path)
+    with pytest.raises(SystemExit, match="bad campaign log .*" + finding):
         cli_main(["report", str(path)])
 
 
 def test_aggregate_rejects_log_without_campaign(tmp_path):
     path = tmp_path / "no-campaign.ndjson"
-    with SpanWriter(path) as writer:
-        writer.write({"kind": "event", "name": "x", "t": 0.0})
-    with pytest.raises(SpanLogError):
-        aggregate_span_log(path)
+    path.write_text('{"kind":"event","name":"x","t":0.0}\n')
+    with pytest.raises(CampaignLogError, match="no campaign span"):
+        aggregate_campaign_log(path)
+    path.write_text('{"kind":"planned","index":0}\n')
+    with pytest.raises(CampaignLogError, match="must start with a begin"):
+        aggregate_campaign_log(path)
     with pytest.raises(ValueError):
-        aggregate_span_log(path, buckets=0)
+        aggregate_campaign_log(EARLIER / "campaign.journal", buckets=0)
 
 
 #: A span log in the format written before the log said each fact once:
@@ -250,10 +294,8 @@ def test_a_log_in_the_earlier_format_still_reads(tmp_path, capsys):
 
     path = tmp_path / "earlier.ndjson"
     path.write_text(EARLIER_FORMAT_LOG)
-    assert cli_main(["doctor", "--spans", str(path)]) == 0
-    assert "no findings" in capsys.readouterr().out
-    summary = aggregate_span_log(path)
-    # Lifetime 100.125 -> 101.625 (spawn -> stop), one batch 100.5 -> 101.5.
+    summary = aggregate_campaign_log(path)
+    # Lifetime 100.125 -> 101.625 (spawn -> stop), attempts 100.5 -> 101.5.
     assert summary["workers"] == {"w1": {
         "pid": 4242, "units_done": 2, "failures": 0, "busy_s": 1.0,
         "idle_s": 0.5, "utilization": pytest.approx(2 / 3),
@@ -269,64 +311,62 @@ def test_a_log_in_the_earlier_format_still_reads(tmp_path, capsys):
     assert "rss_kb" not in text and "misses" not in text
 
 
-def test_derived_worker_numbers_are_exact(tmp_path):
+def test_derived_worker_numbers_are_exact(tmp_path, monkeypatch, capsys):
     """A scripted pool (no fork, no simulation) whose first unit's worker
-    dies once: per worker, busy is the sum of its batch spans, idle its
-    lifetime (spawn to exit event) minus busy, and units/fails/replaced are
-    its unit spans and spawn events."""
-    from repro.experiments import (
-        RetryPolicy, ScenarioConfig, chain_grid, plan_campaign,
-    )
-    from repro.experiments.campaign import _run_pool
+    dies once, run by ``run_campaign`` with a journal: ``report --json``
+    gives the numbers the span log of the same campaign gave (the
+    comments), and each worker's busy time is the sum of its attempts."""
+    from repro.cli import main as cli_main
+    from repro.experiments import RetryPolicy, run_campaign
+    from repro.experiments import campaign as campaign_mod
     from repro.obs.ndjson import scan
 
     from .scripted_transport import DIE, ScriptedTransport
 
+    monkeypatch.setattr(
+        campaign_mod, "PipeTransport",
+        lambda execute: ScriptedTransport(script={0: [DIE]}, prefetch=2))
     grid = chain_grid(["newreno"], [2], config=ScenarioConfig(sim_time=0.5))
-    runs = plan_campaign(grid, replications=6)
-    path = tmp_path / "scripted.ndjson"
-    quarantined = []
-    with SpanWriter(path) as writer:
-        tel = CampaignTelemetry(writer)
-        tel.begin_campaign(len(runs), "warm", 2)
-        _run_pool(ScriptedTransport(script={0: [DIE]}, prefetch=2), runs, 2,
-                  RetryPolicy(max_retries=1, backoff=0.01),
-                  lambda run, metrics, manifest: None, quarantined.append,
-                  tel)
-        tel.end_campaign(executed=len(runs), cache_hits=0, cache_evictions=0,
-                         failed=0)
-    assert quarantined == []
-    records = scan(path).records()
-    opens = {r["id"]: r for r in records if r["kind"] == "span_open"}
-    closes = {r["id"]: r for r in records if r["kind"] == "span_close"}
-    events = [r for r in records if r["kind"] == "event"]
-    assert [e["name"] for e in events].count("worker.crash") == 1
-    assert [e["name"] for e in events].count("retry") == 1
+    path = tmp_path / "scripted.journal"
+    with CampaignJournal(path) as journal:
+        result = run_campaign(grid, replications=6, jobs=2, journal=journal,
+                              policy=RetryPolicy(max_retries=1, backoff=0.01))
+    assert result.complete and result.executed == 6
 
-    summary = aggregate_span_log(path)
+    assert cli_main(["report", str(path), "--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["units"]["executed"] == summary["campaign"]["executed"] == 6
+    assert summary["cache"]["hits"] == 0
+    assert summary["campaign"]["failed"] == 0
+    assert summary["quarantined"] == []
+    assert summary["retries"] == {"0": {
+        "retries": 1, "last_error": "worker crashed (exit code -9)"}}
     workers = summary["workers"]
-    spawns = {e["attrs"]["worker"]: e for e in events
-              if e["name"] == "worker.spawn"}
-    assert set(workers) == set(spawns) and len(workers) == 3
+    assert {name: (w["units_done"], w["failures"])
+            for name, w in workers.items()} == {
+        "w1": (0, 1), "w2": (4, 0), "w3": (2, 0)}
+    assert summary["worker_events"] == {
+        "spawned": 3, "replaced": 1, "crashed": 1, "timed_out": 0}
+
+    records = scan(path).records()
+    events = [r for r in records if r["kind"] == "event"]
+    spawns = {e["worker"]: e for e in events if e["name"] == "worker.spawn"}
+    attempts = [r for r in records if r["kind"] in ("done", "retry", "failed")
+                and "worker" in r]
     for name, stats in workers.items():
+        # An attempt starts at its batch's dispatch or at the worker's
+        # previous result, whichever is later: a worker's never overlap.
+        ran = sorted((r["t0"], r["t"]) for r in attempts if r["worker"] == name)
+        assert all(t0 <= t for t0, t in ran)
+        assert all(later[0] >= earlier[1]
+                   for earlier, later in zip(ran, ran[1:]))
         exit_t = next(e["t"] for e in events if e["name"] in (
-            "worker.stop", "worker.crash") and e["attrs"]["worker"] == name)
+            "worker.stop", "worker.crash") and e["worker"] == name)
         lifetime = exit_t - spawns[name]["t"]
-        busy = sum(closes[i]["t1"] - o["t0"] for i, o in opens.items()
-                   if o["span"] == "dispatch-batch"
-                   and o["attrs"]["worker"] == name)
-        statuses = [closes[i]["status"] for i, o in opens.items()
-                    if o["span"] == "unit-attempt"
-                    and o["attrs"]["worker"] == name]
+        busy = sum(r["t"] - r["t0"] for r in attempts if r["worker"] == name)
         assert stats["busy_s"] == pytest.approx(busy, abs=1e-12)
         assert stats["idle_s"] == pytest.approx(lifetime - busy, abs=1e-12)
         assert stats["utilization"] == pytest.approx(busy / lifetime)
-        assert stats["units_done"] == statuses.count("ok")
-        assert stats["failures"] == len(statuses) - statuses.count("ok")
-    assert sum(w["units_done"] for w in workers.values()) == len(runs)
-    assert sum(w["failures"] for w in workers.values()) == 1  # the crash
-    replaced = [name for name, e in spawns.items() if e["attrs"]["replacement"]]
-    assert summary["worker_events"]["replaced"] == len(replaced) == 1
-    assert summary["worker_events"]["crashed"] == 1
-    assert summary["retries"] == {"0": {
-        "retries": 1, "last_error": "worker crashed (exit code -9)"}}
+    assert [(r["kind"], r["index"], r["attempt"], r["worker"], r["status"])
+            for r in records if r["kind"] == "retry"] == [
+        ("retry", 0, 1, "w1", "crash")]

@@ -27,7 +27,7 @@ from .scripted_transport import (
     ERR,
     HANG,
     LIE,
-    RecordingTelemetry,
+    RecordingJournal,
     ScriptedTransport,
     TWICE,
 )
@@ -42,28 +42,34 @@ def units(n):
 
 
 class Outcome:
-    """What ``_run_pool`` reported through its callbacks."""
+    """What ``_run_pool`` reported through its callbacks and its journal."""
 
     def __init__(self):
         self.stored = []       # unit indices, completion order
         self.quarantined = []  # FailedRun
-        self.telemetry = RecordingTelemetry()
+        self.journal = RecordingJournal()
 
 
 def run_pool(transport, n, *, jobs=1, policy=None, shutdown=None,
              on_store=None):
     outcome = Outcome()
 
-    def store(run, metrics, manifest):
+    def store(run, metrics, manifest, attempt):
         assert metrics == {"unit": run.index}  # replies reach the right unit
+        assert attempt.t0 <= attempt.t
         outcome.stored.append(run.index)
+        outcome.journal.attempt(run, attempt, "ok")
         if on_store is not None:
             on_store(run.index)
+
+    def quarantine(failure, attempt, status):
+        outcome.quarantined.append(failure)
+        outcome.journal.attempt(failure.run, attempt, status)
 
     _run_pool(
         transport, units(n), jobs,
         policy or RetryPolicy(max_retries=2, backoff=BACKOFF),
-        store, outcome.quarantined.append, outcome.telemetry, shutdown,
+        store, quarantine, outcome.journal, shutdown,
     )
     # Whatever happened, the loop let go of every worker exactly once.
     assert all(link.fate is not None for link in transport.links)
@@ -76,8 +82,8 @@ def test_clean_run_stores_everything_and_stops_its_workers():
     assert sorted(outcome.stored) == list(range(6))
     assert outcome.quarantined == []
     assert [link.fate for link in transport.links] == ["stop", "stop"]
-    tel = outcome.telemetry
-    assert [args[0] for args, _ in tel.named("worker_spawned")] == ["w1", "w2"]
+    tel = outcome.journal
+    assert [f["worker"] for f in tel.named("worker.spawn")] == ["w1", "w2"]
     assert tel.exit_reasons() == ["stop", "stop"]
     assert tel.replacements() == 0
     assert len(tel.unit_attempts()) == 6
@@ -90,11 +96,12 @@ def test_local_crash_is_charged_and_the_worker_replaced():
     transport = ScriptedTransport(script={0: [DIE]})
     outcome = run_pool(transport, 2)
     assert sorted(outcome.stored) == [0, 1]
-    tel = outcome.telemetry
+    tel = outcome.journal
     assert (0, 1, "crash") in tel.unit_attempts()
     assert (0, 2, "ok") in tel.unit_attempts()  # the retry is attempt 2
-    ((index, attempt, delay, error), _), = tel.named("retry_scheduled")
-    assert (index, attempt, delay) == (0, 1, BACKOFF)
+    (run, attempt, status, error, delay), = tel.retries
+    assert (run.index, attempt.number, attempt.worker, status, delay) == (
+        0, 1, "w1", "crash", BACKOFF)
     assert error == "worker crashed (exit code -9)"
     assert tel.exit_reasons() == ["crash", "stop"]
     assert tel.replacements() == 1
@@ -108,7 +115,7 @@ def test_local_reply_for_another_unit_is_a_charged_crash():
     transport = ScriptedTransport(script={0: [LIE]})
     outcome = run_pool(transport, 2)
     assert sorted(outcome.stored) == [0, 1]
-    tel = outcome.telemetry
+    tel = outcome.journal
     assert (0, 1, "crash") in tel.unit_attempts()
     assert (0, 2, "ok") in tel.unit_attempts()
     assert [link.fate for link in transport.links] == ["kill", "stop"]
@@ -130,7 +137,7 @@ def test_batch_mates_behind_a_crash_are_requeued_uncharged():
     outcome = run_pool(transport, 3)
     assert sorted(outcome.stored) == [0, 1, 2]
     assert transport.links[0].units == [0, 1, 2]  # one batch, crash mid-way
-    attempts = {(i, a): s for i, a, s in outcome.telemetry.unit_attempts()}
+    attempts = {(i, a): s for i, a, s in outcome.journal.unit_attempts()}
     assert attempts == {(0, 1): "ok", (1, 1): "crash", (1, 2): "ok",
                         (2, 1): "ok"}  # unit 2 never ran, never charged
 
@@ -140,9 +147,9 @@ def test_send_failure_requeues_the_whole_batch_uncharged():
                                   link_kwargs=[{"send_fails": True}, {}])
     outcome = run_pool(transport, 2)
     assert sorted(outcome.stored) == [0, 1]
-    tel = outcome.telemetry
+    tel = outcome.journal
     assert sorted(tel.unit_attempts()) == [(0, 1, "ok"), (1, 1, "ok")]
-    assert tel.named("retry_scheduled") == []
+    assert tel.retries == []
     assert tel.exit_reasons() == ["crash", "stop"]  # the corpse, then w2
     assert [link.fate for link in transport.links] == ["reap", "stop"]
 
@@ -155,9 +162,9 @@ def test_watchdog_kills_a_hung_worker_and_replaces_it():
     policy = RetryPolicy(task_timeout=0.05, max_retries=1, backoff=BACKOFF)
     outcome = run_pool(transport, 2, policy=policy)
     assert sorted(outcome.stored) == [0, 1]
-    tel = outcome.telemetry
+    tel = outcome.journal
     assert tel.unit_attempts()[0] == (0, 1, "timeout")
-    ((_, _, _, error), _), = tel.named("retry_scheduled")
+    (_, _, _, error, _), = tel.retries
     assert error == "timed out after 0.05s wall clock"
     assert tel.exit_reasons() == ["timeout", "stop"]
     assert tel.replacements() == 1
@@ -173,9 +180,9 @@ def test_retries_wait_out_an_exponential_backoff_without_blocking_others():
     transport = ScriptedTransport(script={0: [ERR, ERR]})
     outcome = run_pool(transport, 3)
     assert sorted(outcome.stored) == [0, 1, 2]
-    tel = outcome.telemetry
-    assert [(args[1], args[2]) for args, _ in tel.named("retry_scheduled")] \
-        == [(1, BACKOFF), (2, 2 * BACKOFF)]
+    tel = outcome.journal
+    assert [(attempt.number, delay) for _, attempt, _, _, delay
+            in tel.retries] == [(1, BACKOFF), (2, 2 * BACKOFF)]
     link, = transport.links
     # The waiting retry never blocked the worker: units 1 and 2 ran first.
     assert link.units == [0, 1, 2, 0, 0]
@@ -191,9 +198,9 @@ def test_unit_out_of_retries_is_quarantined_and_the_rest_complete():
     failure, = outcome.quarantined
     assert (failure.run.index, failure.attempts) == (1, 3)
     assert failure.error == "ScriptedError: unit 1"
-    assert [s for i, _, s in outcome.telemetry.unit_attempts() if i == 1] \
+    assert [s for i, _, s in outcome.journal.unit_attempts() if i == 1] \
         == ["error"] * 3
-    assert outcome.telemetry.exit_reasons() == ["stop"]  # errors kill nobody
+    assert outcome.journal.exit_reasons() == ["stop"]  # errors kill nobody
 
 
 # -- drain --------------------------------------------------------------------
@@ -213,7 +220,7 @@ def test_drain_waits_for_in_flight_work_then_aborts_at_the_deadline():
     hung, finished = transport.links
     assert (hung.units, finished.units) == ([0], [1])  # 2, 3 never dispatched
     assert [hung.fate, finished.fate] == ["stop", "stop"]
-    assert outcome.telemetry.exit_reasons() == ["stop", "stop"]
+    assert outcome.journal.exit_reasons() == ["stop", "stop"]
 
 
 def test_drain_leaves_at_once_when_nothing_is_in_flight():
