@@ -25,15 +25,15 @@ import statistics
 import pytest
 
 from repro.core import DraiParams, known_policies
-from repro.experiments import ScenarioConfig, full_scale, run_chain
+from repro.experiments import ScenarioConfig, run_chain
 from repro.net.queues import RedQueue
 from repro.stats.fairness import jain_index
 from repro.stats.timeseries import time_average
 
 from conftest import banner, run_once, run_waypoint_field
 
-SEEDS = (1, 2, 3, 4, 5) if full_scale() else (1, 2, 3)
-SIM_TIME = 30.0 if full_scale() else 15.0
+SEEDS = (1, 2, 3)
+SIM_TIME = 15.0
 
 
 def _muzha_run(seed, policy=None, drai_params=None):

@@ -38,7 +38,6 @@ from repro.experiments import (
     chain_grid,
     run_campaign,
 )
-from repro.experiments.config import full_scale
 
 from conftest import banner, run_once
 from harness import Suite, main, rate
@@ -48,7 +47,7 @@ pytestmark = pytest.mark.perf
 #: >= 8 scenarios so a 4-way pool always has work for every worker.
 GRID_HOPS = (2, 3, 4, 5)
 GRID_VARIANTS = ("muzha", "newreno")
-SIM_TIME = 8.0 if full_scale() else 3.0
+SIM_TIME = 3.0
 
 #: The engine-overhead grid: 6 scenarios x 8 replications = 48 units of
 #: 0.1 s simulations.  Units this short put the campaign engine itself on

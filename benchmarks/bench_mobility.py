@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import statistics
 
-from repro.experiments import ScenarioConfig, full_scale
+from repro.experiments import ScenarioConfig
 
 from conftest import banner, run_once, run_waypoint_field
 
-SEEDS = (1, 2, 3, 4, 5) if full_scale() else (1, 2, 3)
-SIM_TIME = 40.0 if full_scale() else 20.0
+SEEDS = (1, 2, 3)
+SIM_TIME = 20.0
 
 
 def test_mobility_extension(benchmark):

@@ -1,11 +1,11 @@
-"""Shared fixtures for the figure-regeneration benchmarks.
+"""Shared fixtures for the benchmarks.
 
-Every benchmark regenerates one table or figure of the paper: it runs the
-corresponding simulation campaign, prints the same rows/series the paper
-plots, and asserts the qualitative shape (who wins, monotonicity, fairness
-ordering).  Set ``REPRO_FULL=1`` for paper-scale campaigns (longer
-simulations, full hop grids, more seeds).  Figs 5.8-5.13 have no benchmark:
-their paper-scale evidence is the claims suite, ``tests/claims/``.
+``bench_tables`` regenerates the paper's tables; ``bench_ablations`` and
+``bench_mobility`` run the extensions beyond the paper and assert their
+shape, at the one scale CI and every committed number use;
+``bench_kernel`` and ``bench_campaign`` time the simulator and the
+campaign engine.  The paper's figures have no benchmark: their evidence is
+the claims suite, ``tests/claims/``.
 """
 
 from __future__ import annotations
@@ -37,15 +37,6 @@ def banner(title: str) -> None:
     print("=" * 72)
     print(title)
     print("=" * 72)
-
-
-def figures_dir():
-    """Where benchmarks drop their CSV artefacts (repo-level results/)."""
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parent.parent / "results" / "figures"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def run_waypoint_field(variant, config):

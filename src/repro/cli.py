@@ -766,7 +766,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FaultPlanError as exc:  # a plan that parsed but does not fit the scene
+        print(f"{parser.prog} {args.command}: error: argument --faults: {exc}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

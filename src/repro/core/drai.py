@@ -134,6 +134,22 @@ class DraiParams:
     #: EWMA gain on the sampled IFQ length.
     queue_ewma: float = 0.3
 
+    def __post_init__(self) -> None:
+        # Refused here, where the params are built, not by ``_ramp`` in the
+        # middle of a run.  The thresholds themselves stay unbounded: a band
+        # above 1.0 is how an ablation switches a utilisation rule off.
+        for band in ("queue_empty", "queue_soft", "queue_hard", "util_low",
+                     "util_high", "occ_stab", "occ_sat"):
+            low, high = getattr(self, f"{band}_lo"), getattr(self, f"{band}_hi")
+            if not low < high:
+                raise ValueError(f"need {band}_lo < {band}_hi, got {low} and {high}")
+        if not self.sample_interval > 0:
+            raise ValueError(
+                f"sample_interval must be positive, got {self.sample_interval}")
+        for gain in ("util_ewma", "queue_ewma"):
+            if not 0 < getattr(self, gain) <= 1:
+                raise ValueError(f"{gain} must be in (0, 1], got {getattr(self, gain)}")
+
 
 def compute_drai(
     queue_len: float,

@@ -46,6 +46,11 @@ from .drai import MAX_DRAI, MIN_DRAI, DraiParams, compute_drai
 #: Advice at or below this level never accelerates the sender ("hold").
 HOLD_LEVEL = 3
 
+#: :class:`DraiParams` fields only the estimator reads, from
+#: ``ScenarioConfig.drai_params``: as fuzzy-family ``policy_params`` they
+#: would change a config's digest and nothing the run does.
+ESTIMATOR_FIELDS: Tuple[str, ...] = ("sample_interval", "util_ewma", "queue_ewma")
+
 
 @dataclass(frozen=True)
 class PolicySignals:
@@ -170,6 +175,14 @@ class FuzzyDraiPolicy(AdvicePolicy):
         return compute_drai(
             signals.queue_len, signals.utilization, signals.occupancy, self.params
         )
+
+    def params_dict(self) -> Dict[str, Any]:
+        """The quantiser's fields; :data:`ESTIMATOR_FIELDS` are not the
+        policy's to take, so they are not its to give back."""
+        payload = super().params_dict()
+        for key in ESTIMATOR_FIELDS:
+            del payload[key]
+        return payload
 
     def saturation_bounds(self) -> Tuple[float, float]:
         return self.params.queue_hard_hi, self.params.occ_sat_hi
@@ -386,6 +399,10 @@ def make_policy(
             if key not in types:
                 raise ValueError(f"policy {name!r} has no parameter {key!r}; "
                                  f"known: {sorted(types)}")
+            if cls.params_cls is DraiParams and key in ESTIMATOR_FIELDS:
+                raise ValueError(
+                    f"{key} is read by the DRAI estimator, not by policy "
+                    f"{name!r}; set it in ScenarioConfig.drai_params")
             number = int if types[key] in (int, "int") else (int, float)
             if (isinstance(value, bool) or not isinstance(value, number)
                     or not abs(value) <= sys.float_info.max):  # NaN, inf

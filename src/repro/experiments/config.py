@@ -4,7 +4,6 @@ switches the figure generators expose."""
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -16,10 +15,6 @@ from ..faults import FaultPlan
 from ..obs.provenance import stable_digest  # noqa: F401
 from ..sim import units
 
-#: Environment variable: when set to "1", benchmarks run paper-scale
-#: configurations (30–50 s simulations, full hop sweeps, more seeds).
-FULL_ENV_VAR = "REPRO_FULL"
-
 #: Bump whenever a change to the simulator makes previously cached campaign
 #: results stale (the campaign cache folds this into every content hash).
 #: v2: cache entries became ``{"result": ..., "manifest": ...}`` envelopes.
@@ -29,11 +24,6 @@ FULL_ENV_VAR = "REPRO_FULL"
 #:     chain now really starts GOOD at t=0) makes pre-v5 cached results of
 #:     GE-medium runs stale.
 CACHE_SCHEMA_VERSION = 5
-
-
-def full_scale() -> bool:
-    """Whether paper-scale benchmark configurations were requested."""
-    return os.environ.get(FULL_ENV_VAR, "0") == "1"
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Per-figure data generators.
 
 One function per paper artefact; each returns plain data structures (dicts /
-lists of tuples) that the benchmarks print, assert on, and the examples
-plot as ASCII charts.  Figure numbering follows the paper:
+lists of tuples) that the CLI prints, the golden-figure tests compare and
+the examples plot as ASCII charts.  The paper-scale evidence for every
+figure is the claims suite (``tests/claims/``), not these.  Figure
+numbering follows the paper:
 
 =================  =========================================================
 fig_cwnd_traces    Figs 5.2–5.7 (cwnd vs time, chain, one flow per variant)

@@ -1,12 +1,12 @@
 """Text rendering of experiment results: aligned tables and ASCII charts.
 
-The benchmark harness prints these so ``pytest benchmarks/ --benchmark-only``
-regenerates, in text form, the same rows/series the paper's figures plot.
+The CLI's ``sweep``, ``cross``, ``dynamics`` and ``chain --trace`` print
+these: in text form, the same rows/series the paper's figures plot.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .report import format_table
 from .figures import CoexistencePoint, SweepResult
@@ -70,22 +70,3 @@ def ascii_series(
     lines.append("+" + "-" * width)
     lines.append(f" x: {x_min:.1f} .. {x_max:.1f}")
     return "\n".join(lines)
-
-
-def format_traces_summary(
-    traces: Dict[str, List[Tuple[float, float]]], sim_time: float
-) -> str:
-    """Figs 5.2–5.7 summary: per-variant cwnd statistics and chart."""
-    from ..stats.timeseries import time_average
-
-    blocks: List[str] = []
-    headers = ["variant", "mean cwnd", "max cwnd", "changes"]
-    rows = []
-    for variant, trace in traces.items():
-        mean = time_average(trace, 0.0, sim_time)
-        peak = max(v for _, v in trace)
-        rows.append([variant, f"{mean:6.2f}", f"{peak:6.1f}", len(trace)])
-    blocks.append(format_table(headers, rows, title="cwnd summary"))
-    for variant, trace in traces.items():
-        blocks.append(ascii_series(trace, label=f"cwnd: {variant}"))
-    return "\n\n".join(blocks)

@@ -60,6 +60,7 @@ class FaultInjector:
         if self._installed:
             raise RuntimeError("fault plan is already installed")
         self._installed = True
+        self._check_nodes()
         events = list(self.plan.events)
         if self.plan.random is not None:
             if horizon is None:
@@ -76,6 +77,22 @@ class FaultInjector:
             self._schedule(event)
         return self
 
+    def _check_nodes(self) -> None:
+        """Refuse a plan naming a node this network lacks before anything is
+        scheduled, rather than when its event fires mid-run."""
+        named = []
+        for event in self.plan.events:
+            named += [event.node, event.peer]
+            named += [member for group in event.groups or () for member in group]
+        if self.plan.random is not None:
+            named += self.plan.random.nodes or ()
+        ids = set(self.network.ids)
+        missing = sorted({node for node in named if node is not None} - ids)
+        if missing:
+            raise FaultPlanError(
+                f"fault plan names node {missing[0]}, which does not exist "
+                f"(nodes are {min(ids)}..{max(ids)})")
+
     def _schedule(self, event: FaultEvent) -> None:
         actions = {
             "node_crash": self._do_crash,
@@ -91,18 +108,10 @@ class FaultInjector:
         if self.sim.trace.active and self.sim.trace.wants(name):
             self.sim.emit("faults", name, **fields)
 
-    def _node(self, node_id: int):
-        try:
-            return self.network.node(node_id)
-        except KeyError as exc:
-            raise FaultPlanError(
-                f"fault plan names node {node_id}, which does not exist"
-            ) from exc
-
     # -- actions ------------------------------------------------------------
 
     def _do_crash(self, event: FaultEvent) -> None:
-        node = self._node(event.node)
+        node = self.network.node(event.node)
         if node.down:
             return  # overlapping crash windows collapse into one outage
         self.counters.crashes += 1
@@ -113,7 +122,7 @@ class FaultInjector:
                            name="fault.node_restart")
 
     def _do_restart(self, event: FaultEvent) -> None:
-        node = self._node(event.node)
+        node = self.network.node(event.node)
         if not node.down:
             return
         self.counters.restarts += 1
@@ -149,7 +158,7 @@ class FaultInjector:
         self.network.channel.error_model = saved
 
     def _do_queue_spike(self, event: FaultEvent) -> None:
-        node = self._node(event.node)
+        node = self.network.node(event.node)
         self.counters.queue_spikes += 1
         self._emit("fault.queue_spike", node=event.node,
                    capacity=event.capacity, duration=event.duration)

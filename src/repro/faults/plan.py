@@ -64,6 +64,13 @@ FAULT_KINDS = (
 )
 
 
+#: Most ``crashes`` or ``blackouts`` one :class:`RandomFaults` spec may ask
+#: for.  Every event is expanded and scheduled before the run starts, so
+#: an unbounded count is an unbounded stall: 200 000 crashes cost seconds
+#: before the first packet.  The chaos plans in this repository use at most 8.
+MAX_RANDOM_FAULTS = 1000
+
+
 class FaultPlanError(ValueError):
     """A fault plan is malformed (unknown kind, missing field, bad JSON)."""
 
@@ -241,9 +248,12 @@ class RandomFaults:
     nodes: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        if (_integer(self.crashes, "random crashes") < 0
-                or _integer(self.blackouts, "random blackouts") < 0):
-            raise FaultPlanError("fault counts must be non-negative")
+        for name in ("crashes", "blackouts"):
+            count = _integer(getattr(self, name), f"random {name}")
+            if not 0 <= count <= MAX_RANDOM_FAULTS:
+                raise FaultPlanError(
+                    f"random {name} must be in [0, {MAX_RANDOM_FAULTS}], "
+                    f"got {count}")
         if (_finite(self.crash_downtime, "random crash_downtime") <= 0
                 or _finite(self.blackout_duration,
                            "random blackout_duration") <= 0):

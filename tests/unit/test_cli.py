@@ -123,6 +123,24 @@ def test_policy_params_value_errors_exit_cleanly():
             ])
 
 
+@pytest.mark.parametrize("payload, reason", [
+    ('{"queue_hard_hi": 2}', "need queue_hard_lo < queue_hard_hi"),
+    ('{"util_low_lo": 0.5, "util_low_hi": 0.5}', "need util_low_lo < util_low_hi"),
+    ('{"occ_sat_lo": 0.9}', "need occ_sat_lo < occ_sat_hi"),
+], ids=["queue-hard", "util-low-equal", "occ-sat"])
+def test_an_inverted_drai_band_is_refused_before_the_run(payload, reason,
+                                                         capsys):
+    """Each passed ``ScenarioConfig`` and died mid-run in the fuzzy
+    quantiser's ``_ramp`` with ``ValueError: need low < high``."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["chain", "--hops", "2", "--time", "2",
+              "--policy", "fuzzy", "--policy-params", payload])
+    message = str(exit_info.value.code)
+    assert message.startswith("bad --policy-params for 'fuzzy': ")
+    assert reason in message and "\n" not in message
+    assert capsys.readouterr().out == ""
+
+
 def test_a_removed_policy_is_an_invalid_choice(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["chain", "--hops", "2", "--time", "1", "--policy", "queue-trend"])

@@ -16,6 +16,7 @@ from repro.faults import (
     build_error_model,
     install_faults,
 )
+from repro.faults.plan import MAX_RANDOM_FAULTS
 from repro.phy.error_models import (
     GilbertElliott,
     NoError,
@@ -188,12 +189,32 @@ def test_install_faults_skips_empty_plans():
     assert install_faults(network, FaultPlan()) is None
 
 
-def test_unknown_node_in_plan_fails_at_fire_time():
+@pytest.mark.parametrize("plan", [
+    FaultPlan(events=(FaultEvent(time=0.5, kind="node_crash", node=99),)),
+    FaultPlan(events=(FaultEvent(time=0.5, kind="link_blackout", node=1,
+                                 peer=99, duration=1.0),)),
+    FaultPlan(events=(FaultEvent(time=0.5, kind="partition",
+                                 groups=((0, 1), (2, 99)), duration=1.0),)),
+    FaultPlan(random=RandomFaults(crashes=1, nodes=(1, 99))),
+], ids=["node", "peer", "partition-member", "random-nodes"])
+def test_unknown_node_in_plan_fails_at_install(plan):
+    """A missing node used to pass install and raise when its event fired,
+    mid-run; now nothing is scheduled."""
     network = build_chain(2)
-    plan = FaultPlan(events=(FaultEvent(time=0.5, kind="node_crash", node=99),))
-    install_faults(network, plan)
-    with pytest.raises(FaultPlanError, match="node 99"):
-        network.sim.run(until=1.0)
+    pending = network.sim.scheduler.pending_events
+    with pytest.raises(FaultPlanError, match="node 99, which does not exist"):
+        install_faults(network, plan, horizon=5.0)
+    assert network.sim.scheduler.pending_events == pending
+
+
+@pytest.mark.parametrize("field", ["crashes", "blackouts"])
+def test_random_fault_counts_are_capped_at_parse_time(field):
+    """Every random fault is expanded and scheduled before the run, so a
+    count of millions stalled a run for minutes.  Only parsing is tested
+    here: a huge plan is never expanded."""
+    RandomFaults(**{field: MAX_RANDOM_FAULTS})
+    with pytest.raises(FaultPlanError, match=f"random {field} must be in"):
+        FaultPlan.loads(json.dumps({"random": {field: MAX_RANDOM_FAULTS + 1}}))
 
 
 def test_all_fault_kinds_fire_and_restore(monkeypatch):
@@ -263,3 +284,24 @@ def test_a_bad_plan_is_a_one_line_usage_error(tmp_path, capsys, text, reason):
     assert last.startswith(
         f"repro-muzha chain: error: argument --faults: bad fault plan {plan}: ")
     assert reason in last
+
+
+@pytest.mark.parametrize("command", [
+    ["chain", "--hops", "2"],
+    ["trace", "chain", "--hops", "2", "--out", "{tmp}/t.ndjson"],
+    ["stats", "chain", "--hops", "2"],
+], ids=["chain", "trace", "stats"])
+def test_a_plan_naming_a_missing_node_is_a_one_line_error(tmp_path, capsys,
+                                                          command):
+    """The plan parses, but the scenario has no node 99: this was a
+    ``FaultPlanError`` traceback from inside the run."""
+    from repro.cli import main
+
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"events": [{"time": 1, "kind": "node_crash", "node": 99}]}')
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in command]
+    assert main(argv + ["--time", "2", "--faults", str(plan)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"repro-muzha {command[0]}: error: argument --faults: fault plan "
+        f"names node 99, which does not exist (nodes are 0..2)"]

@@ -28,6 +28,7 @@ from repro.core import (
     make_policy,
     policy_class,
 )
+from repro.core.drai import DraiParams
 from repro.core.policy import PolicySignals
 from repro.experiments import ScenarioConfig
 
@@ -190,3 +191,35 @@ def test_policies_do_not_share_state_across_instances():
     assert a.state() == "RED"
     assert b.state() != "RED"
     assert b.advise(PolicySignals(0.0, 0.0, 0.0)) == 5
+
+
+@pytest.mark.parametrize("policy", ["fuzzy", "binary-feedback"])
+@pytest.mark.parametrize("field", ["sample_interval", "util_ewma", "queue_ewma"])
+def test_estimator_fields_are_refused_as_policy_params(policy, field):
+    """Only the DRAI estimator reads these, from ``drai_params``; as policy
+    params each changed the config digest (and a campaign's derived seeds)
+    but left goodput identical."""
+    with pytest.raises(ValueError, match=f"{field} is read by the DRAI "
+                                         f"estimator.*drai_params"):
+        make_policy(policy, {field: 0.5})
+    with pytest.raises(ValueError, match="drai_params"):
+        ScenarioConfig(policy=policy, policy_params={field: 0.5})
+
+
+@pytest.mark.parametrize("changes, reason", [
+    ({"queue_hard_hi": 2.0}, "need queue_hard_lo < queue_hard_hi"),
+    ({"occ_stab_lo": 0.5}, "need occ_stab_lo < occ_stab_hi"),
+    ({"sample_interval": 0.0}, "sample_interval must be positive"),
+    ({"util_ewma": 0.0}, "util_ewma must be in"),
+    ({"queue_ewma": 1.5}, "queue_ewma must be in"),
+])
+def test_drai_params_refuse_inverted_bands_and_bad_gains(changes, reason):
+    with pytest.raises(ValueError, match=reason):
+        DraiParams(**changes)
+
+
+def test_drai_params_leave_the_thresholds_themselves_unbounded():
+    """The ablation bench switches the saturation rule off with a band
+    above any busy fraction."""
+    DraiParams(util_high_lo=1.1, util_high_hi=1.2)
+    DraiParams(util_ewma=1.0, queue_ewma=1.0)

@@ -8,7 +8,6 @@ from repro.experiments.reporting import (
     format_coexistence,
     format_sweep,
     format_table,
-    format_traces_summary,
 )
 
 
@@ -74,14 +73,3 @@ def test_ascii_series_marks_extremes():
     assert "max=5.0" in lines[0]
     assert lines[1].rstrip().endswith("*")  # peak in the top row, last column
     assert "x: 0.0 .. 10.0" in lines[-1]
-
-
-def test_format_traces_summary_counts_changes():
-    traces = {
-        "muzha": [(0.0, 1.0), (1.0, 2.0)],
-        "newreno": [(0.0, 1.0), (0.5, 2.0), (1.0, 1.0), (1.5, 2.0)],
-    }
-    out = format_traces_summary(traces, sim_time=2.0)
-    assert "cwnd summary" in out
-    assert "muzha" in out and "newreno" in out
-    assert "cwnd: muzha" in out  # per-variant chart blocks

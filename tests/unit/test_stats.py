@@ -14,14 +14,20 @@ from repro.stats import (
 class TestJainIndex:
     def test_equal_allocations_are_perfectly_fair(self):
         assert jain_index([5.0, 5.0, 5.0]) == pytest.approx(1.0)
+        # Fig 5.14's "equal" and "single" cases.
+        assert jain_index([100.0, 100.0]) == pytest.approx(1.0)
+        assert jain_index([42.0]) == pytest.approx(1.0)
 
     def test_single_hog_approaches_one_over_n(self):
         assert jain_index([100.0, 0.0, 0.0, 0.0]) == pytest.approx(0.25)
 
     def test_paper_style_two_flows(self):
-        # the 2-flow index used in Fig 5.18
+        # the 2-flow index used in Fig 5.18, and Fig 5.14's "starved" case
         assert jain_index([300.0, 100.0]) == pytest.approx(
             (400.0**2) / (2 * (300.0**2 + 100.0**2))
+        )
+        assert jain_index([190.0, 10.0]) == pytest.approx(
+            (200.0**2) / (2 * (190.0**2 + 10.0**2))
         )
 
     def test_empty_and_zero_are_vacuously_fair(self):
