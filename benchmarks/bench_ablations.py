@@ -1,177 +1,31 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Router-advice policy bake-off.
 
-These go beyond the paper's own figures:
+Runs every registered advice policy through three scenario classes (a
+static 2-flow chain, a mobile random-waypoint field, and a chain under a
+relay-crash fault plan) and reports goodput, Jain fairness, TCP
+retransmissions, and the controller's time-in-state split.  Invoked as
 
-* **Binary vs multi-level feedback** (paper §4.6's argument against
-  ECN-style one-bit feedback): a Muzha sender fed by the binary DRAI never
-  receives the "stabilizing" level, so its window see-saws; the five-level
-  DRAI holds the window steadier and delivers at least as much.
-* **Random-loss marking on/off** (paper §4.7): with per-frame random loss,
-  disabling the marked/unmarked dupACK classification forces window halving
-  on every loss indication; full Muzha should deliver more.
-* **DRAI threshold sensitivity**: sweeping the fuzzy queue thresholds
-  shows the published-level distribution shifting, while goodput stays in a
-  healthy band (the mechanism is robust, not knife-edge tuned).
-* **RED vs drop-tail IFQ** (related-work baseline).
-* **Router-advice policy bake-off** (``--policies`` CLI below): every
-  registered advice policy across static, mobile, and fault-plan scenario
-  classes, emitting ``results/BENCH_policies.json``.
+    PYTHONPATH=src python benchmarks/bench_ablations.py --policies
+
+which (re)generates results/BENCH_policies.json; ``--quick`` shrinks the
+grid for CI smoke runs and ``--policy-names``/``--scenarios`` subset it.
+
+DESIGN.md §4's ablations are claims rows, not benchmarks
+(``tests/claims/test_extension_claims.py``).
 """
 
 from __future__ import annotations
 
 import statistics
 
-import pytest
-
 from repro.core import DraiParams, known_policies
 from repro.experiments import ScenarioConfig, run_chain
-from repro.net.queues import RedQueue
 from repro.stats.fairness import jain_index
-from repro.stats.timeseries import time_average
 
-from conftest import banner, run_once, run_waypoint_field
+from conftest import banner, run_waypoint_field
 
 SEEDS = (1, 2, 3)
 SIM_TIME = 15.0
-
-
-def _muzha_run(seed, policy=None, drai_params=None):
-    """The flow of one 4-hop Muzha chain run under a configurable advice
-    policy."""
-    config = ScenarioConfig(sim_time=SIM_TIME, seed=seed, window=8,
-                            policy=policy, drai_params=drai_params)
-    return run_chain(4, ["muzha"], config=config).flows[0]
-
-
-def test_ablation_binary_vs_multilevel_feedback(benchmark):
-    def campaign():
-        rows = []
-        for name, policy in [("multi-level", None), ("binary", "binary-feedback")]:
-            goodputs, wobble = [], []
-            for seed in SEEDS:
-                flow = _muzha_run(seed, policy=policy)
-                goodputs.append(flow.goodput_kbps)
-                # window restlessness: cwnd changes per second after ramp
-                changes = sum(1 for t, _ in flow.cwnd_trace if t > 2.0)
-                wobble.append(changes / (SIM_TIME - 2.0))
-            rows.append((name, statistics.mean(goodputs), statistics.mean(wobble)))
-        return rows
-
-    rows = run_once(benchmark, campaign)
-    banner("Ablation — multi-level DRAI vs binary (ECN-style) feedback")
-    for name, goodput, wobble in rows:
-        print(f"{name:>12s}: goodput={goodput:7.1f} kbps  cwnd changes/s={wobble:5.2f}")
-    multi, binary = rows[0], rows[1]
-    assert multi[2] <= binary[2], "five levels must yield a steadier window"
-    assert multi[1] >= 0.9 * binary[1]
-
-
-def test_ablation_random_loss_marking(benchmark):
-    def campaign():
-        results = {}
-        for variant in ("muzha", "muzha-nomark", "newreno"):
-            goodputs = []
-            for seed in SEEDS:
-                config = ScenarioConfig(
-                    sim_time=SIM_TIME, seed=seed, window=8, packet_error_rate=0.03
-                )
-                run = run_chain(4, [variant], config=config)
-                goodputs.append(run.flows[0].goodput_kbps)
-            results[variant] = statistics.mean(goodputs)
-        return results
-
-    results = run_once(benchmark, campaign)
-    banner("Ablation — §4.7 random-loss marking under 3% frame loss")
-    for variant, goodput in results.items():
-        print(f"{variant:>14s}: {goodput:7.1f} kbps")
-    assert results["muzha"] >= results["muzha-nomark"] * 0.95, (
-        "loss classification must not hurt Muzha under random loss"
-    )
-    assert results["muzha"] > results["newreno"], (
-        "under random loss, Muzha must beat the loss-halving baseline"
-    )
-
-
-def test_ablation_drai_threshold_sensitivity(benchmark):
-    """Sweep the *binding* DRAI constraint on a single-flow chain: the
-    medium-saturation ("hold") thresholds.  Disabling them hands control to
-    the queue rules and the standing window drifts up; tightening them pins
-    the window at the chain's tiny optimum.  Throughput must stay healthy
-    across the sweep (the mechanism is robust, not knife-edge tuned)."""
-
-    def campaign():
-        settings = {
-            "conservative": DraiParams(util_high_lo=0.55, util_high_hi=0.70),
-            "default": DraiParams(),
-            "disabled": DraiParams(util_high_lo=1.1, util_high_hi=1.2),
-        }
-        rows = []
-        for name, params in settings.items():
-            goodputs, mean_cwnds = [], []
-            for seed in SEEDS:
-                flow = _muzha_run(seed, drai_params=params)
-                goodputs.append(flow.goodput_kbps)
-                mean_cwnds.append(time_average(flow.cwnd_trace, 1.0, SIM_TIME))
-            rows.append(
-                (name, statistics.mean(goodputs), statistics.mean(mean_cwnds))
-            )
-        return rows
-
-    rows = run_once(benchmark, campaign)
-    banner("Ablation — DRAI medium-saturation threshold sensitivity")
-    for name, goodput, cwnd in rows:
-        print(f"{name:>12s}: goodput={goodput:7.1f} kbps  mean cwnd={cwnd:5.2f}")
-    cwnds = {name: cwnd for name, _, cwnd in rows}
-    assert cwnds["default"] <= cwnds["disabled"], (
-        "removing the saturation hold must admit a larger standing window"
-    )
-    for name, goodput, _ in rows:
-        assert goodput > 100.0, f"{name} thresholds collapsed throughput"
-
-
-def _swap_in_red(network, flows):
-    """An ``instrument`` that mutates: every node's IFQ becomes a RED queue
-    (so the run's manifest does not replay — see ``execute_run``)."""
-    for node in network.nodes:
-        red = RedQueue(50, rng=network.sim.stream(f"red.{node.node_id}"))
-        red.on_wakeup = node.mac.wakeup
-        node.ifq = red
-        node.mac.queue = red
-
-
-def test_ablation_red_vs_droptail_ifq(benchmark):
-    def campaign():
-        results = {}
-        for queue_kind, instrument in (("droptail", None), ("red", _swap_in_red)):
-            goodputs = []
-            for seed in SEEDS:
-                config = ScenarioConfig(sim_time=SIM_TIME, seed=seed, window=8)
-                run = run_chain(4, ["newreno"], config=config, instrument=instrument)
-                goodputs.append(run.flows[0].goodput_kbps)
-            results[queue_kind] = statistics.mean(goodputs)
-        return results
-
-    results = run_once(benchmark, campaign)
-    banner("Ablation — RED vs drop-tail IFQ under NewReno")
-    for kind, goodput in results.items():
-        print(f"{kind:>9s}: {goodput:7.1f} kbps")
-    for kind, goodput in results.items():
-        assert goodput > 50.0, f"{kind} IFQ broke the flow"
-
-
-# ---------------------------------------------------------------------------
-# Router-advice policy bake-off
-#
-# Runs every requested advice policy through three scenario classes (a
-# static 2-flow chain, a mobile random-waypoint field, and a chain under a
-# relay-crash fault plan) and reports goodput, Jain fairness, TCP
-# retransmissions, and the controller's time-in-state split.  Invoked as
-#
-#     PYTHONPATH=src python benchmarks/bench_ablations.py --policies
-#
-# which (re)generates results/BENCH_policies.json; ``--quick`` shrinks the
-# grid for CI smoke runs and ``--policy-names``/``--scenarios`` subset it.
 
 BAKEOFF_POLICIES = tuple(known_policies())
 BAKEOFF_SCENARIOS = ("static", "mobile", "fault")

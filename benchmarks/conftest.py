@@ -1,11 +1,11 @@
 """Shared fixtures for the benchmarks.
 
-``bench_tables`` regenerates the paper's tables; ``bench_ablations`` and
-``bench_mobility`` run the extensions beyond the paper and assert their
-shape, at the one scale CI and every committed number use;
-``bench_kernel`` and ``bench_campaign`` time the simulator and the
-campaign engine.  The paper's figures have no benchmark: their evidence is
-the claims suite, ``tests/claims/``.
+``bench_ablations`` holds the router-advice policy bake-off and
+``bench_mobility`` runs the mobility extension and asserts its shape, at
+the one scale CI and every committed number use; ``bench_kernel`` and
+``bench_campaign`` time the simulator and the campaign engine.  The
+paper's tables are unit tests, and its figures and §4 extensions have no
+benchmark: their evidence is the claims suite, ``tests/claims/``.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -84,7 +85,8 @@ def _number(parse, low, high=None, above=False):
             value = parse(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
-        # Written as ``not (in range)`` so NaN, which compares false, fails.
+        if not math.isfinite(value):  # ``--time inf`` would never end
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         if not ((value > low if above else value >= low)
                 and (high is None or value <= high)):
             raise argparse.ArgumentTypeError(f"must be {bounds}, got {text}")
@@ -281,6 +283,9 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     config = _scenario_config(args)  # the seed is re-derived per unit
+    if config.faults is not None:  # a chain of h hops has nodes 0..h
+        for hops in sorted(set(args.hops)):
+            config.faults.check_nodes(range(hops + 1))
     resume = None
     journal_path = args.journal
     if args.resume:

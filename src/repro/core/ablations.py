@@ -1,4 +1,5 @@
-"""Ablations of the Muzha design, used by the ablation benchmarks.
+"""Ablations of the Muzha design, decided by the claims suite's extensions
+campaign (``tests/claims/test_extension_claims.py``).
 
 The §4.6 binary-feedback ablation is the registered ``binary-feedback``
 advice policy (:mod:`repro.core.policy`).

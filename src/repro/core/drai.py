@@ -19,7 +19,8 @@ theoretical formula ... we choose a coarse grain multi-level quantization").
 We implement that recipe concretely: trapezoidal fuzzy memberships over the
 node's IFQ length and its recent medium-utilisation, combined by a five-rule
 base, with the winning rule's level published.  The constants live in
-:class:`DraiParams` and are swept by the ablation benchmarks.
+:class:`DraiParams`; the claims suite's hold row disables the
+medium-saturation rule through them.
 
 The deceleration band (DRAI <= 2) doubles as the paper's congestion *mark*:
 a duplicate ACK echoing a deceleration MRAI is "marked", identifying the

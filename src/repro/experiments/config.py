@@ -4,6 +4,7 @@ switches the figure generators expose."""
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -74,6 +75,11 @@ class ScenarioConfig:
     faults: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
+        # ``inf`` or NaN would never end a run; a grid or a replayed
+        # manifest reaches here without passing the CLI's checks.
+        if not (math.isfinite(self.sim_time) and self.sim_time >= 0):
+            raise ValueError(f"sim_time must be finite and >= 0, "
+                             f"got {self.sim_time}")
         # A policy the registry does not know (or no longer knows) fails
         # here, where the config is built — DESIGN.md §5, "Removing a
         # registered name" — not inside install_drai mid-assembly.

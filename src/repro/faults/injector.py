@@ -60,7 +60,7 @@ class FaultInjector:
         if self._installed:
             raise RuntimeError("fault plan is already installed")
         self._installed = True
-        self._check_nodes()
+        self.plan.check_nodes(self.network.ids)
         events = list(self.plan.events)
         if self.plan.random is not None:
             if horizon is None:
@@ -76,22 +76,6 @@ class FaultInjector:
         for event in events:
             self._schedule(event)
         return self
-
-    def _check_nodes(self) -> None:
-        """Refuse a plan naming a node this network lacks before anything is
-        scheduled, rather than when its event fires mid-run."""
-        named = []
-        for event in self.plan.events:
-            named += [event.node, event.peer]
-            named += [member for group in event.groups or () for member in group]
-        if self.plan.random is not None:
-            named += self.plan.random.nodes or ()
-        ids = set(self.network.ids)
-        missing = sorted({node for node in named if node is not None} - ids)
-        if missing:
-            raise FaultPlanError(
-                f"fault plan names node {missing[0]}, which does not exist "
-                f"(nodes are {min(ids)}..{max(ids)})")
 
     def _schedule(self, event: FaultEvent) -> None:
         actions = {

@@ -334,6 +334,21 @@ class FaultPlan:
     def __bool__(self) -> bool:
         return bool(self.events) or self.random is not None
 
+    def check_nodes(self, ids: Sequence[int]) -> None:
+        """Refuse a plan naming a node outside ``ids`` (a network's node
+        ids) before anything runs, rather than when its event fires."""
+        named = []
+        for event in self.events:
+            named += [event.node, event.peer]
+            named += [member for group in event.groups or () for member in group]
+        if self.random is not None:
+            named += self.random.nodes or ()
+        missing = sorted({node for node in named if node is not None} - set(ids))
+        if missing:
+            raise FaultPlanError(
+                f"fault plan names node {missing[0]}, which does not exist "
+                f"(nodes are {min(ids)}..{max(ids)})")
+
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
             "events": [event.to_dict() for event in self.events]

@@ -1,10 +1,10 @@
 """Network layer (substrate S4): packets with the AVBW-S option, interface
-queues (drop-tail and RED), and the node that glues PHY/MAC/routing/transport
+queue (drop-tail), and the node that glues PHY/MAC/routing/transport
 together."""
 
 from .node import Node, NodeCounters, PortHandler
 from .packet import DEFAULT_TTL, IP_BROADCAST, IP_HEADER_BYTES, Packet
-from .queues import DropTailQueue, RedQueue
+from .queues import DropTailQueue
 
 __all__ = [
     "DEFAULT_TTL",
@@ -15,5 +15,4 @@ __all__ = [
     "NodeCounters",
     "Packet",
     "PortHandler",
-    "RedQueue",
 ]

@@ -1,9 +1,7 @@
 """Interface queues (IFQ) between the network layer and the MAC.
 
 The paper's configuration is a 50-packet drop-tail IFQ; its occupancy is the
-main input to the router-side DRAI.  A classic RED variant is provided as an
-extension (RED is one of the router-assisted baselines discussed in the
-paper's related work).
+main input to the router-side DRAI.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ class DropTailQueue:
     def enqueue(self, entry: QueuedPacket) -> bool:
         """Append ``entry``; returns False (and counts a drop) on overflow."""
         sim = self._sim
-        if not self._admit(entry):
+        if len(self._items) >= self.capacity:
             self.drops += 1
             if sim is not None and sim.trace.active and sim.trace.wants("ifq.drop"):
                 sim.emit(
@@ -110,66 +108,3 @@ class DropTailQueue:
         if removed:
             self._items = deque(e for e in self._items if not predicate(e))
         return removed
-
-    # -- admission policy (overridden by RED) ----------------------------------
-
-    def _admit(self, entry: QueuedPacket) -> bool:
-        return len(self._items) < self.capacity
-
-
-class RedQueue(DropTailQueue):
-    """Random Early Detection queue (Floyd & Jacobson 1993), drop-mode.
-
-    Maintains an EWMA of the queue length; arrivals are dropped with a
-    probability that rises linearly from 0 at ``min_th`` to ``max_p`` at
-    ``max_th``, and always beyond ``max_th``.  The classic ``count``
-    correction spreads drops out in time.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 50,
-        min_th: float = 5.0,
-        max_th: float = 15.0,
-        max_p: float = 0.1,
-        weight: float = 0.002,
-        rng=None,
-    ) -> None:
-        super().__init__(capacity)
-        if not 0 < min_th < max_th:
-            raise ValueError("need 0 < min_th < max_th")
-        if not 0 < max_p <= 1:
-            raise ValueError("max_p must be in (0, 1]")
-        self.min_th = min_th
-        self.max_th = max_th
-        self.max_p = max_p
-        self.weight = weight
-        self.avg = 0.0
-        self._count = -1
-        if rng is None:
-            import random
-
-            rng = random.Random(0)
-        self._rng = rng
-        self.early_drops = 0
-
-    def _admit(self, entry: QueuedPacket) -> bool:
-        if len(self._items) >= self.capacity:
-            return False
-        self.avg = (1 - self.weight) * self.avg + self.weight * len(self._items)
-        if self.avg < self.min_th:
-            self._count = -1
-            return True
-        if self.avg >= self.max_th:
-            self._count = 0
-            self.early_drops += 1
-            return False
-        self._count += 1
-        p_base = self.max_p * (self.avg - self.min_th) / (self.max_th - self.min_th)
-        denom = 1.0 - self._count * p_base
-        p_actual = p_base / denom if denom > 0 else 1.0
-        if self._rng.random() < p_actual:
-            self._count = 0
-            self.early_drops += 1
-            return False
-        return True

@@ -11,7 +11,6 @@ from .sack import TcpSack
 from .tahoe import TcpTahoe
 from .vegas import TcpVegas
 from .veno import TcpVeno
-from .westwood import TcpWestwood
 
 _REGISTRY: Dict[str, Type[TcpSenderBase]] = {
     "tahoe": TcpTahoe,
@@ -20,7 +19,6 @@ _REGISTRY: Dict[str, Type[TcpSenderBase]] = {
     "sack": TcpSack,
     "vegas": TcpVegas,
     "veno": TcpVeno,
-    "westwood": TcpWestwood,
 }
 
 

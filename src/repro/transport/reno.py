@@ -8,7 +8,7 @@ losses per window that wireless links produce (paper §2.1.1/§2.1.2).
 
 Every sender with a recovery phase enters, inflates and leaves it through
 this class — NewReno (adds the partial ACK), SACK (adds the pipe), Vegas,
-Veno and Westwood (their own ``_loss_ssthresh``), and TCP Muzha's FF phase
+Veno (its own ``_loss_ssthresh``), and TCP Muzha's FF phase
 (its own ``_recovery_window``, the §4.7 classification).  A variant states
 its rule in those two methods; the episode itself is written once, here.
 """

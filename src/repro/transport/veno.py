@@ -8,9 +8,10 @@ Veno grafts Vegas' backlog estimate onto Reno: the sender computes
 * on a loss with ``N < beta`` (the path was *not* congested — a random
   wireless loss), it cuts the window by only 1/5 instead of 1/2.
 
-Like Westwood it is an end-to-end answer to the random-loss problem TCP
-Muzha solves with router feedback, so it slots into the same comparison
-benchmarks.
+It is an end-to-end answer to the random-loss problem TCP Muzha solves
+with router feedback: the claims suite's counterpoint row
+(``tests/claims/test_extension_claims.py``) compares it with NewReno under
+random frame loss.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
-"""The claims suite's two campaigns, each run cold once per session."""
+"""The claims suite's three campaigns, each run cold once per session."""
 
 import pytest
 
 from .evidence import (
     ChainEvidence,
     CoexistenceEvidence,
+    ExtensionEvidence,
     claims_grid,
     coexistence_grid,
+    extensions_grid,
     run_claims_campaign,
 )
 
@@ -37,3 +39,13 @@ def coexistence_campaign(tmp_path_factory):
 @pytest.fixture(scope="session")
 def coexistence_evidence(coexistence_campaign):
     return CoexistenceEvidence(coexistence_campaign)
+
+
+@pytest.fixture(scope="session")
+def extension_campaign(tmp_path_factory):
+    return _cold(tmp_path_factory, "extensions-cache", extensions_grid())
+
+
+@pytest.fixture(scope="session")
+def extension_evidence(extension_campaign):
+    return ExtensionEvidence(extension_campaign)

@@ -1,7 +1,8 @@
-"""The paper's six headline claims as intervals over two fixed campaigns.
+"""The paper's six headline claims and its §4 extensions as intervals over
+three fixed campaigns.
 
-DESIGN.md §3's claims 1–6 are decided here, and only here, from two
-:func:`~repro.experiments.run_campaign` grids, :data:`REPLICATIONS`
+DESIGN.md §3's claims 1–6 and §4's extensions are decided here, and only
+here, from three :func:`~repro.experiments.run_campaign` grids, :data:`REPLICATIONS`
 replications from :data:`BASE_SEED` on the engine's own per-scenario
 seeds, so every scenario's runs are independent draws:
 
@@ -11,7 +12,13 @@ seeds, so every scenario's runs are independent draws:
 * the **Simulation 3 campaign** (:func:`coexistence_grid`): the Fig 5.15
   cross under every pairing in :data:`PAIRINGS` at every hop count in
   :data:`CROSS_HOPS` (claim 4), and three staggered same-variant flows on
-  a :data:`DYNAMICS_HOPS`-hop chain for every paper variant (claim 6).
+  a :data:`DYNAMICS_HOPS`-hop chain for every paper variant (claim 6);
+* the **extensions campaign** (:func:`extensions_grid`): single-flow
+  chains at ``window_`` :data:`EXT_WINDOW` — Muzha against its §4.6
+  binary-feedback and saturation-hold ablations on clean chains of
+  :data:`EXT_HOPS` hops, and the :data:`LOSS_VARIANTS` under every
+  per-frame loss rate in :data:`LOSS_RATES` on a :data:`LOSS_HOPS`-hop
+  chain (§4.7's marking, and the end-to-end counterpoints).
 
 A cell compares two samples by the 95 % Welch interval of the difference
 of their means, and reads the interval as a verdict: wholly above zero is
@@ -19,13 +26,14 @@ of their means, and reads the interval as a verdict: wholly above zero is
 claim's difference is signed so that ``ahead`` is what the paper says.
 
 The grids, the level, the seeds, the replication count and the operational
-definitions below (:func:`plateau_start`, :func:`convergence_time`) were
+definitions below (:func:`plateau_start`, :func:`convergence_time`,
+:func:`standing_cwnd`, the :data:`VACUOUS_FAST_RETRANSMITS` rule) were
 fixed before the first run.  They are never changed, and no band is
 widened, to flip a verdict: a cell where a claim fails is recorded in
 :data:`DIVERGENT` with its DESIGN.md §6 divergence number and its test is
 a strict ``xfail``.
 
-``python -m tests.claims.evidence`` runs both campaigns cold and prints
+``python -m tests.claims.evidence`` runs the three campaigns cold and prints
 every EXPERIMENTS.md block they fence: the per-cell tables, each
 campaign's fingerprint, its wall time and its summed per-run seconds.
 """
@@ -44,6 +52,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import pytest
 
+from repro.core import DraiParams
 from repro.experiments import (
     PAPER_VARIANTS,
     CampaignCache,
@@ -102,6 +111,36 @@ SIM3_WINDOW = 4
 #: :data:`CONVERGED_JAIN`.
 JAIN_WINDOW = 1.0
 CONVERGED_JAIN = 0.9
+
+#: The extensions campaign: every run is one flow on a chain at this
+#: ``window_``, :data:`SIM_TIME` seconds long.
+EXT_WINDOW = 8
+#: §4.6 (five DRAI levels vs one-bit feedback) and the saturation hold are
+#: compared on clean chains of these lengths.
+EXT_HOPS: Tuple[int, ...] = (4, 8)
+#: Muzha's ablation arms on those chains, as changes to the scenario
+#: config: the paper's fuzzy DRAI, §4.6's ECN-style two-level policy, and
+#: the "medium saturated -> hold" rule disabled (busy-fraction thresholds
+#: no medium reaches).
+ARMS: Dict[str, dict] = {
+    "muzha": {},
+    "binary": {"policy": "binary-feedback"},
+    "no-hold": {"drai_params": DraiParams(util_high_lo=1.1, util_high_hi=1.2)},
+}
+#: §4.7's marking and the end-to-end counterpoints run under random frame
+#: loss on a chain of this length, at each of these per-frame loss rates.
+LOSS_HOPS = 4
+LOSS_RATES: Tuple[float, ...] = (0.02, 0.05, 0.10)
+LOSS_VARIANTS: Tuple[str, ...] = ("muzha", "muzha-nomark", "newreno", "veno")
+#: The related-work senders that answer random loss end to end, each
+#: compared with NewReno.  One whose row is ahead at no loss rate goes
+#: under DESIGN.md §5's rule.
+COUNTERPOINTS: Tuple[str, ...] = ("veno",)
+#: §4.7's vacuity rule: the marking decides only how a fast-recovery episode
+#: ends, so a loss cell in which Muzha averages fewer fast retransmits than
+#: this per run gives it nothing to act on — most runs of the two arms are
+#: the same run — and the cell is recorded, not asserted.
+VACUOUS_FAST_RETRANSMITS = 1.0
 
 #: Cells where a claim fails, keyed ``(claim, *cell)`` as in :data:`CELLS`,
 #: each with the interval it measured and its DESIGN.md §6 divergence.
@@ -166,6 +205,22 @@ DIVERGENT: Dict[tuple, str] = {
     ("starvation", 8):
         "divergence #3: NewReno does not clearly out-earn Vegas on the 8-hop "
         "cross: NewReno - Vegas = +1.5 ±19.7 kb/s [-18.2, +21.2]",
+    ("hold_cwnd", 8):
+        "divergence #5: disabling the saturation hold does not clearly raise "
+        "the standing window on an 8-hop chain: no-hold - hold = +0.04 ±0.10 "
+        "packets [-0.06, +0.13]",
+    ("hold_goodput", 8):
+        "divergence #5: disabling the saturation hold does not clearly cost "
+        "goodput on an 8-hop chain: hold - no-hold = -6.8 ±6.9 kb/s "
+        "[-13.6, +0.1]",
+    ("marking", 0.05):
+        "divergence #6: the marking does not clearly raise Muzha's goodput "
+        "at 5 % frame loss: Muzha - muzha-nomark = -6.6 ±8.6 kb/s "
+        "[-15.1, +2.0]",
+    ("marking", 0.10):
+        "divergence #6: the marking does not clearly raise Muzha's goodput "
+        "at 10 % frame loss: Muzha - muzha-nomark = +14.2 ±22.1 kb/s "
+        "[-7.9, +36.3]",
 }
 
 Cell = Tuple[int, int, str]  # (window_, hops, variant)
@@ -195,6 +250,20 @@ def coexistence_grid() -> List[RunSpec]:
         RunSpec("chain", DYNAMICS_HOPS, (variant,) * len(DYNAMICS_STARTS),
                 starts=DYNAMICS_STARTS, record_dynamics=True, config=dynamics)
         for variant in PAPER_VARIANTS
+    ]
+
+
+def extensions_grid() -> List[RunSpec]:
+    """Muzha under each of :data:`ARMS` on every clean :data:`EXT_HOPS`
+    chain, then every :data:`LOSS_VARIANTS` sender at every loss rate."""
+    clean = ScenarioConfig(sim_time=SIM_TIME, window=EXT_WINDOW)
+    return [
+        RunSpec("chain", hops, ("muzha",), config=clean.replace(**changes))
+        for changes in ARMS.values() for hops in EXT_HOPS
+    ] + [
+        RunSpec("chain", LOSS_HOPS, (variant,),
+                config=clean.replace(packet_error_rate=loss))
+        for loss in LOSS_RATES for variant in LOSS_VARIANTS
     ]
 
 
@@ -356,6 +425,17 @@ def cwnd_cv(trace: Sequence[Sequence[float]], sim_time: float) -> float:
     return math.sqrt(max(0.0, square - mean * mean)) / mean
 
 
+def standing_cwnd(trace: Sequence[Sequence[float]], sim_time: float) -> float:
+    """The hold's window size: the time-averaged cwnd from
+    :func:`plateau_start` to the end of the run — the window the sender
+    stands at once its ramp is over (its last value when it never moved
+    after the ramp)."""
+    start = plateau_start(trace)
+    if start >= sim_time:
+        return float(trace[-1][1])
+    return time_average(trace, start, sim_time)
+
+
 def convergence_time(flows: Sequence[dict], sim_time: float) -> float:
     """Claim 6: seconds after the last flow's start until the Jain index of
     the flows' rates over each :data:`JAIN_WINDOW` stays at or above
@@ -479,6 +559,78 @@ class CoexistenceEvidence:
         return welch(self.convergence(baseline), self.convergence("muzha"))
 
 
+def arm(spec: RunSpec) -> str:
+    """The :data:`ARMS` name of a clean Muzha run, else the sender's name."""
+    if spec.config.policy is not None:
+        return "binary"
+    if spec.config.drai_params is not None:
+        return "no-hold"
+    return spec.variants[0]
+
+
+class ExtensionEvidence:
+    """Per-(hops, arm, loss rate) flows of the extensions campaign."""
+
+    def __init__(self, result: CampaignResult) -> None:
+        flows: Dict[Tuple[int, str, float], List[dict]] = defaultdict(list)
+        for record in result.records:  # grid order: replications in order
+            spec = record.run.spec
+            key = (spec.hops, arm(spec), spec.config.packet_error_rate)
+            flows[key].append(record.metrics["flows"][0])
+        self.flows = dict(flows)
+
+    def samples(self, metric: str, hops: int, name: str,
+                loss: float = 0.0) -> List[float]:
+        return [float(flow[metric]) for flow in self.flows[(hops, name, loss)]]
+
+    def cv_samples(self, hops: int, name: str) -> List[float]:
+        return [cwnd_cv(flow["cwnd_trace"], SIM_TIME)
+                for flow in self.flows[(hops, name, 0.0)]]
+
+    def cwnd_samples(self, hops: int, name: str) -> List[float]:
+        return [standing_cwnd(flow["cwnd_trace"], SIM_TIME)
+                for flow in self.flows[(hops, name, 0.0)]]
+
+    def feedback(self, hops: int) -> Welch:
+        """§4.6's binary-feedback − fuzzy cwnd coefficient of variation."""
+        return welch(self.cv_samples(hops, "binary"),
+                     self.cv_samples(hops, "muzha"))
+
+    def feedback_goodput(self, hops: int) -> Welch:
+        """§4.6's fuzzy − binary-feedback goodput (kb/s)."""
+        return welch(self.samples("goodput_kbps", hops, "muzha"),
+                     self.samples("goodput_kbps", hops, "binary"))
+
+    def hold_cwnd(self, hops: int) -> Welch:
+        """The hold's no-hold − hold standing window (packets)."""
+        return welch(self.cwnd_samples(hops, "no-hold"),
+                     self.cwnd_samples(hops, "muzha"))
+
+    def hold_goodput(self, hops: int) -> Welch:
+        """The hold's hold − no-hold goodput (kb/s)."""
+        return welch(self.samples("goodput_kbps", hops, "muzha"),
+                     self.samples("goodput_kbps", hops, "no-hold"))
+
+    def fast_retransmits(self, loss: float) -> float:
+        """Muzha's mean fast retransmits a run at ``loss``."""
+        return statistics.fmean(
+            self.samples("fast_retransmits", LOSS_HOPS, "muzha", loss))
+
+    def vacuous(self, loss: float) -> bool:
+        """§4.7's vacuity rule (:data:`VACUOUS_FAST_RETRANSMITS`)."""
+        return self.fast_retransmits(loss) < VACUOUS_FAST_RETRANSMITS
+
+    def marking(self, loss: float) -> Welch:
+        """§4.7's Muzha − ``muzha-nomark`` goodput (kb/s) at ``loss``."""
+        return welch(self.samples("goodput_kbps", LOSS_HOPS, "muzha", loss),
+                     self.samples("goodput_kbps", LOSS_HOPS, "muzha-nomark", loss))
+
+    def counterpoint(self, variant: str, loss: float) -> Welch:
+        """``variant`` − NewReno goodput (kb/s) at ``loss``."""
+        return welch(self.samples("goodput_kbps", LOSS_HOPS, variant, loss),
+                     self.samples("goodput_kbps", LOSS_HOPS, "newreno", loss))
+
+
 def pairing(pair: Tuple[str, str]) -> str:
     return "+".join(pair)
 
@@ -497,17 +649,24 @@ CELLS: Dict[str, List[tuple]] = {
     "fairness": [(h, pairing(pair)) for h in CROSS_HOPS for pair in FAIR_PAIRINGS],
     "starvation": [(h,) for h in CROSS_HOPS],
     "convergence": [(v,) for v in PAPER_VARIANTS if v != "muzha"],
+    "feedback": [(h,) for h in EXT_HOPS],
+    "feedback_goodput": [(h,) for h in EXT_HOPS],
+    "hold_cwnd": [(h,) for h in EXT_HOPS],
+    "hold_goodput": [(h,) for h in EXT_HOPS],
+    "marking": [(loss,) for loss in LOSS_RATES],
+    "counterpoint": [(v, loss) for v in COUNTERPOINTS for loss in LOSS_RATES],
 }
 
 
 def cell_id(claim: str, cell: tuple) -> str:
-    """``w8-h16-sack``, ``h4-muzha+muzha``, ``h6`` or ``vegas``."""
-    if claim in ("fairness", "starvation"):
-        return "-".join((f"h{cell[0]}",) + cell[1:])
-    if claim == "convergence":
-        return cell[0]
-    window, hops, variant = cell
-    return f"w{window}-h{hops}-{variant}"
+    """``w8-h16-sack``, ``h4-muzha+muzha``, ``h6``, ``vegas``, ``loss0.05``
+    or ``veno-loss0.1``."""
+    if len(cell) == 3:
+        window, hops, variant = cell
+        return f"w{window}-h{hops}-{variant}"
+    return "-".join(f"loss{part:g}" if isinstance(part, float)
+                    else f"h{part}" if isinstance(part, int) else part
+                    for part in cell)
 
 
 def cell_params(claim: str) -> list:
@@ -702,9 +861,61 @@ def render_dynamics_table(evidence: CoexistenceEvidence) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _means(samples: Sequence[Sequence[float]], digits: int) -> str:
+    return " / ".join(f"{statistics.fmean(sample):.{digits}f}" for sample in samples)
+
+
+def render_extension_tables(evidence: ExtensionEvidence) -> str:
+    """EXPERIMENTS.md § Ablations & extensions: per clean chain, each arm's
+    means and the §4.6 and hold cells; per loss rate, each sender's mean
+    goodput, Muzha's fast retransmits and the §4.7 and counterpoint cells."""
+    arms = " / ".join(ARMS)
+    lines = _header([
+        "hops", f"kb/s ({arms})", f"cwnd CV ({arms})", f"standing cwnd ({arms})",
+        "binary − fuzzy CV", "fuzzy − binary kb/s", "§4.6 (CV / kb/s)",
+        "no-hold − hold cwnd", "hold − no-hold kb/s", "hold (cwnd / kb/s)"])
+    for hops in EXT_HOPS:
+        feedback, feedback_goodput = (evidence.feedback(hops),
+                                      evidence.feedback_goodput(hops))
+        hold_cwnd, hold_goodput = evidence.hold_cwnd(hops), evidence.hold_goodput(hops)
+        lines.append(_row([
+            str(hops),
+            _means([evidence.samples("goodput_kbps", hops, name) for name in ARMS], 1),
+            _means([evidence.cv_samples(hops, name) for name in ARMS], 2),
+            _means([evidence.cwnd_samples(hops, name) for name in ARMS], 2),
+            _delta(feedback, 2), _delta(feedback_goodput),
+            _judged("feedback", (hops,), feedback) + " / "
+            + _judged("feedback_goodput", (hops,), feedback_goodput),
+            _delta(hold_cwnd, 2), _delta(hold_goodput),
+            _judged("hold_cwnd", (hops,), hold_cwnd) + " / "
+            + _judged("hold_goodput", (hops,), hold_goodput),
+        ]))
+    lines.append("")
+    lines += _header(["frame loss", "kb/s (" + " / ".join(LOSS_VARIANTS) + ")",
+                      "Muzha fast retx", "Muzha − nomark kb/s", "§4.7",
+                      *[f"{variant} − newreno kb/s" for variant in COUNTERPOINTS],
+                      "counterpoints (" + " / ".join(COUNTERPOINTS) + ")"])
+    for loss in LOSS_RATES:
+        marking = evidence.marking(loss)
+        counter = [evidence.counterpoint(v, loss) for v in COUNTERPOINTS]
+        lines.append(_row([
+            f"{loss:.0%}",
+            _means([evidence.samples("goodput_kbps", LOSS_HOPS, v, loss)
+                    for v in LOSS_VARIANTS], 1),
+            f"{evidence.fast_retransmits(loss):.2f}", _delta(marking),
+            "vacuous" if evidence.vacuous(loss)
+            else _judged("marking", (loss,), marking),
+            *[_delta(i) for i in counter],
+            " / ".join(_judged("counterpoint", (v, loss), i)
+                       for v, i in zip(COUNTERPOINTS, counter)),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
 #: The line of EXPERIMENTS.md that names each campaign's fingerprint.
 FENCES = {"chain": "Campaign fingerprint",
-          "Simulation 3": "Simulation 3 campaign fingerprint"}
+          "Simulation 3": "Simulation 3 campaign fingerprint",
+          "extensions": "Extensions campaign fingerprint"}
 
 
 def committed_fingerprint(text: str, fence: str) -> str:
@@ -717,7 +928,8 @@ def committed_fingerprint(text: str, fence: str) -> str:
 def main() -> None:
     blocks = []
     for name, grid in (("chain", claims_grid()),
-                       ("Simulation 3", coexistence_grid())):
+                       ("Simulation 3", coexistence_grid()),
+                       ("extensions", extensions_grid())):
         with tempfile.TemporaryDirectory() as cache_dir:
             result, wall = run_claims_campaign(cache_dir, grid)
         if not result.complete:
@@ -726,10 +938,12 @@ def main() -> None:
             evidence = ChainEvidence(result)
             tables = [render_stability_table(evidence), render_tables(evidence),
                       render_vegas_table(evidence)]
-        else:
+        elif name == "Simulation 3":
             evidence = CoexistenceEvidence(result)
             tables = [render_coexistence_tables(evidence),
                       render_dynamics_table(evidence)]
+        else:
+            tables = [render_extension_tables(ExtensionEvidence(result))]
         blocks += tables + [
             f"{FENCES[name]}: `{result.fingerprint()}`",
             f"Cold wall time: {wall:.0f} s on {os.cpu_count()} cores; "

@@ -1,17 +1,6 @@
-"""Integration: the Westwood/Veno extension baselines vs the §4.7 scenario."""
-
-import pytest
+"""Integration: the Veno extension baseline vs the §4.7 scenario."""
 
 from repro.experiments import ScenarioConfig, run_chain
-
-
-def test_westwood_outperforms_newreno_under_random_loss():
-    """Westwood's BDP-based ssthresh is exactly the anti-blind-halving
-    design; it must keep more goodput than NewReno on a lossy chain."""
-    config = ScenarioConfig(sim_time=20.0, seed=1, window=8, packet_error_rate=0.05)
-    westwood = run_chain(4, ["westwood"], config=config).flows[0].goodput_kbps
-    newreno = run_chain(4, ["newreno"], config=config).flows[0].goodput_kbps
-    assert westwood > 0.9 * newreno
 
 
 def test_veno_runs_clean_and_lossy():
@@ -22,11 +11,11 @@ def test_veno_runs_clean_and_lossy():
 
 
 def test_muzha_still_leads_the_endtoend_fixes_under_loss():
-    """The router-assisted approach should beat the end-to-end repairs the
+    """The router-assisted approach should beat the end-to-end repair the
     related work proposed, in the random-loss regime it was designed for."""
     config = ScenarioConfig(sim_time=20.0, seed=3, window=8, packet_error_rate=0.05)
     results = {
         variant: run_chain(4, [variant], config=config).flows[0].goodput_kbps
-        for variant in ("muzha", "westwood", "veno")
+        for variant in ("muzha", "veno")
     }
-    assert results["muzha"] >= max(results["westwood"], results["veno"]) * 0.95
+    assert results["muzha"] >= results["veno"] * 0.95

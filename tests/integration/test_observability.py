@@ -179,18 +179,18 @@ def test_a_mutating_instrument_makes_the_manifest_non_replayable():
     """The documented limit (``execute_run``): an ``instrument`` that swaps
     the IFQ runs something the spec does not describe, and
     ``verify_manifest`` says so instead of blessing it."""
-    from repro.net.queues import RedQueue
+    from repro.net.queues import DropTailQueue
 
-    def swap_in_red(network, flows):
+    def swap_in_a_one_packet_ifq(network, flows):
         for node in network.nodes:
-            red = RedQueue(50, min_th=1.0, max_th=3.0, max_p=1.0, weight=0.5,
-                           rng=network.sim.stream(f"red.{node.node_id}"))
-            red.on_wakeup = node.mac.wakeup
-            node.ifq = red
-            node.mac.queue = red
+            ifq = DropTailQueue(1)
+            ifq.on_wakeup = node.mac.wakeup
+            node.ifq = ifq
+            node.mac.queue = ifq
 
     config = _short(window=32)
-    mutated = run_chain(2, ["newreno"], config=config, instrument=swap_in_red)
+    mutated = run_chain(2, ["newreno"], config=config,
+                        instrument=swap_in_a_one_packet_ifq)
     assert mutated.manifest["spec"] is not None
     assert verify_manifest(mutated.manifest) is False
     assert verify_manifest(run_chain(2, ["newreno"], config=config).manifest)

@@ -40,9 +40,9 @@ code without a network, hundreds of episodes deep.
 
 **A row may only change together with a ``CACHE_SCHEMA_VERSION`` bump**: the
 campaign cache serves results keyed by spec, and a changed digest under an
-unchanged schema version is a stale cache entry somewhere.  ``westwood`` and
-the BER / Gilbert–Elliott media are deliberately not in the table: they go
-through libm ``exp``/``log1p``, whose last bit differs between platforms.
+unchanged schema version is a stale cache entry somewhere.  The BER /
+Gilbert–Elliott media are deliberately not in the table: they go through
+libm ``exp``/``log1p``, whose last bit differs between platforms.
 """
 
 import json

@@ -7,34 +7,47 @@ campaign plan, so nobody can shrink the grid silently.
 
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments import PAPER_VARIANTS, plan_campaign
 from tests.claims.evidence import (
+    ARMS,
     BASE_SEED,
     CELLS,
+    COUNTERPOINTS,
     CONVERGED_JAIN,
     CROSS_HOPS,
     CROSS_TIME,
     DIVERGENT,
     DYNAMICS_STARTS,
     DYNAMICS_TIME,
+    EXT_HOPS,
+    EXT_WINDOW,
     HOPS,
     JAIN_WINDOW,
     LEVEL,
+    LOSS_HOPS,
+    LOSS_RATES,
+    LOSS_VARIANTS,
     PAIRINGS,
     REPLICATIONS,
     RETRANSMIT_WINDOWS,
     SIM_TIME,
+    VACUOUS_FAST_RETRANSMITS,
     WINDOWS,
+    ExtensionEvidence,
     Welch,
+    arm,
     claims_grid,
     coexistence_grid,
     convergence_time,
     cwnd_cv,
     divergence,
+    extensions_grid,
     plateau_start,
+    standing_cwnd,
     t_cdf,
     t_quantile,
     verdict,
@@ -119,7 +132,9 @@ def test_every_divergent_reason_cites_a_divergence_and_an_interval():
 
 def test_every_claim_has_cells():
     assert set(CELLS) == {"goodput", "retransmits", "vegas", "stability",
-                          "fairness", "starvation", "convergence"}
+                          "fairness", "starvation", "convergence",
+                          "feedback", "feedback_goodput", "hold_cwnd",
+                          "hold_goodput", "marking", "counterpoint"}
     assert len(CELLS["goodput"]) == len(WINDOWS) * len(HOPS) * 2
     assert {window for window, _, _ in CELLS["retransmits"]} == set(RETRANSMIT_WINDOWS)
     assert len(CELLS["vegas"]) == len(WINDOWS) * 3 * 3
@@ -146,6 +161,78 @@ def test_the_simulation3_grid_is_fixed():
     assert {(spec.hops, spec.starts, spec.record_dynamics,
              spec.config.sim_time) for spec in dynamics} == {
         (4, DYNAMICS_STARTS, True, 40.0)}
+
+
+def test_the_extensions_grid_is_fixed():
+    assert (EXT_WINDOW, EXT_HOPS, LOSS_HOPS) == (8, (4, 8), 4)
+    assert LOSS_RATES == (0.02, 0.05, 0.10)
+    assert LOSS_VARIANTS == ("muzha", "muzha-nomark", "newreno", "veno")
+    assert COUNTERPOINTS == ("veno",)
+    no_hold = ARMS["no-hold"]["drai_params"]
+    assert (no_hold.util_high_lo, no_hold.util_high_hi) == (1.1, 1.2)
+    runs = plan_campaign(extensions_grid(), replications=REPLICATIONS,
+                         base_seed=BASE_SEED)
+    assert len(runs) == 180
+    assert set(Counter(run.scenario for run in runs).values()) == {REPLICATIONS}
+    assert {(run.spec.kind, run.spec.config.window, run.spec.config.sim_time)
+            for run in runs} == {("chain", 8, 30.0)}
+    clean = {(run.spec.hops, arm(run.spec)) for run in runs
+             if run.spec.config.packet_error_rate == 0.0}
+    assert clean == {(h, name) for h in EXT_HOPS for name in ARMS}
+    lossy = {(run.spec.hops, run.spec.variants, run.spec.config.packet_error_rate)
+             for run in runs if run.spec.config.packet_error_rate > 0.0}
+    assert lossy == {(4, (v,), loss) for v in LOSS_VARIANTS for loss in LOSS_RATES}
+    assert {run.spec.config.policy for run in runs} == {None, "binary-feedback"}
+
+
+def test_every_extension_claim_has_cells_and_its_divergent_ones_among_them():
+    expected = {"feedback": len(EXT_HOPS), "feedback_goodput": len(EXT_HOPS),
+                "hold_cwnd": len(EXT_HOPS), "hold_goodput": len(EXT_HOPS),
+                "marking": len(LOSS_RATES),
+                "counterpoint": len(COUNTERPOINTS) * len(LOSS_RATES)}
+    for claim, count in expected.items():
+        assert len(CELLS[claim]) == count, claim
+        divergent = {tuple(cell) for name, *cell in DIVERGENT if name == claim}
+        assert divergent <= set(CELLS[claim]), claim
+
+
+def _loss_evidence(muzha_fast_retransmits):
+    """Extension evidence holding only Muzha's runs at 5 % frame loss."""
+    spec = next(spec for spec in extensions_grid()
+                if spec.variants == ("muzha",)
+                and spec.config.packet_error_rate == 0.05)
+    records = [SimpleNamespace(run=SimpleNamespace(spec=spec), metrics={
+        "flows": [{"fast_retransmits": count, "goodput_kbps": 100.0}]})
+        for count in muzha_fast_retransmits]
+    return ExtensionEvidence(SimpleNamespace(records=records))
+
+
+@pytest.mark.parametrize("counts, mean, vacuous", [
+    ([0] * 9 + [9], 0.9, True),
+    ([1] * 10, 1.0, False),
+    ([0] * 10, 0.0, True),
+    ([0] * 8 + [5, 5], 1.0, False),
+], ids=["one-busy-run", "one-a-run", "none", "two-busy-runs"])
+def test_a_marking_cell_is_vacuous_below_one_fast_retransmit_a_run(
+        counts, mean, vacuous):
+    assert VACUOUS_FAST_RETRANSMITS == 1.0
+    evidence = _loss_evidence(counts)
+    assert evidence.fast_retransmits(0.05) == pytest.approx(mean)
+    assert evidence.vacuous(0.05) is vacuous
+
+
+@pytest.mark.parametrize("trace, sim_time, standing", [
+    ([(0.0, 1.0), (1.0, 4.0), (2.0, 2.0), (3.0, 4.0)], 4.0, 10.0 / 3.0),
+    ([(0.0, 1.0), (1.0, 4.0), (2.0, 2.0), (3.0, 4.0)], 5.0, 14.0 / 4.0),
+    ([(0.0, 1.0), (1.0, 2.0)], 5.0, 2.0),
+    ([(0.0, 1.0), (5.0, 3.0)], 5.0, 3.0),
+], ids=["after-the-peak", "holds-to-the-end", "never-falls",
+        "ramp-ends-at-the-end"])
+def test_the_standing_window_is_time_averaged_after_the_plateau(
+        trace, sim_time, standing):
+    """The ramp up to the first peak is left out; the window's last value
+    counts until the end of the run."""
+    assert standing_cwnd(trace, sim_time) == pytest.approx(standing)
 
 
 @pytest.mark.parametrize("trace, start", [

@@ -148,6 +148,19 @@ def test_a_removed_policy_is_an_invalid_choice(capsys):
     assert "invalid choice: 'queue-trend'" in capsys.readouterr().err
 
 
+def test_a_removed_variant_is_an_invalid_choice_and_fails_where_built(capsys):
+    """DESIGN.md §5: ``westwood`` left the registry, so the CLI refuses it
+    and a spec naming it fails where it is built, with the known names."""
+    from repro.experiments import RunSpec
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["chain", "--hops", "2", "--time", "1", "--variant", "westwood"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'westwood'" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="unknown TCP variant 'westwood'; known:"):
+        RunSpec("chain", 2, ("westwood",))
+
+
 def test_chain_command_runs_small_scenario(capsys):
     assert main(["chain", "--hops", "2", "--time", "3", "--variant", "newreno"]) == 0
     out = capsys.readouterr().out
@@ -563,3 +576,52 @@ def test_a_bad_flag_value_is_a_usage_error_before_anything_opens(
     assert exit_info.value.code == 2
     assert error in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["chain", "--hops", "2", "--time", "inf"], "--time", "inf"),
+    (["chain", "--hops", "2", "--time", "nan"], "--time", "nan"),
+    (TINY_CAMPAIGN + ["--task-timeout", "inf"], "--task-timeout", "inf"),
+    (TINY_CAMPAIGN + ["--retry-backoff", "inf"], "--retry-backoff", "inf"),
+    (TINY_CAMPAIGN + ["--drain-timeout", "inf"], "--drain-timeout", "inf"),
+    (["trace", "chain", "--probe-interval", "inf", "--out", "{tmp}/t.ndjson"],
+     "--probe-interval", "inf"),
+], ids=["time-inf", "time-nan", "task-timeout", "retry-backoff",
+        "drain-timeout", "probe-interval"])
+def test_a_non_finite_number_is_a_usage_error(tmp_path, capsys, argv, flag,
+                                              value):
+    """``chain --hops 2 --time inf`` ran forever: the float flags took any
+    value at or above their lower bound."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(
+            [arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error:" in line] == [
+        f"repro-muzha {argv[0]}: error: argument {flag}: must be finite, "
+        f"got {value}"]
+
+
+@pytest.mark.parametrize("hops, node, nodes", [
+    (["2"], 99, "0..2"),
+    (["2", "8"], 5, "0..2"),  # fits the 8-hop chain, not the 2-hop one
+], ids=["no-chain-has-it", "one-chain-lacks-it"])
+def test_a_campaign_refuses_a_plan_a_chain_lacks_before_planning(
+        tmp_path, capsys, hops, node, nodes):
+    """Each unit of such a campaign once ran three times to a
+    ``FaultPlanError`` and the campaign printed PARTIAL."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(
+        f'{{"events": [{{"time": 1, "kind": "node_crash", "node": {node}}}]}}')
+    cache, journal = tmp_path / "cache", tmp_path / "run.journal"
+    argv = ["campaign", "--variants", "newreno", "--hops", *hops,
+            "--replications", "1", "--time", "2", "--jobs", "1",
+            "--faults", str(plan), "--cache-dir", str(cache),
+            "--journal", str(journal)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # nothing planned, nothing run
+    assert err.splitlines() == [
+        f"repro-muzha campaign: error: argument --faults: fault plan names "
+        f"node {node}, which does not exist (nodes are {nodes})"]
+    assert sorted(tmp_path.iterdir()) == [plan]

@@ -37,6 +37,16 @@ class TestConfig:
     def test_paper_variants(self):
         assert PAPER_VARIANTS == ("muzha", "newreno", "sack", "vegas")
 
+    @pytest.mark.parametrize("sim_time", [float("inf"), float("nan"), -1.0])
+    def test_refuses_a_run_length_that_cannot_end_or_is_negative(self, sim_time):
+        """A grid or a replayed manifest with ``inf`` ran forever."""
+        with pytest.raises(ValueError, match="sim_time must be finite"):
+            ScenarioConfig(sim_time=sim_time)
+        payload = ScenarioConfig().to_dict()
+        payload["sim_time"] = sim_time
+        with pytest.raises(ValueError, match="sim_time must be finite"):
+            ScenarioConfig.from_dict(payload)
+
 
 class TestRunSpec:
     def test_rejects_unknown_kind_and_bad_cross_arity(self):

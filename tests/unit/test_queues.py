@@ -1,11 +1,9 @@
-"""Unit tests for the interface queues (drop-tail and RED)."""
-
-import random
+"""Unit tests for the drop-tail interface queue."""
 
 import pytest
 
 from repro.mac.dcf import QueuedPacket
-from repro.net.queues import DropTailQueue, RedQueue
+from repro.net.queues import DropTailQueue
 
 
 def entry(tag=0, next_hop=1):
@@ -78,42 +76,3 @@ class TestDropTail:
         q.enqueue(entry(1))
         assert q.remove_if(lambda e: False) == []
         assert len(q) == 1
-
-
-class TestRed:
-    def test_below_min_threshold_never_drops(self):
-        q = RedQueue(50, min_th=5, max_th=15, rng=random.Random(1))
-        for i in range(4):
-            assert q.enqueue(entry(i))
-        assert q.early_drops == 0
-
-    def test_hard_capacity_still_enforced(self):
-        q = RedQueue(3, min_th=1000, max_th=2000, rng=random.Random(1))
-        for i in range(5):
-            q.enqueue(entry(i))
-        assert len(q) == 3
-
-    def test_sustained_congestion_produces_early_drops(self):
-        q = RedQueue(
-            50, min_th=3, max_th=8, max_p=0.5, weight=0.5, rng=random.Random(7)
-        )
-        admitted = 0
-        for i in range(200):
-            if q.enqueue(entry(i)):
-                admitted += 1
-            if len(q) > 10 and i % 3 == 0:
-                q.dequeue()
-        assert q.early_drops > 0
-        assert admitted < 200
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RedQueue(min_th=10, max_th=5)
-        with pytest.raises(ValueError):
-            RedQueue(max_p=0.0)
-
-    def test_avg_tracks_queue_with_ewma(self):
-        q = RedQueue(50, min_th=5, max_th=15, weight=0.5, rng=random.Random(1))
-        for i in range(10):
-            q.enqueue(entry(i))
-        assert 0.0 < q.avg < 10.0

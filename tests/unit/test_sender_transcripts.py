@@ -1,6 +1,6 @@
 """Scripted sender transcripts: the byte-level fence under loss recovery.
 
-``tests/data/sender_transcripts.json`` pins, for each of the nine registered
+``tests/data/sender_transcripts.json`` pins, for each of the eight registered
 variants, what the sender does under a fixed set of seeded random ACK
 scripts — new and partial ACKs with a random echoed MRAI, duplicate-ACK runs
 (with SACK blocks), clock advances of 10 ms – 10 s — driven through
@@ -16,8 +16,7 @@ copy; they are the reason that refactor could claim "unchanged to the byte".
 Unlike ``run_digests.json`` — where the MAC's retries absorb almost all loss
 and Muzha's small window rarely sees three duplicate ACKs — these scripts
 walk every row of the paper's Table 4.1, marked and unmarked (§4.7), dozens
-of times.  ``westwood`` rows hash the integer columns only: its window floats
-pass through libm ``exp``, whose last bit differs between platforms.
+of times.
 
 A row may only change with a deliberate, documented change of sender
 behaviour.  Regenerate on the commit whose behaviour is the reference::
@@ -39,10 +38,8 @@ from .tcp_harness import ack, make_sender, sent_seqs
 
 DATA = Path(__file__).parent.parent / "data" / "sender_transcripts.json"
 VARIANTS = ("muzha", "muzha-nomark", "newreno", "reno", "sack", "tahoe",
-            "vegas", "veno", "westwood")
+            "vegas", "veno")
 SCRIPTS_PER_VARIANT = 16
-#: Variants whose window floats are platform-dependent in the last bit.
-INTEGER_COLUMNS_ONLY = {"westwood"}
 MRAI_CHOICES = (None, 1, 2, 3, 4, 5)
 
 
@@ -51,7 +48,6 @@ def run_script(variant, seed):
     rng = random.Random(seed)
     sim, node, sender = make_sender(
         sender_class(variant), window=rng.choice((4, 8, 32)))
-    floats = variant not in INTEGER_COLUMNS_ONLY
     steps = []
     counters = dict.fromkeys(
         ("recovery_entries", "partial_ack_retransmits", "sack_hole_retransmits",
@@ -77,10 +73,9 @@ def run_script(variant, seed):
             "kind": kind, "arg": arg, "t": sim.now,
             "snd_una": sender.snd_una, "snd_nxt": sender.snd_nxt,
             "in_recovery": sender.in_recovery, "recover": sender.recover,
-            "sent": len(node.sent),
+            "sent": len(node.sent), "cwnd": sender.cwnd,
+            "ssthresh": sender.ssthresh,
         }
-        if floats:
-            record.update(cwnd=sender.cwnd, ssthresh=sender.ssthresh)
         steps.append(record)
 
     for _ in range(rng.randint(20, 120)):
@@ -107,9 +102,8 @@ def run_script(variant, seed):
                                  sacks=sacks))
 
     final = {"sent_seqs": sent_seqs(node),
-             "stats": dataclasses.asdict(sender.stats)}
-    if floats:
-        final["cwnd_trace"] = sender.cwnd_trace
+             "stats": dataclasses.asdict(sender.stats),
+             "cwnd_trace": sender.cwnd_trace}
     counters["fast_retransmits"] = sender.stats.fast_retransmits
     counters["timeouts"] = sender.stats.timeouts
     if hasattr(sender, "muzha"):
@@ -194,7 +188,7 @@ def test_the_scripts_reach_every_branch_of_loss_recovery():
             continue
         assert sums["recovery_entries"] >= 1, variant
         assert sums["timeouts_in_recovery"] >= 1, variant
-    for variant in ("newreno", "westwood", "muzha", "muzha-nomark"):
+    for variant in ("newreno", "muzha", "muzha-nomark"):
         assert total[variant]["partial_ack_retransmits"] >= 1, variant
     assert total["sack"]["sack_hole_retransmits"] >= 1
     assert total["muzha"]["marked_loss_events"] >= 1

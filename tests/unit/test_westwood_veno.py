@@ -1,53 +1,10 @@
-"""Behavioural unit tests for the TCP Westwood and Veno baselines."""
+"""Behavioural unit tests for the TCP Veno baseline."""
 
 import pytest
 
-from repro.transport import TcpVeno, TcpWestwood
+from repro.transport import TcpVeno
 
 from .tcp_harness import ack, make_sender
-
-
-class TestWestwood:
-    def test_bandwidth_estimate_tracks_ack_rate(self):
-        sim, node, sender = make_sender(TcpWestwood)
-        # one cumulative ACK per 10 ms -> 100 packets/s steady state; the
-        # Tustin filter's tau is 0.5 s, so give it several time constants.
-        for i in range(1, 400):
-            sim.scheduler.now = i * 0.01
-            ack(sender, i)
-        assert sender.bandwidth_estimate == pytest.approx(100.0, rel=0.1)
-
-    def test_loss_sets_ssthresh_to_bdp_not_half(self):
-        sim, node, sender = make_sender(TcpWestwood)
-        for i in range(1, 30):
-            sim.scheduler.now = i * 0.01
-            ack(sender, i)
-        # srtt is tiny in this harness, so pin a known RTT for the check
-        sender.rtt.srtt = 0.1
-        sender.rtt.samples = 5
-        expected_bdp = max(sender.bandwidth_estimate * 0.1, 2.0)
-        una = sender.snd_una
-        for _ in range(3):
-            ack(sender, una)
-        assert sender.ssthresh == pytest.approx(expected_bdp, rel=1e-6)
-        assert sender.in_recovery
-
-    def test_bdp_floors_at_two_without_estimate(self):
-        sim, node, sender = make_sender(TcpWestwood)
-        assert sender._bdp_window() == 2.0
-
-    def test_timeout_uses_bdp_ssthresh(self):
-        sim, node, sender = make_sender(TcpWestwood)
-        for i in range(1, 10):
-            sim.scheduler.now = i * 0.01
-            ack(sender, i)
-        sender.rtt.srtt = 0.05
-        sender.rtt.samples = 3
-        expected = sender._bdp_window()
-        sim.run(until=sim.now + 10.0)
-        assert sender.stats.timeouts >= 1
-        assert sender.cwnd == 1.0
-        assert sender.ssthresh >= 2.0
 
 
 class TestVeno:
@@ -113,13 +70,10 @@ class TestRegistry:
         from repro.transport import known_variants
 
         names = known_variants()
-        assert "westwood" in names and "veno" in names
+        assert "veno" in names and "westwood" not in names
 
     def test_variants_work_end_to_end(self):
         from repro.experiments import ScenarioConfig, run_chain
 
-        for variant in ("westwood", "veno"):
-            result = run_chain(
-                3, [variant], config=ScenarioConfig(sim_time=6.0, seed=1)
-            )
-            assert result.flows[0].goodput_kbps > 50.0, variant
+        result = run_chain(3, ["veno"], config=ScenarioConfig(sim_time=6.0, seed=1))
+        assert result.flows[0].goodput_kbps > 50.0
