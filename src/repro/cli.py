@@ -725,9 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="summarise a campaign journal"
     )
     report_p.add_argument("log", metavar="JOURNAL",
-                          help="journal from `campaign --journal` (or a span "
-                               "log an earlier build's `campaign --spans` "
-                               "wrote)")
+                          help="journal from `campaign --journal`")
     report_p.add_argument("--json", action="store_true",
                           help="emit the aggregate summary as JSON")
     report_p.add_argument("--top", type=_number(int, 0), default=10,

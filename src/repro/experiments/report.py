@@ -8,8 +8,7 @@ help, what failed and what was slow:
 * :func:`read_campaign_log` reads the last generation of a journal through
   :func:`~repro.experiments.journal.fold_journal` — which decides whether
   the file is valid and what it holds — into one list of unit attempts and
-  coordinator events.  A span log written by an earlier build (``campaign
-  --spans``) still reads, through :func:`fold_spans`, onto the same list;
+  coordinator events;
 * :func:`aggregate_campaign_log` folds that list into one plain-data
   summary (campaign facts, throughput-over-time buckets, per-worker
   utilization, cache hit ratio, retry/quarantine tables, slowest-unit
@@ -25,11 +24,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Union
+from typing import Any, Dict, List, NamedTuple, Sequence, Union
 
-from ..obs.ndjson import (
-    INT, NUM, OBJ, STR, NdjsonScan, Problem, first_fatal, mistyped, scan,
-)
+from ..obs.ndjson import NdjsonScan, first_fatal, scan
 from .journal import fold_journal
 
 #: The events that end a worker's lifetime.
@@ -170,140 +167,10 @@ def _journal_log(log: NdjsonScan) -> CampaignLog:
     return CampaignLog(campaign, units, events, retries, quarantined)
 
 
-# ---------------------------------------------------------------------------
-# Span logs of earlier builds
-
-#: The span names of an earlier build's ``campaign --spans`` a report reads
-#: (its ``dispatch-batch`` spans are not read).
-SPAN_CAMPAIGN = "campaign"
-SPAN_UNIT = "unit-attempt"
-
-#: What a span-log record of each kind must carry, and as which JSON
-#: type(s) (``attrs``, optional on every kind but ``heartbeat``, is an
-#: object).  ``heartbeat`` and ``progress`` records are ignored.
-_SPAN_KIND_REQUIRED = {
-    "span_open": {"id": STR, "span": STR, "parent": (str, type(None)),
-                  "t0": NUM},
-    "span_close": {"id": STR, "t1": NUM, "status": STR},
-    "event": {"name": STR, "t": NUM},
-    "heartbeat": {"t": NUM, "worker": STR, "attrs": OBJ},
-    "progress": {"t": NUM, "done": INT, "total": INT, "failed": INT},
-}
-
-
-class SpanFold(NamedTuple):
-    """What one walk over a span log (:func:`fold_spans`) found."""
-
-    #: Every record in file order.
-    records: List[Dict[str, Any]]
-    #: The ``span_open`` / ``span_close`` records by span id.
-    opens: Dict[str, Dict[str, Any]]
-    closes: Dict[str, Dict[str, Any]]
-    problems: List[Problem]
-
-
-def fold_spans(log: NdjsonScan) -> SpanFold:
-    """The one walk over a span log's open/close structure; never raises.
-
-    A line that is no record and a record the fold cannot read — a field
-    its kind requires (:data:`_SPAN_KIND_REQUIRED`) missing or of the wrong
-    JSON type, ``attrs`` not an object — are *fatal* problems (``report``
-    refuses the log) and the record is left out of ``opens``/``closes``.
-    A duplicate span id and a close of a span that is not open leave the
-    first ones standing.
-    """
-    fold = SpanFold([], {}, {}, [])
-    for lineno, record, error in log.entries:
-        if error is not None:
-            fold.problems.append((lineno, error, True))
-            continue
-        fold.records.append(record)
-        kind = record.get("kind")
-        required = (_SPAN_KIND_REQUIRED.get(kind)
-                    if isinstance(kind, str) else None)
-        if required is None:  # no kind the fold reads
-            continue
-        if "attrs" in record:
-            required = {**required, "attrs": OBJ}
-        error = mistyped(kind, record, required)
-        if error is not None:
-            fold.problems.append((lineno, error, True))
-            continue
-        span_id = record.get("id")  # a str on the two kinds that use it
-        if kind == "span_open":
-            fold.opens.setdefault(span_id, record)
-        elif kind == "span_close" and span_id in fold.opens:
-            fold.closes.setdefault(span_id, record)
-    return fold
-
-
-def _span_log(log: NdjsonScan) -> CampaignLog:
-    """A span log mapped onto the unit list a journal gives."""
-    records, opens, closes, problems = fold_spans(log)
-    fatal = first_fatal(problems)
-    if fatal is not None:
-        raise CampaignLogError(f"{log.path}: {fatal}")
-    campaign_open = next(
-        (r for r in opens.values() if r.get("span") == SPAN_CAMPAIGN), None
-    )
-    if campaign_open is None:
-        raise CampaignLogError(f"{log.path}: no campaign span in log")
-    campaign_close = closes.get(campaign_open["id"], {})
-    c_attrs = campaign_open.get("attrs", {})
-    end_attrs = campaign_close.get("attrs", {})
-    units: List[Dict[str, Any]] = []
-    for span_id, record in opens.items():
-        if record.get("span") != SPAN_UNIT:
-            continue
-        close = closes.get(span_id, {})
-        attrs = record.get("attrs", {})
-        close_attrs = close.get("attrs", {})
-        cached = bool(attrs.get("cached"))
-        units.append({
-            "index": attrs.get("index"),
-            "attempt": attrs.get("attempt", 1),
-            "worker": None if cached else attrs.get("worker"),
-            "cached": cached,
-            "status": close.get("status", "incomplete"),
-            "t0": record["t0"],
-            "t1": close.get("t1"),
-            "timings": close_attrs.get("timings"),
-            "error": close_attrs.get("error"),
-        })
-    events = [{"name": r["name"], "t": r["t"], "attrs": r.get("attrs", {})}
-              for r in records if r.get("kind") == "event"]
-    campaign = {
-        "status": campaign_close.get("status", "interrupted"),
-        "partial": not campaign_close,
-        "pool_mode": c_attrs.get("pool_mode"),
-        "jobs": c_attrs.get("jobs"),
-        "total": c_attrs.get("total"),
-        "generation": None,
-        "t_begin": campaign_open["t0"],
-        "t_end": campaign_close.get("t1"),
-        "executed": end_attrs.get("executed"),
-        "cache_hits": end_attrs.get("cache_hits"),
-        "failed": end_attrs.get("failed"),
-        "remaining": end_attrs.get("remaining", 0),
-        "signal": None,
-    }
-    retries = [{"index": e["attrs"].get("index"),
-                "error": e["attrs"].get("error")}
-               for e in events if e["name"] == "retry"]
-    quarantined = [dict(e["attrs"]) for e in events
-                   if e["name"] == "quarantine"]
-    return CampaignLog(campaign, units, events, retries, quarantined)
-
-
 def read_campaign_log(path: PathLike) -> CampaignLog:
-    """Read a journal — or an earlier build's span log, told apart by its
-    first record — into a :class:`CampaignLog`; a torn final line is
+    """Read a journal into a :class:`CampaignLog`; a torn final line is
     tolerated (the log of a killed campaign)."""
-    log = scan(Path(path)).complete()
-    first = next((record for _, record, _ in log.entries), None)
-    if isinstance(first, dict) and first.get("kind") in _SPAN_KIND_REQUIRED:
-        return _span_log(log)
-    return _journal_log(log)
+    return _journal_log(scan(Path(path)).complete())
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +192,9 @@ def aggregate_campaign_log(
     cached completions and ``hit_ratio`` is ``hits / total``.
 
     Tolerates the log of a killed campaign: a journal generation without
-    its ``end`` (or a span log whose campaign span never closed) and a torn
-    final line yield a *partial* summary covering what was recorded, with
-    ``campaign.status`` reported as ``"interrupted"`` and
-    ``campaign.partial`` set.
+    its ``end`` and a torn final line yield a *partial* summary covering
+    what was recorded, with ``campaign.status`` reported as
+    ``"interrupted"`` and ``campaign.partial`` set.
     """
     if buckets < 1:
         raise ValueError(f"buckets must be >= 1, got {buckets}")
@@ -596,9 +462,7 @@ __all__ = [
     "CampaignLogError",
     "DEFAULT_BUCKETS",
     "DEFAULT_TOP_K",
-    "SpanFold",
     "aggregate_campaign_log",
-    "fold_spans",
     "format_report",
     "format_table",
     "read_campaign_log",

@@ -1,7 +1,7 @@
 """The scenario assembler: the one place a built network becomes a run.
 
 Every run in this repository — CLI commands, ``fig_*`` generators, campaign
-units, the ablation and mobility benches — is the paper's "802.11 DCF + AODV
+units, the claims suite and the benches — is the paper's "802.11 DCF + AODV
 + drop-tail IFQ + FTP/TCP" (Table 5.1) and is put together here, once:
 
 * :func:`run_flows` takes a built :class:`~repro.topology.Network` plus
@@ -20,8 +20,8 @@ units, the ablation and mobility benches — is the paper's "802.11 DCF + AODV
 The campaign engine ships ``RunSpec`` instances to ``multiprocessing``
 workers and hashes them for its on-disk cache, so a spec must capture
 *everything* the run depends on and nothing else.  A scene the kinds cannot
-express (a mobile field, a scripted DCF timeline) builds its own network
-and hands it to :func:`run_flows`.
+express (a bystander placed off the chain, a scripted DCF timeline) builds
+its own network and hands it to :func:`run_flows`.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from .error_models import (
     UniformBitError,
 )
 from .frame_timing import PhyParams
-from .mobility import Area, RandomWaypointMobility
 from .position import Position
 from .propagation import DiskPropagation
 from .radio import PhyListener, Radio, Signal
@@ -26,7 +25,6 @@ from .radio import PhyListener, Radio, Signal
 HAVE_NUMPY = False  # residue: the PHY has no such kernel; read only by benchmarks/e2e
 
 __all__ = [
-    "Area",
     "DiskPropagation",
     "ErrorModel",
     "GilbertElliott",
@@ -36,7 +34,6 @@ __all__ = [
     "PhyParams",
     "Position",
     "Radio",
-    "RandomWaypointMobility",
     "Signal",
     "UniformBitError",
     "WirelessChannel",

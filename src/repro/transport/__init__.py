@@ -1,9 +1,10 @@
 """Transport layer (substrate S6): packet-granularity TCP senders
-(Tahoe/Reno/NewReno/SACK/Vegas, plus Veno from the related work), the SACK
-scoreboard, the common sink, and RTT/RTO estimation.  TCP Muzha's CA phase
-and loss classification live in :mod:`repro.core`; its FF phase (fast
-retransmit & fast recovery) lives here — it is :mod:`.newreno` over
-:mod:`.reno`, as for every other sender."""
+(NewReno/SACK/Vegas, plus Veno from the related work, all over the Reno
+recovery machine), the SACK scoreboard, the common sink, and RTT/RTO
+estimation.  TCP Muzha's CA phase and loss classification live in
+:mod:`repro.core`; its FF phase (fast retransmit & fast recovery) lives
+here — it is :mod:`.newreno` over :mod:`.reno`, as for every other
+sender."""
 
 from .base import TcpSenderBase, TcpSenderStats
 from .newreno import TcpNewReno
@@ -14,7 +15,6 @@ from .rto import RttEstimator
 from .sack import TcpSack
 from .scoreboard import SackScoreboard
 from .segments import DEFAULT_MSS, TCP_IP_HEADER_BYTES, TcpSegment
-from .tahoe import TcpTahoe
 from .vegas import TcpVegas
 from .veno import TcpVeno
 
@@ -30,7 +30,6 @@ __all__ = [
     "TcpSenderBase",
     "TcpSenderStats",
     "TcpSink",
-    "TcpTahoe",
     "TcpVegas",
     "TcpVeno",
     "known_variants",

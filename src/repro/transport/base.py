@@ -1,11 +1,12 @@
 """Packet-granularity TCP sender base class (NS2 ``Agent/TCP`` style).
 
-Concrete variants (Tahoe/Reno/NewReno/SACK/Vegas and TCP Muzha in
-``repro.core``) override the event hooks:
+Every concrete sender derives from :class:`~.reno.TcpReno`, which
+defines the three ACK hooks the receive path calls — ``_on_new_ack(acked,
+seg)`` (cumulative ACK advanced), ``_on_triple_dupack(seg)`` and
+``_on_extra_dupack(seg)`` (duplicate ACKs beyond the third) — as the one
+fast-recovery machine.  Variants (NewReno/SACK/Vegas/Veno and TCP Muzha in
+``repro.core``) override those and the hooks below:
 
-* ``_on_new_ack(acked, seg)``   — cumulative ACK advanced;
-* ``_on_triple_dupack(seg)``    — third duplicate ACK;
-* ``_on_extra_dupack(seg)``     — duplicate ACKs beyond the third;
 * ``_on_timeout()``             — retransmission timer expired;
 * ``_loss_ssthresh(seg)``       — ``ssthresh`` after a loss (third duplicate
   ACK ``seg``, or ``None`` on a timeout);
@@ -251,7 +252,7 @@ class TcpSenderBase:
         self._transmit(self.snd_una, is_retransmit=True)
         self._rto_timer.start(self.rtt.rto)
 
-    # -- variant hooks (defaults give a Tahoe-flavoured baseline) ---------------------------
+    # -- variant hooks ----------------------------------------------------------------------
 
     def _grow_window(self) -> None:
         """Standard slow-start / congestion-avoidance growth, per ACK."""
@@ -260,23 +261,10 @@ class TcpSenderBase:
         else:
             self._set_cwnd(self.cwnd + 1.0 / max(self.cwnd, 1.0))
 
-    def _on_new_ack(self, acked: int, seg: TcpSegment) -> None:
-        self._grow_window()
-
     def _loss_ssthresh(self, seg: Optional[TcpSegment]) -> float:
         """``ssthresh`` after a loss: ``seg`` is the third duplicate ACK, or
         ``None`` when the retransmission timer expired."""
         return self._flight_half()
-
-    def _on_triple_dupack(self, seg: TcpSegment) -> None:
-        """Fast retransmit (Tahoe default: back to slow start)."""
-        self.stats.fast_retransmits += 1
-        self.ssthresh = self._loss_ssthresh(seg)
-        self._set_cwnd(1.0)
-        self._transmit(self.snd_una, is_retransmit=True)
-
-    def _on_extra_dupack(self, seg: TcpSegment) -> None:
-        pass
 
     def _on_timeout(self) -> None:
         self.ssthresh = self._loss_ssthresh(None)

@@ -6,15 +6,11 @@ from typing import Dict, Type
 
 from .base import TcpSenderBase
 from .newreno import TcpNewReno
-from .reno import TcpReno
 from .sack import TcpSack
-from .tahoe import TcpTahoe
 from .vegas import TcpVegas
 from .veno import TcpVeno
 
 _REGISTRY: Dict[str, Type[TcpSenderBase]] = {
-    "tahoe": TcpTahoe,
-    "reno": TcpReno,
     "newreno": TcpNewReno,
     "sack": TcpSack,
     "vegas": TcpVegas,

@@ -1,4 +1,5 @@
-"""TCP Reno: Tahoe + fast recovery — the one loss-recovery state machine.
+"""TCP Reno: fast retransmit + fast recovery — the one loss-recovery state
+machine.
 
 After a fast retransmit, Reno halves the window and stays in congestion
 avoidance (fast recovery) instead of slow-starting, inflating the window by
@@ -6,11 +7,12 @@ one for each further duplicate ACK.  A single new ACK — even a partial one —
 terminates recovery, which is exactly Reno's weakness against the multiple
 losses per window that wireless links produce (paper §2.1.1/§2.1.2).
 
-Every sender with a recovery phase enters, inflates and leaves it through
-this class — NewReno (adds the partial ACK), SACK (adds the pipe), Vegas,
-Veno (its own ``_loss_ssthresh``), and TCP Muzha's FF phase
-(its own ``_recovery_window``, the §4.7 classification).  A variant states
-its rule in those two methods; the episode itself is written once, here.
+Reno is no registered variant: no claim runs it.  Every sender enters,
+inflates and leaves its recovery phase through this class — NewReno (adds
+the partial ACK), SACK (adds the pipe), Vegas, Veno (its own
+``_loss_ssthresh``), and TCP Muzha's FF phase (its own
+``_recovery_window``, the §4.7 classification).  A variant states its rule
+in those two methods; the episode itself is written once, here.
 """
 
 from __future__ import annotations

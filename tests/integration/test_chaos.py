@@ -172,7 +172,7 @@ def test_blackout_stalls_then_recovers():
         "flow did not recover from the blackout"
 
 
-@pytest.mark.parametrize("variant", ["muzha", "newreno", "reno"])
+@pytest.mark.parametrize("variant", ["muzha", "newreno", "sack", "vegas"])
 def test_variants_survive_crash_and_blackout_chaos(variant):
     """The acceptance gate: every paper variant keeps delivering through a
     relay crash plus a link blackout, and the goodput stays positive."""

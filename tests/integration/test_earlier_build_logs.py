@@ -1,9 +1,7 @@
-"""Logs an earlier build wrote still work: its schema-1 journal resumes and
-passes ``doctor``, and its span log renders with ``report``.
-
-Both files were written by one ``campaign --hops 2 --replications 2 --time
-0.5 --jobs 2 --journal … --spans …`` of that build
-(``tests/data/earlier_build/README.md``)."""
+"""A journal an earlier build wrote still works: the schema-1 journal of
+one ``campaign --hops 2 --replications 2 --time 0.5 --jobs 2 --journal …``
+of that build (``tests/data/earlier_build/README.md``) resumes, passes
+``doctor`` and renders with ``report``."""
 
 import shutil
 from pathlib import Path
@@ -50,11 +48,3 @@ def test_a_schema_1_journal_resumes_to_the_cold_fingerprint(tmp_path, capsys):
     assert "campaign generation 2: 8/8 units ok (8 cached)" in \
         capsys.readouterr().out
 
-
-def test_an_earlier_builds_span_log_renders(capsys):
-    assert main(["report", str(EARLIER / "campaign.spans.ndjson")]) == 0
-    text = capsys.readouterr().out
-    assert text.startswith("campaign: 8/8 units ok (0 cached), pool=warm "
-                           "jobs=2, status=ok")
-    assert "w1      4      0" in text and "w2      4      0" in text
-    assert "slowest units (top 8)" in text

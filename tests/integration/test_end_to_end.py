@@ -9,7 +9,7 @@ from repro.traffic import start_ftp
 from repro.transport import known_variants
 
 
-@pytest.mark.parametrize("variant", ["tahoe", "reno", "newreno", "sack", "vegas", "muzha"])
+@pytest.mark.parametrize("variant", known_variants())
 def test_every_variant_moves_data_over_a_chain(variant):
     result = run_chain(3, [variant], config=ScenarioConfig(sim_time=8.0, seed=1))
     flow = result.flows[0]

@@ -8,10 +8,14 @@ two runs of the same policy-tagged grid are byte-identical, and
 alone — the acceptance check for the policy layer's provenance story.
 """
 
+import pytest
+
+from repro.core import known_policies
 from repro.experiments import (
     ScenarioConfig,
     chain_grid,
     run_campaign,
+    run_chain,
     verify_manifest,
 )
 
@@ -21,6 +25,19 @@ def grid(policy, policy_params=None):
         sim_time=1.0, window=4, policy=policy, policy_params=policy_params
     )
     return chain_grid(["muzha"], [2], config=config)
+
+
+@pytest.mark.parametrize("policy", known_policies())
+def test_every_registered_policy_runs_a_chain_end_to_end(policy):
+    """Each policy advises the routers of a short 3-hop chain through a
+    whole simulation: the flow delivers and the routers sample the
+    policy's states."""
+    result = run_chain(3, ["muzha"],
+                       config=ScenarioConfig(sim_time=4.0, policy=policy))
+    assert result.flows[0].goodput_kbps > 0
+    samples = result.metrics["counters"]["drai.state_samples"]
+    assert samples
+    assert all(f"policy={policy}," in label for label in samples)
 
 
 def test_policy_tagged_manifest_replays_via_verify_manifest():

@@ -1,13 +1,13 @@
 """Byte-level drift fence for single runs.
 
-``tests/data/run_digests.json`` holds the ``result_digest`` of fifteen small
+``tests/data/run_digests.json`` holds the ``result_digest`` of thirteen small
 specs.  Ten — one single-flow 4-hop chain per paper variant, three staggered
 flows with dynamics, the cross with and without dynamics, static routing,
 and a chain and a cross under 5 % frame loss, a two-event fault plan and
 the ``hysteresis`` policy — were captured on the commit *before* the
 scenario assembler (``runner.run_flows``) replaced the hand-written runners.
-Five — lossy single-flow chains for ``tahoe``, ``reno``, ``veno``,
-``muzha-nomark`` and ``muzha`` — were captured on the commit before fast
+Three — lossy single-flow chains for ``veno``, ``muzha-nomark`` and
+``muzha`` — were captured on the commit before fast
 recovery became one code path (``TcpReno._begin_recovery``); each carries a
 ``covers`` block, the sender counters an observer read off that run.  Every
 row is run three ways — ``execute_run(spec)``, the ``run_chain`` /
@@ -28,8 +28,8 @@ loss and Muzha's 1–3-packet window rarely sees three duplicate ACKs):
   (2 entries at cwnd 4, one of them echoing an unmarked MRAI and halved all
   the same) — in the ten older rows Muzha never enters FF;
 * row 4, timeout: those two and ``chain-4hop-lossy-faulted-hysteresis``;
-* the baselines' fast recovery: the ``tahoe`` / ``reno`` / ``veno`` rows,
-  ``chain-4hop-sack`` (1 entry) and the lossy cross (``newreno``, 8).
+* the baselines' fast recovery: the ``veno`` row, ``chain-4hop-sack`` (1
+  entry) and the lossy cross (``newreno``, 8).
 
 At 4 hops ``muzha-nomark`` never saw a third duplicate ACK (clean or 4 %
 loss, ``window`` 8 or 32), and at 2–3 hops Muzha enters FF at cwnd 1, where
@@ -74,7 +74,7 @@ def test_the_table_covers_both_kinds_and_every_paper_variant():
     assert any(spec.config.routing == "static" for spec in specs)
     assert any(spec.config.faults and spec.config.packet_error_rate
                and spec.config.policy == "hysteresis" for spec in specs)
-    assert {"tahoe", "reno", "veno", "muzha-nomark"} <= {
+    assert {"veno", "muzha-nomark", "muzha"} == {
         row["spec"]["variants"][0] for row in ROWS if "covers" in row}
 
 

@@ -1,5 +1,5 @@
 """Properties of the one NDJSON reader (``repro.obs.ndjson.scan``): it is a
-trust boundary — trace files, journals and span logs come back from disks
+trust boundary — trace files and journals come back from disks
 that filled up, coordinators that were killed and other machines — so
 nothing a file can contain may raise, and what a killed writer leaves (any
 byte prefix of a valid log) reads as a prefix of what it wrote.
@@ -28,7 +28,7 @@ from repro.experiments.journal import Attempt
 from repro.experiments.report import CampaignLogError
 from repro.obs.ndjson import encode_line, scan
 
-#: Span logs an earlier build wrote (``README.md`` there).
+#: The journal an earlier build wrote (``README.md`` there).
 EARLIER = Path(__file__).resolve().parents[1] / "data" / "earlier_build"
 
 scalars = (
@@ -106,7 +106,7 @@ def check_prefix(prefix, written):
 
 
 # ---------------------------------------------------------------------------
-# Every crash point of a real journal and a real span log
+# Every crash point of a real journal
 
 
 def journal_bytes(path):
@@ -198,20 +198,25 @@ def test_every_crash_point_of_a_journal_resumes_twice_and_stays_healthy(
     assert run_doctor(cache=cache.root, journal=path).findings == []
 
 
-def test_every_crash_point_of_a_span_log_aggregates_or_says_why(tmp_path):
-    """``report`` still reads a span log an earlier build wrote, cut
-    anywhere."""
-    blob = (EARLIER / "scripted.spans.ndjson").read_bytes()
+def test_every_crash_point_of_the_earlier_journal_aggregates_or_says_why(
+        tmp_path):
+    """``report`` reads the journal an earlier build wrote, cut anywhere:
+    a summary of the completions before the cut, partial until its ``end``
+    record is whole."""
+    blob = (EARLIER / "campaign.journal").read_bytes()
     written = scan(blob).records()
     assert len(written) >= 9
-    path = tmp_path / "cut.ndjson"
+    path = tmp_path / "cut.journal"
     for cut in range(len(blob) + 1):
         prefix = blob[:cut]
         check_prefix(prefix, written)
         path.write_bytes(prefix)
-        if prefix.count(b"\n") == 0:  # the campaign span never opened
+        committed = prefix.count(b"\n")
+        if committed == 0:  # not even the begin record made it
             with pytest.raises(CampaignLogError, match="holds no records"):
                 aggregate_campaign_log(path)
             continue
         summary = aggregate_campaign_log(path)
-        assert summary["campaign"]["partial"] == (cut < len(blob))
+        assert summary["campaign"]["partial"] == (committed < len(written))
+        assert summary["units"]["ok"] == sum(
+            record["kind"] == "done" for record in written[:committed])

@@ -149,16 +149,19 @@ def test_a_removed_policy_is_an_invalid_choice(capsys):
 
 
 def test_a_removed_variant_is_an_invalid_choice_and_fails_where_built(capsys):
-    """DESIGN.md §5: ``westwood`` left the registry, so the CLI refuses it
-    and a spec naming it fails where it is built, with the known names."""
+    """DESIGN.md §5: ``westwood``, ``tahoe`` and ``reno`` left the registry,
+    so the CLI refuses each and a spec naming one fails where it is built,
+    with the known names."""
     from repro.experiments import RunSpec
 
-    with pytest.raises(SystemExit) as exit_info:
-        main(["chain", "--hops", "2", "--time", "1", "--variant", "westwood"])
-    assert exit_info.value.code == 2
-    assert "invalid choice: 'westwood'" in capsys.readouterr().err
-    with pytest.raises(ValueError, match="unknown TCP variant 'westwood'; known:"):
-        RunSpec("chain", 2, ("westwood",))
+    for name in ("westwood", "tahoe", "reno"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chain", "--hops", "2", "--time", "1", "--variant", name])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{name}'" in capsys.readouterr().err
+        with pytest.raises(ValueError,
+                           match=f"unknown TCP variant '{name}'; known:"):
+            RunSpec("chain", 2, (name,))
 
 
 def test_chain_command_runs_small_scenario(capsys):

@@ -163,8 +163,7 @@ def test_malformed_content_is_reported_not_raised(tool, name, tmp_path,
     line (``AttributeError``), ``report`` on a span record without an id
     (``KeyError``), ``doctor`` / ``--resume`` and the since-removed
     validator on invalid UTF-8 (``UnicodeDecodeError``).  ``report`` reads
-    a journal, or a span log of an earlier build when the first record is
-    a span record, and refuses what neither fold can read.  A manifest
+    a journal and refuses what the journal fold cannot read.  A manifest
     reader must survive a path that does not exist, bytes that are not
     UTF-8 and 100 000 nested brackets (a ``RecursionError``, not a
     ``ValueError``: it catches ``JSON_PARSE_ERRORS`` like every other

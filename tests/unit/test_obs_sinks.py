@@ -1,6 +1,5 @@
-"""Unit tests for trace sinks, the time-series probe, the schema engine,
-``doctor``'s verdicts on traces and manifests, and the reader of an
-earlier build's span logs."""
+"""Unit tests for trace sinks, the time-series probe, the schema engine and
+``doctor``'s verdicts on traces and manifests."""
 
 import json
 
@@ -222,54 +221,3 @@ def test_validate_enum_keyword():
     schema = {"type": "string", "enum": ["a", "b"]}
     assert validate("a", schema) == []
     assert validate("c", schema)
-
-
-def test_validate_span_file_structure(tmp_path):
-    """An earlier build's span log is read by ``report``'s ``fold_spans``:
-    a record it cannot read — a required field missing or of the wrong
-    JSON type, ``attrs`` not an object — is fatal and leaves the structure
-    untouched (``report`` once subtracted "soon" from a float); a
-    duplicate id and a second close leave the first ones standing."""
-    from repro.experiments.report import (
-        CampaignLogError, aggregate_campaign_log, fold_spans,
-    )
-    from repro.obs.ndjson import scan
-
-    path = tmp_path / "spans.ndjson"
-    good = (
-        '{"kind":"span_open","id":"c1","span":"campaign","parent":null,"t0":1.0}\n'
-        '{"kind":"span_open","id":"u2","span":"unit-attempt","parent":"c1","t0":1.0}\n'
-        '{"kind":"span_close","id":"u2","t1":2.0,"status":"ok"}\n'
-        '{"kind":"span_close","id":"c1","t1":2.0,"status":"ok"}\n'
-    )
-    path.write_text(good + good)
-    fold = fold_spans(scan(path))
-    assert fold.problems == []
-    assert len(fold.records) == 8 and len(fold.opens) == len(fold.closes) == 2
-    assert fold.closes["u2"] is fold.records[2]
-    assert aggregate_campaign_log(path)["units"]["ok"] == 1
-    opened, closed = good.splitlines(keepends=True)[::3]
-    for bad, what in [
-        (opened.replace('"t0":1.0', '"t0":"soon"'),
-         "line 1: span_open record field 't0' is str"),
-        (opened.replace(',"t0":1.0', ""),
-         "line 1: span_open record missing 't0'"),
-        (opened.replace('"id":"c1"', '"id":7'),
-         "line 1: span_open record field 'id' is int"),
-        (opened.replace('"t0":1.0', '"t0":true,"attrs":[1]'),
-         "line 1: span_open record field 't0' is bool, "
-         "field 'attrs' is list"),
-        (opened + closed.replace('"t1":2.0', '"t1":null'),
-         "line 2: span_close record field 't1' is NoneType"),
-        (opened + '{"kind":"progress","t":1,"done":"3","total":4}\n',
-         "line 2: progress record field 'done' is str, missing 'failed'"),
-        (opened + '{"kind":"heartbeat","t":1.0,"worker":"w0","attrs":0}\n',
-         "line 2: heartbeat record field 'attrs' is int"),
-    ]:
-        path.write_text(bad)
-        fold = fold_spans(scan(path))
-        lineno = int(what.split(":")[0][len("line "):])
-        assert fold.problems == [(lineno, what.split(": ", 1)[1], True)]
-        assert len(fold.opens) == lineno - 1 and not fold.closes
-        with pytest.raises(CampaignLogError, match=what):
-            aggregate_campaign_log(path)

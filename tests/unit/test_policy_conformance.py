@@ -96,22 +96,25 @@ def test_a_manifest_naming_a_removed_policy_does_not_replay():
 def test_a_removed_variant_fails_where_the_run_spec_is_built():
     """``RunSpec("chain", 2, ("nope",))`` used to construct; ``execute_run``
     then built the network and died with a ``KeyError``.  An old manifest
-    and a campaign grid are refused where they are read, too."""
+    and a campaign grid are refused where they are read, too.  ``tahoe``
+    and ``reno`` left the registry (no claim runs them) and are refused
+    the same way."""
     from repro.experiments import RunSpec, chain_grid, replay_manifest, run_chain
 
-    removed = (r"unknown TCP variant 'nope'; known: \['muzha', "
-               r"'muzha-nomark', 'newreno', ")
-    with pytest.raises(ValueError, match=removed):
-        RunSpec("chain", 2, ("nope",))
-    with pytest.raises(ValueError, match=removed):
-        RunSpec("cross", 2, ("newreno", "nope"))
-    with pytest.raises(ValueError, match=removed):
-        chain_grid(["newreno", "nope"], [2])
     manifest = run_chain(2, ["newreno"],
                          config=ScenarioConfig(sim_time=0.5)).manifest
-    manifest["spec"]["variants"] = ["nope"]
-    with pytest.raises(ValueError, match=removed):
-        replay_manifest(manifest)
+    for name in ("nope", "tahoe", "reno"):
+        removed = (rf"unknown TCP variant '{name}'; known: \['muzha', "
+                   r"'muzha-nomark', 'newreno', 'sack', 'vegas', 'veno'\]")
+        with pytest.raises(ValueError, match=removed):
+            RunSpec("chain", 2, (name,))
+        with pytest.raises(ValueError, match=removed):
+            RunSpec("cross", 2, ("newreno", name))
+        with pytest.raises(ValueError, match=removed):
+            chain_grid(["newreno", name], [2])
+        manifest["spec"]["variants"] = [name]
+        with pytest.raises(ValueError, match=removed):
+            replay_manifest(manifest)
 
 
 @pytest.mark.parametrize("name", known_policies())

@@ -1,9 +1,7 @@
 """Unit tests for campaign-log aggregation and the ``report`` rendering.
 
-``report`` reads a campaign journal; the span logs an earlier build's
-``campaign --spans`` wrote still read, onto the same unit list.  The
-``tests/data/earlier_build/*.spans.ndjson`` logs were written by that
-build (README.md there)."""
+``report`` reads a campaign journal; ``tests/data/earlier_build/`` holds one
+an earlier build wrote (README.md there)."""
 
 import json
 import types
@@ -152,8 +150,7 @@ def test_render_report_json_round_trips(campaign_log):
 
 
 def test_aggregate_tolerates_unclosed_campaign(tmp_path, clock):
-    """A generation that never wrote ``end`` (coordinator killed) — and an
-    earlier build's span log whose campaign span never closed — aggregate
+    """A generation that never wrote ``end`` (coordinator killed) aggregates
     to a partial summary."""
     units = runs(2)
     path = tmp_path / "cut.journal"
@@ -165,38 +162,35 @@ def test_aggregate_tolerates_unclosed_campaign(tmp_path, clock):
         journal.done(units[0], "r0", cached=False,
                      attempt=Attempt("w1", 1, 100.2, 100.3))
         # coordinator killed here: no worker exit, no end
-    for log in (path, EARLIER / "unclosed.spans.ndjson"):
-        summary = aggregate_campaign_log(log)
-        assert summary["campaign"]["status"] == "interrupted"
-        assert summary["campaign"]["partial"] is True
-        assert summary["units"]["ok"] == 1
-        # The partial aggregates still render, flagged as such.
-        text = format_report(summary)
-        assert "aggregates below are PARTIAL" in text
+    summary = aggregate_campaign_log(path)
+    assert summary["campaign"]["status"] == "interrupted"
+    assert summary["campaign"]["partial"] is True
+    assert summary["units"]["ok"] == 1
+    # The partial aggregates still render, flagged as such.
+    text = format_report(summary)
+    assert "aggregates below are PARTIAL" in text
 
 
 def test_aggregate_tolerates_killed_campaign_with_torn_tail(tmp_path):
     """A SIGKILLed campaign's log — no close AND a half-written final line
     — aggregates to a partial summary instead of erroring: a journal cut
-    mid-record, and an earlier build's span log with unclosed spans."""
+    mid-record."""
     whole = (EARLIER / "campaign.journal").read_bytes()
     torn = tmp_path / "torn.journal"
     torn.write_bytes(whole[:whole.rindex(b'{"cached"') + 40])
-    for log, ok in ((torn, 7), (EARLIER / "killed.spans.ndjson", 2)):
-        summary = aggregate_campaign_log(log)
-        campaign = summary["campaign"]
-        assert campaign["status"] == "interrupted"
-        assert campaign["partial"] is True
-        assert summary["units"]["ok"] == ok  # what was recorded before
-        text = format_report(summary)
-        assert "aggregates below are PARTIAL" in text
+    summary = aggregate_campaign_log(torn)
+    campaign = summary["campaign"]
+    assert campaign["status"] == "interrupted"
+    assert campaign["partial"] is True
+    assert summary["units"]["ok"] == 7  # what was recorded before
+    text = format_report(summary)
+    assert "aggregates below are PARTIAL" in text
 
 
 def test_gracefully_interrupted_campaign_renders_resume_hint(tmp_path, clock):
     """A campaign closed via graceful shutdown (SIGTERM + drain) reports
     ``interrupted`` with the signal, the remaining-unit count and a
-    --resume hint — from its journal's ``end``, or an earlier build's span
-    log."""
+    --resume hint — from its journal's ``end``."""
     units = runs(4)
     path = tmp_path / "interrupted.journal"
     with CampaignJournal(path) as journal:
@@ -208,114 +202,48 @@ def test_gracefully_interrupted_campaign_renders_resume_hint(tmp_path, clock):
         journal.end(status="interrupted", fingerprint=None, executed=2,
                     cache_hits=0, quarantined=0, remaining=2,
                     signal="SIGTERM")
-    for log in (path, EARLIER / "interrupted.spans.ndjson"):
-        summary = aggregate_campaign_log(log)
-        campaign = summary["campaign"]
-        assert campaign["status"] == "interrupted"
-        assert campaign["partial"] is False  # the log itself closed cleanly
-        assert campaign["remaining"] == 2
-        text = format_report(summary)
-        assert "interrupted by graceful shutdown" in text
-        assert "2 units remaining" in text
-        assert "--resume" in text
-        assert "PARTIAL" not in text
-    assert "(SIGTERM)" in format_report(aggregate_campaign_log(path))
-
-
-@pytest.mark.parametrize("line, finding", [
-    ('{"kind":"span_open","id":"c1","span":"campaign","parent":null,'
-     '"t0":"soon"}', "line 1: span_open record field 't0' is str"),
-    ('{"kind":"span_open","id":"c1","span":"campaign","parent":null}',
-     "line 1: span_open record missing 't0'"),
-    ('{"kind":"span_open","id":"c1","span":"campaign","parent":null,'
-     '"t0":1.0,"attrs":[1]}', "line 1: span_open record field 'attrs' is list"),
-], ids=["t0-str", "t0-missing", "attrs-list"])
-def test_a_span_of_the_wrong_shape_is_a_finding_not_a_traceback(
-        tmp_path, line, finding):
-    """Each was a ``TypeError``/``AttributeError`` out of the arithmetic."""
-    from repro.cli import main as cli_main
-
-    path = tmp_path / "spans.ndjson"
-    path.write_text(
-        line + "\n"
-        '{"kind":"span_open","id":"u2","span":"unit-attempt","parent":"c1",'
-        '"t0":1.0}\n'
-        '{"kind":"span_close","id":"u2","t1":2.0,"status":"ok"}\n'
-        '{"kind":"span_close","id":"c1","t1":2.0,"status":"ok"}\n')
-    with pytest.raises(CampaignLogError, match=finding):
-        aggregate_campaign_log(path)
-    with pytest.raises(SystemExit, match="bad campaign log .*" + finding):
-        cli_main(["report", str(path)])
+    summary = aggregate_campaign_log(path)
+    campaign = summary["campaign"]
+    assert campaign["status"] == "interrupted"
+    assert campaign["partial"] is False  # the log itself closed cleanly
+    assert campaign["remaining"] == 2
+    text = format_report(summary)
+    assert "interrupted by graceful shutdown" in text
+    assert "2 units remaining" in text
+    assert "--resume" in text
+    assert "PARTIAL" not in text
+    assert "(SIGTERM)" in text
 
 
 def test_aggregate_rejects_log_without_campaign(tmp_path):
-    path = tmp_path / "no-campaign.ndjson"
-    path.write_text('{"kind":"event","name":"x","t":0.0}\n')
-    with pytest.raises(CampaignLogError, match="no campaign span"):
-        aggregate_campaign_log(path)
-    path.write_text('{"kind":"planned","index":0}\n')
-    with pytest.raises(CampaignLogError, match="must start with a begin"):
-        aggregate_campaign_log(path)
-    with pytest.raises(ValueError):
-        aggregate_campaign_log(EARLIER / "campaign.journal", buckets=0)
-
-
-#: A span log in the format written before the log said each fact once:
-#: heartbeats, progress ticks, cache hit/miss events and a close record
-#: with counters, beside the spans that state the same facts.
-EARLIER_FORMAT_LOG = """\
-{"attrs":{"base_seed":1,"jobs":1,"pool_mode":"warm","replications":1,"total":3},"id":"c1","kind":"span_open","parent":null,"span":"campaign","t0":100.0}
-{"attrs":{"pid":4242,"replacement":false,"worker":"w1"},"kind":"event","name":"worker.spawn","t":100.125}
-{"attrs":{"digest":"ffffffffffff","index":2},"kind":"event","name":"cache.hit","t":100.25}
-{"attrs":{"cached":true,"index":2,"attempt":0,"worker":"cache"},"id":"u2","kind":"span_open","parent":"c1","span":"unit-attempt","t0":100.25}
-{"id":"u2","kind":"span_close","status":"ok","t1":100.25}
-{"done":1,"failed":0,"kind":"progress","t":100.25,"total":3}
-{"attrs":{"digest":"aaaaaaaaaaaa","index":0},"kind":"event","name":"cache.miss","t":100.25}
-{"attrs":{"digest":"bbbbbbbbbbbb","index":1},"kind":"event","name":"cache.miss","t":100.25}
-{"attrs":{"units":[0,1],"worker":"w1"},"id":"b3","kind":"span_open","parent":"c1","span":"dispatch-batch","t0":100.5}
-{"attrs":{"cached":false,"index":0,"attempt":1,"worker":"w1"},"id":"u4","kind":"span_open","parent":"b3","span":"unit-attempt","t0":100.5}
-{"attrs":{"timings":{"setup_s":0.01,"sim_s":0.4}},"id":"u4","kind":"span_close","status":"ok","t1":101.0}
-{"done":2,"failed":0,"kind":"progress","t":101.0,"total":3}
-{"attrs":{"busy_s":0.7,"failures":0,"idle_s":0.4,"pid":4242,"rss_kb":19836,"state":"busy","units_done":1},"kind":"heartbeat","t":101.25,"worker":"w1"}
-{"attrs":{"cached":false,"index":1,"attempt":1,"worker":"w1"},"id":"u5","kind":"span_open","parent":"b3","span":"unit-attempt","t0":101.0}
-{"id":"u5","kind":"span_close","status":"ok","t1":101.5}
-{"id":"b3","kind":"span_close","status":"ok","t1":101.5}
-{"done":3,"failed":0,"kind":"progress","t":101.5,"total":3}
-{"attrs":{"busy_s":1.0,"failures":0,"idle_s":0.5,"pid":4242,"rss_kb":19836,"state":"idle","units_done":2},"kind":"heartbeat","t":101.625,"worker":"w1"}
-{"attrs":{"exitcode":0,"worker":"w1"},"kind":"event","name":"worker.stop","t":101.625}
-{"attrs":{"cache_evictions":0,"cache_hits":1,"counters":{"batches.dispatched":1,"events.cache.hit":1,"events.cache.miss":2,"events.worker.spawn":1,"events.worker.stop":1,"units.cached":1,"units.dispatched":2,"units.ok":3},"executed":2,"failed":0},"id":"c1","kind":"span_close","status":"ok","t1":101.75}
-"""
-
-
-def test_a_log_in_the_earlier_format_still_reads(tmp_path, capsys):
-    """Its heartbeat, progress and cache hit/miss records are ignored: the
-    workers table and the cache numbers come from its spans alone."""
+    """A log whose first record is no journal ``begin`` is refused in one
+    line — among them the span log an earlier build's ``campaign --spans``
+    wrote, which ``report`` no longer reads."""
     from repro.cli import main as cli_main
 
-    path = tmp_path / "earlier.ndjson"
-    path.write_text(EARLIER_FORMAT_LOG)
-    summary = aggregate_campaign_log(path)
-    # Lifetime 100.125 -> 101.625 (spawn -> stop), attempts 100.5 -> 101.5.
-    assert summary["workers"] == {"w1": {
-        "pid": 4242, "units_done": 2, "failures": 0, "busy_s": 1.0,
-        "idle_s": 0.5, "utilization": pytest.approx(2 / 3),
-    }}
-    assert summary["cache"] == {"hits": 1, "evictions": 0,
-                                "hit_ratio": pytest.approx(1 / 3)}
-    assert summary["units"] == {"total_attempts": 3, "ok": 3, "cached": 1,
-                                "executed": 2}
-    assert summary["campaign"]["status"] == "ok"
-    assert cli_main(["report", str(path)]) == 0
-    text = capsys.readouterr().out
-    assert "cache: 1 hits of 3 units (33% hit ratio)" in text
-    assert "rss_kb" not in text and "misses" not in text
+    path = tmp_path / "no-campaign.ndjson"
+    for first in ('{"kind":"event","name":"x","t":0.0}',
+                  '{"kind":"planned","index":0}',
+                  '{"attrs":{"jobs":2,"pool_mode":"warm","total":8},"id":"c1",'
+                  '"kind":"span_open","parent":null,"span":"campaign",'
+                  '"t0":100.0}'):
+        path.write_text(first + "\n")
+        with pytest.raises(CampaignLogError, match="must start with a begin"):
+            aggregate_campaign_log(path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["report", str(path)])
+        message = str(exit_info.value)
+        assert message.startswith(f"bad campaign log {path}: ")
+        assert "\n" not in message
+    with pytest.raises(ValueError):
+        aggregate_campaign_log(EARLIER / "campaign.journal", buckets=0)
 
 
 def test_derived_worker_numbers_are_exact(tmp_path, monkeypatch, capsys):
     """A scripted pool (no fork, no simulation) whose first unit's worker
     dies once, run by ``run_campaign`` with a journal: ``report --json``
-    gives the numbers the span log of the same campaign gave (the
-    comments), and each worker's busy time is the sum of its attempts."""
+    gives the numbers the scripted failures imply, and each worker's busy
+    time is the sum of its attempts."""
     from repro.cli import main as cli_main
     from repro.experiments import RetryPolicy, run_campaign
     from repro.experiments import campaign as campaign_mod

@@ -31,7 +31,7 @@ class TestSegments:
 class TestRegistry:
     def test_all_paper_variants_plus_muzha_registered(self):
         names = known_variants()
-        for expected in ("tahoe", "reno", "newreno", "sack", "vegas", "muzha"):
+        for expected in ("newreno", "sack", "vegas", "muzha"):
             assert expected in names
 
     def test_ablation_variant_registered(self):

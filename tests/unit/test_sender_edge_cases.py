@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import TcpMuzha
-from repro.transport import TcpNewReno, TcpTahoe
+from repro.transport import TcpNewReno, TcpReno
 
 from .tcp_harness import ack, make_sender, sent_seqs
 
@@ -28,7 +28,7 @@ class TestWindowClamps:
 
 class TestDupackEdge:
     def test_dupacks_without_outstanding_data_are_ignored(self):
-        sim, node, sender = make_sender(TcpTahoe, max_packets=1)
+        sim, node, sender = make_sender(TcpReno, max_packets=1)
         ack(sender, 1)  # transfer complete, nothing outstanding
         before = sender.stats.dupacks
         ack(sender, 1)
@@ -61,14 +61,14 @@ class TestDupackEdge:
 
 class TestRetransmitTimerEdge:
     def test_rto_noop_when_nothing_outstanding(self):
-        sim, node, sender = make_sender(TcpTahoe, max_packets=1)
+        sim, node, sender = make_sender(TcpReno, max_packets=1)
         ack(sender, 1)
         timeouts_before = sender.stats.timeouts
         sender._on_rto_expiry()  # stray expiry
         assert sender.stats.timeouts == timeouts_before
 
     def test_timed_seq_invalidated_by_retransmission(self):
-        sim, node, sender = make_sender(TcpTahoe)
+        sim, node, sender = make_sender(TcpReno)
         assert sender._timed_seq == 0
         sim.run(until=10.0)  # RTO retransmits seq 0
         assert sender.stats.timeouts >= 1

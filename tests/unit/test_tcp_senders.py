@@ -2,19 +2,19 @@
 
 import pytest
 
-from repro.transport import TcpNewReno, TcpReno, TcpTahoe
+from repro.transport import TcpNewReno, TcpReno
 
 from .tcp_harness import ack, make_sender, sent_seqs
 
 
 class TestWindowMechanics:
     def test_initial_window_is_one_segment(self):
-        sim, node, sender = make_sender(TcpTahoe)
+        sim, node, sender = make_sender(TcpReno)
         assert sent_seqs(node) == [0]
         assert sender.snd_nxt == 1
 
     def test_slow_start_doubles_per_rtt(self):
-        sim, node, sender = make_sender(TcpTahoe)
+        sim, node, sender = make_sender(TcpReno)
         ack(sender, 1)  # cwnd 1 -> 2, sends 2
         assert sender.cwnd == 2
         assert sent_seqs(node) == [0, 1, 2]
@@ -23,7 +23,7 @@ class TestWindowMechanics:
         assert sender.cwnd == 4
 
     def test_congestion_avoidance_grows_linearly(self):
-        sim, node, sender = make_sender(TcpTahoe)
+        sim, node, sender = make_sender(TcpReno)
         sender.ssthresh = 2.0
         ack(sender, 1)  # reaches ssthresh
         ack(sender, 2)
@@ -32,14 +32,14 @@ class TestWindowMechanics:
         assert sender.cwnd == pytest.approx(cwnd_before + 1 / cwnd_before)
 
     def test_advertised_window_caps_cwnd(self):
-        sim, node, sender = make_sender(TcpTahoe, window=4)
+        sim, node, sender = make_sender(TcpReno, window=4)
         for i in range(1, 30):
             ack(sender, i)
         assert sender.cwnd == 4.0
         assert sender.usable_window == 4
 
     def test_bounded_transfer_stops_at_max_packets(self):
-        sim, node, sender = make_sender(TcpTahoe, max_packets=3)
+        sim, node, sender = make_sender(TcpReno, max_packets=3)
         ack(sender, 1)
         ack(sender, 2)
         ack(sender, 3)
@@ -47,14 +47,14 @@ class TestWindowMechanics:
         assert sender.finished
 
     def test_stale_ack_ignored(self):
-        sim, node, sender = make_sender(TcpTahoe)
+        sim, node, sender = make_sender(TcpReno)
         ack(sender, 1)
         before = sender.cwnd
         ack(sender, 0)  # below snd_una
         assert sender.cwnd == before
 
     def test_limited_transmit_sends_on_first_two_dupacks(self):
-        sim, node, sender = make_sender(TcpTahoe, window=4)
+        sim, node, sender = make_sender(TcpReno, window=4)
         for i in range(1, 5):
             ack(sender, i)  # cwnd reaches the cap, 4 in flight
         base = len(sent_seqs(node))
@@ -68,12 +68,12 @@ class TestWindowMechanics:
         from .tcp_harness import FakeNode
 
         with pytest.raises(ValueError):
-            TcpTahoe(Simulator(seed=1), FakeNode(), dst=1, sport=1, dport=2, window=0)
+            TcpReno(Simulator(seed=1), FakeNode(), dst=1, sport=1, dport=2, window=0)
 
 
 class TestRtoBehaviour:
     def test_timeout_collapses_to_one_and_retransmits(self):
-        sim, node, sender = make_sender(TcpTahoe)
+        sim, node, sender = make_sender(TcpReno)
         ack(sender, 1)
         ack(sender, 2)  # cwnd 3, several in flight
         flight = sender.outstanding
@@ -84,27 +84,15 @@ class TestRtoBehaviour:
         assert sent_seqs(node).count(sender.snd_una) >= 2  # retransmitted
 
     def test_rto_timer_stops_when_everything_acked(self):
-        sim, node, sender = make_sender(TcpTahoe, max_packets=1)
+        sim, node, sender = make_sender(TcpReno, max_packets=1)
         ack(sender, 1)
         assert not sender._rto_timer.running
 
     def test_karn_backoff_on_repeated_timeouts(self):
-        sim, node, sender = make_sender(TcpTahoe)
+        sim, node, sender = make_sender(TcpReno)
         sim.run(until=20.0)  # several unanswered RTOs
         assert sender.stats.timeouts >= 2
         assert sender.rtt.backoff_factor > 1
-
-
-class TestTahoe:
-    def test_triple_dupack_fast_retransmits_to_slow_start(self):
-        sim, node, sender = make_sender(TcpTahoe)
-        for i in range(1, 6):
-            ack(sender, i)
-        for _ in range(3):
-            ack(sender, 5)
-        assert sender.stats.fast_retransmits == 1
-        assert sender.cwnd == 1.0
-        assert sent_seqs(node).count(5) == 2  # original + fast retransmit
 
 
 class TestReno:
@@ -235,14 +223,3 @@ class TestRecoveryTraceRecord:
             "node": 0, "port": 10, "seq": 8, "cwnd": 9.0,
             "exit_cwnd": sender.ssthresh, "mrai": None,
         }
-
-    def test_tahoe_has_no_recovery_phase_to_report(self):
-        from repro.sim.trace import TraceRecorder
-
-        sim, node, sender = make_sender(TcpTahoe)
-        for i in range(1, 6):
-            ack(sender, i)
-        with TraceRecorder(sim.trace, "tcp.recovery") as recorder:
-            for _ in range(3):
-                ack(sender, 5)
-        assert sender.stats.fast_retransmits == 1 and not recorder.records
