@@ -91,10 +91,11 @@ class Finding:
 def _read_envelope(path: Path, journaled: Optional[str] = None) -> Optional[str]:
     """Why this cache entry is bad, or None if it is healthy.
 
-    The :meth:`CampaignCache.load` validation without its eviction: doctor
-    must never evict as a side effect of *diagnosing* (that is what
-    ``repair`` is for).  With ``journaled``, a valid entry must also hash
-    to that ``result_digest``.
+    The full decode :meth:`CampaignCache.get` makes, without its eviction
+    (stricter than :meth:`~CampaignCache.load`, which leaves a checksummed
+    result unparsed until it is read): doctor must never evict as a side
+    effect of *diagnosing* (that is what ``repair`` is for).  With
+    ``journaled``, a valid entry must also hash to that ``result_digest``.
     """
     try:
         raw = path.read_bytes()
@@ -148,8 +149,8 @@ def diagnose_cache(root: PathLike, repair: bool = False) -> List[Finding]:
             continue
         finding = Finding(
             "error", "corrupt-envelope", str(entry),
-            f"{reason}; the engine would evict and recompute this entry "
-            "on read",
+            f"{reason}; the engine would evict and recompute this entry, "
+            "or stop where its result is read",
         )
         if repair:
             finding.repaired = _remove(entry)

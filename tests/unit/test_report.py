@@ -222,19 +222,19 @@ def test_aggregate_rejects_log_without_campaign(tmp_path):
     from repro.cli import main as cli_main
 
     path = tmp_path / "no-campaign.ndjson"
-    for first in ('{"kind":"event","name":"x","t":0.0}',
-                  '{"kind":"planned","index":0}',
-                  '{"attrs":{"jobs":2,"pool_mode":"warm","total":8},"id":"c1",'
-                  '"kind":"span_open","parent":null,"span":"campaign",'
-                  '"t0":100.0}'):
+    for first, kind in (('{"kind":"event","name":"x","t":0.0}', "event"),
+                        ('{"kind":"planned","index":0}', "planned"),
+                        ('{"attrs":{"jobs":2,"pool_mode":"warm","total":8},'
+                         '"id":"c1","kind":"span_open","parent":null,'
+                         '"span":"campaign","t0":100.0}', "span_open")):
         path.write_text(first + "\n")
         with pytest.raises(CampaignLogError, match="must start with a begin"):
             aggregate_campaign_log(path)
         with pytest.raises(SystemExit) as exit_info:
             cli_main(["report", str(path)])
-        message = str(exit_info.value)
-        assert message.startswith(f"bad campaign log {path}: ")
-        assert "\n" not in message
+        assert str(exit_info.value) == (
+            f"bad campaign log {path}: line 1: journal must start with a "
+            f"begin record, got {kind!r}")
     with pytest.raises(ValueError):
         aggregate_campaign_log(EARLIER / "campaign.journal", buckets=0)
 
