@@ -57,7 +57,6 @@ from .experiments import (
     format_coexistence,
     format_sweep,
     format_table,
-    make_store,
     render_report,
     replay_journal,
     run_campaign,
@@ -65,7 +64,8 @@ from .experiments import (
     scenario_key,
     throughput_retransmit_sweep,
 )
-from .experiments.cachestore import EnvelopeError
+from .experiments.cachestore import CampaignCache, EnvelopeError
+from .experiments.report import MAX_BUCKETS, CampaignLogError
 from .faults import FaultPlan, FaultPlanError
 from .obs import FlightRecorder, NdjsonTraceSink, attach_run_probe
 from .obs.sinks import subscription
@@ -97,12 +97,10 @@ def _number(parse, low, high=None, above=False):
 
 
 def _cache_dir(text: str) -> str:
-    """argparse type: a cache directory, refused at parse time by
-    :func:`~repro.experiments.cachestore.make_store`'s own rule."""
-    try:
-        make_store(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    """argparse type: a cache directory; a URL is refused at parse time."""
+    if "://" in text:
+        raise argparse.ArgumentTypeError(
+            f"cache store {text!r}: only a directory path is supported")
     return text
 
 
@@ -319,7 +317,7 @@ def _campaign(args: argparse.Namespace) -> int:
     # Every flag has been checked; only now is the cache touched.
     cache = None
     if not args.no_cache:
-        cache = make_store(args.cache_dir)
+        cache = CampaignCache(args.cache_dir)
         if args.clear_cache:
             removed = cache.clear()
             print(f"cache cleared: {removed} entries removed")
@@ -395,11 +393,11 @@ def _campaign(args: argparse.Namespace) -> int:
             goodputs[record.run.index])
     rows = []
     for key, spec in cells.items():
-        goodputs = by_cell.get(key)
-        if goodputs:
+        cell = by_cell.get(key)
+        if cell:
             rows.append(
                 [spec.hops, "+".join(spec.variants),
-                 f"{sum(goodputs) / len(goodputs):8.1f}", len(goodputs)]
+                 f"{sum(cell) / len(cell):8.1f}", len(cell)]
             )
         else:  # every replication of this scenario was quarantined
             rows.append([spec.hops, "+".join(spec.variants), "   (failed)", 0])
@@ -534,8 +532,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .experiments.report import CampaignLogError
-
     try:
         print(render_report(args.log, as_json=args.json,
                             buckets=args.buckets, top_k=args.top))
@@ -750,8 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--top", type=_number(int, 0), default=10,
                           metavar="K",
                           help="slowest units to list")
-    report_p.add_argument("--buckets", type=_number(int, 1), default=20,
-                          metavar="N",
+    report_p.add_argument("--buckets", type=_number(int, 1, MAX_BUCKETS),
+                          default=20, metavar="N",
                           help="throughput timeline resolution")
     report_p.set_defaults(func=_cmd_report)
 

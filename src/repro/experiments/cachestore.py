@@ -3,9 +3,6 @@
 The campaign engine memoises completed runs in a content-addressed store
 keyed by :func:`repro.experiments.campaign.run_digest`:
 
-* :class:`CacheStore` — the contract: ``load``/``get``/``put`` of
-  ``{"result", "manifest"}`` payloads under a digest, plus the eviction
-  counter the campaign result reports;
 * :func:`encode_envelope` / :func:`decode_envelope` — the one place the
   ``{"checksum", "manifest", "result"}`` envelope is built and the one
   place it is validated;
@@ -14,11 +11,11 @@ keyed by :func:`repro.experiments.campaign.run_digest`:
   ``result["metrics"]`` and ``manifest["metrics"]``, so it is written once
   (in the result) and re-attached to the manifest as the same object on
   the way back in.  In memory a manifest is always complete;
-* :class:`CampaignCache` — the local directory store (durable atomic
-  writes, advisory ``flock``, checksummed envelopes, lazy eviction of
-  corrupt entries);
-* :func:`make_store` — spec-string factory: a directory path becomes a
-  :class:`CampaignCache`.
+* :class:`CampaignCache` — the store, one local directory:
+  ``load``/``get``/``put`` of ``{"result", "manifest"}`` payloads under a
+  digest (durable atomic writes, advisory ``flock``, checksummed
+  envelopes, lazy eviction of corrupt entries), plus the eviction counter
+  the campaign result reports.
 
 Envelope integrity is end-to-end: the checksum is computed by the writer,
 stored inside the envelope, and re-verified by every reader — a corrupt
@@ -310,46 +307,7 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-class CacheStore:
-    """Contract every campaign result store honours.
-
-    ``load(digest)`` returns ``(manifest, result, result_digest,
-    result_bytes)`` — the ``stable_digest`` of the result and the result's
-    canonical encoding, which verifying the checksum yields for free — or
-    None.  ``result`` is None when the store left the bytes unparsed; the
-    manifest is then as stored (without the ``metrics`` snapshot it shares
-    with the result), and :func:`decode_result` / :func:`share_snapshot`
-    finish both.  ``get(digest)`` is the whole ``{"result", "manifest"}``
-    payload, decoded.  ``put(digest, payload)`` stores one (idempotently —
-    the key is content-addressed, so concurrent writers of the same digest
-    are writing the same bytes) and returns the result's digest for the
-    same reason; ``evictions`` counts corrupt entries the store discarded
-    over its lifetime.  ``describe()`` is the spec string
-    :func:`make_store` rebuilds the store from.
-    """
-
-    evictions: int = 0
-
-    def load(self, digest: str) -> Optional[Tuple[Any, Any, str, bytes]]:
-        raise NotImplementedError
-
-    def get(self, digest: str) -> Optional[Dict[str, Any]]:
-        raise NotImplementedError
-
-    def put(self, digest: str, payload: Dict[str, Any]) -> str:
-        raise NotImplementedError
-
-    def clear(self) -> int:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
-    def __contains__(self, digest: str) -> bool:
-        return self.get(digest) is not None
-
-
-class CampaignCache(CacheStore):
+class CampaignCache:
     """Content-addressed store of run results under a root directory.
 
     Layout: ``<root>/<digest[:2]>/<digest>.json`` — one JSON document per
@@ -380,7 +338,8 @@ class CampaignCache(CacheStore):
 
     def __init__(self, root: PathLike) -> None:
         self.root = Path(root)
-        #: Corrupt entries evicted by :meth:`get` over this cache's lifetime.
+        #: Corrupt entries evicted by :meth:`load` and :meth:`get` over this
+        #: cache's lifetime.
         self.evictions = 0
 
     def _path(self, digest: str) -> Path:
@@ -435,13 +394,17 @@ class CampaignCache(CacheStore):
 
     def load(self, digest: str) -> Optional[Tuple[Any, Any, str, bytes]]:
         """``(manifest, result, result_digest, result_bytes)``, or None on a
-        miss (:meth:`CacheStore.load`).
+        miss: ``result_digest`` is the ``stable_digest`` of the result and
+        ``result_bytes`` its canonical encoding, which verifying the
+        checksum yields for free.
 
         An envelope in the writer's layout costs one read, the checksum over
         the bytes read, ``sha256`` of the result's byte span and one parse
-        of the manifest: ``result`` is None and the bytes are as read, for
-        whoever reads the result to parse (:func:`decode_result`).  Any
-        other layout is decoded in full and comes back decoded.
+        of the manifest: ``result`` is None, the bytes are as read and the
+        manifest is as stored (without the ``metrics`` snapshot it shares
+        with the result), for whoever reads the result to finish both
+        (:func:`decode_result`, :func:`share_snapshot`).  Any other layout
+        is decoded in full and comes back decoded.
         """
         return self._read(digest, _peek)
 
@@ -467,7 +430,9 @@ class CampaignCache(CacheStore):
                 pass
 
     def put(self, digest: str, payload: Dict[str, Any]) -> str:
-        """Durably store one result envelope (locked, atomic, fsynced).
+        """Durably store one result envelope (locked, atomic, fsynced),
+        idempotently: the key is content-addressed, so concurrent writers
+        of one digest write the same bytes.
 
         Write path: pid-unique hidden tmp file → one ``write`` of the
         encoded envelope → flush → ``fsync`` the file → ``os.replace`` over
@@ -512,30 +477,9 @@ class CampaignCache(CacheStore):
                 removed += 1
         return removed
 
-    def describe(self) -> str:
-        return str(self.root.resolve())
-
-
-def make_store(spec: Union[str, Path, CacheStore, None]) -> Optional[CacheStore]:
-    """Build a :class:`CacheStore` from its spec string: a local directory
-    path (:class:`CampaignCache`).  An existing store instance passes
-    through; None stays None.  A URL is a ``ValueError``: only a directory
-    path is supported.  The spec round-trips through
-    :meth:`CacheStore.describe`.
-    """
-    if spec is None or isinstance(spec, CacheStore):
-        return spec
-    text = str(spec)
-    if "://" in text:
-        raise ValueError(
-            f"cache store {text!r}: only a directory path is supported"
-        )
-    return CampaignCache(text)
-
 
 __all__ = [
     "CacheCorruptionWarning",
-    "CacheStore",
     "CampaignCache",
     "EnvelopeError",
     "decode_envelope",
@@ -543,6 +487,5 @@ __all__ = [
     "decode_result",
     "elide_snapshot",
     "encode_envelope",
-    "make_store",
     "share_snapshot",
 ]

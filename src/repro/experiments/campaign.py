@@ -73,7 +73,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, 
 from ..obs.provenance import canonical_json
 from ..sim.rng import derive_run_seed
 from .cachestore import (
-    CacheStore,
+    CampaignCache,
     EnvelopeError,
     decode_head,
     decode_result,
@@ -754,9 +754,7 @@ def _run_pool(
                 # Bring the pool to strength and keep it there: crashed
                 # workers are succeeded as long as there is (or will
                 # be) work for them.
-                while transport.can_spawn and (
-                    len(workers) < target_workers
-                ) and (
+                while len(workers) < target_workers and (
                     ready or backoff
                     or any(not w.idle for w in workers.values())
                 ):
@@ -813,7 +811,7 @@ def run_campaign(
     replications: int = 1,
     base_seed: int = 1,
     jobs: Optional[int] = None,
-    cache: Optional[CacheStore] = None,
+    cache: Optional[CampaignCache] = None,
     progress: Optional[ProgressFn] = None,
     policy: Optional[RetryPolicy] = None,
     pool_mode: str = "warm",
@@ -825,7 +823,7 @@ def run_campaign(
 
     ``jobs`` is the worker-process count (default ``os.cpu_count()``; ``1``
     with no watchdog executes in-process).  ``cache`` (a
-    :class:`~repro.experiments.cachestore.CacheStore`) enables the memo:
+    :class:`~repro.experiments.cachestore.CampaignCache`) enables the memo:
     hits skip execution entirely —
     they are resolved before any worker is dispatched, so a fully cached
     campaign never starts a pool.

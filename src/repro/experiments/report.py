@@ -5,14 +5,12 @@ everything needed to answer the operator questions a silent batch run
 raises — how fast did it go, were the workers balanced, did the cache
 help, what failed and what was slow:
 
-* :func:`read_campaign_log` reads the last generation of a journal through
-  :func:`~repro.experiments.journal.fold_journal` — which decides whether
-  the file is valid and what it holds — into one list of unit attempts and
-  coordinator events;
-* :func:`aggregate_campaign_log` folds that list into one plain-data
-  summary (campaign facts, throughput-over-time buckets, per-worker
-  utilization, cache hit ratio, retry/quarantine tables, slowest-unit
-  top-k);
+* :func:`aggregate_campaign_log` walks the records of the journal's last
+  generation — the ones :func:`~repro.experiments.journal.fold_journal`,
+  which decides whether the file is valid and what it holds, accepts —
+  into one plain-data summary (campaign facts, throughput-over-time
+  buckets, per-worker utilization, cache hit ratio, retry/quarantine
+  tables, slowest-unit top-k);
 * :func:`format_report` renders that summary as the human-readable text
   the CLI prints (``--json`` emits the aggregate itself).
 
@@ -24,9 +22,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, NamedTuple, Sequence, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
-from ..obs.ndjson import NdjsonScan, first_fatal, scan
+from ..obs.ndjson import first_fatal, scan
 from .journal import fold_journal
 
 #: The events that end a worker's lifetime.
@@ -36,6 +34,10 @@ PathLike = Union[str, Path]
 
 #: Timeline resolution of the throughput-over-time section.
 DEFAULT_BUCKETS = 20
+
+#: The finest timeline resolution: the text report draws one character per
+#: bucket, and each bucket costs two list slots.
+MAX_BUCKETS = 1000
 
 #: Rows in the slowest-unit table.
 DEFAULT_TOP_K = 10
@@ -76,31 +78,12 @@ class CampaignLogError(ValueError):
     """The campaign log is missing the structure a report needs."""
 
 
-class CampaignLog(NamedTuple):
-    """One campaign as a report reads it, whichever log recorded it."""
-
-    #: status, partial, pool_mode, jobs, total, t_begin, t_end (None: the
-    #: log ends mid-campaign) and the close's executed, cache_hits, failed
-    #: and remaining (None when the log has no close).
-    campaign: Dict[str, Any]
-    #: One per unit attempt: index, attempt, worker (None for a cache hit),
-    #: cached, status (ok/error/crash/timeout, or incomplete), t0, t1,
-    #: timings, error.
-    units: List[Dict[str, Any]]
-    #: Coordinator events: name, t, attrs.
-    events: List[Dict[str, Any]]
-    #: index, error of every failed attempt that was retried.
-    retries: List[Dict[str, Any]]
-    #: index, attempts, error of every quarantined unit.
-    quarantined: List[Dict[str, Any]]
-
-
-# ---------------------------------------------------------------------------
-# Journals
-
-
-def _journal_log(log: NdjsonScan) -> CampaignLog:
-    """The last generation of a journal :func:`fold_journal` accepts."""
+def _last_generation(path: PathLike) -> Tuple[List[Dict[str, Any]], int]:
+    """The records of a journal's last generation that
+    :func:`~repro.experiments.journal.fold_journal` accepts, and how many
+    generations it holds.  A torn final line is tolerated (the log of a
+    killed campaign); a fatal violation is a :class:`CampaignLogError`."""
+    log = scan(Path(path)).complete()
     replay = fold_journal(log)
     fatal = first_fatal(replay.violations)
     if fatal is not None:
@@ -113,64 +96,26 @@ def _journal_log(log: NdjsonScan) -> CampaignLog:
         if record["kind"] == "begin":
             generation = []
         generation.append(record)
-    begin = generation[0]
-    end = next((r for r in generation if r["kind"] == "end"), {})
-    units: List[Dict[str, Any]] = []
-    events: List[Dict[str, Any]] = []
-    retries: List[Dict[str, Any]] = []
-    quarantined: List[Dict[str, Any]] = []
-    for record in generation:
-        kind = record["kind"]
-        if kind == "event":
-            events.append({
-                "name": record["name"], "t": record["t"],
-                "attrs": {k: v for k, v in record.items()
-                          if k not in ("kind", "name", "t")},
-            })
-            continue
-        if kind not in ("done", "retry", "failed"):
-            continue
-        status = "ok" if kind == "done" else record.get("status", "error")
-        units.append({
-            "index": record["index"],
-            "attempt": record.get("attempt", record.get("attempts")),
-            "worker": record.get("worker"),
-            "cached": kind == "done" and record["cached"],
-            "status": status,
-            "t0": record.get("t0"),
-            "t1": record["t"],
-            "timings": record.get("timings"),
-            "error": record.get("error"),
-        })
-        if kind == "retry":
-            retries.append({"index": record["index"],
-                            "error": record["error"]})
-        elif kind == "failed":
-            quarantined.append({"index": record["index"],
-                                "attempts": record["attempts"],
-                                "error": record["error"]})
-    campaign = {
-        "status": end.get("status", "interrupted"),
-        "partial": not end,
-        "pool_mode": begin["pool_mode"],
-        "jobs": begin.get("jobs"),
-        "total": begin["total"],
-        "generation": replay.generations,
-        "t_begin": begin["t"],
-        "t_end": end.get("t"),
-        "executed": end.get("executed"),
-        "cache_hits": end.get("cache_hits"),
-        "failed": end.get("quarantined"),
-        "remaining": end.get("remaining", 0),
-        "signal": end.get("signal"),
+    return generation, replay.generations
+
+
+def _attempt(record: Dict[str, Any]) -> Dict[str, Any]:
+    """One unit attempt — a ``done``, ``retry`` or ``failed`` record — as
+    the slowest-unit table lists it; ``worker`` is None for a cache hit."""
+    done = record["kind"] == "done"
+    t0, t1 = record.get("t0"), record["t"]
+    return {
+        "index": record["index"],
+        "attempt": record.get("attempt", record.get("attempts")),
+        "worker": record.get("worker"),
+        "cached": done and record["cached"],
+        "status": "ok" if done else record.get("status", "error"),
+        "t0": t0,
+        "t1": t1,
+        "timings": record.get("timings"),
+        "error": record.get("error"),
+        "dur_s": None if t0 is None else t1 - t0,
     }
-    return CampaignLog(campaign, units, events, retries, quarantined)
-
-
-def read_campaign_log(path: PathLike) -> CampaignLog:
-    """Read a journal into a :class:`CampaignLog`; a torn final line is
-    tolerated (the log of a killed campaign)."""
-    return _journal_log(scan(Path(path)).complete())
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +127,11 @@ def aggregate_campaign_log(
     buckets: int = DEFAULT_BUCKETS,
     top_k: int = DEFAULT_TOP_K,
 ) -> Dict[str, Any]:
-    """Fold one campaign log into a plain-data summary.
+    """Fold one campaign journal into a plain-data summary.
 
-    Each number is derived from the unit attempts and the worker events,
-    which state every fact once: a worker's ``units_done`` and
-    ``failures`` are its attempts, its ``busy_s`` the sum of their
+    Each number is derived from the last generation's unit attempts and
+    worker events, which state every fact once: a worker's ``units_done``
+    and ``failures`` are its attempts, its ``busy_s`` the sum of their
     durations, its ``idle_s`` its lifetime (spawn event to exit event, or
     the log's last timestamp) minus ``busy_s``; cache ``hits`` are the
     cached completions and ``hit_ratio`` is ``hits / total``.
@@ -194,23 +139,29 @@ def aggregate_campaign_log(
     Tolerates the log of a killed campaign: a journal generation without
     its ``end`` and a torn final line yield a *partial* summary covering
     what was recorded, with ``campaign.status`` reported as
-    ``"interrupted"`` and ``campaign.partial`` set.
+    ``"interrupted"`` and ``campaign.partial`` set.  ``buckets`` outside
+    ``[1, MAX_BUCKETS]`` is a ``ValueError``, raised before the log is read.
     """
-    if buckets < 1:
-        raise ValueError(f"buckets must be >= 1, got {buckets}")
-    facts, units, events, retried, quarantined = read_campaign_log(path)
-    for unit in units:
-        t0, t1 = unit["t0"], unit["t1"]
-        unit["dur_s"] = t1 - t0 if t0 is not None and t1 is not None else None
-    units.sort(key=lambda u: (u["t1"] is None, u["t1"], u["index"]))
+    if not 1 <= buckets <= MAX_BUCKETS:
+        raise ValueError(
+            f"buckets must be in [1, {MAX_BUCKETS}], got {buckets}")
+    generation, generations = _last_generation(path)
+    begin = generation[0]
+    end = next((r for r in generation if r["kind"] == "end"), {})
+    events = [r for r in generation if r["kind"] == "event"]
+    units = sorted(
+        (_attempt(r) for r in generation
+         if r["kind"] in ("done", "retry", "failed")),
+        key=lambda u: (u["t1"], u["index"]),
+    )
     ok_units = [u for u in units if u["status"] == "ok"]
     executed_units = [u for u in ok_units if not u["cached"]]
 
-    stamps = ([u[key] for u in units for key in ("t0", "t1")
-               if u[key] is not None]
-              + [e["t"] for e in events] + [facts["t_begin"]])
-    t_begin, t_last = facts["t_begin"], max(stamps)
-    t_end = facts["t_end"] if facts["t_end"] is not None else t_last
+    stamps = ([u["t0"] for u in units if u["t0"] is not None]
+              + [u["t1"] for u in units] + [e["t"] for e in events]
+              + [begin["t"]])
+    t_begin, t_last = begin["t"], max(stamps)
+    t_end = end.get("t", t_last)
     wall_s = max(0.0, t_end - t_begin)
 
     # -- throughput over time -------------------------------------------------
@@ -232,19 +183,18 @@ def aggregate_campaign_log(
     workers: Dict[str, Dict[str, Any]] = {}
     lifetimes: Dict[str, List[float]] = {}
     for event in events:
-        name, attrs = event["name"], event["attrs"]
-        worker = attrs.get("worker")
-        if not isinstance(worker, str):
+        name, worker = event["name"], event.get("worker")
+        if worker is None:
             continue
         if name == "worker.spawn":
-            workers[worker] = {"pid": attrs.get("pid"), "units_done": 0,
+            workers[worker] = {"pid": event.get("pid"), "units_done": 0,
                                "failures": 0, "busy_s": 0.0}
             lifetimes[worker] = [event["t"], t_last]
         elif name in WORKER_EXITS and worker in lifetimes:
             lifetimes[worker][1] = event["t"]
     for unit in units:
         entry = workers.get(unit["worker"])
-        if entry is None or unit["status"] == "incomplete":
+        if entry is None:
             continue
         entry["units_done" if unit["status"] == "ok" else "failures"] += 1
         if unit["dur_s"] is not None:
@@ -261,24 +211,28 @@ def aggregate_campaign_log(
     def count_events(name: str) -> int:
         return sum(1 for e in events if e["name"] == name)
 
-    total = facts["total"]
+    total = begin["total"]
     hits = len(ok_units) - len(executed_units)
     cache = {
         "hits": hits,
         "evictions": count_events("cache.evict"),
-        "hit_ratio": hits / total if isinstance(total, int) and total > 0
-        else None,
+        "hit_ratio": hits / total if total > 0 else None,
     }
-    retries: Dict[Any, Dict[str, Any]] = {}
-    for retry in retried:
-        entry = retries.setdefault(retry["index"],
-                                   {"retries": 0, "last_error": None})
-        entry["retries"] += 1
-        entry["last_error"] = retry["error"]
+    retries: Dict[int, Dict[str, Any]] = {}
+    for record in generation:
+        if record["kind"] == "retry":
+            entry = retries.setdefault(record["index"],
+                                       {"retries": 0, "last_error": None})
+            entry["retries"] += 1
+            entry["last_error"] = record["error"]
+    quarantined = [
+        {"index": r["index"], "attempts": r["attempts"], "error": r["error"]}
+        for r in generation if r["kind"] == "failed"
+    ]
     worker_events = {
         "spawned": count_events("worker.spawn"),
         "replaced": sum(1 for e in events if e["name"] == "worker.spawn"
-                        and e["attrs"].get("replacement")),
+                        and e.get("replacement")),
         "crashed": count_events("worker.crash"),
         "timed_out": count_events("worker.timeout"),
     }
@@ -289,35 +243,28 @@ def aggregate_campaign_log(
     )[:top_k]
     rate = len(ok_units) / wall_s if wall_s > 0 else None
 
-    def closed(key: str, derived: int) -> int:
-        return derived if facts[key] is None else facts[key]
-
     return {
         "campaign": {
-            "status": facts["status"],
-            "partial": facts["partial"],
-            "pool_mode": facts["pool_mode"],
-            "jobs": facts["jobs"],
+            "status": end.get("status", "interrupted"),
+            "partial": not end,
+            "pool_mode": begin["pool_mode"],
+            "jobs": begin.get("jobs"),
             "total": total,
-            "generation": facts["generation"],
-            "signal": facts["signal"],
+            "generation": generations,
+            "signal": end.get("signal"),
             "t_begin": t_begin,
             "t_end": t_end,
             "wall_s": wall_s,
             "units_per_s": rate,
-            "executed": closed("executed", len(executed_units)),
-            "cache_hits": closed("cache_hits", hits),
-            "failed": closed("failed", len(quarantined)),
-            "remaining": facts["remaining"],
+            "executed": end.get("executed", len(executed_units)),
+            "cache_hits": end.get("cache_hits", hits),
+            "failed": end.get("quarantined", len(quarantined)),
+            "remaining": end.get("remaining", 0),
         },
         "timeline": timeline,
         "workers": {w: workers[w] for w in sorted(workers)},
         "cache": cache,
-        "retries": {
-            str(idx): retries[idx] for idx in sorted(
-                retries, key=lambda k: (k is None, k)
-            )
-        },
+        "retries": {str(idx): retries[idx] for idx in sorted(retries)},
         "quarantined": quarantined,
         "slowest_units": slowest,
         "worker_events": worker_events,
@@ -340,9 +287,8 @@ def format_report(summary: Dict[str, Any]) -> str:
     units = summary["units"]
     lines: List[str] = []
     rate = campaign.get("units_per_s")
-    generation = campaign.get("generation")
     lines.append(
-        f"campaign{'' if generation is None else f' generation {generation}'}"
+        f"campaign generation {campaign['generation']}"
         f": {units['ok']}/{campaign.get('total')} units ok "
         f"({units['cached']} cached), pool={campaign['pool_mode']} "
         f"jobs={campaign['jobs']}, status={campaign['status']}"
@@ -458,13 +404,12 @@ def render_report(path: PathLike, as_json: bool = False,
 
 
 __all__ = [
-    "CampaignLog",
     "CampaignLogError",
     "DEFAULT_BUCKETS",
     "DEFAULT_TOP_K",
+    "MAX_BUCKETS",
     "aggregate_campaign_log",
     "format_report",
     "format_table",
-    "read_campaign_log",
     "render_report",
 ]

@@ -2,7 +2,7 @@
 
 The coordinator's supervisor loop
 (:func:`repro.experiments.campaign._run_pool`) owns every policy — retry,
-backoff, quarantine, watchdog, drain, telemetry — and knows its workers
+backoff, quarantine, watchdog, drain, journaling — and knows its workers
 only through two small interfaces, :class:`Transport` (how workers come
 to exist) and :class:`WorkerLink` (how one is talked to):
 
@@ -106,7 +106,8 @@ class WorkerLink:
 
     The pool loop waits on :meth:`fileno`, hands out work with
     :meth:`send_batch` and folds :meth:`recv` messages.  ``pid`` names the
-    worker's process on this host (the telemetry RSS gauge reads it).
+    worker's process on this host (the journal's ``worker.spawn`` event
+    records it, and ``report`` lists it per worker).
     """
 
     pid: Optional[int] = None
@@ -326,8 +327,6 @@ class Transport:
 
     #: Units handed to one worker per dispatch (the work-stealing grain).
     prefetch: int = 1
-    #: Whether the pool may call :meth:`spawn` to add workers itself.
-    can_spawn: bool = False
 
     def spawn(self) -> WorkerLink:
         """Start one worker and return its link."""
@@ -341,14 +340,8 @@ class InlineTransport(Transport):
 
     def __init__(self, execute: ExecuteFn) -> None:
         self._execute = execute
-        self._spawned = False
-
-    @property
-    def can_spawn(self) -> bool:  # one process, one link
-        return not self._spawned
 
     def spawn(self) -> WorkerLink:
-        self._spawned = True
         return InlineLink(self._execute)
 
 
@@ -362,7 +355,6 @@ class PipeTransport(Transport):
     close its copies of them (see :func:`_pipe_worker_main`).
     """
 
-    can_spawn = True
     #: Small enough that a late straggler batch cannot serialise the tail
     #: of a campaign, large enough to amortise the pipe round-trip on tiny
     #: units.

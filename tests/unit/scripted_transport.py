@@ -120,8 +120,6 @@ class ScriptedTransport(Transport):
     first send.
     """
 
-    can_spawn = True
-
     def __init__(self, script=None, prefetch=1, link_kwargs=()):
         self.script = {k: list(v) for k, v in (script or {}).items()}
         self.prefetch = prefetch

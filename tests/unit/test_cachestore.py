@@ -2,11 +2,11 @@
 
 The local :class:`CampaignCache` behaviour (atomic writes, locking,
 corruption eviction) is covered by the campaign robustness suite; this
-file exercises the :class:`CacheStore` spec round-trip (a directory path,
-never a URL), that only the shard directories are cache content, and the
+file exercises that only the shard directories are cache content, and the
 one envelope encoding: its bytes on disk are pinned, entries written
 before it are still hits, and a campaign's hit parses its result only when
-the result is read.
+the result is read.  ``campaign --cache-dir`` refuses a URL at parse time
+(``tests/unit/test_cli.py``).
 """
 
 import copy
@@ -30,13 +30,11 @@ from repro.experiments import (
 from repro.experiments import cachestore
 from repro.experiments.cachestore import (
     CacheCorruptionWarning,
-    CacheStore,
     CampaignCache,
     EnvelopeError,
     _seal,
     decode_envelope,
     encode_envelope,
-    make_store,
 )
 from repro.experiments.doctor import diagnose_cache
 from repro.obs.provenance import canonical_json, stable_digest
@@ -392,31 +390,6 @@ def test_decode_completes_a_manifest_stored_without_its_snapshot():
 
 
 # ---------------------------------------------------------------------------
-# make_store / describe round-trip
-
-
-def test_make_store_builds_each_kind(tmp_path):
-    assert make_store(None) is None
-    local = make_store(tmp_path / "cache")
-    assert isinstance(local, CampaignCache)
-    assert make_store(local) is local  # instances pass through
-
-
-@pytest.mark.parametrize("url", ["http://127.0.0.1:9/cache",
-                                 "https://example/cache"])
-def test_make_store_refuses_a_url(url):
-    with pytest.raises(ValueError, match="only a directory path"):
-        make_store(url)
-
-
-def test_describe_round_trips_through_make_store(tmp_path):
-    local = CampaignCache(tmp_path / "cache")
-    rebuilt = make_store(local.describe())
-    assert isinstance(rebuilt, CampaignCache)
-    assert rebuilt.root == local.root.resolve()
-
-
-# ---------------------------------------------------------------------------
 # only the shard directories are cache content
 
 
@@ -437,13 +410,3 @@ def test_cluster_registry_is_invisible_to_entry_walks(tmp_path):
     assert leftover.is_file()  # clear() leaves what is not its own alone
     assert cache.get(DIGEST) is None
     assert diagnose_cache(cache.root) == []
-
-
-def test_cache_store_contract_default_contains():
-    class Probe(CacheStore):
-        def get(self, digest):
-            return PAYLOAD if digest == DIGEST else None
-
-    probe = Probe()
-    assert DIGEST in probe
-    assert OTHER not in probe

@@ -559,7 +559,10 @@ def test_a_refused_command_line_never_clears_the_cache(tmp_path):
     (["sweep", "--window", "0"], "argument --window: must be >= 1, got 0"),
     (["cross", "--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
     (["report", "{tmp}/run.journal", "--buckets", "0"],
-     "argument --buckets: must be >= 1, got 0"),
+     "argument --buckets: must be in [1, 1000], got 0"),
+    # Two lists of a billion slots: refused before the journal is read.
+    (["report", "{tmp}/run.journal", "--buckets", "1000000000"],
+     "argument --buckets: must be in [1, 1000], got 1000000000"),
     (TINY_CAMPAIGN + ["--max-retries", "-1", "--clear-cache",
                       "--cache-dir", "{tmp}/cache"],
      "argument --max-retries: must be >= 0, got -1"),
@@ -568,7 +571,7 @@ def test_a_refused_command_line_never_clears_the_cache(tmp_path):
      "argument --cache-dir: cache store 'http://127.0.0.1:9/cache': only a "
      "directory path is supported"),
 ], ids=["loss", "replications", "events", "hops", "window", "seeds",
-        "buckets", "max-retries", "cache-dir"])
+        "buckets", "buckets-max", "max-retries", "cache-dir"])
 def test_a_bad_flag_value_is_a_usage_error_before_anything_opens(
         tmp_path, capsys, argv, error):
     """Each was a traceback from deep inside the command (a ``ValueError``,

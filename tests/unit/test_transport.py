@@ -138,10 +138,7 @@ def tag_pid(args):
 
 
 def test_inline_link_runs_units_in_this_process_and_buffers_replies():
-    transport = InlineTransport(tag_pid)
-    assert transport.can_spawn
-    link = transport.spawn()
-    assert not transport.can_spawn  # one process, one link
+    link = InlineTransport(tag_pid).spawn()
     try:
         assert not readable(link)
         link.send_batch([(0, "run", "d0"), (1, "raise", "d1")])
