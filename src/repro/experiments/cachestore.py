@@ -13,7 +13,8 @@ keyed by :func:`repro.experiments.campaign.run_digest`:
   the way back in.  In memory a manifest is always complete;
 * :class:`CampaignCache` — the store, one local directory:
   ``load``/``get``/``put`` of ``{"result", "manifest"}`` payloads under a
-  digest (durable atomic writes, advisory ``flock``, checksummed
+  digest, and ``write_envelope`` of the envelope bytes a campaign worker
+  sealed (durable atomic writes, advisory ``flock``, checksummed
   envelopes, lazy eviction of corrupt entries), plus the eviction counter
   the campaign result reports.
 
@@ -23,7 +24,9 @@ byte anywhere surfaces as an eviction and a recompute, never as different
 campaign bytes.  A reader re-encodes nothing when the envelope is in the
 writer's layout: the checksum is verified over the bytes read, the result's
 digest is the hash of its byte span, and those bytes travel with the
-record so the campaign fingerprint hashes them as they are.  A campaign's
+record so the campaign fingerprint hashes them as they are.  A campaign
+takes an executed unit's reply — the envelope its worker sealed — the same
+way (:func:`peek_envelope`), and stores it as it came.  A campaign's
 cache hit parses only the manifest; the result is parsed
 (:func:`decode_result`, or :func:`decode_head` for its first member) when
 something first reads it, and bytes that pass the checksum but are not
@@ -118,9 +121,15 @@ def _seal(manifest_blob: bytes, result_blob: bytes) -> Tuple[str, str]:
 
 
 def encode_envelope(result: Dict[str, Any],
-                    manifest: Optional[Dict[str, Any]]) -> Tuple[bytes, str]:
+                    manifest: Optional[Dict[str, Any]],
+                    result_blob: Optional[bytes] = None) -> Tuple[bytes, str]:
     """The envelope's bytes and the result's digest, from one encoding each
     of ``result`` and the manifest as stored.
+
+    ``result_blob`` is ``canonical_json(result)`` when the caller already
+    holds it — a campaign worker seals with the bytes the runner hashed for
+    ``manifest["result_digest"]`` (``RunResult.encoded``) — so the result
+    is not encoded a second time.
 
     The bytes are the canonical JSON of ``{"checksum", "manifest",
     "result"}``, assembled from the part-blobs instead of encoding the tree
@@ -134,7 +143,8 @@ def encode_envelope(result: Dict[str, Any],
     """
     manifest_blob = canonical_json(
         elide_snapshot(result, manifest)).encode("ascii")
-    result_blob = canonical_json(result).encode("ascii")
+    if result_blob is None:
+        result_blob = canonical_json(result).encode("ascii")
     checksum, result_digest = _seal(manifest_blob, result_blob)
     body = b"".join((
         b'{"checksum":"', checksum.encode("ascii"),
@@ -163,7 +173,7 @@ _PREIMAGE = _CHECKSUM.stop + len('",')
 _MANIFEST = _PREIMAGE + len('"manifest":')
 
 
-def _peek(raw: bytes) -> Tuple[Any, Any, str, bytes]:
+def peek_envelope(raw: bytes) -> Tuple[Any, Any, str, bytes]:
     """What a hit needs before anything reads its result: ``(manifest,
     result, sha256(R), R)``, R the result's canonical encoding.
 
@@ -213,8 +223,8 @@ def _not_json(reason: str) -> EnvelopeError:
 
 
 def decode_result(blob: bytes) -> Any:
-    """Parse R, result bytes :func:`_peek` left unparsed, through the
-    envelope parser.
+    """Parse R, result bytes :func:`peek_envelope` left unparsed, through
+    the envelope parser.
 
     A checksum that held over R proves only that R is what was written;
     bytes no writer produces (R that is not one JSON value) raise
@@ -257,7 +267,7 @@ def _open(raw: bytes) -> Tuple[Any, Any, bytes, str]:
     ``(result, manifest, R, sha256(R))``.  The checksum is verified over
     exactly what was stored; only then is the manifest completed
     (:func:`share_snapshot`)."""
-    manifest, result, result_digest, blob = _peek(raw)
+    manifest, result, result_digest, blob = peek_envelope(raw)
     if result is None:
         result = decode_result(blob)
         manifest = share_snapshot(result, manifest)
@@ -327,11 +337,12 @@ class CampaignCache:
     first read — only their ``flows`` when its goodput is all that is
     read.  :meth:`get` decodes the whole payload.
 
-    Concurrency: mutations (:meth:`put`, evictions, :meth:`clear`) hold an
-    advisory ``fcntl.flock`` on the ``.lock`` sidecar under the root, so
-    concurrent campaigns can share one cache directory.  Reads are
-    lock-free: atomic rename guarantees a reader sees either the old state
-    or a complete entry, and the checksum catches everything else.
+    Concurrency: mutations (:meth:`write_envelope`, which :meth:`put` ends
+    in, evictions, :meth:`clear`) hold an advisory ``fcntl.flock`` on the
+    ``.lock`` sidecar under the root, so concurrent campaigns can share one
+    cache directory.  Reads are lock-free: atomic rename guarantees a
+    reader sees either the old state or a complete entry, and the checksum
+    catches everything else.
     """
 
     LOCK_NAME = ".lock"
@@ -406,7 +417,7 @@ class CampaignCache:
         (:func:`decode_result`, :func:`share_snapshot`).  Any other layout
         is decoded in full and comes back decoded.
         """
-        return self._read(digest, _peek)
+        return self._read(digest, peek_envelope)
 
     def get(self, digest: str) -> Optional[Dict[str, Any]]:
         """The cached ``{"result", "manifest"}`` payload, fully decoded
@@ -430,19 +441,28 @@ class CampaignCache:
                 pass
 
     def put(self, digest: str, payload: Dict[str, Any]) -> str:
-        """Durably store one result envelope (locked, atomic, fsynced),
-        idempotently: the key is content-addressed, so concurrent writers
-        of one digest write the same bytes.
-
-        Write path: pid-unique hidden tmp file → one ``write`` of the
-        encoded envelope → flush → ``fsync`` the file → ``os.replace`` over
-        the final name → ``fsync`` the directory.  A crash or power cut at
-        any point leaves either the old state or the complete new entry,
-        never a torn one.  Returns the result's digest.
-        """
+        """Encode one ``{"result", "manifest"}`` payload
+        (:func:`encode_envelope`) and store it (:meth:`write_envelope`).
+        Returns the result's digest."""
         body, result_digest = encode_envelope(
             payload["result"], payload.get("manifest")
         )
+        self.write_envelope(digest, body)
+        return result_digest
+
+    def write_envelope(self, digest: str, body: bytes) -> None:
+        """Durably store envelope bytes as they are (locked, atomic,
+        fsynced), idempotently: the key is content-addressed, so concurrent
+        writers of one digest write the same bytes.  A campaign hands in
+        the bytes its worker sealed, which it verified first
+        (:func:`peek_envelope`).
+
+        Write path: pid-unique hidden tmp file → one ``write`` of the
+        envelope → flush → ``fsync`` the file → ``os.replace`` over the
+        final name → ``fsync`` the directory.  A crash or power cut at any
+        point leaves either the old state or the complete new entry, never
+        a torn one.
+        """
         path = self._path(digest)
         with self._lock():
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -460,7 +480,6 @@ class CampaignCache:
                     pass
                 raise
             _fsync_dir(path.parent)
-        return result_digest
 
     def __contains__(self, digest: str) -> bool:
         return self._path(digest).exists()
@@ -487,5 +506,6 @@ __all__ = [
     "decode_result",
     "elide_snapshot",
     "encode_envelope",
+    "peek_envelope",
     "share_snapshot",
 ]

@@ -20,9 +20,11 @@ alone knows how attempts are retried, backed off, quarantined, timed out,
 drained and reported.  It talks to its workers through a
 :mod:`~repro.experiments.transport`:
 :class:`~repro.experiments.transport.PipeTransport`'s long-lived workers,
-each forked once, pull batches of up to ``PipeTransport.prefetch`` units
-over a duplex pipe and stream one result back per unit, so interpreter
-startup and module import are amortised over the whole campaign.  With
+each forked once, hold up to ``PipeTransport.prefetch`` units at a time,
+are refilled over a duplex pipe after each reply and stream one reply
+back per unit — the cache envelope the worker sealed, which the
+coordinator verifies and stores as it came — so interpreter startup and
+module import are amortised over the whole campaign.  With
 ``jobs == 1`` and no watchdog there is no pool at all:
 :class:`~repro.experiments.transport.InlineTransport` executes each unit
 in the coordinating process when the loop dispatches it — the debugging
@@ -77,6 +79,8 @@ from .cachestore import (
     EnvelopeError,
     decode_head,
     decode_result,
+    encode_envelope,
+    peek_envelope,
     share_snapshot,
 )
 from .config import CACHE_SCHEMA_VERSION, ScenarioConfig, stable_digest
@@ -239,15 +243,16 @@ class RunRecord:
     fingerprints; ``manifest`` is the run's provenance document (wall time,
     platform, spec, result digest) — attached for attribution, excluded from
     every determinism comparison by construction.  ``encoded`` is
-    ``metrics``' canonical encoding when it came with them — the bytes a
-    cache hit read — so :meth:`metrics_bytes` need not encode again.
+    ``metrics``' canonical encoding when it came with them, so
+    :meth:`metrics_bytes` need not encode again.
 
-    A cache hit may be built from ``encoded`` alone (``metrics=None``) with
-    its manifest as stored: the first read of ``metrics`` or ``manifest``
-    decodes the bytes (:meth:`_decode`) and makes ``manifest["metrics"]``
-    the very object ``metrics["metrics"]`` is, and
-    :attr:`total_goodput_kbps` before that parses only the result's
-    ``flows``.  Bytes that do not parse raise
+    :func:`run_campaign` builds every record from envelope bytes — a cache
+    hit's as read, an executed unit's as its worker sealed them — with
+    ``encoded`` alone (``metrics=None``) and the manifest as stored: the
+    first read of ``metrics`` or ``manifest`` decodes the bytes
+    (:meth:`_decode`) and makes ``manifest["metrics"]`` the very object
+    ``metrics["metrics"]`` is, and :attr:`total_goodput_kbps` before that
+    parses only the result's ``flows``.  Bytes that do not parse raise
     :class:`~repro.experiments.cachestore.EnvelopeError` naming the entry,
     from whichever read meets them first.
     """
@@ -528,15 +533,20 @@ def _maybe_barrier(index: int) -> None:
         time.sleep(0.02)
 
 
-def _execute_unit(
-    args: Tuple[int, RunSpec]
-) -> Tuple[int, Dict[str, Any], Optional[Dict[str, Any]]]:
-    """Worker entry point: run one spec, return (index, metrics, manifest)."""
+def _execute_unit(args: Tuple[int, RunSpec]) -> Tuple[int, bytes]:
+    """Worker entry point: run one spec, return ``(index, envelope)``.
+
+    The envelope is the cache entry's bytes, sealed here from the result
+    bytes the runner hashed (:attr:`RunResult.encoded`), so the coordinator
+    verifies and stores them as they are and encodes nothing.
+    """
     index, spec = args
     _maybe_injected_crash(index)
     _maybe_barrier(index)
     result = execute_run(spec)
-    return index, result.to_dict(), result.manifest
+    body, _ = encode_envelope(result.to_dict(), result.manifest,
+                              result.encoded)
+    return index, body
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +559,11 @@ class _PoolWorker:
 
     ``batch`` lists the (run, attempt) pairs currently dispatched to the
     worker, in execution order: the head is the unit executing right now,
-    the tail is queued behind it in the worker's loop.  ``deadline`` is the
-    head unit's watchdog cutoff (reset every time a result arrives), and
-    ``since`` the wall-clock start of the head unit's attempt: the later of
-    the batch's dispatch and the worker's previous result.
+    the tail is queued behind it in the worker's loop, and refills append
+    to it.  ``deadline`` is the head unit's watchdog cutoff (reset every
+    time a result arrives), and ``since`` the wall-clock start of the head
+    unit's attempt: the later of the dispatch that found the worker idle
+    and the worker's previous result.
     """
 
     link: Any  # transport.WorkerLink
@@ -578,8 +589,7 @@ def _run_pool(
     pending: Sequence[CampaignRun],
     jobs: int,
     policy: RetryPolicy,
-    store: Callable[[CampaignRun, Dict[str, Any], Optional[Dict[str, Any]],
-                     Attempt], None],
+    store: Callable[[CampaignRun, bytes, Attempt], None],
     quarantine: Callable[[FailedRun, Attempt, str], None],
     journal: Optional[CampaignJournal] = None,
     shutdown: Optional[GracefulShutdown] = None,
@@ -589,12 +599,17 @@ def _run_pool(
     ``transport`` provides the :class:`~repro.experiments.transport.
     WorkerLink` objects — the coordinating process itself
     (``InlineTransport``) or forked pipe workers (``PipeTransport``) —
-    and idle workers pull from one shared ready-queue.  The retry,
+    and workers pull from one shared ready-queue: each is refilled after
+    every reply, so it always holds up to ``transport.prefetch`` units and
+    never waits on the coordinator for its next one.  The retry,
     quarantine, watchdog and drain policy lives here and nowhere else, and
     so does what ``journal`` learns of it — worker spawns and exits, and a
-    ``retry`` record per charged attempt that runs again; ``store`` and
-    ``quarantine`` get the :class:`~repro.experiments.journal.Attempt` that
-    ended a unit:
+    ``retry`` record per charged attempt that runs again.  ``store`` gets
+    each unit's reply, its envelope bytes, with the
+    :class:`~repro.experiments.journal.Attempt` that ended it, and raises
+    :class:`~repro.experiments.cachestore.EnvelopeError`, before it stores
+    anything, for bytes that do not verify; ``quarantine`` gets the
+    failures:
 
     * a worker that dies (crash, ``os._exit``, kill) is detected via pipe
       EOF; the unit it was executing is charged a failed attempt, the rest
@@ -602,6 +617,8 @@ def _run_pool(
       keep the pool at strength;
     * a reply that is not for its worker's head unit is never stored: the
       link is severed and handled as a crash;
+    * a reply whose envelope does not verify is never stored either: it is
+      a charged ``error`` attempt, like a unit that raised;
     * a worker whose head unit overstays ``policy.task_timeout`` is
       killed by the watchdog and replaced the same way;
     * failed attempts retry with exponential backoff (the backoff clock
@@ -641,10 +658,9 @@ def _run_pool(
             journal.event(f"worker.{reason}", worker=worker.wid,
                           exitcode=worker.link.exitcode)
 
-    def fail(worker: _PoolWorker, run: CampaignRun, attempt: int,
+    def fail(run: CampaignRun, attempt: int, ended: Attempt,
              status: str, error: str) -> None:
         """One charged failed attempt: a retry, or the unit's quarantine."""
-        ended = worker.attempt(attempt)
         if attempt <= policy.max_retries:
             delay = policy.retry_delay(attempt)
             if journal is not None:
@@ -678,7 +694,7 @@ def _run_pool(
         retire(worker, kill)
         if worker.batch:
             run, attempt = worker.batch.pop(0)
-            fail(worker, run, attempt, "crash",
+            fail(run, attempt, worker.attempt(attempt), "crash",
                  f"worker crashed (exit code {worker.link.exitcode})")
             requeue_innocent(worker)
         exited(worker, "crash")
@@ -686,7 +702,7 @@ def _run_pool(
     def on_worker_timeout(worker: _PoolWorker) -> None:
         retire(worker, kill=True)
         run, attempt = worker.batch.pop(0)
-        fail(worker, run, attempt, "timeout",
+        fail(run, attempt, worker.attempt(attempt), "timeout",
              f"timed out after {policy.task_timeout:g}s wall clock")
         requeue_innocent(worker)
         exited(worker, "timeout")
@@ -699,48 +715,62 @@ def _run_pool(
             if worker.batch and policy.task_timeout is not None
             else None
         )
-        if message[0] == "ok":
-            store(run, message[2], message[3], worker.attempt(attempt))
-        else:
-            fail(worker, run, attempt, "error", message[2])
+        ended = worker.attempt(attempt)
+        if message[0] == "err":
+            fail(run, attempt, ended, "error", message[2])
+            return
+        try:
+            store(run, message[2], ended)
+        except EnvelopeError as exc:
+            fail(run, attempt, ended, "error",
+                 f"reply does not verify: {exc}")
 
     def dispatch() -> None:
-        """Hand ready units to idle workers, ``transport.prefetch`` each.
+        """Top every worker up to its share of the outstanding units.
 
-        This *is* the work-stealing: the queue is shared, idle workers
-        pull from it, and the per-worker grain shrinks as the queue does,
-        so the tail of a campaign spreads over every worker.
+        This *is* the work-stealing: the queue is shared, and a worker is
+        refilled after each reply, so it never idles waiting for its next
+        unit.  A share is at most ``transport.prefetch`` and shrinks as the
+        queue does, so the tail of a campaign spreads over every worker.
         """
-        idle = [w for w in workers.values() if w.idle]
-        if not idle:
-            return
         now = time.monotonic()
         due = [entry for entry in backoff if entry[0] <= now]
         if due:  # expired retries go to the head of the line, oldest first
             backoff[:] = [entry for entry in backoff if entry[0] > now]
             ready.extendleft((run, attempt) for _, run, attempt in reversed(due))
-        per = max(1, min(transport.prefetch, -(-len(ready) // len(idle))))
-        for worker in idle:
-            chunk = [ready.popleft() for _ in range(min(per, len(ready)))]
+        if not ready or not workers:
+            return
+        held = sum(len(w.batch) for w in workers.values())
+        share = max(1, min(transport.prefetch,
+                           -(-(len(ready) + held) // len(workers))))
+        for worker in workers.values():
+            room = min(share - len(worker.batch), len(ready))
+            chunk = [ready.popleft() for _ in range(room)]
             if not chunk:
-                break
-            worker.batch = chunk
-            worker.deadline = (
-                now + policy.task_timeout if policy.task_timeout is not None else None
-            )
-            # Stamped before the send: an inline link executes the batch
-            # inside ``send_batch``, and its first attempt starts here.
-            worker.since = time.time()
+                continue
+            if worker.idle:
+                worker.deadline = (
+                    now + policy.task_timeout
+                    if policy.task_timeout is not None else None
+                )
+                # Stamped before the send: an inline link executes the
+                # batch inside ``send_batch``, and its first attempt
+                # starts here.
+                worker.since = time.time()
+            worker.batch.extend(chunk)
             try:
                 worker.link.send_batch(
                     [(run.index, run.spec, run.digest) for run, _ in chunk]
                 )
             except (BrokenPipeError, OSError):
-                # Death noticed mid-send: the worker never received the
-                # batch, so nothing was executing — requeue the whole chunk
-                # un-charged and let the wait loop reap the (now idle)
-                # corpse without blaming the head unit.
-                requeue_innocent(worker)
+                # Death noticed mid-send: the worker never received this
+                # chunk — requeue it un-charged, where it was.  A unit the
+                # worker was already executing stays its head, charged
+                # when the wait loop reads the corpse's EOF.
+                del worker.batch[-len(chunk):]
+                ready.extendleft(reversed(chunk))
+                if worker.idle:
+                    worker.deadline = None
 
     try:
         while ready or backoff or any(not w.idle for w in workers.values()):
@@ -944,23 +974,20 @@ def run_campaign(
         journal.event("campaign.resume", verified=verified, drift=drift,
                       remainder=len(pending))
 
-    def store(run: CampaignRun, metrics: Dict[str, Any],
-              manifest: Optional[Dict[str, Any]], attempt: Attempt) -> None:
-        # The store hashes the result while it encodes it; only a
-        # cacheless journal has to encode for the digest alone.
+    def store(run: CampaignRun, body: bytes, attempt: Attempt) -> None:
+        # A reply is the envelope the worker sealed, taken as a hit is:
+        # verified over the bytes (EnvelopeError before anything is
+        # stored), stored as they are, and recorded unread.
+        manifest, result, result_digest, result_bytes = peek_envelope(body)
         if cache is not None:
-            result_digest = cache.put(
-                run.digest, {"result": metrics, "manifest": manifest}
-            )
-        elif journal is not None:
-            result_digest = stable_digest(metrics)
+            cache.write_envelope(run.digest, body)
         if journal is not None:
-            # Journaled after cache.put: a done record implies the cache
+            # Journaled after the write: a done record implies the cache
             # holds the result, which is what resume verification assumes.
             journal.done(run, result_digest, cached=False, attempt=attempt,
                          timings=(manifest or {}).get("timings"))
-        finish(RunRecord(run=run, metrics=metrics, cached=False,
-                         manifest=manifest))
+        finish(RunRecord(run=run, metrics=result, cached=False,
+                         manifest=manifest, encoded=result_bytes))
 
     if pending:
         if jobs == 1 and policy.task_timeout is None:

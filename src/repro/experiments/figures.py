@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import campaign
+from .cachestore import decode_envelope
 from .config import PAPER_VARIANTS, ScenarioConfig, SweepConfig
 from .runner import RunResult, RunSpec
 from .transport import InlineTransport, PipeTransport
@@ -66,9 +67,9 @@ def _run_specs(specs: Sequence[RunSpec]) -> List[RunResult]:
     results: Dict[int, RunResult] = {}
     failed: List[campaign.FailedRun] = []
 
-    def store(run: campaign.CampaignRun, metrics: Dict[str, Any],
-              manifest: Optional[Dict[str, Any]], attempt: Any) -> None:
-        result = RunResult.from_dict(metrics)
+    def store(run: campaign.CampaignRun, body: bytes, attempt: Any) -> None:
+        payload, manifest, _ = decode_envelope(body)
+        result = RunResult.from_dict(payload)
         result.manifest = manifest
         results[run.index] = result
 

@@ -26,6 +26,7 @@ its own network and hands it to :func:`run_flows`.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -35,7 +36,9 @@ from ..faults import install_faults
 from ..net.node import Node
 from ..obs.metrics import collect_network_metrics
 from ..obs.probe import Sample, TimeseriesProbe
-from ..obs.provenance import attach_spec, build_manifest, stable_digest
+from ..obs.provenance import (
+    attach_spec, build_manifest, canonical_json, stable_digest,
+)
 from ..phy.error_models import NoError, PacketErrorRate
 from ..routing import install_aodv_routing, install_static_routing
 from ..stats.fairness import jain_index
@@ -99,6 +102,10 @@ class RunResult:
     fingerprints.  ``manifest`` carries environment facts (wall time,
     platform, package version) and is therefore *excluded* from
     :meth:`to_dict` — two identical runs must serialize byte-identically.
+    ``encoded`` is the canonical JSON of :meth:`to_dict` that the runner
+    hashed for ``manifest["result_digest"]``, kept so a campaign worker
+    seals its cache envelope without encoding the result again; None on a
+    result built any other way, and not updated if the result is changed.
     """
 
     flows: List[FlowResult]
@@ -107,6 +114,7 @@ class RunResult:
     link_failures: int
     metrics: Dict[str, Any] = field(default_factory=dict)
     manifest: Optional[Dict[str, Any]] = field(default=None, compare=False)
+    encoded: Optional[bytes] = field(default=None, compare=False, repr=False)
 
     @property
     def total_goodput_kbps(self) -> float:
@@ -401,7 +409,8 @@ def _finish(
     )
     harvest_s = time.perf_counter() - harvest_start
     serialize_start = time.perf_counter()
-    result_digest = result.result_digest()
+    result.encoded = canonical_json(result.to_dict()).encode("ascii")
+    result_digest = hashlib.sha256(result.encoded).hexdigest()
     serialize_s = time.perf_counter() - serialize_start
     result.manifest = build_manifest(
         seed=config.seed,

@@ -11,17 +11,20 @@ to exist) and :class:`WorkerLink` (how one is talked to):
   coordinating process, so breakpoints and monkeypatches apply directly;
 * :class:`PipeTransport` / :class:`PipeLink` — ``warm``: long-lived
   workers forked from the coordinator (inheriting test monkeypatches and
-  chaos hooks) pull unit batches over a duplex pipe and stream one result
-  message back per unit.
+  chaos hooks) are sent units over a duplex pipe and stream one reply back
+  per unit.
 
 Transports never import the campaign module: whoever builds one hands it
-the unit function (``(index, spec) -> (index, metrics, manifest)``) its
-workers execute.
+the unit function (``(index, spec) -> (index, envelope)``) its workers
+execute.  A unit's result crosses the pipe as the cache envelope its
+worker sealed (:func:`repro.experiments.cachestore.encode_envelope`), as
+bytes: the coordinator verifies and stores them without decoding or
+encoding the result.
 
 Determinism is untouched by construction: transports move ``RunSpec``
-objects and result dicts; every seed was derived in ``plan_campaign``
-before the first byte hits a pipe, so *where* a unit runs is invisible in
-the campaign fingerprint.
+objects out and envelope bytes back; every seed was derived in
+``plan_campaign`` before the first byte hits a pipe, so *where* a unit runs
+is invisible in the campaign fingerprint.
 
 :func:`send_frame` / :func:`recv_frame` — one length-prefixed JSON frame
 over a socket, with :data:`MAX_FRAME_BYTES` and :class:`TransportError` —
@@ -44,11 +47,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..obs.ndjson import JSON_PARSE_ERRORS
 
 #: The unit function a transport's workers run: ``(index, spec)`` in,
-#: ``(index, metrics, manifest)`` out.  Handed in by whoever builds the
+#: ``(index, envelope bytes)`` out.  Handed in by whoever builds the
 #: transport, so this module never imports the campaign engine.
-ExecuteFn = Callable[
-    [Tuple[int, Any]], Tuple[int, Dict[str, Any], Optional[Dict[str, Any]]]
-]
+ExecuteFn = Callable[[Tuple[int, Any]], Tuple[int, bytes]]
 
 #: Hard ceiling on one frame, so a peer writing garbage into the length
 #: prefix cannot make the reader allocate gigabytes.
@@ -120,7 +121,7 @@ class WorkerLink:
         raise NotImplementedError
 
     def recv(self) -> Tuple[Any, ...]:
-        """Next result message: ``("ok", index, metrics, manifest)`` or
+        """Next result message: ``("ok", index, envelope)`` or
         ``("err", index, error)``.  Raises ``EOFError``/``OSError`` when
         the link is dead."""
         raise NotImplementedError
@@ -221,11 +222,13 @@ def _pipe_worker_main(conn, execute: ExecuteFn,
                       coordinator_ends: Sequence[Any]) -> None:
     """Forked worker loop, the far end of a :class:`PipeLink`.
 
-    Pulls ``("batch", [(index, spec), ...])`` messages until ``("stop",)``
-    or EOF.  One ``("ok", index, metrics, manifest)`` or ``("err", index,
-    message)`` reply is sent per unit *as it completes*, so the supervisor
-    can reset its per-unit watchdog between units of the same batch and
-    attribute a crash to exactly the unit that was executing.
+    Takes ``("batch", [(index, spec), ...])`` messages until ``("stop",)``
+    or EOF; the supervisor sends one whenever it refills the worker, so
+    the next units are usually waiting in the pipe.  One ``("ok", index,
+    envelope)`` or ``("err", index, message)`` reply is sent per unit *as
+    it completes*, so the supervisor can reset its per-unit watchdog
+    between units and attribute a crash to exactly the unit that was
+    executing.
 
     ``coordinator_ends`` are the coordinator's ends of this worker's pipe
     and of its live siblings', copied in by the fork.  They are closed
@@ -325,7 +328,8 @@ class PipeLink(WorkerLink):
 class Transport:
     """Factory of :class:`WorkerLink` for one campaign's pool."""
 
-    #: Units handed to one worker per dispatch (the work-stealing grain).
+    #: Most units one worker holds at once, the one executing included;
+    #: the supervisor refills it after each reply (the work-stealing grain).
     prefetch: int = 1
 
     def spawn(self) -> WorkerLink:
@@ -355,9 +359,9 @@ class PipeTransport(Transport):
     close its copies of them (see :func:`_pipe_worker_main`).
     """
 
-    #: Small enough that a late straggler batch cannot serialise the tail
-    #: of a campaign, large enough to amortise the pipe round-trip on tiny
-    #: units.
+    #: Small enough that units queued behind a straggler cannot serialise
+    #: the tail of a campaign, large enough that a worker on tiny units
+    #: never waits for the coordinator's next send.
     prefetch = 4
 
     def __init__(self, execute: ExecuteFn) -> None:

@@ -12,7 +12,8 @@ The script maps a unit index to the fate of its successive attempts::
 
 Units (and attempts) the script does not mention succeed.  Fates:
 
-* ``OK`` / ``ERR`` — reply ``ok`` / ``err`` for the unit;
+* ``OK`` / ``ERR`` — reply ``ok`` (the envelope :func:`sealed` makes) /
+  ``err`` for the unit;
 * ``DIE`` — the link goes EOF while the unit executes (a crashed fork);
   units queued behind it in the batch never run;
 * ``HANG`` — no reply, ever: only the watchdog gets the worker back;
@@ -28,6 +29,7 @@ import collections
 import os
 import time
 
+from repro.experiments.cachestore import encode_envelope
 from repro.experiments.transport import Transport, WorkerLink
 
 OK, ERR, DIE, HANG, LIE, TWICE = "ok", "err", "die", "hang", "lie", "twice"
@@ -35,17 +37,33 @@ OK, ERR, DIE, HANG, LIE, TWICE = "ok", "err", "die", "hang", "lie", "twice"
 _EOF = object()
 
 
-class ScriptedLink(WorkerLink):
-    """One scripted worker; records what the loop did to it."""
+def sealed(index):
+    """The envelope a scripted worker replies with for unit ``index``."""
+    return encode_envelope({"unit": index}, None)[0]
 
-    def __init__(self, transport, send_fails=False):
+
+class ScriptedLink(WorkerLink):
+    """One scripted worker; records what the loop did to it.
+
+    ``send_fails=k`` makes the link's ``k``-th ``send_batch`` (1 = the
+    first) find it dead: the worker never receives that batch, and the
+    loop reads EOF when it next looks.
+    """
+
+    def __init__(self, transport, send_fails=None):
         self.transport = transport
         self._send_fails = send_fails
+        self._sends = 0
         self._outbox = collections.deque()
         self._rfd, self._wfd = os.pipe()
         self._exitcode = None
+        self._sent = self._read = 0
         #: ``(monotonic time, [unit index, ...])`` per batch received.
         self.batches = []
+        #: Units the link held when each batch arrived, that batch
+        #: included: sent to it and not yet answered in a reply the loop
+        #: has read.
+        self.held = []
         #: How the loop disposed of the link: "reap" | "kill" | "stop".
         self.fate = None
 
@@ -61,18 +79,21 @@ class ScriptedLink(WorkerLink):
         os.write(self._wfd, b"\0")
 
     def send_batch(self, units):
-        if self._send_fails:
+        self._sends += 1
+        if self._sends == self._send_fails:
             self._exitcode = -9
             self._post(_EOF)  # the corpse reads as EOF when the loop looks
             raise BrokenPipeError("scripted: worker died before the send")
         self.batches.append((time.monotonic(), [i for i, _, _ in units]))
+        self._sent += len(units)
+        self.held.append(self._sent - self._read)
         for index, _spec, _digest in units:
             fate = self.transport.next_fate(index)
             if fate in (OK, TWICE):
                 for _ in range(2 if fate == TWICE else 1):
-                    self._post(("ok", index, {"unit": index}, None))
+                    self._post(("ok", index, sealed(index)))
             elif fate == LIE:
-                self._post(("ok", index + 1000, {"unit": index + 1000}, None))
+                self._post(("ok", index + 1000, sealed(index + 1000)))
                 return
             elif fate == ERR:
                 self._post(("err", index, f"ScriptedError: unit {index}"))
@@ -89,6 +110,7 @@ class ScriptedLink(WorkerLink):
         item = self._outbox.popleft()
         if item is _EOF:
             raise EOFError("scripted: link died")
+        self._read += 1
         return item
 
     def _dispose(self, fate):
@@ -116,7 +138,7 @@ class ScriptedTransport(Transport):
     """Factory of :class:`ScriptedLink`, modelling the pipe pool:
     ``spawn()`` attaches a link at once.  ``link_kwargs`` is applied to
     spawned links in order (the last entry repeats), e.g.
-    ``[{"send_fails": True}, {}]`` makes only the first worker die on its
+    ``[{"send_fails": 1}, {}]`` makes only the first worker die on its
     first send.
     """
 

@@ -407,20 +407,61 @@ def test_cache_put_failing_mid_write_leaves_no_tmp_and_no_entry(tmp_path,
     assert list(cache.root.glob("*/*.json")) == []
 
 
-def test_a_unit_is_journaled_done_only_after_its_put_returned(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2], ids=["inline", "pipe"])
+def test_a_reply_that_does_not_verify_is_retried_then_quarantined(
+    tmp_path, monkeypatch, jobs
+):
+    """A worker's envelope with one byte flipped is a charged ``error``
+    attempt, never a cache entry and never a ``done`` record."""
+    from repro.experiments import CampaignJournal, read_journal
+
+    real = campaign._execute_unit
+
+    def flipping(args):
+        index, body = real(args)
+        if index == 0:
+            at = len(body) // 2
+            body = body[:at] + bytes([body[at] ^ 1]) + body[at + 1:]
+        return index, body
+
+    monkeypatch.setattr(campaign, "_execute_unit", flipping)
+    cache = CampaignCache(tmp_path / "cache")
+    path = tmp_path / "journal.ndjson"
+    with CampaignJournal(path) as journal:
+        result = run_campaign(tiny_grid(2), jobs=jobs, cache=cache,
+                              journal=journal,
+                              policy=RetryPolicy(max_retries=1, backoff=0.01))
+    failure, = result.failed
+    assert (failure.run.index, failure.attempts) == (0, 2)
+    assert failure.error.startswith("reply does not verify: ")
+    assert [r.run.index for r in result.records] == [1]
+    assert [entry.stem for entry in cache_files(cache.root)] \
+        == [result.records[0].run.digest]
+    records, _ = read_journal(path)
+    by_kind = {}
+    for record in records:
+        if record.get("index") == 0:
+            by_kind.setdefault(record["kind"], []).append(record)
+    assert "done" not in by_kind
+    assert [r["status"] for r in by_kind["retry"] + by_kind["failed"]] \
+        == ["error", "error"]
+    assert result.cache_evictions == 0
+
+
+def test_a_unit_is_journaled_done_only_after_its_write_returned(tmp_path):
     """``done`` implies the cache holds the result (resume relies on it),
-    and carries the digest ``put`` computed — not a second encoding."""
+    and carries the digest of the bytes written — not a second encoding."""
+    from repro.experiments.cachestore import decode_envelope
     from repro.experiments.journal import CampaignJournal
     from repro.obs.provenance import stable_digest
 
     events = []
 
     class RecordingCache(CampaignCache):
-        def put(self, digest, payload):
-            result_digest = super().put(digest, payload)
-            assert self._path(digest).exists()
-            events.append(("put", digest, result_digest))
-            return result_digest
+        def write_envelope(self, digest, body):
+            super().write_envelope(digest, body)
+            assert self._path(digest).read_bytes() == body
+            events.append(("write", digest, decode_envelope(body)[2]))
 
     class RecordingJournal(CampaignJournal):
         def done(self, run, result_digest, cached, **attempt):
@@ -435,7 +476,7 @@ def test_a_unit_is_journaled_done_only_after_its_put_returned(tmp_path):
     expected = []
     for record in result.records:
         result_digest = stable_digest(record.metrics)
-        expected += [("put", record.run.digest, result_digest),
+        expected += [("write", record.run.digest, result_digest),
                      ("done", record.run.digest, result_digest)]
     assert events == expected
 

@@ -2,9 +2,10 @@
 
 Every branch of the loop's failure handling — charged crash, a reply for
 the wrong unit, innocent batch-mates, watchdog, backoff, quarantine,
-drain/abort, failed send — is driven through a :class:`ScriptedTransport`
-whose links die, hang and lie on a script.  No process is forked and no
-unit is simulated, so the whole file runs in well under a second; the
+drain/abort, failed send and failed refill — and its refill after each
+reply are driven through a :class:`ScriptedTransport` whose links die,
+hang and lie on a script.  No process is forked and no unit is
+simulated, so the whole file runs in well under a second; the
 real-process suites (``test_campaign_robustness.py``,
 ``test_pool_modes.py``, ``test_signal_resume.py``) keep proving that real
 pipes and forks honour the same contract.
@@ -20,6 +21,7 @@ from repro.experiments import (
     plan_campaign,
     run_campaign,
 )
+from repro.experiments.cachestore import decode_envelope
 from repro.experiments.campaign import _run_pool
 
 from .scripted_transport import (
@@ -54,7 +56,8 @@ def run_pool(transport, n, *, jobs=1, policy=None, shutdown=None,
              on_store=None):
     outcome = Outcome()
 
-    def store(run, metrics, manifest, attempt):
+    def store(run, body, attempt):
+        metrics, _, _ = decode_envelope(body)
         assert metrics == {"unit": run.index}  # replies reach the right unit
         assert attempt.t0 <= attempt.t
         outcome.stored.append(run.index)
@@ -144,7 +147,7 @@ def test_batch_mates_behind_a_crash_are_requeued_uncharged():
 
 def test_send_failure_requeues_the_whole_batch_uncharged():
     transport = ScriptedTransport(prefetch=2,
-                                  link_kwargs=[{"send_fails": True}, {}])
+                                  link_kwargs=[{"send_fails": 1}, {}])
     outcome = run_pool(transport, 2)
     assert sorted(outcome.stored) == [0, 1]
     tel = outcome.journal
@@ -152,6 +155,38 @@ def test_send_failure_requeues_the_whole_batch_uncharged():
     assert tel.retries == []
     assert tel.exit_reasons() == ["crash", "stop"]  # the corpse, then w2
     assert [link.fate for link in transport.links] == ["reap", "stop"]
+
+
+def test_a_failed_refill_requeues_its_chunk_and_charges_the_head_unit():
+    """The send that fails is a refill: unit 1 was executing, so it is
+    charged when the corpse reads EOF; unit 2, the chunk that never
+    arrived, goes back un-charged."""
+    transport = ScriptedTransport(script={1: [HANG]}, prefetch=2,
+                                  link_kwargs=[{"send_fails": 2}, {}])
+    outcome = run_pool(transport, 4)
+    assert sorted(outcome.stored) == [0, 1, 2, 3]
+    first, second = transport.links
+    assert first.units == [0, 1]  # the refill carrying unit 2 never landed
+    tel = outcome.journal
+    assert sorted(tel.unit_attempts()) == [
+        (0, 1, "ok"), (1, 1, "crash"), (1, 2, "ok"), (2, 1, "ok"),
+        (3, 1, "ok")]
+    (run, attempt, status, error, _), = tel.retries
+    assert (run.index, attempt.worker, status) == (1, "w1", "crash")
+    assert error == "worker crashed (exit code -9)"
+    assert tel.exit_reasons() == ["crash", "stop"]
+    assert [first.fate, second.fate] == ["reap", "stop"]
+    assert second.units[:2] == [2, 3]  # the requeued chunk kept its place
+
+
+def test_a_busy_worker_is_refilled_after_each_reply_up_to_prefetch():
+    transport = ScriptedTransport(prefetch=3)
+    outcome = run_pool(transport, 8)
+    assert outcome.stored == list(range(8))
+    link, = transport.links
+    assert [batch for _, batch in link.batches] == [
+        [0, 1, 2], [3], [4], [5], [6], [7]]
+    assert link.held == [3, 3, 3, 3, 3, 3]
 
 
 # -- watchdog -----------------------------------------------------------------
